@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Single CI entry point: tier-1 tests, hot-path benchguards, and the
-# wall-time regression check against the committed BENCH_ting.json
-# baseline. Run from the repository root:
+# Single CI entry point: tier-1 tests, hot-path benchguards, the
+# benchmark smoke run, and the wall-time regression check against the
+# committed BENCH_ting.json baseline. Run from the repository root:
 #
 #   scripts/ci.sh            # everything
 #   scripts/ci.sh --fast     # tier-1 only (skip benchguards + bench)
@@ -210,6 +210,15 @@ for op in set(ops):
 print(f"serve telemetry smoke: {summary['queries']} queries, "
       f"per-op counts { {op: per_op[op]['count'] for op in sorted(per_op)} }")
 PY
+
+echo "== benchmark smoke gate =="
+# The repo's benchmark (bench/, BENCHMARK.json) at --smoke size: all
+# four workloads, untraced then traced, every correctness gate in
+# bench/check.py (identical counts and result hash in every repeat,
+# zero failed pairs/queries, every declared metric reported). Timings
+# at this size mean nothing; the gate is that it still runs and checks.
+# Only failed checks and the closing JSON verdict are shown.
+python3 bench/run.py --smoke | grep -E '^CHECK FAILED|^\{"correct"' | cut -c1-120
 
 echo "== bench regression check =="
 # Compares fresh timings against the committed baseline AND enforces

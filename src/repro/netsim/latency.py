@@ -117,8 +117,14 @@ class LatencyEngine:
         self, src: Host, dst: Host, traffic_class: TrafficClass
     ) -> Milliseconds:
         """The deterministic minimum one-way delay for this class."""
-        if src.host_id == dst.host_id or self._colocated(src, dst):
+        if self._colocated(src, dst):
             return self.loopback_rtt_ms / 2.0
+        return self._routed_base_ms(src, dst, traffic_class)
+
+    def _routed_base_ms(
+        self, src: Host, dst: Host, traffic_class: TrafficClass
+    ) -> Milliseconds:
+        """Floor between two hosts that are not co-located (cached)."""
         key = (
             min(src.host_id, dst.host_id),
             max(src.host_id, dst.host_id),
@@ -158,10 +164,10 @@ class LatencyEngine:
         self, src: Host, dst: Host, traffic_class: TrafficClass
     ) -> Milliseconds:
         """One packet's one-way delay: floor plus sampled jitter."""
-        base = self.base_one_way_ms(src, dst, traffic_class)
-        if src.host_id == dst.host_id or self._colocated(src, dst):
+        if self._colocated(src, dst):
             # Loopback jitter is scheduling noise only: tiny.
-            return base + float(self._rng.exponential(0.01))
+            return self.loopback_rtt_ms / 2.0 + float(self._rng.exponential(0.01))
+        base = self._routed_base_ms(src, dst, traffic_class)
         return base + self.jitter.sample(self._rng)
 
     def sample_rtts_ms(
@@ -185,5 +191,5 @@ class LatencyEngine:
 
     @staticmethod
     def _colocated(src: Host, dst: Host) -> bool:
-        """Hosts in the same /24 are treated as on one machine/subnet."""
-        return src.prefix24 == dst.prefix24
+        """One host, or two in the same /24 (one machine/subnet)."""
+        return src.host_id == dst.host_id or src.prefix24 == dst.prefix24

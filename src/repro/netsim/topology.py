@@ -15,12 +15,12 @@ residential cable/DSL tails are slower than hosting-center cross-connects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import networkx as nx
 import numpy as np
 
-from repro.netsim.addresses import AddressAllocator, ProviderRange, prefix16, prefix24
+from repro.netsim.addresses import AddressAllocator, ProviderRange, parse_ipv4
 from repro.netsim.geo import CITY_CATALOG, City, GeoPoint, great_circle_km
 from repro.netsim.policies import NEUTRAL_POLICY, PolicyModel, ProtocolPolicy
 from repro.util.errors import ConfigurationError
@@ -51,7 +51,12 @@ ACCESS_PROFILES: dict[str, dict[str, float]] = {
 
 @dataclass
 class Host:
-    """An end host attached to the underlay."""
+    """An end host attached to the underlay.
+
+    ``address`` is validated and split into its prefixes once, here:
+    the latency engine compares ``prefix24`` on every packet, so it is a
+    plain attribute and the address must not be reassigned afterwards.
+    """
 
     host_id: int
     name: str
@@ -63,6 +68,10 @@ class Host:
     policy: ProtocolPolicy = NEUTRAL_POLICY
     host_type: str = "hosting"
     rdns: str | None = None
+    #: The host's /24 prefix (network allocation granularity).
+    prefix24: str = field(init=False, repr=False, compare=False)
+    #: The host's /16 prefix (Tor's same-network circuit constraint).
+    prefix16: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.access_delay_ms < 0:
@@ -74,16 +83,14 @@ class Host:
                 f"unknown host type {self.host_type!r}; "
                 f"expected one of {sorted(ACCESS_PROFILES)}"
             )
-
-    @property
-    def prefix24(self) -> str:
-        """The host's /24 prefix (network allocation granularity)."""
-        return prefix24(self.address)
-
-    @property
-    def prefix16(self) -> str:
-        """The host's /16 prefix (Tor's same-network circuit constraint)."""
-        return prefix16(self.address)
+        try:
+            a, b, c, _ = parse_ipv4(self.address)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"host {self.name!r} has a malformed IPv4 address: {exc}"
+            ) from None
+        self.prefix16 = f"{a}.{b}"
+        self.prefix24 = f"{a}.{b}.{c}"
 
     def serialization_delay_ms(self, size_bytes: int) -> Milliseconds:
         """Time to push ``size_bytes`` onto the host's access link."""

@@ -2,12 +2,13 @@
 
 Tor encrypts each RELAY cell once per hop with a stream cipher keyed per
 direction, and verifies end-to-end integrity with a running digest seeded
-per direction. This module reproduces those mechanics with keyed BLAKE2b
+per direction. This module reproduces those mechanics with hash-based
 constructions instead of AES-CTR/SHA-1:
 
 * :class:`LayerCipher` — a stateful XOR stream cipher whose keystream is
-  BLAKE2b(key, block counter). Encrypting and decrypting must happen in
-  lockstep, exactly as with AES-CTR in Tor.
+  one SHAKE-128 squeeze per relay-body-sized block,
+  ``SHAKE128(key || block counter)``. Encrypting and decrypting must
+  happen in lockstep, exactly as with AES-CTR in Tor.
 * :class:`RunningDigest` — a rolling hash over every relay body sent in
   one direction; the first four bytes stamp each cell, letting the far
   end "recognize" cells addressed to it.
@@ -28,10 +29,15 @@ import hashlib
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.tor.cells import RELAY_BODY_LEN
 from repro.util.errors import ReproError
 
-_BLOCK = 64  # BLAKE2b max digest size; one keystream block.
+# Bound once: LayerCipher.process runs per hop per cell, and the four
+# module-attribute loads were 4% of it.
+_view = np.frombuffer
+_U8 = np.uint8
 
 
 class CryptoError(ReproError):
@@ -43,53 +49,36 @@ class LayerCipher:
 
     This is the single hottest inner loop of the simulator: every relay
     body is processed once per hop, in both directions, per cell. The
-    keystream schedule — BLAKE2b(key, block counter) in 64-byte blocks —
-    is fixed (ciphers on both circuit ends must stay in lockstep), but
-    the work per cell is not: the key block is absorbed once into a
-    reusable hash state (``copy()`` per block instead of a fresh keyed
-    construction), and the XOR is one big-int operation over the whole
-    body instead of a per-byte Python loop.
+    keystream is cut to the cell: block ``j`` is
+    ``SHAKE128(key || j).digest(RELAY_BODY_LEN)`` with ``j`` an 8-byte
+    big-endian counter, so a relay body costs one XOF squeeze from a
+    ``copy()`` of the key-absorbed state, and the XOR is one vectorised
+    operation over the whole body. Unused keystream is buffered, so the
+    ciphertext depends only on the byte position in the stream, never
+    on how callers chunk it — the two ends of a circuit stay in
+    lockstep even when one side processes a body in pieces.
     """
 
-    __slots__ = ("_key", "_counter", "_leftover", "_base")
+    __slots__ = ("_base", "_counter", "_leftover")
 
     def __init__(self, key: bytes) -> None:
         if len(key) < 16:
             raise CryptoError("layer key must be at least 16 bytes")
-        self._key = key
+        self._base = hashlib.shake_128(key)
         self._counter = 0
         self._leftover = b""
-        # Keyed state with the key block already absorbed; each keystream
-        # block is a copy of this plus the 8-byte counter.
-        self._base = hashlib.blake2b(key=key[:64], digest_size=_BLOCK)
 
     def process(self, data: bytes) -> bytes:
         """Encrypt or decrypt ``data`` (XOR is symmetric) advancing state."""
         n = len(data)
-        stream = self._keystream(n)
-        return (
-            int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-        ).to_bytes(n, "big")
-
-    def _keystream(self, n: int) -> bytes:
-        leftover = self._leftover
-        if len(leftover) >= n:
-            self._leftover = leftover[n:]
-            return leftover[:n]
-        chunks = [leftover]
-        have = len(leftover)
-        base = self._base
-        counter = self._counter
-        while have < n:
-            block = base.copy()
-            block.update(counter.to_bytes(8, "big"))
-            chunks.append(block.digest())
-            counter += 1
-            have += _BLOCK
-        self._counter = counter
-        stream = b"".join(chunks)
+        stream = self._leftover
+        while len(stream) < n:
+            block = self._base.copy()
+            block.update(self._counter.to_bytes(8, "big"))
+            self._counter += 1
+            stream += block.digest(RELAY_BODY_LEN)
         self._leftover = stream[n:]
-        return stream[:n]
+        return (_view(data, _U8) ^ _view(stream, _U8, n)).tobytes()
 
 
 class RunningDigest:

@@ -1,12 +1,15 @@
 """The fast-path cell crypto must be byte-identical to the reference.
 
-:class:`~repro.tor.crypto.LayerCipher` was rewritten from a per-byte
-Python XOR loop to big-int XOR over a ``copy()``-amortized keyed-BLAKE2b
-keystream. The ciphers at every hop of every circuit must stay in exact
-lockstep with their peers, so the rewrite is only safe if the keystream
-(and the digest tags stamped on cells) are byte-for-byte what the
-original produced. These tests pin that equivalence against inline
-reference implementations transcribed from the original code.
+:class:`~repro.tor.crypto.LayerCipher` squeezes its keystream one
+relay-body-sized SHAKE-128 block at a time from a ``copy()`` of a
+key-absorbed state and XORs whole bodies in one vectorised step. The
+ciphers at every hop of every circuit must stay in exact lockstep with
+their peers however the bytes are chunked, so the fast path is only
+safe if the keystream (and the digest tags stamped on cells) are
+byte-for-byte what the schedule says. These tests pin that equivalence
+against inline reference implementations written straight from the
+schedule: no buffering, a fresh hash for every byte looked up, a
+per-byte XOR.
 """
 
 import hashlib
@@ -22,39 +25,29 @@ from repro.tor.crypto import (
     RunningDigest,
 )
 
-_BLOCK = 64
-
 
 class ReferenceLayerCipher:
-    """The original per-byte XOR / one-shot-BLAKE2b implementation."""
+    """Byte ``p`` of the stream is byte ``p % RELAY_BODY_LEN`` of
+    ``SHAKE128(key || p // RELAY_BODY_LEN)``: no state but the position,
+    a fresh hash for every byte."""
 
     def __init__(self, key: bytes) -> None:
         self._key = key
-        self._counter = 0
-        self._leftover = b""
+        self._position = 0
 
     def process(self, data: bytes) -> bytes:
         out = bytearray(len(data))
-        stream = self._keystream(len(data))
-        for i, (d, k) in enumerate(zip(data, stream)):
-            out[i] = d ^ k
+        for i, d in enumerate(data):
+            out[i] = d ^ self._keystream_byte(self._position)
+            self._position += 1
         return bytes(out)
 
-    def _keystream(self, n: int) -> bytes:
-        chunks = [self._leftover]
-        have = len(self._leftover)
-        while have < n:
-            block = hashlib.blake2b(
-                self._counter.to_bytes(8, "big"),
-                key=self._key[:64],
-                digest_size=_BLOCK,
-            ).digest()
-            self._counter += 1
-            chunks.append(block)
-            have += _BLOCK
-        stream = b"".join(chunks)
-        self._leftover = stream[n:]
-        return stream[:n]
+    def _keystream_byte(self, position: int) -> int:
+        j, offset = divmod(position, RELAY_BODY_LEN)
+        block = hashlib.shake_128(self._key + j.to_bytes(8, "big")).digest(
+            RELAY_BODY_LEN
+        )
+        return block[offset]
 
 
 class ReferenceRunningDigest:
