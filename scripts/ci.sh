@@ -36,8 +36,10 @@ echo "== work-stealing chaos test =="
 # matrix must be bit-identical to a healthy run, the fast worker must
 # absorb the slow worker's share, and the leg phase must keep total
 # leg builds pinned at n. Runs inside tier-1 too; gated explicitly so
-# a future tier split cannot silently drop it.
-python -m pytest tests/core/test_shard_steal.py -x -q
+# a future tier split cannot silently drop it. The scaling guard rides
+# along: per-task resets and per-chunk result containers, counted
+# exactly, must be the same at 40 and at 400 relays.
+python -m pytest tests/core/test_shard_steal.py tests/core/test_shard_scaling.py -x -q
 
 echo "== watchdog smoke test =="
 # A deliberately wedged shard worker must trip the stall watchdog and

@@ -235,15 +235,14 @@ class ParallelCampaign:
             raise MeasurementError("duplicate relays in campaign set")
         if concurrency < 1:
             raise MeasurementError("concurrency must be >= 1")
-        known = set(fingerprints)
+        #: Campaign node order, by fingerprint; also the membership test.
+        self._rank = {fp: rank for rank, fp in enumerate(fingerprints)}
         if pairs is not None:
-            for a, b in pairs:
-                if a == b or a not in known or b not in known:
-                    raise MeasurementError(f"invalid campaign pair ({a}, {b})")
+            self._check_pairs(pairs)
         for name, mapping in (("legs", legs), ("leg_estimates", leg_estimates),
                               ("leg_failures", leg_failures)):
             for fp in mapping or ():
-                if fp not in known:
+                if fp not in self._rank:
                     raise MeasurementError(f"unknown relay {fp!r} in {name}")
         self.host = host
         self.relays = list(relays)
@@ -287,6 +286,11 @@ class ParallelCampaign:
         """Every known leg failure reason, by relay."""
         return dict(self._leg_failures)
 
+    def _check_pairs(self, pairs: Iterable[tuple[str, str]]) -> None:
+        for a, b in pairs:
+            if a == b or a not in self._rank or b not in self._rank:
+                raise MeasurementError(f"invalid campaign pair ({a}, {b})")
+
     def _task_lists(self) -> tuple[list[str], list[tuple[str, str]]]:
         """Leg fingerprints and pair tasks for this campaign's scope."""
         if self.pairs is not None:
@@ -317,10 +321,12 @@ class ParallelCampaign:
 
     def run(self) -> ParallelReport:
         """Execute the campaign; drives the simulator until completion."""
-        matrix = RttMatrix([r.fingerprint for r in self.relays])
+        leg_fps, pair_tasks = self._task_lists()
+        # A leg-only campaign (a sharded campaign's leg phase) writes no
+        # entry, so it gets no n×n block to fill and throw away.
+        matrix = RttMatrix(list(self._rank) if pair_tasks else [])
         report = ParallelReport(matrix=matrix)
         started = self.host.sim.now
-        leg_fps, pair_tasks = self._task_lists()
 
         events = self.host.events
         if events.enabled:
@@ -472,22 +478,23 @@ class ParallelCampaign:
         reused, and any relay still missing both an estimate and a
         failure gets a leg task prepended — so the chunk is
         self-sufficient even without a leg phase. Returns a per-chunk
-        report whose matrix holds only this chunk's entries;
-        ``legs_measured`` says how many leg circuits the chunk had to
-        build itself (zero when fully pre-warmed).
+        report whose matrix spans only the relays the chunk names, in
+        campaign node order — so ``measured_pairs()`` yields the chunk's
+        entries in the order a campaign-wide matrix would, at a cost
+        that does not grow with the campaign. ``legs_measured`` says how
+        many leg circuits the chunk had to build itself (zero when fully
+        pre-warmed).
         """
         if self.isolation is None:
             raise MeasurementError("run_pairs requires task isolation")
-        known = {r.fingerprint for r in self.relays}
-        for a, b in pairs:
-            if a == b or a not in known or b not in known:
-                raise MeasurementError(f"invalid campaign pair ({a}, {b})")
-        matrix = RttMatrix([r.fingerprint for r in self.relays])
+        self._check_pairs(pairs)
+        named = dict.fromkeys(fp for pair in pairs for fp in pair)
+        matrix = RttMatrix(sorted(named, key=self._rank.__getitem__))
         report = ParallelReport(matrix=matrix, peak_concurrency=1)
         started = self.host.sim.now
         needed = [
             fp
-            for fp in dict.fromkeys(fp for pair in pairs for fp in pair)
+            for fp in named
             if fp not in self._legs and fp not in self._leg_failures
         ]
         tasks: list[tuple[str, ...]] = [("leg", fp) for fp in needed] + [

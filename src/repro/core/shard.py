@@ -105,6 +105,7 @@ from repro.obs import (
     SpanTracer,
     TraceLog,
 )
+from repro.tor.directory import RelayDescriptor
 from repro.util.errors import MeasurementError
 from repro.util.units import Milliseconds
 
@@ -444,6 +445,11 @@ class ShardedReport:
     When the campaign ran with a :class:`CampaignTelemetry`, ``stream``
     is the parent-side bus fed live across the fork boundary and
     ``progress`` the final state of the progress tracker.
+
+    ``wall_s`` spans the whole of ``run()``; ``build_s`` is the part of
+    it spent inside ``factory()``. The testbed build is the caller's
+    recipe, not campaign work: subtract it before reading ``wall_s`` as
+    leg phase + pair phase + ship/merge.
     """
 
     matrix: RttMatrix
@@ -456,6 +462,7 @@ class ShardedReport:
     events_processed: int = 0
     cells_processed: int = 0
     wall_s: float = 0.0
+    build_s: float = 0.0
     probes_sent: int = 0
     probes_saved: int = 0
     early_stops: int = 0
@@ -480,11 +487,12 @@ def _testbed_cells(testbed: Any) -> int:
 @dataclass
 class _WorkerJob:
     """Everything one pair worker needs, inherited over fork (not
-    pickled): the parent-built testbed, the relay order, and the leg
-    phase's read-only estimate/failure caches."""
+    pickled): the parent-built testbed, the campaign's relay descriptors
+    (in node order, built once before the fork), and the leg phase's
+    read-only estimate/failure caches."""
 
     testbed: Any
-    fingerprints: list[str]
+    descriptors: list[RelayDescriptor]
     policy: SamplePolicy | None
     shard_index: int
     observe: bool
@@ -545,11 +553,9 @@ def _run_worker(
         testbed.sim.on_batch = telemetry.beat
     elif job.observe:
         host.events.shard = job.shard_index
-    by_fp = {relay.fingerprint: relay for relay in testbed.relays}
-    descriptors = [by_fp[fp].descriptor() for fp in job.fingerprints]
     campaign = ParallelCampaign(
         host,
-        descriptors,
+        job.descriptors,
         policy=job.policy,
         pairs=[],
         legs=[],
@@ -814,6 +820,7 @@ class ShardedCampaign:
             else None
         )
         testbed = self.factory()
+        build_s = time.perf_counter() - started
         by_fp = {relay.fingerprint: relay for relay in testbed.relays}
         missing = [fp for fp in self.fingerprints if fp not in by_fp]
         if missing:
@@ -821,23 +828,28 @@ class ShardedCampaign:
                 f"factory-built testbed lacks relays {missing[:3]}"
                 f"{'...' if len(missing) > 3 else ''}"
             )
+        # Built once, before any fork: the leg phase and every worker
+        # share this list instead of each walking all relays again.
+        descriptors = [by_fp[fp].descriptor() for fp in self.fingerprints]
         leg_result = None
         leg_estimates: dict[str, float] = {}
         leg_failures: dict[str, str] = {}
         if self.leg_phase:
             leg_result, leg_estimates, leg_failures = self._run_leg_phase(
-                testbed, monitor
+                testbed, descriptors, monitor
             )
         if inline:
             results = self._run_inline(
-                testbed, chunks, monitor, leg_estimates, leg_failures
+                testbed, descriptors, chunks, monitor, leg_estimates,
+                leg_failures,
             )
         else:
             results = self._run_forked(
-                testbed, chunks, monitor, leg_estimates, leg_failures,
-                fork_workers,
+                testbed, descriptors, chunks, monitor, leg_estimates,
+                leg_failures, fork_workers,
             )
         report = self._merge(results, leg_result)
+        report.build_s = build_s
         if monitor is not None:
             report.stream = monitor.bus
             report.progress = monitor.progress
@@ -862,6 +874,7 @@ class ShardedCampaign:
     def _worker_job(
         self,
         testbed: Any,
+        descriptors: list[RelayDescriptor],
         shard_index: int,
         leg_estimates: dict[str, float],
         leg_failures: dict[str, str],
@@ -872,7 +885,7 @@ class ShardedCampaign:
         )
         return _WorkerJob(
             testbed=testbed,
-            fingerprints=self.fingerprints,
+            descriptors=descriptors,
             policy=self.policy,
             shard_index=shard_index,
             observe=self.observe,
@@ -882,7 +895,10 @@ class ShardedCampaign:
         )
 
     def _run_leg_phase(
-        self, testbed: Any, monitor: _ShardMonitor | None
+        self,
+        testbed: Any,
+        descriptors: list[RelayDescriptor],
+        monitor: _ShardMonitor | None,
     ) -> tuple[ShardResult, dict[str, float], dict[str, str]]:
         """Measure every relay's leg circuit once, in the parent.
 
@@ -915,8 +931,6 @@ class ShardedCampaign:
             host.events.shard = LEG_PHASE
         events_start = testbed.sim.events_processed
         cells_start = _testbed_cells(testbed)
-        by_fp = {relay.fingerprint: relay for relay in testbed.relays}
-        descriptors = [by_fp[fp].descriptor() for fp in self.fingerprints]
         campaign = ParallelCampaign(
             host,
             descriptors,
@@ -957,6 +971,7 @@ class ShardedCampaign:
     def _run_inline(
         self,
         testbed: Any,
+        descriptors: list[RelayDescriptor],
         chunks: list[tuple[int, list[tuple[str, str]]]],
         monitor: _ShardMonitor | None,
         leg_estimates: dict[str, float],
@@ -981,7 +996,9 @@ class ShardedCampaign:
             if monitor is not None:
                 monitor.register(index)
                 telemetry = self._worker_telemetry(index, monitor.handle)
-            job = self._worker_job(testbed, index, leg_estimates, leg_failures)
+            job = self._worker_job(
+                testbed, descriptors, index, leg_estimates, leg_failures
+            )
             result = _run_worker(
                 job,
                 next_task=lambda it=queue: next(it),
@@ -995,6 +1012,7 @@ class ShardedCampaign:
     def _run_forked(
         self,
         testbed: Any,
+        descriptors: list[RelayDescriptor],
         chunks: list[tuple[int, list[tuple[str, str]]]],
         monitor: _ShardMonitor | None,
         leg_estimates: dict[str, float],
@@ -1026,7 +1044,9 @@ class ShardedCampaign:
             if monitor is not None:
                 monitor.register(index)
                 telemetry = self._worker_telemetry(index, channel.put)
-            job = self._worker_job(testbed, index, leg_estimates, leg_failures)
+            job = self._worker_job(
+                testbed, descriptors, index, leg_estimates, leg_failures
+            )
             procs[index] = ctx.Process(
                 target=_worker_entry,
                 args=(channel, tasks, job, telemetry),

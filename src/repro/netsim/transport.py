@@ -59,7 +59,6 @@ class NetworkFabric:
         self.latency = latency
         self._port_handlers: dict[tuple[int, int], Callable[[Packet], None]] = {}
         self._listeners: dict[tuple[int, int], Callable[["StreamConnection"], None]] = {}
-        self._connections: dict[int, "StreamConnection"] = {}
         self._conn_ids = itertools.count(1)
         self._ephemeral = itertools.count(49152)
 
@@ -172,7 +171,6 @@ class NetworkFabric:
             traffic_class=traffic_class,
             is_client=True,
         )
-        self._connections[conn_id] = client
         syn = Packet(
             src=src,
             dst=dst,

@@ -69,6 +69,14 @@ class LiveTorTestbed:
     measurement: MeasurementHost
     geolocation: GeolocationDB
 
+    def __post_init__(self) -> None:
+        # Relays holding OR-connection state since their last reset; each
+        # relay adds itself (see ``Relay.conn_registry``).
+        self._touched: set[Relay] = set()
+        self._relay_rank = {relay: rank for rank, relay in enumerate(self.relays)}
+        for relay in self.relays:
+            relay.conn_registry = self._touched
+
     @classmethod
     def build(
         cls,
@@ -287,13 +295,18 @@ class LiveTorTestbed:
         Connection reuse couples measurement tasks: whichever task runs
         first pays the handshake (and its RNG draws), later tasks do not.
         Dropping the caches before each isolated task makes every task
-        start from the same cold-connection state.
+        start from the same cold-connection state. Only relays that
+        accepted or opened a connection since their last reset hold any
+        state, so only those are visited — in testbed relay order,
+        because ``close()`` draws a link delay and schedules the peer's
+        close event: the visiting order shows in event sequence numbers.
         """
         self.measurement.proxy.disconnect_or_conns()
         self.measurement.relay_w.disconnect_or_conns()
         self.measurement.relay_z.disconnect_or_conns()
-        for relay in self.relays:
+        for relay in sorted(self._touched, key=self._relay_rank.__getitem__):
             relay.disconnect_or_conns()
+        self._touched.clear()
 
     def task_isolation(self):
         """A :class:`~repro.core.parallel.TaskIsolation` for this world."""

@@ -232,10 +232,13 @@ class Relay:
         # Sim time of the last queue-saturation event, for rate limiting.
         self._last_saturation_ms = -float("inf")
 
-        # Outbound OR connections keyed by "address:port"; each entry is
-        # (conn, established, pending cells queued while connecting).
+        #: Set by a testbed that resets connections between tasks: the
+        #: relay adds itself whenever it accepts or opens an OR
+        #: connection, so the reset visits only relays with state to drop.
+        self.conn_registry: set[Relay] | None = None
+
+        # Outbound OR connections keyed by "address:port".
         self._or_conns: dict[str, StreamConnection] = {}
-        self._pending_cells: dict[str, list[Cell]] = {}
         # Circuit table keyed by (id(conn), circ_id) for each direction.
         self._circuits: dict[tuple[int, int], _CircuitEntry] = {}
         # Reverse index: which (conn, circ_id) is the *next*-hop side.
@@ -268,6 +271,8 @@ class Relay:
     # OR connection handling
 
     def _accept_or_connection(self, conn: StreamConnection) -> None:
+        if self.conn_registry is not None:
+            self.conn_registry.add(self)
         conn.on_data = lambda cell, c=conn: self._cell_arrived(c, cell)
 
     def _or_conn_to(
@@ -291,6 +296,8 @@ class Relay:
             existing._on_established = chained
             return
         target = self.topology.host_by_address(address)
+        if self.conn_registry is not None:
+            self.conn_registry.add(self)
 
         def established(conn: StreamConnection) -> None:
             conn.on_data = lambda cell, c=conn: self._cell_arrived(c, cell)
@@ -653,7 +660,6 @@ class Relay:
         for conn in self._or_conns.values():
             conn.close()
         self._or_conns.clear()
-        self._pending_cells.clear()
         self._queue_head.clear()
 
     def shutdown(self) -> None:

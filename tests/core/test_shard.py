@@ -222,11 +222,9 @@ class TestChunkPartitioning:
         seen = {}
         real_forked = campaign._run_forked
 
-        def spy(testbed, chunks, monitor, leg_estimates, leg_failures, n):
-            seen["n_workers"] = n
-            return real_forked(
-                testbed, chunks, monitor, leg_estimates, leg_failures, n
-            )
+        def spy(*args):
+            seen["n_workers"] = args[-1]
+            return real_forked(*args)
 
         monkeypatch.setattr(campaign, "_run_forked", spy)
         report = campaign.run()
