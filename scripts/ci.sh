@@ -161,6 +161,42 @@ echo "== serve smoke gate =="
 # bit-identical to in-memory answers, forked batches identical to
 # inline ones. Exits nonzero on any mismatch.
 python -m repro.cli -q serve --input /tmp/ting_planner_smoke.npz --selftest
+# The differential suite behind it: every index answer and every wire
+# dict vs plain numpy on the raw array, over small tie-heavy matrices.
+# Runs inside tier-1 too; gated explicitly like the chaos test above.
+python -m pytest tests/serve/test_index_differential.py -x -q
+# And the wire itself: `serve --batch` output for a percentile + via +
+# knn JSONL must be strict JSON — a bare NaN/Infinity token (which
+# json.dumps writes happily) fails the parse here.
+timeout 120 python - <<'PY'
+import json, subprocess, sys
+
+from repro.core.dataset import CampaignDataset
+
+nodes = CampaignDataset.load("/tmp/ting_planner_smoke.npz").matrix.nodes
+queries = []
+for i, a in enumerate(nodes):
+    b = nodes[(i * 5 + 1) % len(nodes)]
+    queries.append({"op": "percentile", "x": a, "q": float(i % 101)})
+    queries.append({"op": "knn", "x": a, "k": len(nodes)})
+    if a != b:
+        queries.append({"op": "via", "x": a, "y": b, "k": len(nodes)})
+done = subprocess.run(
+    [sys.executable, "-m", "repro.cli", "-q", "serve",
+     "--input", "/tmp/ting_planner_smoke.npz", "--batch", "-"],
+    input="".join(json.dumps(q) + "\n" for q in queries),
+    check=True, capture_output=True, text=True,
+)
+
+def refuse(token):
+    raise AssertionError(f"non-finite token {token!r} on the serve wire")
+
+lines = done.stdout.splitlines()
+assert len(lines) == len(queries), (len(lines), len(queries))
+answers = [json.loads(line, parse_constant=refuse) for line in lines]
+print(f"serve wire smoke: {len(answers)} answers, all strict JSON, "
+      f"{sum('error' in a for a in answers)} error answers")
+PY
 
 echo "== serve telemetry smoke gate =="
 # The observability of the same read side: answer a mixed JSONL batch

@@ -77,6 +77,10 @@ OPTIONAL_WORKLOAD_KEYS = (
     "point_p99_ms",
     "knn_p50_ms",
     "knn_p99_ms",
+    "percentile_p50_ms",
+    "percentile_p99_ms",
+    "via_p50_ms",
+    "via_p99_ms",
 )
 
 #: ``--check`` fails when ``campaign_fullnet``'s per-pair wall cost
@@ -107,11 +111,20 @@ SERVE_KNN_QPS_FLOOR = 10_000.0
 #: instrumented path answers point queries at p50 ~2 µs / p99 ~7 µs and
 #: k-NN (k=10) at p50 ~10 µs / p99 ~43 µs; ceilings sit at ~15-30x so
 #: loaded-CI jitter passes while an accidental per-query allocation
-#: storm (a 100x miss) cannot.
+#: storm (a 100x miss) cannot. Row percentiles (p50 ~1.7 µs: two reads
+#: and a lerp off the presorted row) and via detours (k=3, p50 ~19 µs:
+#: one O(n) pass) are held to the same rule — a 44 µs
+#: ``np.percentile`` call per query sat unnoticed because only point
+#: and k-NN were timed; its ceiling sits at the low end of the range so
+#: that path can never pass again.
 SERVE_POINT_P50_CEILING_MS = 0.05
 SERVE_POINT_P99_CEILING_MS = 0.25
 SERVE_KNN_P50_CEILING_MS = 0.15
 SERVE_KNN_P99_CEILING_MS = 0.60
+SERVE_PERCENTILE_P50_CEILING_MS = 0.03
+SERVE_VIA_P50_CEILING_MS = 0.50
+#: Detours asked for per ``via`` query in ``serve_latency``.
+SERVE_VIA_K = 3
 
 #: Fixed cell-body size for the crypto workload (the Tor relay-cell
 #: payload the acceptance criteria are phrased in terms of).
@@ -416,7 +429,8 @@ def bench_serve_latency(
     recording included — and reads the p50/p99 off the telemetry's own
     µs-bucketed histograms, exactly the numbers a production scrape
     would alert on. :func:`check_serve_latency` pins them under the
-    ``SERVE_*_CEILING_MS`` SLOs.
+    ``SERVE_*_CEILING_MS`` SLOs. Row-percentile and via
+    (``k=SERVE_VIA_K``) queries get half of ``knn_queries`` each.
     """
     import numpy as np
 
@@ -446,6 +460,22 @@ def bench_serve_latency(
         {"op": "knn", "x": nodes[int(i)], "k": knn_k}
         for i in rng.integers(0, relays, size=knn_queries)
     ]
+    queries += [
+        {"op": "percentile", "x": nodes[int(i)], "q": float(q)}
+        for i, q in zip(
+            rng.integers(0, relays, size=knn_queries // 2),
+            rng.uniform(1.0, 99.0, size=knn_queries // 2),
+        )
+    ]
+    via_first = rng.integers(0, relays, size=knn_queries // 2)
+    # An offset in [1, relays) keeps the two endpoints distinct.
+    via_second = (
+        via_first + rng.integers(1, relays, size=knn_queries // 2)
+    ) % relays
+    queries += [
+        {"op": "via", "x": nodes[int(i)], "y": nodes[int(j)], "k": SERVE_VIA_K}
+        for i, j in zip(via_first, via_second)
+    ]
     query = server.query
     start = time.perf_counter()
     for q in queries:
@@ -453,10 +483,10 @@ def bench_serve_latency(
     wall = time.perf_counter() - start
 
     entry = _entry(wall, 0, 0, len(queries) / wall)
-    for op, prefix in (("point", "point"), ("knn", "knn")):
+    for op in ("point", "knn", "percentile", "via"):
         hist = telemetry.registry.histogram(f"serve.latency_ms.{op}")
-        entry[f"{prefix}_p50_ms"] = round(hist.quantile(0.5), 6)
-        entry[f"{prefix}_p99_ms"] = round(hist.quantile(0.99), 6)
+        entry[f"{op}_p50_ms"] = round(hist.quantile(0.5), 6)
+        entry[f"{op}_p99_ms"] = round(hist.quantile(0.99), 6)
     return entry
 
 
@@ -668,6 +698,8 @@ def check_serve_latency(
             "point_p99_ms": SERVE_POINT_P99_CEILING_MS,
             "knn_p50_ms": SERVE_KNN_P50_CEILING_MS,
             "knn_p99_ms": SERVE_KNN_P99_CEILING_MS,
+            "percentile_p50_ms": SERVE_PERCENTILE_P50_CEILING_MS,
+            "via_p50_ms": SERVE_VIA_P50_CEILING_MS,
         }
     problems: list[str] = []
     entry = report.get("serve_latency")

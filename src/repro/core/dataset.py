@@ -139,7 +139,14 @@ class RttMatrix:
             raise MeasurementError(f"unknown node {node!r}") from None
 
     def set(self, a: str, b: str, rtt_ms: Milliseconds) -> None:
-        """Record R(a, b); the matrix stays symmetric."""
+        """Record R(a, b); the matrix stays symmetric.
+
+        Only a finite, non-negative RTT is a measurement: NaN is how
+        the matrix spells "unmeasured", and an infinity would reach the
+        serve wire as invalid JSON.
+        """
+        if not math.isfinite(rtt_ms):
+            raise MeasurementError(f"non-finite RTT {rtt_ms} for ({a}, {b})")
         if rtt_ms < 0:
             raise MeasurementError(f"negative RTT {rtt_ms} for ({a}, {b})")
         i, j = self.index_of(a), self.index_of(b)

@@ -16,8 +16,8 @@ Build-time precomputation (all O(n²), vectorized):
 * per-row neighbor rankings: ``argsort`` of each row with the diagonal
   and unmeasured entries pushed past the end, plus a per-row measured
   degree — k-nearest-neighbor queries become an O(k) slice;
-* per-row sorted RTT tables — percentile and rank queries become one
-  ``np.percentile``/``searchsorted`` over a prefix slice;
+* per-row sorted RTT tables — a percentile is two reads and a lerp at
+  a computed offset, a rank one ``searchsorted`` over a prefix slice;
 * the global sorted value vector, for matrix-wide percentiles;
 * an optional quality/freshness join from the dataset's provenance
   (:meth:`~repro.core.dataset.CampaignDataset.quality`): per-pair
@@ -28,7 +28,8 @@ Query surface: :meth:`point`, :meth:`row`, :meth:`k_nearest`,
 :meth:`percentile` / :meth:`rank` / :meth:`global_percentile`,
 :meth:`path_rtt` (+ vectorized :meth:`batch_path_rtt`), and the
 ShorTor-style :meth:`best_via` detour search — one vectorized
-``min(row_a + col_b)`` pass over all candidate via relays.
+``row_a + col_b`` pass and one O(n) selection over all candidate via
+relays, whatever ``k`` is.
 
 Unmeasured pairs are first-class: point answers carry
 ``measured=False`` with ``rtt_ms=None``, k-NN rankings only cover the
@@ -38,13 +39,17 @@ rather than NaN-poisoning downstream sums.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.dataset import CampaignDataset, RttMatrix
 from repro.util.errors import ConfigurationError, MeasurementError
+
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class UnknownNodeError(MeasurementError):
@@ -54,6 +59,31 @@ class UnknownNodeError(MeasurementError):
     own taxonomy bucket (``unknown_node``) — a client typo or a stale
     node list, not a data problem like "no measured neighbors".
     """
+
+
+def _point_record(
+    x: str,
+    y: str,
+    rtt_ms: float | None,
+    measured: bool,
+    quality: float | None,
+    age_rows: int | None,
+    stale: bool | None,
+) -> dict[str, Any]:
+    """The wire form of one point answer (:meth:`PointAnswer.to_dict`)."""
+    record: dict[str, Any] = {
+        "x": x,
+        "y": y,
+        "rtt_ms": rtt_ms,
+        "measured": measured,
+    }
+    if quality is not None:
+        record["quality"] = round(quality, 4)
+    if age_rows is not None:
+        record["age_rows"] = age_rows
+    if stale is not None:
+        record["stale"] = stale
+    return record
 
 
 @dataclass(slots=True)
@@ -69,19 +99,10 @@ class PointAnswer:
     stale: bool | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        record: dict[str, Any] = {
-            "x": self.x,
-            "y": self.y,
-            "rtt_ms": self.rtt_ms,
-            "measured": self.measured,
-        }
-        if self.quality is not None:
-            record["quality"] = round(self.quality, 4)
-        if self.age_rows is not None:
-            record["age_rows"] = self.age_rows
-        if self.stale is not None:
-            record["stale"] = self.stale
-        return record
+        return _point_record(
+            self.x, self.y, self.rtt_ms, self.measured,
+            self.quality, self.age_rows, self.stale,
+        )
 
 
 @dataclass(slots=True)
@@ -115,9 +136,30 @@ class ViaAnswer:
             "direct_rtt_ms": self.direct_rtt_ms,
             "improved": self.improved,
         }
-        if self.savings_ms is not None:
-            record["savings_ms"] = round(self.savings_ms, 6)
+        savings = self.savings_ms
+        if savings is not None:
+            record["savings_ms"] = round(savings, 6)
         return record
+
+
+def _sorted_percentile(ascending: np.ndarray, count: int, q: float) -> float:
+    """The ``q``-th percentile of ``ascending[:count]``, already sorted.
+
+    numpy's default (linear) percentile in closed form: the virtual
+    index ``(count - 1) * q / 100``, its two neighbouring entries, and
+    numpy's own lerp — evaluated from the right-hand entry once the
+    weight reaches one half — so the result is numpy's to the bit.
+    """
+    virtual = (count - 1) * (q / 100.0)
+    below = int(virtual)
+    if below >= count - 1:
+        return ascending.item(count - 1)
+    lo = ascending.item(below)
+    hi = ascending.item(below + 1)
+    weight = virtual - below
+    if weight >= 0.5:
+        return hi - (hi - lo) * (1.0 - weight)
+    return lo + (hi - lo) * weight
 
 
 class MatrixIndex:
@@ -205,6 +247,14 @@ class MatrixIndex:
         # Neighbor ranking scratch: diagonal and unmeasured entries to
         # +inf so they sort past every finite RTT.
         work = np.array(rtt, dtype=np.float64, copy=True)
+        # Adopted and memory-mapped arrays never went through
+        # ``RttMatrix.set``; an infinity would pass for "unmeasured" in
+        # the rankings yet be served by ``point``, a negative RTT is no
+        # measurement at all.
+        if np.isinf(work).any() or (work < 0.0).any():
+            raise MeasurementError(
+                "matrix holds infinite or negative RTTs; not indexing it"
+            )
         np.fill_diagonal(work, np.inf)
         work[np.isnan(work)] = np.inf
         order = np.argsort(work, axis=1, kind="stable")[:, : n - 1].astype(
@@ -275,9 +325,9 @@ class MatrixIndex:
         return info
 
     def _meta_at(self, i: int, j: int) -> tuple[float | None, int | None, bool | None]:
-        """(quality, age_rows, stale) for one pair, or Nones."""
-        if self._quality is None:
-            return None, None, None
+        """(quality, age_rows, stale) for one pair of a quality-joined
+        index (callers test ``self._quality`` once per query), or Nones
+        where the join has no score for the pair."""
         q = self._quality[i, j]
         if np.isnan(q):
             return None, None, None
@@ -301,17 +351,13 @@ class MatrixIndex:
             j = _id[b]
         except KeyError as exc:
             raise UnknownNodeError(f"unknown node {exc.args[0]!r}") from None
-        value = self._rtt[i, j]
-        quality, age_rows, stale = self._meta_at(i, j)
-        if value != value:  # NaN: unmeasured
-            return PointAnswer(
-                x=a, y=b, rtt_ms=None, measured=False,
-                quality=quality, age_rows=age_rows, stale=stale,
-            )
-        return PointAnswer(
-            x=a, y=b, rtt_ms=float(value), measured=True,
-            quality=quality, age_rows=age_rows, stale=stale,
-        )
+        rtt_ms = self._rtt.item(i, j)
+        measured = rtt_ms == rtt_ms  # NaN: unmeasured
+        if not measured:
+            rtt_ms = None
+        if self._quality is None:
+            return PointAnswer(a, b, rtt_ms, measured)
+        return PointAnswer(a, b, rtt_ms, measured, *self._meta_at(i, j))
 
     def row(self, a: str) -> np.ndarray:
         """The read-only RTT row for one node (NaN where unmeasured)."""
@@ -326,23 +372,40 @@ class MatrixIndex:
         O(k): the ranking was argsorted at build time. Fewer than ``k``
         measured neighbors returns what exists.
         """
+        return [
+            PointAnswer(a, y, rtt, True, quality, age_rows, stale)
+            for y, rtt, quality, age_rows, stale in self._neighbors(a, k)
+        ]
+
+    def _neighbors(
+        self, a: str, k: int
+    ) -> Iterator[tuple[str, float, float | None, int | None, bool | None]]:
+        """``(y, rtt_ms, quality, age_rows, stale)`` per ranked neighbor.
+
+        What :meth:`k_nearest` wraps in dataclasses and
+        :meth:`_neighbor_records` writes straight into wire dicts.
+        """
         if k < 1:
             raise ConfigurationError("k must be >= 1")
         i = self.index_of(a)
         count = min(k, int(self._degree[i]))
-        neighbors = self._order[i, :count]
-        rtts = self._row_sorted[i, :count]
+        ranked = zip(
+            self._order[i, :count].tolist(), self._row_sorted[i, :count].tolist()
+        )
         nodes = self.nodes
-        out = []
-        for idx, rtt in zip(neighbors.tolist(), rtts.tolist()):
-            quality, age_rows, stale = self._meta_at(i, idx)
-            out.append(
-                PointAnswer(
-                    x=a, y=nodes[idx], rtt_ms=rtt, measured=True,
-                    quality=quality, age_rows=age_rows, stale=stale,
-                )
-            )
-        return out
+        if self._quality is None:
+            return ((nodes[idx], rtt, None, None, None) for idx, rtt in ranked)
+        meta_at = self._meta_at
+        return ((nodes[idx], rtt, *meta_at(i, idx)) for idx, rtt in ranked)
+
+    def _neighbor_records(self, a: str, k: int) -> list[dict[str, Any]]:
+        """:meth:`k_nearest` in wire form, for the server's ``knn`` op:
+        ``[p.to_dict() for p in k_nearest(a, k)]`` without the
+        intermediate dataclasses."""
+        return [
+            _point_record(a, y, rtt, True, quality, age_rows, stale)
+            for y, rtt, quality, age_rows, stale in self._neighbors(a, k)
+        ]
 
     def percentile(self, a: str, q: float) -> float:
         """The ``q``-th percentile RTT among ``a``'s measured neighbors."""
@@ -352,7 +415,7 @@ class MatrixIndex:
         count = int(self._degree[i])
         if count == 0:
             raise MeasurementError(f"node {a!r} has no measured neighbors")
-        return float(np.percentile(self._row_sorted[i, :count], q))
+        return _sorted_percentile(self._row_sorted[i], count, q)
 
     def rank(self, a: str, rtt_ms: float) -> float:
         """The fraction of ``a``'s measured neighbors at or below
@@ -370,7 +433,7 @@ class MatrixIndex:
             raise ConfigurationError("percentile must be in [0, 100]")
         if self._all_sorted.size == 0:
             raise MeasurementError("matrix has no measurements")
-        return float(np.percentile(self._all_sorted, q))
+        return _sorted_percentile(self._all_sorted, self._all_sorted.size, q)
 
     # ------------------------------------------------------------------
     # Path estimates
@@ -418,10 +481,14 @@ class MatrixIndex:
         """The best ``k`` via-relay detours for (a, b), ascending.
 
         One vectorized pass: ``row_a + col_b`` over every candidate
-        relay, endpoints and unmeasured legs masked out. A detour
-        "improves" when it beats the direct estimate (always, when the
-        direct pair is unmeasured) — the triangle-inequality-violation
-        exploitation Section 5.2.1 measures and ShorTor deploys.
+        relay, endpoints and unmeasured legs masked out, then one O(n)
+        selection — the same work for any ``k``, plus a sort of the
+        answers. Detours are ordered by ``(cost, node index)``, so
+        equal costs come back in node order. With no finite detour the
+        answer is a single ``via=None`` entry. A detour "improves" when
+        it beats the direct estimate (always, when the direct pair is
+        unmeasured) — the triangle-inequality-violation exploitation
+        Section 5.2.1 measures and ShorTor deploys.
         """
         if k < 1:
             raise ConfigurationError("k must be >= 1")
@@ -429,35 +496,29 @@ class MatrixIndex:
         j = self.index_of(b)
         if i == j:
             raise ConfigurationError("via query needs two distinct nodes")
-        direct_value = self._rtt[i, j]
-        direct = None if direct_value != direct_value else float(direct_value)
+        direct = self._rtt.item(i, j)
+        if direct != direct:
+            direct = None
         detour = self._rtt[i, :] + self._rtt[:, j]
-        detour[i] = np.nan
-        detour[j] = np.nan
-        finite = np.flatnonzero(~np.isnan(detour))
-        if finite.size == 0:
-            return [
-                ViaAnswer(
-                    x=a, y=b, via=None, via_rtt_ms=None,
-                    direct_rtt_ms=direct, improved=False,
-                )
-            ]
-        count = min(k, finite.size)
-        if count < finite.size:
-            picked = finite[
-                np.argpartition(detour[finite], count - 1)[:count]
-            ]
-        else:
-            picked = finite
-        picked = picked[np.argsort(detour[picked], kind="stable")]
+        detour[i] = np.inf
+        detour[j] = np.inf
+        np.fmin(detour, np.inf, out=detour)  # NaN (an unmeasured leg) -> +inf
+        # The k-th smallest cost bounds the answer: the fewer than k
+        # nodes strictly under it are ranked as tuples, the rest come
+        # from the nodes tied at it in index order — so ties never
+        # depend on the selection's internals, and never sort more
+        # than k tuples. Clamping the bound to the largest finite
+        # float drops the +inf entries when fewer than k exist.
+        count = min(k, len(detour))
+        bound = min(np.partition(detour, count - 1).item(count - 1), _FLOAT_MAX)
+        below = (detour < bound).nonzero()[0]
+        tied = (detour == bound).nonzero()[0][: count - len(below)]
+        ranked = sorted(zip(detour[below].tolist(), below.tolist()))
+        ranked += [(bound, r) for r in tied.tolist()]
+        if not ranked:
+            return [ViaAnswer(a, b, None, None, direct, False)]
+        nodes = self.nodes
         return [
-            ViaAnswer(
-                x=a,
-                y=b,
-                via=self.nodes[int(r)],
-                via_rtt_ms=float(detour[r]),
-                direct_rtt_ms=direct,
-                improved=direct is None or float(detour[r]) < direct,
-            )
-            for r in picked
+            ViaAnswer(a, b, nodes[r], cost, direct, direct is None or cost < direct)
+            for cost, r in ranked
         ]

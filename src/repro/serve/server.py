@@ -115,9 +115,7 @@ class QueryServer:
             answer = {
                 "x": query["x"],
                 "k": k,
-                "neighbors": [
-                    p.to_dict() for p in index.k_nearest(query["x"], k)
-                ],
+                "neighbors": index._neighbor_records(query["x"], k),
             }
         elif op == "percentile":
             q = float(query["q"])

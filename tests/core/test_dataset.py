@@ -42,6 +42,18 @@ class TestBasics:
         with pytest.raises(MeasurementError):
             matrix.set("a", "b", -1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rtt_rejected(self, value):
+        # NaN used to slip past ``rtt_ms < 0`` and bump the counter
+        # without ``has`` turning true; +inf was stored as a measurement.
+        m = RttMatrix(["a", "b", "c"])
+        m.set("a", "c", 7.0)
+        with pytest.raises(MeasurementError):
+            m.set("a", "b", value)
+        assert m.num_measured == 1
+        assert not m.has("a", "b")
+        assert m.missing_count == 2
+
     def test_diagonal_immutable(self, matrix):
         with pytest.raises(MeasurementError):
             matrix.set("a", "a", 5.0)

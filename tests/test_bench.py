@@ -208,11 +208,14 @@ class TestCheckServeQps:
 class TestCheckServeLatency:
     """The p50/p99 latency SLO ceilings on the serve_latency workload."""
 
-    def _latency_report(self, point_p50, point_p99, knn_p50, knn_p99):
+    def _latency_report(
+        self, point_p50, point_p99, knn_p50, knn_p99, percentile_p50, via_p50
+    ):
         report = _fake_report(serve_latency=1.0)
         report["serve_latency"].update(
             point_p50_ms=point_p50, point_p99_ms=point_p99,
             knn_p50_ms=knn_p50, knn_p99_ms=knn_p99,
+            percentile_p50_ms=percentile_p50, via_p50_ms=via_p50,
         )
         return report
 
@@ -222,6 +225,8 @@ class TestCheckServeLatency:
             bench.SERVE_POINT_P99_CEILING_MS / 2,
             bench.SERVE_KNN_P50_CEILING_MS / 2,
             bench.SERVE_KNN_P99_CEILING_MS / 2,
+            bench.SERVE_PERCENTILE_P50_CEILING_MS / 2,
+            bench.SERVE_VIA_P50_CEILING_MS / 2,
         )
 
     def test_absent_workload_passes(self):
@@ -235,6 +240,8 @@ class TestCheckServeLatency:
         ("point_p99_ms", "SERVE_POINT_P99_CEILING_MS"),
         ("knn_p50_ms", "SERVE_KNN_P50_CEILING_MS"),
         ("knn_p99_ms", "SERVE_KNN_P99_CEILING_MS"),
+        ("percentile_p50_ms", "SERVE_PERCENTILE_P50_CEILING_MS"),
+        ("via_p50_ms", "SERVE_VIA_P50_CEILING_MS"),
     ])
     def test_each_blown_slo_flagged(self, key, ceiling):
         report = self._good()
@@ -245,12 +252,13 @@ class TestCheckServeLatency:
 
     def test_missing_metrics_flagged(self):
         problems = bench.check_serve_latency(_fake_report(serve_latency=1.0))
-        assert len(problems) == 4
+        assert len(problems) == 6
 
     def test_custom_ceilings(self):
-        report = self._latency_report(0.5, 0.5, 0.5, 0.5)
+        report = self._latency_report(0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
         loose = {k: 1.0 for k in (
-            "point_p50_ms", "point_p99_ms", "knn_p50_ms", "knn_p99_ms")}
+            "point_p50_ms", "point_p99_ms", "knn_p50_ms", "knn_p99_ms",
+            "percentile_p50_ms", "via_p50_ms")}
         assert bench.check_serve_latency(report, ceilings=loose) == []
 
     def test_workload_runs_and_satisfies_slos(self):
@@ -261,8 +269,8 @@ class TestCheckServeLatency:
             relays=150, point_queries=10_000, knn_queries=2_000
         )
         assert set(bench.WORKLOAD_KEYS) <= set(entry)
-        assert 0 < entry["point_p50_ms"] <= entry["point_p99_ms"]
-        assert 0 < entry["knn_p50_ms"] <= entry["knn_p99_ms"]
+        for op in ("point", "knn", "percentile", "via"):
+            assert 0 < entry[f"{op}_p50_ms"] <= entry[f"{op}_p99_ms"]
         report = {"serve_latency": entry}
         assert bench.check_serve_latency(report) == []
 
@@ -374,6 +382,8 @@ class TestBenchCommand:
         latency = report["serve_latency"]
         assert 0 < latency["point_p50_ms"] <= latency["point_p99_ms"]
         assert 0 < latency["knn_p50_ms"] <= latency["knn_p99_ms"]
+        assert 0 < latency["percentile_p50_ms"] <= latency["percentile_p99_ms"]
+        assert 0 < latency["via_p50_ms"] <= latency["via_p99_ms"]
         assert bench.check_serve_latency(report) == []
 
     def test_committed_baseline_sharding_beats_parallel(self):
