@@ -13,8 +13,9 @@ count and the per-process work reduction carries the guard instead.
 """
 
 import functools
-import os
 import time
+
+import pytest
 
 from _config import scaled
 from repro.analysis.report import TextTable
@@ -22,13 +23,12 @@ from repro.core.parallel import ParallelCampaign
 from repro.core.sampling import SamplePolicy
 from repro.core.shard import ShardedCampaign
 from repro.testbeds.livetor import LiveTorTestbed
+from repro.util.cpus import schedulable_cpu_count as _cpus
 
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+#: Floor on a forked worker's CPU time over its wall time. A worker with
+#: a CPU to itself reads 0.95+; two workers left on one CPU read ~0.5
+#: each — which is what every forked worker read before placement.
+BUSY_FLOOR = 0.8
 
 
 def test_ext_sharded_campaign(report):
@@ -81,3 +81,37 @@ def test_ext_sharded_campaign(report):
         assert sharded.wall_s < single_wall
     else:
         report("single CPU visible: wall-clock comparison not meaningful")
+
+
+@pytest.mark.benchguard
+def test_forked_workers_each_keep_a_cpu_busy(report):
+    if _cpus() < 2:
+        pytest.skip("one schedulable CPU: forked workers must share it")
+    n_relays = 40
+    factory = functools.partial(LiveTorTestbed.build, seed=47, n_relays=n_relays + 15)
+    testbed = factory()
+    relays = testbed.random_relays(n_relays, testbed.streams.get("shard.bench"))
+    sharded = ShardedCampaign(
+        factory,
+        [r.fingerprint for r in relays],
+        policy=SamplePolicy(samples=4, interval_ms=2.0),
+        workers=2,
+    ).run()
+    assert len(sharded.shards) == 2
+    table = TextTable(
+        f"Forked worker placement ({n_relays} relays, {_cpus()} cpus)",
+        ["worker", "cpu (s)", "wall (s)", "cpu/wall"],
+    )
+    leg = sharded.leg_phase
+    table.add_row("leg round (2)", f"{leg.cpu_s:.2f}", f"{leg.wall_s:.2f}",
+                  f"{leg.cpu_s / leg.wall_s:.2f}")
+    for shard in sharded.shards:
+        table.add_row(
+            f"pair shard {shard.shard_index}", f"{shard.cpu_s:.2f}",
+            f"{shard.wall_s:.2f}", f"{shard.cpu_s / shard.wall_s:.2f}",
+        )
+    report(table.render())
+    # The leg round's row is its workers' CPU over the *round's* wall
+    # (forks and joins included), so it is shown, not gated.
+    for shard in sharded.shards:
+        assert shard.cpu_s / shard.wall_s >= BUSY_FLOOR, shard.shard_index

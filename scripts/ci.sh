@@ -92,7 +92,12 @@ echo "== planner campaign smoke test =="
 # produce a non-empty refresh plan, (b) actually update matrix entries
 # via absorb, and (c) keep the whole round trip under a hard wall
 # ceiling — the "1,000-relay campaigns in minutes" scale proof at CI
-# size. The outer `timeout` is the backstop against hangs.
+# size. Both sharded runs must build exactly one leg circuit per relay
+# their plan touches (the leg round is stolen by the same workers, so
+# this is the duplicated-work guard for it), and with two or more CPUs
+# every forked pair worker must keep its own CPU busy (cpu/wall >= 0.8;
+# two workers left on one CPU read ~0.5 each). The outer `timeout` is
+# the backstop against hangs.
 timeout 300 python - <<'PY'
 import functools, time
 
@@ -101,9 +106,21 @@ from repro.core.planner import CampaignPlanner
 from repro.core.sampling import SamplePolicy
 from repro.core.shard import ShardedCampaign
 from repro.testbeds.livetor import LiveTorTestbed
+from repro.util.cpus import schedulable_cpu_count
 
 WALL_CEILING_S = 180.0
+BUSY_FLOOR = 0.8
 started = time.monotonic()
+
+
+def check_sharded(report, pairs):
+    touched = len({fp for pair in pairs for fp in pair})
+    assert report.legs_measured == touched, (report.legs_measured, touched)
+    if schedulable_cpu_count() >= 2:
+        for shard in report.shards:
+            busy = shard.cpu_s / shard.wall_s
+            assert busy >= BUSY_FLOOR, f"shard {shard.shard_index} cpu/wall {busy:.2f}"
+
 
 factory = functools.partial(LiveTorTestbed.build, seed=11, n_relays=320)
 testbed = factory()
@@ -118,6 +135,7 @@ report = ShardedCampaign(
     factory, fps, policy=policy, workers=4,
     pairs=plan.pairs, observe=True, clamp_to_cpus=True,
 ).run()
+check_sharded(report, plan.pairs)
 dataset = CampaignDataset(matrix=RttMatrix(fps))
 absorbed = dataset.absorb(report.matrix, provenance=report.provenance)
 assert absorbed > 0, "cold-start campaign absorbed nothing"
@@ -134,6 +152,7 @@ rerun = ShardedCampaign(
     factory, fps, policy=policy, workers=4,
     pairs=replan.pairs, observe=True, clamp_to_cpus=True,
 ).run()
+check_sharded(rerun, replan.pairs)
 refreshed = dataset.absorb(rerun.matrix, provenance=rerun.provenance)
 assert refreshed > 0, "refresh absorbed nothing"
 

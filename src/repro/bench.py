@@ -48,6 +48,7 @@ from repro.core.ting import TingMeasurer
 from repro.netsim.engine import Simulator
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.tor.crypto import LayerCipher
+from repro.util.cpus import schedulable_cpu_count
 
 #: ``--check`` fails when a workload's wall time exceeds baseline x this.
 REGRESSION_FACTOR = 2.0
@@ -129,23 +130,6 @@ SERVE_VIA_K = 3
 #: Fixed cell-body size for the crypto workload (the Tor relay-cell
 #: payload the acceptance criteria are phrased in terms of).
 CRYPTO_BODY_BYTES = 512
-
-
-def _available_cpus() -> int:
-    """CPUs actually usable by this process (affinity-aware).
-
-    The sharded workload clamps its fork count to this (forking past
-    the core count is pure timesharing overhead), so a committed
-    baseline needs the core count to be interpretable: on one core the
-    sharded numbers measure the inline work-stealing emulation, on many
-    cores they measure real process parallelism.
-    """
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _entry(
@@ -504,13 +488,16 @@ def run_bench(
     say = progress or (lambda _msg: None)
     report: dict[str, dict[str, float]] = {
         # Run configuration + machine class, so a committed baseline is
-        # interpretable. ``_``-prefixed keys are ignored by --check.
+        # interpretable (the sharded workloads clamp their fork count to
+        # ``cpus``: on one core they measure the inline work-stealing
+        # emulation, on many cores real process parallelism).
+        # ``_``-prefixed keys are ignored by --check.
         "_meta": {
             "seed": seed,
             "relays": relays,
             "samples": samples,
             "workers": workers,
-            "cpus": _available_cpus(),
+            "cpus": schedulable_cpu_count(),
         },
     }
     workloads: list[tuple[str, Callable[[], dict[str, float]]]] = [

@@ -645,6 +645,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             policy=policy,
             workers=args.workers,
             observe=True,
+            clamp_to_cpus=True,
         ).run()
         registry = sharded.metrics
         trace = sharded.trace
@@ -802,6 +803,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             observe=True,
             telemetry=telemetry,
             worker_timeout_s=args.worker_timeout,
+            clamp_to_cpus=True,
         ).run()
     finally:
         if args.progress and not args.quiet:
@@ -960,6 +962,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         workers=args.workers,
         pairs=plan.pairs,
         observe=True,
+        clamp_to_cpus=True,
     ).run()
     if dataset is None:
         dataset = CampaignDataset(matrix=RttMatrix(fingerprints))

@@ -251,9 +251,9 @@ class ParallelCampaign:
         #: Explicit pair subset (a shard); ``None`` means all C(n,2).
         self.pairs = list(pairs) if pairs is not None else None
         #: Explicit leg task list. ``None`` derives legs from the pair
-        #: scope (every touched relay); a sharded campaign's leg phase
-        #: passes all fingerprints with ``pairs=[]``, and its workers
-        #: pass ``legs=[]`` because the phase pre-warmed everything.
+        #: scope (every touched relay); a sharded campaign's workers
+        #: pass ``pairs=[]`` and ``legs=[]`` and are fed chunk by chunk
+        #: through :meth:`run_legs` / :meth:`run_pairs` instead.
         self.legs = list(legs) if legs is not None else None
         #: When set, tasks run serially with per-task RNG/connection
         #: isolation; ``concurrency`` is ignored.
@@ -268,7 +268,7 @@ class ParallelCampaign:
         self._w = host.relay_w.fingerprint
         self._z = host.relay_z.fingerprint
         # Leg results shared across pairs: fingerprint -> min RTT.
-        # Pre-warmed estimates (a sharded campaign's leg phase) are
+        # Pre-warmed estimates (a sharded campaign's leg round) are
         # read-only inputs: tasks for them are never scheduled.
         self._legs: dict[str, float] = dict(leg_estimates or {})
         self._leg_waiters: dict[str, list[Callable[[], None]]] = {}
@@ -322,8 +322,8 @@ class ParallelCampaign:
     def run(self) -> ParallelReport:
         """Execute the campaign; drives the simulator until completion."""
         leg_fps, pair_tasks = self._task_lists()
-        # A leg-only campaign (a sharded campaign's leg phase) writes no
-        # entry, so it gets no n×n block to fill and throw away.
+        # A leg-only campaign writes no entry, so it gets no n×n block
+        # to fill and throw away.
         matrix = RttMatrix(list(self._rank) if pair_tasks else [])
         report = ParallelReport(matrix=matrix)
         started = self.host.sim.now
@@ -474,10 +474,10 @@ class ParallelCampaign:
         The work-stealing dispatch in
         :class:`~repro.core.shard.ShardedCampaign` calls this once per
         stolen chunk: leg estimates accumulated so far (pre-warmed by
-        the campaign's leg phase, or measured by an earlier chunk) are
+        the campaign's leg round, or measured by an earlier chunk) are
         reused, and any relay still missing both an estimate and a
         failure gets a leg task prepended — so the chunk is
-        self-sufficient even without a leg phase. Returns a per-chunk
+        self-sufficient even without a leg round. Returns a per-chunk
         report whose matrix spans only the relays the chunk names, in
         campaign node order — so ``measured_pairs()`` yields the chunk's
         entries in the order a campaign-wide matrix would, at a cost
@@ -485,31 +485,54 @@ class ParallelCampaign:
         many leg circuits the chunk had to build itself (zero when fully
         pre-warmed).
         """
-        if self.isolation is None:
-            raise MeasurementError("run_pairs requires task isolation")
         self._check_pairs(pairs)
         named = dict.fromkeys(fp for pair in pairs for fp in pair)
         matrix = RttMatrix(sorted(named, key=self._rank.__getitem__))
-        report = ParallelReport(matrix=matrix, peak_concurrency=1)
-        started = self.host.sim.now
-        needed = [
-            fp
-            for fp in named
-            if fp not in self._legs and fp not in self._leg_failures
-        ]
-        tasks: list[tuple[str, ...]] = [("leg", fp) for fp in needed] + [
-            ("pair", a, b) for a, b in pairs
-        ]
-        self._execute_isolated(tasks, matrix, report)
-        report.pairs_attempted = len(pairs)
-        report.pairs_measured = matrix.num_measured
-        report.makespan_ms = self.host.sim.now - started
+        report = self._run_chunk(named, pairs, matrix)
         metrics = self.host.metrics
         if metrics.enabled:
             # Chunk counts sum to exactly what one unsharded run would
             # record — the merged-counter invariance rests on this.
             metrics.inc("campaign.pairs_attempted", report.pairs_attempted)
             metrics.inc("campaign.pairs_measured", report.pairs_measured)
+        return report
+
+    def run_legs(self, fingerprints: Sequence[str]) -> ParallelReport:
+        """Measure one leg chunk incrementally, under task isolation.
+
+        The leg-round sibling of :meth:`run_pairs`: every named relay
+        not already covered by an estimate or a failure gets one leg
+        task, keyed ``leg:<fp>`` exactly as inside :meth:`run`, so its
+        samples do not depend on which worker drew the chunk. The
+        results land in :attr:`leg_estimates` / :attr:`leg_failures`;
+        the report carries the chunk's counters and an empty matrix (a
+        leg writes no entry).
+        """
+        for fp in fingerprints:
+            if fp not in self._rank:
+                raise MeasurementError(f"unknown relay {fp!r} in legs")
+        return self._run_chunk(fingerprints, [], RttMatrix([]))
+
+    def _run_chunk(
+        self,
+        relays: Iterable[str],
+        pairs: Sequence[tuple[str, str]],
+        matrix: RttMatrix,
+    ) -> ParallelReport:
+        """Run the missing legs of ``relays``, then ``pairs``, isolated."""
+        if self.isolation is None:
+            raise MeasurementError("chunked runs require task isolation")
+        report = ParallelReport(matrix=matrix, peak_concurrency=1)
+        started = self.host.sim.now
+        tasks: list[tuple[str, ...]] = [
+            ("leg", fp)
+            for fp in relays
+            if fp not in self._legs and fp not in self._leg_failures
+        ] + [("pair", a, b) for a, b in pairs]
+        self._execute_isolated(tasks, matrix, report)
+        report.pairs_attempted = len(pairs)
+        report.pairs_measured = matrix.num_measured
+        report.makespan_ms = self.host.sim.now - started
         return report
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Sharded all-pairs campaigns: leg phase + work-stealing workers.
+"""Sharded all-pairs campaigns: a leg round, then a pair round, both stolen.
 
 A single :class:`~repro.core.parallel.ParallelCampaign` is bound to one
 Python process; an all-pairs matrix over hundreds of relays is hours of
@@ -9,31 +9,40 @@ each of W workers would rebuild the leg circuit R_Cx for every relay its
 pair shard touches, measuring most legs W times and burning O(W·n) leg
 circuits where the Ting decomposition needs exactly n.
 
-Version 2 of the engine splits the campaign into two phases:
+The engine therefore runs two **rounds** over one work-stealing pool —
+one round function, called twice:
 
-1. **Leg phase** (parent process, before any fork). One
-   :class:`~repro.core.parallel.ParallelCampaign` with ``pairs=[]`` and
-   ``legs=<pair-touched fingerprints>`` measures every needed relay's
-   R_Cx exactly once (all relays for an all-pairs campaign; only the
-   relays the pair list references for a planner-budgeted one),
-   under the same task isolation as everything else. The resulting
-   estimate cache (and any leg failures) ships to every worker read-only
-   — via fork copy-on-write, never re-pickled — and leg provenance is
-   attributed to the phase itself (``shard=None`` / :data:`LEG_PHASE`),
-   not to whichever worker would have rebuilt it first.
+1. **Leg round.** The pair-touched fingerprints (all relays for an
+   all-pairs campaign; only the relays the pair list references for a
+   planner-budgeted one) are cut into chunks of ``steal_chunk_pairs``
+   and stolen by the workers, each chunk running through
+   :meth:`~repro.core.parallel.ParallelCampaign.run_legs` under the same
+   task isolation as everything else, so every needed relay's R_Cx is
+   measured exactly once, by whichever worker drew it. Each chunk ships
+   its estimates and failures home; the parent folds them, in campaign
+   order, into the read-only caches the pair round inherits — via fork
+   copy-on-write, never re-pickled. The round reports as *one*
+   :data:`LEG_PHASE` result (counters summed over its workers), and leg
+   provenance is attributed to the round itself (``shard=None``), not to
+   whichever worker measured the leg.
 
-2. **Pair phase** (work stealing). The pair list is cut into contiguous
-   chunks of ``steal_chunk_pairs`` and preloaded onto one shared task
-   queue, followed by one ``None`` sentinel per worker. Workers *steal*
-   chunks as they finish rather than receiving a static round-robin
-   stripe, so a slow worker (noisy neighbour, unlucky relay cluster)
-   holds at most one chunk hostage instead of 1/W of the campaign.
-   Each finished chunk's entries ship home immediately as a ``chunk``
-   message — batched incremental results instead of one big end-of-life
-   pickle — and the worker's final :class:`ShardResult` carries only the
-   totals.
+2. **Pair round.** The pair list is cut into contiguous chunks of
+   ``steal_chunk_pairs`` and preloaded onto one shared task queue,
+   followed by one ``None`` sentinel per worker. Workers *steal* chunks
+   as they finish rather than receiving a static round-robin stripe, so
+   a slow worker (noisy neighbour, unlucky relay cluster) holds at most
+   one chunk hostage instead of 1/W of the campaign. Each finished
+   chunk's entries ship home immediately as a ``chunk`` message —
+   batched incremental results instead of one big end-of-life pickle —
+   and the worker's final :class:`ShardResult` carries only the totals.
 
-Workers assert the leg phase did its job: with ``leg_phase=True`` a
+Every forked worker, in either round, first binds itself to its own
+share of the parent's CPU mask (:func:`repro.util.cpus.place_worker`):
+left alone, the kernel keeps both children of a fork on the CPU they
+were born on and the second core idles. Stealing is what makes a fixed
+placement safe — a worker on a busy CPU simply claims fewer chunks.
+
+Pair workers assert the leg round did its job: with ``leg_phase=True`` a
 worker that has to build *any* leg circuit raises, because every miss is
 exactly the duplicated-work bug this engine exists to kill. Set
 ``leg_phase=False`` to get the old measure-on-demand behaviour (an
@@ -45,29 +54,30 @@ task's samples a pure function of ``(root seed, task key)`` — so it
 cannot matter which process a chunk landed in, which worker stole it, or
 what ran before it. ``workers=1``, ``workers=4``, and an unsharded
 ``ParallelCampaign`` with the same isolation recipe produce bit-for-bit
-the same matrix; with the leg phase on, the deterministic *counters*
+the same matrix; with the leg round on, the deterministic *counters*
 (leg builds, cache hits/misses/lookups, probes, task isolations) are
 worker-count invariant too.
 
 ``force_inline=True`` runs the same worker loop (same chunking, same
 telemetry sinks, same assertions) in-process with a deterministic chunk
-deal — how the invariance tests compare worker counts without fork
-nondeterminism, and the fallback for platforms without fork.
+deal, for both rounds — how the invariance tests compare worker counts
+without fork nondeterminism, and the fallback for platforms without
+fork. One inline worker is the serial leg phase of earlier versions.
 
 Live telemetry
 --------------
 
-Pass a :class:`CampaignTelemetry` and the leg phase plus every worker
-attach a streaming sink to the host's
+Pass a :class:`CampaignTelemetry` and every worker of both rounds
+attaches a streaming sink to the host's
 :class:`~repro.obs.events.EventBus`: events at or above
 ``stream_min_severity`` cross the fork boundary over one message queue,
 along with rate-limited **heartbeats** carrying absolute progress totals
 (``pairs_done``, ``pairs_total`` = pairs claimed so far under stealing)
 and the in-flight pair or leg. The parent keeps a per-shard
-:class:`~repro.obs.events.FlightRecorder` (the leg phase records under
-shard ``-1``), feeds a :class:`~repro.obs.events.ProgressTracker`, and
-arms a **stall watchdog**: a shard silent past ``stall_timeout_s`` trips
-it, which dumps every shard's flight-recorder ring (plus the stuck
+:class:`~repro.obs.events.FlightRecorder` (every leg worker records
+under shard ``-1``), feeds a :class:`~repro.obs.events.ProgressTracker`,
+and arms a **stall watchdog**: a shard silent past ``stall_timeout_s``
+trips it, which dumps every shard's flight-recorder ring (plus the stuck
 shard's in-flight task) to a post-mortem JSON artifact and fails the
 campaign with a categorized
 :class:`~repro.util.errors.MeasurementError` instead of hanging forever.
@@ -76,17 +86,17 @@ runs, so one slow pair is not mistaken for a hang — and because workers
 steal, a genuinely slow worker just claims fewer chunks instead of
 stalling the campaign.
 
-Independently of telemetry, ``worker_timeout_s`` bounds the pair phase:
+Independently of telemetry, ``worker_timeout_s`` bounds each round:
 a worker the OS killed is noticed via its exit code within a grace
 period, and a worker still grinding past the deadline fails the
-campaign with the shard index — both work with ``observe=False``.
+campaign naming the round and the worker — both work with
+``observe=False``.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,23 +115,29 @@ from repro.obs import (
     SpanTracer,
     TraceLog,
 )
+from repro.obs.spans import CAMPAIGN_SPAN
 from repro.tor.directory import RelayDescriptor
+from repro.util.cpus import place_worker
+# Bound to a module-level name so tests can stand in another core count.
+from repro.util.cpus import schedulable_cpu_count as _schedulable_cpus
 from repro.util.errors import MeasurementError
 from repro.util.units import Milliseconds
 
-#: Sentinel shard index for the campaign-wide leg phase: its telemetry,
+#: Sentinel shard index for the campaign-wide leg round: its telemetry,
 #: flight-recorder ring, and merged observability records are attributed
-#: to shard ``-1`` (leg *provenance* keeps ``shard=None`` — the phase
-#: belongs to the campaign, not to any shard).
+#: to shard ``-1`` whichever worker produced them (leg *provenance*
+#: keeps ``shard=None`` — the round belongs to the campaign, not to any
+#: shard).
 LEG_PHASE = -1
 
+#: The two rounds one campaign runs over the same work-stealing pool.
+LEG_ROUND = "leg"
+PAIR_ROUND = "pair"
 
-def _schedulable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
+#: Heartbeat fields that are running totals of one worker process.
+_HEARTBEAT_TOTALS = (
+    "pairs_done", "pairs_failed", "pairs_total", "probes_sent", "probes_saved",
+)
 
 
 @dataclass
@@ -163,8 +179,9 @@ class CampaignTelemetry:
 class _WorkerTelemetry:
     """Worker-side sink: streams events and heartbeats to the parent.
 
-    Attached to the worker's event bus inside :func:`_run_worker` (and
-    to the parent host's bus during the leg phase, as shard ``-1``).
+    Attached to the worker's event bus inside :func:`_run_worker`; every
+    leg-round worker streams as shard ``-1``, told apart by ``worker``
+    (its slot in the round, which heartbeats carry).
     Every emitted event updates local progress counters (pair lifecycle
     from ``campaign`` events, probe totals from ``probe`` rounds, the
     in-flight label from pair/leg starts), rides the fork-boundary
@@ -187,9 +204,11 @@ class _WorkerTelemetry:
         hang_after: int = 0,
         slow_ms: float = 0.0,
         wall: Callable[[], float] = time.monotonic,
+        worker: int = 0,
     ) -> None:
         self.send = send
         self.shard = shard
+        self.worker = worker
         self.heartbeat_s = heartbeat_s
         self.min_severity = min_severity
         #: Fault-injection drill: wedge forever at the Nth pair start
@@ -254,6 +273,7 @@ class _WorkerTelemetry:
                 "hb",
                 self.shard,
                 {
+                    "worker": self.worker,
                     "pairs_done": self.pairs_done,
                     "pairs_failed": self.pairs_failed,
                     "pairs_total": self.pairs_total,
@@ -282,6 +302,11 @@ class _ShardMonitor:
     counts as liveness only. The parent keeps its own recorders because
     a hung child's memory — including its local ring — is unreachable;
     what was streamed before the silence is all the forensics there is.
+
+    A shard is a label, not a process: the leg round puts all of its
+    workers behind shard ``-1``. Heartbeats are absolute totals of one
+    process, so the monitor keeps the latest per ``(shard, worker)`` and
+    reports their sum.
     """
 
     def __init__(
@@ -303,6 +328,7 @@ class _ShardMonitor:
         self.recorders: dict[int, FlightRecorder] = {}
         self.last_seen: dict[int, float] = {}
         self.heartbeats: dict[int, dict[str, Any]] = {}
+        self._beats: dict[int, dict[int, dict[str, Any]]] = {}
 
     def register(self, shard: int) -> None:
         """Start the liveness clock for one shard (at spawn time)."""
@@ -316,17 +342,18 @@ class _ShardMonitor:
         kind, shard = msg[0], msg[1]
         self.last_seen[shard] = self._wall()
         if kind == "hb":
-            payload = msg[2]
-            self.heartbeats[shard] = payload
-            self.progress.update_shard(
-                shard,
-                pairs_done=payload.get("pairs_done", 0),
-                pairs_failed=payload.get("pairs_failed", 0),
-                pairs_total=payload.get("pairs_total", 0),
-                probes_sent=payload.get("probes_sent", 0),
-                probes_saved=payload.get("probes_saved", 0),
-                in_flight=payload.get("in_flight"),
+            beats = self._beats.setdefault(shard, {})
+            beats[msg[2].get("worker", 0)] = msg[2]
+            merged: dict[str, Any] = {
+                key: sum(beat.get(key, 0) for beat in beats.values())
+                for key in _HEARTBEAT_TOTALS
+            }
+            merged["in_flight"] = next(
+                (b["in_flight"] for b in beats.values() if b.get("in_flight")),
+                None,
             )
+            self.heartbeats[shard] = merged
+            self.progress.update_shard(shard, **merged)
             if self.telemetry.on_progress is not None:
                 self.telemetry.on_progress(self.progress)
         elif kind == "event":
@@ -390,8 +417,15 @@ class ShardResult:
     chunk order) before merging, so by merge time this looks the same as
     v1's one-shot result. ``chunks`` counts how many chunks the worker
     stole; ``legs_measured`` how many leg circuits it had to build
-    itself (always 0 when the leg phase ran). The leg phase's own
-    artifacts ride a ShardResult with ``shard_index=LEG_PHASE``.
+    itself (always 0 for a pair worker when the leg round ran). The leg
+    round's own artifacts ride one ShardResult with
+    ``shard_index=LEG_PHASE``: counters summed over its workers,
+    ``makespan_ms`` the slowest worker's, ``wall_s`` the round's.
+
+    ``cpu_s`` is the worker's CPU time (``time.process_time()``) over
+    the same interval as ``wall_s``. A forked worker that computes the
+    whole time reads ``cpu_s / wall_s`` near 1; a ratio near ``1 / W``
+    means W workers shared one CPU.
 
     The observability payloads are snapshots, not live objects — a
     metrics dict (:meth:`MetricsRegistry.snapshot`), a trace dict
@@ -410,6 +444,7 @@ class ShardResult:
     cells_processed: int
     makespan_ms: Milliseconds
     wall_s: float
+    cpu_s: float = 0.0
     probes_sent: int = 0
     probes_saved: int = 0
     early_stops: int = 0
@@ -426,10 +461,10 @@ class ShardResult:
 class ShardedReport:
     """Outcome of a sharded campaign, merged across all workers.
 
-    ``leg_phase`` is the campaign-wide leg phase's result (``None``
+    ``leg_phase`` is the campaign-wide leg round's result (``None``
     when ``leg_phase=False``); ``shards`` holds only the pair workers.
-    ``legs_measured`` sums leg circuit builds across the leg phase and
-    every worker — with the leg phase on it equals *n* exactly,
+    ``legs_measured`` sums leg circuit builds across the leg round and
+    every pair worker — with the leg round on it equals *n* exactly,
     regardless of the worker count (the duplicated-work regression
     guard).
 
@@ -449,7 +484,7 @@ class ShardedReport:
     ``wall_s`` spans the whole of ``run()``; ``build_s`` is the part of
     it spent inside ``factory()``. The testbed build is the caller's
     recipe, not campaign work: subtract it before reading ``wall_s`` as
-    leg phase + pair phase + ship/merge.
+    leg round + pair round + ship/merge.
     """
 
     matrix: RttMatrix
@@ -486,21 +521,36 @@ def _testbed_cells(testbed: Any) -> int:
 
 @dataclass
 class _WorkerJob:
-    """Everything one pair worker needs, inherited over fork (not
-    pickled): the parent-built testbed, the campaign's relay descriptors
-    (in node order, built once before the fork), and the leg phase's
-    read-only estimate/failure caches."""
+    """Everything one worker needs, inherited over fork (not pickled):
+    the parent-built testbed, the campaign's relay descriptors (in node
+    order, built once before the fork), and — for the pair round — the
+    leg round's read-only estimate/failure caches."""
 
     testbed: Any
     descriptors: list[RelayDescriptor]
     policy: SamplePolicy | None
+    #: :data:`LEG_ROUND` or :data:`PAIR_ROUND`: what a stolen chunk holds.
+    round: str
+    #: The worker's slot in its round: routes its chunk/result/error
+    #: messages and picks its CPU share.
+    worker: int
+    #: What the worker's output is attributed to: its own slot in the
+    #: pair round, :data:`LEG_PHASE` for every worker of the leg round.
     shard_index: int
     observe: bool
     leg_estimates: dict[str, float]
     leg_failures: dict[str, str]
-    #: When True every relay is covered by the leg caches and a chunk
-    #: that builds any leg circuit raises — the duplicated-work guard.
+    #: When True every relay is covered by the leg caches and a pair
+    #: chunk that builds any leg circuit raises — the duplicated-work
+    #: guard.
     assert_prewarmed: bool
+
+    @property
+    def name(self) -> str:
+        """How failure messages name this worker (and its round)."""
+        if self.round == LEG_ROUND:
+            return f"leg round worker {self.worker}"
+        return f"shard {self.worker} worker"
 
 
 def _run_worker(
@@ -509,14 +559,18 @@ def _run_worker(
     send_chunk: Callable[[tuple], None],
     telemetry: _WorkerTelemetry | None = None,
 ) -> ShardResult:
-    """Worker loop: steal pair chunks until the sentinel, ship each home.
+    """Worker loop: steal chunks until the sentinel, ship each home.
 
     Module-level (not a closure) so the fork context inherits it and
-    tests can monkeypatch it. ``next_task`` yields ``(chunk_id, pairs)``
+    tests can monkeypatch it. ``next_task`` yields ``(chunk_id, items)``
     tuples and finally ``None`` — a blocking ``Queue.get`` in forked
-    mode, a deterministic iterator in inline mode. Each finished chunk's
-    entries leave immediately via ``send_chunk`` (kind ``"chunk"``); the
-    returned :class:`ShardResult` carries only totals and snapshots.
+    mode, a deterministic iterator in inline mode. ``items`` are pairs
+    in the pair round and fingerprints in the leg round. Each finished
+    chunk's rows leave immediately via ``send_chunk`` (kind
+    ``"chunk"``): ``(x, y, rtt)`` entries and ``(x, y, reason)``
+    failures for a pair chunk, ``(relay, estimate)`` and ``(relay,
+    reason)`` for a leg chunk. The returned :class:`ShardResult` carries
+    only totals and snapshots.
 
     With ``job.observe`` the worker enables fresh observability on the
     inherited host and ships snapshots home; the event bus is cleared
@@ -536,6 +590,8 @@ def _run_worker(
         # the first measurement.
         telemetry.beat(force=True)
     started = time.perf_counter()
+    cpu_started = time.process_time()
+    legs = job.round == LEG_ROUND
     testbed = job.testbed
     host = testbed.measurement
     if job.observe:
@@ -578,19 +634,28 @@ def _run_worker(
             task = next_task()
             if task is None:
                 break
-            chunk_id, chunk_pairs = task
+            chunk_id, items = task
             if telemetry is not None:
                 # Claim heartbeat: the stolen total moves *before* the
                 # chunk runs, so the parent can attribute load live.
-                telemetry.pairs_total += len(chunk_pairs)
+                if not legs:
+                    telemetry.pairs_total += len(items)
                 telemetry.beat(force=True)
-            chunk = campaign.run_pairs(chunk_pairs)
-            if job.assert_prewarmed and chunk.legs_measured:
-                raise MeasurementError(
-                    f"shard {job.shard_index} chunk {chunk_id} rebuilt "
-                    f"{chunk.legs_measured} leg circuit(s) the leg phase "
-                    "should have pre-warmed"
-                )
+            if legs:
+                chunk = campaign.run_legs(items)
+                estimates, reasons = campaign.leg_estimates, campaign.leg_failures
+                entries = [(fp, estimates[fp]) for fp in items if fp in estimates]
+                failures = [(fp, reasons[fp]) for fp in items if fp in reasons]
+            else:
+                chunk = campaign.run_pairs(items)
+                if job.assert_prewarmed and chunk.legs_measured:
+                    raise MeasurementError(
+                        f"shard {job.shard_index} chunk {chunk_id} rebuilt "
+                        f"{chunk.legs_measured} leg circuit(s) the leg phase "
+                        "should have pre-warmed"
+                    )
+                entries = list(chunk.matrix.measured_pairs())
+                failures = list(chunk.failures)
             totals["pairs_attempted"] += chunk.pairs_attempted
             totals["probes_sent"] += chunk.probes_sent
             totals["probes_saved"] += chunk.probes_saved
@@ -600,11 +665,11 @@ def _run_worker(
             send_chunk(
                 (
                     "chunk",
-                    job.shard_index,
+                    job.worker,
                     {
                         "chunk": chunk_id,
-                        "entries": list(chunk.matrix.measured_pairs()),
-                        "failures": list(chunk.failures),
+                        "entries": entries,
+                        "failures": failures,
                         "pairs_attempted": chunk.pairs_attempted,
                         "legs_measured": chunk.legs_measured,
                     },
@@ -634,6 +699,7 @@ def _run_worker(
         cells_processed=_testbed_cells(testbed) - cells_start,
         makespan_ms=testbed.sim.now - makespan_start,
         wall_s=time.perf_counter() - started,
+        cpu_s=time.process_time() - cpu_started,
         probes_sent=totals["probes_sent"],
         probes_saved=totals["probes_saved"],
         early_stops=totals["early_stops"],
@@ -652,22 +718,26 @@ def _worker_entry(
     tasks: Any,
     job: _WorkerJob,
     telemetry: _WorkerTelemetry | None,
+    n_workers: int,
 ) -> None:
     """Forked-process target: steal chunks until empty, ship the outcome.
 
-    Exceptions cross the fork boundary as ``("error", shard, reason)``
-    messages — the parent re-raises them as one MeasurementError, which
-    is how a worker that trips the pre-warm assertion (or anything else)
-    fails the campaign instead of hanging it.
+    First of all the child moves onto its own share of the inherited
+    CPU mask. Exceptions cross the fork boundary as ``("error", worker,
+    reason)`` messages — the parent re-raises them as one
+    MeasurementError, which is how a worker that trips the pre-warm
+    assertion (or anything else) fails the campaign instead of hanging
+    it.
     """
     try:
+        place_worker(job.worker, n_workers)
         result = _run_worker(
             job, next_task=tasks.get, send_chunk=channel.put, telemetry=telemetry
         )
     except BaseException as exc:  # noqa: BLE001 — serialized for the parent
-        channel.put(("error", job.shard_index, f"{type(exc).__name__}: {exc}"))
+        channel.put(("error", job.worker, f"{type(exc).__name__}: {exc}"))
     else:
-        channel.put(("result", job.shard_index, result))
+        channel.put(("result", job.worker, result))
 
 
 def _absorb_chunks(result: ShardResult, payloads: list[dict]) -> None:
@@ -683,7 +753,7 @@ def _absorb_chunks(result: ShardResult, payloads: list[dict]) -> None:
 
 
 class ShardedCampaign:
-    """All-pairs Ting campaign: one leg phase, then work-stealing workers.
+    """All-pairs Ting campaign: a leg round and a pair round, both stolen.
 
     ``factory`` is any zero-argument callable returning a testbed with
     ``relays``, ``measurement``, ``sim``, and ``task_isolation()`` — in
@@ -695,9 +765,10 @@ class ShardedCampaign:
     restricts the campaign to a pair subset; by default all C(n,2)
     pairs are measured.
 
-    ``steal_chunk_pairs`` sets the work-stealing granularity: smaller
-    chunks balance better but cross the fork boundary more often.
-    ``leg_phase=False`` disables the shared leg phase (workers measure
+    ``steal_chunk_pairs`` sets the work-stealing granularity of both
+    rounds (pairs per pair chunk, relays per leg chunk): smaller chunks
+    balance better but cross the fork boundary more often.
+    ``leg_phase=False`` disables the shared leg round (workers measure
     legs on demand — the v1 behaviour, kept as an ablation knob).
     ``force_inline=True`` emulates the worker loop in-process with a
     deterministic chunk deal — the invariance tests' comparison mode
@@ -705,12 +776,13 @@ class ShardedCampaign:
     worker count at the schedulable CPU count (forking past the core
     count is pure overhead; stealing makes the cap result-invariant),
     collapsing to the inline emulation when only one CPU is available.
+    Forked workers each run on their own share of the parent's CPU mask.
 
     ``telemetry`` opts into live streaming (heartbeats, watchdog,
     progress — see :class:`CampaignTelemetry`); ``worker_timeout_s``
-    bounds forked-worker wall time independently of telemetry, so an
-    OS-killed or runaway worker fails the campaign with its shard index
-    instead of blocking ``run()`` forever.
+    bounds each round's forked-worker wall time independently of
+    telemetry, so an OS-killed or runaway worker fails the campaign
+    naming its round and index instead of blocking ``run()`` forever.
     """
 
     #: Parent poll cadence: how often liveness/deadline checks run.
@@ -779,13 +851,20 @@ class ShardedCampaign:
                     raise MeasurementError(f"invalid campaign pair ({a}, {b})")
             self.pairs = list(pairs)
         #: Relays that appear in at least one campaign pair, in
-        #: fingerprint order. The leg phase only measures these — under
+        #: fingerprint order. The leg round only measures these — under
         #: a planner-budgeted pair list there is no reason to pre-warm
         #: legs no pair will subtract. For an all-pairs campaign this is
         #: every fingerprint, so the historical behaviour is unchanged.
         touched = {fp for pair in self.pairs for fp in pair}
         self.touched_fingerprints = [
             fp for fp in self.fingerprints if fp in touched
+        ]
+
+    def _chunked(self, items: list) -> list[tuple[int, list]]:
+        size = self.steal_chunk_pairs
+        return [
+            (start // size, items[start : start + size])
+            for start in range(0, len(items), size)
         ]
 
     def pair_chunks(self) -> list[tuple[int, list[tuple[str, str]]]]:
@@ -795,21 +874,30 @@ class ShardedCampaign:
         static balance irrelevant, and contiguous ids keep the merged
         entry order equal to the pair-list order.
         """
-        size = self.steal_chunk_pairs
-        return [
-            (start // size, self.pairs[start : start + size])
-            for start in range(0, len(self.pairs), size)
-        ]
+        return self._chunked(self.pairs)
+
+    def leg_chunks(self) -> list[tuple[int, list[str]]]:
+        """The pair-touched relays cut into chunks of the same size."""
+        return self._chunked(self.touched_fingerprints)
+
+    def _forked_workers(self, n_chunks: int) -> int:
+        """How many processes a round of ``n_chunks`` forks (≤ 1: none)."""
+        if self.workers <= 1 or self.force_inline:
+            return 1
+        forked = min(self.workers, max(1, n_chunks))
+        if self.clamp_to_cpus:
+            forked = min(forked, _schedulable_cpus())
+        return forked
 
     def run(self) -> ShardedReport:
-        """Leg phase, then steal every pair chunk; merge the results."""
+        """Steal every leg chunk, then every pair chunk; merge the results."""
         started = time.perf_counter()
         chunks = self.pair_chunks()
-        fork_workers = min(self.workers, max(1, len(chunks)))
-        if self.clamp_to_cpus:
-            fork_workers = min(fork_workers, _schedulable_cpus())
-        inline = self.workers <= 1 or self.force_inline or fork_workers <= 1
-        if inline and self.telemetry is not None and self.telemetry.drill_hang_after:
+        if (
+            self._forked_workers(len(chunks)) <= 1
+            and self.telemetry is not None
+            and self.telemetry.drill_hang_after
+        ):
             raise MeasurementError(
                 "drill_hang_after requires forked workers (workers >= 2); "
                 "an inline drill would wedge the parent process"
@@ -828,26 +916,26 @@ class ShardedCampaign:
                 f"factory-built testbed lacks relays {missing[:3]}"
                 f"{'...' if len(missing) > 3 else ''}"
             )
-        # Built once, before any fork: the leg phase and every worker
-        # share this list instead of each walking all relays again.
+        # Built once, before any fork: every worker of both rounds
+        # shares this list instead of each walking all relays again.
         descriptors = [by_fp[fp].descriptor() for fp in self.fingerprints]
         leg_result = None
         leg_estimates: dict[str, float] = {}
         leg_failures: dict[str, str] = {}
         if self.leg_phase:
-            leg_result, leg_estimates, leg_failures = self._run_leg_phase(
-                testbed, descriptors, monitor
+            round_started = time.perf_counter()
+            sim_started = testbed.sim.now
+            leg_results = self._run_round(
+                LEG_ROUND, self.leg_chunks(), testbed, descriptors, monitor,
+                leg_estimates, leg_failures,
             )
-        if inline:
-            results = self._run_inline(
-                testbed, descriptors, chunks, monitor, leg_estimates,
-                leg_failures,
+            leg_result, leg_estimates, leg_failures = self._fold_leg_round(
+                leg_results, time.perf_counter() - round_started, sim_started
             )
-        else:
-            results = self._run_forked(
-                testbed, descriptors, chunks, monitor, leg_estimates,
-                leg_failures, fork_workers,
-            )
+        results = self._run_round(
+            PAIR_ROUND, chunks, testbed, descriptors, monitor,
+            leg_estimates, leg_failures,
+        )
         report = self._merge(results, leg_result)
         report.build_s = build_s
         if monitor is not None:
@@ -859,123 +947,140 @@ class ShardedCampaign:
     # ------------------------------------------------------------------
 
     def _worker_telemetry(
-        self, shard: int, send: Callable[[tuple], None]
+        self, job: _WorkerJob, send: Callable[[tuple], None]
     ) -> _WorkerTelemetry:
         telemetry = self.telemetry
         return _WorkerTelemetry(
             send=send,
-            shard=shard,
+            shard=job.shard_index,
             heartbeat_s=telemetry.heartbeat_s,
             min_severity=telemetry.stream_min_severity,
-            hang_after=telemetry.drill_hang_after.get(shard, 0),
-            slow_ms=telemetry.drill_slow_ms.get(shard, 0.0),
+            hang_after=telemetry.drill_hang_after.get(job.shard_index, 0),
+            slow_ms=telemetry.drill_slow_ms.get(job.shard_index, 0.0),
+            worker=job.worker,
         )
 
-    def _worker_job(
+    def _run_round(
         self,
-        testbed: Any,
-        descriptors: list[RelayDescriptor],
-        shard_index: int,
-        leg_estimates: dict[str, float],
-        leg_failures: dict[str, str],
-    ) -> _WorkerJob:
-        prewarmed = self.leg_phase and all(
-            fp in leg_estimates or fp in leg_failures
-            for fp in self.touched_fingerprints
-        )
-        return _WorkerJob(
-            testbed=testbed,
-            descriptors=descriptors,
-            policy=self.policy,
-            shard_index=shard_index,
-            observe=self.observe,
-            leg_estimates=leg_estimates,
-            leg_failures=leg_failures,
-            assert_prewarmed=prewarmed,
-        )
-
-    def _run_leg_phase(
-        self,
+        kind: str,
+        chunks: list[tuple[int, list]],
         testbed: Any,
         descriptors: list[RelayDescriptor],
         monitor: _ShardMonitor | None,
-    ) -> tuple[ShardResult, dict[str, float], dict[str, str]]:
-        """Measure every relay's leg circuit once, in the parent.
+        leg_estimates: dict[str, float],
+        leg_failures: dict[str, str],
+    ) -> list[ShardResult]:
+        """Run one round — every chunk stolen once — forked or inline.
 
-        Runs a pairs-free :class:`~repro.core.parallel.ParallelCampaign`
-        over the pair-touched fingerprints under task isolation — so
-        each leg task's
-        samples are bit-identical to what any worker (or an unsharded
-        campaign) would have measured for the same root seed. Telemetry
-        and observability artifacts are attributed to shard
-        :data:`LEG_PHASE`; leg provenance keeps ``shard=None``.
+        The same function serves the leg round and the pair round: what
+        differs is what a chunk holds and what its rows mean, and that
+        lives in :func:`_run_worker`. Returns one result per worker, in
+        worker order, each with its chunks' rows folded back in.
         """
-        from repro.core.parallel import ParallelCampaign
-
-        host = testbed.measurement
-        started = time.perf_counter()
-        telemetry = None
-        if monitor is not None:
-            monitor.register(LEG_PHASE)
-            telemetry = self._worker_telemetry(LEG_PHASE, monitor.handle)
-            telemetry.beat(force=True)
-        if self.observe:
-            host.enable_observability()
-        bus = None
-        if telemetry is not None:
-            bus = host.events if host.events.enabled else host.enable_events()
-            bus.shard = LEG_PHASE
-            bus.add_sink(telemetry)
-            testbed.sim.on_batch = telemetry.beat
-        elif self.observe:
-            host.events.shard = LEG_PHASE
-        events_start = testbed.sim.events_processed
-        cells_start = _testbed_cells(testbed)
-        campaign = ParallelCampaign(
-            host,
-            descriptors,
-            policy=self.policy,
-            pairs=[],
-            legs=self.touched_fingerprints,
-            isolation=testbed.task_isolation(),
+        legs = kind == LEG_ROUND
+        prewarmed = not legs and self.leg_phase and all(
+            fp in leg_estimates or fp in leg_failures
+            for fp in self.touched_fingerprints
         )
-        try:
-            report = campaign.run()
-            if telemetry is not None:
-                telemetry.beat(force=True)
-        finally:
-            if telemetry is not None and bus is not None:
-                bus.remove_sink(telemetry)
-                testbed.sim.on_batch = None
-        result = ShardResult(
+        forked = self._forked_workers(len(chunks))
+        # The inline emulation keeps the full logical worker fleet.
+        n_workers = forked if forked > 1 else max(1, min(self.workers, len(chunks)))
+        jobs = [
+            _WorkerJob(
+                testbed=testbed,
+                descriptors=descriptors,
+                policy=self.policy,
+                round=kind,
+                worker=worker,
+                shard_index=LEG_PHASE if legs else worker,
+                observe=self.observe,
+                leg_estimates=leg_estimates,
+                leg_failures=leg_failures,
+                assert_prewarmed=prewarmed,
+            )
+            for worker in range(n_workers)
+        ]
+        if monitor is not None:
+            for shard in {job.shard_index for job in jobs}:
+                monitor.register(shard)
+        if forked > 1:
+            return self._run_forked(jobs, chunks, monitor)
+        return self._run_inline(jobs, chunks, monitor)
+
+    def _fold_leg_round(
+        self, results: list[ShardResult], wall_s: float, sim_started: float
+    ) -> tuple[ShardResult, dict[str, float], dict[str, str]]:
+        """One :data:`LEG_PHASE` result and the leg caches, from the
+        leg round's per-worker results.
+
+        Counters sum; ``makespan_ms`` is the slowest worker's simulated
+        time; ``wall_s`` is the round's wall, not a worker's.
+        Observability snapshots merge in worker order. The caches come
+        back in campaign order, so what the pair round inherits does
+        not depend on who measured which leg.
+        """
+        measured = {fp: rtt for result in results for fp, rtt in result.entries}
+        failed = {fp: why for result in results for fp, why in result.failures}
+        order = self.touched_fingerprints
+        leg_estimates = {fp: measured[fp] for fp in order if fp in measured}
+        leg_failures = {fp: failed[fp] for fp in order if fp in failed}
+        folded = ShardResult(
             shard_index=LEG_PHASE,
             entries=[],
             failures=[],
             pairs_attempted=0,
-            events_processed=testbed.sim.events_processed - events_start,
-            cells_processed=_testbed_cells(testbed) - cells_start,
-            makespan_ms=report.makespan_ms,
-            wall_s=time.perf_counter() - started,
-            probes_sent=report.probes_sent,
-            probes_saved=report.probes_saved,
-            early_stops=report.early_stops,
-            legs_measured=report.legs_measured,
-            metrics=host.metrics.snapshot() if self.observe else None,
-            trace=host.trace.snapshot() if self.observe else None,
-            spans=host.spans.records() if self.observe else None,
-            provenance=host.provenance.snapshot() if self.observe else None,
-            events=host.events.snapshot() if self.observe else None,
+            events_processed=sum(r.events_processed for r in results),
+            cells_processed=sum(r.cells_processed for r in results),
+            makespan_ms=max(r.makespan_ms for r in results),
+            wall_s=wall_s,
+            cpu_s=sum(r.cpu_s for r in results),
+            probes_sent=sum(r.probes_sent for r in results),
+            probes_saved=sum(r.probes_saved for r in results),
+            early_stops=sum(r.early_stops for r in results),
+            legs_measured=sum(r.legs_measured for r in results),
+            chunks=sum(r.chunks for r in results),
         )
-        return result, campaign.leg_estimates, campaign.leg_failures
+        if self.observe:
+            metrics = MetricsRegistry()
+            provenance = ProvenanceLog()
+            events = EventBus(capacity=4096)
+            folded.trace = {"dropped": 0, "events": []}
+            # The round is the sharded campaign's one ``campaign`` span:
+            # from the fork, for as long as its slowest worker ran.
+            folded.spans = [
+                {
+                    "name": CAMPAIGN_SPAN,
+                    "start_ms": sim_started,
+                    "dur_ms": folded.makespan_ms,
+                    "track": 0,
+                    "shard": LEG_PHASE,
+                    "args": {"relays": len(order), "pairs": 0},
+                }
+            ]
+            base = 1  # the round's own span holds track 0
+            for result in results:
+                metrics.merge(MetricsRegistry.from_snapshot(result.metrics))
+                folded.trace["dropped"] += int(result.trace.get("dropped", 0))
+                folded.trace["events"].extend(result.trace.get("events", []))
+                # Workers of one round overlap in simulated time and
+                # share the shard label: give each its own tracks.
+                folded.spans.extend(
+                    {**span, "track": span["track"] + base}
+                    for span in result.spans
+                )
+                base += 1 + max((s["track"] for s in result.spans), default=-1)
+                provenance.merge_snapshot(result.provenance)
+                events.merge_snapshot(result.events)
+            folded.metrics = metrics.snapshot()
+            folded.provenance = provenance.snapshot()
+            folded.events = events.snapshot()
+        return folded, leg_estimates, leg_failures
 
     def _run_inline(
         self,
-        testbed: Any,
-        descriptors: list[RelayDescriptor],
-        chunks: list[tuple[int, list[tuple[str, str]]]],
+        jobs: list[_WorkerJob],
+        chunks: list[tuple[int, list]],
         monitor: _ShardMonitor | None,
-        leg_estimates: dict[str, float],
-        leg_failures: dict[str, str],
     ) -> list[ShardResult]:
         """Emulate the worker loop in-process, one worker at a time.
 
@@ -986,24 +1091,18 @@ class ShardedCampaign:
         the shared-host reuse safe; the worker-count-invariance tests
         rely on this mode to compare worker counts deterministically.
         """
-        n_workers = max(1, min(max(1, self.workers), max(1, len(chunks))))
         results: list[ShardResult] = []
-        for index in range(n_workers):
-            deal = list(chunks[index::n_workers]) + [None]
+        for job in jobs:
+            deal = list(chunks[job.worker :: len(jobs)]) + [None]
             queue = iter(deal)
             payloads: list[dict] = []
-            telemetry = None
-            if monitor is not None:
-                monitor.register(index)
-                telemetry = self._worker_telemetry(index, monitor.handle)
-            job = self._worker_job(
-                testbed, descriptors, index, leg_estimates, leg_failures
-            )
             result = _run_worker(
                 job,
                 next_task=lambda it=queue: next(it),
                 send_chunk=lambda msg, sink=payloads: sink.append(msg[2]),
-                telemetry=telemetry,
+                telemetry=None
+                if monitor is None
+                else self._worker_telemetry(job, monitor.handle),
             )
             _absorb_chunks(result, payloads)
             results.append(result)
@@ -1011,13 +1110,9 @@ class ShardedCampaign:
 
     def _run_forked(
         self,
-        testbed: Any,
-        descriptors: list[RelayDescriptor],
-        chunks: list[tuple[int, list[tuple[str, str]]]],
+        jobs: list[_WorkerJob],
+        chunks: list[tuple[int, list]],
         monitor: _ShardMonitor | None,
-        leg_estimates: dict[str, float],
-        leg_failures: dict[str, str],
-        n_workers: int,
     ) -> list[ShardResult]:
         """Fork the workers; they steal chunks off one shared queue.
 
@@ -1027,6 +1122,8 @@ class ShardedCampaign:
         channel carries five message kinds — ``hb``, ``event``,
         ``chunk``, ``result``, ``error`` — and per-producer FIFO order
         guarantees a worker's chunks all arrive before its result. The
+        first two are keyed by shard label and go to the monitor; the
+        last three are keyed by worker slot and routed here. The
         parent's poll loop doubles as the liveness clock: every
         ``queue.get`` timeout is a chance to notice a dead worker, a
         blown deadline, or a stalled heartbeat.
@@ -1036,74 +1133,77 @@ class ShardedCampaign:
         tasks = ctx.Queue()
         for chunk in chunks:
             tasks.put(chunk)
-        for _ in range(n_workers):
+        for _ in jobs:
             tasks.put(None)
-        procs: dict[int, Any] = {}
-        for index in range(n_workers):
-            telemetry = None
-            if monitor is not None:
-                monitor.register(index)
-                telemetry = self._worker_telemetry(index, channel.put)
-            job = self._worker_job(
-                testbed, descriptors, index, leg_estimates, leg_failures
-            )
-            procs[index] = ctx.Process(
+        procs = [
+            ctx.Process(
                 target=_worker_entry,
-                args=(channel, tasks, job, telemetry),
+                args=(
+                    channel,
+                    tasks,
+                    job,
+                    None
+                    if monitor is None
+                    else self._worker_telemetry(job, channel.put),
+                    len(jobs),
+                ),
                 daemon=True,
             )
+            for job in jobs
+        ]
         started = time.monotonic()
-        for proc in procs.values():
-            proc.start()
-        pending = set(procs)
+        pending = set(range(len(jobs)))
         results: dict[int, ShardResult] = {}
-        chunk_payloads: dict[int, list[dict]] = {index: [] for index in procs}
+        chunk_payloads: list[list[dict]] = [[] for _ in jobs]
         dead_since: dict[int, float] = {}
         try:
+            for proc in procs:
+                proc.start()
             while pending:
                 try:
                     msg = channel.get(timeout=self._POLL_S)
                 except Empty:
                     msg = None
                 if msg is not None:
-                    kind, shard = msg[0], msg[1]
+                    kind, key = msg[0], msg[1]
                     if kind == "result":
-                        results[shard] = msg[2]
-                        pending.discard(shard)
+                        results[key] = msg[2]
+                        pending.discard(key)
                     elif kind == "error":
                         raise MeasurementError(
-                            f"shard {shard} worker failed: {msg[2]}"
+                            f"{jobs[key].name} failed: {msg[2]}"
                         )
                     elif kind == "chunk":
-                        chunk_payloads[shard].append(msg[2])
-                        if monitor is not None:
-                            monitor.handle(msg)  # liveness only
+                        chunk_payloads[key].append(msg[2])
+                        if monitor is not None:  # liveness only
+                            monitor.handle(("chunk", jobs[key].shard_index))
                     elif monitor is not None:
                         monitor.handle(msg)
                 now = time.monotonic()
                 # A worker the OS killed never sends anything again:
                 # notice the corpse (after a short drain grace for any
                 # queued result) instead of waiting out the deadline.
-                for shard in sorted(pending):
-                    if procs[shard].is_alive():
-                        dead_since.pop(shard, None)
-                    elif now - dead_since.setdefault(shard, now) > self._DEATH_GRACE_S:
+                for worker in sorted(pending):
+                    if procs[worker].is_alive():
+                        dead_since.pop(worker, None)
+                    elif now - dead_since.setdefault(worker, now) > self._DEATH_GRACE_S:
                         raise MeasurementError(
-                            f"shard {shard} worker died without a result "
-                            f"(exit code {procs[shard].exitcode})"
+                            f"{jobs[worker].name} died without a result "
+                            f"(exit code {procs[worker].exitcode})"
                         )
                 if (
                     self.worker_timeout_s is not None
                     and now - started > self.worker_timeout_s
                 ):
-                    shard = min(pending)
                     raise MeasurementError(
-                        f"shard {shard} worker exceeded the "
+                        f"{jobs[min(pending)].name} exceeded the "
                         f"{self.worker_timeout_s:.1f}s deadline "
                         f"({len(pending)} shard(s) unfinished)"
                     )
                 if monitor is not None:
-                    stalled = monitor.stalled(pending, now)
+                    stalled = monitor.stalled(
+                        {jobs[worker].shard_index for worker in pending}, now
+                    )
                     if stalled:
                         raise monitor.stall_error(*stalled[0])
             # Results are in; drain trailing heartbeats/events so the
@@ -1117,20 +1217,21 @@ class ShardedCampaign:
                     chunk_payloads[msg[1]].append(msg[2])
                 elif monitor is not None and msg[0] in ("hb", "event"):
                     monitor.handle(msg)
-            for proc in procs.values():
+            for proc in procs:
                 proc.join(timeout=5.0)
         finally:
-            for proc in procs.values():
+            for proc in procs:
                 if proc.is_alive():
                     proc.terminate()
-            for proc in procs.values():
-                proc.join(timeout=1.0)
+            for proc in procs:
+                if proc.pid is not None:
+                    proc.join(timeout=1.0)
             tasks.cancel_join_thread()
             tasks.close()
             channel.close()
-        for index, result in results.items():
-            _absorb_chunks(result, chunk_payloads.get(index, []))
-        return [results[shard] for shard in sorted(results)]
+        for worker, result in results.items():
+            _absorb_chunks(result, chunk_payloads[worker])
+        return [results[worker] for worker in sorted(results)]
 
     def _merge(
         self, results: list[ShardResult], leg_result: ShardResult | None = None

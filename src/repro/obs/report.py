@@ -105,10 +105,13 @@ class RunReport:
         if balance is not None:
             lines.append("== shard balance ==")
             for shard in balance["shards"]:
+                # Near 1: the worker had a CPU to itself; near 1/W: W
+                # workers shared one.
+                busy = shard["cpu_s"] / shard["wall_s"] if shard["wall_s"] else 0.0
                 lines.append(
                     f"  shard {shard['shard']}: {shard['pairs_attempted']} pairs, "
                     f"{shard['makespan_ms'] / 60000:.1f} sim min, "
-                    f"{shard['wall_s']:.1f} s wall"
+                    f"{shard['wall_s']:.1f} s wall, cpu/wall {busy:.2f}"
                 )
             lines.append(
                 f"  makespan imbalance     {balance['makespan_imbalance']:.2f}x"
@@ -237,6 +240,7 @@ def _shard_balance(shards: Iterable[Any]) -> dict[str, Any] | None:
             "pairs_attempted": shard.pairs_attempted,
             "makespan_ms": round(shard.makespan_ms, 3),
             "wall_s": round(shard.wall_s, 3),
+            "cpu_s": round(getattr(shard, "cpu_s", 0.0), 3),
             "events_processed": shard.events_processed,
         }
         for shard in shards
@@ -291,7 +295,8 @@ def build_report(
     campaign. ``metrics`` accepts a live registry or a snapshot dict;
     ``spans`` a tracer or raw record list; ``shards`` any iterable of
     shard results with ``shard_index``/``pairs_attempted``/
-    ``makespan_ms``/``wall_s``/``events_processed`` attributes;
+    ``makespan_ms``/``wall_s``/``events_processed`` attributes (and
+    ``cpu_s``, read as 0 when absent);
     ``health`` a ``repro.obs.health`` ``HealthReport`` (or its dict
     form) to embed as a data-quality section.
     """

@@ -40,6 +40,7 @@ from repro.serve.telemetry import (
     UnknownOpError,
     classify_error,
 )
+from repro.util.cpus import place_worker
 from repro.util.errors import ConfigurationError, MeasurementError
 
 
@@ -199,13 +200,16 @@ class QueryServer:
                 telemetry.worker_copy(sample_offset=lo, shard=w)
                 if telemetry.enabled else None
             )
-            proc = ctx.Process(
-                target=_batch_worker,
-                args=(channel, self, queries[lo:hi], w, worker_telemetry),
-                daemon=True,
+            procs.append(
+                ctx.Process(
+                    target=_batch_worker,
+                    args=(
+                        channel, self, queries[lo:hi], w, n_workers,
+                        worker_telemetry,
+                    ),
+                    daemon=True,
+                )
             )
-            procs.append(proc)
-            proc.start()
         slices: dict[int, list[dict[str, Any]]] = {}
         snaps: dict[int, dict[str, Any]] = {}
 
@@ -218,6 +222,8 @@ class QueryServer:
                 snaps[w] = snap
 
         try:
+            for proc in procs:
+                proc.start()
             while len(slices) < n_workers:
                 try:
                     absorb(channel.get(timeout=0.25))
@@ -246,7 +252,10 @@ class QueryServer:
                         f"{procs[w].exitcode}) before shipping its slice"
                     )
         finally:
+            # A start that failed part-way leaves later entries unstarted.
             for proc in procs:
+                if proc.pid is None:
+                    continue
                 proc.join(timeout=5.0)
                 if proc.is_alive():
                     proc.terminate()
@@ -275,15 +284,19 @@ def _batch_worker(
     server: QueryServer,
     queries: list[dict[str, Any]],
     w: int,
+    n_workers: int,
     telemetry: ServeTelemetry | None = None,
 ) -> None:
     """Forked child: answer one contiguous slice, ship it home whole.
 
-    With telemetry, the child answers through its own recorder (built
+    The child first moves onto its own share of the inherited CPU mask
+    (left alone, the kernel keeps every child on the CPU it was forked
+    on). With telemetry, it answers through its own recorder (built
     pre-fork by the parent, slice-offset sampling wired in) and ships
     the snapshot alongside the answers.
     """
     try:
+        place_worker(w, n_workers)
         if telemetry is not None:
             server = QueryServer(server.index, telemetry=telemetry)
         answers = [server.query(q) for q in queries]

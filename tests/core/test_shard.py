@@ -222,9 +222,9 @@ class TestChunkPartitioning:
         seen = {}
         real_forked = campaign._run_forked
 
-        def spy(*args):
-            seen["n_workers"] = args[-1]
-            return real_forked(*args)
+        def spy(jobs, *args):
+            seen["n_workers"] = len(jobs)
+            return real_forked(jobs, *args)
 
         monkeypatch.setattr(campaign, "_run_forked", spy)
         report = campaign.run()

@@ -227,3 +227,89 @@ class TestMergedArtifacts:
         for name in DETERMINISTIC_COUNTERS:
             assert report.metrics.counter(name) == inline.metrics.counter(name)
         assert report.legs_measured == inline.legs_measured == 5
+
+
+def _factory_with_down_relay(down_fp):
+    """FACTORY, with one campaign relay shut down before any round."""
+    testbed = FACTORY()
+    {r.fingerprint: r for r in testbed.relays}[down_fp].shutdown()
+    return testbed
+
+
+def _leg_round_view(fingerprints, workers, chunk, forked):
+    """Everything the leg round hands on, in a comparable form."""
+    campaign = ShardedCampaign(
+        functools.partial(_factory_with_down_relay, fingerprints[2]),
+        fingerprints,
+        policy=POLICY,
+        workers=workers,
+        observe=True,
+        force_inline=not forked,
+        steal_chunk_pairs=chunk,
+    )
+    caches = {}
+    fold = campaign._fold_leg_round
+
+    def spy(*args):
+        folded, caches["estimates"], caches["failures"] = fold(*args)
+        return folded, caches["estimates"], caches["failures"]
+
+    campaign._fold_leg_round = spy
+    report = campaign.run()
+    leg_rows = sorted(
+        (
+            {k: v for k, v in record.to_dict().items() if k != "duration_ms"}
+            for record in report.provenance.legs()
+        ),
+        key=lambda row: row["relay"],
+    )
+    return {
+        # Dict order is part of the contract: campaign order, whoever
+        # measured what.
+        "estimates": list(caches["estimates"].items()),
+        "failures": list(caches["failures"].items()),
+        "leg_rows": leg_rows,
+        "leg_shards": {record.shard for record in report.provenance.legs()},
+        "pair_failures": sorted(report.failures),
+        "matrix": report.matrix.as_array().tobytes(),  # NaN holes compare
+        "counters": {
+            name: report.metrics.counter(name) for name in DETERMINISTIC_COUNTERS
+        },
+        "legs_measured": (report.legs_measured, report.leg_phase.legs_measured),
+        "leg_chunks": report.leg_phase.chunks,
+        "campaign_spans": report.spans.count("campaign"),
+    }
+
+
+class TestLegRoundInvariance:
+    """The leg round is stolen like the pair round — and like the pair
+    round it must be invisible in the data: one inline worker *is* the
+    serial leg phase of earlier versions, and every other layout (more
+    workers, other chunk sizes, real forks) must hand the pair round
+    the same caches and the report the same rows and counters. One
+    relay is down, so the failure path is compared too: its leg fails
+    in whichever worker draws it, and every pair touching it fails for
+    the same reason."""
+
+    @pytest.fixture(scope="class")
+    def serial(self, fingerprints):
+        view = _leg_round_view(fingerprints, workers=1, chunk=8, forked=False)
+        assert [fp for fp, _ in view["failures"]] == [fingerprints[2]]
+        assert [fp for fp, _ in view["estimates"]] == [
+            fp for fp in fingerprints if fp != fingerprints[2]
+        ]
+        assert len(view["leg_rows"]) == 4 and view["leg_shards"] == {None}
+        assert len(view["pair_failures"]) == 4
+        assert view["legs_measured"] == (5, 5)
+        return view
+
+    @pytest.mark.parametrize("forked", (False, True), ids=("inline", "forked"))
+    @pytest.mark.parametrize("chunk", (1, 3, 8))
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_same_as_the_serial_phase(
+        self, fingerprints, serial, workers, chunk, forked
+    ):
+        view = _leg_round_view(fingerprints, workers, chunk, forked)
+        assert view.pop("leg_chunks") == -(-5 // chunk)
+        serial = {k: v for k, v in serial.items() if k != "leg_chunks"}
+        assert view == serial

@@ -20,6 +20,7 @@ its own flight-recorder ring like any worker.
 import functools
 import json
 import os
+import signal
 import time
 
 import numpy as np
@@ -246,6 +247,65 @@ class TestWorkerFaults:
             campaign.run()
         assert "leg phase should have pre-warmed" in str(excinfo.value)
 
+    @pytest.mark.parametrize("fault", ("sigkill", "raise"))
+    def test_leg_round_worker_fault_fails_campaign(
+        self, fingerprints, monkeypatch, fault
+    ):
+        # The leg round runs on the same fork → steal → ship → liveness
+        # loop: a leg worker the OS kills while it holds a claimed
+        # chunk, or one that raises, must fail the campaign naming the
+        # round — within the death grace, never a hang.
+        real = shard_mod._run_worker
+
+        def faulty(job, next_task, **kwargs):
+            if job.round != shard_mod.LEG_ROUND or job.worker != 1:
+                return real(job, next_task=next_task, **kwargs)
+
+            def claim_then_fail():
+                next_task()
+                if fault == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("leg chunk exploded")
+
+            return real(job, next_task=claim_then_fail, **kwargs)
+
+        monkeypatch.setattr(shard_mod, "_run_worker", faulty)
+        campaign = _campaign(fingerprints, 2, steal_chunk_pairs=1)
+        started = time.monotonic()
+        with pytest.raises(MeasurementError) as excinfo:
+            campaign.run()
+        assert time.monotonic() - started < FAIL_FAST_S
+        message = str(excinfo.value)
+        if fault == "sigkill":
+            assert "leg round worker 1 died without a result" in message
+            assert f"exit code {-signal.SIGKILL}" in message
+        else:
+            assert "leg round worker 1 failed" in message
+            assert "RuntimeError: leg chunk exploded" in message
+        assert categorize_failure(message) == "shard"
+
+    def test_leg_round_honours_the_worker_timeout(
+        self, fingerprints, monkeypatch
+    ):
+        real = shard_mod._run_worker
+
+        def sleeper(job, **kwargs):
+            if job.round == shard_mod.LEG_ROUND and job.worker == 0:
+                time.sleep(600.0)
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(shard_mod, "_run_worker", sleeper)
+        campaign = _campaign(
+            fingerprints, 2, steal_chunk_pairs=1, worker_timeout_s=2.0
+        )
+        started = time.monotonic()
+        with pytest.raises(MeasurementError) as excinfo:
+            campaign.run()
+        assert time.monotonic() - started < FAIL_FAST_S
+        assert "leg round worker 0 exceeded the 2.0s deadline" in str(
+            excinfo.value
+        )
+
     def test_worker_timeout_must_be_positive(self, fingerprints):
         with pytest.raises(MeasurementError):
             _campaign(fingerprints, 2, worker_timeout_s=0.0)
@@ -261,6 +321,28 @@ class TestStreamingDetail:
         shards = {record["shard"] for record in report.stream.events()}
         assert LEG_PHASE in shards
         assert {0, 1} <= shards
+
+    def test_forked_leg_round_reports_as_one_shard(self, fingerprints):
+        # Single-leg chunks: the leg round forks two workers, and both
+        # stream as shard -1. Their heartbeats are absolute totals of
+        # one process each, so the tracker must show their sum — the
+        # streamed probe totals still equal the merged report's.
+        telemetry = CampaignTelemetry(heartbeat_s=0.05, stall_timeout_s=30.0)
+        report = _campaign(
+            fingerprints, 2, telemetry=telemetry, steal_chunk_pairs=1
+        ).run()
+        assert report.leg_phase.chunks == 5
+        assert report.progress.probes_sent == report.probes_sent
+        assert report.progress.probes_saved == report.probes_saved
+        claims = report.progress.shard_progress()
+        assert set(claims) == {LEG_PHASE, 0, 1}
+        assert claims[LEG_PHASE] == (0, 0)
+        assert report.progress.in_flight() == {}
+        leg_events = [
+            record for record in report.stream.events()
+            if record["shard"] == LEG_PHASE
+        ]
+        assert sum(r["kind"] == "worker_finished" for r in leg_events) == 2
 
     def test_min_severity_filters_stream(self, fingerprints):
         telemetry = CampaignTelemetry(

@@ -177,10 +177,10 @@ class TestDeadWorker:
 
         real = server_mod._batch_worker
 
-        def dying(channel, srv, queries, w, telemetry=None):
+        def dying(channel, srv, queries, w, n_workers, telemetry=None):
             if w == 0:
                 os._exit(17)  # dies before putting its slice
-            real(channel, srv, queries, w, telemetry)
+            real(channel, srv, queries, w, n_workers, telemetry)
 
         monkeypatch.setattr(server_mod, "_batch_worker", dying)
         queries = mixed_queries(server.index.nodes, count=12)
@@ -192,7 +192,7 @@ class TestDeadWorker:
 
         monkeypatch.setattr(
             server_mod, "_batch_worker",
-            lambda channel, srv, queries, w, telemetry=None: os._exit(9),
+            lambda channel, srv, queries, w, n_workers, telemetry=None: os._exit(9),
         )
         queries = mixed_queries(server.index.nodes, count=8)
         with pytest.raises(MeasurementError) as err:
@@ -204,7 +204,7 @@ class TestDeadWorker:
     ):
         from repro.serve import server as server_mod
 
-        def broken(channel, srv, queries, w, telemetry=None):
+        def broken(channel, srv, queries, w, n_workers, telemetry=None):
             channel.put(("error", w, "ValueError: boom", None))
 
         monkeypatch.setattr(server_mod, "_batch_worker", broken)
