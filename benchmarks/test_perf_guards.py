@@ -128,3 +128,70 @@ def test_event_comparison_guard(report):
     # The win is a constant factor, not asymptotic; any honest margin
     # is modest, so guard only against the rewrite being fully undone.
     assert fast_s < slow_s
+
+
+@pytest.mark.benchguard
+def test_categorical_draw_guard(report):
+    """A bisect over a CDF computed once must beat per-call
+    ``Generator.choice(n, p=p)`` (the replaced pattern: it re-validates
+    and re-cumsums the build's region weights for every relay) >= 5x."""
+    import numpy as np
+
+    from repro.netsim.geo import TOR_REGION_WEIGHTS
+    from repro.util.rng import categorical_cdf, draw_categorical
+
+    draws = scaled(50_000, minimum=20_000)
+    p = np.array(list(TOR_REGION_WEIGHTS.values()))
+    p /= p.sum()
+    cdf = categorical_cdf(p)
+
+    def time_choice() -> float:
+        rng = np.random.default_rng(47)
+        start = time.perf_counter()
+        for _ in range(draws):
+            int(rng.choice(len(p), p=p))
+        return time.perf_counter() - start
+
+    def time_bisect() -> float:
+        rng = np.random.default_rng(47)
+        start = time.perf_counter()
+        for _ in range(draws):
+            draw_categorical(rng, cdf)
+        return time.perf_counter() - start
+
+    # Interleaved rounds, best of 5 each (see the crypto guard).
+    rounds = [(time_bisect(), time_choice()) for _ in range(5)]
+    fast_s = min(fast for fast, _ in rounds)
+    slow_s = min(slow for _, slow in rounds)
+    report(
+        f"categorical draw, {draws} draws over {len(p)} weights: "
+        f"Generator.choice {slow_s / draws * 1e6:.2f} us vs CDF bisect "
+        f"{fast_s / draws * 1e6:.2f} us ({slow_s / fast_s:.1f}x)"
+    )
+    # Value-and-state equality with ``choice`` is pinned by
+    # tests/netsim/test_rng_identities.py; this guard is purely speed.
+    assert slow_s / fast_s >= 5.0
+
+
+@pytest.mark.benchguard
+def test_world_build_scaling_guard(report):
+    """``LiveTorTestbed.build`` stays linear in the relay count: us per
+    relay at 2,000 relays within 1.3x of us per relay at 500 (the build
+    is paid once per sharded run, on the way to 6,500 relays)."""
+    from repro.testbeds.livetor import LiveTorTestbed
+
+    def per_relay_us(n_relays: int) -> float:
+        def build() -> float:
+            start = time.perf_counter()
+            LiveTorTestbed.build(seed=47, n_relays=n_relays)
+            return time.perf_counter() - start
+
+        return _best_of(3, build) / n_relays * 1e6
+
+    LiveTorTestbed.build(seed=47, n_relays=50)  # imports, first-use set-up
+    small, large = per_relay_us(500), per_relay_us(2_000)
+    report(
+        f"world build: {small:.1f} us/relay at 500 relays, "
+        f"{large:.1f} us/relay at 2,000 ({large / small:.2f}x)"
+    )
+    assert large <= 1.3 * small

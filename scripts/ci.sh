@@ -18,6 +18,15 @@ if [[ "${1:-}" == "--fast" ]]; then
     fast=1
 fi
 
+echo "== numpy draw identities and pinned worlds =="
+# The build's draws rely on how numpy defines Generator.choice / uniform
+# (repro.util.rng). Run first and under its own name, with the numpy
+# version printed, so a numpy bump that breaks an identity is reported
+# as that, not as a wall of moved campaign numbers (tier-1 runs both
+# files again).
+python -c "import numpy; print('numpy', numpy.__version__)"
+python -m pytest tests/netsim/test_rng_identities.py tests/testbeds/test_build_identity.py -x -q
+
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 
@@ -28,7 +37,9 @@ fi
 
 echo "== hot-path benchguards =="
 # Includes the null-observability and null-event-bus overhead guards:
-# the always-on telemetry call sites must stay under 2% of campaign wall.
+# the always-on telemetry call sites must stay under 2% of campaign wall;
+# and the world-build guards (CDF bisect vs per-call Generator.choice,
+# us per relay flat from 500 to 2,000 relays).
 python -m pytest benchmarks -m benchguard -x -q
 
 echo "== work-stealing chaos test =="

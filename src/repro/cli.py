@@ -829,6 +829,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         provenance=sharded.provenance,
         trace=sharded.trace,
         shards=sharded.shards,
+        sharded_run=sharded,
         ground_truth=ground_truth,
         pairs_attempted=sharded.pairs_attempted,
         top_n=args.top,

@@ -24,6 +24,7 @@ from repro.netsim.addresses import AddressAllocator, ProviderRange, parse_ipv4
 from repro.netsim.geo import CITY_CATALOG, City, GeoPoint, great_circle_km
 from repro.netsim.policies import NEUTRAL_POLICY, PolicyModel, ProtocolPolicy
 from repro.util.errors import ConfigurationError
+from repro.util.rng import draw_uniform
 from repro.util.units import Milliseconds, propagation_delay_ms
 
 
@@ -307,8 +308,8 @@ class TopologyBuilder:
             name=name,
             address=address,
             pop_id=pop_id,
-            access_delay_ms=float(
-                self._rng.uniform(profile["delay_lo"], profile["delay_hi"])
+            access_delay_ms=draw_uniform(
+                self._rng, profile["delay_lo"], profile["delay_hi"]
             ),
             bandwidth_mbps=profile["bandwidth_mbps"],
             policy=self.policy_model.sample(self._rng),

@@ -116,6 +116,13 @@ class RunReport:
             lines.append(
                 f"  makespan imbalance     {balance['makespan_imbalance']:.2f}x"
             )
+            fixed = balance.get("fixed")
+            if fixed is not None:
+                # What a run pays whatever its pair budget.
+                lines.append(
+                    f"  fixed: build {fixed['build_s']:.3f} s, leg round "
+                    f"{fixed['leg_round_s']:.3f} s of {fixed['wall_s']:.3f} s wall"
+                )
 
         spans = self.data.get("spans")
         if spans is not None:
@@ -232,8 +239,9 @@ def _slowest_pairs(
     ]
 
 
-def _shard_balance(shards: Iterable[Any]) -> dict[str, Any] | None:
-    """Per-shard load plus the makespan imbalance ratio (max/min)."""
+def _shard_balance(shards: Iterable[Any], run: Any | None) -> dict[str, Any] | None:
+    """Per-shard load, the makespan imbalance ratio (max/min) and, given
+    the sharded ``run``, its fixed terms (world build, leg round)."""
     rows = [
         {
             "shard": shard.shard_index,
@@ -250,10 +258,17 @@ def _shard_balance(shards: Iterable[Any]) -> dict[str, Any] | None:
     makespans = [row["makespan_ms"] for row in rows]
     slowest = max(makespans)
     fastest = min(makespans)
-    return {
+    balance: dict[str, Any] = {
         "shards": rows,
         "makespan_imbalance": round(slowest / fastest, 3) if fastest else 0.0,
     }
+    if run is not None:
+        balance["fixed"] = {
+            "build_s": round(run.build_s, 4),
+            "leg_round_s": round(run.leg_phase.wall_s if run.leg_phase else 0.0, 4),
+            "wall_s": round(run.wall_s, 4),
+        }
+    return balance
 
 
 def _span_section(spans: Any) -> dict[str, Any] | None:
@@ -281,6 +296,7 @@ def build_report(
     provenance: ProvenanceLog | None = None,
     trace: Any | None = None,
     shards: Iterable[Any] | None = None,
+    sharded_run: Any | None = None,
     ground_truth: RttMatrix | None = None,
     pairs_attempted: int | None = None,
     makespan_ms: float | None = None,
@@ -296,7 +312,10 @@ def build_report(
     ``spans`` a tracer or raw record list; ``shards`` any iterable of
     shard results with ``shard_index``/``pairs_attempted``/
     ``makespan_ms``/``wall_s``/``events_processed`` attributes (and
-    ``cpu_s``, read as 0 when absent);
+    ``cpu_s``, read as 0 when absent); ``sharded_run`` the
+    :class:`~repro.core.shard.ShardedReport` those shards came from, for
+    the shard-balance section's fixed-term line (``build_s``,
+    ``leg_phase.wall_s``, ``wall_s``);
     ``health`` a ``repro.obs.health`` ``HealthReport`` (or its dict
     form) to embed as a data-quality section.
     """
@@ -384,7 +403,7 @@ def build_report(
     if provenance is not None and len(provenance):
         data["slowest_pairs"] = _slowest_pairs(provenance, top_n)
     if shards is not None:
-        data["shard_balance"] = _shard_balance(shards)
+        data["shard_balance"] = _shard_balance(shards, sharded_run)
     if spans is not None:
         section = _span_section(spans)
         if section is not None:

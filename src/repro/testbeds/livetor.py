@@ -39,6 +39,7 @@ from repro.tor.directory import (
 from repro.tor.relay import ForwardingDelayModel, Relay, ServiceQueue
 from repro.util.errors import ConfigurationError
 from repro.util.rng import RandomStreams
+from repro.util.rng import categorical_cdf, draw_categorical, draw_item, draw_uniform
 
 #: Host-type mix among relays (Section 5.3: ~61% of named relays are
 #: residential; data centers and institutions share the rest).
@@ -110,18 +111,20 @@ class LiveTorTestbed:
         for pop in topology.pops.values():
             pops_by_region.setdefault(pop.city.region, []).append(pop.pop_id)
         regions = list(TOR_REGION_WEIGHTS)
+        # Normalised before the CDF, as ``choice(p=...)`` required: the
+        # CDFs, and so the draws, stay bit-identical to that call's.
         region_p = np.array([TOR_REGION_WEIGHTS[r] for r in regions])
-        region_p /= region_p.sum()
+        region_cdf = categorical_cdf(region_p / region_p.sum())
         type_names = [name for name, _ in HOST_TYPE_MIX]
         type_p = np.array([w for _, w in HOST_TYPE_MIX])
-        type_p /= type_p.sum()
+        type_cdf = categorical_cdf(type_p / type_p.sum())
 
         authority = DirectoryAuthority()
         relays: list[Relay] = []
         for index in range(n_relays):
-            region = regions[int(relay_rng.choice(len(regions), p=region_p))]
-            pop_id = int(relay_rng.choice(pops_by_region[region]))
-            host_type = type_names[int(relay_rng.choice(len(type_names), p=type_p))]
+            region = regions[draw_categorical(relay_rng, region_cdf)]
+            pop_id = draw_item(relay_rng, pops_by_region[region])
+            host_type = type_names[draw_categorical(relay_rng, type_cdf)]
             host = builder.attach_random_host(
                 topology, f"tor{index:04d}", pop_id, host_type=host_type
             )
@@ -145,9 +148,8 @@ class LiveTorTestbed:
             relays.append(relay)
             # Most relays have been up for a while; ~20% are young.
             age_days = 45.0 if relay_rng.random() > 0.2 else 2.0
-            authority.publish(
-                relay.descriptor(), now_ms=-age_days * 24 * 3600 * 1000.0
-            )
+            published_ms = -age_days * 24 * 3600 * 1000.0
+            authority.publish(relay.descriptor(published_ms), now_ms=published_ms)
 
         consensus = authority.make_consensus(now_ms=0.0)
         measurement = MeasurementHost.deploy(
@@ -207,20 +209,20 @@ class LiveTorTestbed:
     ) -> ForwardingDelayModel:
         """Residential relays run hotter: slower CPUs, fuller queues."""
         if host_type == "hosting":
-            load = float(rng.uniform(0.05, 0.45))
-            floor = float(rng.uniform(0.05, 0.5))
+            load = draw_uniform(rng, 0.05, 0.45)
+            floor = draw_uniform(rng, 0.05, 0.5)
         elif host_type == "university":
-            load = float(rng.uniform(0.05, 0.5))
-            floor = float(rng.uniform(0.1, 0.8))
+            load = draw_uniform(rng, 0.05, 0.5)
+            floor = draw_uniform(rng, 0.1, 0.8)
         else:
-            load = float(rng.uniform(0.15, 0.7))
-            floor = float(rng.uniform(0.2, 1.5))
+            load = draw_uniform(rng, 0.15, 0.7)
+            floor = draw_uniform(rng, 0.2, 1.5)
         return ForwardingDelayModel(
             rng,
             crypto_floor_ms=floor,
             load=load,
-            queue_scale_ms=float(rng.uniform(0.5, 3.0)),
-            burst_probability=float(rng.uniform(0.01, 0.05)),
+            queue_scale_ms=draw_uniform(rng, 0.5, 3.0),
+            burst_probability=draw_uniform(rng, 0.01, 0.05),
         )
 
     @staticmethod

@@ -257,11 +257,15 @@ class DirectoryAuthority:
         self._first_seen_ms: dict[str, float] = {}
 
     def publish(self, descriptor: RelayDescriptor, now_ms: float = 0.0) -> None:
-        """Accept (or refresh) a relay's descriptor."""
+        """Accept (or refresh) a relay's descriptor.
+
+        A descriptor already stamped ``now_ms`` is adopted as it is
+        (descriptors are frozen); any other is copied with the new stamp.
+        """
         self._first_seen_ms.setdefault(descriptor.fingerprint, now_ms)
-        self._descriptors[descriptor.fingerprint] = replace(
-            descriptor, published_at_ms=now_ms
-        )
+        if descriptor.published_at_ms != now_ms:
+            descriptor = replace(descriptor, published_at_ms=now_ms)
+        self._descriptors[descriptor.fingerprint] = descriptor
 
     def withdraw(self, fingerprint: str) -> None:
         """Drop a relay (it went offline)."""
@@ -274,17 +278,33 @@ class DirectoryAuthority:
 
     def make_consensus(self, now_ms: float = 0.0) -> Consensus:
         """Vote flags and emit the network snapshot."""
+        # Flag bits are OR-ed as ints (one ``RelayFlag`` per relay) and the
+        # flagged copy is constructed directly, so ``__post_init__`` still
+        # validates it without ``replace``'s field introspection.
+        running = (RelayFlag.RUNNING | RelayFlag.VALID).value
+        fast, guard = RelayFlag.FAST.value, RelayFlag.GUARD.value
+        stable, exit_ = RelayFlag.STABLE.value, RelayFlag.EXIT.value
         routers: dict[str, RelayDescriptor] = {}
-        for fingerprint, descriptor in self._descriptors.items():
-            flags = RelayFlag.RUNNING | RelayFlag.VALID
-            if descriptor.bandwidth_kbps >= self.FAST_THRESHOLD_KBPS:
-                flags |= RelayFlag.FAST
-            if descriptor.bandwidth_kbps >= self.GUARD_BANDWIDTH_KBPS:
-                flags |= RelayFlag.GUARD
-            uptime = now_ms - self._first_seen_ms[fingerprint]
-            if uptime >= self.STABLE_UPTIME_MS:
-                flags |= RelayFlag.STABLE
-            if descriptor.exit_policy.is_exit:
-                flags |= RelayFlag.EXIT
-            routers[fingerprint] = replace(descriptor, flags=flags)
+        for fingerprint, d in self._descriptors.items():
+            bits = running
+            if d.bandwidth_kbps >= self.FAST_THRESHOLD_KBPS:
+                bits |= fast
+            if d.bandwidth_kbps >= self.GUARD_BANDWIDTH_KBPS:
+                bits |= guard
+            if now_ms - self._first_seen_ms[fingerprint] >= self.STABLE_UPTIME_MS:
+                bits |= stable
+            if d.exit_policy.is_exit:
+                bits |= exit_
+            routers[fingerprint] = RelayDescriptor(
+                nickname=d.nickname,
+                fingerprint=d.fingerprint,
+                address=d.address,
+                or_port=d.or_port,
+                identity_public=d.identity_public,
+                bandwidth_kbps=d.bandwidth_kbps,
+                exit_policy=d.exit_policy,
+                family=d.family,
+                flags=RelayFlag(bits),
+                published_at_ms=d.published_at_ms,
+            )
         return Consensus(routers=routers, valid_at_ms=now_ms)

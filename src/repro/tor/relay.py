@@ -40,6 +40,7 @@ from repro.tor.crypto import (
     ServerHandshake,
 )
 from repro.tor.directory import ExitPolicy, RelayDescriptor
+from repro.util.rng import RandomStreams
 from repro.util.units import Milliseconds
 
 
@@ -211,20 +212,21 @@ class Relay:
         self.or_port = or_port
         self.bandwidth_kbps = bandwidth_kbps
         self.exit_policy = exit_policy or ExitPolicy.reject_all()
-        self.identity = identity or RelayIdentity.generate(
-            entropy=RelayDescriptor.make_fingerprint(nickname, host.address, or_port)
-            .encode()
-            .ljust(32, b"\x00")[:32]
+        self.fingerprint = RelayDescriptor.make_fingerprint(
+            nickname, host.address, or_port
         )
+        self.identity = identity or RelayIdentity.generate(
+            entropy=self.fingerprint.encode().ljust(32, b"\x00")[:32]
+        )
+        # Seeded from the fingerprint, not ``hash()``: string hashes are
+        # salted per process, and a relay must draw the same delays in every
+        # interpreter (and in a forked worker as in a fresh CLI run).
         self.forwarding = forwarding_model or ForwardingDelayModel(
-            np.random.default_rng(abs(hash((nickname, host.address))) % (2**32))
+            np.random.default_rng(RandomStreams.derive_seed(0, self.fingerprint))
         )
         self.family = family
         self.service_queue = service_queue
 
-        self.fingerprint = RelayDescriptor.make_fingerprint(
-            nickname, host.address, or_port
-        )
         self.cells_processed = 0
         #: Observability sinks; no-ops unless live ones are wired in.
         self.metrics = NULL_METRICS

@@ -9,13 +9,56 @@ rely on:
 * **Isolation** — adding draws in one component (say, relay cross-traffic)
   does not perturb the sequence seen by another (say, topology generation),
   so experiments remain comparable across code changes.
+
+The ``draw_*`` helpers make a world build's scalar draws the way numpy
+*defines* ``Generator.choice`` / ``uniform`` — the same draw from the same
+stream position — without those methods' per-call argument handling.
 """
 
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
+from collections.abc import Sequence
+from typing import TypeVar
 
 import numpy as np
+
+_T = TypeVar("_T")
+
+
+def categorical_cdf(p: Sequence[float]) -> list[float]:
+    """The CDF :func:`draw_categorical` bisects, computed once per ``p``.
+
+    Built as ``Generator.choice(n, p=p)`` builds it on every call
+    (``cdf = p.cumsum(); cdf /= cdf[-1]``), so draws agree to the last bit.
+    """
+    weights = np.asarray(p, dtype=np.float64)
+    if weights.ndim != 1 or not (weights >= 0).all() or not weights.sum() > 0:
+        raise ValueError("p must be a 1-d vector of non-negative weights, not all zero")
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def draw_categorical(rng: np.random.Generator, cdf: Sequence[float]) -> int:
+    """``int(rng.choice(len(p), p=p))`` for ``cdf = categorical_cdf(p)``.
+
+    numpy defines that call as ``cdf.searchsorted(rng.random(), "right")``:
+    one ``random()`` draw, same value, same generator state afterwards.
+    """
+    return bisect_right(cdf, rng.random())
+
+
+def draw_item(rng: np.random.Generator, items: Sequence[_T]) -> _T:
+    """``rng.choice(items)``, which numpy defines as
+    ``items[rng.integers(0, len(items))]``, without the array round trip."""
+    return items[int(rng.integers(0, len(items)))]
+
+
+def draw_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``float(rng.uniform(lo, hi))``: numpy computes ``lo + (hi - lo) * random()``."""
+    return lo + (hi - lo) * rng.random()
 
 
 class RandomStreams:

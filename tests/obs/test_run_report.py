@@ -169,6 +169,62 @@ class TestBuildReport:
         assert [s["shard"] for s in balance["shards"]] == [0, 1]
 
 
+class TestFixedTerms:
+    """The shard-balance section shows what a run pays whatever its pair
+    budget — straight from fields ``ShardedReport`` already has."""
+
+    @pytest.mark.parametrize("force_inline", [False, True])
+    def test_fixed_line_from_a_sharded_run(self, force_inline):
+        import functools
+        import re
+
+        from repro.core.sampling import SamplePolicy
+        from repro.core.shard import ShardedCampaign
+        from repro.testbeds.livetor import LiveTorTestbed
+
+        factory = functools.partial(LiveTorTestbed.build, seed=3, n_relays=16)
+        testbed = factory()
+        relays = testbed.random_relays(4, testbed.streams.get("t.pick"))
+        sharded = ShardedCampaign(
+            factory,
+            [d.fingerprint for d in relays],
+            policy=SamplePolicy(3, 2.0),
+            workers=2,
+            force_inline=force_inline,
+        ).run()
+        report = build_report(
+            sharded.matrix, shards=sharded.shards, sharded_run=sharded
+        )
+        fixed = report.to_dict()["shard_balance"]["fixed"]
+        assert fixed == {
+            "build_s": round(sharded.build_s, 4),
+            "leg_round_s": round(sharded.leg_phase.wall_s, 4),
+            "wall_s": round(sharded.wall_s, 4),
+        }
+        assert 0 < fixed["build_s"] < fixed["wall_s"]
+        assert 0 < fixed["leg_round_s"] < fixed["wall_s"]
+        json.loads(report.to_json())
+        line = next(
+            l for l in report.render_text().splitlines() if "fixed:" in l
+        )
+        assert re.fullmatch(
+            r"  fixed: build \d+\.\d{3} s, leg round \d+\.\d{3} s "
+            r"of \d+\.\d{3} s wall",
+            line,
+        )
+
+    def test_no_fixed_line_without_a_run(self, fixture_inputs):
+        matrix, _, _, _ = fixture_inputs
+
+        class Shard:
+            shard_index, pairs_attempted, makespan_ms = 0, 2, 60000.0
+            wall_s, events_processed = 0.5, 1000
+
+        report = build_report(matrix, shards=[Shard()])
+        assert "fixed" not in report.to_dict()["shard_balance"]
+        assert "fixed:" not in report.render_text()
+
+
 class TestReportCommand:
     def test_end_to_end(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"
@@ -192,8 +248,12 @@ class TestReportCommand:
         assert "== campaign ==" in out
         assert "== accuracy vs ground truth ==" in out
         assert "== shard balance ==" in out
+        assert "  fixed: build " in out
 
         payload = json.loads(json_path.read_text())
+        assert set(payload["shard_balance"]["fixed"]) == {
+            "build_s", "leg_round_s", "wall_s",
+        }
         assert payload["format"] == REPORT_FORMAT
         assert payload["pairs"]["measured"] == 6
         assert payload["metrics"]["campaign.pairs_measured"] == 6

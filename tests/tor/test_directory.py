@@ -1,5 +1,7 @@
 """Unit tests for descriptors, exit policies, and the directory."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.tor.directory import (
@@ -183,6 +185,82 @@ class TestDirectoryAuthority:
         assert authority.make_consensus().get(exit_relay.fingerprint).has_flag(
             RelayFlag.EXIT
         )
+
+
+class TestAdoption:
+    """``publish`` adopts a pre-stamped descriptor; ``make_consensus``
+    builds the flagged copy directly — neither aliases a caller's object
+    into a changed state nor skips ``__post_init__``."""
+
+    def test_pre_stamped_descriptor_is_stored_without_copying(self):
+        authority = DirectoryAuthority()
+        d = replace(_descriptor(), published_at_ms=-5.0)
+        authority.publish(d, now_ms=-5.0)
+        assert authority._descriptors[d.fingerprint] is d
+
+    def test_differently_stamped_descriptor_is_copied(self):
+        authority = DirectoryAuthority()
+        d = _descriptor()
+        authority.publish(d, now_ms=7.0)
+        stored = authority._descriptors[d.fingerprint]
+        assert stored is not d
+        assert stored == replace(d, published_at_ms=7.0)
+        assert d.published_at_ms == 0.0
+
+    def test_republishing_refreshes_the_stamp_but_not_first_seen(self):
+        authority = DirectoryAuthority()
+        d = _descriptor()
+        authority.publish(d, now_ms=0.0)
+        authority.publish(d, now_ms=25 * 3600 * 1000.0)
+        assert authority.num_published == 1
+        consensus = authority.make_consensus(now_ms=25 * 3600 * 1000.0)
+        entry = consensus.get(d.fingerprint)
+        assert entry.published_at_ms == 25 * 3600 * 1000.0
+        assert entry.has_flag(RelayFlag.STABLE)
+        assert d.published_at_ms == 0.0
+
+    @pytest.mark.parametrize("bandwidth", [50, 100, 499, 500])
+    @pytest.mark.parametrize("uptime_ms", [0.0, DirectoryAuthority.STABLE_UPTIME_MS])
+    @pytest.mark.parametrize("is_exit", [False, True])
+    def test_flags_equal_the_or_built_flags(self, bandwidth, uptime_ms, is_exit):
+        policy = ExitPolicy.accept_all() if is_exit else ExitPolicy.reject_all()
+        d = replace(
+            _descriptor(bandwidth=bandwidth, policy=policy),
+            family=frozenset({"kin"}),
+            published_at_ms=3.0,
+        )
+        authority = DirectoryAuthority()
+        authority.publish(d, now_ms=3.0)
+        expected = RelayFlag.RUNNING | RelayFlag.VALID
+        if bandwidth >= DirectoryAuthority.FAST_THRESHOLD_KBPS:
+            expected |= RelayFlag.FAST
+        if bandwidth >= DirectoryAuthority.GUARD_BANDWIDTH_KBPS:
+            expected |= RelayFlag.GUARD
+        if uptime_ms >= DirectoryAuthority.STABLE_UPTIME_MS:
+            expected |= RelayFlag.STABLE
+        if is_exit:
+            expected |= RelayFlag.EXIT
+        entry = authority.make_consensus(now_ms=3.0 + uptime_ms).get(d.fingerprint)
+        assert entry.flags == expected
+        # Every field but the flags is carried over (a field added to
+        # ``RelayDescriptor`` must be added to ``make_consensus`` too).
+        assert entry == replace(d, flags=expected)
+        assert entry is not d
+        assert [f.name for f in fields(RelayDescriptor)] == [
+            "nickname", "fingerprint", "address", "or_port", "identity_public",
+            "bandwidth_kbps", "exit_policy", "family", "flags", "published_at_ms",
+        ]
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("bandwidth_kbps", 0), ("nickname", "")]
+    )
+    def test_direct_construction_still_validates(self, field, value):
+        authority = DirectoryAuthority()
+        d = _descriptor()
+        authority.publish(d)
+        object.__setattr__(d, field, value)  # corrupt the stored (adopted) one
+        with pytest.raises(DirectoryError):
+            authority.make_consensus()
 
 
 class TestDirectoryQuorum:

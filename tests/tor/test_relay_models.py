@@ -1,8 +1,14 @@
 """Tests for relay forwarding-delay models."""
 
+import hashlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.netsim.engine import Simulator
 from repro.tor.relay import DiurnalForwardingDelayModel, ForwardingDelayModel
 
@@ -95,3 +101,60 @@ class TestDiurnalModel:
             DiurnalForwardingDelayModel(
                 sim, np.random.default_rng(0), base_load=0.8, peak_load=0.2
             )
+
+
+_DEFAULT_MODEL_SCRIPT = """
+import sys
+sys.path.insert(0, {tests!r})
+from conftest import MiniWorld
+from repro.tor.relay import Relay
+w = MiniWorld(n_relays=1)
+host = w.builder.attach_random_host(w.topology, "bare", 0, "hosting")
+relay = Relay(w.sim, w.fabric, w.topology, host, nickname="bare")
+print([relay.forwarding.sample() for _ in range(50)])
+"""
+
+
+class TestRelayDefaults:
+    def test_default_forwarding_model_ignores_the_hash_seed(self):
+        """A relay built without a model seeds one from its fingerprint,
+        so it draws the same delays in every interpreter."""
+        tests_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+            result = subprocess.run(
+                [sys.executable, "-c", _DEFAULT_MODEL_SCRIPT.format(tests=tests_dir)],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.append(result.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(",") == 49
+
+    # (fingerprint, identity public, identity secret) of every relay, as
+    # built before ``Relay.__init__`` hashed its fingerprint only once.
+    FIXTURE_IDENTITIES = {
+        "mini_world": "ded84cb957ca5d2b1eebabac5a8253b310f03ecdfa83927eb9ee9b9e94f6e9ef",
+        "shared_mini_world": "9ea87d77eb93fde73f2d15b29520ea453bc6503f4c74ce304cc298294a6f3a31",
+        "pl_testbed": "00398e8a50416f7a7d93ea17c44d6e4326f1e368a052cd096b6f87f3dc8eb157",
+        "live_testbed": "d83f54375fd5cfa82976cad13d1302cc2643d1b530f32407c910401299320594",
+    }
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURE_IDENTITIES))
+    def test_fixture_fingerprints_and_identities_unchanged(self, fixture, request):
+        h = hashlib.sha256()
+        for r in request.getfixturevalue(fixture).relays:
+            h.update(
+                f"{r.fingerprint}:{r.identity.public.hex()}:"
+                f"{r.identity.secret.hex()}\n".encode()
+            )
+        assert h.hexdigest() == self.FIXTURE_IDENTITIES[fixture]
+
+    def test_first_fixture_relay_literally(self, mini_world):
+        relay = mini_world.relays[0]
+        assert relay.fingerprint == "DCE454D043AAC2B0FECBEEB399F6DF7E8E50BD8D"
+        assert relay.identity.public.hex() == (
+            "a3333ef65d7d15d772c24618955ccf79c223d46677d24fce6b72346cfb5c4bb7"
+        )
+        assert relay.descriptor().fingerprint == relay.fingerprint
