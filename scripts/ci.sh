@@ -27,6 +27,21 @@ echo "== numpy draw identities and pinned worlds =="
 python -c "import numpy; print('numpy', numpy.__version__)"
 python -m pytest tests/netsim/test_rng_identities.py tests/testbeds/test_build_identity.py -x -q
 
+echo "== cell cipher library and import hygiene =="
+# The onion layers are the cryptography package's AES-CTR. Same idea as
+# above: a missing wheel, an OpenSSL that disagrees with NIST SP 800-38A
+# or a returning networkx (20 MB of RSS for a 50-node graph) is
+# reported as that in the first second, not as a wall of failures.
+python -c "
+import cryptography
+from cryptography.hazmat.backends.openssl.backend import backend
+print('cryptography', cryptography.__version__, '/', backend.openssl_version_text())"
+python -m pytest tests/tor/test_crypto_equivalence.py -k nist -x -q
+python -c "
+import sys, repro.testbeds.livetor, repro.serve
+assert 'networkx' not in sys.modules, 'networkx is imported by the program again'
+print('import hygiene: networkx not imported')"
+
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 

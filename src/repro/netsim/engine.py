@@ -23,63 +23,48 @@ from repro.util.errors import SimulationError
 from repro.util.units import Milliseconds
 
 
-class _Event:
-    """One heap entry. Slotted and hand-compared: campaigns push tens of
-    millions of these, so per-event dict storage and tuple-building
-    dataclass comparisons are a dominant cost of the event loop."""
+class EventHandle(list):
+    """One scheduled event: both the heap entry and the handle
+    :meth:`Simulator.schedule` returns.
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "done")
+    The layout is ``[time, seq, callback, args, cancelled, done, sim]``.
+    Lists compare lexicographically in C and ``seq`` is unique, so the
+    heap orders on ``(time, seq)`` without calling into Python and the
+    comparison never reaches the callback. Campaigns push tens of
+    millions of these: one object per event, no Python-level compare.
+    """
 
-    def __init__(
-        self,
-        time: Milliseconds,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...] = (),
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        # Set once the event has left the heap (fired or purged); a cancel
-        # after that must not perturb the simulator's cancelled-count.
-        self.done = False
-
-    def __lt__(self, other: "_Event") -> bool:
-        # Total order on (time, seq) — identical to the dataclass
-        # comparison it replaces, without building tuples per heap op.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`; supports cancellation."""
-
-    __slots__ = ("_event", "_sim")
-
-    def __init__(self, event: _Event, sim: "Simulator") -> None:
-        self._event = event
-        self._sim = sim
+    __slots__ = ()
 
     @property
     def time(self) -> Milliseconds:
         """The simulated time at which the event will fire."""
-        return self._event.time
+        return self[0]
+
+    @property
+    def seq(self) -> int:
+        """Scheduling order; breaks ties between events at one instant."""
+        return self[1]
+
+    @property
+    def callback(self) -> Callable[..., None]:
+        """The function the event calls when it fires."""
+        return self[2]
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` has been called on this handle."""
-        return self._event.cancelled
+        return self[4]
 
     def cancel(self) -> None:
         """Prevent the event from firing. Idempotent."""
-        event = self._event
-        if event.cancelled or event.done:
+        # ``done`` (index 5) is set once the event has left the heap
+        # (fired or purged); a cancel after that must not perturb the
+        # simulator's cancelled-count.
+        if self[4] or self[5]:
             return
-        event.cancelled = True
-        self._sim._note_cancelled()
+        self[4] = True
+        self[6]._note_cancelled()
 
 
 class Simulator:
@@ -109,7 +94,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: Milliseconds = 0.0
-        self._heap: list[_Event] = []
+        self._heap: list[EventHandle] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -174,7 +159,7 @@ class Simulator:
         *args: Any,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN, which ``delay < 0`` lets through
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
@@ -185,15 +170,17 @@ class Simulator:
         *args: Any,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN: it would corrupt heap order
             raise SimulationError(
                 f"cannot schedule into the past: time={time} < now={self._now}"
             )
-        event = _Event(time, next(self._seq), callback, args)
+        event = EventHandle(
+            (time, next(self._seq), callback, args, False, False, self)
+        )
         heapq.heappush(self._heap, event)
         if len(self._heap) > self._heap_peak:
             self._heap_peak = len(self._heap)
-        return EventHandle(event, self)
+        return event
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for one live cancellation; compacts when due.
@@ -219,9 +206,9 @@ class Simulator:
         """
         purged = self._cancelled_pending
         for event in self._heap:
-            if event.cancelled:
-                event.done = True
-        self._heap = [event for event in self._heap if not event.cancelled]
+            if event[4]:  # cancelled
+                event[5] = True  # done
+        self._heap = [event for event in self._heap if not event[4]]
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
         self._compaction_purged += purged
@@ -287,18 +274,20 @@ class Simulator:
             while self._heap:
                 if max_events is not None and processed >= max_events:
                     break
+                # Indexed, not through the properties: this is the hot
+                # loop. [time, seq, callback, args, cancelled, done, sim]
                 event = self._heap[0]
-                if event.cancelled:
+                if event[4]:  # cancelled
                     heapq.heappop(self._heap)
-                    event.done = True
+                    event[5] = True  # done
                     self._cancelled_pending -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and event[0] > until:
                     break
                 heapq.heappop(self._heap)
-                event.done = True
-                self._now = event.time
-                event.callback(*event.args)
+                event[5] = True
+                self._now = event[0]
+                event[2](*event[3])
                 self._events_processed += 1
                 processed += 1
                 self._batch_left -= 1
@@ -324,7 +313,7 @@ class Simulator:
     def run_until_idle(self, max_events: int = 50_000_000) -> None:
         """Run until no events remain; guard against runaway loops."""
         self.run(max_events=max_events)
-        if self._heap and not all(e.cancelled for e in self._heap):
+        if self._heap and not all(e[4] for e in self._heap):
             raise SimulationError(
                 f"simulation did not quiesce within {max_events} events"
             )

@@ -14,25 +14,117 @@ matching the paper's Figure 14.
 Routes are computed once per canonical (low, high) PoP pair — latency is
 symmetric — then cached in both orientations, alongside a per-direction
 path-latency cache, so repeat lookups are a single dict probe.
+
+The backbone itself is a :class:`BackboneGraph`: ≈ 50 PoPs and a few
+hundred links need a dict of dicts, not a graph library.
 """
 
 from __future__ import annotations
 
 import heapq
-
-import networkx as nx
+from typing import Any, Hashable, Iterable, Iterator
 
 from repro.util.errors import SimulationError
 from repro.util.units import Milliseconds
 
 
+class _EdgeView:
+    """``graph.edges``: ``edges[a, b]`` is the link's attribute dict (one
+    dict, shared by both orientations); ``edges(data=True)`` yields each
+    undirected link once, in insertion order of its first endpoint."""
+
+    __slots__ = ("_adj",)
+
+    def __init__(self, adj: dict[Hashable, dict[Hashable, dict[str, Any]]]) -> None:
+        self._adj = adj
+
+    def __getitem__(self, pair: tuple[Hashable, Hashable]) -> dict[str, Any]:
+        a, b = pair
+        return self._adj[a][b]
+
+    def __call__(self, data: bool = False) -> Iterator[tuple]:
+        seen: set[Hashable] = set()
+        for a, neighbours in self._adj.items():
+            for b, attrs in neighbours.items():
+                if b not in seen:
+                    yield (a, b, attrs) if data else (a, b)
+            seen.add(a)
+
+
+class BackboneGraph:
+    """Undirected graph with per-link attributes: an insertion-ordered
+    dict of dicts under the method names, and with the iteration orders,
+    of the graph library it replaced (``tests/netsim/test_graph.py``
+    compares the two) — :meth:`connected_components` decides which
+    bridge links the topology builder draws first."""
+
+    __slots__ = ("_adj", "nodes", "edges")
+
+    def __init__(self) -> None:
+        self._adj: dict[Hashable, dict[Hashable, dict[str, Any]]] = {}
+        #: Live view of the nodes, in insertion order.
+        self.nodes = self._adj.keys()
+        self.edges = _EdgeView(self._adj)
+
+    def add_node(self, node: Hashable) -> None:
+        """Add ``node`` (a no-op if present)."""
+        self._adj.setdefault(node, {})
+
+    def add_nodes_from(self, nodes: Iterable[Hashable]) -> None:
+        """Add every node of ``nodes``, in order."""
+        for node in nodes:
+            self.add_node(node)
+
+    def add_edge(self, a: Hashable, b: Hashable, **attrs: Any) -> None:
+        """Link ``a`` and ``b`` (adding either if missing); ``attrs``
+        update the link's attribute dict."""
+        adj = self._adj
+        data = adj.setdefault(a, {}).get(b, {})
+        data.update(attrs)
+        adj[a][b] = data
+        adj.setdefault(b, {})[a] = data
+
+    def has_edge(self, a: Hashable, b: Hashable) -> bool:
+        """Whether a link joins ``a`` and ``b``."""
+        return b in self._adj.get(a, ())
+
+    def neighbors(self, node: Hashable) -> Iterator[Hashable]:
+        """The nodes linked to ``node``, in link-insertion order."""
+        return iter(self._adj[node])
+
+    def number_of_nodes(self) -> int:
+        """How many nodes the graph holds."""
+        return len(self._adj)
+
+    def connected_components(self) -> Iterator[set]:
+        """Each component as a node set, in insertion order of the
+        component's first node."""
+        seen: set[Hashable] = set()
+        for start in self._adj:
+            if start in seen:
+                continue
+            component = {start}
+            frontier = [start]
+            while frontier:
+                for neighbour in self._adj[frontier.pop()]:
+                    if neighbour not in component:
+                        component.add(neighbour)
+                        frontier.append(neighbour)
+            seen |= component
+            yield component
+
+    def is_connected(self) -> bool:
+        """Whether the graph is non-empty and in one piece."""
+        return len(list(self.connected_components())) == 1
+
+
 class Router:
     """Computes and caches policy-weighted shortest paths."""
 
-    def __init__(self, graph: nx.Graph, hop_penalty_ms: float = 25.0) -> None:
+    def __init__(self, graph: BackboneGraph, hop_penalty_ms: float = 25.0) -> None:
         if graph.number_of_nodes() == 0:
             raise SimulationError("cannot route over an empty graph")
-        if not nx.is_connected(graph):
+        if not graph.is_connected():
             raise SimulationError("backbone graph must be connected")
         if hop_penalty_ms < 0:
             raise SimulationError("hop penalty must be non-negative")

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from repro.netsim.addresses import AddressAllocator, ProviderRange, parse_ipv4
 from repro.netsim.geo import CITY_CATALOG, City, GeoPoint, great_circle_km
 from repro.netsim.policies import NEUTRAL_POLICY, PolicyModel, ProtocolPolicy
+from repro.netsim.routing import BackboneGraph
 from repro.util.errors import ConfigurationError
 from repro.util.rng import draw_uniform
 from repro.util.units import Milliseconds, propagation_delay_ms
@@ -102,7 +102,7 @@ class Host:
 class Topology:
     """The assembled underlay: PoP graph plus attached hosts."""
 
-    def __init__(self, graph: nx.Graph, pops: dict[int, PoP]) -> None:
+    def __init__(self, graph: BackboneGraph, pops: dict[int, PoP]) -> None:
         self.graph = graph
         self.pops = pops
         self.hosts: dict[int, Host] = {}
@@ -235,7 +235,7 @@ class TopologyBuilder:
     def build(self) -> Topology:
         """Build and return the backbone topology (no hosts attached yet)."""
         pops = {i: PoP(pop_id=i, city=city) for i, city in enumerate(self._cities)}
-        graph = nx.Graph()
+        graph = BackboneGraph()
         graph.add_nodes_from(pops)
 
         # k-nearest regional mesh.
@@ -255,7 +255,7 @@ class TopologyBuilder:
 
         # Guarantee connectivity: bridge any stray components to the
         # largest one via their geographically closest pair.
-        components = sorted(nx.connected_components(graph), key=len, reverse=True)
+        components = sorted(graph.connected_components(), key=len, reverse=True)
         main = components[0]
         for component in components[1:]:
             best = min(
@@ -270,7 +270,7 @@ class TopologyBuilder:
 
         return Topology(graph=graph, pops=pops)
 
-    def _add_edge(self, graph: nx.Graph, a: PoP, b: PoP) -> None:
+    def _add_edge(self, graph: BackboneGraph, a: PoP, b: PoP) -> None:
         if graph.has_edge(a.pop_id, b.pop_id):
             return
         distance = great_circle_km(a.point, b.point)

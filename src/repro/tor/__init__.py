@@ -8,8 +8,9 @@ hop by hop and attaches streams, bandwidth-weighted path selection with
 Tor's safety constraints, and a Stem-like controller speaking a
 line-oriented control protocol.
 
-Nothing here is cryptographically secure — the handshake and ciphers are
-deterministic keyed-hash constructions — but the *protocol mechanics*
+Nothing here is cryptographically secure — the onion layers are real
+AES-CTR, but the handshake that keys them is a keyed-hash stand-in for
+ntor — but the *protocol mechanics*
 (cell formats, key schedules per hop, digest checking, circuit IDs,
 stream multiplexing, exit policies) follow Tor's design, so the latency
 behaviour Ting measures is structurally faithful.

@@ -148,3 +148,29 @@ class TestStealAccounting:
         assert len(report.shards) == 3
         assert sum(s.chunks for s in report.shards) == 3
         assert report.matrix.is_complete
+
+
+class TestForkedEqualsInline:
+    def test_forked_two_worker_matrix_equals_force_inline(
+        self, uniform, fingerprints
+    ):
+        """Two forked workers measure what the in-process emulation does.
+
+        The layer ciphers are OpenSSL contexts, and every one is created
+        inside a task — circuits are built per task, after the fork —
+        so a child never continues a keystream its parent (or its
+        sibling) started: a circuit's two ends always live in one
+        process.
+        """
+        inline = ShardedCampaign(
+            FACTORY,
+            fingerprints,
+            policy=POLICY,
+            workers=2,
+            force_inline=True,
+            steal_chunk_pairs=1,
+        ).run()
+        assert uniform.failures == [] and inline.failures == []
+        assert np.array_equal(
+            uniform.matrix.as_array(), inline.matrix.as_array()
+        )

@@ -1,8 +1,9 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.netsim import EventHandle
 from repro.netsim.engine import Simulator
 from repro.util.errors import SimulationError
 
@@ -75,6 +76,20 @@ class TestScheduling:
         sim.run()
         assert hit == [1]
 
+    def test_nan_delay_rejected(self):
+        # ``delay < 0`` is False for NaN: it used to be pushed, and an
+        # unordered key silently corrupts the heap.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending == 0
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending == 0
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -102,6 +117,21 @@ class TestCancellation:
         sim = Simulator()
         handle = sim.schedule(7.5, lambda: None)
         assert handle.time == 7.5
+
+    def test_handle_is_the_heap_entry_and_stays_readable(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+
+        def callback():
+            pass
+
+        handle = sim.schedule(7.5, callback)
+        assert isinstance(handle, EventHandle)
+        assert any(entry is handle for entry in sim._heap)
+        assert (handle.time, handle.seq, handle.callback) == (7.5, 1, callback)
+        assert handle.cancelled is False
+        handle.cancel()
+        assert handle.cancelled is True
 
 
 class TestRunControl:
@@ -298,6 +328,122 @@ class TestDeterminism:
             return out
 
         assert trace() == trace()
+
+
+class _ListModel:
+    """What the engine must do, as a plain list: pending entries fire in
+    sorted ``(time, seq)`` order; cancellations are counted, and purged
+    once they reach the floor and outnumber the live entries."""
+
+    def __init__(self, floor: int) -> None:
+        self.floor = floor
+        self.now = 0.0
+        self.seq = 0
+        self.pending: list[dict] = []
+        self.fired: list[int] = []
+        self.events_cancelled = 0
+        self.cancelled_pending = 0
+        self.heap_compactions = 0
+
+    def schedule(self, delay: float, ident: int, child_delay: float | None) -> dict:
+        entry = {
+            "time": self.now + delay,
+            "seq": self.seq,
+            "ident": ident,
+            "child_delay": child_delay,
+            "cancelled": False,
+            "done": False,
+        }
+        self.seq += 1
+        self.pending.append(entry)
+        return entry
+
+    def cancel(self, entry: dict) -> None:
+        if entry["cancelled"] or entry["done"]:
+            return
+        entry["cancelled"] = True
+        self.events_cancelled += 1
+        self.cancelled_pending += 1
+        if (
+            self.cancelled_pending >= self.floor
+            and self.cancelled_pending * 2 > len(self.pending)
+        ):
+            for other in self.pending:
+                other["done"] = other["cancelled"]
+            self.pending = [e for e in self.pending if not e["cancelled"]]
+            self.cancelled_pending = 0
+            self.heap_compactions += 1
+
+    def run(self, until: float | None) -> None:
+        while self.pending:
+            entry = min(self.pending, key=lambda e: (e["time"], e["seq"]))
+            if entry["cancelled"]:
+                self.cancelled_pending -= 1
+            elif until is not None and entry["time"] > until:
+                break
+            self.pending.remove(entry)
+            entry["done"] = True
+            if not entry["cancelled"]:
+                self.now = entry["time"]
+                self.fired.append(entry["ident"])
+                if entry["child_delay"] is not None:
+                    self.schedule(entry["child_delay"], -entry["ident"], None)
+        if until is not None and self.now < until:
+            self.now = until
+
+
+#: Few distinct values, so equal times (ordered by ``seq`` alone) are common.
+_delays = st.sampled_from((0.0, 0.5, 1.0, 1.0, 2.0, 7.0))
+_ops = st.one_of(
+    st.tuples(st.just("schedule"), _delays, st.none() | _delays),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=400)),
+    st.tuples(st.just("run_until"), _delays),
+    st.tuples(st.just("run")),
+)
+
+
+class TestListModelDifferential:
+    @given(floor=st.sampled_from((2, 8, 64)), ops=st.lists(_ops, max_size=400))
+    @settings(deadline=None)
+    def test_fires_in_sorted_time_seq_order_of_a_list_model(self, floor, ops):
+        sim = Simulator()
+        sim.compaction_min_cancelled = floor
+        model = _ListModel(floor)
+        fired: list[int] = []
+        handles: list[tuple[EventHandle, dict]] = []
+
+        def fire(ident: int, child_delay: float | None) -> None:
+            fired.append(ident)
+            if child_delay is not None:
+                sim.schedule(child_delay, fire, -ident, None)
+
+        for op in ops:
+            if op[0] == "schedule":
+                ident = len(handles) + 1
+                handles.append(
+                    (
+                        sim.schedule(op[1], fire, ident, op[2]),
+                        model.schedule(op[1], ident, op[2]),
+                    )
+                )
+            elif op[0] == "cancel":
+                if handles:
+                    # Any handle: pending, fired, cancelled or purged.
+                    handle, entry = handles[op[1] % len(handles)]
+                    handle.cancel()
+                    model.cancel(entry)
+                    assert handle.cancelled == entry["cancelled"]
+            else:
+                until = sim.now + op[1] if op[0] == "run_until" else None
+                sim.run(until=until)
+                model.run(until)
+            assert fired == model.fired
+            assert sim.now == model.now
+            assert sim.pending == len(model.pending)
+            assert sim.events_cancelled == model.events_cancelled
+            assert sim.cancelled_pending == model.cancelled_pending
+            assert sim.heap_compactions == model.heap_compactions
+        assert sim.events_processed == len(fired)
 
 
 class TestStopWhen:

@@ -1,9 +1,8 @@
 """Unit tests for policy routing."""
 
-import networkx as nx
 import pytest
 
-from repro.netsim.routing import Router
+from repro.netsim.routing import BackboneGraph, Router
 from repro.netsim.topology import TopologyBuilder
 from repro.util.errors import SimulationError
 from repro.util.rng import RandomStreams
@@ -17,7 +16,7 @@ def router_and_graph():
 
 
 def _line_graph(latencies):
-    g = nx.Graph()
+    g = BackboneGraph()
     for i, latency in enumerate(latencies):
         g.add_edge(i, i + 1, latency_ms=latency)
     return g
@@ -67,7 +66,7 @@ class TestPolicyWeighting:
     def test_hop_penalty_prefers_fewer_hops(self):
         # Direct edge 30 ms vs two-hop 10+10 ms: pure latency prefers the
         # detour; with a 25 ms hop penalty the direct link wins.
-        g = nx.Graph()
+        g = BackboneGraph()
         g.add_edge(0, 1, latency_ms=30.0)
         g.add_edge(0, 2, latency_ms=10.0)
         g.add_edge(2, 1, latency_ms=10.0)
@@ -86,7 +85,7 @@ class TestPolicyWeighting:
         # The routed 0->1 path costs 30 ms, but relaying in two routed
         # steps through PoP 2 costs 20 ms: a triangle inequality
         # violation at the overlay level.
-        g = nx.Graph()
+        g = BackboneGraph()
         g.add_edge(0, 1, latency_ms=30.0)
         g.add_edge(0, 2, latency_ms=10.0)
         g.add_edge(2, 1, latency_ms=10.0)
@@ -104,10 +103,10 @@ class TestPolicyWeighting:
 class TestValidation:
     def test_empty_graph_rejected(self):
         with pytest.raises(SimulationError):
-            Router(nx.Graph())
+            Router(BackboneGraph())
 
     def test_disconnected_graph_rejected(self):
-        g = nx.Graph()
+        g = BackboneGraph()
         g.add_edge(0, 1, latency_ms=1.0)
         g.add_node(2)
         with pytest.raises(SimulationError):

@@ -1,6 +1,5 @@
 """Unit tests for topology construction and host attachment."""
 
-import networkx as nx
 import pytest
 
 from repro.netsim.geo import GeoPoint
@@ -24,7 +23,7 @@ class TestBackbone:
 
     def test_graph_connected(self, built):
         _, topo = built
-        assert nx.is_connected(topo.graph)
+        assert topo.graph.is_connected()
 
     def test_edges_have_positive_latency(self, built):
         _, topo = built

@@ -1,23 +1,27 @@
-"""The fast-path cell crypto must be byte-identical to the reference.
+"""The cell crypto must be byte-identical to the reference.
 
-:class:`~repro.tor.crypto.LayerCipher` squeezes its keystream one
-relay-body-sized SHAKE-128 block at a time from a ``copy()`` of a
-key-absorbed state and XORs whole bodies in one vectorised step. The
-ciphers at every hop of every circuit must stay in exact lockstep with
-their peers however the bytes are chunked, so the fast path is only
-safe if the keystream (and the digest tags stamped on cells) are
-byte-for-byte what the schedule says. These tests pin that equivalence
-against inline reference implementations written straight from the
-schedule: no buffering, a fresh hash for every byte looked up, a
-per-byte XOR.
+:class:`~repro.tor.crypto.LayerCipher` is the ``cryptography``
+package's AES-CTR encryptor, zero IV (tor-spec §0.3), with ``process``
+bound straight to the context's ``update``. The ciphers at every hop of
+every circuit must stay in exact lockstep with their peers however the
+bytes are chunked, so the keystream (and the digest tags stamped on
+cells) must be byte-for-byte what the schedule says. These tests pin
+that against inline reference implementations written straight from the
+schedule: counter mode spelled out through a *different* mode of the
+library (one ECB block encryption per byte looked up, no state but the
+position, a per-byte XOR), itself anchored to the standard by the NIST
+SP 800-38A counter-mode vectors.
 """
 
 import hashlib
 
+import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from repro.tor.cells import RELAY_BODY_LEN
 from repro.tor.crypto import (
+    CryptoError,
     KeyMaterial,
     LayerCipher,
     OnionLayer,
@@ -25,14 +29,22 @@ from repro.tor.crypto import (
     RunningDigest,
 )
 
+#: AES-128 / AES-192 / AES-256 keys, the sizes ``LayerCipher`` accepts.
+aes_keys = st.sampled_from((16, 24, 32)).flatmap(
+    lambda size: st.binary(min_size=size, max_size=size)
+)
+
 
 class ReferenceLayerCipher:
-    """Byte ``p`` of the stream is byte ``p % RELAY_BODY_LEN`` of
-    ``SHAKE128(key || p // RELAY_BODY_LEN)``: no state but the position,
-    a fresh hash for every byte."""
+    """Byte ``p`` of the stream is byte ``p % 16`` of
+    ``AES-ECB_K(initial_counter + p // 16)``, the counter a 16-byte
+    big-endian block (zero-based for Tor): no state but the position, a
+    fresh block encryption for every byte."""
 
-    def __init__(self, key: bytes) -> None:
-        self._key = key
+    def __init__(self, key: bytes, initial_counter: int = 0) -> None:
+        # An ECB context carries nothing from one block to the next.
+        self._encrypt_block = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update
+        self._initial_counter = initial_counter
         self._position = 0
 
     def process(self, data: bytes) -> bytes:
@@ -43,11 +55,9 @@ class ReferenceLayerCipher:
         return bytes(out)
 
     def _keystream_byte(self, position: int) -> int:
-        j, offset = divmod(position, RELAY_BODY_LEN)
-        block = hashlib.shake_128(self._key + j.to_bytes(8, "big")).digest(
-            RELAY_BODY_LEN
-        )
-        return block[offset]
+        j, offset = divmod(position, 16)
+        counter = (self._initial_counter + j) % (1 << 128)
+        return self._encrypt_block(counter.to_bytes(16, "big"))[offset]
 
 
 class ReferenceRunningDigest:
@@ -66,7 +76,7 @@ class ReferenceRunningDigest:
 
 class TestKeystreamEquivalence:
     @given(
-        key=st.binary(min_size=16, max_size=80),
+        key=aes_keys,
         chunks=st.lists(st.integers(min_value=0, max_value=300), max_size=12),
     )
     @settings(max_examples=200, deadline=None)
@@ -79,7 +89,7 @@ class TestKeystreamEquivalence:
             data = bytes((length + i) % 256 for i in range(length))
             assert fast.process(data) == reference.process(data)
 
-    @given(key=st.binary(min_size=16, max_size=64), data=st.binary(max_size=4096))
+    @given(key=aes_keys, data=st.binary(max_size=4096))
     @settings(max_examples=200, deadline=None)
     def test_single_shot_matches_reference(self, key, data):
         assert LayerCipher(key).process(data) == ReferenceLayerCipher(key).process(
@@ -94,6 +104,50 @@ class TestKeystreamEquivalence:
         body = body[:RELAY_BODY_LEN]
         for _ in range(64):
             assert fast.process(body) == reference.process(body)
+
+
+class TestNistCounterModeVectors:
+    """NIST SP 800-38A, appendix F.5: the reference above is the
+    standard's counter mode (run with the standard's initial counter
+    block), so pinning ``LayerCipher`` to it pins it to AES-CTR."""
+
+    INITIAL_COUNTER = int("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff", 16)
+    PLAINTEXT = bytes.fromhex(
+        "6bc1bee22e409f96e93d7e117393172a"
+        "ae2d8a571e03ac9c9eb76fac45af8e51"
+        "30c81c46a35ce411e5fbc1191a0a52ef"
+        "f69f2445df4f9b17ad2b417be66c3710"
+    )
+
+    def _encrypt(self, key_hex: str) -> str:
+        reference = ReferenceLayerCipher(bytes.fromhex(key_hex), self.INITIAL_COUNTER)
+        return reference.process(self.PLAINTEXT).hex()
+
+    def test_nist_f51_ctr_aes128_encrypt(self):
+        assert self._encrypt("2b7e151628aed2a6abf7158809cf4f3c") == (
+            "874d6191b620e3261bef6864990db6ce"
+            "9806f66b7970fdff8617187bb9fffdff"
+            "5ae4df3edbd5d35e5b4f09020db03eab"
+            "1e031dda2fbe03d1792170a0f3009cee"
+        )
+
+    def test_nist_f55_ctr_aes256_encrypt(self):
+        assert self._encrypt(
+            "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"
+        ) == (
+            "601ec313775789a5b7a7f504bbf3d228"
+            "f443e3ca4d62b59aca84e990cacaf5c5"
+            "2b0930daa23de94ce87017ba2d84988d"
+            "dfc9c58db67aada613c2dd08457941a6"
+        )
+
+
+class TestKeySizes:
+    @pytest.mark.parametrize("size", [15, 20, 33])
+    def test_non_aes_key_size_raises_crypto_error(self, size):
+        # A CryptoError, never the library's bare ValueError.
+        with pytest.raises(CryptoError):
+            LayerCipher(bytes(size))
 
 
 class TestDigestEquivalence:
