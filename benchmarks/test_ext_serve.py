@@ -25,8 +25,10 @@ from repro.serve import MatrixIndex
 
 #: Hard ceiling for one index build at 1,000 relays.
 BUILD_CEILING_S = 1.0
-#: Query-rate floors (queries per second) at 1,000 relays — the same
-#: floors ``repro bench --check`` enforces via ``check_serve_qps``.
+#: Query-rate floors (queries per second) at 1,000 relays: the rates
+#: below which a per-query allocation or name-hashing tax has crept into
+#: the hot path (~8-10x under what the index answers on this machine
+#: class; the only copy since the ``bench`` subcommand went).
 POINT_QPS_FLOOR = 100_000.0
 KNN_QPS_FLOOR = 10_000.0
 

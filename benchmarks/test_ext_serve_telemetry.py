@@ -1,6 +1,6 @@
-"""Serve-telemetry overhead guards (``pytest benchmarks -m benchguard``).
+"""Serve-telemetry guards (``pytest benchmarks -m benchguard``).
 
-Two budgets, mirroring the null-observability discipline of
+Two overhead budgets, mirroring the null-observability discipline of
 ``test_obs_overhead.py``, each an absolute cost per query:
 
 * **Disabled path < 0.4 µs** — an un-instrumented :class:`QueryServer`
@@ -22,6 +22,9 @@ a ~28 µs query they allowed 0.56 / 2.8 µs; the same telemetry
 (~60 ns / ~0.6 µs) models as 1.6% / 16% of the ~7.5 µs query this mix
 (a quarter percentile, a quarter via) costs since PR 14. The values sit
 under what those shares allowed; the share is still reported.
+
+A third guard holds the instrumented query path to its latency SLOs,
+read off the telemetry's own histograms (see ``SERVE_CEILINGS_MS``).
 """
 
 import time
@@ -40,6 +43,28 @@ DISABLED_CEILING_US = 0.4
 #: Enabled-path ceiling: the modeled cost of one timer-timer-record
 #: sequence per query on the mixed workload, in microseconds.
 ENABLED_CEILING_US = 2.5
+#: Per-op latency ceilings (ms) through the full instrumented query path
+#: (dict dispatch + telemetry recording), measured by the telemetry's
+#: own µs-bucketed histograms — the SLOs a deployment would page on,
+#: enforced offline. Calibration: on this machine class the path answers
+#: point queries at p50 ~2 µs / p99 ~7 µs and k-NN (k=10) at p50 ~10 µs
+#: / p99 ~43 µs; ceilings sit at ~15-30x so loaded-CI jitter passes
+#: while an accidental per-query allocation storm (a 100x miss) cannot.
+#: Row percentiles (p50 ~1.7 µs: two reads and a lerp off the presorted
+#: row) and via detours (k=3, p50 ~19 µs: one O(n) pass) are held to the
+#: same rule — a 44 µs ``np.percentile`` call per query sat unnoticed
+#: because only point and k-NN were timed; its ceiling sits at the low
+#: end of the range so that path can never pass again.
+SERVE_CEILINGS_MS = {
+    ("point", 0.5): 0.05,
+    ("point", 0.99): 0.25,
+    ("knn", 0.5): 0.15,
+    ("knn", 0.99): 0.60,
+    ("percentile", 0.5): 0.03,
+    ("via", 0.5): 0.50,
+}
+#: Detours asked for per ``via`` query in the latency guard.
+SERVE_VIA_K = 3
 
 
 def _best_of(rounds: int, run) -> float:
@@ -163,3 +188,50 @@ def test_enabled_telemetry_overhead_guard(report):
         f"ceiling {ENABLED_CEILING_US} µs"
     )
     assert per_query_us < ENABLED_CEILING_US
+
+
+@pytest.mark.benchguard
+def test_instrumented_query_latency_guard(report):
+    """Per-op p50/p99 through ``QueryServer.query`` with live telemetry
+    must sit under ``SERVE_CEILINGS_MS``: 5 point : 1 k-NN (k=10) :
+    ½ row-percentile : ½ via (k=3) queries over a 1,000-relay index,
+    the quantiles exactly the numbers a production scrape would alert on."""
+    n_relays = scaled(1000, minimum=400)
+    n_point = scaled(50_000, minimum=10_000)
+    n_knn = n_point // 5
+    index, _ = _mixed_setup(n_relays, 0)
+    nodes = index.nodes
+    rng = np.random.default_rng(47)
+    queries = [
+        {"op": "point", "x": nodes[int(i)], "y": nodes[int(j)]}
+        for i, j in rng.integers(0, n_relays, size=(n_point, 2))
+    ]
+    queries += [
+        {"op": "knn", "x": nodes[int(i)], "k": 10}
+        for i in rng.integers(0, n_relays, size=n_knn)
+    ]
+    queries += [
+        {"op": "percentile", "x": nodes[int(i)], "q": float(q)}
+        for i, q in zip(
+            rng.integers(0, n_relays, size=n_knn // 2),
+            rng.uniform(1.0, 99.0, size=n_knn // 2),
+        )
+    ]
+    via_first = rng.integers(0, n_relays, size=n_knn // 2)
+    # An offset in [1, n_relays) keeps the two endpoints distinct.
+    via_second = (via_first + rng.integers(1, n_relays, size=n_knn // 2)) % n_relays
+    queries += [
+        {"op": "via", "x": nodes[int(i)], "y": nodes[int(j)], "k": SERVE_VIA_K}
+        for i, j in zip(via_first, via_second)
+    ]
+    telemetry = ServeTelemetry(slow_ms=1.0, sample_every=0)
+    wall_s = _time_queries(QueryServer(index, telemetry=telemetry), queries)
+
+    over = []
+    for (op, q), ceiling_ms in SERVE_CEILINGS_MS.items():
+        value_ms = telemetry.registry.histogram(f"serve.latency_ms.{op}").quantile(q)
+        report(f"{op} p{q * 100:g}: {value_ms * 1000:.1f} µs (SLO {ceiling_ms * 1000:g} µs)")
+        if value_ms > ceiling_ms:
+            over.append((op, q, value_ms))
+    report(f"{len(queries)} instrumented queries in {wall_s:.2f} s")
+    assert not over, "the instrumented query path is missing its latency contract"

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Single CI entry point: tier-1 tests, hot-path benchguards, the
-# benchmark smoke run, and the wall-time regression check against the
-# committed BENCH_ting.json baseline. Run from the repository root:
+# Single CI entry point: tier-1 tests, hot-path benchguards and the
+# benchmark smoke run. Run from the repository root:
 #
 #   scripts/ci.sh            # everything
-#   scripts/ci.sh --fast     # tier-1 only (skip benchguards + bench)
+#   scripts/ci.sh --fast     # tier-1 only (skip benchguards + bench smoke)
 #
 # REPRO_SCALE scales the benchguard workloads as usual.
 
@@ -27,6 +26,21 @@ echo "== numpy draw identities and pinned worlds =="
 python -c "import numpy; print('numpy', numpy.__version__)"
 python -m pytest tests/netsim/test_rng_identities.py tests/testbeds/test_build_identity.py -x -q
 
+echo "== pinned engine measurements =="
+# What the three campaign schedulers and the two baseline measurers
+# measure on those worlds — matrix bytes, event counts, clocks,
+# registry counters, and the callback engines' spans, provenance and
+# bus records — against digests taken before the engines were collapsed
+# onto one pair state machine. Under its own heading for the same
+# reason: a moved draw or event is reported as that.
+python -m pytest tests/core/test_engine_identity.py -x -q
+
+echo "== source size (printed, never gated) =="
+# ROADMAP item 1's target is src/ <= 17.5k lines; the three engine
+# files are where "one campaign engine" is counted.
+find src -name '*.py' -print0 | xargs -0 cat | wc -l | xargs echo "src/ total lines:"
+wc -l src/repro/core/ting.py src/repro/core/campaign.py src/repro/core/parallel.py
+
 echo "== cell cipher library and import hygiene =="
 # The onion layers are the cryptography package's AES-CTR. Same idea as
 # above: a missing wheel, an OpenSSL that disagrees with NIST SP 800-38A
@@ -46,7 +60,7 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 if [[ "$fast" == "1" ]]; then
-    echo "== fast mode: skipping benchguards and bench check =="
+    echo "== fast mode: skipping benchguards and bench smoke =="
     exit 0
 fi
 
@@ -302,13 +316,5 @@ echo "== benchmark smoke gate =="
 # at this size mean nothing; the gate is that it still runs and checks.
 # Only failed checks and the closing JSON verdict are shown.
 python3 bench/run.py --smoke | grep -E '^CHECK FAILED|^\{"correct"' | cut -c1-120
-
-echo "== bench regression check =="
-# Compares fresh timings against the committed baseline AND enforces
-# the cross-workload invariant (campaign_sharded must hold at least
-# CROSS_WORKLOAD_MARGIN of campaign_parallel's throughput — the
-# duplicated-leg-work guard). Writes the fresh report to a scratch
-# file so the baseline stays untouched.
-python -m repro.cli bench --check --output /tmp/BENCH_ting.ci.json
 
 echo "== CI green =="

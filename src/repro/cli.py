@@ -133,9 +133,9 @@ def _progress_sink(
     state = {"done": 0, "failed": 0, "sent": 0, "saved": 0}
 
     def sink(event: Event) -> None:
-        if event.kind == "pair_measured" and event.category in ("ting", "campaign"):
+        if event.category == "campaign" and event.kind == "pair_measured":
             state["done"] += 1
-        elif event.kind == "pair_failed" and event.category == "campaign":
+        elif event.category == "campaign" and event.kind == "pair_failed":
             state["done"] += 1
             state["failed"] += 1
         elif event.category == "probe" and event.kind in (
@@ -261,23 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     coverage = sub.add_parser("coverage", help="network coverage statistics")
     coverage.add_argument("--days", type=int, default=30)
     coverage.add_argument("--relays", type=int, default=3000)
-
-    bench = sub.add_parser(
-        "bench", help="time representative workloads; write BENCH_ting.json"
-    )
-    bench.add_argument("--relays", type=int, default=60,
-                       help="relays in the campaign workloads")
-    bench.add_argument("--samples", type=int, default=6,
-                       help="probe samples per circuit measurement")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="worker processes for the sharded workload")
-    bench.add_argument("--output", type=Path, default=Path("BENCH_ting.json"),
-                       help="where to write the bench report")
-    bench.add_argument("--check", action="store_true",
-                       help="compare against the baseline; exit nonzero on "
-                            ">2x wall-time regression")
-    bench.add_argument("--baseline", type=Path, default=Path("BENCH_ting.json"),
-                       help="baseline report for --check")
 
     stats = sub.add_parser(
         "stats", help="instrumented campaign with metrics report"
@@ -569,45 +552,6 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     print(f"  unique /24s: {min(uniques)}-{max(uniques)} "
           "(paper window: 5426-6044)")
     print(f"  residential share of named relays: {residential:.1%} (paper: 61%)")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``bench``: time the hot-path workloads, write/check the report."""
-    from repro import bench as bench_mod
-
-    status = _status(args)
-    if args.check and not args.baseline.exists():
-        # Fail before spending minutes on workloads nothing will judge.
-        print(f"baseline {args.baseline} not found", file=sys.stderr)
-        return 2
-    status(f"Running bench workloads (relays={args.relays}, "
-           f"samples={args.samples}, workers={args.workers}) ...")
-    report = bench_mod.run_bench(
-        seed=args.seed,
-        relays=args.relays,
-        samples=args.samples,
-        workers=args.workers,
-        progress=status,
-    )
-    if args.check:
-        baseline = bench_mod.load_report(args.baseline)
-        problems = bench_mod.check_regressions(report, baseline)
-        problems += bench_mod.check_cross_workload(report)
-        problems += bench_mod.check_pair_cost(report)
-        problems += bench_mod.check_serve_qps(report)
-        problems += bench_mod.check_serve_latency(report)
-        if problems:
-            print("\nperformance regressions detected:", file=sys.stderr)
-            for problem in problems:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        status(f"\nno regressions vs {args.baseline} "
-               f"(threshold {bench_mod.REGRESSION_FACTOR:g}x; sharded >= "
-               f"{bench_mod.CROSS_WORKLOAD_MARGIN:g}x parallel throughput)")
-        return 0
-    bench_mod.save_report(report, args.output)
-    status(f"\nbench report written to {args.output}")
     return 0
 
 
@@ -1347,7 +1291,6 @@ _COMMANDS = {
     "tiv": cmd_tiv,
     "deanon": cmd_deanon,
     "coverage": cmd_coverage,
-    "bench": cmd_bench,
     "stats": cmd_stats,
     "report": cmd_report,
     "plan": cmd_plan,

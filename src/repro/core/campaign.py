@@ -16,17 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.dataset import PairProvenance, RttMatrix
+from repro.core.dataset import RttMatrix
 from repro.core.sampling import SamplePolicy
-from repro.core.ting import TingMeasurer, TingResult
-from repro.obs import (
-    CAMPAIGN_SPAN,
-    NULL_EVENTS,
-    PAIR_FAILED,
-    RETRY_ROUND,
-    EventBus,
-    categorize_failure,
-)
+from repro.core.ting import PairRecorder, TingMeasurer
+from repro.obs import CAMPAIGN_SPAN, NULL_EVENTS, RETRY_ROUND, EventBus
 from repro.tor.directory import RelayDescriptor
 from repro.util.errors import MeasurementError
 from repro.util.units import Milliseconds
@@ -134,43 +127,6 @@ class ProbeBudget:
         return replace(policy, samples=samples, adaptive=degraded)
 
 
-def _success_provenance(
-    result: TingResult,
-    cached_x: bool,
-    cached_y: bool,
-    retries: int,
-) -> PairProvenance:
-    """Build the provenance record for one successfully measured pair.
-
-    ``samples_requested`` counts the probes the policy asked for over
-    the circuits actually probed (a cached leg is not re-probed);
-    ``samples_kept`` counts the replies that survived to feed the
-    min-filter.
-    """
-    circuits_probed = 1 + (0 if cached_x else 1) + (0 if cached_y else 1)
-    saved = result.circuit_xy.samples_saved
-    if not cached_x:
-        saved += result.circuit_x.samples_saved
-    if not cached_y:
-        saved += result.circuit_y.samples_saved
-    return PairProvenance(
-        x=result.x_fingerprint,
-        y=result.y_fingerprint,
-        status="measured",
-        rtt_ms=result.rtt_clamped_ms,
-        cxy_ms=result.circuit_xy.min_ms,
-        leg_x_ms=result.circuit_x.min_ms,
-        leg_y_ms=result.circuit_y.min_ms,
-        samples_requested=result.policy.samples * circuits_probed,
-        samples_kept=result.total_probes,
-        samples_saved=saved,
-        stop_reason=result.circuit_xy.stop_reason,
-        leg_cache_hits=int(cached_x) + int(cached_y),
-        retries=retries,
-        duration_ms=result.duration_ms,
-    )
-
-
 @dataclass
 class CampaignReport:
     """Bookkeeping for one all-pairs run.
@@ -234,6 +190,7 @@ class AllPairsCampaign:
         matrix = RttMatrix([r.fingerprint for r in self.relays])
         report = CampaignReport(matrix=matrix)
         host = self.measurer.host
+        recorder = PairRecorder(host, report)
         started = host.sim.now
         probes_sent_before = self.measurer.probes_sent
         probes_saved_before = self.measurer.probes_saved
@@ -262,7 +219,7 @@ class AllPairsCampaign:
         with host.spans.span(
             CAMPAIGN_SPAN, relays=len(self.relays), pairs=len(pairs)
         ):
-            failed = self._measure_round(pairs, matrix, report)
+            failed = self._measure_round(pairs, recorder, report)
             for round_index in range(self.retries):
                 if not failed:
                     break
@@ -285,29 +242,18 @@ class AllPairsCampaign:
                 sim.run(until=sim.now + self.retry_delay_ms)
                 # Leg conditions may have changed while relays were down.
                 self.measurer.invalidate_leg_cache()
+                retried = {(a.fingerprint, b.fingerprint) for a, b in failed}
                 report.failures = [
-                    f
-                    for f in report.failures
-                    if (f[0], f[1])
-                    not in {(a.fingerprint, b.fingerprint) for a, b in failed}
+                    f for f in report.failures if (f[0], f[1]) not in retried
                 ]
-                failed = self._measure_round(failed, matrix, report)
+                failed = self._measure_round(failed, recorder, report)
 
-        if host.provenance is not None:
-            # Pairs still failed after every retry round get one final
-            # record each; measured pairs were recorded as they landed.
-            for x_fp, y_fp, reason in report.failures:
-                attempts = self._attempts.get((x_fp, y_fp), 1)
-                host.provenance.add(
-                    PairProvenance(
-                        x=x_fp,
-                        y=y_fp,
-                        status="failed",
-                        retries=max(0, attempts - 1),
-                        failure_category=categorize_failure(reason),
-                        reason=reason,
-                    )
-                )
+        # Pairs still failed after every retry round get one final row
+        # each; measured pairs were recorded as they landed.
+        for x_fp, y_fp, reason in report.failures:
+            recorder.failed_row(
+                x_fp, y_fp, reason, retries=self._attempts[(x_fp, y_fp)] - 1
+            )
 
         report.duration_ms = host.sim.now - started
         report.probes_sent = self.measurer.probes_sent - probes_sent_before
@@ -325,17 +271,16 @@ class AllPairsCampaign:
     def _measure_round(
         self,
         pairs: list[tuple[RelayDescriptor, RelayDescriptor]],
-        matrix: RttMatrix,
+        recorder: PairRecorder,
         report: CampaignReport,
     ) -> list[tuple[RelayDescriptor, RelayDescriptor]]:
         failed: list[tuple[RelayDescriptor, RelayDescriptor]] = []
-        host = self.measurer.host
+        measurer = self.measurer
         for a, b in pairs:
             report.pairs_attempted += 1
             key = (a.fingerprint, b.fingerprint)
             self._attempts[key] = self._attempts.get(key, 0) + 1
-            cached_x = self.measurer.leg_is_cached(a)
-            cached_y = self.measurer.leg_is_cached(b)
+            recorder.started(*key)
             # Budgeted campaigns re-resolve the policy at every launch so
             # tolerance degrades as the remaining budget shrinks.
             policy = (
@@ -343,34 +288,12 @@ class AllPairsCampaign:
                 if self.budget is None
                 else self.budget.policy_for(self.policy)
             )
-            sent_before = self.measurer.probes_sent
+            sent_before = measurer.probes_sent
             try:
-                result = self.measurer.measure_pair(a, b, policy=policy)
+                result = measurer.measure_pair(a, b, policy=policy)
             except MeasurementError as exc:
-                if self.budget is not None:
-                    self.budget.spend(self.measurer.probes_sent - sent_before)
-                reason = str(exc)
-                report.failures.append((a.fingerprint, b.fingerprint, reason))
+                recorder.failed(*key, str(exc), row=False)
                 report.failures_total += 1
-                host.metrics.inc(
-                    f"campaign.failures.{categorize_failure(reason, host.metrics)}"
-                )
-                if host.trace.enabled:
-                    host.trace.record(
-                        host.sim.now,
-                        PAIR_FAILED,
-                        x=a.fingerprint,
-                        y=b.fingerprint,
-                        reason=reason,
-                    )
-                if host.events.enabled:
-                    host.events.warning(
-                        "campaign",
-                        "pair_failed",
-                        x=a.fingerprint,
-                        y=b.fingerprint,
-                        reason=reason,
-                    )
                 failed.append((a, b))
                 # The abort budget is cumulative across retry rounds:
                 # report.failures is pruned before each retry, so its
@@ -383,19 +306,11 @@ class AllPairsCampaign:
                         f"campaign aborted after {report.failures_total} failures"
                     ) from exc
                 continue
-            if self.budget is not None:
-                self.budget.spend(self.measurer.probes_sent - sent_before)
-            matrix.set(a.fingerprint, b.fingerprint, result.rtt_clamped_ms)
+            finally:
+                if self.budget is not None:
+                    self.budget.spend(measurer.probes_sent - sent_before)
+            recorder.measured(result, retries=self._attempts[key] - 1)
             report.pairs_measured += 1
-            if host.provenance is not None:
-                host.provenance.add(
-                    _success_provenance(
-                        result,
-                        cached_x=cached_x,
-                        cached_y=cached_y,
-                        retries=self._attempts[key] - 1,
-                    )
-                )
         return failed
 
 

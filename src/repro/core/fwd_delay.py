@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 from repro.core.measurement_host import MeasurementHost
 from repro.core.sampling import SamplePolicy, min_estimate
+from repro.core.ting import TingEngine, run_to_completion
 from repro.netsim.transport import IcmpPinger, TcpConnectProber
 from repro.tor.directory import RelayDescriptor
-from repro.util.errors import CircuitError, MeasurementError, StreamError
+from repro.util.errors import MeasurementError
 from repro.util.units import Milliseconds
 
 
@@ -132,25 +133,7 @@ class ForwardingDelayEstimator:
     # ------------------------------------------------------------------
 
     def _measure_circuit(self, path: tuple[str, ...]) -> Milliseconds:
-        controller = self.host.controller
-        try:
-            circuit = controller.build_circuit(list(path))
-        except CircuitError as exc:
-            raise MeasurementError(f"delay-probe circuit failed: {exc}") from exc
-        try:
-            try:
-                stream = controller.open_stream(
-                    circuit, self.host.echo_address, self.host.echo_port
-                )
-            except StreamError as exc:
-                raise MeasurementError(f"delay-probe stream failed: {exc}") from exc
-            result = self.host.echo_client.probe(
-                stream,
-                samples=self.policy.samples,
-                interval_ms=self.policy.interval_ms,
-                timeout_ms=self.policy.timeout_ms,
-            )
-            stream.close()
-        finally:
-            controller.close_circuit(circuit)
+        result = run_to_completion(
+            self.host.sim, TingEngine(self.host).measure, path, self.policy
+        )
         return min_estimate(result.rtts_ms)

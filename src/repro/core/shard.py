@@ -42,11 +42,9 @@ left alone, the kernel keeps both children of a fork on the CPU they
 were born on and the second core idles. Stealing is what makes a fixed
 placement safe — a worker on a busy CPU simply claims fewer chunks.
 
-Pair workers assert the leg round did its job: with ``leg_phase=True`` a
-worker that has to build *any* leg circuit raises, because every miss is
-exactly the duplicated-work bug this engine exists to kill. Set
-``leg_phase=False`` to get the old measure-on-demand behaviour (an
-ablation knob; counters then scale with W again).
+Pair workers assert the leg round did its job: a worker that has to
+build *any* leg circuit raises, because every miss is exactly the
+duplicated-work bug this engine exists to kill.
 
 The merged matrix is **invariant to the worker count**: every task runs
 under :class:`~repro.core.parallel.TaskIsolation`, which makes each
@@ -54,9 +52,9 @@ task's samples a pure function of ``(root seed, task key)`` — so it
 cannot matter which process a chunk landed in, which worker stole it, or
 what ran before it. ``workers=1``, ``workers=4``, and an unsharded
 ``ParallelCampaign`` with the same isolation recipe produce bit-for-bit
-the same matrix; with the leg round on, the deterministic *counters*
-(leg builds, cache hits/misses/lookups, probes, task isolations) are
-worker-count invariant too.
+the same matrix, and the deterministic *counters* (leg builds, cache
+hits/misses/lookups, probes, task isolations) are worker-count
+invariant too.
 
 ``force_inline=True`` runs the same worker loop (same chunking, same
 telemetry sinks, same assertions) in-process with a deterministic chunk
@@ -417,7 +415,7 @@ class ShardResult:
     chunk order) before merging, so by merge time this looks the same as
     v1's one-shot result. ``chunks`` counts how many chunks the worker
     stole; ``legs_measured`` how many leg circuits it had to build
-    itself (always 0 for a pair worker when the leg round ran). The leg
+    itself (always 0 for a pair worker). The leg
     round's own artifacts ride one ShardResult with
     ``shard_index=LEG_PHASE``: counters summed over its workers,
     ``makespan_ms`` the slowest worker's, ``wall_s`` the round's.
@@ -461,12 +459,11 @@ class ShardResult:
 class ShardedReport:
     """Outcome of a sharded campaign, merged across all workers.
 
-    ``leg_phase`` is the campaign-wide leg round's result (``None``
-    when ``leg_phase=False``); ``shards`` holds only the pair workers.
-    ``legs_measured`` sums leg circuit builds across the leg round and
-    every pair worker — with the leg round on it equals *n* exactly,
-    regardless of the worker count (the duplicated-work regression
-    guard).
+    ``leg_phase`` is the campaign-wide leg round's result; ``shards``
+    holds only the pair workers. ``legs_measured`` sums leg circuit
+    builds across the leg round and every pair worker — it equals *n*
+    exactly, regardless of the worker count (the duplicated-work
+    regression guard).
 
     When the campaign ran with ``observe=True``, ``metrics``/``trace``/
     ``spans``/``provenance``/``events`` hold the *merged* observability
@@ -492,6 +489,7 @@ class ShardedReport:
     pairs_measured: int = 0
     failures: list[tuple[str, str, str]] = field(default_factory=list)
     shards: list[ShardResult] = field(default_factory=list)
+    #: Set by every ``run()``; ``None`` only on a hand-built report.
     leg_phase: ShardResult | None = None
     workers: int = 1
     events_processed: int = 0
@@ -540,10 +538,6 @@ class _WorkerJob:
     observe: bool
     leg_estimates: dict[str, float]
     leg_failures: dict[str, str]
-    #: When True every relay is covered by the leg caches and a pair
-    #: chunk that builds any leg circuit raises — the duplicated-work
-    #: guard.
-    assert_prewarmed: bool
 
     @property
     def name(self) -> str:
@@ -648,7 +642,10 @@ def _run_worker(
                 failures = [(fp, reasons[fp]) for fp in items if fp in reasons]
             else:
                 chunk = campaign.run_pairs(items)
-                if job.assert_prewarmed and chunk.legs_measured:
+                if chunk.legs_measured:
+                    # The duplicated-work guard: the leg round covers
+                    # every pair-touched relay with an estimate or a
+                    # failure, so a pair chunk never launches a leg.
                     raise MeasurementError(
                         f"shard {job.shard_index} chunk {chunk_id} rebuilt "
                         f"{chunk.legs_measured} leg circuit(s) the leg phase "
@@ -768,8 +765,6 @@ class ShardedCampaign:
     ``steal_chunk_pairs`` sets the work-stealing granularity of both
     rounds (pairs per pair chunk, relays per leg chunk): smaller chunks
     balance better but cross the fork boundary more often.
-    ``leg_phase=False`` disables the shared leg round (workers measure
-    legs on demand — the v1 behaviour, kept as an ablation knob).
     ``force_inline=True`` emulates the worker loop in-process with a
     deterministic chunk deal — the invariance tests' comparison mode
     and the no-fork fallback. ``clamp_to_cpus=True`` caps the *forked*
@@ -802,7 +797,6 @@ class ShardedCampaign:
         telemetry: CampaignTelemetry | None = None,
         worker_timeout_s: float | None = None,
         steal_chunk_pairs: int = 8,
-        leg_phase: bool = True,
         force_inline: bool = False,
         clamp_to_cpus: bool = False,
     ) -> None:
@@ -826,9 +820,6 @@ class ShardedCampaign:
         self.telemetry = telemetry
         self.worker_timeout_s = worker_timeout_s
         self.steal_chunk_pairs = steal_chunk_pairs
-        #: Measure every relay's leg once, campaign-wide, before pair
-        #: fan-out. ``False`` = v1 measure-on-demand (duplicates work).
-        self.leg_phase = leg_phase
         #: Emulate the worker loop in-process (deterministic chunk deal)
         #: even when ``workers > 1``.
         self.force_inline = force_inline
@@ -919,19 +910,14 @@ class ShardedCampaign:
         # Built once, before any fork: every worker of both rounds
         # shares this list instead of each walking all relays again.
         descriptors = [by_fp[fp].descriptor() for fp in self.fingerprints]
-        leg_result = None
-        leg_estimates: dict[str, float] = {}
-        leg_failures: dict[str, str] = {}
-        if self.leg_phase:
-            round_started = time.perf_counter()
-            sim_started = testbed.sim.now
-            leg_results = self._run_round(
-                LEG_ROUND, self.leg_chunks(), testbed, descriptors, monitor,
-                leg_estimates, leg_failures,
-            )
-            leg_result, leg_estimates, leg_failures = self._fold_leg_round(
-                leg_results, time.perf_counter() - round_started, sim_started
-            )
+        round_started = time.perf_counter()
+        sim_started = testbed.sim.now
+        leg_results = self._run_round(
+            LEG_ROUND, self.leg_chunks(), testbed, descriptors, monitor, {}, {}
+        )
+        leg_result, leg_estimates, leg_failures = self._fold_leg_round(
+            leg_results, time.perf_counter() - round_started, sim_started
+        )
         results = self._run_round(
             PAIR_ROUND, chunks, testbed, descriptors, monitor,
             leg_estimates, leg_failures,
@@ -978,10 +964,6 @@ class ShardedCampaign:
         worker order, each with its chunks' rows folded back in.
         """
         legs = kind == LEG_ROUND
-        prewarmed = not legs and self.leg_phase and all(
-            fp in leg_estimates or fp in leg_failures
-            for fp in self.touched_fingerprints
-        )
         forked = self._forked_workers(len(chunks))
         # The inline emulation keeps the full logical worker fleet.
         n_workers = forked if forked > 1 else max(1, min(self.workers, len(chunks)))
@@ -996,7 +978,6 @@ class ShardedCampaign:
                 observe=self.observe,
                 leg_estimates=leg_estimates,
                 leg_failures=leg_failures,
-                assert_prewarmed=prewarmed,
             )
             for worker in range(n_workers)
         ]
@@ -1277,11 +1258,9 @@ class ShardedCampaign:
         Counter-sum / gauge-max / histogram-bucket-sum for metrics;
         trace events, spans, pair-provenance records, and event-bus
         rings are adopted with a ``shard`` tag (``-1`` = leg phase) so
-        attribution survives the merge. Leg-provenance records from the
-        leg phase keep ``shard=None`` — the phase belongs to the
-        campaign; legs a worker measured itself (``leg_phase=False``)
-        are tagged with that worker. Event counts sum per
-        ``(category, severity)``.
+        attribution survives the merge. Leg-provenance records keep
+        ``shard=None`` — the leg round belongs to the campaign. Event
+        counts sum per ``(category, severity)``.
         """
         if result.metrics is not None and report.metrics is not None:
             report.metrics.merge(MetricsRegistry.from_snapshot(result.metrics))
@@ -1297,16 +1276,10 @@ class ShardedCampaign:
             report.spans.merge(result.spans, shard=result.shard_index)
         if result.provenance is not None and report.provenance is not None:
             # Array concatenation, not per-record adoption: pair rows
-            # are retagged with the producing shard; leg rows from the
-            # leg phase keep ``shard=None`` (the phase belongs to the
-            # campaign), while legs a worker measured itself get the
-            # worker index.
+            # are retagged with the producing shard; leg rows keep
+            # ``shard=None`` (only the leg round measures legs).
             report.provenance.merge_snapshot(
-                result.provenance,
-                shard=result.shard_index,
-                leg_shard=None
-                if result.shard_index == LEG_PHASE
-                else result.shard_index,
+                result.provenance, shard=result.shard_index
             )
         if result.events is not None and report.events is not None:
             report.events.merge_snapshot(result.events, shard=result.shard_index)

@@ -1,4 +1,4 @@
-"""The Ting measurement technique (Section 3.3).
+"""The Ting measurement technique (Section 3.3), written once.
 
 To measure R(x, y), Ting builds three circuits from its measurement host
 ``h`` (running s, d, w, z):
@@ -14,26 +14,49 @@ Each circuit is probed many times and summarized by its minimum; then
 
 with residual error ``F_x + F_y`` — the two relays' minimum forwarding
 delays, empirically 0–3 ms.
+
+The procedure is one callback state machine: :class:`CircuitProbe` (one
+circuit, a *build* step and a *probe* step), :class:`TingEngine` (the
+leg table and the probe accounting), :class:`PairTask` (``C_xy`` →
+demand leg x → demand leg y → Eq. 4) and :class:`PairRecorder` (where an
+outcome is written down). The campaign classes are *schedulers* of it:
+:class:`TingMeasurer` runs one task at a time to completion, so each leg
+is launched by the demand that misses it (``C_xy → C_x → C_y``);
+:class:`~repro.core.parallel.ParallelCampaign` prefetches every leg and
+keeps many tasks in flight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.core.dataset import LegProvenance, PairProvenance
 from repro.core.measurement_host import MeasurementHost
 from repro.core.sampling import SamplePolicy, debiased_min_estimate, min_estimate
 from repro.obs import (
     CIRCUIT_BUILD_SPAN,
-    LEG_CACHE_HIT,
-    LEG_CACHE_MISS,
     LEG_SPAN,
+    PAIR_FAILED,
     PAIR_MEASURED,
     PAIR_SPAN,
     PROBE_ROUND_SPAN,
+    SpanHandle,
+    categorize_failure,
 )
+from repro.tor.control import SimFuture
 from repro.tor.directory import RelayDescriptor
 from repro.util.errors import CircuitError, MeasurementError, StreamError
 from repro.util.units import Milliseconds
+
+if TYPE_CHECKING:
+    from repro.core.campaign import ProbeBudget
+
+#: Callback shapes: ``on_done`` gets the operation's result (an
+#: ``EchoProbeResult`` from a probe step), ``on_error`` the reason.
+OnDone = Callable[..., None]
+OnError = Callable[[str], None]
 
 
 @dataclass
@@ -51,6 +74,11 @@ class CircuitMeasurement:
     stopped_early: bool = False
     samples_saved: int = 0
     stop_reason: str | None = None
+    #: The value Eq. 4 used for this circuit: the minimum, debiased under
+    #: an adaptive policy and quantized under task isolation. A leg
+    #: pre-warmed by a sharded campaign's leg round carries only this
+    #: (its samples stayed with the worker that measured it).
+    estimate_ms: Milliseconds | None = None
 
     @property
     def min_ms(self) -> Milliseconds:
@@ -71,6 +99,9 @@ class TingResult:
     #: Simulated time the measurement occupied, end to end.
     duration_ms: Milliseconds = 0.0
     policy: SamplePolicy = field(default_factory=SamplePolicy.high_accuracy)
+    #: The circuits this pair itself probed: ``C_xy``, then each leg its
+    #: own demand had to launch (a leg found in the table is not here).
+    probed: list[CircuitMeasurement] = field(default_factory=list)
 
     @property
     def rtt_clamped_ms(self) -> Milliseconds:
@@ -81,33 +112,507 @@ class TingResult:
     @property
     def total_probes(self) -> int:
         """Echo probes sent across all three circuits."""
-        return (
-            len(self.circuit_xy.samples_ms)
-            + len(self.circuit_x.samples_ms)
-            + len(self.circuit_y.samples_ms)
+        circuits = (self.circuit_xy, self.circuit_x, self.circuit_y)
+        return sum(len(circuit.samples_ms) for circuit in circuits)
+
+
+def run_to_completion(sim, start: Callable[..., None], *args: Any) -> Any:
+    """Run one callback operation as a synchronous call.
+
+    ``start(*args, on_done, on_error)`` launches it; the simulator is
+    driven until one of the two fires, stopping on the resolving event so
+    the clock does not overshoot. Returns what ``on_done`` received; an
+    ``on_error`` reason raises :class:`MeasurementError`.
+    """
+    future = SimFuture(sim)
+    start(*args, future.resolve, future.reject)
+    try:
+        return future.wait()
+    except CircuitError as exc:
+        raise MeasurementError(str(exc)) from None
+
+
+class CircuitProbe:
+    """One circuit: a build step, any number of probe steps, a close.
+
+    The only code under ``repro.core`` that asks the onion proxy for a
+    circuit or a stream, or the echo client for a probe round. A failure
+    — reported through a callback or raised by the call itself — closes
+    the stream and the circuit *before* it is passed on.
+    """
+
+    def __init__(
+        self, engine: "TingEngine", path, span_parent: SpanHandle | None = None
+    ) -> None:
+        self.engine = engine
+        self.host = engine.host
+        self.path = path
+        self.circuit = None
+        self._stream = None
+        self._span_parent = span_parent
+        #: The current step's span; ``end()`` is idempotent.
+        self._span: SpanHandle | None = None
+
+    def build(self, on_built: Callable[[], None], on_error: OnError) -> None:
+        """Build the circuit through ``path``."""
+        span = self._span = self.host.spans.begin(
+            CIRCUIT_BUILD_SPAN, parent=self._span_parent, hops=len(self.path)
         )
 
-    @property
-    def probes_saved(self) -> int:
-        """Probes the adaptive stopping rule avoided, all circuits."""
-        return (
-            self.circuit_xy.samples_saved
-            + self.circuit_x.samples_saved
-            + self.circuit_y.samples_saved
+        def built(circuit) -> None:
+            span.end()
+            self.circuit = circuit
+            self.engine.circuits_built += 1
+            on_built()
+
+        def failed(circuit, reason: str) -> None:
+            span.end()
+            on_error(f"circuit build failed: {reason}")
+
+        try:
+            self.host.proxy.create_circuit(list(self.path), built, failed)
+        except CircuitError as exc:
+            # Synchronous validation failure (bad path).
+            span.end()
+            self.host.sim.schedule(0.0, on_error, str(exc))
+
+    def probe(self, policy: SamplePolicy, on_done: OnDone, on_error: OnError) -> None:
+        """Attach an echo stream, run one probe round, close the stream.
+
+        ``on_done`` receives the full ``EchoProbeResult``, already folded
+        into the engine's accounting; the circuit stays open.
+        """
+        host = self.host
+
+        def fail(reason: str) -> None:
+            self.close()
+            on_error(reason)
+
+        def attached(stream) -> None:
+            self._stream = stream
+            spec = policy.adaptive
+            attrs = {"samples": policy.samples}
+            if spec is not None:
+                attrs["adaptive"] = spec.tolerance_label
+            self._span = host.spans.begin(
+                PROBE_ROUND_SPAN, parent=self._span_parent, **attrs
+            )
+            try:
+                host.echo_client.probe_async(
+                    stream,
+                    samples=policy.samples,
+                    on_done=probed,
+                    on_error=fail,
+                    interval_ms=policy.interval_ms,
+                    timeout_ms=policy.timeout_ms,
+                    adaptive=spec,
+                )
+            except BaseException:
+                # The call itself raised: no callback will ever fire, so
+                # this is the only chance to release the stream.
+                self.close()
+                raise
+
+        def probed(result) -> None:
+            self._span.end()
+            self._stream.close()
+            self._stream = None
+            self.engine.account(result)
+            on_done(result)
+
+        def refused(reason: str) -> None:
+            fail(f"stream attach failed: {reason}")
+
+        try:
+            host.proxy.open_stream(
+                self.circuit, host.echo_address, host.echo_port, attached, refused
+            )
+        except StreamError as exc:
+            fail(str(exc))
+
+    def close(self) -> None:
+        """Release the stream, if one is attached, and the circuit."""
+        if self._span is not None:
+            self._span.end()
+        if self._stream is not None:
+            # Zero-reply probe rounds land here with the stream still open.
+            self._stream.close()
+            self._stream = None
+        if self.circuit is not None:
+            self.host.proxy.close_circuit(self.circuit)
+            self.circuit = None
+
+
+class TingEngine:
+    """The state every Ting measurement on one host shares.
+
+    **The leg table.** A relay's leg ``R_Cx`` is *known* (``legs``),
+    *failed* (``leg_failures``) or *in flight* (a list of waiters);
+    :meth:`demand_leg` is the only way in. With ``cache_legs=False`` a
+    leg is forgotten the moment it is demanded again, so every demand
+    measures (the paper's validation: all three circuits per pair).
+
+    **Probe accounting.** Every circuit and probe round lands in the
+    counters below and, round by round, in ``budget`` — a concurrent
+    campaign's next launch sees what has been spent so far. ``decimals``
+    quantizes every circuit estimate (task isolation sets it).
+    """
+
+    def __init__(
+        self,
+        host: MeasurementHost,
+        cache_legs: bool = True,
+        decimals: int | None = None,
+        budget: "ProbeBudget | None" = None,
+    ) -> None:
+        self.host = host
+        self.cache_legs = cache_legs
+        self.decimals = decimals
+        self.budget = budget
+        self.w = host.relay_w.fingerprint
+        self.z = host.relay_z.fingerprint
+        self.legs: dict[str, CircuitMeasurement] = {}
+        self.leg_failures: dict[str, str] = {}
+        self._leg_waiters: dict[str, list[Callable[[bool], None]]] = {}
+        self.circuits_built = 0
+        self.probes_sent = 0
+        #: Probes an adaptive policy's early stop avoided sending.
+        self.probes_saved = 0
+        #: Probe rounds that ended on convergence rather than the cap.
+        self.early_stops = 0
+        #: Leg measurements launched and settled (measured or failed).
+        self.legs_measured = 0
+
+    def account(self, result) -> None:
+        """Fold one probe round's cost into the counters and the budget."""
+        self.probes_sent += result.sent
+        if self.budget is not None:
+            self.budget.spend(result.sent)
+        if result.stopped_early:
+            self.early_stops += 1
+            self.probes_saved += result.samples_saved
+            self.host.metrics.inc("ting.probes_saved", result.samples_saved)
+
+    def measurement(self, path, result, policy: SamplePolicy) -> CircuitMeasurement:
+        """One probe round as a :class:`CircuitMeasurement`.
+
+        Adaptive policies debias the minimum (:func:`debiased_min_estimate`);
+        quantization erases the sub-picosecond float noise that absolute
+        event times inject, so sharded and unsharded runs of one task
+        agree exactly (the correction depends only on prefix properties
+        of the samples, so it is quantized along with the minimum).
+        """
+        value = debiased_min_estimate(result.rtts_ms, policy)
+        if self.decimals is not None:
+            value = round(value, self.decimals)
+        return CircuitMeasurement(
+            path, result.rtts_ms, result.stopped_early, result.samples_saved,
+            result.stop_reason, value,
         )
 
-    @property
-    def stopped_early(self) -> bool:
-        """Whether any of the three probe runs converged early."""
-        return (
-            self.circuit_xy.stopped_early
-            or self.circuit_x.stopped_early
-            or self.circuit_y.stopped_early
+    def measure(
+        self,
+        path,
+        policy: SamplePolicy,
+        on_done: OnDone,
+        on_error: OnError,
+        span_parent: SpanHandle | None = None,
+    ) -> None:
+        """Build ``path``, probe it once under ``policy``, close it."""
+        circuit = CircuitProbe(self, path, span_parent)
+
+        def probed(result) -> None:
+            circuit.close()
+            on_done(result)
+
+        circuit.build(lambda: circuit.probe(policy, probed, on_error), on_error)
+
+    def demand_leg(
+        self,
+        fingerprint: str,
+        policy: SamplePolicy,
+        callback: Callable[[bool], None],
+        launch: Callable[[SamplePolicy, OnDone, OnError], None] | None = None,
+    ) -> None:
+        """Ask for one relay's leg; ``callback`` fires once it has settled.
+
+        One demand is one lookup, counted as a hit or a miss, whichever
+        scheduler asks. A leg that is known or failed is a hit and calls
+        back at once; one in flight is a hit and waits; anything else is
+        a miss and is measured now, over a fresh ``(w, x, z)`` circuit or
+        by ``launch`` when the caller has a cheaper way to that circuit.
+        ``callback(launched)`` says whether this demand is the one that
+        measured; that caller is told last, after every waiter that
+        joined in flight, so a scheduler frees a prefetched leg's slot
+        only once the pairs it unblocked are recorded. The outcome is in
+        ``legs`` / ``leg_failures``.
+        """
+        host = self.host
+        if not self.cache_legs:
+            self.legs.pop(fingerprint, None)
+            self.leg_failures.pop(fingerprint, None)
+        waiters = self._leg_waiters.get(fingerprint)
+        hit = (
+            waiters is not None
+            or fingerprint in self.legs
+            or fingerprint in self.leg_failures
+        )
+        if self.cache_legs:  # with caching off there is no cache to consult
+            host.metrics.inc("ting.leg_cache_lookups")
+            host.metrics.inc("ting.leg_cache_hits" if hit else "ting.leg_cache_misses")
+        if waiters is not None:
+            waiters.append(callback)
+            return
+        if hit:
+            callback(False)
+            return
+
+        started = host.sim.now
+        events = host.events
+        self._leg_waiters[fingerprint] = []
+        if events.enabled:
+            events.debug("leg", "started", relay=fingerprint)
+        span = host.spans.begin(LEG_SPAN, relay=fingerprint)
+        path = (self.w, fingerprint, self.z)
+        # The leg is shared by every pair touching this relay, so adaptive
+        # policies measure it at the full cap (see SamplePolicy.for_leg).
+        policy = policy.for_leg()
+
+        def done(result) -> None:
+            leg = self.legs[fingerprint] = self.measurement(path, result, policy)
+            span.end()
+            if events.enabled:
+                events.debug(
+                    "leg", "finished", relay=fingerprint, rtt_ms=leg.estimate_ms
+                )
+            if host.provenance is not None:
+                host.provenance.add_leg(
+                    LegProvenance(
+                        relay=fingerprint,
+                        rtt_ms=leg.estimate_ms,
+                        samples_requested=policy.samples,
+                        samples_kept=len(result.rtts_ms),
+                        samples_saved=result.samples_saved,
+                        stop_reason=result.stop_reason,
+                        duration_ms=host.sim.now - started,
+                    )
+                )
+            settled()
+
+        def error(reason: str) -> None:
+            self.leg_failures[fingerprint] = reason
+            span.end()
+            if events.enabled:
+                events.warning("leg", "failed", relay=fingerprint, reason=reason)
+            settled()
+
+        def settled() -> None:
+            self.legs_measured += 1
+            for waiter in self._leg_waiters.pop(fingerprint):
+                waiter(False)
+            callback(True)
+
+        if launch is None:
+            launch = partial(self.measure, path, span_parent=span)
+        launch(policy, done, error)
+
+
+class PairTask:
+    """One Ting pair: ``C_xy`` → demand leg x → demand leg y → Eq. 4.
+
+    ``on_done`` receives the :class:`TingResult`, ``on_error`` the reason
+    (a failed leg reads ``leg failed: <why>`` and ends the task there:
+    the other leg is not demanded).
+    """
+
+    def __init__(
+        self,
+        engine: TingEngine,
+        x_fp: str,
+        y_fp: str,
+        policy: SamplePolicy,
+        on_done: OnDone,
+        on_error: OnError,
+    ) -> None:
+        self.engine = engine
+        self.x, self.y = x_fp, y_fp
+        self.policy = policy
+        self.on_done, self.on_error = on_done, on_error
+        self.path = (engine.w, x_fp, y_fp, engine.z)
+        self.started = engine.host.sim.now
+        self.span = engine.host.spans.begin(PAIR_SPAN, x=x_fp, y=y_fp)
+        self.probed: list[CircuitMeasurement] = []
+
+    def start(self) -> None:
+        """Launch the chain from a fresh ``C_xy``."""
+        self.engine.measure(
+            self.path, self.policy, self.pair_probed, self.fail, self.span
         )
 
+    def pair_probed(self, result, launch_x=None, x_settled=None) -> None:
+        """``C_xy`` is probed: demand the legs, then combine.
 
-class TingMeasurer:
+        A caller that probed ``C_xy`` itself and still holds the circuit
+        enters here, with ``launch_x`` (how to measure the x leg on a
+        miss) and ``x_settled`` (called once the x leg is measured, found
+        or failed — before the y leg is demanded).
+        """
+        self.probed.append(self.engine.measurement(self.path, result, self.policy))
+        self._demand(
+            self.x, lambda: self._demand(self.y, self._combine), launch_x, x_settled
+        )
+
+    def _demand(self, fingerprint: str, then, launch=None, settled=None) -> None:
+        def ready(launched: bool) -> None:
+            if settled is not None:
+                settled()
+            reason = self.engine.leg_failures.get(fingerprint)
+            if reason is not None:
+                self.fail(f"leg failed: {reason}")
+                return
+            if launched:
+                self.probed.append(self.engine.legs[fingerprint])
+            then()
+
+        self.engine.demand_leg(fingerprint, self.policy, ready, launch)
+
+    def _combine(self) -> None:
+        legs = self.engine.legs
+        cxy, leg_x, leg_y = self.probed[0], legs[self.x], legs[self.y]
+        # Legs run at the full cap under adaptive policies (for_leg), so
+        # only the pair circuit carries the remaining-excess correction.
+        estimate = cxy.estimate_ms - leg_x.estimate_ms / 2.0 - leg_y.estimate_ms / 2.0
+        self.span.end()
+        self.on_done(
+            TingResult(
+                self.x, self.y, estimate, cxy, leg_x, leg_y,
+                duration_ms=self.engine.host.sim.now - self.started,
+                policy=self.policy,
+                probed=self.probed,
+            )
+        )
+
+    def fail(self, reason: str) -> None:
+        """End the task with ``reason``."""
+        self.span.end()
+        self.on_error(reason)
+
+
+class PairRecorder:
+    """Where one pair's outcome is written down, whoever scheduled it.
+
+    The matrix entry, the :class:`PairProvenance` row, the ``campaign.*``
+    metrics, the trace record and the ``campaign`` bus events — the
+    shard-invariant event stream: one ``pair_started`` and one
+    ``pair_measured`` / ``pair_failed`` per attempt, regardless of which
+    worker runs it. ``report`` is the run's report: anything with a
+    ``matrix`` and a ``failures`` list.
+    """
+
+    def __init__(self, host: MeasurementHost, report: Any) -> None:
+        self.host = host
+        self.report = report
+
+    def started(self, x_fp: str, y_fp: str) -> None:
+        """A pair task is about to launch."""
+        if self.host.events.enabled:
+            self.host.events.info("campaign", "pair_started", x=x_fp, y=y_fp)
+
+    def measured(self, result: TingResult, retries: int = 0) -> None:
+        """A pair was measured.
+
+        The provenance row counts only the circuits the pair itself
+        probed: a leg found in the table is a cache hit, and its samples
+        belong to the pair (or leg round) that measured it.
+        """
+        host, probed = self.host, result.probed
+        x_fp, y_fp = result.x_fingerprint, result.y_fingerprint
+        rtt, duration = result.rtt_clamped_ms, result.duration_ms
+        self.report.matrix.set(x_fp, y_fp, rtt)
+        if host.metrics.enabled:
+            host.metrics.observe("campaign.pair_duration_ms", duration)
+        if host.trace.enabled:
+            host.trace.record(
+                host.sim.now, PAIR_MEASURED,
+                x=x_fp, y=y_fp, rtt_ms=rtt, duration_ms=duration,
+            )
+        if host.provenance is not None:
+            host.provenance.add(
+                PairProvenance(
+                    x=x_fp,
+                    y=y_fp,
+                    status="measured",
+                    rtt_ms=rtt,
+                    cxy_ms=result.circuit_xy.estimate_ms,
+                    leg_x_ms=result.circuit_x.estimate_ms,
+                    leg_y_ms=result.circuit_y.estimate_ms,
+                    samples_requested=result.policy.samples * len(probed),
+                    samples_kept=sum(len(c.samples_ms) for c in probed),
+                    samples_saved=sum(c.samples_saved for c in probed),
+                    stop_reason=result.circuit_xy.stop_reason,
+                    leg_cache_hits=3 - len(probed),
+                    retries=retries,
+                    duration_ms=duration,
+                )
+            )
+        if host.events.enabled:
+            host.events.info(
+                "campaign", "pair_measured",
+                x=x_fp, y=y_fp, rtt_ms=rtt, duration_ms=round(duration, 3),
+            )
+
+    def failed(
+        self, x_fp: str, y_fp: str, reason: str, row: bool = True,
+        duration_ms: Milliseconds = 0.0,
+    ) -> None:
+        """One attempt at a pair failed.
+
+        A scheduler that retries passes ``row=False`` and writes
+        :meth:`failed_row` once, for the pairs still failed at the end —
+        the provenance log holds one row per pair, not per attempt.
+        """
+        host = self.host
+        self.report.failures.append((x_fp, y_fp, reason))
+        if host.metrics.enabled:
+            category = categorize_failure(reason, host.metrics)
+            host.metrics.inc(f"campaign.failures.{category}")
+        if row:
+            self.failed_row(x_fp, y_fp, reason, duration_ms=duration_ms)
+        if host.trace.enabled:
+            host.trace.record(host.sim.now, PAIR_FAILED, x=x_fp, y=y_fp, reason=reason)
+        if host.events.enabled:
+            host.events.warning(
+                "campaign", "pair_failed", x=x_fp, y=y_fp, reason=reason
+            )
+
+    def failed_row(
+        self, x_fp: str, y_fp: str, reason: str,
+        duration_ms: Milliseconds = 0.0, retries: int = 0,
+    ) -> None:
+        """The provenance row of a pair that stayed failed."""
+        if self.host.provenance is not None:
+            self.host.provenance.add(
+                PairProvenance(
+                    x=x_fp,
+                    y=y_fp,
+                    status="failed",
+                    retries=retries,
+                    failure_category=categorize_failure(reason),
+                    reason=reason,
+                    duration_ms=duration_ms,
+                )
+            )
+
+
+def _fingerprint(relay: RelayDescriptor | str) -> str:
+    return relay.fingerprint if isinstance(relay, RelayDescriptor) else relay
+
+
+class TingMeasurer(TingEngine):
     """Measures R(x, y) for arbitrary relay pairs from one host.
+
+    The sequential scheduler: each call starts one task of the engine
+    and drives the simulator until it resolves.
 
     ``cache_legs`` reuses each relay's leg measurement (``R_Cx``) across
     pairs — an all-pairs campaign over n relays then needs n leg circuits
@@ -123,23 +628,15 @@ class TingMeasurer:
         cache_legs: bool = False,
         reuse_circuits: bool = False,
     ) -> None:
-        self.host = host
+        super().__init__(host, cache_legs=cache_legs)
         self.policy = policy or SamplePolicy.high_accuracy()
-        self.cache_legs = cache_legs
         #: With ``reuse_circuits``, the x-leg circuit (w, x, z) is carved
         #: out of the just-used pair circuit by TRUNCATE + EXTEND instead
         #: of being built from scratch — one fewer full circuit build per
         #: pair, with identical estimates (protocol surgery moves no
         #: packets through different paths).
         self.reuse_circuits = reuse_circuits
-        self._leg_cache: dict[str, CircuitMeasurement] = {}
-        self.circuits_built = 0
         self.circuits_reused = 0
-        self.probes_sent = 0
-        #: Probes an adaptive policy's early stop avoided sending.
-        self.probes_saved = 0
-
-    # ------------------------------------------------------------------
 
     def measure_pair(
         self,
@@ -148,143 +645,27 @@ class TingMeasurer:
         policy: SamplePolicy | None = None,
     ) -> TingResult:
         """Run the full Ting procedure for the pair (x, y)."""
-        policy = policy or self.policy
-        x_fp = x.fingerprint if isinstance(x, RelayDescriptor) else x
-        y_fp = y.fingerprint if isinstance(y, RelayDescriptor) else y
+        x_fp, y_fp = _fingerprint(x), _fingerprint(y)
         if x_fp == y_fp:
             raise MeasurementError("cannot measure a relay against itself")
-        w_fp = self.host.relay_w.fingerprint
-        z_fp = self.host.relay_z.fingerprint
-        if w_fp in (x_fp, y_fp) or z_fp in (x_fp, y_fp):
+        if self.w in (x_fp, y_fp) or self.z in (x_fp, y_fp):
             raise MeasurementError("cannot measure the local helper relays")
-
-        started = self.host.sim.now
-        events = self.host.events
-        if events.enabled:
-            events.info("ting", "pair_started", x=x_fp, y=y_fp)
-        with self.host.spans.span(PAIR_SPAN, x=x_fp, y=y_fp):
-            if self.reuse_circuits:
-                # The x-leg cache consult happens here (accounted like
-                # any other lookup); a miss is satisfied by carving C_x
-                # out of the pair circuit instead of a fresh build.
-                cached_x = self._leg_cache_lookup(x_fp)
-                if cached_x is None:
-                    circuit_xy, circuit_x = self._measure_pair_and_leg_with_reuse(
-                        x_fp, y_fp, policy
-                    )
-                    self._leg_cache_store(x_fp, circuit_x)
-                else:
-                    circuit_xy = self._measure_circuit(
-                        (w_fp, x_fp, y_fp, z_fp), policy
-                    )
-                    circuit_x = cached_x
-            else:
-                circuit_xy = self._measure_circuit((w_fp, x_fp, y_fp, z_fp), policy)
-                circuit_x = self._measure_leg(x_fp, policy)
-            circuit_y = self._measure_leg(y_fp, policy)
-
-        # Legs run at the full cap under adaptive policies (for_leg), so
-        # only the pair circuit carries the remaining-excess correction.
-        cxy = debiased_min_estimate(circuit_xy.samples_ms, policy)
-        estimate = cxy - circuit_x.min_ms / 2.0 - circuit_y.min_ms / 2.0
-        metrics = self.host.metrics
-        if metrics.enabled:
-            metrics.inc("ting.pairs_measured")
-            metrics.observe("ting.pair_duration_ms", self.host.sim.now - started)
-        if self.host.trace.enabled:
-            self.host.trace.record(
-                self.host.sim.now,
-                PAIR_MEASURED,
-                x=x_fp,
-                y=y_fp,
-                rtt_ms=estimate,
-                duration_ms=self.host.sim.now - started,
-            )
-        if events.enabled:
-            events.info(
-                "ting",
-                "pair_measured",
-                x=x_fp,
-                y=y_fp,
-                rtt_ms=round(max(0.0, estimate), 6),
-                duration_ms=round(self.host.sim.now - started, 3),
-            )
-        return TingResult(
-            x_fingerprint=x_fp,
-            y_fingerprint=y_fp,
-            rtt_ms=estimate,
-            circuit_xy=circuit_xy,
-            circuit_x=circuit_x,
-            circuit_y=circuit_y,
-            duration_ms=self.host.sim.now - started,
-            policy=policy,
+        return run_to_completion(
+            self.host.sim, self._start_pair, x_fp, y_fp, policy or self.policy
         )
 
     def measure_leg(
         self, x: RelayDescriptor | str, policy: SamplePolicy | None = None
     ) -> CircuitMeasurement:
         """Measure just ``R_Cx`` — the (w, x, z) circuit — for one relay."""
-        x_fp = x.fingerprint if isinstance(x, RelayDescriptor) else x
-        return self._measure_leg(x_fp, policy or self.policy)
-
-    def leg_is_cached(self, x: RelayDescriptor | str) -> bool:
-        """Whether ``R_Cx`` for this relay would come from the leg cache.
-
-        Provenance recorders ask *before* measuring so they can count
-        cache hits per pair without re-deriving cache policy.
-        """
-        x_fp = x.fingerprint if isinstance(x, RelayDescriptor) else x
-        return self.cache_legs and x_fp in self._leg_cache
-
-    def _leg_cache_lookup(self, x_fp: str) -> CircuitMeasurement | None:
-        """Consult the shared leg cache — the *single* accounting point.
-
-        Every call with caching enabled is exactly one lookup, counted
-        as either a hit or a miss, so ``ting.leg_cache_lookups ==
-        ting.leg_cache_hits + ting.leg_cache_misses`` holds whichever
-        measurement path (fresh build or circuit-reuse surgery) ends up
-        satisfying a miss. With caching disabled nothing is counted:
-        there is no cache to consult.
-        """
-        if not self.cache_legs:
-            return None
-        metrics = self.host.metrics
-        metrics.inc("ting.leg_cache_lookups")
-        cached = self._leg_cache.get(x_fp)
-        if cached is not None:
-            metrics.inc("ting.leg_cache_hits")
-            if self.host.trace.enabled:
-                self.host.trace.record(
-                    self.host.sim.now, LEG_CACHE_HIT, relay=x_fp
-                )
-            return cached
-        metrics.inc("ting.leg_cache_misses")
-        if self.host.trace.enabled:
-            self.host.trace.record(
-                self.host.sim.now, LEG_CACHE_MISS, relay=x_fp
-            )
-        return None
-
-    def _leg_cache_store(self, x_fp: str, measurement: CircuitMeasurement) -> None:
-        """Fill the cache after a miss; the miss was counted at lookup."""
-        if self.cache_legs:
-            self._leg_cache[x_fp] = measurement
-
-    def _measure_leg(self, x_fp: str, policy: SamplePolicy) -> CircuitMeasurement:
-        cached = self._leg_cache_lookup(x_fp)
-        if cached is not None:
-            # No span on a cache hit: nothing occupies simulated time.
-            return cached
-        with self.host.spans.span(LEG_SPAN, relay=x_fp):
-            measurement = self._measure_circuit(
-                (self.host.relay_w.fingerprint, x_fp, self.host.relay_z.fingerprint),
-                # Leg estimates are shared across pairs; adaptive
-                # policies run them at the full cap (see
-                # SamplePolicy.for_leg).
-                policy.for_leg(),
-            )
-        self._leg_cache_store(x_fp, measurement)
-        return measurement
+        x_fp = _fingerprint(x)
+        run_to_completion(
+            self.host.sim,
+            lambda done, error: self.demand_leg(x_fp, policy or self.policy, done),
+        )
+        if x_fp in self.leg_failures:
+            raise MeasurementError(f"leg failed: {self.leg_failures[x_fp]}")
+        return self.legs[x_fp]
 
     def measure_pair_circuit(
         self,
@@ -297,140 +678,53 @@ class TingMeasurer:
         Used by the sample-convergence analysis (Section 4.4), which
         studies raw sample traces rather than the Eq. 4 estimate.
         """
-        x_fp = x.fingerprint if isinstance(x, RelayDescriptor) else x
-        y_fp = y.fingerprint if isinstance(y, RelayDescriptor) else y
-        return self._measure_circuit(
-            (
-                self.host.relay_w.fingerprint,
-                x_fp,
-                y_fp,
-                self.host.relay_z.fingerprint,
-            ),
-            policy or self.policy,
-        )
+        policy = policy or self.policy
+        path = (self.w, _fingerprint(x), _fingerprint(y), self.z)
+        result = run_to_completion(self.host.sim, self.measure, path, policy)
+        return self.measurement(path, result, policy)
+
+    def leg_is_cached(self, x: RelayDescriptor | str) -> bool:
+        """Whether ``R_Cx`` for this relay would come from the leg cache.
+
+        Callers ask *before* measuring so they can count cache hits per
+        pair without re-deriving cache policy.
+        """
+        return self.cache_legs and _fingerprint(x) in self.legs
 
     def invalidate_leg_cache(self) -> None:
         """Drop cached leg measurements (e.g. after simulated hours pass)."""
-        self._leg_cache.clear()
+        self.legs.clear()
+        self.leg_failures.clear()
 
-    # ------------------------------------------------------------------
+    def _start_pair(
+        self, x_fp: str, y_fp: str, policy: SamplePolicy,
+        on_done: OnDone, on_error: OnError,
+    ) -> None:
+        task = PairTask(self, x_fp, y_fp, policy, on_done, on_error)
+        if not self.reuse_circuits:
+            task.start()
+            return
+        # Circuit reuse: probe C_xy, keep it open, and satisfy an x-leg
+        # miss by carving C_x out of it. The controller's surgery is
+        # synchronous, so each step up to it runs to completion here.
+        sim, controller = self.host.sim, self.host.controller
+        circuit = CircuitProbe(self, task.path, task.span)
 
-    def _measure_pair_and_leg_with_reuse(
-        self, x_fp: str, y_fp: str, policy: SamplePolicy
-    ) -> tuple[CircuitMeasurement, CircuitMeasurement]:
-        """Measure C_xy, then carve C_x out of it by TRUNCATE + EXTEND."""
-        controller = self.host.controller
-        w_fp = self.host.relay_w.fingerprint
-        z_fp = self.host.relay_z.fingerprint
-        with self.host.spans.span(CIRCUIT_BUILD_SPAN, hops=4):
+        def carve(leg_policy: SamplePolicy, done: OnDone, error: OnError) -> None:
             try:
-                circuit = controller.build_circuit([w_fp, x_fp, y_fp, z_fp])
+                # Keep (w, x); drop (y, z); splice z back on.
+                controller.truncate_circuit(circuit.circuit, to_hop=1)
+                controller.extend_circuit(circuit.circuit, [self.z])
             except CircuitError as exc:
-                raise MeasurementError(
-                    f"could not build circuit {w_fp}->{x_fp}->{y_fp}->{z_fp}: {exc}"
-                ) from exc
-        self.circuits_built += 1
-        try:
-            probed_xy = self._probe_circuit(circuit, policy)
-            # Keep (w, x); drop (y, z); splice z back on.
-            try:
-                controller.truncate_circuit(circuit, to_hop=1)
-                controller.extend_circuit(circuit, [z_fp])
-            except CircuitError as exc:
-                raise MeasurementError(
-                    f"circuit reuse surgery failed for {x_fp}: {exc}"
-                ) from exc
+                error(f"circuit reuse surgery failed for {x_fp}: {exc}")
+                return
             self.circuits_reused += 1
-            probed_x = self._probe_circuit(circuit, policy.for_leg())
-        finally:
-            controller.close_circuit(circuit)
-        return (
-            CircuitMeasurement(
-                path=(w_fp, x_fp, y_fp, z_fp),
-                samples_ms=probed_xy.rtts_ms,
-                stopped_early=probed_xy.stopped_early,
-                samples_saved=probed_xy.samples_saved,
-                stop_reason=probed_xy.stop_reason,
-            ),
-            CircuitMeasurement(
-                path=(w_fp, x_fp, z_fp),
-                samples_ms=probed_x.rtts_ms,
-                stopped_early=probed_x.stopped_early,
-                samples_saved=probed_x.samples_saved,
-                stop_reason=probed_x.stop_reason,
-            ),
-        )
+            circuit.probe(leg_policy, done, error)
 
-    def _probe_stream(self, stream, policy: SamplePolicy):
-        """Run one echo probe round over an attached stream.
-
-        The stream is closed on every exit path: ``EchoClient.probe``
-        raises on zero-reply runs (deadline, stream death, circuit
-        teardown), and before this lived in a ``finally`` the failed
-        round leaked its stream into ``circuit.streams`` for the rest of
-        the circuit's life.
-        """
-        spec = policy.adaptive
-        attrs = {"samples": policy.samples}
-        if spec is not None:
-            attrs["adaptive"] = spec.tolerance_label
         try:
-            with self.host.spans.span(PROBE_ROUND_SPAN, **attrs):
-                result = self.host.echo_client.probe(
-                    stream,
-                    samples=policy.samples,
-                    interval_ms=policy.interval_ms,
-                    timeout_ms=policy.timeout_ms,
-                    adaptive=spec,
-                )
-        finally:
-            stream.close()
-        self.probes_sent += result.sent
-        if result.samples_saved:
-            self.probes_saved += result.samples_saved
-            self.host.metrics.inc("ting.probes_saved", result.samples_saved)
-        return result
-
-    def _probe_circuit(self, circuit, policy: SamplePolicy):
-        controller = self.host.controller
-        try:
-            stream = controller.open_stream(
-                circuit, self.host.echo_address, self.host.echo_port
-            )
-        except StreamError as exc:
-            raise MeasurementError(
-                f"could not attach echo stream on reused circuit: {exc}"
-            ) from exc
-        return self._probe_stream(stream, policy)
-
-    def _measure_circuit(
-        self, path: tuple[str, ...], policy: SamplePolicy
-    ) -> CircuitMeasurement:
-        controller = self.host.controller
-        with self.host.spans.span(CIRCUIT_BUILD_SPAN, hops=len(path)):
-            try:
-                circuit = controller.build_circuit(list(path))
-            except CircuitError as exc:
-                raise MeasurementError(
-                    f"could not build circuit {'->'.join(path)}: {exc}"
-                ) from exc
-        self.circuits_built += 1
-        try:
-            try:
-                stream = controller.open_stream(
-                    circuit, self.host.echo_address, self.host.echo_port
-                )
-            except StreamError as exc:
-                raise MeasurementError(
-                    f"could not attach echo stream on {'->'.join(path)}: {exc}"
-                ) from exc
-            result = self._probe_stream(stream, policy)
-        finally:
-            controller.close_circuit(circuit)
-        return CircuitMeasurement(
-            path=path,
-            samples_ms=result.rtts_ms,
-            stopped_early=result.stopped_early,
-            samples_saved=result.samples_saved,
-            stop_reason=result.stop_reason,
-        )
+            run_to_completion(sim, circuit.build)
+            probed_xy = run_to_completion(sim, circuit.probe, policy)
+        except MeasurementError as exc:
+            task.fail(str(exc))
+            return
+        task.pair_probed(probed_xy, carve, circuit.close)

@@ -66,8 +66,6 @@ from repro.obs.trace import (
     CIRCUIT_BUILT,
     CIRCUIT_FAILED,
     HEAP_COMPACTION,
-    LEG_CACHE_HIT,
-    LEG_CACHE_MISS,
     NULL_TRACE,
     NullTraceLog,
     PAIR_FAILED,
@@ -124,8 +122,6 @@ __all__ = [
     "STREAM_FAILED",
     "PROBE_SENT",
     "PROBE_LOST",
-    "LEG_CACHE_HIT",
-    "LEG_CACHE_MISS",
     "RETRY_ROUND",
     "HEAP_COMPACTION",
     "PAIR_MEASURED",

@@ -17,11 +17,11 @@ Event categories mirror the measurement stack:
 * ``probe`` — echo probe-round start/stop and early-stop reasons.
 * ``leg`` — shared leg measurements (one per relay *per worker*).
 * ``campaign`` — pair lifecycle (started/measured/failed), retry
-  rounds, budget-tier degradation. Pair events fire exactly once per
-  pair under fixed policies, so merged ``campaign`` counts are
-  **invariant to the worker count** — the property the shard-invariance
-  tests pin down.
-* ``ting`` — sequential :class:`~repro.core.ting.TingMeasurer` pairs.
+  rounds, budget-tier degradation, written by the one
+  :class:`~repro.core.ting.PairRecorder` whichever campaign class ran
+  the pair. Pair events fire exactly once per pair under fixed
+  policies, so merged ``campaign`` counts are **invariant to the worker
+  count** — the property the shard-invariance tests pin down.
 * ``shard`` — campaign/worker lifecycle (one per process; not
   worker-count invariant by construction).
 * ``serve`` — query-layer access log: ``slow_query`` (latency above the

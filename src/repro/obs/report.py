@@ -265,7 +265,7 @@ def _shard_balance(shards: Iterable[Any], run: Any | None) -> dict[str, Any] | N
     if run is not None:
         balance["fixed"] = {
             "build_s": round(run.build_s, 4),
-            "leg_round_s": round(run.leg_phase.wall_s if run.leg_phase else 0.0, 4),
+            "leg_round_s": round(run.leg_phase.wall_s, 4),
             "wall_s": round(run.wall_s, 4),
         }
     return balance

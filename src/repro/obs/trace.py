@@ -27,8 +27,6 @@ STREAM_ATTACHED = "stream_attached"
 STREAM_FAILED = "stream_failed"
 PROBE_SENT = "probe_sent"
 PROBE_LOST = "probe_lost"
-LEG_CACHE_HIT = "leg_cache_hit"
-LEG_CACHE_MISS = "leg_cache_miss"
 RETRY_ROUND = "retry_round"
 HEAP_COMPACTION = "heap_compaction"
 PAIR_MEASURED = "pair_measured"

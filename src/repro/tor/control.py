@@ -7,8 +7,9 @@ flavours:
 
 * a programmatic API (``build_circuit``, ``open_stream``,
   ``close_circuit``) with synchronous variants that drive the simulator
-  until the operation resolves — this is what Ting's measurement loop
-  uses; and
+  until the operation resolves — what circuit surgery, tests and the
+  line protocol below use (Ting's measurement loop drives the proxy's
+  callbacks directly, see :mod:`repro.core.ting`); and
 * a line-oriented command protocol (``raw_command``) modelled on Tor's
   control-port grammar (``EXTENDCIRCUIT``, ``CLOSECIRCUIT``,
   ``GETINFO``, ``SETEVENTS``) for protocol-level tests and realism.
@@ -55,9 +56,11 @@ class SimFuture:
 
         The run stops at the exact event that resolves the future, so
         unrelated far-future events (e.g. timeout guards) stay queued and
-        the clock does not overshoot.
+        the clock does not overshoot; a future already resolved by the
+        call that started it processes no event at all.
         """
-        self._sim.run(max_events=max_events, stop_when=lambda: self.done)
+        if not self.done:
+            self._sim.run(max_events=max_events, stop_when=lambda: self.done)
         if not self.done:
             raise CircuitError("simulation quiesced before operation completed")
         if self.error is not None:
@@ -76,7 +79,7 @@ class Controller:
         self._event_listeners: list[Callable[[str], None]] = []
 
     # ------------------------------------------------------------------
-    # Programmatic API (what TingMeasurer uses)
+    # Programmatic API
 
     def build_circuit(
         self,

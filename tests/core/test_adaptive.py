@@ -364,26 +364,30 @@ class TestStreamLeakOnProbeFailure:
         )
 
     def test_probe_failure_closes_stream(self, monkeypatch):
-        # Regression: a probe that raises used to leave its echo stream
-        # attached to the circuit forever.
-        testbed = LiveTorTestbed.build(seed=5, n_relays=12)
-        a, b = _select(testbed, 2, "leak.sel")
-        host = testbed.measurement
-        measurer = TingMeasurer(
-            host, policy=SamplePolicy(samples=3, interval_ms=2.0)
-        )
+        # Regression: a probe call that raises used to leave its echo
+        # stream attached to the circuit forever — and, on the callback
+        # path, the circuit open too (2 streams, 3 circuits at d3cf574).
+        policy = SamplePolicy(samples=3, interval_ms=2.0)
 
         def boom(*args, **kwargs):
             raise RuntimeError("forced probe failure")
 
-        monkeypatch.setattr(host.echo_client, "probe", boom)
-        with pytest.raises(RuntimeError):
-            measurer.measure_pair(a, b)
-        assert self._open_streams(host) == 0
+        for scheduler in ("measure_pair", "parallel_run"):
+            testbed = LiveTorTestbed.build(seed=5, n_relays=12)
+            a, b = _select(testbed, 2, "leak.sel")
+            host = testbed.measurement
+            monkeypatch.setattr(host.echo_client, "probe_async", boom)
+            with pytest.raises(RuntimeError):
+                if scheduler == "measure_pair":
+                    TingMeasurer(host, policy=policy).measure_pair(a, b)
+                else:
+                    ParallelCampaign(host, [a, b], policy=policy, concurrency=1).run()
+            assert self._open_streams(host) == 0, scheduler
+            assert host.proxy.open_circuit_count == 0, scheduler
 
     def test_async_probe_error_closes_stream(self):
         # Mirror audit for the concurrent path: when probe_async
-        # reports an error, _CircuitProbe must close the stream before
+        # reports an error, CircuitProbe must close the stream before
         # tearing down the circuit.
         testbed = LiveTorTestbed.build(seed=5, n_relays=12)
         relays = _select(testbed, 2, "leak.sel")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.campaign import AllPairsCampaign
+from repro.core.parallel import ParallelCampaign
 from repro.core.dataset import (
     CampaignDataset,
     DATASET_FORMAT,
@@ -202,3 +203,58 @@ class TestCampaignRecordsProvenance:
         relays = [r.descriptor() for r in mini_world.relays[:3]]
         AllPairsCampaign(measurer, relays).run()
         assert mini_world.measurement.provenance is None
+
+
+def _run(scheduler, world, relays, policy):
+    if scheduler == "sequential":
+        measurer = TingMeasurer(world.measurement, policy=policy, cache_legs=True)
+        return AllPairsCampaign(measurer, relays).run()
+    return ParallelCampaign(world.measurement, relays, policy=policy, concurrency=1).run()
+
+
+class TestOneRecorder:
+    """What the schedulers used to record differently (all at d3cf574)."""
+
+    def test_sequential_rows_count_only_circuits_the_pair_probed(self, mini_world):
+        # Was: a pair with two cached legs requested 15 samples and kept
+        # 45, so pair_quality's support penalty 1 - kept/requested read 0
+        # whatever the pair circuit lost.
+        mini_world.measurement.enable_observability()
+        relays = [r.descriptor() for r in mini_world.relays[:3]]
+        _run("sequential", mini_world, relays, FAST)
+        rows = list(mini_world.measurement.provenance)
+        assert [row.leg_cache_hits for row in rows] == [0, 1, 2]
+        for row in rows:
+            misses = 2 - row.leg_cache_hits
+            assert row.samples_requested == FAST.samples * (1 + misses)
+            assert row.samples_kept <= row.samples_requested
+        assert rows[-1].samples_kept == FAST.samples
+
+    @pytest.mark.parametrize("scheduler", ["sequential", "concurrent"])
+    def test_dead_leg_relay_is_a_leg_failure_whoever_ran_the_pair(
+        self, mini_world, scheduler
+    ):
+        # Was: campaign.failures.circuit_build from the sequential
+        # engine, campaign.failures.leg from the callback one.
+        host = mini_world.measurement
+        registry = host.enable_observability()
+        flaky = mini_world.relays[0]
+        create = host.proxy.create_circuit
+
+        def create_circuit(path, *args, **kwargs):
+            # Down for every 3-hop leg circuit, back for the pair
+            # circuits; w must dial it afresh to notice.
+            flaky.shutdown() if len(path) == 3 else flaky.restart()
+            host.relay_w.disconnect_or_conns()
+            return create(path, *args, **kwargs)
+
+        host.proxy.create_circuit = create_circuit
+        relays = [r.descriptor() for r in mini_world.relays[:3]]
+        report = _run(
+            scheduler, mini_world, relays, SamplePolicy(samples=5, timeout_ms=5000.0)
+        )
+        assert report.pairs_measured == 1 and len(report.failures) == 2
+        assert registry.counter("campaign.failures.leg") == 2
+        failed = host.provenance.by_status("failed")
+        assert [row.failure_category for row in failed] == ["leg", "leg"]
+        assert all(row.reason.startswith("leg failed: ") for row in failed)

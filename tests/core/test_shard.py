@@ -8,8 +8,8 @@ same seed. These tests run every worker layout inline
 (``force_inline=True`` emulates the work-stealing loop with a
 deterministic chunk deal) so the comparison is exact and CI-stable; the
 forked work-stealing path itself is exercised by
-``tests/core/test_shard_steal.py``, ``repro bench``, and the
-benchmarks.
+``tests/core/test_shard_steal.py``, ``bench/``'s ``pipeline_fullnet``
+workload, and the benchmarks.
 """
 
 import functools
@@ -126,23 +126,6 @@ class TestLegPhase:
             assert report.leg_phase.shard_index == LEG_PHASE
             assert report.leg_phase.legs_measured == n
             assert all(s.legs_measured == 0 for s in report.shards)
-
-    def test_ablation_duplicates_leg_work(self, fingerprints):
-        # ``leg_phase=False`` restores measure-on-demand: every worker
-        # rebuilds the legs its chunks touch, so total builds exceed n
-        # once the pair load spreads over multiple workers — the bug
-        # class this engine exists to kill, kept honest as a knob.
-        report = _run_sharded(fingerprints, 4, leg_phase=False)
-        assert report.leg_phase is None
-        assert report.legs_measured > len(fingerprints)
-        assert report.matrix.is_complete
-
-    def test_ablation_matrix_still_invariant(self, fingerprints):
-        with_phase = _run_sharded(fingerprints, 2).matrix.as_array()
-        without = _run_sharded(
-            fingerprints, 2, leg_phase=False
-        ).matrix.as_array()
-        assert np.array_equal(with_phase, without)
 
 
 class TestChunkPartitioning:

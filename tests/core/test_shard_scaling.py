@@ -113,17 +113,10 @@ def _campaign() -> tuple[ParallelCampaign, list[str]]:
 
 def _campaign_wide_chunk(campaign: ParallelCampaign, pairs) -> ParallelReport:
     """``run_pairs`` as it was: the chunk written into a matrix over
-    every campaign relay."""
-    matrix = RttMatrix([relay.fingerprint for relay in campaign.relays])
-    report = ParallelReport(matrix=matrix, peak_concurrency=1)
-    needed = [
-        fp
-        for fp in dict.fromkeys(fp for pair in pairs for fp in pair)
-        if fp not in campaign._legs and fp not in campaign._leg_failures
-    ]
-    tasks = [("leg", fp) for fp in needed] + [("pair", a, b) for a, b in pairs]
-    campaign._execute_isolated(tasks, matrix, report)
-    return report
+    every campaign relay — what ``run()`` does for an explicit pair
+    scope, with the legs the campaign already knows carried over."""
+    campaign.pairs, campaign.legs = list(pairs), None
+    return campaign.run()
 
 
 class TestChunkContainerEquivalence:

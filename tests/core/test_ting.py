@@ -77,6 +77,21 @@ class TestMeasurePair:
                 policy=SamplePolicy(samples=5, timeout_ms=5_000.0),
             )
 
+    def test_zero_reply_probe_round_is_a_measurement_error(self, mini_world, measurer):
+        # Was: the sync probe path let the echo client's CircuitError
+        # through, which no campaign catches — one dead probe round
+        # killed a sequential campaign instead of failing its pair.
+        host = mini_world.measurement
+        x, y = mini_world.relays[0], mini_world.relays[1]
+
+        def no_replies(stream, samples, on_done, on_error, **kwargs):
+            host.sim.schedule(0.0, on_error, "echo probe deadline with zero replies")
+
+        host.echo_client.probe_async = no_replies
+        with pytest.raises(MeasurementError, match="zero replies"):
+            measurer.measure_pair(x.descriptor(), y.descriptor())
+        assert host.proxy.open_circuit_count == 0
+
     def test_clamped_estimate_non_negative(self, mini_world, measurer):
         x, y = mini_world.relays[0], mini_world.relays[1]
         result = measurer.measure_pair(x.descriptor(), y.descriptor())

@@ -250,7 +250,7 @@ class TestLiveTelemetryFlags:
         ]
         assert records
         kinds = {(r["category"], r["kind"]) for r in records}
-        assert ("ting", "pair_measured") in kinds
+        assert ("campaign", "pair_measured") in kinds
         assert ("probe", "round_finished") in kinds
 
     def test_report_streams_events_and_progress(self, tmp_path, capsys):
