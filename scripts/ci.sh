@@ -28,12 +28,22 @@ python -m pytest tests/netsim/test_rng_identities.py tests/testbeds/test_build_i
 
 echo "== pinned engine measurements =="
 # What the three campaign schedulers and the two baseline measurers
-# measure on those worlds — matrix bytes, event counts, clocks,
-# registry counters, and the callback engines' spans, provenance and
-# bus records — against digests taken before the engines were collapsed
-# onto one pair state machine. Under its own heading for the same
-# reason: a moved draw or event is reported as that.
+# measure on those worlds — matrix bytes, clocks, registry counters, and
+# the callback engines' spans, provenance and bus records — against
+# digests taken before the engines were collapsed onto one pair state
+# machine, and what the simulator spent measuring it (events processed
+# and cancelled, heap peak) against work tuples that may only fall by
+# an asserted formula. Under its own heading for the same reason: a
+# moved draw or event is reported as that.
 python -m pytest tests/core/test_engine_identity.py -x -q
+
+echo "== probe flight contract =="
+# A lone echo cell on a quiet simulator crosses its circuit in one event
+# (OnionProxy._fly) instead of 4 x hops + 1. The differential that holds
+# the shortcut to the cell path, bit for bit — RTTs, clock, every random
+# stream, queues, counters — on its own, for the same reason as above:
+# a flight that drifts from the cells is reported as that.
+python -m pytest tests/contract/test_probe_flight.py -x -q
 
 echo "== source size (printed, never gated) =="
 # ROADMAP item 1's target is src/ <= 17.5k lines; the three engine
@@ -203,6 +213,14 @@ elapsed = time.monotonic() - started
 assert elapsed < WALL_CEILING_S, f"planner smoke took {elapsed:.0f}s"
 print(f"planner smoke: {absorbed} cold + {refreshed} refreshed entries "
       f"over {len(fps)} relays in {elapsed:.1f}s")
+# Probe flights, merged across the forked workers like every counter.
+# These are 2 ms trains: EchoClient arranges its next send before each
+# send, so every flight is refused at the first comparison (0 / 0).
+for name, run in (("cold", report), ("refresh", rerun)):
+    count = run.metrics.counter
+    print(f"probe flights, {name} run: {count('echo.probes_flown')} flown / "
+          f"{count('echo.probes_sent')} sent, "
+          f"{count('echo.flight_rollbacks')} rolled back")
 PY
 
 echo "== dataset health gate =="

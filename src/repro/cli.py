@@ -645,6 +645,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "echo.probes_received",
         "echo.probes_lost",
         "echo.early_stops",
+        "echo.probes_flown",
+        "echo.flight_rollbacks",
         "ting.probes_saved",
         "ting.leg_cache_lookups",
         "ting.leg_cache_hits",
@@ -656,6 +658,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     lost = counters.get("echo.probes_lost", 0)
     if sent:
         print(f"  {'probe loss rate':<24} {lost / sent:.2%}")
+        flown = counters.get("echo.probes_flown", 0)
+        print(f"  {'probes flown / sent':<24} {flown / sent:.2%}")
     rtt = registry.histogram("echo.rtt_ms")
     if rtt is not None and rtt.count:
         cuts = rtt.quantiles()

@@ -196,6 +196,8 @@ class MeasurementHost:
             "echo.probes_lost",
             "echo.early_stops",
             "echo.probes_saved",
+            "echo.probes_flown",
+            "echo.flight_rollbacks",
             "ting.leg_cache_lookups",
             "ting.leg_cache_hits",
             "ting.leg_cache_misses",

@@ -243,9 +243,13 @@ class EchoClient:
                 metrics.inc("echo.probes_sent")
                 if self.trace.enabled:
                     self.trace.record(self.sim.now, PROBE_SENT, seq=seq)
-            stream.send(_PROBE.pack(seq, self._nonce))
+            # The next send is arranged before this one goes out, so the
+            # onion proxy can see that this sender does not wait for the
+            # reply (a probe flight needs a quiet round trip; launched
+            # first, it would have to be taken back).
             if not pingpong and seq + 1 < samples:
                 self.sim.schedule(interval_ms, send_next, seq + 1)
+            stream.send(_PROBE.pack(seq, self._nonce))
 
         def deadline_hit() -> None:
             # Accept partial results if we got anything; else a failure.

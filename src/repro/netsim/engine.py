@@ -9,6 +9,15 @@ The engine is intentionally minimal: callbacks, timers, and a blocking
 ``run``. Higher layers (transport, Tor relays, the Ting measurer) build
 request/response patterns out of callbacks; nothing in the library uses
 threads or wall-clock time.
+
+One shortcut lives here because only the engine can police it: a
+**flight** (:meth:`Simulator.launch_flight`). A layer that can work out,
+inside one event, everything a chain of its own future events would do
+— and that nothing else is due before the chain ends
+(:meth:`Simulator.quiet_through`) — schedules the chain's last event
+alone. The engine holds it to that promise: anything scheduled to fire
+before a flight lands takes the flight back first, and the layer redoes
+it event by event (:meth:`Simulator.ground_flight`).
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from math import inf
 from typing import Any, Callable
 
 from repro.obs import HEAP_COMPACTION, NULL_EVENTS, NULL_METRICS, NULL_TRACE
@@ -85,7 +95,11 @@ class Simulator:
     #: Events processed between batch-bookkeeping ticks. A tick reads
     #: the wall clock once (stall detection) and pumps ``on_batch``
     #: (worker heartbeats), so the hot loop pays one integer decrement
-    #: per event rather than a syscall.
+    #: per event rather than a syscall. The count is of *events*, not of
+    #: work: a flown probe is 2 events where a cell-path probe is 18, so
+    #: a batch of flown probes spans ≈ 0.1–0.2 s of host time instead of
+    #: ≈ 0.03 s — still well under ``STALL_THRESHOLD_S``, but the margin
+    #: is 5–8×, not 30–40× (ROADMAP item 3 has the follow-up).
     BATCH_EVENTS = 4096
 
     #: Wall seconds one batch may take before an ``engine`` /
@@ -116,6 +130,15 @@ class Simulator:
         self.stall_threshold_s = self.STALL_THRESHOLD_S
         self._batch_left = self.BATCH_EVENTS
         self._batch_wall: float | None = None
+        # ``until`` of the run() in progress (``inf`` outside one).
+        self._run_until: Milliseconds = inf
+        # The flight in the air: its landing event, when it lands
+        # (``-inf`` with none, so ``schedule_at`` pays one comparison),
+        # when it was launched and how to take it back.
+        self._flight: EventHandle | None = None
+        self._flight_lands: Milliseconds = -inf
+        self._flight_launched: Milliseconds = 0.0
+        self._flight_take_back: Callable[[], bool] | None = None
 
     @property
     def now(self) -> Milliseconds:
@@ -174,6 +197,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: time={time} < now={self._now}"
             )
+        if time <= self._flight_lands:
+            # This event would fire while a flight is in the air (or, on
+            # a tie, before the last of the chain the flight stands for).
+            self.ground_flight()
         event = EventHandle(
             (time, next(self._seq), callback, args, False, False, self)
         )
@@ -181,6 +208,112 @@ class Simulator:
         if len(self._heap) > self._heap_peak:
             self._heap_peak = len(self._heap)
         return event
+
+    # ------------------------------------------------------------------
+    # Flights
+
+    def quiet_through(self, time: Milliseconds) -> bool:
+        """Whether nothing already arranged happens at or before ``time``.
+
+        "Arranged" is a live pending event — cancelled entries are
+        looked past, as :meth:`run` would skip them, but left where they
+        are, so asking never changes what the heap holds — or the
+        ``until`` of the run in progress falling short of ``time``.
+
+        A heap orders parents before children, so the entries due by
+        ``time`` form a subtree under the root and only they are
+        visited: with the next entry later than ``time`` (the common
+        case — a serial prober's heap is far-future timers, most of them
+        cancelled) this is one comparison.
+        """
+        if self._run_until < time:
+            return False
+        heap = self._heap
+        if not heap or heap[0][0] > time:
+            return True
+        size = len(heap)
+        due = [0]
+        while due:
+            index = due.pop()
+            event = heap[index]
+            if event[0] > time:
+                continue
+            if not event[4]:  # live
+                return False
+            index = 2 * index + 1
+            if index < size:
+                due.append(index)
+                if index + 1 < size:
+                    due.append(index + 1)
+        return True
+
+    def launch_flight(
+        self,
+        lands_at: Milliseconds,
+        land: Callable[..., None],
+        take_back: Callable[[], bool],
+        *args: Any,
+    ) -> bool:
+        """Schedule ``land(*args)`` as the one event of a flight.
+
+        The caller has already worked out, from now to ``lands_at``,
+        what a chain of its own events would have done, and needs
+        nothing else to happen in between. If something is due at or
+        before ``lands_at`` (:meth:`quiet_through`; a tie counts)
+        nothing is scheduled and the answer is ``False``: the caller
+        undoes its work. Otherwise the flight is *in the air* until the
+        landing fires, and the engine keeps it alone there — see
+        :meth:`ground_flight`. ``take_back()`` must undo everything the
+        caller did for the flight, redo it event by event, and return
+        whether that reproduces the chain exactly.
+        """
+        if self._flight is not None:
+            raise SimulationError("a flight is already in the air")
+        if not self.quiet_through(lands_at):
+            return False
+        self._flight = self.schedule_at(lands_at, self._flight_landed, land, args)
+        self._flight_lands = lands_at
+        self._flight_launched = self._now
+        self._flight_take_back = take_back
+        return True
+
+    def _flight_landed(self, land: Callable[..., None], args: tuple) -> None:
+        self._flight = None
+        self._flight_lands = -inf
+        land(*args)
+
+    def ground_flight(self) -> None:
+        """Take back the flight in the air, if there is one.
+
+        Called by whoever is about to do something the flight did not
+        foresee: :meth:`schedule_at` for an event that would fire before
+        the landing, :meth:`run` when its ``until`` falls before it, and
+        the flight's own layer before it acts again. The landing event
+        leaves the heap uncounted (it is not a cancellation) and the
+        flight's ``take_back`` redoes the chain event by event. That is
+        exact only at the instant of launch — same clock, so no event
+        has fired since. Later (a bounded ``run(until=...)`` moved the
+        clock while the flight was up), or if ``take_back`` finds its
+        random streams were drawn from in between, the two orders cannot
+        be reconciled and :class:`SimulationError` says so rather than
+        let the draws interleave silently.
+        """
+        event = self._flight
+        if event is None:
+            return
+        self._flight = None
+        self._flight_lands = -inf
+        self._heap.remove(event)
+        heapq.heapify(self._heap)
+        event[5] = True  # done
+        if self._now != self._flight_launched or not self._flight_take_back():
+            raise SimulationError(
+                f"a probe flight launched at {self._flight_launched!r} ms lands at "
+                f"{event[0]!r} ms, but something else was arranged to happen "
+                f"before then (now={self._now!r} ms) and the flight can no "
+                "longer be replayed event by event; run the simulator past "
+                "the landing before scheduling, or send before a bounded run()"
+            )
 
     def _note_cancelled(self) -> None:
         """Bookkeeping for one live cancellation; compacts when due.
@@ -265,6 +398,12 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if until is not None:
+            if until < self._flight_lands:
+                # The run would return with the clock moved and the
+                # flight still up: redo it as events while that is exact.
+                self.ground_flight()
+            self._run_until = until
         self._running = True
         # Wall time spent *between* run() calls must not read as a
         # stall; the first batch tick of each run just baselines.
@@ -299,6 +438,7 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
+            self._run_until = inf
             metrics = self.metrics
             if metrics.enabled:
                 metrics.set_gauge("sim.events_processed", self._events_processed)

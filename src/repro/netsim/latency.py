@@ -111,6 +111,12 @@ class LatencyEngine:
         self.loopback_rtt_ms = loopback_rtt_ms
         self._base_cache: dict[tuple[int, int, TrafficClass], Milliseconds] = {}
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator every per-packet draw comes from (a probe flight
+        snapshots it so that it can give its draws back)."""
+        return self._rng
+
     # --- deterministic floor -------------------------------------------
 
     def base_one_way_ms(

@@ -231,14 +231,28 @@ class NetworkFabric:
         peer = conn._peer
         if peer is None:
             raise SimulationError("stream has no peer (not established?)")
+        self.sim.schedule_at(
+            self.arrival_ms(conn, size_bytes, self.sim.now), peer._receive, payload
+        )
+
+    def arrival_ms(
+        self, conn: "StreamConnection", size_bytes: int, now: Milliseconds
+    ) -> Milliseconds:
+        """When ``size_bytes`` written to ``conn`` at ``now`` reach its peer.
+
+        Draws the segment's one-way delay and records the arrival on the
+        connection. The one place a stream segment's timing is written:
+        :meth:`_transmit` schedules the delivery at the result, a probe
+        flight (:mod:`repro.tor.client`) walks on from it.
+        """
         delay = self.latency.sample_one_way_ms(
             conn.local, conn.remote, conn.traffic_class
         ) + conn.local.serialization_delay_ms(size_bytes)
         # TCP delivers in order: never let a later segment overtake an
         # earlier one just because its sampled jitter was smaller.
-        arrival = max(self.sim.now + delay, conn._last_arrival + 1e-6)
+        arrival = max(now + delay, conn._last_arrival + 1e-6)
         conn._last_arrival = arrival
-        self.sim.schedule_at(arrival, peer._receive, payload)
+        return arrival
 
 
 class StreamConnection:
@@ -267,6 +281,11 @@ class StreamConnection:
         self.closed = False
         self.on_data: Callable[[Any], None] | None = None
         self.on_close: Callable[[], None] | None = None
+        #: The process serving this endpoint — whoever installed
+        #: ``on_data`` may name itself here, so that a whole-path walker
+        #: (a probe flight) can ask it what an arriving payload would
+        #: meet instead of delivering one.
+        self.owner: Any = None
         self._last_arrival: Milliseconds = 0.0
         self._peer: StreamConnection | None = None
         self._on_established: Callable[["StreamConnection"], None] | None = None

@@ -86,6 +86,12 @@ class RunReport:
                 f"  early stops            {cost['early_stops']} "
                 f"({cost['early_stop_rate']:.1%} of probe runs)"
             )
+            if "probes_flown" in cost:
+                lines.append(
+                    f"  probes flown           {cost['probes_flown']} "
+                    f"({cost['flown_fraction']:.1%} of sent; "
+                    f"{cost['flight_rollbacks']} flights rolled back)"
+                )
 
         slowest = self.data.get("slowest_pairs", [])
         if slowest:
@@ -181,6 +187,8 @@ _HEADLINE_COUNTERS = (
     "echo.probes_received",
     "echo.probes_lost",
     "echo.early_stops",
+    "echo.probes_flown",
+    "echo.flight_rollbacks",
     "ting.probes_saved",
     "ting.leg_cache_lookups",
     "ting.leg_cache_hits",
@@ -364,12 +372,18 @@ def build_report(
         saved = counters.get("ting.probes_saved", 0)
         stops = counters.get("echo.early_stops", 0)
         runs = counters.get("tor.streams_attached", 0)
+        flown = counters.get("echo.probes_flown", 0)
         data["cost"] = {
             "probes_sent": sent,
             "probes_saved": saved,
             "saved_fraction": round(saved / (sent + saved), 4) if saved else 0.0,
             "early_stops": stops,
             "early_stop_rate": round(stops / runs, 4) if runs else 0.0,
+            # Probe flights: what the simulator did not spend — a flown
+            # probe is 2 events where a cell-path probe is 4·hops + 2.
+            "probes_flown": flown,
+            "flown_fraction": round(flown / sent, 4),
+            "flight_rollbacks": counters.get("echo.flight_rollbacks", 0),
         }
     elif provenance is not None and len(provenance):
         # No live counters (a re-report of a saved dataset): rebuild the

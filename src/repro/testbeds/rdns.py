@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.rng import draw_item
+
 #: U.S. residential templates. ``{o1}..{o4}`` are address octets,
 #: ``{n}`` a random small integer, ``{state}`` a U.S. state code.
 US_RESIDENTIAL_TEMPLATES: tuple[str, ...] = (
@@ -88,12 +90,12 @@ def synthesize_rdns(
         templates = HOSTING_TEMPLATES
     else:
         templates = UNIVERSITY_TEMPLATES
-    template = templates[int(rng.integers(0, len(templates)))]
+    template = draw_item(rng, templates)
     return template.format(
         o1=o1,
         o2=o2,
         o3=o3,
         o4=o4,
         n=int(rng.integers(1, 999)),
-        state=_US_STATES[int(rng.integers(0, len(_US_STATES)))],
+        state=draw_item(rng, _US_STATES),
     )

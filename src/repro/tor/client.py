@@ -9,6 +9,15 @@ circuits via BEGIN/CONNECTED/DATA/END relay cells.
 
 All operations are callback-based; the controller layer adds the
 synchronous facade measurement code uses.
+
+**Probe flights.** A stream write that is one relay cell, on an intact
+circuit whose far end reflects it (an echo server), with nothing else
+due before the reply would be back, does not travel as cells: the proxy
+walks the hops once inside the sending event, makes the draws every hop
+would make in the order the cells would make them, and schedules the
+reply's delivery alone (:meth:`OnionProxy._fly`). No cell, cipher or
+digest is touched — both ends of every onion layer skip the same cells,
+so they stay in lockstep for the cell-path traffic around a flight.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from repro.obs import (
 from repro.netsim.topology import Host, Topology
 from repro.netsim.transport import NetworkFabric, StreamConnection
 from repro.tor.cells import (
+    CELL_SIZE_BYTES,
     Cell,
     CellCommand,
     CellError,
@@ -38,6 +48,7 @@ from repro.tor.cells import (
 )
 from repro.tor.crypto import ClientHandshake, CryptoError, OnionLayer
 from repro.tor.directory import Consensus, RelayDescriptor
+from repro.tor.relay import Relay
 from repro.util.errors import CircuitError, StreamError
 from repro.util.units import Milliseconds
 
@@ -87,6 +98,11 @@ class TorStream:
         self.on_data: Callable[[bytes], None] | None = None
         self.on_close: Callable[[], None] | None = None
         self._proxy: "OnionProxy | None" = None
+        self.opened_at_ms: Milliseconds = 0.0
+        self.connected_at_ms: Milliseconds = 0.0
+        # The least a one-cell echo round trip can take, once a probe
+        # flight has charted the path.
+        self._floor_rtt_ms: Milliseconds | None = None
 
     def send(self, data: bytes) -> None:
         """Send application bytes to the stream's destination."""
@@ -158,6 +174,9 @@ class OnionProxy:
         #: Observability sinks; no-ops unless a live registry is wired in.
         self.metrics = NULL_METRICS
         self.trace = NULL_TRACE
+        # The probe flight in the air, if it is this proxy's: what
+        # ``_take_back`` needs to undo it and redo it as a cell.
+        self._airborne: tuple | None = None
 
     def set_consensus(self, consensus: Consensus) -> None:
         """Install a fresh network view (e.g. after a directory fetch)."""
@@ -398,6 +417,7 @@ class OnionProxy:
         stream_id = next(self._stream_ids) & 0xFFFF
         stream = TorStream(stream_id, circuit, f"{address}:{port}")
         stream._proxy = self
+        stream.opened_at_ms = self.sim.now
         circuit.streams[stream_id] = stream
         timeout = self.sim.schedule(
             timeout_ms, self._stream_timed_out, circuit, stream_id
@@ -420,6 +440,7 @@ class OnionProxy:
         on_connected, _, timeout = waiter
         timeout.cancel()
         stream.state = "open"
+        stream.connected_at_ms = self.sim.now
         self.metrics.inc("tor.streams_attached")
         if self.trace.enabled:
             self.trace.record(
@@ -477,6 +498,8 @@ class OnionProxy:
 
     def _send_stream_data(self, stream: TorStream, data: bytes) -> None:
         payload = bytes(data)
+        if 0 < len(payload) <= RELAY_DATA_LEN and self._fly(stream, payload):
+            return
         for start in range(0, len(payload), RELAY_DATA_LEN):
             self._send_relay_cell(
                 stream.circuit,
@@ -484,6 +507,212 @@ class OnionProxy:
                 stream.stream_id,
                 payload[start : start + RELAY_DATA_LEN],
             )
+
+    # ------------------------------------------------------------------
+    # Probe flights
+
+    def _fly(self, stream: TorStream, payload: bytes) -> bool:
+        """Send one DATA cell's worth of ``payload`` as a probe flight.
+
+        Returns ``False`` — nothing drawn, changed or scheduled that the
+        cell path will not redo identically — unless all of this holds:
+
+        * the path is intact end to end and ends at a reflector
+          (:meth:`_chart`, every state check a cell would meet);
+        * no forwarding model on it reads the clock;
+        * no other live event (nor the end of a bounded ``run``) is due
+          before the reply lands, a tie included. That is tested twice:
+          against the path's floor round trip (before the path is first
+          charted, the round trip the stream took to open) before
+          anything is drawn, so a timer-paced train or a concurrent
+          campaign pays one comparison, and against the drawn landing
+          time after;
+        * no hop's wait would have raised a ``queue_saturated`` event.
+
+        The walk makes the draws the cells would make, in their order —
+        link jitter at each send, forwarding delay at each arrival — by
+        calling what the cells call (:meth:`NetworkFabric.arrival_ms`,
+        :meth:`Relay.ready_ms`), so connections, queue heads and service
+        queues end up as the cells would leave them. A flight refused
+        after drawing gives every draw back (generator states restored
+        from a snapshot, queues rewound): all or nothing, no knob.
+        Counters move at the landing, when the cells would have moved
+        the last of them.
+        """
+        sim = self.sim
+        sim.ground_flight()
+        now = sim.now
+        floor = stream._floor_rtt_ms
+        if floor is None:
+            # Not charted yet. The stream took a round trip over the same
+            # path to open: a simulator that is not quiet for that long
+            # does not pay for a chart (refusing is always safe).
+            floor = stream.connected_at_ms - stream.opened_at_ms
+        if not sim.quiet_through(now + floor):
+            return False
+        chart = self._chart(stream, payload)
+        if chart is None:
+            return False
+        steps, _ = chart
+        if stream._floor_rtt_ms is None:
+            stream._floor_rtt_ms = self._floor_ms(steps)
+        fabric = self.fabric
+        jitter = fabric.latency.rng.bit_generator
+        # The relays met on the way back are the ones met on the way out.
+        generators = {jitter}.union(
+            step[3].forwarding.rng.bit_generator
+            for step in steps[: len(stream.circuit.layers)]
+        )
+        drawn = [(generator, generator.state) for generator in generators]
+        marks = [
+            (conn._last_arrival, None if relay is None else relay.queue_mark(peer))
+            for conn, peer, _, relay, _ in steps
+        ]
+        arrival_ms = fabric.arrival_ms
+        at = now
+        for conn, peer, size_bytes, relay, _ in steps:
+            at = arrival_ms(conn, size_bytes, at)
+            if relay is not None:
+                arrived = at
+                at = relay.ready_ms(peer, arrived)
+                if relay.service_queue is not None and relay.saturation_due(
+                    arrived, at
+                ):
+                    break
+        else:
+            if sim.launch_flight(
+                at, self._land, self._take_back, stream, payload, chart
+            ):
+                self._airborne = (stream, payload, steps, drawn, marks, jitter.state)
+                return True
+        self._give_back(steps, drawn, marks)
+        return False
+
+    def _chart(self, stream: TorStream, payload: bytes) -> tuple[list, object] | None:
+        """The segments a lone DATA cell on ``stream`` and its echo cross.
+
+        One ``(connection written to, its peer, bytes, relay that
+        processes the arrival or None, its circuit entry)`` per segment,
+        client to reflector and back, plus the reflector — or ``None``
+        if a cell sent now would not make the round trip: every check
+        the cell path makes on the way is made here (connection
+        established and open at both ends of every hop, circuit entry
+        present, live and the one the relay's table holds, exit stream
+        open, reflector open, circuit and stream still attached to this
+        proxy).
+        """
+        circuit = stream.circuit
+        circ_id = circuit.circ_id
+        first = conn = self._conn_for_circuit.get(circ_id)
+        if (
+            circuit.state != "built"
+            or self.circuits.get(circ_id) is not circuit
+            or circuit.streams.get(stream.stream_id) is not stream
+        ):
+            return None
+        steps: list[tuple] = []
+        # Out: every hop finds the circuit in its table and switches the
+        # cell forward. (An established connection has a peer.)
+        for _ in circuit.layers:
+            if conn is None or not conn.established:
+                return None
+            peer = conn._peer
+            relay = peer.owner
+            if not isinstance(relay, Relay) or relay.forwarding.reads_clock:
+                return None
+            entry, forward = relay.switch(peer, circ_id)
+            if entry is None or not forward:
+                return None
+            steps.append((conn, peer, CELL_SIZE_BYTES, relay, entry))
+            conn, circ_id = entry.next_conn, entry.next_circ_id
+        # The last hop recognizes the cell: out to the reflector and back.
+        conn = entry.exit_streams.get(stream.stream_id)
+        if conn is None or not conn.established:
+            return None
+        peer = conn._peer
+        reflector = peer.owner
+        if not getattr(reflector, "reflects_payloads", False):
+            return None
+        steps.append((conn, peer, relay.exit_segment_bytes(payload), None, None))
+        steps.append((peer, conn, reflector.segment_bytes(payload), None, None))
+        # Back: each relay met on the way out, nearest the exit first,
+        # finds the same entry from its other side.
+        for _, _, _, relay, expected in reversed(steps[: len(circuit.layers) - 1]):
+            conn, circ_id = entry.prev_conn, entry.prev_circ_id
+            peer = conn._peer
+            entry, forward = relay.switch(peer, circ_id)
+            if entry is not expected or forward:
+                return None
+            steps.append((conn, peer, CELL_SIZE_BYTES, relay, entry))
+        conn = entry.prev_conn
+        if conn._peer is not first or entry.prev_circ_id != circuit.circ_id:
+            return None
+        steps.append((conn, first, CELL_SIZE_BYTES, None, None))
+        # What ``send`` checks on the writer and ``_receive`` on the
+        # reader, for every segment.
+        for conn, peer, _, _, _ in steps:
+            if not conn.established or conn.closed or peer.closed:
+                return None
+        return steps, reflector
+
+    def _floor_ms(self, steps: list[tuple]) -> Milliseconds:
+        """The least the charted round trip can take: every segment at
+        its deterministic floor, every relay at its minimum wait."""
+        latency = self.fabric.latency
+        floor = 0.0
+        for conn, _, size_bytes, relay, _ in steps:
+            floor += latency.base_one_way_ms(
+                conn.local, conn.remote, conn.traffic_class
+            ) + conn.local.serialization_delay_ms(size_bytes)
+            if relay is not None:
+                floor += relay.floor_ms()
+        return floor
+
+    def _give_back(self, steps: list[tuple], drawn: list, marks: list) -> None:
+        """Undo a walk: generator states, arrivals, queue heads, queues."""
+        for generator, state in drawn:
+            generator.state = state
+        # Backwards: a relay met twice took its second mark after its
+        # first admission.
+        for (conn, peer, _, relay, _), (last_arrival, mark) in zip(
+            reversed(steps), reversed(marks)
+        ):
+            conn._last_arrival = last_arrival
+            if relay is not None:
+                relay.queue_rewind(peer, mark)
+        self.metrics.inc("echo.flight_rollbacks")
+
+    def _take_back(self) -> bool:
+        """Undo the flight in the air and send its payload as a cell
+        (see :meth:`Simulator.ground_flight`). Exact unless someone has
+        drawn link jitter since the launch — the one stream reachable
+        from outside an event."""
+        stream, payload, steps, drawn, marks, jitter_state = self._airborne
+        self._airborne = None
+        untouched = self.fabric.latency.rng.bit_generator.state == jitter_state
+        self._give_back(steps, drawn, marks)
+        self._send_relay_cell(
+            stream.circuit, RelayCommand.DATA, stream.stream_id, payload
+        )
+        return untouched
+
+    def _land(self, stream: TorStream, payload: bytes, chart: tuple) -> None:
+        """The one event of a flight: count what the cells would have
+        counted, then deliver the echo if every check still holds."""
+        self._airborne = None
+        steps, reflector = chart
+        for step in steps:
+            if step[3] is not None:
+                step[3].count_cell(True)
+        reflector.count_echo()
+        self.metrics.inc("echo.probes_flown")
+        # Nothing can have fired since the launch, but the code that
+        # launched it ran on: evaluate every check again, as the cells
+        # would have met them on the way.
+        if self._chart(stream, payload) != chart:
+            return
+        if stream.on_data is not None:
+            stream.on_data(payload)
 
     def _end_stream(self, stream: TorStream) -> None:
         stream.circuit.streams.pop(stream.stream_id, None)
@@ -611,6 +840,10 @@ class OnionProxy:
         stamped with that hop's forward digest and the body is encrypted
         innermost-first from that hop back to the entry.
         """
+        # A flight in the air must come back as a cell first: its cell
+        # would have drawn its link jitter, and advanced this circuit's
+        # ciphers and digests, before this one does.
+        self.sim.ground_flight()
         if not circuit.layers:
             raise CircuitError("circuit has no completed hops")
         hop = target_hop if target_hop is not None else len(circuit.layers) - 1
@@ -636,6 +869,7 @@ class OnionProxy:
         """Tear down a circuit (sends DESTROY toward the entry relay)."""
         if circuit.state == "closed":
             return
+        self.sim.ground_flight()
         previous_state = circuit.state
         circuit.state = "closed"
         build = self._builds.pop(circuit.circ_id, None)

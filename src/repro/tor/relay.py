@@ -53,6 +53,12 @@ class ForwardingDelayModel:
     hits a long burst (scheduler stall, bandwidth throttle refill).
     """
 
+    #: Whether :meth:`sample` reads the simulated clock. A subclass that
+    #: does must say so: a probe flight samples every hop of a path
+    #: inside one event, with the clock still at the launch instant, and
+    #: leaves a path with such a model on it to the cell path.
+    reads_clock = False
+
     def __init__(
         self,
         rng: np.random.Generator,
@@ -74,6 +80,12 @@ class ForwardingDelayModel:
         self.queue_scale_ms = queue_scale_ms
         self.burst_probability = burst_probability
         self.burst_scale_ms = burst_scale_ms
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator every draw comes from (a probe flight snapshots
+        it so that it can give its draws back)."""
+        return self._rng
 
     def sample(self) -> Milliseconds:
         """One cell's forwarding delay in milliseconds."""
@@ -121,6 +133,14 @@ class ServiceQueue:
         """How long a cell arriving now would wait before service."""
         return max(0.0, self._busy_until - now)
 
+    def mark(self) -> tuple[Milliseconds, int]:
+        """The queue's state, for :meth:`rewind` to put back."""
+        return self._busy_until, self.cells_served
+
+    def rewind(self, mark: tuple[Milliseconds, int]) -> None:
+        """Forget every admission since ``mark`` was taken."""
+        self._busy_until, self.cells_served = mark
+
 
 class DiurnalForwardingDelayModel(ForwardingDelayModel):
     """A forwarding-delay model whose load follows a daily cycle.
@@ -133,6 +153,8 @@ class DiurnalForwardingDelayModel(ForwardingDelayModel):
     """
 
     PERIOD_MS = 24.0 * 3600.0 * 1000.0
+
+    reads_clock = True
 
     def __init__(
         self,
@@ -275,6 +297,7 @@ class Relay:
     def _accept_or_connection(self, conn: StreamConnection) -> None:
         if self.conn_registry is not None:
             self.conn_registry.add(self)
+        conn.owner = self
         conn.on_data = lambda cell, c=conn: self._cell_arrived(c, cell)
 
     def _or_conn_to(
@@ -302,6 +325,7 @@ class Relay:
             self.conn_registry.add(self)
 
         def established(conn: StreamConnection) -> None:
+            conn.owner = self
             conn.on_data = lambda cell, c=conn: self._cell_arrived(c, cell)
             on_ready(conn)
 
@@ -324,39 +348,77 @@ class Relay:
         cell overtake it — otherwise the per-hop stream ciphers, which
         must advance in lockstep on both sides, would desynchronize.
         """
+        now = self.sim.now
+        ready_at = self.ready_ms(conn, now)
+        if self.service_queue is not None and self.saturation_due(now, ready_at):
+            self._last_saturation_ms = now
+            self.events.warning(
+                "relay",
+                "queue_saturated",
+                relay=self.nickname,
+                backlog_ms=round(ready_at - now, 3),
+            )
+        self.sim.schedule_at(ready_at, self._process_cell, conn, cell)
+
+    def ready_ms(self, conn: StreamConnection, now: Milliseconds) -> Milliseconds:
+        """When a cell arriving on ``conn`` at ``now`` is ready to be processed.
+
+        Draws the cell's forwarding delay, holds it behind the
+        connection's previous cell, admits it to the service queue, and
+        records the result as the connection's new queue head. The one
+        place a cell's wait at this relay is written:
+        :meth:`_cell_arrived` schedules the processing at the result, a
+        probe flight (:mod:`repro.tor.client`) walks on from it.
+        """
         ready_at = max(
-            self.sim.now + self.forwarding.sample(),
+            now + self.forwarding.sample(),
             self._queue_head.get(id(conn), 0.0) + 1e-6,
         )
         if self.service_queue is not None:
             # Real queueing: this cell also has to wait for the relay's
             # forwarding capacity, shared with every other circuit.
-            ready_at = max(ready_at, self.service_queue.admit(self.sim.now))
-            events = self.events
-            if events.enabled:
-                backlog = ready_at - self.sim.now
-                if (
-                    backlog >= self.QUEUE_SATURATION_MS
-                    and self.sim.now - self._last_saturation_ms
-                    >= self.SATURATION_COOLDOWN_MS
-                ):
-                    self._last_saturation_ms = self.sim.now
-                    events.warning(
-                        "relay",
-                        "queue_saturated",
-                        relay=self.nickname,
-                        backlog_ms=round(backlog, 3),
-                    )
+            ready_at = max(ready_at, self.service_queue.admit(now))
         self._queue_head[id(conn)] = ready_at
-        self.sim.schedule_at(ready_at, self._process_cell, conn, cell)
+        return ready_at
+
+    def floor_ms(self) -> Milliseconds:
+        """The least :meth:`ready_ms` can add to an arrival time."""
+        floor = self.forwarding.crypto_floor_ms
+        if self.service_queue is not None:
+            floor = max(floor, self.service_queue.service_time_ms)
+        return floor
+
+    def queue_mark(self, conn: StreamConnection) -> tuple:
+        """What :meth:`ready_ms` on ``conn`` overwrites, for
+        :meth:`queue_rewind` to put back."""
+        queue = self.service_queue
+        return (
+            self._queue_head.get(id(conn)),
+            None if queue is None else queue.mark(),
+        )
+
+    def queue_rewind(self, conn: StreamConnection, mark: tuple) -> None:
+        """Undo every :meth:`ready_ms` on ``conn`` since ``mark`` was taken."""
+        head, served = mark
+        if head is None:
+            self._queue_head.pop(id(conn), None)
+        else:
+            self._queue_head[id(conn)] = head
+        if served is not None:
+            self.service_queue.rewind(served)
+
+    def saturation_due(self, now: Milliseconds, ready_at: Milliseconds) -> bool:
+        """Whether a cell held in the service queue from ``now`` to
+        ``ready_at`` warrants a ``queue_saturated`` event (bus live,
+        backlog at the threshold, cooldown over)."""
+        return (
+            self.events.enabled
+            and ready_at - now >= self.QUEUE_SATURATION_MS
+            and now - self._last_saturation_ms >= self.SATURATION_COOLDOWN_MS
+        )
 
     def _process_cell(self, conn: StreamConnection, cell: Cell) -> None:
-        self.cells_processed += 1
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.inc("relay.cells_processed")
-            if cell.command is CellCommand.RELAY:
-                metrics.inc("relay.cells_relayed")
+        self.count_cell(cell.command is CellCommand.RELAY)
         if cell.command is CellCommand.CREATE:
             self._handle_create(conn, cell)
         elif cell.command is CellCommand.CREATED:
@@ -366,6 +428,15 @@ class Relay:
         elif cell.command is CellCommand.DESTROY:
             self._handle_destroy(conn, cell)
         # PADDING and unknown commands are dropped.
+
+    def count_cell(self, relayed: bool) -> None:
+        """Account for one cell processed here (a RELAY cell if ``relayed``)."""
+        self.cells_processed += 1
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.inc("relay.cells_processed")
+            if relayed:
+                metrics.inc("relay.cells_relayed")
 
     def _handle_create(self, conn: StreamConnection, cell: Cell) -> None:
         key = (id(conn), cell.circ_id)
@@ -392,16 +463,30 @@ class Relay:
     # --- RELAY cells ----------------------------------------------------
 
     def _handle_relay(self, conn: StreamConnection, cell: Cell) -> None:
-        key = (id(conn), cell.circ_id)
+        entry, forward = self.switch(conn, cell.circ_id)
+        if entry is None:
+            self._send_cell(
+                conn, Cell(cell.circ_id, CellCommand.DESTROY, "unknown circuit")
+            )
+        elif forward:
+            self._relay_forward(entry, cell)
+        else:
+            self._relay_backward(entry, cell)
+
+    def switch(
+        self, conn: StreamConnection, circ_id: int
+    ) -> tuple[_CircuitEntry | None, bool]:
+        """The live circuit a RELAY cell arriving on ``conn`` belongs to,
+        and whether it travels forward (away from the client);
+        ``(None, False)`` for a circuit this relay does not carry."""
+        key = (id(conn), circ_id)
         entry = self._circuits.get(key)
         if entry is not None and not entry.torn_down:
-            self._relay_forward(entry, cell)
-            return
+            return entry, True
         entry = self._next_side.get(key)
         if entry is not None and not entry.torn_down:
-            self._relay_backward(entry, cell)
-            return
-        self._send_cell(conn, Cell(cell.circ_id, CellCommand.DESTROY, "unknown circuit"))
+            return entry, False
+        return None, False
 
     def _relay_forward(self, entry: _CircuitEntry, cell: Cell) -> None:
         body = entry.crypto.peel_forward(cell.payload)
@@ -535,7 +620,12 @@ class Relay:
         if exit_conn is None or exit_conn.closed:
             self._send_backward(entry, RelayCommand.END, body.stream_id, b"no stream")
             return
-        exit_conn.send(body.data, size_bytes=max(64, len(body.data)))
+        exit_conn.send(body.data, size_bytes=self.exit_segment_bytes(body.data))
+
+    @staticmethod
+    def exit_segment_bytes(data: bytes) -> int:
+        """Bytes on the wire for ``data`` leaving an exit stream."""
+        return max(64, len(data))
 
     def _exit_data_arrived(
         self, entry: _CircuitEntry, stream_id: int, data: bytes

@@ -476,3 +476,134 @@ class TestStopWhen:
         sim.run(stop_when=lambda: bool(done))
         assert sim.now == 1.0
         assert done == [True]
+
+
+class TestFlights:
+    """``quiet_through`` / ``launch_flight`` / ``ground_flight``: one event
+    standing for a chain, and the engine keeping it alone in the air."""
+
+    @staticmethod
+    def _flight(sim, lands_at, replays_exactly=True):
+        log = []
+
+        def take_back():
+            log.append(("taken back", sim.now))
+            return replays_exactly
+
+        launched = sim.launch_flight(
+            lands_at,
+            lambda *args: log.append(("landed", sim.now, args)),
+            take_back,
+            "a",
+            1,
+        )
+        return launched, log
+
+    def test_quiet_through_is_about_live_events_up_to_and_including_the_time(self):
+        sim = Simulator()
+        assert sim.quiet_through(1e9)
+        sim.schedule(5.0, lambda: None)
+        assert sim.quiet_through(4.999)
+        assert not sim.quiet_through(5.0)  # a tie is not quiet
+        assert not sim.quiet_through(6.0)
+
+    def test_quiet_through_looks_past_cancelled_entries_and_leaves_them(self):
+        sim = Simulator()
+        early = [sim.schedule(float(i), lambda: None) for i in range(1, 8)]
+        sim.schedule(50.0, lambda: None)
+        for handle in early:
+            handle.cancel()
+        before = (sim.pending, sim.cancelled_pending)
+        assert sim.quiet_through(49.0)
+        assert not sim.quiet_through(50.0)
+        assert (sim.pending, sim.cancelled_pending) == before
+
+    def test_quiet_through_stops_at_the_until_of_the_run_in_progress(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(
+            1.0, lambda: seen.append((sim.quiet_through(9.0), sim.quiet_through(10.5)))
+        )
+        sim.run(until=10.0)
+        assert seen == [(True, False)]
+        assert sim.quiet_through(10.5)  # no run in progress any more
+
+    def test_flight_lands_as_one_event(self):
+        sim = Simulator()
+        launched, log = self._flight(sim, 7.5)
+        assert launched
+        sim.run()
+        assert log == [("landed", 7.5, ("a", 1))]
+        assert sim.events_processed == 1
+
+    def test_flight_is_refused_when_something_is_due_first_or_at_the_same_time(self):
+        sim = Simulator()
+        sim.schedule(7.5, lambda: None)
+        launched, log = self._flight(sim, 7.5)
+        assert not launched
+        assert sim.pending == 1
+        launched, _ = self._flight(sim, 7.4)
+        assert launched
+
+    def test_scheduling_before_the_landing_takes_the_flight_back_first(self):
+        sim = Simulator()
+        sim.schedule(100.0, lambda: None)
+        _, log = self._flight(sim, 7.5)
+        order = []
+        sim.schedule(3.0, order.append, "early")
+        assert log == [("taken back", 0.0)]
+        # The landing left the heap without counting as a cancellation.
+        assert (sim.pending, sim.events_cancelled) == (2, 0)
+        sim.schedule(8.0, order.append, "late")
+        sim.run()
+        assert order == ["early", "late"]
+        assert log == [("taken back", 0.0)]
+
+    def test_scheduling_at_or_after_the_landing_leaves_the_flight_up(self):
+        sim = Simulator()
+        _, log = self._flight(sim, 7.5)
+        sim.schedule(7.5001, lambda: log.append(("timer", sim.now)))
+        sim.run()
+        assert log == [("landed", 7.5, ("a", 1)), ("timer", 7.5001)]
+
+    def test_a_tie_with_the_landing_takes_the_flight_back(self):
+        # The chain's own last event would have been scheduled later
+        # than this one and so fired after it; the landing would not.
+        sim = Simulator()
+        _, log = self._flight(sim, 7.5)
+        sim.schedule(7.5, lambda: None)
+        assert log == [("taken back", 0.0)]
+
+    def test_bounded_run_short_of_the_landing_takes_the_flight_back(self):
+        sim = Simulator()
+        _, log = self._flight(sim, 7.5)
+        sim.run(until=5.0)
+        assert log == [("taken back", 0.0)]
+        assert sim.now == 5.0
+
+    def test_a_flight_that_cannot_be_replayed_fails_fast(self):
+        # The regression: a bounded run() returned with a flight in the
+        # air, and the caller arranged something before the landing that
+        # the flight's owner cannot replay exactly.
+        sim = Simulator()
+        sim.schedule(0.0, lambda: self._flight(sim, 7.5, replays_exactly=False))
+        sim.run(max_events=1)
+        with pytest.raises(SimulationError, match=r"lands at 7\.5 ms"):
+            sim.schedule(3.0, lambda: None)
+
+    def test_one_flight_at_a_time(self):
+        sim = Simulator()
+        self._flight(sim, 7.5)
+        with pytest.raises(SimulationError, match="already in the air"):
+            self._flight(sim, 9.0)
+
+    def test_after_landing_the_engine_is_as_before(self):
+        sim = Simulator()
+        _, log = self._flight(sim, 7.5)
+        sim.run()
+        sim.schedule(0.5, lambda: log.append(("timer", sim.now)))
+        launched, second = self._flight(sim, 7.9)
+        assert launched
+        sim.run()
+        assert log[-1] == ("timer", 8.0)
+        assert second == [("landed", 7.9, ("a", 1))]

@@ -18,6 +18,10 @@ from hypothesis import given, strategies as st
 import repro
 from repro.netsim.routing import BackboneGraph
 
+# At module scope: inside the ``@given`` body the first example paid the
+# ≈ 170 ms import and tripped Hypothesis's 200 ms deadline on a busy box.
+nx = pytest.importorskip("networkx")
+
 _node = st.integers(min_value=0, max_value=12)
 _graphs = st.tuples(
     st.lists(_node, max_size=6),
@@ -31,7 +35,6 @@ _graphs = st.tuples(
 class TestAgainstNetworkx:
     @given(_graphs)
     def test_same_nodes_links_attributes_and_component_order(self, spec):
-        nx = pytest.importorskip("networkx")
         isolated, links = spec
         ours, theirs = BackboneGraph(), nx.Graph()
         for graph in (ours, theirs):

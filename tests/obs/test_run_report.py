@@ -150,6 +150,26 @@ class TestBuildReport:
         data = build_report(matrix, metrics=metrics).to_dict()
         assert data["failures"]["by_category"] == {"timeout": 1}
 
+    def test_probe_cost_reports_flown_over_sent(self):
+        matrix = _matrix({("A", "B"): 10.0})
+        metrics = {
+            "counters": {
+                "echo.probes_sent": 200,
+                "echo.probes_flown": 150,
+                "echo.flight_rollbacks": 3,
+            },
+            "gauges": {},
+            "histograms": {},
+        }
+        report = build_report(matrix, metrics=metrics)
+        cost = report.to_dict()["cost"]
+        assert (cost["probes_flown"], cost["flown_fraction"]) == (150, 0.75)
+        assert cost["flight_rollbacks"] == 3
+        assert (
+            "  probes flown           150 (75.0% of sent; 3 flights rolled back)"
+            in report.render_text()
+        )
+
     def test_shard_balance(self, fixture_inputs):
         matrix, _, _, _ = fixture_inputs
 
@@ -280,6 +300,26 @@ class TestReportCommand:
         dataset = json.loads(dataset_path.read_text())
         assert dataset["format"] == "ting-campaign/1"
         assert len(dataset["provenance"]) == 6
+
+    def test_flight_counters_merge_across_shards(self, tmp_path, capsys):
+        json_path = tmp_path / "report.json"
+        code = main(
+            [
+                "report",
+                "--relays", "4",
+                "--network-size", "16",
+                "--samples", "6",
+                "--policy", "adaptive-1ms",  # ping-pong: every probe flies
+                "--workers", "2",
+                "--no-ground-truth",
+                "--json", str(json_path),
+            ]
+        )
+        assert code == 0
+        assert "  probes flown  " in capsys.readouterr().out
+        cost = json.loads(json_path.read_text())["cost"]
+        assert cost["probes_flown"] == cost["probes_sent"] > 0
+        assert cost["flight_rollbacks"] == 0
 
     def test_report_from_saved_dataset(self, tmp_path, capsys):
         dataset_path = tmp_path / "dataset.json"
