@@ -5,9 +5,9 @@ Two budgets pinned here:
 * **Scoring scale** — grading a 1,000-relay dataset (half a million
   candidate pairs, tens of thousands of provenance rows) must stay
   under a hard wall ceiling. The scorer is vectorized column reads over
-  the provenance log plus O(n²) numpy arrays; a regression to
-  per-record Python loops shows up as an order-of-magnitude miss, not
-  a marginal one.
+  the provenance log and the matrix's measured entries; a regression
+  to per-record Python loops, or back to gathering and scattering n²
+  arrays, shows up as a several-fold miss, not a marginal one.
 * **Disabled-path overhead** — campaigns that never ask for quality
   scoring must not pay for its existence. The planner's quality axis
   is one ``is None`` branch per plan and ``absorb`` adds one cache-
@@ -16,6 +16,7 @@ Two budgets pinned here:
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,8 +31,10 @@ from repro.core.dataset import (
 from repro.core.planner import CampaignPlanner
 from repro.obs.health import health_report
 
-#: Hard ceiling for one full scorecard of the 1,000-relay dataset.
-SCORING_CEILING_S = 2.0
+#: Hard ceiling for one full scorecard of the 1,000-relay dataset:
+#: 5x the 26 ms it reads here (it was 2.0 s when scoring was dense and
+#: read 96 ms).
+SCORING_CEILING_S = 0.15
 #: Disabled-path (no quality scoring) overhead budget.
 OVERHEAD_CEILING = 0.02
 
@@ -93,7 +96,7 @@ def _thousand_relay_dataset(n_relays: int, measured_pairs: int):
 
 @pytest.mark.benchguard
 def test_thousand_relay_health_scoring_guard(report):
-    """One full scorecard of a 1,000-relay dataset must beat 2 s."""
+    """One full scorecard of a 1,000-relay dataset must beat the ceiling."""
     n_relays = scaled(1000, minimum=400)
     measured = scaled(20_000, minimum=4_000)
     dataset = _thousand_relay_dataset(n_relays, measured)
@@ -154,7 +157,8 @@ def test_disabled_quality_overhead_guard(report):
     round_s = _best_of(3, plan_and_absorb)
 
     n = 200_000
-    planner = CampaignPlanner(nodes, dataset=dataset, seed=1)
+    # What the planner holds for an axis nobody passed.
+    axis = SimpleNamespace(reader=None)
 
     def time_loop(op) -> float:
         start = time.perf_counter()
@@ -163,7 +167,7 @@ def test_disabled_quality_overhead_guard(report):
         return time.perf_counter() - start
 
     def null_branch():
-        if planner._quality is not None:
+        if axis.reader is not None:
             raise AssertionError
 
     def cache_drop():

@@ -45,6 +45,67 @@ echo "== probe flight contract =="
 # a flight that drifts from the cells is reported as that.
 python -m pytest tests/contract/test_probe_flight.py -x -q
 
+echo "== sparse tail contract =="
+# Plan, quality and health read the dataset's measured set, not its
+# matrix. The differential that holds them to the dense code they
+# replaced (frozen in the test file) — same pairs, scores, breakdown,
+# quality accessors and scorecard dict — and the guard that their
+# containers and allocations do not grow with the relay count, on their
+# own for the same reason as above: a moved plan is reported as that,
+# not as a wall of moved campaign numbers.
+python -m pytest tests/contract/test_sparse_tail.py tests/core/test_tail_scaling.py -x -q
+# The paper-scale rung, printed and never gated until bench/ carries a
+# pipeline_paperscale workload: the benchmark's 100 + 50-pair cycle on
+# a synthetic dataset (no simulation), one process per size so that
+# ru_maxrss is that size's own.
+for relays in 1000 6500; do
+python - "$relays" <<'PY'
+import resource, sys, time
+
+import numpy as np
+
+from repro.core.dataset import CampaignDataset, PairProvenance, ProvenanceLog, RttMatrix
+from repro.core.planner import CampaignPlanner
+from repro.obs.health import health_report
+
+n = int(sys.argv[1])
+fps = [f"{k:040X}" for k in range(n)]
+rng = np.random.default_rng(47)
+walls = {}
+
+
+def timed(name, call):
+    start = time.perf_counter()
+    result = call()
+    walls[name] = time.perf_counter() - start
+    return result
+
+
+def measure(pairs):
+    fresh, log = RttMatrix(fps), ProvenanceLog()
+    for x, y in pairs:
+        rtt = float(rng.uniform(5.0, 300.0))
+        fresh.set(x, y, rtt)
+        log.add(PairProvenance(x=x, y=y, rtt_ms=rtt, samples_requested=4, samples_kept=4))
+    return fresh, log
+
+
+plan = timed("plan-cold", lambda: CampaignPlanner(fps, seed=47).plan(budget_pairs=100))
+dataset = CampaignDataset(matrix=RttMatrix(fps))
+dataset.absorb(*measure(plan.pairs))
+quality = timed("quality", dataset.quality)
+replan = timed("plan-refresh", lambda: CampaignPlanner(
+    fps, dataset=dataset, seed=48, quality=quality).plan(budget_pairs=50))
+dataset.absorb(*measure(replan.pairs))
+report = timed("health", lambda: health_report(dataset))
+assert (len(plan.pairs), len(replan.pairs), report.ok) == (100, 50, True)
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"tail cycle, {n:>5} relays: "
+      + "  ".join(f"{name} {wall:.3f}s" for name, wall in walls.items())
+      + f"  sum {sum(walls.values()):.2f}s  ru_maxrss {rss_mb:.0f} MB")
+PY
+done
+
 echo "== source size (printed, never gated) =="
 # ROADMAP item 1's target is src/ <= 17.5k lines; the three engine
 # files are where "one campaign engine" is counted.

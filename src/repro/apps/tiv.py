@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dataset import RttMatrix
+from repro.core.dataset import RttMatrix, measured_upper
 from repro.util.errors import ConfigurationError, MeasurementError
 
 
@@ -84,8 +84,8 @@ def tiv_rate(
     # undercut a measured direct path, which is exactly "excluded".
     work = np.where(np.isnan(rtt), np.inf, rtt)
     np.fill_diagonal(work, np.inf)
-    iu, ju = np.triu_indices(n, k=1)
-    measured = np.isfinite(work[iu, ju])
+    iu, ju, direct = measured_upper(rtt)
+    measured = np.isfinite(direct)
     iu, ju = iu[measured], ju[measured]
     total = int(iu.size)
     if total == 0:

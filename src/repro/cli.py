@@ -823,6 +823,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     ``.npz`` selects the binary format).
     """
     status = _status(args)
+    if args.budget is not None and args.budget < 0:
+        print("--budget must be zero or more pairs", file=sys.stderr)
+        return 2
     status(f"Building live-Tor-style network ({args.network_size} relays) ...")
     factory = functools.partial(
         LiveTorTestbed.build, seed=args.seed, n_relays=args.network_size

@@ -37,12 +37,79 @@ import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.util.errors import MeasurementError
 from repro.util.units import Milliseconds
+
+
+# ----------------------------------------------------------------------
+# The measured set, not the matrix: sparse readers shared by every
+# consumer of the write-side tail (planner, quality, health, TIV rate)
+
+
+def measured_upper(
+    values: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-NaN entries above the diagonal of an ``n×n`` array, as
+    ``(i, j, value)`` in row-major order — the order an upper-triangle
+    walk visits them.
+
+    One ``isnan`` read of the array (a memory-mapped one included) and
+    one boolean temporary; the index and value arrays are sized by the
+    measured set, so a budgeted campaign's 150 entries in a 6,500-relay
+    matrix cost 150 rows, not 21M.
+    """
+    mask = np.isnan(values)
+    np.logical_not(mask, out=mask)
+    # Both triangles and the diagonal: 2 x measured + n flat positions.
+    i, j = np.divmod(np.flatnonzero(mask), values.shape[0])
+    above = i < j
+    i, j = i[above], j[above]
+    return i, j, np.asarray(values[i, j])
+
+
+def pair_slot(i: Any, j: Any, n: int) -> Any:
+    """Position of pair ``(i, j)``, ``i < j``, in the row-major walk of
+    the strict upper triangle over ``n`` nodes (scalars or arrays)."""
+    return i * n - i * (i + 1) // 2 + j - i - 1
+
+
+def slot_pair(slot: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`pair_slot`: the ``(i, j)`` behind each slot."""
+    rows = np.arange(n, dtype=np.int64)
+    starts = pair_slot(rows, rows + 1, n)
+    i = np.searchsorted(starts, slot, side="right") - 1
+    return i, slot - starts[i] + i + 1
+
+
+def sorted_lookup(
+    keys: np.ndarray, values: np.ndarray, wanted: np.ndarray, missing: float
+) -> np.ndarray:
+    """``values[k]`` where ``keys[k] == wanted`` (``keys`` sorted and
+    unique), ``missing`` where no key matches."""
+    found_values = np.full(wanted.shape, missing)
+    if keys.size:
+        at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        found = keys[at] == wanted
+        found_values[found] = values[at[found]]
+    return found_values
+
+
+class LatestRows(NamedTuple):
+    """:meth:`ProvenanceLog.latest_rows` output: one entry per unordered
+    pair with history, sorted row-major by ``(i, j)``."""
+
+    #: Smaller node index of the pair.
+    i: np.ndarray
+    #: Larger node index (equal to ``i`` for a self-pair record).
+    j: np.ndarray
+    #: Log row of the pair's latest record.
+    row: np.ndarray
+    #: Failed-record count over the pair's whole history.
+    failures: np.ndarray
 
 
 class RttMatrix:
@@ -178,14 +245,29 @@ class RttMatrix:
             for b in self.nodes[i + 1 :]:
                 yield (a, b)
 
+    def measured_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every measured pair as index and value arrays ``(i, j,
+        value)``, ``i < j``, in row-major order (:func:`measured_upper`
+        of the backing array). Sized by the measured set."""
+        return measured_upper(self._matrix)
+
+    def _write_entries(
+        self, i: np.ndarray, j: np.ndarray, values: np.ndarray
+    ) -> None:
+        """:meth:`set` for many *distinct* pairs in one scatter; the
+        measured count grows by the targets that were NaN before it."""
+        if self._readonly:
+            self._materialize()
+        self._num_measured += int(np.isnan(self._matrix[i, j]).sum())
+        self._matrix[i, j] = values
+        self._matrix[j, i] = values
+
     def measured_pairs(self) -> Iterator[tuple[str, str, Milliseconds]]:
         """All measured unordered pairs with their RTTs."""
-        n = len(self.nodes)
-        iu, ju = np.triu_indices(n, k=1)
-        values = self._matrix[iu, ju]
-        keep = ~np.isnan(values)
-        for i, j, value in zip(iu[keep], ju[keep], values[keep]):
-            yield (self.nodes[i], self.nodes[j], float(value))
+        nodes = self.nodes
+        i, j, values = self.measured_entries()
+        for a, b, value in zip(i.tolist(), j.tolist(), values.tolist()):
+            yield (nodes[a], nodes[b], value)
 
     @property
     def is_complete(self) -> bool:
@@ -214,10 +296,7 @@ class RttMatrix:
 
     def values(self) -> np.ndarray:
         """All measured RTTs as a flat array (one entry per pair)."""
-        n = len(self.nodes)
-        iu, ju = np.triu_indices(n, k=1)
-        upper = self._matrix[iu, ju]
-        return upper[~np.isnan(upper)]
+        return self.measured_entries()[2]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -237,10 +316,8 @@ class RttMatrix:
     def submatrix(self, nodes: list[str]) -> "RttMatrix":
         """Restrict to a node subset, keeping measured values."""
         sub = RttMatrix(nodes)
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                if self.has(a, b):
-                    sub.set(a, b, self.get(a, b))
+        rows = [self.index_of(node) for node in nodes]
+        sub._write_entries(*measured_upper(self._matrix[np.ix_(rows, rows)]))
         return sub
 
     def content_hash(self) -> str:
@@ -914,23 +991,40 @@ class ProvenanceLog:
             breakdown[name] = breakdown.get(name, 0) + 1
         return breakdown
 
-    def last_row_for_pairs(self) -> dict[tuple[int, int], int]:
-        """Latest log row per unordered pair, keyed by *name-table*
-        index pairs (smaller code first). Insertion order is the only
-        clock the log has, so the planner uses these row numbers as a
-        staleness proxy: lower row → older measurement."""
-        xs = self._pairs.column("x")
-        ys = self._pairs.column("y")
-        lo = np.minimum(xs, ys)
-        hi = np.maximum(xs, ys)
-        latest: dict[tuple[int, int], int] = {}
-        for row, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            latest[(a, b)] = row
-        return latest
+    def latest_rows(self, nodes: Sequence[str]) -> LatestRows:
+        """The latest record of every unordered pair over ``nodes``.
 
-    def name_table(self) -> list[str]:
-        """The interned node-identifier table (index = column code)."""
-        return list(self._names)
+        Insertion order is the only clock the log has, so a pair's
+        latest row number is its age (lower row → older measurement) —
+        what planner staleness and quality scoring read. Records naming
+        a node outside ``nodes`` are skipped; indices are positions in
+        ``nodes``. Column reads sized by the history, no record
+        materialization and nothing sized by ``len(nodes)²``.
+        """
+        n = len(nodes)
+        node_index = {node: i for i, node in enumerate(nodes)}
+        code_map = np.array(
+            [node_index.get(name, -1) for name in self._names], dtype=np.int64
+        )
+        xi = code_map[self._pairs.column("x")]
+        yi = code_map[self._pairs.column("y")]
+        rows = np.flatnonzero((xi >= 0) & (yi >= 0))
+        keys = np.minimum(xi[rows], yi[rows]) * n + np.maximum(xi[rows], yi[rows])
+        # First occurrence in the reversed key stream is the last in
+        # insertion order.
+        uniq, rev_first = np.unique(keys[::-1], return_index=True)
+        latest = rows[keys.size - 1 - rev_first]
+        failed_code = self._cat_ids.get("failed")
+        if failed_code is None:
+            failures = np.zeros(uniq.size, dtype=np.int64)
+        else:
+            # Lifetime failure counts via ranks into the unique-key
+            # table (never a dense n² bincount).
+            failed = self._pairs.column("status")[rows] == failed_code
+            failures = np.bincount(
+                np.searchsorted(uniq, keys[failed]), minlength=uniq.size
+            )
+        return LatestRows(uniq // n, uniq % n, latest, failures)
 
     def status_codes(self) -> tuple[np.ndarray, dict[str, int]]:
         """The raw status column plus the category→code mapping, for
@@ -1236,31 +1330,17 @@ class CampaignDataset:
             grown = RttMatrix(self.matrix.nodes + new_nodes)
             old_n = len(self.matrix.nodes)
             grown._matrix[:old_n, :old_n] = self.matrix._matrix
-            grown._recount()
+            grown._num_measured = self.matrix._num_measured
             self.matrix = grown
 
-        incoming = matrix._matrix
-        n = len(matrix.nodes)
-        target = self.matrix._matrix
-        if matrix.nodes == self.matrix.nodes:
-            # Aligned node sets: one vectorized overwrite.
-            mask = ~np.isnan(incoming)
-            np.fill_diagonal(mask, False)
-            target[mask] = incoming[mask]
-            self.matrix._recount()
-            updated = int(mask.sum()) // 2
-        else:
-            iu, ju = np.triu_indices(n, k=1)
-            values = incoming[iu, ju]
-            keep = ~np.isnan(values)
-            rows = np.array([self.matrix._index[node] for node in matrix.nodes])
-            updated = 0
-            for i, j, value in zip(rows[iu[keep]], rows[ju[keep]], values[keep]):
-                if math.isnan(target[i, j]):
-                    self.matrix._num_measured += 1
-                target[i, j] = value
-                target[j, i] = value
-                updated += 1
+        # The incoming measured set, scattered through the node map:
+        # cost follows what the refresh measured, whatever the two
+        # matrices' sizes and node orders.
+        i, j, values = matrix.measured_entries()
+        index = self.matrix._index
+        rows = np.array([index[node] for node in matrix.nodes], dtype=np.int64)
+        self.matrix._write_entries(rows[i], rows[j], values)
+        updated = int(values.size)
         if provenance is not None:
             self.provenance.merge(provenance)
         if meta:

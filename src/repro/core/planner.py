@@ -28,10 +28,19 @@ relay set against an existing :class:`~repro.core.dataset.CampaignDataset`
 
 The weighted sum plus a tiny seeded jitter (deterministic tie-breaking
 that still spreads equal-score pairs instead of always favouring low
-indices) is sorted descending and cut to the budget. The resulting
-:class:`CampaignPlan` feeds straight into
+indices) orders the pairs, highest first, and the budget cuts the list.
+The resulting :class:`CampaignPlan` feeds straight into
 ``ShardedCampaign(pairs=plan.pairs)``'s work-stealing chunk queue, and
 the refreshed results fold back with ``CampaignDataset.absorb``.
+
+The cost of a plan follows what the dataset *holds*, not the square of
+the relay count: the axes are computed only for the pairs with a matrix
+value or a provenance history (the dataset's sparse readers name them),
+every other pair holds the one score an untouched pair gets, and the
+budget is cut by selection rather than by sorting all ``n(n-1)/2``
+scores. What stays proportional to the candidate count is the jitter —
+one draw per slot, so that a pair's tie-break does not depend on which
+other pairs happen to be measured.
 """
 
 from __future__ import annotations
@@ -41,7 +50,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.dataset import CampaignDataset, RttMatrix
+from repro.core.dataset import (
+    CampaignDataset,
+    RttMatrix,
+    pair_slot,
+    slot_pair,
+    sorted_lookup,
+)
 from repro.util.errors import MeasurementError
 
 
@@ -88,6 +103,28 @@ class CampaignPlan:
         }
 
 
+def _stable_prefix(
+    key: np.ndarray, contenders: int, budget: int | None
+) -> np.ndarray:
+    """The first ``budget`` positions of ``np.argsort(key, kind="stable")``
+    (all ``contenders`` finite-key positions when the budget does not
+    cut), without sorting what the budget throws away.
+
+    When it cuts, a selection finds the budget-th smallest key, every
+    position at or under it — boundary ties included — is a candidate,
+    and the candidates are stably sorted: they come out of
+    ``flatnonzero`` in position order, so equal keys keep the order the
+    full stable sort gives them and the prefix is the same prefix.
+    """
+    if budget is None or budget >= contenders:
+        return np.argsort(key, kind="stable")[:contenders]
+    if budget == 0:
+        return np.empty(0, dtype=np.int64)
+    kth = np.partition(key, budget - 1)[budget - 1]
+    candidates = np.flatnonzero(key <= kth)
+    return candidates[np.argsort(key[candidates], kind="stable")][:budget]
+
+
 class CampaignPlanner:
     """Produce a prioritized, budgeted pair list for a relay set.
 
@@ -97,10 +134,10 @@ class CampaignPlanner:
     an :class:`RttMatrix` or an ``n×n`` array aligned with
     ``fingerprints`` (e.g. ``VivaldiSystem.predict_matrix()``).
     ``quality`` supplies per-pair quality scores as a refresh axis —
-    anything with ``.nodes`` + an ``n×n`` ``.matrix`` (e.g.
-    ``repro.obs.health``'s ``QualityScores``, or the dataset's own
-    ``dataset.quality()``), or a raw aligned array; low-quality
-    estimates are refreshed first.
+    ``repro.obs.health``'s ``QualityScores`` (the dataset's own
+    ``dataset.quality()``, read through its per-pair columns), anything
+    else with ``.nodes`` + an ``n×n`` ``.matrix``, or a raw aligned
+    array; low-quality estimates are refreshed first.
 
     Planning is fully deterministic: the same fingerprints, dataset,
     predictions, quality scores, weights, and seed produce the
@@ -124,139 +161,140 @@ class CampaignPlanner:
         self.weights = weights if weights is not None else PlannerWeights()
         self.seed = seed
         self.jitter = jitter
-        self._predicted = self._align_predictions(predicted)
-        self._quality = self._align_quality(quality)
+        self._predicted = self._pair_reader(predicted, "prediction")
+        self._quality = self._pair_reader(quality, "quality")
 
     # ------------------------------------------------------------------
 
-    def _align_predictions(
-        self, predicted: "RttMatrix | np.ndarray | None"
-    ) -> np.ndarray | None:
-        if predicted is None:
-            return None
-        n = len(self.fingerprints)
-        if isinstance(predicted, RttMatrix):
-            # Align by name; relays the model has not seen stay NaN.
-            aligned = np.full((n, n), np.nan)
-            known = [
-                (i, predicted.index_of(fp))
-                for i, fp in enumerate(self.fingerprints)
-                if fp in predicted
-            ]
-            if known:
-                ours = np.array([i for i, _ in known])
-                theirs = np.array([j for _, j in known])
-                aligned[np.ix_(ours, ours)] = predicted.matrix[np.ix_(theirs, theirs)]
-            return aligned
-        predicted = np.asarray(predicted, dtype=float)
-        if predicted.shape != (n, n):
-            raise MeasurementError(
-                f"prediction matrix shape {predicted.shape} does not match "
-                f"{n} fingerprints"
-            )
-        return predicted
+    def _pair_reader(self, source: Any | None, what: str) -> Any | None:
+        """``read(lo, hi)``: ``source``'s values at pairs of *our*
+        fingerprint indices, NaN where it has none — gathered at the
+        pairs asked for, never aligned into an ``n×n`` copy.
 
-    def _align_quality(self, quality: Any | None) -> np.ndarray | None:
-        """Align a quality-score source to our fingerprint order.
-
-        Duck-typed: anything with ``.nodes`` and an ``n×n`` ``.matrix``
-        is aligned by name (relays it has not scored stay NaN); a bare
-        array must already be aligned.
+        Duck-typed: anything with ``.nodes`` is read by name (relays it
+        does not know stay NaN) through its per-pair ``scores_at(i, j)``
+        when it has one (``QualityScores``), else through its ``n×n``
+        ``.matrix``; a bare array must already be aligned.
         """
-        if quality is None:
+        if source is None:
             return None
         n = len(self.fingerprints)
-        nodes = getattr(quality, "nodes", None)
-        if nodes is not None:
-            source = np.asarray(quality.matrix, dtype=float)
-            index = {node: i for i, node in enumerate(nodes)}
-            aligned = np.full((n, n), np.nan)
-            known = [
-                (i, index[fp])
-                for i, fp in enumerate(self.fingerprints)
-                if fp in index
-            ]
-            if known:
-                ours = np.array([i for i, _ in known])
-                theirs = np.array([j for _, j in known])
-                aligned[np.ix_(ours, ours)] = source[np.ix_(theirs, theirs)]
-            return aligned
-        quality = np.asarray(quality, dtype=float)
-        if quality.shape != (n, n):
-            raise MeasurementError(
-                f"quality matrix shape {quality.shape} does not match "
-                f"{n} fingerprints"
-            )
-        return quality
+        nodes = getattr(source, "nodes", None)
+        if nodes is None:
+            array = np.asarray(source, dtype=float)
+            if array.shape != (n, n):
+                raise MeasurementError(
+                    f"{what} matrix shape {array.shape} does not match "
+                    f"{n} fingerprints"
+                )
+            return lambda lo, hi: array[lo, hi]
+        index = {node: i for i, node in enumerate(nodes)}
+        theirs = np.array(
+            [index.get(fp, -1) for fp in self.fingerprints], dtype=np.int64
+        )
+        at = getattr(source, "scores_at", None)
+        if at is None:
+            dense = np.asarray(source.matrix, dtype=float)
 
-    def _measured_values(
-        self, iu: np.ndarray, ju: np.ndarray
-    ) -> np.ndarray:
-        """Last known RTT per candidate pair (NaN where unmeasured)."""
+            def at(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+                return dense[a, b]
+
+        def read(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            a, b = theirs[lo], theirs[hi]
+            known = (a >= 0) & (b >= 0)
+            values = np.full(lo.shape, np.nan)
+            values[known] = at(a[known], b[known])
+            return values
+
+        return read
+
+    def _touched(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs the dataset says anything about: ``(slot, measured,
+        staleness, failed)`` over every candidate with a matrix value or
+        a provenance history, sorted by slot.
+
+        ``measured`` is the last known RTT (NaN without one).
+        ``staleness`` is the rank-normalized age of the pair's *latest*
+        record — the oldest refreshable pair reads 1.0, the newest 0.0,
+        a pair with no history NaN — and ``failed`` marks pairs whose
+        latest record is a failure.
+        """
         n = len(self.fingerprints)
-        values = np.full(iu.shape, np.nan)
+        none = np.empty(0, dtype=np.int64)
         if self.dataset is None:
-            return values
-        matrix = self.dataset.matrix
-        known = [
-            (i, matrix.index_of(fp))
-            for i, fp in enumerate(self.fingerprints)
-            if fp in matrix
-        ]
-        if not known:
-            return values
-        row_map = np.full(n, -1, dtype=np.int64)
-        for i, j in known:
-            row_map[i] = j
-        mi, mj = row_map[iu], row_map[ju]
-        mapped = (mi >= 0) & (mj >= 0)
-        values[mapped] = matrix.matrix[mi[mapped], mj[mapped]]
-        return values
+            return none, np.empty(0), np.empty(0), np.empty(0, dtype=bool)
+        matrix, log = self.dataset.matrix, self.dataset.provenance
+        ours = np.full(len(matrix), -1, dtype=np.int64)
+        for k, fp in enumerate(self.fingerprints):
+            if fp in matrix:
+                ours[matrix.index_of(fp)] = k
+        mi, mj, values = matrix.measured_entries()
+        a, b = ours[mi], ours[mj]
+        targeted = (a >= 0) & (b >= 0)
+        a, b, values = a[targeted], b[targeted], values[targeted]
+        valued = pair_slot(np.minimum(a, b), np.maximum(a, b), n)
 
-    def _provenance_features(
-        self, iu: np.ndarray, ju: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-candidate (staleness, failed) read from the provenance log.
+        latest = log.latest_rows(self.fingerprints)
+        pairs = latest.i < latest.j  # a self-pair record is no candidate
+        storied = pair_slot(latest.i[pairs], latest.j[pairs], n)
+        rows = latest.row[pairs]
 
-        Staleness is the rank-normalized age of each pair's *latest*
-        record: the oldest refreshable pair scores 1.0, the newest 0.0.
-        Pairs with a measured matrix entry but no provenance at all
-        (matrix-only datasets) are treated as fully stale — age unknown.
-        ``failed`` marks pairs whose latest record is a failure.
-        """
-        staleness = np.full(iu.shape, np.nan)
-        failed = np.zeros(iu.shape, dtype=bool)
-        if self.dataset is None or len(self.dataset.provenance) == 0:
-            return staleness, failed
-        log = self.dataset.provenance
-        names = log.name_table()
-        fp_index = {fp: i for i, fp in enumerate(self.fingerprints)}
-        # name-table code -> our fingerprint index (-1 = not a target)
-        code_map = np.array([fp_index.get(nm, -1) for nm in names], dtype=np.int64)
-        status_col, cat_ids = log.status_codes()
-        failed_code = cat_ids.get("failed", -2)
-
-        n = len(self.fingerprints)
-        latest_row = np.full(iu.shape, -1, dtype=np.int64)
-        # Candidate pair -> flat slot for O(1) lookup.
-        slot = np.full(n * n, -1, dtype=np.int64)
-        slot[iu * n + ju] = np.arange(iu.shape[0])
-        for (a, b), row in log.last_row_for_pairs().items():
-            ia, ib = int(code_map[a]), int(code_map[b])
-            if ia < 0 or ib < 0:
-                continue
-            lo, hi = (ia, ib) if ia < ib else (ib, ia)
-            s = slot[lo * n + hi]
-            if s >= 0:
-                latest_row[s] = row
-        seen = latest_row >= 0
-        if seen.any():
-            rows = latest_row[seen].astype(float)
-            lo, hi = float(rows.min()), float(rows.max())
+        slot = np.union1d(valued, storied)
+        measured = np.full(slot.shape, np.nan)
+        measured[np.searchsorted(slot, valued)] = values
+        staleness = np.full(slot.shape, np.nan)
+        failed = np.zeros(slot.shape, dtype=bool)
+        if rows.size:
+            seen = np.searchsorted(slot, storied)
+            age = rows.astype(float)
+            lo, hi = float(age.min()), float(age.max())
             span = (hi - lo) or 1.0
-            staleness[seen] = (hi - rows) / span
-            failed[seen] = status_col[latest_row[seen]] == failed_code
-        return staleness, failed
+            staleness[seen] = (hi - age) / span
+            status_col, cat_ids = log.status_codes()
+            failed[seen] = status_col[rows] == cat_ids.get("failed", -2)
+        return slot, measured, staleness, failed
+
+    def _score(
+        self,
+        measured: np.ndarray,
+        staleness: np.ndarray,
+        failed: np.ndarray,
+        pred: np.ndarray | None,
+        qual: np.ndarray | None,
+    ) -> tuple[np.ndarray, int, int]:
+        """The five-axis base score of some pairs, plus how many of
+        them the disagreement and quality axes could read."""
+        w = self.weights
+        unmeasured = np.isnan(measured)
+        score = w.coverage * unmeasured.astype(float)
+        score += w.failure * failed.astype(float)
+        # Measured pairs with no provenance history: age unknown, treat
+        # as fully stale so matrix-only datasets still refresh.
+        stale_term = np.where(np.isnan(staleness), 1.0, staleness)
+        stale_term[unmeasured] = 0.0
+        score += w.staleness * stale_term
+
+        disagreement_n = 0
+        if pred is not None:
+            comparable = ~unmeasured & ~np.isnan(pred)
+            rel = np.zeros(measured.shape)
+            denom = np.maximum(measured[comparable], 1e-9)
+            rel[comparable] = np.clip(
+                np.abs(pred[comparable] - measured[comparable]) / denom, 0.0, 1.0
+            )
+            score += w.disagreement * rel
+            disagreement_n = int(comparable.sum())
+
+        quality_n = 0
+        if qual is not None:
+            scored = ~unmeasured & ~np.isnan(qual)
+            deficit = np.zeros(measured.shape)
+            # A pristine pair (quality 1.0) adds nothing; a rotten one
+            # (quality 0.0) adds the full weight — refresh it first.
+            deficit[scored] = np.clip(1.0 - qual[scored], 0.0, 1.0)
+            score += w.quality * deficit
+            quality_n = int(scored.sum())
+        return score, disagreement_n, quality_n
 
     # ------------------------------------------------------------------
 
@@ -270,67 +308,72 @@ class CampaignPlanner:
         Pairs whose base score is not above ``min_score`` are dropped
         even under a generous budget — a fully fresh, well-predicted
         pair is not worth a probe. ``budget_pairs=None`` keeps every
-        pair that clears ``min_score``.
+        pair that clears ``min_score``; ``0`` is a legal empty plan; a
+        negative or non-integer budget is refused.
+
+        Only the pairs the dataset touches are scored one by one; every
+        other slot holds the one score the same arithmetic gives an
+        unmeasured pair with no history. The jitter vector is still one
+        draw per candidate slot, so a plan does not depend on how many
+        pairs happen to be touched.
         """
-        w = self.weights
-        n = len(self.fingerprints)
-        iu, ju = np.triu_indices(n, k=1)
-        measured = self._measured_values(iu, ju)
-        unmeasured = np.isnan(measured)
-        staleness, failed = self._provenance_features(iu, ju)
-
-        score = w.coverage * unmeasured.astype(float)
-        score += w.failure * failed.astype(float)
-        # Measured pairs with no provenance history: age unknown, treat
-        # as fully stale so matrix-only datasets still refresh.
-        stale_term = np.where(np.isnan(staleness), 1.0, staleness)
-        stale_term[unmeasured] = 0.0
-        score += w.staleness * stale_term
-
-        disagreement_n = 0
-        if self._predicted is not None:
-            pred = self._predicted[iu, ju]
-            comparable = ~unmeasured & ~np.isnan(pred)
-            rel = np.zeros(iu.shape)
-            denom = np.maximum(measured[comparable], 1e-9)
-            rel[comparable] = np.clip(
-                np.abs(pred[comparable] - measured[comparable]) / denom, 0.0, 1.0
+        if budget_pairs is not None and (
+            not isinstance(budget_pairs, (int, np.integer)) or budget_pairs < 0
+        ):
+            raise MeasurementError(
+                f"budget_pairs must be a non-negative integer or None, "
+                f"got {budget_pairs!r}"
             )
-            score += w.disagreement * rel
-            disagreement_n = int(comparable.sum())
+        n = len(self.fingerprints)
+        total = n * (n - 1) // 2
+        slot, measured, staleness, failed = self._touched()
+        lo, hi = slot_pair(slot, n)
+        # One entry more than the touched pairs: a pair the dataset says
+        # nothing about, whose score — by the same arithmetic — is what
+        # every untouched slot holds.
+        score, disagreement_n, quality_n = self._score(
+            np.append(measured, np.nan),
+            np.append(staleness, np.nan),
+            np.append(failed, False),
+            *(
+                None if read is None else np.append(read(lo, hi), np.nan)
+                for read in (self._predicted, self._quality)
+            ),
+        )
+        score, untouched = score[:-1], float(score[-1])
 
-        quality_n = 0
-        if self._quality is not None:
-            qual = self._quality[iu, ju]
-            scored = ~unmeasured & ~np.isnan(qual)
-            deficit = np.zeros(iu.shape)
-            # A pristine pair (quality 1.0) adds nothing; a rotten one
-            # (quality 0.0) adds the full weight — refresh it first.
-            deficit[scored] = np.clip(1.0 - qual[scored], 0.0, 1.0)
-            score += w.quality * deficit
-            quality_n = int(scored.sum())
-
-        eligible = score > min_score
         # Deterministic tie-breaking that still spreads equal-score
-        # pairs: a tiny seeded jitter, far below any weight step.
-        rng = np.random.default_rng(self.seed)
-        ranked = score + self.jitter * rng.random(score.shape)
-        order = np.argsort(-ranked, kind="stable")
-        order = order[eligible[order]]
-        if budget_pairs is not None:
-            order = order[:budget_pairs]
+        # pairs: a tiny seeded jitter, far below any weight step. The
+        # sort key is -(score + jitter), +inf where the base score does
+        # not clear min_score.
+        eligible = score > min_score
+        key = np.random.default_rng(self.seed).random(total)
+        key *= self.jitter
+        if untouched > min_score:
+            pool = None  # every slot competes
+            ranked = score + key[slot]
+            key += untouched
+            key[slot] = ranked
+            np.negative(key, out=key)
+            key[slot[~eligible]] = np.inf
+            contenders = total - int(slot.size) + int(eligible.sum())
+        else:
+            pool = slot[eligible]
+            key = -(score[eligible] + key[pool])
+            contenders = int(pool.size)
+        order = _stable_prefix(key, contenders, budget_pairs)
+        if pool is not None:
+            order = pool[order]
 
-        pairs = [
-            (self.fingerprints[int(iu[k])], self.fingerprints[int(ju[k])])
-            for k in order
-        ]
+        first, second = slot_pair(order, n)
+        fps = self.fingerprints
         return CampaignPlan(
-            pairs=pairs,
-            scores=score[order],
-            candidates=int(iu.shape[0]),
+            pairs=[(fps[i], fps[j]) for i, j in zip(first.tolist(), second.tolist())],
+            scores=sorted_lookup(slot, score, order, untouched),
+            candidates=total,
             budget=budget_pairs,
             breakdown={
-                "unmeasured": int(unmeasured.sum()),
+                "unmeasured": total - int((~np.isnan(measured)).sum()),
                 "failed": int(failed.sum()),
                 "with_history": int((~np.isnan(staleness)).sum()),
                 "with_predictions": disagreement_n,

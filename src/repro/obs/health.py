@@ -31,12 +31,15 @@ refresh-priority axis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from functools import cached_property
+from typing import Any
 
 import numpy as np
 
-from repro.core.dataset import CampaignDataset, ProvenanceLog
+from repro.core.dataset import CampaignDataset, ProvenanceLog, sorted_lookup
+from repro.util.errors import MeasurementError
 
 #: Vacuum speed of light in km per millisecond. An RTT below
 #: ``2 * distance / c`` is physically impossible — light in fibre is
@@ -75,44 +78,123 @@ class QualityWeights:
         return self.support + self.debias + self.history + self.staleness
 
 
-@dataclass
+class _DenseComponents(Mapping):
+    """``QualityScores.components``: name → dense ``n×n`` penalty
+    matrix, scattered from the pair column on first read."""
+
+    def __init__(self, scatter: Any, columns: dict[str, np.ndarray]) -> None:
+        self._scatter = scatter
+        self._columns = columns
+        self._built: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name not in self._built:
+            self._built[name] = self._scatter(self._columns[name])
+        return self._built[name]
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+
 class QualityScores:
-    """Per-pair quality in ``[0, 1]`` (1 = pristine), NaN where unscored.
+    """Per-pair quality in ``[0, 1]`` (1 = pristine) for every pair
+    with provenance history.
 
-    ``scores`` is symmetric n×n aligned to ``nodes``; ``components``
-    holds the raw penalty matrices (same shape, also in ``[0, 1]``)
-    behind the blend, so a low score is always attributable.
-    ``age_rows`` is each pair's age in provenance rows — how many
-    records the log has appended since the pair's latest one.
+    The representation is per-pair columns, one entry per pair with
+    history, sorted row-major by ``(pair_i, pair_j)`` (node indices,
+    ``pair_i <= pair_j`` — equal only for a self-pair record):
+    ``pair_scores``, the raw penalties behind the blend in
+    ``pair_components[name]`` (also in ``[0, 1]``, so a low score is
+    always attributable) and ``pair_ages``, each pair's age in
+    provenance rows — how many records the log has appended since the
+    pair's latest one. Every reader below walks the columns, in the
+    order an upper-triangle walk of a score matrix would.
 
-    Exposes ``.nodes`` + ``.matrix`` so the planner can consume it
-    through the same duck-typed alignment path as an
-    :class:`~repro.core.dataset.RttMatrix` of predictions.
+    ``scores`` (alias ``matrix``), ``components[name]`` and
+    ``age_rows`` are the same data as symmetric read-only ``n×n`` arrays
+    aligned to ``nodes``, NaN where unscored — built on first access,
+    for the consumers that are dense by design (the serve index, drift
+    diffs).
     """
 
-    nodes: list[str]
-    scores: np.ndarray
-    components: dict[str, np.ndarray]
-    age_rows: np.ndarray
-    stale_after_rows: int
-    weights: QualityWeights = field(default_factory=QualityWeights)
+    def __init__(
+        self,
+        nodes: list[str],
+        pair_i: np.ndarray,
+        pair_j: np.ndarray,
+        pair_scores: np.ndarray,
+        pair_components: dict[str, np.ndarray],
+        pair_ages: np.ndarray,
+        stale_after_rows: int,
+        weights: QualityWeights | None = None,
+    ) -> None:
+        self.nodes = nodes
+        self.pair_i = pair_i
+        self.pair_j = pair_j
+        self.pair_scores = pair_scores
+        self.pair_components = pair_components
+        self.pair_ages = pair_ages
+        self.stale_after_rows = stale_after_rows
+        self.weights = weights if weights is not None else QualityWeights()
+        self.components: Mapping[str, np.ndarray] = _DenseComponents(
+            self._dense, pair_components
+        )
+        self._keys = pair_i * len(nodes) + pair_j
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {node: i for i, node in enumerate(self.nodes)}
+
+    def _dense(self, column: np.ndarray) -> np.ndarray:
+        n = len(self.nodes)
+        dense = np.full((n, n), np.nan)
+        dense[self.pair_i, self.pair_j] = column
+        dense[self.pair_j, self.pair_i] = column
+        dense.flags.writeable = False
+        return dense
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """The score column as a dense symmetric matrix."""
+        return self._dense(self.pair_scores)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Planner-facing alias for the score matrix."""
+        """Alias for :attr:`scores` (the ``.nodes`` + ``.matrix`` shape
+        an :class:`~repro.core.dataset.RttMatrix` has)."""
         return self.scores
+
+    @cached_property
+    def age_rows(self) -> np.ndarray:
+        """The age column as a dense symmetric matrix."""
+        return self._dense(self.pair_ages)
+
+    def scores_at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Scores at pairs of node indices (either orientation), NaN
+        where unscored — the planner's door into the columns."""
+        keys = np.minimum(i, j) * len(self.nodes) + np.maximum(i, j)
+        return sorted_lookup(self._keys, self.pair_scores, keys, np.nan)
 
     def score_for(self, a: str, b: str) -> float | None:
         """One pair's score, or ``None`` if unscored."""
-        i, j = self.nodes.index(a), self.nodes.index(b)
-        value = float(self.scores[i, j])
+        try:
+            i, j = self._index[a], self._index[b]
+        except KeyError as exc:
+            raise MeasurementError(f"unknown node {exc.args[0]!r}") from None
+        value = float(self.scores_at(np.array([i]), np.array([j]))[0])
         return None if np.isnan(value) else value
+
+    def _upper(self) -> np.ndarray:
+        """Which column entries an upper-triangle walk visits: all but
+        self-pair records."""
+        return self.pair_i < self.pair_j
 
     def scored_values(self) -> np.ndarray:
         """The finite upper-triangle scores as a flat array."""
-        iu, ju = np.triu_indices(len(self.nodes), k=1)
-        values = self.scores[iu, ju]
-        return values[~np.isnan(values)]
+        return self.pair_scores[self._upper() & ~np.isnan(self.pair_scores)]
 
     def percentiles(
         self, qs: Sequence[float] = (5.0, 25.0, 50.0, 75.0, 95.0)
@@ -126,30 +208,31 @@ class QualityScores:
 
     def stale_pairs(self) -> list[tuple[str, str, int]]:
         """Pairs older than ``stale_after_rows``, oldest first."""
-        iu, ju = np.triu_indices(len(self.nodes), k=1)
-        ages = self.age_rows[iu, ju]
-        hits = np.flatnonzero(~np.isnan(ages) & (ages > self.stale_after_rows))
+        ages = self.pair_ages
+        hits = np.flatnonzero(
+            self._upper() & ~np.isnan(ages) & (ages > self.stale_after_rows)
+        )
         order = hits[np.argsort(-ages[hits], kind="stable")]
         return [
-            (self.nodes[iu[k]], self.nodes[ju[k]], int(ages[k])) for k in order
+            (self.nodes[self.pair_i[k]], self.nodes[self.pair_j[k]], int(ages[k]))
+            for k in order
         ]
 
     def worst(self, top_n: int = 10) -> list[dict[str, Any]]:
         """The ``top_n`` lowest-scoring pairs with component breakdowns."""
-        iu, ju = np.triu_indices(len(self.nodes), k=1)
-        values = self.scores[iu, ju]
-        scored = np.flatnonzero(~np.isnan(values))
+        values = self.pair_scores
+        scored = np.flatnonzero(self._upper() & ~np.isnan(values))
         order = scored[np.argsort(values[scored], kind="stable")][:top_n]
         return [
             {
-                "x": self.nodes[iu[k]],
-                "y": self.nodes[ju[k]],
+                "x": self.nodes[self.pair_i[k]],
+                "y": self.nodes[self.pair_j[k]],
                 "score": round(float(values[k]), 4),
                 "components": {
-                    name: round(float(self.components[name][iu[k], ju[k]]), 4)
+                    name: round(float(self.pair_components[name][k]), 4)
                     for name in COMPONENTS
                 },
-                "age_rows": int(self.age_rows[iu[k], ju[k]]),
+                "age_rows": int(self.pair_ages[k]),
             }
             for k in order
         ]
@@ -166,50 +249,6 @@ class QualityScores:
             "stale_after_rows": self.stale_after_rows,
             "stale_pairs": len(self.stale_pairs()),
         }
-
-
-def _latest_pair_rows(
-    log: ProvenanceLog, nodes: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized latest-record index per pair.
-
-    Returns ``(keys, latest_rows, failure_counts, row_positions)``:
-    sorted unique pair keys (``lo * n + hi``), each pair's latest global
-    row index, its all-history failure count, and the valid-row global
-    indices (for callers that need them). All from column reads — no
-    record materialization.
-    """
-    n = len(nodes)
-    empty = np.empty(0, dtype=np.int64)
-    if len(log) == 0:
-        return empty, empty, empty, empty
-    node_index = {node: i for i, node in enumerate(nodes)}
-    code_map = np.array(
-        [node_index.get(name, -1) for name in log.name_table()], dtype=np.int64
-    )
-    xs, ys = log.pair_columns("x", "y")
-    xi, yi = code_map[xs], code_map[ys]
-    rows = np.flatnonzero((xi >= 0) & (yi >= 0))
-    if rows.size == 0:
-        return empty, empty, empty, empty
-    lo = np.minimum(xi[rows], yi[rows])
-    hi = np.maximum(xi[rows], yi[rows])
-    keys = lo * n + hi
-    # Latest record per pair: first occurrence in the reversed key
-    # stream is the last in insertion order.
-    uniq, rev_first = np.unique(keys[::-1], return_index=True)
-    latest = rows[keys.size - 1 - rev_first]
-    status, cat_ids = log.status_codes()
-    failed_code = cat_ids.get("failed")
-    if failed_code is None:
-        fails = np.zeros(uniq.size, dtype=np.int64)
-    else:
-        # Per-pair failure counts over the *whole* history, via ranks
-        # into the unique-key table (never a dense n² bincount).
-        ranks = np.searchsorted(uniq, keys)
-        failed = status[rows] == failed_code
-        fails = np.bincount(ranks[failed], minlength=uniq.size)
-    return uniq, latest, fails, rows
 
 
 def pair_quality(
@@ -235,26 +274,16 @@ def pair_quality(
       ``stale_after_rows`` (default: one full sweep, i.e. the number of
       currently measured pairs), clipped. Insertion order is the only
       clock the log has, and it survives save/load and shard merges.
+
+    Everything is a column over the pairs with history; nothing here is
+    sized by the matrix.
     """
     w = weights or QualityWeights()
     nodes = list(dataset.matrix.nodes)
-    n = len(nodes)
     if stale_after_rows is None:
         stale_after_rows = max(1, dataset.matrix.num_measured)
-    scores = np.full((n, n), np.nan)
-    components = {name: np.full((n, n), np.nan) for name in COMPONENTS}
-    ages = np.full((n, n), np.nan)
     log = dataset.provenance
-    keys, latest, fails, _ = _latest_pair_rows(log, nodes)
-    if keys.size == 0:
-        return QualityScores(
-            nodes=nodes,
-            scores=scores,
-            components=components,
-            age_rows=ages,
-            stale_after_rows=int(stale_after_rows),
-            weights=w,
-        )
+    pair_i, pair_j, latest, fails = log.latest_rows(nodes)
     requested, kept, saved, stop, retries = (
         col[latest].astype(np.float64) if col.dtype != np.int16 else col[latest]
         for col in log.pair_columns(
@@ -284,21 +313,15 @@ def pair_quality(
         + w.history * history
         + w.staleness * staleness
     ) / w.total
-    score = 1.0 - np.clip(penalty, 0.0, 1.0)
-
-    ui, uj = keys // n, keys % n
-    for name, values in zip(COMPONENTS, (support, debias, history, staleness)):
-        components[name][ui, uj] = values
-        components[name][uj, ui] = values
-    scores[ui, uj] = score
-    scores[uj, ui] = score
-    ages[ui, uj] = age
-    ages[uj, ui] = age
     return QualityScores(
         nodes=nodes,
-        scores=scores,
-        components=components,
-        age_rows=ages,
+        pair_i=pair_i,
+        pair_j=pair_j,
+        pair_scores=1.0 - np.clip(penalty, 0.0, 1.0),
+        pair_components=dict(
+            zip(COMPONENTS, (support, debias, history, staleness))
+        ),
+        pair_ages=age,
         stale_after_rows=int(stale_after_rows),
         weights=w,
     )
@@ -496,15 +519,16 @@ def health_report(
             f"{measured}/{total_pairs} pairs ({coverage:.2%})",
         )
 
-    iu, ju = np.triu_indices(n, k=1)
-    upper = view[iu, ju] if n else np.empty(0)
-    lower = view[ju, iu] if n else np.empty(0)
+    # Every check below walks the measured entries in the order an
+    # upper-triangle walk meets them, so listings keep that order.
+    iu, ju, upper = matrix.measured_entries()
+    lower = view[ju, iu]
 
     # -- symmetry -------------------------------------------------------
-    both = ~np.isnan(upper) & ~np.isnan(lower)
-    asym = np.abs(upper[both] - lower[both]) if both.any() else np.empty(0)
+    both = ~np.isnan(lower)
+    asym = np.abs(upper[both] - lower[both])
     max_asym = float(asym.max()) if asym.size else 0.0
-    bad = np.flatnonzero(both)[asym > t.symmetry_tolerance_ms] if asym.size else []
+    bad = np.flatnonzero(both)[asym > t.symmetry_tolerance_ms]
     for k in bad:
         anomalies.append(
             {
@@ -523,9 +547,8 @@ def health_report(
     )
 
     # -- plausibility: negative / zero estimates ------------------------
-    finite = ~np.isnan(upper)
-    neg = np.flatnonzero(finite & (upper < 0.0))
-    zero = np.flatnonzero(finite & (upper == 0.0))
+    neg = np.flatnonzero(upper < 0.0)
+    zero = np.flatnonzero(upper == 0.0)
     for k in neg:
         anomalies.append(
             {
@@ -577,7 +600,7 @@ def health_report(
             [coords.get(node, (np.nan, np.nan)) for node in nodes]
         )
         have = ~np.isnan(node_arr[iu, 0]) & ~np.isnan(node_arr[ju, 0])
-        usable = np.flatnonzero(have & finite & (upper > 0.0))
+        usable = np.flatnonzero(have & (upper > 0.0))
         dist_km = _great_circle_km_vec(
             node_arr[iu[usable], 0],
             node_arr[iu[usable], 1],
@@ -746,8 +769,9 @@ def _latest_row_lookup(
     log: ProvenanceLog, nodes: Sequence[str]
 ) -> dict[int, int]:
     """``{lo * n + hi: latest global row}`` for pairs over ``nodes``."""
-    keys, latest, _, _ = _latest_pair_rows(log, nodes)
-    return {int(k): int(r) for k, r in zip(keys, latest)}
+    latest = log.latest_rows(nodes)
+    keys = latest.i * len(nodes) + latest.j
+    return {int(k): int(r) for k, r in zip(keys, latest.row)}
 
 
 def diff_datasets(

@@ -179,3 +179,130 @@ class TestQualityInvalidation:
         rescored = dataset.quality()
         assert rescored.nodes == ["a", "b", "c"]
         assert rescored.score_for("b", "c") is not None
+
+
+# ----------------------------------------------------------------------
+# absorb and submatrix write whole entry sets in one scatter; the
+# reference is ``RttMatrix.set`` applied entry by entry.
+
+
+def _random_matrix(nodes, rng, fraction):
+    matrix = RttMatrix(list(nodes))
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            if rng.random() < fraction:
+                matrix.set(a, b, float(rng.uniform(1.0, 300.0)))
+    return matrix
+
+
+def _absorb_by_set(standing: RttMatrix, fresh: RttMatrix):
+    """What ``absorb`` must leave behind, one ``set`` at a time."""
+    nodes = standing.nodes + [n for n in fresh.nodes if n not in standing]
+    expected = RttMatrix(nodes)
+    for a, b, rtt in standing.measured_pairs():
+        expected.set(a, b, rtt)
+    overwritten = sum(
+        standing.has(a, b)
+        for a, b, _ in fresh.measured_pairs()
+        if a in standing and b in standing
+    )
+    for a, b, rtt in fresh.measured_pairs():
+        expected.set(a, b, rtt)
+    return expected, overwritten
+
+
+class TestScatterMatchesSetBySet:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overlapping_plus_new_nodes_in_another_order(self, seed):
+        rng = np.random.default_rng(seed)
+        standing_nodes = [f"S{k}" for k in range(9)]
+        # Shares five nodes (shuffled), brings three the dataset lacks.
+        fresh_nodes = list(rng.permutation(standing_nodes[:5] + ["n0", "n1", "n2"]))
+        standing = _random_matrix(standing_nodes, rng, 0.5)
+        fresh = _random_matrix(fresh_nodes, rng, 0.6)
+        expected, overwritten = _absorb_by_set(standing, fresh)
+
+        dataset = CampaignDataset(matrix=standing)
+        before = dataset.matrix.num_measured
+        written = dataset.absorb(fresh)
+
+        assert written == fresh.num_measured
+        assert dataset.matrix.nodes == expected.nodes
+        assert np.array_equal(
+            dataset.matrix.matrix, expected.matrix, equal_nan=True
+        )
+        # Overwrites leave the count alone, fills raise it: the scatter
+        # counts new entries from the targets *before* the write.
+        assert dataset.matrix.num_measured == expected.num_measured
+        assert dataset.matrix.num_measured == before + written - overwritten
+        assert overwritten > 0 and written > overwritten
+
+    def test_aligned_overwrite_and_fill_counts(self):
+        nodes = ["a", "b", "c", "d"]
+        dataset = _dataset(nodes, entries=[("a", "b", 10.0), ("c", "d", 20.0)])
+        fresh = RttMatrix(nodes)
+        fresh.set("a", "b", 11.0)  # overwrite
+        fresh.set("a", "c", 30.0)  # fill
+        fresh.set("b", "d", 40.0)  # fill
+        assert dataset.absorb(fresh) == 3
+        assert dataset.matrix.num_measured == 4
+        assert dataset.matrix.get("a", "b") == 11.0
+        assert dataset.matrix.get("d", "c") == 20.0  # untouched, symmetric
+        assert dataset.matrix.get("c", "a") == 30.0
+        # Absorbing the same refresh again only overwrites.
+        assert dataset.absorb(fresh) == 3
+        assert dataset.matrix.num_measured == 4
+
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_mmap_backed_target_is_copied_out_then_written(self, tmp_path, aligned):
+        rng = np.random.default_rng(11)
+        nodes = [f"S{k}" for k in range(7)]
+        path = tmp_path / "standing.npz"
+        CampaignDataset(matrix=_random_matrix(nodes, rng, 0.5)).save(path)
+        on_disk = path.read_bytes()
+        loaded = CampaignDataset.load(path, mmap=True)
+        assert loaded.matrix.is_readonly
+        fresh_nodes = nodes if aligned else nodes[4:1:-1] + ["new"]
+        fresh = _random_matrix(fresh_nodes, rng, 0.8)
+        expected, _ = _absorb_by_set(CampaignDataset.load(path).matrix, fresh)
+
+        written = loaded.absorb(fresh)
+
+        assert written == fresh.num_measured > 0
+        assert not loaded.matrix.is_readonly
+        assert loaded.matrix.nodes == expected.nodes
+        assert np.array_equal(loaded.matrix.matrix, expected.matrix, equal_nan=True)
+        assert loaded.matrix.num_measured == expected.num_measured
+        assert path.read_bytes() == on_disk  # the file is never written
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_submatrix_is_set_by_set_over_the_subset(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        nodes = [f"S{k}" for k in range(10)]
+        matrix = _random_matrix(nodes, rng, 0.5)
+        subset = list(rng.permutation(nodes)[:6])  # any order, not a slice
+        expected = RttMatrix(subset)
+        for i, a in enumerate(subset):
+            for b in subset[i + 1 :]:
+                if matrix.has(a, b):
+                    expected.set(a, b, matrix.get(a, b))
+        sub = matrix.submatrix(subset)
+        assert sub.nodes == subset
+        assert np.array_equal(sub.matrix, expected.matrix, equal_nan=True)
+        assert sub.num_measured == expected.num_measured
+        assert sub.is_complete == expected.is_complete
+        # The subset owns its storage.
+        sub.set(subset[0], subset[1], 1.0)
+        assert not matrix.has(subset[0], subset[1]) or matrix.get(
+            subset[0], subset[1]
+        ) != 1.0
+
+    def test_submatrix_refuses_unknown_and_duplicate_nodes(self):
+        from repro.util.errors import MeasurementError
+
+        matrix = _random_matrix(["a", "b", "c"], np.random.default_rng(0), 1.0)
+        with pytest.raises(MeasurementError, match="unknown node"):
+            matrix.submatrix(["a", "zz"])
+        with pytest.raises(MeasurementError, match="unique"):
+            matrix.submatrix(["a", "a"])
+        assert matrix.submatrix([]).nodes == []

@@ -60,6 +60,19 @@ class TestColdStart:
         with pytest.raises(MeasurementError):
             CampaignPlanner(["A", "A", "B"])
 
+    def test_negative_or_fractional_budget_rejected(self):
+        # budget_pairs=-1 used to be a Python slice: 14 of the 15 pairs.
+        planner = CampaignPlanner(FPS)
+        for bad in (-1, -15, 2.0, "3"):
+            with pytest.raises(MeasurementError, match="budget_pairs"):
+                planner.plan(budget_pairs=bad)
+
+    def test_zero_budget_is_an_empty_plan(self):
+        plan = CampaignPlanner(FPS).plan(budget_pairs=0)
+        assert plan.pairs == [] and plan.scores.size == 0
+        assert plan.candidates == 15 and plan.breakdown["unmeasured"] == 15
+        assert len(CampaignPlanner(FPS).plan(budget_pairs=np.int64(4)).pairs) == 4
+
 
 class TestDeterminism:
     def test_same_seed_same_order(self):

@@ -448,6 +448,16 @@ class TestPlanCommand:
         assert payload["summary"]["planned"] == 3
         assert len(payload["pairs"]) == 3
 
+    def test_negative_budget_is_refused(self, capsys):
+        # `--budget -1` used to plan all but one pair (a Python slice).
+        code = main(
+            ["plan", "--relays", "6", "--network-size", "20", "--budget", "-1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--budget must be zero or more" in captured.err
+        assert "plan:" not in captured.out
+
     def test_predict_requires_input(self, capsys):
         code = main(
             ["plan", "--relays", "5", "--network-size", "20", "--predict"]

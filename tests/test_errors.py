@@ -47,6 +47,14 @@ class TestHierarchy:
             SamplePolicy(samples=0)
         with pytest.raises(ReproError):
             Consensus({}).get("nope")
+        # Was a bare ``ValueError: 'zz' is not in list`` from list.index.
+        from repro.core.dataset import CampaignDataset
+        from repro.obs.health import pair_quality
+
+        scores = pair_quality(CampaignDataset(matrix=RttMatrix(["a", "b"])))
+        assert scores.score_for("a", "b") is None
+        with pytest.raises(ReproError, match="unknown node 'zz'"):
+            scores.score_for("a", "zz")
 
     def test_errors_carry_messages(self):
         try:
