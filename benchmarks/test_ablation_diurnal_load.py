@@ -24,11 +24,9 @@ from repro.tor.relay import DiurnalForwardingDelayModel
 def test_ablation_min_filter_under_diurnal_load(benchmark, report):
     testbed = LiveTorTestbed.build(seed=92, n_relays=40)
     # Give the measured relays strong day cycles with staggered phases.
-    diurnal_rng = testbed.streams.get("ablation.diurnal")
     for index, relay in enumerate(testbed.relays):
         relay.forwarding = DiurnalForwardingDelayModel(
             testbed.sim,
-            diurnal_rng,
             base_load=0.05,
             peak_load=0.85,
             phase_ms=index * 3_600_000.0,

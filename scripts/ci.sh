@@ -30,8 +30,8 @@ echo "== pinned engine measurements =="
 # What the three campaign schedulers and the two baseline measurers
 # measure on those worlds — matrix bytes, clocks, registry counters, and
 # the callback engines' spans, provenance and bus records — against
-# digests taken before the engines were collapsed onto one pair state
-# machine, and what the simulator spent measuring it (events processed
+# digests taken at the last re-pin (PR 22: draws keyed by entity, a
+# task-local clock), and what the simulator spent measuring it (events processed
 # and cancelled, heap peak) against work tuples that may only fall by
 # an asserted formula. Under its own heading for the same reason: a
 # moved draw or event is reported as that.
@@ -40,10 +40,57 @@ python -m pytest tests/core/test_engine_identity.py -x -q
 echo "== probe flight contract =="
 # A lone echo cell on a quiet simulator crosses its circuit in one event
 # (OnionProxy._fly) instead of 4 x hops + 1. The differential that holds
-# the shortcut to the cell path, bit for bit — RTTs, clock, every random
+# the shortcut to the cell path, bit for bit — RTTs, clock, every draw
 # stream, queues, counters — on its own, for the same reason as above:
 # a flight that drifts from the cells is reported as that.
 python -m pytest tests/contract/test_probe_flight.py -x -q
+
+echo "== task purity =="
+# Under task isolation a measurement is a function of its task alone:
+# clock restarted at zero, draws keyed by (root seed, entity, task key),
+# its own connections torn down by itself. The contract that holds the
+# sharded engine to it with == (no tolerance, no rounding) across forked
+# workers, the inline emulation and one worker, and the draw source to
+# the rule it states — on its own, as above: a task that leaks into the
+# next is reported as that. Then the benchmark's pipeline world at the
+# seed that used to violate it (6) and at 47, printed.
+python -m pytest tests/contract/test_task_purity.py -x -q
+python - <<'PY'
+import functools
+
+import numpy as np
+
+from repro.core.planner import CampaignPlanner
+from repro.core.sampling import SamplePolicy
+from repro.core.shard import ShardedCampaign
+from repro.testbeds.livetor import LiveTorTestbed
+
+for seed in (6, 47):
+    factory = functools.partial(LiveTorTestbed.build, seed=seed, n_relays=1015)
+    world = factory()
+    relays = world.random_relays(1000, world.streams.get("bench.campaign"))
+    fps = [descriptor.fingerprint for descriptor in relays]
+    pairs = CampaignPlanner(fps, seed=seed).plan(budget_pairs=150).pairs
+    runs = {
+        name: ShardedCampaign(
+            factory, fps, policy=SamplePolicy(samples=4, interval_ms=2.0),
+            pairs=pairs, **kwargs,
+        ).run()
+        for name, kwargs in (
+            ("forked", {"workers": 2}),
+            ("inline", {"workers": 2, "force_inline": True}),
+            ("workers=1", {"workers": 1}),
+        )
+    }
+    forked = runs["forked"].matrix.as_array()
+    equal = all(
+        np.array_equal(forked, run.matrix.as_array(), equal_nan=True)
+        for run in runs.values()
+    )
+    events = {name: run.events_processed for name, run in runs.items()}
+    print(f"seed {seed:>2}: events {events}  matrices equal: {equal}")
+    assert equal and len(set(events.values())) == 1, (seed, events)
+PY
 
 echo "== sparse tail contract =="
 # Plan, quality and health read the dataset's measured set, not its

@@ -227,7 +227,7 @@ class AllPairsCampaign:
                 host.metrics.inc("campaign.retry_rounds")
                 if host.trace.enabled:
                     host.trace.record(
-                        sim.now,
+                        sim.campaign_ms,
                         RETRY_ROUND,
                         round=round_index + 1,
                         pending_pairs=len(failed),

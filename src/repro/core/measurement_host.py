@@ -103,7 +103,11 @@ class MeasurementHost:
         for host in (host_s, host_d, host_w, host_z):
             host.policy = NEUTRAL_POLICY
 
-        local_rng = streams.get(f"{name_prefix}.local-relays")
+        # w and z draw from their own streams (``Relay.draws``) like any
+        # relay. The generator they shared stays registered, unused, until
+        # the next world re-pin: the pinned world digests cover the set of
+        # named streams a build creates (test_build_identity.py).
+        streams.get(f"{name_prefix}.local-relays")
         relay_w = Relay(
             sim,
             fabric,
@@ -112,7 +116,7 @@ class MeasurementHost:
             f"{name_prefix}W",
             or_port=or_port_w,
             exit_policy=ExitPolicy.reject_all(),
-            forwarding_model=ForwardingDelayModel.quiet(local_rng),
+            forwarding_model=ForwardingDelayModel.quiet(),
         )
         relay_z = Relay(
             sim,
@@ -122,7 +126,7 @@ class MeasurementHost:
             f"{name_prefix}Z",
             or_port=or_port_z,
             exit_policy=ExitPolicy.accept_only(host_d.address),
-            forwarding_model=ForwardingDelayModel.quiet(local_rng),
+            forwarding_model=ForwardingDelayModel.quiet(),
         )
 
         echo_server = EchoServer(fabric, host_d, port=echo_port)
@@ -171,7 +175,7 @@ class MeasurementHost:
         self.metrics = registry
         self.trace = log
         self.spans = spans if spans is not None else SpanTracer(
-            clock=lambda: self.sim.now
+            clock=lambda: self.sim.campaign_ms
         )
         self.provenance = ProvenanceLog()
         if events is not None or not self.events.enabled:
@@ -217,7 +221,7 @@ class MeasurementHost:
         ``ShardedCampaign`` keeps its telemetry path cheap when
         ``observe=False``. Returns the bus so callers can attach sinks.
         """
-        live = bus if bus is not None else EventBus(clock=lambda: self.sim.now)
+        live = bus if bus is not None else EventBus(clock=lambda: self.sim.campaign_ms)
         self.events = live
         self.sim.events = live
         self.echo_client.events = live

@@ -17,13 +17,14 @@ through a bounded worker pool, and assembles the same
 :class:`~repro.core.campaign.AllPairsCampaign`.
 
 With a :class:`TaskIsolation` attached the campaign instead runs its
-tasks strictly one at a time, resetting cached connections and
-reseeding every delay-relevant RNG stream from the task's key before
-each task. Each task's result then depends only on ``(root seed, task
-key)`` — not on which tasks ran before it in this process — which is
-what lets :class:`~repro.core.shard.ShardedCampaign` split the pair
-list across worker processes and still merge a matrix that is
-invariant to the shard count.
+tasks strictly one at a time, each from a clock restarted at zero, on
+draws keyed by the task, over connections of its own that it tears down
+itself. Each task's result — value, event count, provenance row — then
+depends only on ``(root seed, task key)``, not on which tasks ran before
+it in this process, which is what lets
+:class:`~repro.core.shard.ShardedCampaign` split the pair list across
+worker processes and still merge a matrix that is equal, bit for bit,
+whatever the shard count.
 """
 
 from __future__ import annotations
@@ -45,41 +46,42 @@ from repro.core.ting import (
 )
 from repro.obs import CAMPAIGN_SPAN
 from repro.tor.directory import RelayDescriptor
+from repro.netsim.engine import Simulator
 from repro.util.errors import MeasurementError
-from repro.util.rng import RandomStreams
+from repro.util.rng import DrawSource
 from repro.util.units import Milliseconds
-
-#: Estimates produced under task isolation are quantized to this many
-#: decimal digits of a millisecond (1e-6 ms = one nanosecond). Absolute
-#: event times differ between a sharded worker and a full campaign, so
-#: float rounding perturbs raw RTTs at the ~1e-10 ms scale; nanosecond
-#: quantization erases that while staying far below measurement
-#: resolution. Unisolated campaigns never round (bit-for-bit compatible
-#: with the historical estimator).
-ISOLATED_ESTIMATE_DECIMALS = 6
-
 
 @dataclass(frozen=True)
 class TaskIsolation:
-    """Recipe for making each measurement task's outcome context-free.
+    """Recipe for making each measurement task a function of its key alone.
 
-    ``streams`` is the testbed's root :class:`RandomStreams`;
-    ``stream_names`` lists every named stream that is drawn from while a
-    probe is in flight (latency jitter, relay forwarding models);
-    ``reset`` drops world state cached across tasks (OR connections).
-    Testbeds construct this — see ``LiveTorTestbed.task_isolation``.
+    ``sim`` is the world's simulator and ``draws`` its per-packet draw
+    source; ``reset`` closes every connection the last task opened;
+    ``forget_clock`` clears what else holds an absolute time across a
+    task boundary (service queues, cooldowns). Testbeds construct this —
+    see ``LiveTorTestbed.task_isolation``.
     """
 
-    streams: RandomStreams
-    stream_names: tuple[str, ...]
-    reset: Callable[[], None] | None = None
+    sim: Simulator
+    draws: DrawSource
+    reset: Callable[[], None]
+    forget_clock: Callable[[], None]
 
     def begin(self, task_key: str) -> None:
-        """Prepare the world so the next task is a pure function of its key."""
-        if self.reset is not None:
-            self.reset()
-        for name in self.stream_names:
-            self.streams.reseed(name, task_key)
+        """Start a task: the clock at zero (the simulator must be idle —
+        :meth:`finish` leaves it so) and every draw keyed by ``task_key``."""
+        self.sim.restart_clock()
+        self.draws.begin(task_key)
+
+    def finish(self) -> None:
+        """End a task: let its circuit teardowns reach every hop, close
+        the connections it opened, drain the closes — so that all of
+        those events are the task's own and nothing crosses into the next
+        one — then drop the absolute times left behind."""
+        self.sim.run(max_events=10_000_000)
+        self.reset()
+        self.sim.run(max_events=10_000_000)
+        self.forget_clock()
 
 
 @dataclass
@@ -157,11 +159,8 @@ class ParallelCampaign:
         #: deterministic) but not shard-invariant — ShardedCampaign
         #: never passes one.
         self.budget = budget
-        self._engine = engine = TingEngine(
-            host,
-            decimals=None if isolation is None else ISOLATED_ESTIMATE_DECIMALS,
-            budget=budget,
-        )
+        self._world_taken_over = False
+        self._engine = engine = TingEngine(host, budget=budget)
         # Pre-warmed estimates (a sharded campaign's leg round) are
         # read-only inputs: tasks for them are never scheduled.
         for fp, estimate in (leg_estimates or {}).items():
@@ -295,12 +294,12 @@ class ParallelCampaign:
         ]
         if self.isolation is not None:
             report.peak_concurrency = 1
-            self._run_isolated(tasks, launch)
+            report.makespan_ms = self._run_isolated(tasks, launch)
         else:
             report.peak_concurrency = self._run_concurrent(tasks, launch)
+            report.makespan_ms = sim.now - started
         report.pairs_attempted = len(pairs)
         report.pairs_measured = matrix.num_measured
-        report.makespan_ms = sim.now - started
         report.probes_sent = engine.probes_sent
         report.probes_saved = engine.probes_saved
         report.early_stops = engine.early_stops
@@ -342,27 +341,35 @@ class ParallelCampaign:
             raise MeasurementError("parallel campaign did not complete")
         return state["peak"]
 
-    def _run_isolated(self, tasks: list[tuple[str, ...]], launch) -> None:
-        """Serial per-task execution with context-free task outcomes.
+    def _run_isolated(self, tasks: list[tuple[str, ...]], launch) -> Milliseconds:
+        """Serial per-task execution with context-free task outcomes;
+        returns the makespan, the sum of the tasks' durations.
 
-        Before each task the isolation recipe drops cached OR connections
-        and reseeds the delay streams from the task key (``leg:<fp>`` /
-        ``pair:<a>:<b>``); after each task the simulator drains to idle
-        so no event (circuit teardown, connection close) crosses a task
-        boundary. Together these make every task's samples a pure
-        function of ``(root seed, task key)`` — bit-identical whether
-        the task runs as part of a full campaign, inside one
-        :meth:`run_pairs` chunk on a shard worker, or alone. Legs stay
-        tasks of their own here: one launched from inside a pair task
-        would draw from the pair's streams.
+        Each task (keyed ``leg:<fp>`` / ``pair:<a>:<b>``) starts from a
+        clock at zero and its own draws, and ends by closing the
+        connections it opened and draining the simulator, so no event
+        (circuit teardown, connection close) crosses a task boundary and
+        a task's event count is its own. Together these make every
+        task's samples a pure function of ``(root seed, task key)`` —
+        bit-identical whether the task runs as part of a full campaign,
+        inside one :meth:`run_pairs` chunk on a shard worker, or alone.
+        Legs stay tasks of their own here: one launched from inside a
+        pair task would draw from the pair's streams.
         """
-        sim = self.host.sim
+        sim, isolation = self.host.sim, self.isolation
+        if not self._world_taken_over:
+            # Whatever the world did before this campaign (connections it
+            # cached, events it left pending) is not the first task's.
+            isolation.finish()
+            self._world_taken_over = True
+        makespan = 0.0
         for task in tasks:
-            self.isolation.begin(":".join(task))
+            isolation.begin(":".join(task))
             run_to_completion(sim, lambda done, error: launch(task, done))
-            # Drain teardown traffic before the next task's reset/reseed.
-            sim.run(max_events=10_000_000)
+            isolation.finish()
+            makespan += sim.now  # the task's clock started at zero
             self.host.metrics.inc("campaign.task_isolations")
+        return makespan
 
     def run_pairs(self, pairs: Sequence[tuple[str, str]]) -> ParallelReport:
         """Measure one pair chunk incrementally, under task isolation.

@@ -594,7 +594,6 @@ def _run_worker(
         host.events.clear()
     events_start = testbed.sim.events_processed
     cells_start = _testbed_cells(testbed)
-    makespan_start = testbed.sim.now
     bus = None
     if telemetry is not None:
         bus = host.events if host.events.enabled else host.enable_events()
@@ -620,6 +619,7 @@ def _run_worker(
         "early_stops": 0,
         "legs_measured": 0,
         "chunks": 0,
+        "makespan_ms": 0.0,
     }
     try:
         if host.events.enabled:
@@ -659,6 +659,7 @@ def _run_worker(
             totals["early_stops"] += chunk.early_stops
             totals["legs_measured"] += chunk.legs_measured
             totals["chunks"] += 1
+            totals["makespan_ms"] += chunk.makespan_ms
             send_chunk(
                 (
                     "chunk",
@@ -694,7 +695,7 @@ def _run_worker(
         pairs_attempted=totals["pairs_attempted"],
         events_processed=testbed.sim.events_processed - events_start,
         cells_processed=_testbed_cells(testbed) - cells_start,
-        makespan_ms=testbed.sim.now - makespan_start,
+        makespan_ms=totals["makespan_ms"],
         wall_s=time.perf_counter() - started,
         cpu_s=time.process_time() - cpu_started,
         probes_sent=totals["probes_sent"],
@@ -911,7 +912,7 @@ class ShardedCampaign:
         # shares this list instead of each walking all relays again.
         descriptors = [by_fp[fp].descriptor() for fp in self.fingerprints]
         round_started = time.perf_counter()
-        sim_started = testbed.sim.now
+        sim_started = testbed.sim.campaign_ms
         leg_results = self._run_round(
             LEG_ROUND, self.leg_chunks(), testbed, descriptors, monitor, {}, {}
         )

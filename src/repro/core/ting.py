@@ -75,7 +75,7 @@ class CircuitMeasurement:
     samples_saved: int = 0
     stop_reason: str | None = None
     #: The value Eq. 4 used for this circuit: the minimum, debiased under
-    #: an adaptive policy and quantized under task isolation. A leg
+    #: an adaptive policy. A leg
     #: pre-warmed by a sharded campaign's leg round carries only this
     #: (its samples stayed with the worker that measured it).
     estimate_ms: Milliseconds | None = None
@@ -254,20 +254,17 @@ class TingEngine:
 
     **Probe accounting.** Every circuit and probe round lands in the
     counters below and, round by round, in ``budget`` — a concurrent
-    campaign's next launch sees what has been spent so far. ``decimals``
-    quantizes every circuit estimate (task isolation sets it).
+    campaign's next launch sees what has been spent so far.
     """
 
     def __init__(
         self,
         host: MeasurementHost,
         cache_legs: bool = True,
-        decimals: int | None = None,
         budget: "ProbeBudget | None" = None,
     ) -> None:
         self.host = host
         self.cache_legs = cache_legs
-        self.decimals = decimals
         self.budget = budget
         self.w = host.relay_w.fingerprint
         self.z = host.relay_z.fingerprint
@@ -294,20 +291,11 @@ class TingEngine:
             self.host.metrics.inc("ting.probes_saved", result.samples_saved)
 
     def measurement(self, path, result, policy: SamplePolicy) -> CircuitMeasurement:
-        """One probe round as a :class:`CircuitMeasurement`.
-
-        Adaptive policies debias the minimum (:func:`debiased_min_estimate`);
-        quantization erases the sub-picosecond float noise that absolute
-        event times inject, so sharded and unsharded runs of one task
-        agree exactly (the correction depends only on prefix properties
-        of the samples, so it is quantized along with the minimum).
-        """
-        value = debiased_min_estimate(result.rtts_ms, policy)
-        if self.decimals is not None:
-            value = round(value, self.decimals)
+        """One probe round as a :class:`CircuitMeasurement` (adaptive
+        policies debias the minimum: :func:`debiased_min_estimate`)."""
         return CircuitMeasurement(
             path, result.rtts_ms, result.stopped_early, result.samples_saved,
-            result.stop_reason, value,
+            result.stop_reason, debiased_min_estimate(result.rtts_ms, policy),
         )
 
     def measure(
@@ -533,7 +521,7 @@ class PairRecorder:
             host.metrics.observe("campaign.pair_duration_ms", duration)
         if host.trace.enabled:
             host.trace.record(
-                host.sim.now, PAIR_MEASURED,
+                host.sim.campaign_ms, PAIR_MEASURED,
                 x=x_fp, y=y_fp, rtt_ms=rtt, duration_ms=duration,
             )
         if host.provenance is not None:
@@ -579,7 +567,9 @@ class PairRecorder:
         if row:
             self.failed_row(x_fp, y_fp, reason, duration_ms=duration_ms)
         if host.trace.enabled:
-            host.trace.record(host.sim.now, PAIR_FAILED, x=x_fp, y=y_fp, reason=reason)
+            host.trace.record(
+                host.sim.campaign_ms, PAIR_FAILED, x=x_fp, y=y_fp, reason=reason
+            )
         if host.events.enabled:
             host.events.warning(
                 "campaign", "pair_failed", x=x_fp, y=y_fp, reason=reason

@@ -153,7 +153,7 @@ class EchoClient:
                 metrics.inc("echo.probes_lost", lost)
                 if self.trace.enabled:
                     self.trace.record(
-                        self.sim.now,
+                        self.sim.campaign_ms,
                         PROBE_LOST,
                         lost=lost,
                         sent=result.sent,
@@ -242,7 +242,7 @@ class EchoClient:
             if metrics.enabled:
                 metrics.inc("echo.probes_sent")
                 if self.trace.enabled:
-                    self.trace.record(self.sim.now, PROBE_SENT, seq=seq)
+                    self.trace.record(self.sim.campaign_ms, PROBE_SENT, seq=seq)
             # The next send is arranged before this one goes out, so the
             # onion proxy can see that this sender does not wait for the
             # reply (a probe flight needs a quiet round trip; launched

@@ -107,7 +107,11 @@ class Simulator:
     STALL_THRESHOLD_S = 1.0
 
     def __init__(self) -> None:
-        self._now: Milliseconds = 0.0
+        #: Current simulated time in milliseconds: a plain attribute (it is
+        #: read on every event) that only the engine writes.
+        self.now: Milliseconds = 0.0
+        # Simulated time that passed before the last clock restart.
+        self._restarted_ms: Milliseconds = 0.0
         self._heap: list[EventHandle] = []
         self._seq = itertools.count()
         self._events_processed = 0
@@ -141,9 +145,33 @@ class Simulator:
         self._flight_take_back: Callable[[], bool] | None = None
 
     @property
-    def now(self) -> Milliseconds:
-        """Current simulated time in milliseconds."""
-        return self._now
+    def campaign_ms(self) -> Milliseconds:
+        """Simulated time since the simulator was made, clock restarts
+        included (``now`` if there were none): what span / trace /
+        event-bus stamps read, so that nothing reported runs backwards."""
+        return self._restarted_ms + self.now
+
+    def restart_clock(self) -> None:
+        """Set ``now`` back to zero, so that what follows computes the
+        same floats whatever ran before it (task isolation, at the head
+        of every task). Only an idle simulator has no absolute time left
+        in it: a live event, a flight up or a run in progress raises
+        :class:`SimulationError`; cancelled entries of the old clock are
+        dropped (not a compaction: nothing is re-ordered)."""
+        if self._running or self._flight is not None or not all(
+            event[4] for event in self._heap
+        ):
+            raise SimulationError(
+                "cannot restart the clock of a simulator that is not idle "
+                f"(running={self._running}, flight up={self._flight is not None}, "
+                f"pending={len(self._heap) - self._cancelled_pending})"
+            )
+        for event in self._heap:
+            event[5] = True  # done
+        self._heap.clear()
+        self._cancelled_pending = 0
+        self._restarted_ms += self.now
+        self.now = 0.0
 
     @property
     def events_processed(self) -> int:
@@ -184,7 +212,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` ms from now."""
         if not delay >= 0:  # also refuses NaN, which ``delay < 0`` lets through
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
         self,
@@ -193,9 +221,9 @@ class Simulator:
         *args: Any,
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated time ``time``."""
-        if not time >= self._now:  # also refuses NaN: it would corrupt heap order
+        if not time >= self.now:  # also refuses NaN: it would corrupt heap order
             raise SimulationError(
-                f"cannot schedule into the past: time={time} < now={self._now}"
+                f"cannot schedule into the past: time={time} < now={self.now}"
             )
         if time <= self._flight_lands:
             # This event would fire while a flight is in the air (or, on
@@ -273,7 +301,7 @@ class Simulator:
             return False
         self._flight = self.schedule_at(lands_at, self._flight_landed, land, args)
         self._flight_lands = lands_at
-        self._flight_launched = self._now
+        self._flight_launched = self.now
         self._flight_take_back = take_back
         return True
 
@@ -306,11 +334,11 @@ class Simulator:
         self._heap.remove(event)
         heapq.heapify(self._heap)
         event[5] = True  # done
-        if self._now != self._flight_launched or not self._flight_take_back():
+        if self.now != self._flight_launched or not self._flight_take_back():
             raise SimulationError(
                 f"a probe flight launched at {self._flight_launched!r} ms lands at "
                 f"{event[0]!r} ms, but something else was arranged to happen "
-                f"before then (now={self._now!r} ms) and the flight can no "
+                f"before then (now={self.now!r} ms) and the flight can no "
                 "longer be replayed event by event; run the simulator past "
                 "the landing before scheduling, or send before a bounded run()"
             )
@@ -350,7 +378,7 @@ class Simulator:
         self.metrics.inc("sim.heap_compaction_purged", purged)
         if self.trace.enabled:
             self.trace.record(
-                self._now, HEAP_COMPACTION, purged=purged, live=len(self._heap)
+                self.campaign_ms, HEAP_COMPACTION, purged=purged, live=len(self._heap)
             )
         if self.events.enabled:
             self.events.info(
@@ -425,7 +453,7 @@ class Simulator:
                     break
                 heapq.heappop(self._heap)
                 event[5] = True
-                self._now = event[0]
+                self.now = event[0]
                 event[2](*event[3])
                 self._events_processed += 1
                 processed += 1
@@ -434,8 +462,8 @@ class Simulator:
                     self._batch_tick()
                 if stop_when is not None and stop_when():
                     break
-            if until is not None and self._now < until:
-                self._now = until
+            if until is not None and self.now < until:
+                self.now = until
         finally:
             self._running = False
             self._run_until = inf
@@ -460,6 +488,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self._now:.3f}ms, pending={len(self._heap)}, "
+            f"Simulator(now={self.now:.3f}ms, pending={len(self._heap)}, "
             f"processed={self._events_processed})"
         )

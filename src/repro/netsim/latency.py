@@ -19,36 +19,24 @@ simulator can report the *Tor-class* floor exactly).
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
 from repro.netsim.policies import TrafficClass
 from repro.netsim.routing import Router
 from repro.netsim.topology import Host, Topology
-from repro.util.rng import RandomStreams
+from repro.util.rng import DrawStream, RandomStreams
 from repro.util.units import Milliseconds
 
-
-class JitterModel(abc.ABC):
-    """Samples non-negative queueing jitter added to each packet's delay."""
-
-    @abc.abstractmethod
-    def sample(self, rng: np.random.Generator) -> Milliseconds:
-        """Draw one jitter value in milliseconds (>= 0)."""
-
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` jitter values; subclasses may vectorize."""
-        return np.array([self.sample(rng) for _ in range(n)])
+#: Mean of the exponential scheduling noise on a loopback "link".
+LOOPBACK_JITTER_MS = 0.01
 
 
-class ExponentialJitter(JitterModel):
-    """Exponential body with an occasional heavy-tailed burst.
+class JitterModel:
+    """Non-negative queueing jitter added to each packet's delay: an
+    exponential body plus, with some probability, an exponential burst.
 
-    Matches the queueing behaviour the paper observed (Section 4.4 /
-    Figure 6): most samples sit close to the floor, but a minority land
-    far above it, so reaching the *true* minimum takes many samples while
-    getting within 1 ms takes ~25x fewer.
+    Subclasses choose the three parameters, not the formula: a probe
+    flight (:mod:`repro.tor.client`) computes :meth:`sample` inline.
     """
 
     def __init__(
@@ -65,27 +53,65 @@ class ExponentialJitter(JitterModel):
         self.burst_probability = burst_probability
         self.burst_scale_ms = burst_scale_ms
 
-    def sample(self, rng: np.random.Generator) -> Milliseconds:
-        jitter = float(rng.exponential(self.scale_ms))
-        if rng.random() < self.burst_probability:
-            jitter += float(rng.exponential(self.burst_scale_ms))
+    def sample(self, draws: DrawStream) -> Milliseconds:
+        """One jitter value in milliseconds (>= 0): the next draw of
+        ``draws``, read as body ``e0``, burst coin ``u0``, burst ``e1``."""
+        i = draws.take()
+        e = draws.e
+        jitter = self.scale_ms * e[i]
+        if draws.u[i] < self.burst_probability:
+            jitter += self.burst_scale_ms * e[i + 1]
         return jitter
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` jitter values at once, from a numpy generator (the
+        analytic path; per-packet draws go through :meth:`sample`)."""
         jitter = rng.exponential(self.scale_ms, size=n)
         bursts = rng.random(n) < self.burst_probability
         jitter[bursts] += rng.exponential(self.burst_scale_ms, size=int(bursts.sum()))
         return jitter
 
 
+class ExponentialJitter(JitterModel):
+    """The default parameters: an exponential body with an occasional
+    heavy-tailed burst.
+
+    Matches the queueing behaviour the paper observed (Section 4.4 /
+    Figure 6): most samples sit close to the floor, but a minority land
+    far above it, so reaching the *true* minimum takes many samples while
+    getting within 1 ms takes ~25x fewer.
+    """
+
+
 class NoJitter(JitterModel):
     """Zero jitter; useful in unit tests that need exact delays."""
 
-    def sample(self, rng: np.random.Generator) -> Milliseconds:
-        return 0.0
+    def __init__(self) -> None:
+        super().__init__(0.0, 0.0, 0.0)
 
-    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.zeros(n)
+
+class Link:
+    """One direction between two hosts, for one traffic class: the floor,
+    the jitter model (``None`` on loopback, where jitter is scheduling
+    noise only) and the direction's draw stream. A connection endpoint
+    keeps the one it writes to."""
+
+    __slots__ = ("base_ms", "jitter", "draws")
+
+    def __init__(
+        self, base_ms: Milliseconds, jitter: JitterModel | None, draws: DrawStream
+    ) -> None:
+        self.base_ms = base_ms
+        self.jitter = jitter
+        self.draws = draws
+
+    def sample_ms(self) -> Milliseconds:
+        """One packet's one-way delay: floor plus sampled jitter."""
+        if self.jitter is None:
+            draws = self.draws
+            i = draws.take()  # before ``draws.e`` is read: it may refill
+            return self.base_ms + LOOPBACK_JITTER_MS * draws.e[i]
+        return self.base_ms + self.jitter.sample(self.draws)
 
 
 class LatencyEngine:
@@ -107,15 +133,13 @@ class LatencyEngine:
         self.topology = topology
         self.router = router
         self.jitter = jitter if jitter is not None else ExponentialJitter()
+        #: The world's per-packet draw source (a stream per link direction
+        #: here, per relay in :mod:`repro.tor.relay`); only the vectorized
+        #: analytic path below draws from a named numpy generator.
+        self.draws = streams.draws
         self._rng = streams.get("netsim.latency.jitter")
         self.loopback_rtt_ms = loopback_rtt_ms
         self._base_cache: dict[tuple[int, int, TrafficClass], Milliseconds] = {}
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The generator every per-packet draw comes from (a probe flight
-        snapshots it so that it can give its draws back)."""
-        return self._rng
 
     # --- deterministic floor -------------------------------------------
 
@@ -166,15 +190,20 @@ class LatencyEngine:
 
     # --- per-packet samples ---------------------------------------------
 
+    def link(self, src: Host, dst: Host, traffic_class: TrafficClass) -> Link:
+        """The ``src`` → ``dst`` direction for ``traffic_class``. Its draw
+        stream is named by the two addresses alone, so every writer to
+        the direction — whichever connection or class — shares it."""
+        draws = self.draws.stream(f"link:{src.address}>{dst.address}")
+        if self._colocated(src, dst):
+            return Link(self.loopback_rtt_ms / 2.0, None, draws)
+        return Link(self._routed_base_ms(src, dst, traffic_class), self.jitter, draws)
+
     def sample_one_way_ms(
         self, src: Host, dst: Host, traffic_class: TrafficClass
     ) -> Milliseconds:
         """One packet's one-way delay: floor plus sampled jitter."""
-        if self._colocated(src, dst):
-            # Loopback jitter is scheduling noise only: tiny.
-            return self.loopback_rtt_ms / 2.0 + float(self._rng.exponential(0.01))
-        base = self._routed_base_ms(src, dst, traffic_class)
-        return base + self.jitter.sample(self._rng)
+        return self.link(src, dst, traffic_class).sample_ms()
 
     def sample_rtts_ms(
         self,

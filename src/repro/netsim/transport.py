@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.netsim.engine import Simulator
-from repro.netsim.latency import LatencyEngine
+from repro.netsim.latency import LatencyEngine, Link
 from repro.netsim.policies import TrafficClass
 from repro.netsim.topology import Host
 from repro.util.errors import SimulationError
@@ -187,9 +187,9 @@ class NetworkFabric:
 
     def _send_syn(self, syn: Packet, client: "StreamConnection") -> None:
         listener = self._listeners.get((syn.dst.host_id, syn.dport))
-        delay_out = self.latency.sample_one_way_ms(
-            syn.src, syn.dst, syn.traffic_class
-        ) + syn.src.serialization_delay_ms(syn.size_bytes)
+        delay_out = client.link().sample_ms() + syn.src.serialization_delay_ms(
+            syn.size_bytes
+        )
         if listener is None:
             # RST comes back after the full round trip.
             delay_back = self.latency.sample_one_way_ms(
@@ -220,9 +220,7 @@ class NetworkFabric:
         client._peer = server
         server._peer = client
         listener(server)
-        delay_back = self.latency.sample_one_way_ms(
-            syn.dst, syn.src, syn.traffic_class
-        ) + syn.dst.serialization_delay_ms(60)
+        delay_back = server.link().sample_ms() + syn.dst.serialization_delay_ms(60)
         self.sim.schedule(delay_back, client._establish)
 
     def _transmit(
@@ -245,9 +243,8 @@ class NetworkFabric:
         :meth:`_transmit` schedules the delivery at the result, a probe
         flight (:mod:`repro.tor.client`) walks on from it.
         """
-        delay = self.latency.sample_one_way_ms(
-            conn.local, conn.remote, conn.traffic_class
-        ) + conn.local.serialization_delay_ms(size_bytes)
+        link = conn._link or conn.link()
+        delay = link.sample_ms() + conn.local.serialization_delay_ms(size_bytes)
         # TCP delivers in order: never let a later segment overtake an
         # earlier one just because its sampled jitter was smaller.
         arrival = max(now + delay, conn._last_arrival + 1e-6)
@@ -287,6 +284,13 @@ class StreamConnection:
         #: meet instead of delivering one.
         self.owner: Any = None
         self._last_arrival: Milliseconds = 0.0
+        #: When the process at this endpoint is done with the last cell it
+        #: took off the connection (a relay's per-connection FIFO; see
+        #: ``Relay.ready_ms``). Kept here so that it dies with the
+        #: connection.
+        self._queue_head: Milliseconds = 0.0
+        # The direction this endpoint writes to, once it has written.
+        self._link: Link | None = None
         self._peer: StreamConnection | None = None
         self._on_established: Callable[["StreamConnection"], None] | None = None
         self._on_failure: Callable[[str], None] | None = None
@@ -297,6 +301,16 @@ class StreamConnection:
             raise SimulationError("cannot send on a non-established stream")
         self.fabric._transmit(self, payload, size_bytes)
 
+    def link(self) -> Link:
+        """The direction this endpoint writes to (floor, jitter model and
+        draw stream), looked up on first use."""
+        link = self._link
+        if link is None:
+            link = self._link = self.fabric.latency.link(
+                self.local, self.remote, self.traffic_class
+            )
+        return link
+
     def close(self) -> None:
         """Close both endpoints (peer's ``on_close`` fires after transit)."""
         if self.closed:
@@ -304,10 +318,7 @@ class StreamConnection:
         self.closed = True
         peer = self._peer
         if peer is not None and not peer.closed:
-            delay = self.fabric.latency.sample_one_way_ms(
-                self.local, self.remote, self.traffic_class
-            )
-            self.fabric.sim.schedule(delay, peer._peer_closed)
+            self.fabric.sim.schedule(self.link().sample_ms(), peer._peer_closed)
 
     # --- internal callbacks -----------------------------------------------
 

@@ -15,8 +15,6 @@ count as a parameter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from repro.core.measurement_host import MeasurementHost
@@ -37,7 +35,7 @@ from repro.tor.directory import (
     RelayDescriptor,
 )
 from repro.tor.relay import ForwardingDelayModel, Relay, ServiceQueue
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, MeasurementError
 from repro.util.rng import RandomStreams
 from repro.util.rng import categorical_cdf, draw_categorical, draw_item, draw_uniform
 
@@ -74,6 +72,8 @@ class LiveTorTestbed:
         # Relays holding OR-connection state since their last reset; each
         # relay adds itself (see ``Relay.conn_registry``).
         self._touched: set[Relay] = set()
+        # Relays reset since their clock state was last cleared.
+        self._unsettled: list[Relay] = []
         self._relay_rank = {relay: rank for rank, relay in enumerate(self.relays)}
         for relay in self.relays:
             relay.conn_registry = self._touched
@@ -218,7 +218,6 @@ class LiveTorTestbed:
             load = draw_uniform(rng, 0.15, 0.7)
             floor = draw_uniform(rng, 0.2, 1.5)
         return ForwardingDelayModel(
-            rng,
             crypto_floor_ms=floor,
             load=load,
             queue_scale_ms=draw_uniform(rng, 0.5, 3.0),
@@ -282,40 +281,54 @@ class LiveTorTestbed:
 
     # ------------------------------------------------------------------
 
-    #: Every named stream drawn from while a probe is in flight. Reseeding
-    #: exactly these per task makes a task's delay draws independent of
-    #: process history (see :class:`~repro.core.parallel.TaskIsolation`).
-    ISOLATION_STREAMS: ClassVar[tuple[str, ...]] = (
-        "netsim.latency.jitter",
-        "livetor.relays",
-        "ting.local-relays",
-    )
-
     def reset_connections(self) -> None:
         """Drop every cached OR connection in the world.
 
         Connection reuse couples measurement tasks: whichever task runs
-        first pays the handshake (and its RNG draws), later tasks do not.
-        Dropping the caches before each isolated task makes every task
-        start from the same cold-connection state. Only relays that
-        accepted or opened a connection since their last reset hold any
-        state, so only those are visited — in testbed relay order,
-        because ``close()`` draws a link delay and schedules the peer's
-        close event: the visiting order shows in event sequence numbers.
+        first pays the handshake (and its draws), later tasks do not.
+        Each isolated task therefore ends by dropping what it opened, so
+        that every task starts from the same cold-connection state. Only
+        relays that accepted or opened a connection since their last
+        reset hold any state, so only those are visited — in testbed
+        relay order, because ``close()`` draws a link delay and schedules
+        the peer's close event: the visiting order shows in event
+        sequence numbers.
         """
         self.measurement.proxy.disconnect_or_conns()
         self.measurement.relay_w.disconnect_or_conns()
         self.measurement.relay_z.disconnect_or_conns()
-        for relay in sorted(self._touched, key=self._relay_rank.__getitem__):
+        visited = sorted(self._touched, key=self._relay_rank.__getitem__)
+        for relay in visited:
             relay.disconnect_or_conns()
         self._touched.clear()
+        self._unsettled.extend(visited)
+
+    def forget_clock(self) -> None:
+        """Clear the absolute times held by every relay reset since the
+        last call (and by w and z) — once the closes have drained, before
+        the clock they were read on is restarted."""
+        self.measurement.relay_w.forget_clock()
+        self.measurement.relay_z.forget_clock()
+        for relay in self._unsettled:
+            relay.forget_clock()
+        self._unsettled.clear()
 
     def task_isolation(self):
         """A :class:`~repro.core.parallel.TaskIsolation` for this world."""
         from repro.core.parallel import TaskIsolation
 
+        host = self.measurement
+        for relay in (host.relay_w, host.relay_z, *self.relays):
+            if relay.forwarding.reads_clock:
+                raise MeasurementError(
+                    f"task isolation (sharded campaigns, worker chunks) restarts "
+                    f"the clock for every task, but the forwarding model of "
+                    f"{relay.nickname} ({type(relay.forwarding).__name__}) reads "
+                    "it: every task would see the same instant of its cycle"
+                )
         return TaskIsolation(
-            streams=self.streams,
-            stream_names=self.ISOLATION_STREAMS,
+            sim=self.sim,
+            draws=self.streams.draws,
             reset=self.reset_connections,
+            forget_clock=self.forget_clock,
         )

@@ -125,7 +125,6 @@ class PlanetLabTestbed:
                 # (filled in after the measurement host exists).
                 exit_policy=ExitPolicy.reject_all(),
                 forwarding_model=ForwardingDelayModel(
-                    relay_rng,
                     crypto_floor_ms=float(relay_rng.uniform(0.1, 1.2)),
                     load=float(relay_rng.uniform(load_lo, load_hi)),
                     queue_scale_ms=float(relay_rng.uniform(0.5, 2.5)),

@@ -26,6 +26,7 @@ import itertools
 from typing import Callable
 
 from repro.netsim.engine import EventHandle, Simulator
+from repro.netsim.latency import LOOPBACK_JITTER_MS
 from repro.netsim.policies import TrafficClass
 from repro.obs import (
     CIRCUIT_BUILT,
@@ -50,6 +51,7 @@ from repro.tor.crypto import ClientHandshake, CryptoError, OnionLayer
 from repro.tor.directory import Consensus, RelayDescriptor
 from repro.tor.relay import Relay
 from repro.util.errors import CircuitError, StreamError
+from repro.util.rng import BLOCK_WORDS
 from repro.util.units import Milliseconds
 
 #: Default deadline for building a circuit before it is abandoned.
@@ -292,7 +294,7 @@ class OnionProxy:
         self.metrics.inc("tor.circuits_failed")
         if self.trace.enabled:
             self.trace.record(
-                self.sim.now,
+                self.sim.campaign_ms,
                 CIRCUIT_FAILED,
                 circ_id=circuit.circ_id,
                 hops=len(circuit.path),
@@ -340,7 +342,7 @@ class OnionProxy:
                 )
             if self.trace.enabled:
                 self.trace.record(
-                    self.sim.now,
+                    self.sim.campaign_ms,
                     CIRCUIT_BUILT,
                     circ_id=circuit.circ_id,
                     hops=len(circuit.path),
@@ -444,7 +446,7 @@ class OnionProxy:
         self.metrics.inc("tor.streams_attached")
         if self.trace.enabled:
             self.trace.record(
-                self.sim.now,
+                self.sim.campaign_ms,
                 STREAM_ATTACHED,
                 circ_id=circuit.circ_id,
                 stream_id=stream_id,
@@ -464,7 +466,7 @@ class OnionProxy:
             self.metrics.inc("tor.stream_failures")
             if self.trace.enabled:
                 self.trace.record(
-                    self.sim.now,
+                    self.sim.campaign_ms,
                     STREAM_FAILED,
                     circ_id=circuit.circ_id,
                     stream_id=stream_id,
@@ -488,7 +490,7 @@ class OnionProxy:
         self.metrics.inc("tor.stream_failures")
         if self.trace.enabled:
             self.trace.record(
-                self.sim.now,
+                self.sim.campaign_ms,
                 STREAM_FAILED,
                 circ_id=circuit.circ_id,
                 stream_id=stream_id,
@@ -529,13 +531,16 @@ class OnionProxy:
           time after;
         * no hop's wait would have raised a ``queue_saturated`` event.
 
-        The walk makes the draws the cells would make, in their order —
-        link jitter at each send, forwarding delay at each arrival — by
-        calling what the cells call (:meth:`NetworkFabric.arrival_ms`,
-        :meth:`Relay.ready_ms`), so connections, queue heads and service
-        queues end up as the cells would leave them. A flight refused
-        after drawing gives every draw back (generator states restored
-        from a snapshot, queues rewound): all or nothing, no knob.
+        The walk takes the draws the cells would take — each segment the
+        next draw of its link direction, each arrival the next draw of
+        its relay — and computes from them, inline, what the cells' own
+        helpers compute (:meth:`NetworkFabric.arrival_ms`,
+        :meth:`Relay.ready_ms`: the same float operations in the same
+        order; ``tests/contract/test_probe_flight.py`` holds the two
+        together), so connections, queue heads and service queues end up
+        as the cells would leave them. A flight refused after drawing
+        gives every draw back (each stream rewound to the position it
+        was marked at, queues rewound): all or nothing, no knob.
         Counters move at the landing, when the cells would have moved
         the last of them.
         """
@@ -556,36 +561,71 @@ class OnionProxy:
         steps, _ = chart
         if stream._floor_rtt_ms is None:
             stream._floor_rtt_ms = self._floor_ms(steps)
-        fabric = self.fabric
-        jitter = fabric.latency.rng.bit_generator
-        # The relays met on the way back are the ones met on the way out.
-        generators = {jitter}.union(
-            step[3].forwarding.rng.bit_generator
-            for step in steps[: len(stream.circuit.layers)]
-        )
-        drawn = [(generator, generator.state) for generator in generators]
-        marks = [
-            (conn._last_arrival, None if relay is None else relay.queue_mark(peer))
-            for conn, peer, _, relay, _ in steps
-        ]
-        arrival_ms = fabric.arrival_ms
+        marks = []
         at = now
         for conn, peer, size_bytes, relay, _ in steps:
-            at = arrival_ms(conn, size_bytes, at)
-            if relay is not None:
-                arrived = at
-                at = relay.ready_ms(peer, arrived)
-                if relay.service_queue is not None and relay.saturation_due(
-                    arrived, at
-                ):
-                    break
+            # NetworkFabric.arrival_ms, inline.
+            link = conn._link or conn.link()
+            draws = link.draws
+            i = draws.pos
+            last_arrival, link_mark = conn._last_arrival, draws.base + i
+            if i == BLOCK_WORDS:
+                draws.fill(draws.base + i)
+                i = 0
+            draws.pos = i + 2
+            model = link.jitter
+            if model is None:
+                delay = link.base_ms + LOOPBACK_JITTER_MS * draws.e[i]
+            else:
+                e = draws.e
+                jitter = model.scale_ms * e[i]
+                if draws.u[i] < model.burst_probability:
+                    jitter += model.burst_scale_ms * e[i + 1]
+                delay = link.base_ms + jitter
+            delay += conn.local.serialization_delay_ms(size_bytes)
+            at = max(at + delay, last_arrival + 1e-6)
+            conn._last_arrival = at
+            if relay is None:
+                marks.append((last_arrival, link_mark))
+                continue
+            # Relay.ready_ms, inline.
+            draws = relay.draws
+            i = draws.pos
+            queue = relay.service_queue
+            marks.append(
+                (
+                    last_arrival,
+                    link_mark,
+                    draws.base + i,
+                    peer._queue_head,
+                    None if queue is None else queue.mark(),
+                )
+            )
+            if i == BLOCK_WORDS:
+                draws.fill(draws.base + i)
+                i = 0
+            draws.pos = i + 2
+            model = relay.forwarding
+            u, e = draws.u, draws.e
+            delay = model.crypto_floor_ms
+            if u[i] < model.load:
+                delay += model.queue_scale_ms * e[i]
+            if u[i + 1] < model.burst_probability * max(model.load, 0.05):
+                delay += model.burst_scale_ms * e[i + 1]
+            arrived = at
+            at = max(arrived + delay, peer._queue_head + 1e-6)
+            if queue is not None:
+                at = max(at, queue.admit(arrived))
+            peer._queue_head = at
+            if queue is not None and relay.saturation_due(arrived, at):
+                break
         else:
             if sim.launch_flight(
                 at, self._land, self._take_back, stream, payload, chart
             ):
-                self._airborne = (stream, payload, steps, drawn, marks, jitter.state)
+                self._airborne = (stream, payload, steps, marks)
                 return True
-        self._give_back(steps, drawn, marks)
+        self._give_back(steps, marks)
         return False
 
     def _chart(self, stream: TorStream, payload: bytes) -> tuple[list, object] | None:
@@ -668,29 +708,40 @@ class OnionProxy:
                 floor += relay.floor_ms()
         return floor
 
-    def _give_back(self, steps: list[tuple], drawn: list, marks: list) -> None:
-        """Undo a walk: generator states, arrivals, queue heads, queues."""
-        for generator, state in drawn:
-            generator.state = state
-        # Backwards: a relay met twice took its second mark after its
-        # first admission.
-        for (conn, peer, _, relay, _), (last_arrival, mark) in zip(
-            reversed(steps), reversed(marks)
-        ):
-            conn._last_arrival = last_arrival
+    def _give_back(self, steps: list[tuple], marks: list) -> None:
+        """Undo a walk (or the part of one that ``marks`` covers): draw
+        positions, arrivals, queue heads, queues."""
+        # Backwards: a stream, connection or relay met twice took its
+        # second mark after its first draw.
+        for step in range(len(marks) - 1, -1, -1):
+            conn, peer, _, relay, _ = steps[step]
+            mark = marks[step]
+            conn._last_arrival = mark[0]
+            conn._link.draws.rewind(mark[1])
             if relay is not None:
-                relay.queue_rewind(peer, mark)
+                relay.draws.rewind(mark[2])
+                peer._queue_head = mark[3]
+                if mark[4] is not None:
+                    relay.service_queue.rewind(mark[4])
         self.metrics.inc("echo.flight_rollbacks")
 
     def _take_back(self) -> bool:
         """Undo the flight in the air and send its payload as a cell
         (see :meth:`Simulator.ground_flight`). Exact unless someone has
-        drawn link jitter since the launch — the one stream reachable
-        from outside an event."""
-        stream, payload, steps, drawn, marks, jitter_state = self._airborne
+        drawn from one of the walk's streams since the launch — a link
+        direction's is reachable from outside an event."""
+        stream, payload, steps, marks = self._airborne
         self._airborne = None
-        untouched = self.fabric.latency.rng.bit_generator.state == jitter_state
-        self._give_back(steps, drawn, marks)
+        # Where the walk left each stream: one draw past its last mark.
+        left_at = {}
+        for (conn, _, _, relay, _), mark in zip(steps, marks):
+            left_at[conn._link.draws] = mark[1] + 2
+            if relay is not None:
+                left_at[relay.draws] = mark[2] + 2
+        untouched = all(
+            draws.base + draws.pos == position for draws, position in left_at.items()
+        )
+        self._give_back(steps, marks)
         self._send_relay_cell(
             stream.circuit, RelayCommand.DATA, stream.stream_id, payload
         )

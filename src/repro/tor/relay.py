@@ -18,8 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from repro.netsim.engine import Simulator
 from repro.netsim.policies import TrafficClass
 from repro.netsim.topology import Host, Topology
@@ -40,7 +38,7 @@ from repro.tor.crypto import (
     ServerHandshake,
 )
 from repro.tor.directory import ExitPolicy, RelayDescriptor
-from repro.util.rng import RandomStreams
+from repro.util.rng import DrawStream
 from repro.util.units import Milliseconds
 
 
@@ -54,14 +52,15 @@ class ForwardingDelayModel:
     """
 
     #: Whether :meth:`sample` reads the simulated clock. A subclass that
-    #: does must say so: a probe flight samples every hop of a path
-    #: inside one event, with the clock still at the launch instant, and
-    #: leaves a path with such a model on it to the cell path.
+    #: does must say so: a probe flight works out every hop of a path
+    #: inside one event (inline, from these parameters), with the clock
+    #: still at the launch instant, and leaves a path with such a model
+    #: on it to the cell path; task isolation, which restarts the clock
+    #: for every task, refuses a world that holds one.
     reads_clock = False
 
     def __init__(
         self,
-        rng: np.random.Generator,
         crypto_floor_ms: Milliseconds = 0.4,
         load: float = 0.3,
         queue_scale_ms: Milliseconds = 1.5,
@@ -74,32 +73,29 @@ class ForwardingDelayModel:
             raise ValueError(f"load must be in [0, 1], got {load}")
         if not 0.0 <= burst_probability <= 1.0:
             raise ValueError("burst_probability must be in [0, 1]")
-        self._rng = rng
         self.crypto_floor_ms = crypto_floor_ms
         self.load = load
         self.queue_scale_ms = queue_scale_ms
         self.burst_probability = burst_probability
         self.burst_scale_ms = burst_scale_ms
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """The generator every draw comes from (a probe flight snapshots
-        it so that it can give its draws back)."""
-        return self._rng
-
-    def sample(self) -> Milliseconds:
-        """One cell's forwarding delay in milliseconds."""
+    def sample(self, draws: DrawStream) -> Milliseconds:
+        """One cell's forwarding delay in milliseconds: the next draw of
+        ``draws`` (the relay's own stream), read as queueing coin ``u0``,
+        wait ``e0``, burst coin ``u1``, burst ``e1``."""
+        i = draws.take()
+        u, e = draws.u, draws.e
         delay = self.crypto_floor_ms
-        if self._rng.random() < self.load:
-            delay += float(self._rng.exponential(self.queue_scale_ms))
-        if self._rng.random() < self.burst_probability * max(self.load, 0.05):
-            delay += float(self._rng.exponential(self.burst_scale_ms))
+        if u[i] < self.load:
+            delay += self.queue_scale_ms * e[i]
+        if u[i + 1] < self.burst_probability * max(self.load, 0.05):
+            delay += self.burst_scale_ms * e[i + 1]
         return delay
 
     @classmethod
-    def quiet(cls, rng: np.random.Generator) -> "ForwardingDelayModel":
+    def quiet(cls) -> "ForwardingDelayModel":
         """A lightly loaded relay (e.g. the measurement host's w and z)."""
-        return cls(rng, crypto_floor_ms=0.15, load=0.05, queue_scale_ms=0.5)
+        return cls(crypto_floor_ms=0.15, load=0.05, queue_scale_ms=0.5)
 
 
 class ServiceQueue:
@@ -141,6 +137,10 @@ class ServiceQueue:
         """Forget every admission since ``mark`` was taken."""
         self._busy_until, self.cells_served = mark
 
+    def forget_clock(self) -> None:
+        """Go idle (the clock ``_busy_until`` was read on is restarting)."""
+        self._busy_until = 0.0
+
 
 class DiurnalForwardingDelayModel(ForwardingDelayModel):
     """A forwarding-delay model whose load follows a daily cycle.
@@ -159,7 +159,6 @@ class DiurnalForwardingDelayModel(ForwardingDelayModel):
     def __init__(
         self,
         sim: Simulator,
-        rng: np.random.Generator,
         base_load: float = 0.1,
         peak_load: float = 0.7,
         phase_ms: Milliseconds = 0.0,
@@ -167,7 +166,7 @@ class DiurnalForwardingDelayModel(ForwardingDelayModel):
     ) -> None:
         if not 0.0 <= base_load <= peak_load <= 1.0:
             raise ValueError("need 0 <= base_load <= peak_load <= 1")
-        super().__init__(rng, load=base_load, **kwargs)
+        super().__init__(load=base_load, **kwargs)
         self._sim = sim
         self.base_load = base_load
         self.peak_load = peak_load
@@ -181,9 +180,9 @@ class DiurnalForwardingDelayModel(ForwardingDelayModel):
         swing = 0.5 * (1.0 + math.sin(angle))
         return self.base_load + (self.peak_load - self.base_load) * swing
 
-    def sample(self) -> Milliseconds:
+    def sample(self, draws: DrawStream) -> Milliseconds:
         self.load = self.current_load()
-        return super().sample()
+        return super().sample(draws)
 
 
 @dataclass
@@ -240,12 +239,10 @@ class Relay:
         self.identity = identity or RelayIdentity.generate(
             entropy=self.fingerprint.encode().ljust(32, b"\x00")[:32]
         )
-        # Seeded from the fingerprint, not ``hash()``: string hashes are
-        # salted per process, and a relay must draw the same delays in every
-        # interpreter (and in a forked worker as in a fresh CLI run).
-        self.forwarding = forwarding_model or ForwardingDelayModel(
-            np.random.default_rng(RandomStreams.derive_seed(0, self.fingerprint))
-        )
+        self.forwarding = forwarding_model or ForwardingDelayModel()
+        #: This relay's own draw stream, named by the fingerprint: the same
+        #: forwarding delays in every interpreter, whoever else draws.
+        self.draws = fabric.latency.draws.stream(f"relay:{self.fingerprint}")
         self.family = family
         self.service_queue = service_queue
 
@@ -268,8 +265,6 @@ class Relay:
         # Reverse index: which (conn, circ_id) is the *next*-hop side.
         self._next_side: dict[tuple[int, int], _CircuitEntry] = {}
         self._circ_id_counter = itertools.count(1)
-        # Per-connection FIFO release times for the cell queue.
-        self._queue_head: dict[int, float] = {}
         self._online = True
 
         fabric.listen(host, or_port, self._accept_or_connection)
@@ -371,14 +366,13 @@ class Relay:
         probe flight (:mod:`repro.tor.client`) walks on from it.
         """
         ready_at = max(
-            now + self.forwarding.sample(),
-            self._queue_head.get(id(conn), 0.0) + 1e-6,
+            now + self.forwarding.sample(self.draws), conn._queue_head + 1e-6
         )
         if self.service_queue is not None:
             # Real queueing: this cell also has to wait for the relay's
             # forwarding capacity, shared with every other circuit.
             ready_at = max(ready_at, self.service_queue.admit(now))
-        self._queue_head[id(conn)] = ready_at
+        conn._queue_head = ready_at
         return ready_at
 
     def floor_ms(self) -> Milliseconds:
@@ -387,25 +381,6 @@ class Relay:
         if self.service_queue is not None:
             floor = max(floor, self.service_queue.service_time_ms)
         return floor
-
-    def queue_mark(self, conn: StreamConnection) -> tuple:
-        """What :meth:`ready_ms` on ``conn`` overwrites, for
-        :meth:`queue_rewind` to put back."""
-        queue = self.service_queue
-        return (
-            self._queue_head.get(id(conn)),
-            None if queue is None else queue.mark(),
-        )
-
-    def queue_rewind(self, conn: StreamConnection, mark: tuple) -> None:
-        """Undo every :meth:`ready_ms` on ``conn`` since ``mark`` was taken."""
-        head, served = mark
-        if head is None:
-            self._queue_head.pop(id(conn), None)
-        else:
-            self._queue_head[id(conn)] = head
-        if served is not None:
-            self.service_queue.rewind(served)
 
     def saturation_due(self, now: Milliseconds, ready_at: Milliseconds) -> bool:
         """Whether a cell held in the service queue from ``now`` to
@@ -752,7 +727,14 @@ class Relay:
         for conn in self._or_conns.values():
             conn.close()
         self._or_conns.clear()
-        self._queue_head.clear()
+
+    def forget_clock(self) -> None:
+        """Drop the absolute times this relay holds across tasks, whose
+        clock is restarting: service-queue busy time, saturation cooldown
+        (per-connection queue heads die with their connections)."""
+        if self.service_queue is not None:
+            self.service_queue.forget_clock()
+        self._last_saturation_ms = -float("inf")
 
     def shutdown(self) -> None:
         """Take the relay offline: tear down everything, stop listening."""
@@ -767,7 +749,6 @@ class Relay:
         for conn in self._or_conns.values():
             conn.close()
         self._or_conns.clear()
-        self._queue_head.clear()
 
     def restart(self) -> None:
         """Bring a shut-down relay back online (fresh circuit state)."""

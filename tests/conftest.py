@@ -7,6 +7,8 @@ that mutate simulation state build their own via the factory fixtures.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,41 @@ from repro.testbeds.planetlab import PlanetLabTestbed
 from repro.tor.directory import DirectoryAuthority, ExitPolicy
 from repro.tor.relay import ForwardingDelayModel, Relay
 from repro.util.rng import RandomStreams
+
+
+def reference_draw(
+    seed: int, name: str, context: str | None, k: int
+) -> tuple[float, float, float, float]:
+    """Draw ``k`` of entity ``name`` — ``(u0, u1, e0, e1)`` — as the rule
+    in ``repro.util.rng`` states it, from a fresh ``Philox``: keyed by
+    SHA-256 of ``seed:name``, counter ``(0, block, context)`` with the
+    context SHA-256 of the isolation key (zero before any ``begin``),
+    32 uniforms then 32 standard exponentials per block of 16 draws."""
+
+    def words(text: str) -> list[int]:
+        digest = hashlib.sha256(text.encode()).digest()[:16]
+        return [int.from_bytes(digest[i : i + 8], "little") for i in (0, 8)]
+
+    def uint64(values) -> np.ndarray:
+        # Explicitly: a list of Python ints above 2**63 goes through float64.
+        return np.array(values, dtype=np.uint64)
+
+    block, offset = divmod(k, 16)
+    counter = [0, block, *(words(context) if context is not None else (0, 0))]
+    fresh = np.random.Generator(
+        np.random.Philox(key=uint64(words(f"{seed}:{name}")), counter=uint64(counter))
+    )
+    u, e = fresh.random(32), fresh.standard_exponential(32)
+    return (
+        float(u[2 * offset]), float(u[2 * offset + 1]),
+        float(e[2 * offset]), float(e[2 * offset + 1]),
+    )
+
+
+def take_draw(stream) -> tuple[float, float, float, float]:
+    """The next draw of a ``DrawStream``, as ``(u0, u1, e0, e1)``."""
+    i = stream.take()
+    return (stream.u[i], stream.u[i + 1], stream.e[i], stream.e[i + 1])
 
 
 @pytest.fixture
@@ -41,7 +78,6 @@ class MiniWorld:
         self.fabric = NetworkFabric(self.sim, self.latency)
         self.authority = DirectoryAuthority()
         self.relays: list[Relay] = []
-        relay_rng = self.streams.get("relays")
         pops = sorted(self.topology.pops)
         for i in range(n_relays):
             host = self.builder.attach_random_host(
@@ -55,7 +91,7 @@ class MiniWorld:
                 nickname=f"mini{i}",
                 bandwidth_kbps=1024 * (i + 1),
                 exit_policy=ExitPolicy.accept_all() if i % 2 == 0 else ExitPolicy.reject_all(),
-                forwarding_model=ForwardingDelayModel(relay_rng, load=0.1),
+                forwarding_model=ForwardingDelayModel(load=0.1),
             )
             self.relays.append(relay)
             self.authority.publish(relay.descriptor())

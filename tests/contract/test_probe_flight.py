@@ -1,14 +1,14 @@
 """Contract: a probe flight is the cell path without the cells.
 
 ``OnionProxy._send_stream_data`` may send a lone echo cell as a *probe
-flight* — every draw the cells would make, in their order, inside the
-sending event, and one landing event. The claim is that nothing a
+flight* — every draw the cells would take, each from its own link's or
+relay's stream, inside the sending event, and one landing event. The claim is that nothing a
 measurement can observe tells the two apart. This file holds the claim
 to that: each case runs once as shipped and once with the flight's
 single entry point (``OnionProxy._fly``) refusing everything, on two
 worlds generated from the same seed, and compares — bit for bit — the
-RTT lists, the final clock, every random stream's state, per-relay cell
-counts, service-queue state, every connection's last arrival, queue
+RTT lists, the final clock, every draw stream's position (and every
+named generator's state), per-relay cell counts, service-queue state, every connection's last arrival, queue
 heads, the echo server's count and the whole metrics registry. The one
 thing allowed to differ is the simulator's event count, and only by
 ``4 x hops`` per landed flight.
@@ -57,12 +57,13 @@ def _state(testbed, registry):
     """Everything the two paths must leave identical."""
     host = testbed.measurement
     relays = [*testbed.relays, host.relay_w, host.relay_z]
-    last_arrival = {}
+    last_arrival, queue_heads = {}, {}
     for relay in relays:
         for entry in relay._circuits.values():
             for conn in (entry.prev_conn, entry.next_conn, *entry.exit_streams.values()):
                 for end in (conn, conn._peer) if conn is not None else ():
                     last_arrival[(end.conn_id, end.is_client)] = end._last_arrival
+                    queue_heads[(end.conn_id, end.is_client)] = end._queue_head
     snapshot = registry.snapshot()
     sim = testbed.sim
     return {
@@ -71,13 +72,17 @@ def _state(testbed, registry):
             name: rng.bit_generator.state
             for name, rng in testbed.streams._streams.items()
         },
-        "forwarding": [r.forwarding.rng.bit_generator.state for r in relays],
+        "draws": {
+            name: (draws.base, draws.pos)
+            for name, draws in testbed.streams.draws._streams.items()
+        },
+        "forwarding": [(r.draws.base, r.draws.pos) for r in relays],
         "cells": [relay.cells_processed for relay in relays],
         "queues": [
             None if queue is None else (queue.cells_served, queue._busy_until)
             for queue in (relay.service_queue for relay in relays)
         ],
-        "queue_heads": [sorted(relay._queue_head.values()) for relay in relays],
+        "queue_heads": queue_heads,
         "last_arrival": last_arrival,
         "echoed": host.echo_server.payloads_echoed,
         "counters": {
@@ -265,7 +270,7 @@ def test_a_hop_whose_delay_model_reads_the_clock_never_flies():
     def scenario(testbed, hops):
         relay = testbed.relays[0]
         relay.forwarding = DiurnalForwardingDelayModel(
-            testbed.sim, np.random.default_rng(5), phase_ms=6 * 3_600_000.0
+            testbed.sim, phase_ms=6 * 3_600_000.0
         )
         return _pingpong(10)(testbed, hops)
 
@@ -439,9 +444,9 @@ def test_landing_drops_what_the_last_cell_would_have_dropped(change):
     assert differential(scenario, hops=4) == (1, 0)
 
 
-def test_drawing_link_jitter_under_a_flight_fails_fast():
-    """The one thing that cannot be replayed: someone drew from the
-    shared jitter stream after the flight had drawn its whole path."""
+def _ping_under_a_flight(to_helper_w: bool):
+    """Launch a flight, then send a datagram from the echo client's host
+    before the landing; returns ``(testbed, landing event, send)``."""
     testbed = LiveTorTestbed.build(seed=47, n_relays=6)
     host, sim = testbed.measurement, testbed.sim
     stream = _stream(testbed, hops=4)
@@ -449,11 +454,29 @@ def test_drawing_link_jitter_under_a_flight_fails_fast():
         stream, 3, lambda result: None, lambda reason: None, interval_ms=None
     )
     sim.run(max_events=1)  # returns with the first probe's flight up
-    landing = sim._flight
+    dst = host.relay_w.host if to_helper_w else testbed.relays[0].host
     ping = Packet(
-        src=host.echo_client_host, dst=testbed.relays[0].host, sport=0, dport=0,
+        src=host.echo_client_host, dst=dst, sport=0, dport=0,
         traffic_class=TrafficClass.ICMP, payload=("echo-request", 0, None),
     )
+    return testbed, sim._flight, lambda: testbed.fabric.send(ping)
+
+
+def test_drawing_link_jitter_under_a_flight_fails_fast():
+    """The one thing that cannot be replayed: someone took a draw of a
+    link direction the flight had already drawn its whole path on (here
+    ``s -> w``, the flight's first segment)."""
+    _, landing, send = _ping_under_a_flight(to_helper_w=True)
     with pytest.raises(SimulationError) as raised:
-        testbed.fabric.send(ping)
+        send()
     assert f"lands at {landing.time!r} ms" in str(raised.value)
+
+
+def test_drawing_on_another_link_under_a_flight_is_replayed_exactly():
+    """Draws are keyed by who makes them: a datagram on a direction the
+    flight does not cross takes nothing of the flight's, so the flight
+    comes back as cells and the send goes ahead."""
+    testbed, _, send = _ping_under_a_flight(to_helper_w=False)
+    send()
+    assert testbed.sim._flight is None
+    testbed.sim.run_until_idle()

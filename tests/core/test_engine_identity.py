@@ -10,14 +10,21 @@ digest over the span records, provenance rows and bus records, wall
 stamps stripped. A moved result digest means a draw or a record moved.
 The **work** tuple — events processed, events cancelled, heap peak — is
 what the simulator spent getting there; a PR may lower it, but only by
-a stated formula. The result digests were computed at the commit
-*before* the engines were collapsed onto one pair state machine (PR
-18's parent, d3cf574) and regenerated, split from the work tuples, at
-b6f7dad with::
+a stated formula. The digests held from the commit before the engines
+were collapsed onto one pair state machine (PR 18's parent, d3cf574)
+until PR 22, **the last re-pin**: per-packet draws became keyed by who
+makes them (one block stream per link direction and per relay) and
+isolated tasks run on a clock restarted at zero, unrounded — so every
+measured value moved, once. All 14 were regenerated mechanically with::
 
     PYTHONPATH=src python tests/core/test_engine_identity.py
 
-Probe flights (PR 19) are the one thing that has moved a work tuple: a
+which prints, per configuration, the digests and the work tuple as
+shipped and the work tuple with every flight refused. "The clock" in a
+result digest is ``Simulator.campaign_ms`` (``now`` for a simulator
+whose clock was never restarted).
+
+Probe flights (PR 19) are the one thing that moves a work tuple: a
 flown probe crosses its circuit in one event instead of ``4·hops + 1``,
 so a configuration that flies processes ``Σ_flown 4·hops`` fewer events
 than ``WORK_BEFORE_FLIGHTS`` says, cancels as many and peaks as high.
@@ -79,7 +86,7 @@ def _measured(matrix, sim, circuits_built, probes_sent, registry) -> str:
     """The result digest every engine is held to."""
     return _digest(
         matrix.as_array().tobytes(),
-        repr(sim.now),
+        repr(sim.campaign_ms),
         circuits_built,
         probes_sent,
         [registry.counter(name) for name in COUNTERS],
@@ -115,22 +122,22 @@ def _assert_work(work, before, saved, pinned) -> None:
     assert work[1:3] == before[1:3]
 
 
-#: (events processed, events cancelled, heap peak) per configuration at
-#: b6f7dad, the last commit at which every probe was seventeen (or
-#: thirteen) cell events; the sharded ones add the report's own sum.
+#: (events processed, events cancelled, heap peak) per configuration
+#: with every flight refused — each probe seventeen (or thirteen) cell
+#: events; the sharded ones add the report's own sum.
 WORK_BEFORE_FLIGHTS = {
     ("sequential", "cached"): (4010, 45, 34),
-    ("sequential", "churned"): (3082, 59, 38),
+    ("sequential", "churned"): (3612, 65, 54),
     ("sequential", "permuted"): (2510, 45, 51),
     ("sequential", "reuse"): (2486, 48, 54),
     ("sequential", "uncached"): (4509, 90, 69),
     ("callback", "concurrent-1"): (4801, 84, 69),
-    ("callback", "concurrent-16"): (4768, 84, 111),
-    ("callback", "isolated"): (4811, 84, 6),
-    ("sharded", 1, 1): (5102, 96, 6, 5102),
-    ("sharded", 1, 8): (5102, 96, 6, 5102),
-    ("sharded", 2, 1): (5102, 96, 6, 5102),
-    ("sharded", 2, 8): (5102, 96, 6, 5102),
+    ("callback", "concurrent-16"): (4763, 84, 111),
+    ("callback", "isolated"): (4527, 84, 5),
+    ("sharded", 1, 1): (4980, 96, 5, 4980),
+    ("sharded", 1, 8): (4980, 96, 5, 4980),
+    ("sharded", 2, 1): (4980, 96, 5, 4980),
+    ("sharded", 2, 8): (4980, 96, 5, 4980),
     ("baselines", 11): (870, 12, 15),
     ("baselines", 2015): (870, 12, 15),
 }
@@ -142,11 +149,11 @@ WORK_BEFORE_FLIGHTS = {
 WORK = {
     **WORK_BEFORE_FLIGHTS,
     ("sequential", "cached"): (1370, 45, 34),
-    ("callback", "isolated"): (2559, 84, 6),
-    ("sharded", 1, 1): (2782, 96, 6, 2782),
-    ("sharded", 1, 8): (2782, 96, 6, 2782),
-    ("sharded", 2, 1): (2782, 96, 6, 2782),
-    ("sharded", 2, 8): (2782, 96, 6, 2782),
+    ("callback", "isolated"): (2519, 84, 5),
+    ("sharded", 1, 1): (2772, 96, 5, 2772),
+    ("sharded", 1, 8): (2772, 96, 5, 2772),
+    ("sharded", 2, 1): (2772, 96, 5, 2772),
+    ("sharded", 2, 8): (2772, 96, 5, 2772),
     ("baselines", 11): (790, 12, 15),
     ("baselines", 2015): (790, 12, 15),
 }
@@ -226,11 +233,11 @@ def _sequential(name: str) -> tuple[str, tuple]:
 
 
 SEQUENTIAL = {
-    "cached": "d85ff14d847cec5bcfb87afe201c0f7c892919247b6986bb8f96350dd5539bb6",
-    "uncached": "adefef54db218c697634c6ffbbf787b7168efee9b687f83d96e1018050426f22",
-    "reuse": "849d8d63303d31159a1373690998e9f4e33f76fe326ab8e115ce5050c757f44c",
-    "permuted": "85caca35a8034ab6be64d346e008739d17abacf07bd0aa8fb7b1e5f24623037f",
-    "churned": "c12c174405c4b6e281318ae37871d63d426977657178494cf9dec498b586de81",
+    "cached": "8ad272730dae9e0445a53d8dfe55990695aec294a4b08af926e60ee5809a31a9",
+    "uncached": "b72a33d0ea11da36c7c43740823c7401ffacd0370df9fff52a2f8fd167923717",
+    "reuse": "3c34fb00b41b8fecf22c9369466cdaeb86d2f1fd4cceb94d295a0e2746de98c9",
+    "permuted": "9c95a62ac179b422792de7b18b03a6cfe3b1f204417cbcae2c4b2a19d33c362e",
+    "churned": "3ef0a70134d37cd9a902372641ce832d697615979272fe941ec26748d02224ec",
 }
 
 
@@ -277,16 +284,16 @@ def _callback(name: str) -> tuple[str, str, tuple]:
 
 CALLBACK = {
     "concurrent-1": (
-        "619a2b2c34b3987d85d9aa8c50031d876faa2137850585dd5d561cf2c8cd80fc",
-        "4edc5a908c3d577bec9d9000b89fc04577efb41d0c021c909b63b34b2c94a843",
+        "8deb0337244618d647c99876fc0e7e5e904fa28ec5d392a83c02a7607bddcfb1",
+        "deb03540c7b5c5968041b9795d1cfc14f388dd9c7b16d6b75c5feab8fed899fa",
     ),
     "concurrent-16": (
-        "dacfe7c5bc7be221453a4f0810e9fefd3e4a4cc22f8573d3d3e0ef9fd26af7d3",
-        "601cb5f9e5990b8027d98830d673c61be2696ee38bc115b1af89a81998c7e35a",
+        "823fa25077e611bbecd4323f6a9822924f4bf615544c45a224a304ff40345290",
+        "72852f48fb0e3567f66110f094e1bcab2035f070669785767fbd7af5b39217e0",
     ),
     "isolated": (
-        "a92b764874cfd5562d5c626ed95ebe5fc8086c7f544722034045e3c5c91278e5",
-        "3a6f6631fc29b5f16f32f6270f78f8d64fa5cd5536a2ca241f3c3904a5b958b3",
+        "e17b8aa81a6c2641e27b76a2e28e4ca74e92024f706a5df685074de6d81d3ce6",
+        "328680ad0a4b7751a460e37fc2ad8ae4cecf3c34561e357cb827157a4ca20ffa",
     ),
 }
 
@@ -338,20 +345,20 @@ def _sharded(workers: int, chunk: int) -> tuple[str, str, tuple]:
 
 SHARDED = {
     (1, 1): (
-        "976ac4e6516c9ed05aa230c7a65959b3bfc03f49ccfa9d4af88afae0eda9fe6e",
-        "b404f29c57cf92858bbdcb50d72bfe5d8837e9baa4fc0558f65cf9c0f85489cb",
+        "ffc4e5cb6abb7f5ec053cbe95f4e985e0edd383086887218f995e77150663e28",
+        "e230fd900ce3af9fa328e5e95bd9cbe0ee85b28c45cb6817977b33ddeca2528f",
     ),
     (1, 8): (
-        "976ac4e6516c9ed05aa230c7a65959b3bfc03f49ccfa9d4af88afae0eda9fe6e",
-        "44d89905a189175d94975f44870447f91439c8d362cd5b78f57f3cbd1e139be6",
+        "ffc4e5cb6abb7f5ec053cbe95f4e985e0edd383086887218f995e77150663e28",
+        "b055e9a43fd681f57bc588d6553f94fd9c4e6296003c139435e0764709b00ea4",
     ),
     (2, 1): (
-        "870306dccc15c0cb1c198313586f196cb4c844934c721ad93589ac5d58f32801",
-        "a2442a91799d3b7900700590f5a5904447c66853d0b66bc4031699ad46e91e89",
+        "0f86706c8d618771cce60262020f1c1b996a758dd3d6c4675bc612322eca5d9e",
+        "3a4efb6c0fc2ca69be4f29adc09628c92f310c8391fba56d2bca27d8b0e55cba",
     ),
     (2, 8): (
-        "45f7eac4bb8f7bb70b08fa7e7ade548e705beb6e6d5b707ab1eb7a4068ffe9b1",
-        "cc914fed1bc83755a12409643c5f4888b69b959907079706433884fb200688e3",
+        "ffc4e5cb6abb7f5ec053cbe95f4e985e0edd383086887218f995e77150663e28",
+        "3a8642bfbca06994131fff0fa5d4f01b338762cb0f1fd2602452cdccbae11665",
     ),
 }
 
@@ -391,8 +398,8 @@ def _baselines(seed: int) -> tuple[str, tuple]:
 
 
 BASELINES = {
-    2015: "5b713dceef50f0c0548a22ce297cdac9290f7a8445de1864e0eb78754cd931ad",
-    11: "c5dc10386a373b6b1e25fa746f2c6596a1c5fd76a749f97c39c19ebf7e038360",
+    2015: "ceb1bdd23e5872547c629230e61fe8af529f26305a08d443cb4daa9b6adbfda6",
+    11: "f455140ea3c14a1b997c46c979dd0924e02c13e4e35b504525429ee547b6d02a",
 }
 
 
@@ -405,15 +412,21 @@ def test_baseline_measurers_are_pinned(seed, events_saved):
 
 
 def print_digests() -> None:
-    """Print the pins (run at the commit whose measurements are to be kept)."""
-    for name in sorted(SEQUENTIAL):
-        print(("sequential", name), _sequential(name))
-    for name in sorted(CALLBACK):
-        print(("callback", name), _callback(name))
-    for key in sorted(SHARDED):
-        print(("sharded", *key), _sharded(*key))
-    for seed in sorted(BASELINES):
-        print(("baselines", seed), _baselines(seed))
+    """Print the pins (run at the commit whose measurements are to be
+    kept): each configuration's digests and work tuple as shipped, then
+    its work tuple with every flight refused (``WORK_BEFORE_FLIGHTS``)."""
+    from unittest.mock import patch
+
+    configurations = (
+        [(("sequential", name), _sequential, (name,)) for name in sorted(SEQUENTIAL)]
+        + [(("callback", name), _callback, (name,)) for name in sorted(CALLBACK)]
+        + [(("sharded", *key), _sharded, key) for key in sorted(SHARDED)]
+        + [(("baselines", seed), _baselines, (seed,)) for seed in sorted(BASELINES)]
+    )
+    for key, run, args in configurations:
+        print(key, run(*args))
+        with patch.object(OnionProxy, "_fly", lambda self, stream, payload: False):
+            print(key, "as cells:", run(*args)[-1])
 
 
 if __name__ == "__main__":

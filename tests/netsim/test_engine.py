@@ -607,3 +607,59 @@ class TestFlights:
         sim.run()
         assert log[-1] == ("timer", 8.0)
         assert second == [("landed", 7.9, ("a", 1))]
+
+
+class TestClockRestart:
+    """``restart_clock``: task isolation's time origin, and the campaign
+    clock that keeps what is reported from running backwards."""
+
+    def test_restart_zeroes_now_and_the_campaign_clock_runs_on(self):
+        sim = Simulator()
+        sim.schedule(12.5, lambda: None)
+        sim.run()
+        assert (sim.now, sim.campaign_ms) == (12.5, 12.5)
+        sim.restart_clock()
+        assert (sim.now, sim.campaign_ms) == (0.0, 12.5)
+        fired = []
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [2.0] and sim.campaign_ms == 14.5
+
+    def test_restart_drops_cancelled_entries_of_the_old_clock(self):
+        sim = Simulator()
+        stale = sim.schedule(60_000.0, lambda: None)  # a far-future deadline
+        sim.schedule(1.0, lambda: None)
+        sim.run(until=5.0)
+        stale.cancel()
+        sim.restart_clock()
+        assert sim.pending == 0 and sim.cancelled_pending == 0
+        stale.cancel()  # a handle kept past the restart stays harmless
+        assert sim.events_cancelled == 1 and sim.heap_compactions == 0
+
+    def test_restart_refuses_a_live_event(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="not idle"):
+            sim.restart_clock()
+        sim.run()
+        sim.restart_clock()
+
+    def test_restart_refuses_a_flight_in_the_air(self):
+        sim = Simulator()
+        assert sim.launch_flight(7.5, lambda: None, lambda: True)
+        with pytest.raises(SimulationError, match="not idle"):
+            sim.restart_clock()
+
+    def test_restart_refuses_a_running_simulator(self):
+        sim = Simulator()
+        raised = []
+
+        def restart_from_inside():
+            try:
+                sim.restart_clock()
+            except SimulationError as exc:
+                raised.append(str(exc))
+
+        sim.schedule(1.0, restart_from_inside)
+        sim.run()
+        assert raised and "running=True" in raised[0]

@@ -103,8 +103,8 @@ class TestSampledDelay:
 class TestJitterModels:
     def test_exponential_jitter_non_negative(self):
         jitter = ExponentialJitter()
-        rng = np.random.default_rng(0)
-        assert all(jitter.sample(rng) >= 0 for _ in range(500))
+        draws = RandomStreams(0).draws.stream("link")
+        assert all(jitter.sample(draws) >= 0 for _ in range(500))
 
     def test_exponential_jitter_vectorized_matches_scale(self):
         jitter = ExponentialJitter(scale_ms=2.0, burst_probability=0.0)
@@ -124,12 +124,50 @@ class TestJitterModels:
 
     def test_no_jitter_is_zero(self):
         jitter = NoJitter()
-        rng = np.random.default_rng(0)
-        assert jitter.sample(rng) == 0.0
-        assert jitter.sample_many(rng, 10).sum() == 0.0
+        assert jitter.sample(RandomStreams(0).draws.stream("link")) == 0.0
+        assert jitter.sample_many(np.random.default_rng(0), 10).sum() == 0.0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             ExponentialJitter(scale_ms=-1.0)
         with pytest.raises(ValueError):
             ExponentialJitter(burst_probability=1.5)
+
+
+class TestJitterDistributionUnchanged:
+    """Per-packet jitter moved from scalar numpy calls on one shared
+    generator to block draws; the distribution did not."""
+
+    @staticmethod
+    def _scalar_sample(jitter: ExponentialJitter, rng: np.random.Generator) -> float:
+        """``ExponentialJitter.sample(rng)`` as it was before the block source."""
+        value = float(rng.exponential(jitter.scale_ms))
+        if rng.random() < jitter.burst_probability:
+            value += float(rng.exponential(jitter.burst_scale_ms))
+        return value
+
+    @pytest.mark.parametrize(
+        "jitter", [ExponentialJitter(), ExponentialJitter(0.5, 0.3, 50.0)]
+    )
+    def test_two_sample_ks_against_the_scalar_definition(self, jitter):
+        ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
+
+        n = 20_000
+        draws = RandomStreams(2015).draws.stream("link:10.0.0.1>10.0.0.2")
+        block = [jitter.sample(draws) for _ in range(n)]
+        rng = np.random.default_rng(2015)
+        scalar = [self._scalar_sample(jitter, rng) for _ in range(n)]
+        assert ks_2samp(block, scalar).pvalue > 0.01
+
+    def test_loopback_noise_is_the_same_exponential(self, world):
+        ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
+
+        topo, _, engine, hosts = world
+        host = hosts[0]
+        base = engine.loopback_rtt_ms / 2.0
+        block = [
+            engine.sample_one_way_ms(host, host, TrafficClass.TOR) - base
+            for _ in range(20_000)
+        ]
+        scalar = np.random.default_rng(7).exponential(0.01, size=20_000)
+        assert ks_2samp(block, scalar).pvalue > 0.01

@@ -5,10 +5,12 @@ once, when the host is built; :meth:`LatencyEngine.sample_one_way_ms`
 then compares plain attributes. These tests pin the work count (zero
 address parses while a campaign runs), the derived values, the
 fail-fast validation, and that the sampled delays are bit-identical to
-the function as it was when it re-parsed both addresses per packet.
+the function as it was when it re-parsed both addresses per packet,
+reading each link direction's draws off a fresh ``Philox``.
 """
 
 import pytest
+from conftest import reference_draw
 from hypothesis import given, strategies as st
 
 from repro.core.parallel import ParallelCampaign
@@ -100,10 +102,11 @@ class TestPrefixesDerivedAtConstruction:
         assert topo.num_hosts == 0
 
 
-def _reference_sample_one_way_ms(engine, rng, src, dst, traffic_class):
+def _reference_sample_one_way_ms(engine, seed, taken, src, dst, traffic_class):
     """``sample_one_way_ms`` as it was when every packet re-parsed both
     addresses: the floor first, then the co-location test a second time
-    to pick the jitter draw."""
+    to pick the jitter draw — the direction's next draw (``taken`` counts
+    them), computed from scratch."""
 
     def colocated():
         return src.host_id == dst.host_id or addresses.prefix24(
@@ -121,9 +124,15 @@ def _reference_sample_one_way_ms(engine, rng, src, dst, traffic_class):
             + low.policy.extra_ms(traffic_class)
             + high.policy.extra_ms(traffic_class)
         )
+    name = f"link:{src.address}>{dst.address}"
+    k = taken[name] = taken.get(name, -1) + 1
+    u0, _, e0, e1 = reference_draw(seed, name, None, k)
     if colocated():
-        return base + float(rng.exponential(0.01))
-    return base + engine.jitter.sample(rng)
+        return base + 0.01 * e0
+    jitter = engine.jitter.scale_ms * e0
+    if u0 < engine.jitter.burst_probability:
+        jitter += engine.jitter.burst_scale_ms * e1
+    return base + jitter
 
 
 class TestSamplesUnchanged:
@@ -137,11 +146,11 @@ class TestSamplesUnchanged:
         near = builder.attach_random_host(topo, "near", 0, "hosting")
 
         engine = LatencyEngine(topo, Router(topo.graph), RandomStreams(9))
-        reference_rng = RandomStreams(9).get("netsim.latency.jitter")
+        taken: dict[str, int] = {}
 
         # Co-located, same-host and remote pairs interleaved, both
-        # directions and every class, so a swapped or extra RNG draw in
-        # any branch shifts everything after it.
+        # directions and every class; 40 rounds take every direction
+        # across two block boundaries.
         pairs = [
             (colo_a, colo_b),
             (far, colo_a),
@@ -158,5 +167,5 @@ class TestSamplesUnchanged:
                 assert engine.sample_one_way_ms(
                     src, dst, traffic_class
                 ) == _reference_sample_one_way_ms(
-                    engine, reference_rng, src, dst, traffic_class
+                    engine, 9, taken, src, dst, traffic_class
                 )

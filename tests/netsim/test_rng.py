@@ -1,6 +1,7 @@
 """Unit tests for deterministic random streams."""
 
 import pytest
+from conftest import reference_draw, take_draw
 from hypothesis import given, strategies as st
 
 from repro.util.rng import RandomStreams
@@ -62,35 +63,44 @@ class TestRandomStreams:
         )
 
 
+def _take(stream, n):
+    """The next ``n`` draws of ``stream``."""
+    return [take_draw(stream) for _ in range(n)]
+
+
 class TestReseed:
+    """The isolation boundary of the per-packet draws: ``draws.begin``
+    (what ``RandomStreams.reseed`` did for the named generators)."""
+
     def test_reseed_mutates_existing_generator_in_place(self):
-        streams = RandomStreams(seed=11)
-        held = streams.get("jitter")
-        streams.reseed("jitter", "task-1")
+        draws = RandomStreams(seed=11).draws
+        held = draws.stream("jitter")
+        _take(held, 3)
+        draws.begin("task-1")
         # The component's existing reference sees the new sequence.
-        assert held is streams.get("jitter")
+        assert _take(held, 5) == [
+            reference_draw(11, "jitter", "task-1", k) for k in range(5)
+        ]
 
     def test_reseed_is_deterministic(self):
-        one = RandomStreams(seed=11)
-        one.get("jitter").random(100)  # arbitrary prior history
-        one.reseed("jitter", "pair:A:B")
-        two = RandomStreams(seed=11)
-        two.reseed("jitter", "pair:A:B")
-        assert list(one.get("jitter").random(5)) == list(
-            two.get("jitter").random(5)
-        )
+        one = RandomStreams(seed=11).draws
+        _take(one.stream("jitter"), 100)  # arbitrary prior history
+        one.begin("pair:A:B")
+        two = RandomStreams(seed=11).draws
+        two.begin("pair:A:B")
+        assert _take(one.stream("jitter"), 5) == _take(two.stream("jitter"), 5)
 
     def test_reseed_context_sensitivity(self):
-        streams = RandomStreams(seed=11)
-        streams.reseed("jitter", "pair:A:B")
-        first = list(streams.get("jitter").random(5))
-        streams.reseed("jitter", "pair:A:C")
-        assert list(streams.get("jitter").random(5)) != first
+        draws = RandomStreams(seed=11).draws
+        draws.begin("pair:A:B")
+        first = _take(draws.stream("jitter"), 5)
+        draws.begin("pair:A:C")
+        assert _take(draws.stream("jitter"), 5) != first
 
     def test_reseed_differs_from_initial_stream(self):
         # A task context must not collide with the stream's cold state,
         # or the first task would be indistinguishable from no reseed.
-        initial = list(RandomStreams(seed=11).get("jitter").random(5))
-        reseeded = RandomStreams(seed=11)
-        reseeded.reseed("jitter", "leg:X")
-        assert list(reseeded.get("jitter").random(5)) != initial
+        initial = _take(RandomStreams(seed=11).draws.stream("jitter"), 5)
+        reseeded = RandomStreams(seed=11).draws
+        reseeded.begin("leg:X")
+        assert _take(reseeded.stream("jitter"), 5) != initial

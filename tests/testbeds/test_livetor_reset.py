@@ -4,19 +4,24 @@ Relays add themselves to the testbed's registry when they accept or
 open an OR connection; the reset drains that registry in testbed relay
 order instead of scanning every relay. These tests pin that the world
 it leaves behind is indistinguishable from one reset by the full scan
-(transcribed below as it was before the registry existed), and that
-isolated tasks no longer pin their client connections in the fabric.
+(transcribed below as it was before the registry existed), that
+isolated tasks no longer pin their client connections in the fabric, and
+that ``task_isolation()`` refuses a world a restarted clock would change.
 """
 
 import gc
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.parallel import ParallelCampaign
 from repro.core.sampling import SamplePolicy
 from repro.netsim.transport import StreamConnection
+from repro.obs import categorize_failure
 from repro.testbeds.livetor import LiveTorTestbed
+from repro.tor.relay import DiurnalForwardingDelayModel
+from repro.util.errors import MeasurementError
 
 N_RELAYS = 7
 POLICY = SamplePolicy(samples=3, interval_ms=2.0)
@@ -68,7 +73,6 @@ class _World:
             host = self.testbed.measurement
             for relay in [host.relay_w, host.relay_z, *self.testbed.relays]:
                 assert not relay._or_conns, relay
-                assert not relay._queue_head, relay
         # What the reset left on the heap: one peer-close per dropped
         # connection. Which endpoint got which sequence number and link
         # delay is where the visiting order shows.
@@ -165,11 +169,10 @@ class TestRegistryResetEquivalence:
             isolation=testbed.task_isolation(),
         )
         campaign.run()
-        visited.clear()
-        testbed.reset_connections()
         host = testbed.measurement
-        # w and z always; then the last task's relays in testbed order.
-        assert visited == [host.relay_w, host.relay_z, y, x]
+        # Every task ends with its own reset — w and z always, then the
+        # task's relays in testbed order; the pair task ran last.
+        assert visited[-4:] == [host.relay_w, host.relay_z, y, x]
         visited.clear()
         testbed.reset_connections()
         assert visited == [host.relay_w, host.relay_z]
@@ -200,3 +203,14 @@ class TestNoConnectionLeak:
         few = self._live_connections_after(2)
         many = self._live_connections_after(6)
         assert many == few
+
+
+class TestIsolationRefusesWhatARestartedClockWouldChange:
+    def test_a_world_holding_a_clock_reading_forwarding_model(self):
+        testbed = LiveTorTestbed.build(seed=9, n_relays=N_RELAYS)
+        testbed.task_isolation()  # fine as built
+        testbed.relays[3].forwarding = DiurnalForwardingDelayModel(testbed.sim)
+        with pytest.raises(MeasurementError, match="relay0003.*reads") as raised:
+            testbed.task_isolation()
+        # Where it surfaces: a shard worker asking for its isolation.
+        assert categorize_failure(str(raised.value)) == "shard"

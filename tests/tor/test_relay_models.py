@@ -11,51 +11,90 @@ import pytest
 import repro
 from repro.netsim.engine import Simulator
 from repro.tor.relay import DiurnalForwardingDelayModel, ForwardingDelayModel
+from repro.util.rng import RandomStreams
+
+
+def _draws(seed: int = 0):
+    """A relay's draw stream, as a world with root seed ``seed`` hands it out."""
+    return RandomStreams(seed).draws.stream("relay:test")
 
 
 class TestForwardingDelayModel:
     def test_floor_is_respected(self):
-        model = ForwardingDelayModel(
-            np.random.default_rng(0), crypto_floor_ms=0.5, load=0.5
-        )
-        assert all(model.sample() >= 0.5 for _ in range(500))
+        model = ForwardingDelayModel(crypto_floor_ms=0.5, load=0.5)
+        draws = _draws()
+        assert all(model.sample(draws) >= 0.5 for _ in range(500))
 
     def test_zero_load_gives_floor_mostly(self):
         model = ForwardingDelayModel(
-            np.random.default_rng(0), crypto_floor_ms=0.3, load=0.0,
-            burst_probability=0.0,
+            crypto_floor_ms=0.3, load=0.0, burst_probability=0.0
         )
-        samples = [model.sample() for _ in range(200)]
+        draws = _draws()
+        samples = [model.sample(draws) for _ in range(200)]
         assert samples == pytest.approx([0.3] * 200)
 
     def test_higher_load_higher_mean(self):
-        low = ForwardingDelayModel(np.random.default_rng(1), load=0.05)
-        high = ForwardingDelayModel(np.random.default_rng(1), load=0.9)
-        low_mean = np.mean([low.sample() for _ in range(2000)])
-        high_mean = np.mean([high.sample() for _ in range(2000)])
+        low = ForwardingDelayModel(load=0.05)
+        high = ForwardingDelayModel(load=0.9)
+        low_draws, high_draws = _draws(1), _draws(1)
+        low_mean = np.mean([low.sample(low_draws) for _ in range(2000)])
+        high_mean = np.mean([high.sample(high_draws) for _ in range(2000)])
         assert high_mean > low_mean
 
     def test_parameter_validation(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            ForwardingDelayModel(rng, crypto_floor_ms=-1.0)
+            ForwardingDelayModel(crypto_floor_ms=-1.0)
         with pytest.raises(ValueError):
-            ForwardingDelayModel(rng, load=1.5)
+            ForwardingDelayModel(load=1.5)
         with pytest.raises(ValueError):
-            ForwardingDelayModel(rng, burst_probability=-0.1)
+            ForwardingDelayModel(burst_probability=-0.1)
 
     def test_quiet_profile_is_light(self):
-        model = ForwardingDelayModel.quiet(np.random.default_rng(0))
-        samples = [model.sample() for _ in range(1000)]
+        model = ForwardingDelayModel.quiet()
+        draws = _draws()
+        samples = [model.sample(draws) for _ in range(1000)]
         assert np.median(samples) < 1.0
+
+
+class TestDistributionUnchanged:
+    """Forwarding delays moved from scalar numpy calls on a shared
+    generator to block draws; the distribution did not."""
+
+    @staticmethod
+    def _scalar_sample(model: ForwardingDelayModel, rng: np.random.Generator) -> float:
+        """``ForwardingDelayModel.sample()`` as it was before the block source."""
+        delay = model.crypto_floor_ms
+        if rng.random() < model.load:
+            delay += float(rng.exponential(model.queue_scale_ms))
+        if rng.random() < model.burst_probability * max(model.load, 0.05):
+            delay += float(rng.exponential(model.burst_scale_ms))
+        return delay
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ForwardingDelayModel(),
+            ForwardingDelayModel.quiet(),
+            ForwardingDelayModel(load=0.7, queue_scale_ms=3.0, burst_probability=0.05),
+        ],
+    )
+    def test_two_sample_ks_against_the_scalar_definition(self, model):
+        ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
+
+        n = 20_000
+        draws = _draws(2015)
+        block = [model.sample(draws) for _ in range(n)]
+        rng = np.random.default_rng(2015)
+        scalar = [self._scalar_sample(model, rng) for _ in range(n)]
+        # Most samples sit exactly on the floor in both (an atom of the
+        # same mass); KS compares the whole step function.
+        assert ks_2samp(block, scalar).pvalue > 0.01
 
 
 class TestDiurnalModel:
     def test_load_oscillates_with_clock(self):
         sim = Simulator()
-        model = DiurnalForwardingDelayModel(
-            sim, np.random.default_rng(0), base_load=0.1, peak_load=0.9
-        )
+        model = DiurnalForwardingDelayModel(sim, base_load=0.1, peak_load=0.9)
         loads = []
         for hour in range(0, 25, 3):
             sim.run(until=hour * 3_600_000.0)
@@ -65,19 +104,15 @@ class TestDiurnalModel:
 
     def test_load_bounded_by_base_and_peak(self):
         sim = Simulator()
-        model = DiurnalForwardingDelayModel(
-            sim, np.random.default_rng(0), base_load=0.2, peak_load=0.6
-        )
+        model = DiurnalForwardingDelayModel(sim, base_load=0.2, peak_load=0.6)
         for hour in range(0, 48, 1):
             sim.run(until=hour * 3_600_000.0)
             assert 0.2 <= model.current_load() <= 0.6
 
     def test_phase_shifts_the_cycle(self):
         sim = Simulator()
-        a = DiurnalForwardingDelayModel(sim, np.random.default_rng(0))
-        b = DiurnalForwardingDelayModel(
-            sim, np.random.default_rng(0), phase_ms=12.0 * 3_600_000.0
-        )
+        a = DiurnalForwardingDelayModel(sim)
+        b = DiurnalForwardingDelayModel(sim, phase_ms=12.0 * 3_600_000.0)
         sim.run(until=6 * 3_600_000.0)
         assert a.current_load() != pytest.approx(b.current_load())
 
@@ -86,21 +121,17 @@ class TestDiurnalModel:
         # move with the cycle.
         sim = Simulator()
         model = DiurnalForwardingDelayModel(
-            sim,
-            np.random.default_rng(0),
-            crypto_floor_ms=0.4,
-            burst_probability=0.0,
+            sim, crypto_floor_ms=0.4, burst_probability=0.0
         )
         sim.run(until=18 * 3_600_000.0)  # peak hours
-        mins = min(model.sample() for _ in range(2000))
+        draws = _draws()
+        mins = min(model.sample(draws) for _ in range(2000))
         assert mins == pytest.approx(0.4, abs=0.05)
 
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            DiurnalForwardingDelayModel(
-                sim, np.random.default_rng(0), base_load=0.8, peak_load=0.2
-            )
+            DiurnalForwardingDelayModel(sim, base_load=0.8, peak_load=0.2)
 
 
 _DEFAULT_MODEL_SCRIPT = """
@@ -111,14 +142,14 @@ from repro.tor.relay import Relay
 w = MiniWorld(n_relays=1)
 host = w.builder.attach_random_host(w.topology, "bare", 0, "hosting")
 relay = Relay(w.sim, w.fabric, w.topology, host, nickname="bare")
-print([relay.forwarding.sample() for _ in range(50)])
+print([relay.forwarding.sample(relay.draws) for _ in range(50)])
 """
 
 
 class TestRelayDefaults:
     def test_default_forwarding_model_ignores_the_hash_seed(self):
-        """A relay built without a model seeds one from its fingerprint,
-        so it draws the same delays in every interpreter."""
+        """A relay's draw stream is named by its fingerprint, so it draws
+        the same delays in every interpreter."""
         tests_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
         outputs = []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.netsim.policies import TrafficClass
 from repro.tor.cells import Cell, CellCommand
 from repro.util.errors import CircuitError
 
@@ -112,3 +113,35 @@ class TestRelayEdgeCases:
         before = relay.cells_processed
         _built_circuit(mini_world, 0)
         assert relay.cells_processed > before
+
+
+class TestQueueHeadLivesOnTheConnection:
+    def test_a_new_connection_does_not_inherit_a_closed_ones_queue_head(self, mini_world):
+        """The relay's per-connection FIFO head is state of the
+        connection: closing one whose head lies ahead of the clock (a
+        long forwarding delay; or, under task isolation, a head left
+        from before the clock was restarted) leaves nothing behind for
+        the next connection — whatever address it is allocated at — to
+        be held behind."""
+        world, relay = mini_world, mini_world.relays[0]
+        client = world.measurement.echo_client_host
+
+        def connect():
+            accepted = []
+            world.fabric.connect(
+                client, relay.host, relay.or_port, TrafficClass.TOR, accepted.append
+            )
+            world.sim.run_until_idle()
+            return accepted[0]._peer  # the relay's end
+
+        first = connect()
+        relay.ready_ms(first, world.sim.now)
+        first._queue_head = world.sim.now + 60_000.0  # far ahead of the clock
+        first.close()
+        world.sim.run_until_idle()
+        del first
+
+        second = connect()
+        assert second._queue_head == 0.0
+        now = world.sim.now
+        assert relay.ready_ms(second, now) < now + 1_000.0
