@@ -1,7 +1,7 @@
 """Null-observability overhead guard (``pytest benchmarks -m benchguard``).
 
 Campaigns always run through the observability call sites — span
-context managers, counter increments, trace records — wired to null
+context managers, counter increments, bus emits — wired to null
 sinks unless :meth:`enable_observability` swapped in live ones. The
 sinks are ``__slots__`` singletons designed to cost a method dispatch
 and nothing else, so the *sum* of every null call a campaign makes must
@@ -21,7 +21,7 @@ import pytest
 from _config import scaled
 from repro.core.parallel import ParallelCampaign
 from repro.core.sampling import SamplePolicy
-from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_SPANS, NULL_TRACE
+from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_SPANS
 from repro.testbeds.livetor import LiveTorTestbed
 
 #: Null observability must cost less than this fraction of campaign wall.
@@ -50,7 +50,7 @@ def _null_costs_s() -> tuple[float, float]:
     call_costs = [
         _best_of(3, lambda: time_loop(null_span)),
         _best_of(3, lambda: time_loop(lambda: NULL_METRICS.inc("c"))),
-        _best_of(3, lambda: time_loop(lambda: NULL_TRACE.record(0.0, "e", x=1))),
+        _best_of(3, lambda: time_loop(lambda: NULL_EVENTS.info("c", "e", x=1))),
     ]
 
     def enabled_check():
@@ -76,10 +76,10 @@ def test_null_observability_overhead_guard(report):
         return testbed, relays
 
     # Count the call sites one real campaign hits, from a live run.
-    # Hot-path metric and trace sites sit behind ``enabled`` checks, so
+    # Hot-path metric and bus sites sit behind ``enabled`` checks, so
     # with null sinks they cost one attribute read each (counter values
-    # and trace events approximate those check counts: each site bumps
-    # by 1 / records once). Span sites and a handful of cold metric
+    # and the bus's emit count approximate those check counts: each site
+    # bumps by 1 / emits once). Span sites and a handful of cold metric
     # sites call the null singleton unguarded: a begin and an end per
     # span plus the unguarded counters.
     testbed, relays = build()
@@ -100,9 +100,7 @@ def test_null_observability_overhead_guard(report):
             "tor.stream_failures",
         )
     )
-    guarded_checks = (
-        sum(counters.values()) + len(host.trace) + host.trace.dropped
-    )
+    guarded_checks = sum(counters.values()) + host.events.emitted
     # Headroom for sites this model misses (gauges, histograms).
     unguarded_calls *= 2
     guarded_checks *= 2

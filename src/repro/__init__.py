@@ -43,7 +43,7 @@ from repro.core import (
     TingResult,
 )
 from repro.apps import DeanonymizationSimulator, find_tivs, tiv_summary
-from repro.obs import MetricsRegistry, TraceLog
+from repro.obs import MetricsRegistry
 from repro.testbeds import GeolocationDB, LiveTorTestbed, PlanetLabTestbed
 from repro.util.errors import MeasurementError, ReproError
 
@@ -66,7 +66,6 @@ __all__ = [
     "StrawmanMeasurer",
     "TingMeasurer",
     "TingResult",
-    "TraceLog",
     "find_tivs",
     "tiv_summary",
     "__version__",

@@ -592,7 +592,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             clamp_to_cpus=True,
         ).run()
         registry = sharded.metrics
-        trace = sharded.trace
+        bus = sharded.events
         status(f"  measured {sharded.pairs_measured}/{sharded.pairs_attempted} "
                f"pairs, {len(sharded.failures)} failures, "
                f"merged from {len(sharded.shards)} shard(s)")
@@ -600,7 +600,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         testbed = LiveTorTestbed.build(seed=args.seed, n_relays=args.network_size)
         host = testbed.measurement
         registry = host.enable_observability()
-        trace = host.trace
+        bus = host.events
         rng = testbed.streams.get("cli.selection")
         relays = testbed.random_relays(args.relays, rng)
         status(f"Measuring all {pairs} pairs "
@@ -679,7 +679,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
                  "sim.events_processed"):
         if name in gauges:
             print(f"  {name:<24} {gauges[name]:g}")
-    print(f"  {'trace events retained':<24} {len(trace)}")
+    print(f"  {'bus events emitted':<24} {bus.emitted}  "
+          f"(retained {len(bus)}, dropped {bus.recorder.dropped})")
 
     if args.output is not None:
         _write_json_artifact(
@@ -775,7 +776,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         metrics=sharded.metrics,
         spans=sharded.spans,
         provenance=sharded.provenance,
-        trace=sharded.trace,
+        events=sharded.events,
         shards=sharded.shards,
         sharded_run=sharded,
         ground_truth=ground_truth,

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.dataset import RttMatrix
 from repro.core.sampling import SamplePolicy
 from repro.core.ting import PairRecorder, TingMeasurer
-from repro.obs import CAMPAIGN_SPAN, NULL_EVENTS, RETRY_ROUND, EventBus
+from repro.obs import CAMPAIGN_SPAN, NULL_EVENTS, EventBus
 from repro.tor.directory import RelayDescriptor
 from repro.util.errors import MeasurementError
 from repro.util.units import Milliseconds
@@ -225,13 +225,6 @@ class AllPairsCampaign:
                     break
                 sim = host.sim
                 host.metrics.inc("campaign.retry_rounds")
-                if host.trace.enabled:
-                    host.trace.record(
-                        sim.campaign_ms,
-                        RETRY_ROUND,
-                        round=round_index + 1,
-                        pending_pairs=len(failed),
-                    )
                 if events.enabled:
                     events.warning(
                         "campaign",

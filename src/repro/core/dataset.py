@@ -654,7 +654,7 @@ class ProvenanceLog:
     demand; a 500k-pair campaign is a handful of arrays, not 500k dicts.
 
     Shard workers each build one; the parent folds them together with
-    :meth:`merge` (array concatenation + intern remap), retagging
+    :meth:`merge_snapshot` (array concatenation + intern remap), retagging
     adopted records with the worker index so a fused log still says
     which process measured what. Leg records are kept separately from
     pair records — ``len(log)`` and iteration stay pair-only, so the
@@ -828,47 +828,6 @@ class ProvenanceLog:
 
     # -- merge / snapshot ----------------------------------------------
 
-    def merge(
-        self,
-        other: "ProvenanceLog | list[dict[str, Any]]",
-        shard: int | None = None,
-    ) -> "ProvenanceLog":
-        """Adopt another log's (or a raw dict list's) records. Returns self.
-
-        ``shard`` retags the adopted records with the worker that
-        produced them; records that already carry a shard keep it.
-        Leg records from another :class:`ProvenanceLog` are adopted too,
-        but keep their own shard field untouched — a ``None`` there
-        means "measured by the campaign-wide leg phase", which is an
-        attribution, not a gap to fill.
-        """
-        if isinstance(other, ProvenanceLog):
-            self.merge_snapshot(other.snapshot(), shard=shard, leg_shard=None)
-        else:
-            for entry in other:
-                record = PairProvenance.from_dict(entry)
-                if shard is not None and record.shard is None:
-                    record.shard = shard
-                self.add(record)
-        return self
-
-    def merge_legs(
-        self,
-        legs: "list[dict[str, Any]]",
-        shard: int | None = None,
-    ) -> "ProvenanceLog":
-        """Adopt serialized leg records. Returns self.
-
-        ``shard`` retags legs a *worker* had to measure itself; leg-phase
-        records pass ``shard=None`` and keep their phase attribution.
-        """
-        for entry in legs:
-            record = LegProvenance.from_dict(entry)
-            if shard is not None and record.shard is None:
-                record.shard = shard
-            self.add_leg(record)
-        return self
-
     def snapshot(self) -> dict[str, Any]:
         """The whole log as a handful of flat buffers.
 
@@ -893,9 +852,11 @@ class ProvenanceLog:
     ) -> "ProvenanceLog":
         """Adopt a :meth:`snapshot` payload by array concatenation.
 
-        ``shard`` retags adopted *pair* rows whose shard is unset;
-        ``leg_shard`` does the same for leg rows (normally ``None``:
-        leg-phase attribution is kept). Returns self.
+        ``shard`` retags adopted *pair* rows whose shard is unset (a row
+        that already names its worker keeps it); ``leg_shard`` does the
+        same for leg rows and is normally ``None``: an unset shard there
+        means "measured by the campaign-wide leg phase", which is an
+        attribution, not a gap to fill. Returns self.
         """
         name_map = np.array(
             [self._intern_name(n) for n in snap["names"]], dtype=np.int32
@@ -1342,7 +1303,7 @@ class CampaignDataset:
         self.matrix._write_entries(rows[i], rows[j], values)
         updated = int(values.size)
         if provenance is not None:
-            self.provenance.merge(provenance)
+            self.provenance.merge_snapshot(provenance.snapshot())
         if meta:
             self.meta.update(meta)
         # Absorbed results change both values and provenance history, so

@@ -22,11 +22,9 @@ from repro.obs import (
     NULL_EVENTS,
     NULL_METRICS,
     NULL_SPANS,
-    NULL_TRACE,
     EventBus,
     MetricsRegistry,
     SpanTracer,
-    TraceLog,
 )
 from repro.netsim.topology import Host, Topology, TopologyBuilder
 from repro.netsim.transport import NetworkFabric
@@ -56,7 +54,6 @@ class MeasurementHost:
     #: Observability sinks shared by every component of this deployment;
     #: no-ops until :meth:`enable_observability` wires live ones in.
     metrics: MetricsRegistry = NULL_METRICS
-    trace: TraceLog = NULL_TRACE
     spans: SpanTracer = NULL_SPANS
     #: Live telemetry bus; a no-op until :meth:`enable_events` (or
     #: :meth:`enable_observability`) wires a live one through the stack.
@@ -154,15 +151,14 @@ class MeasurementHost:
     def enable_observability(
         self,
         metrics: MetricsRegistry | None = None,
-        trace: TraceLog | None = None,
         spans: SpanTracer | None = None,
         events: EventBus | None = None,
     ) -> MetricsRegistry:
-        """Wire one live registry and trace log through the whole stack.
+        """Wire one live registry through the whole stack.
 
         Attaches to the simulator, the onion proxy, the echo client, and
         the two helper relays (w, z); measurers and campaigns built on
-        this host pick the sinks up via ``host.metrics`` / ``host.trace``.
+        this host pick the sinks up via ``host.metrics`` / ``host.spans``.
         Also installs a :class:`SpanTracer` ticking on the simulated
         clock, a fresh :class:`ProvenanceLog`, and a live
         :class:`EventBus` (via :meth:`enable_events`), so instrumented
@@ -171,9 +167,7 @@ class MeasurementHost:
         snapshot it.
         """
         registry = metrics if metrics is not None else MetricsRegistry()
-        log = trace if trace is not None else TraceLog()
         self.metrics = registry
-        self.trace = log
         self.spans = spans if spans is not None else SpanTracer(
             clock=lambda: self.sim.campaign_ms
         )
@@ -181,11 +175,8 @@ class MeasurementHost:
         if events is not None or not self.events.enabled:
             self.enable_events(events)
         self.sim.metrics = registry
-        self.sim.trace = log
         self.proxy.metrics = registry
-        self.proxy.trace = log
         self.echo_client.metrics = registry
-        self.echo_client.trace = log
         self.relay_w.metrics = registry
         self.relay_z.metrics = registry
         # Pre-declare the headline counters so a snapshot reports zeros
@@ -217,7 +208,7 @@ class MeasurementHost:
 
         Independent of :meth:`enable_observability` — live telemetry
         (heartbeats, the flight recorder, streamed worker events) works
-        without paying for metrics/trace/span recording, which is how
+        without paying for metrics/span recording, which is how
         ``ShardedCampaign`` keeps its telemetry path cheap when
         ``observe=False``. Returns the bus so callers can attach sinks.
         """

@@ -111,7 +111,6 @@ from repro.obs import (
     MetricsRegistry,
     ProgressTracker,
     SpanTracer,
-    TraceLog,
 )
 from repro.obs.spans import CAMPAIGN_SPAN
 from repro.tor.directory import RelayDescriptor
@@ -131,6 +130,18 @@ LEG_PHASE = -1
 #: The two rounds one campaign runs over the same work-stealing pool.
 LEG_ROUND = "leg"
 PAIR_ROUND = "pair"
+
+#: The sinks a worker ships home and the parent folds, each by the one
+#: protocol (``snapshot()`` / ``merge_snapshot(snap, shard=)``): the
+#: attribute that holds it on :class:`MeasurementHost` (live),
+#: :class:`ShardResult` (snapshot) and :class:`ShardedReport` (merged),
+#: and what the parent folds it into.
+_SINKS: dict[str, Callable[[], Any]] = {
+    "metrics": MetricsRegistry,
+    "spans": SpanTracer,
+    "provenance": ProvenanceLog,
+    "events": lambda: EventBus(capacity=4096),
+}
 
 #: Heartbeat fields that are running totals of one worker process.
 _HEARTBEAT_TOTALS = (
@@ -425,13 +436,11 @@ class ShardResult:
     whole time reads ``cpu_s / wall_s`` near 1; a ratio near ``1 / W``
     means W workers shared one CPU.
 
-    The observability payloads are snapshots, not live objects — a
-    metrics dict (:meth:`MetricsRegistry.snapshot`), a trace dict
-    (:meth:`TraceLog.snapshot`), span record dicts, a columnar
-    provenance snapshot (:meth:`ProvenanceLog.snapshot` — flat numpy
-    buffers carrying both pair and leg records, not per-record dicts),
-    and an event-bus dict (:meth:`EventBus.snapshot`). ``None`` means
-    the shard ran without observability.
+    The observability payloads are each sink's ``snapshot()``, not live
+    objects — a metrics dict, span record dicts, a columnar provenance
+    snapshot (flat numpy buffers carrying both pair and leg records,
+    not per-record dicts), and an event-bus dict. ``None`` means the
+    shard ran without observability.
     """
 
     shard_index: int
@@ -449,7 +458,6 @@ class ShardResult:
     legs_measured: int = 0
     chunks: int = 0
     metrics: dict[str, Any] | None = None
-    trace: dict[str, Any] | None = None
     spans: list[dict[str, Any]] | None = None
     provenance: dict[str, Any] | None = None
     events: dict[str, Any] | None = None
@@ -465,10 +473,10 @@ class ShardedReport:
     exactly, regardless of the worker count (the duplicated-work
     regression guard).
 
-    When the campaign ran with ``observe=True``, ``metrics``/``trace``/
-    ``spans``/``provenance``/``events`` hold the *merged* observability
-    state: counters summed, gauges maxed, histogram buckets summed, and
-    every trace event, span, provenance record, and bus event tagged
+    When the campaign ran with ``observe=True``, ``metrics``/``spans``/
+    ``provenance``/``events`` hold the *merged* observability state:
+    counters summed, gauges maxed, histogram buckets summed, and
+    every span, provenance record, and bus event tagged
     with the shard that produced it (``-1`` = leg phase; leg provenance
     records keep ``shard=None`` — the phase belongs to the campaign).
     Deterministic counters in the merged registry are invariant to the
@@ -501,7 +509,6 @@ class ShardedReport:
     early_stops: int = 0
     legs_measured: int = 0
     metrics: MetricsRegistry | None = None
-    trace: TraceLog | None = None
     spans: SpanTracer | None = None
     provenance: ProvenanceLog | None = None
     events: EventBus | None = None
@@ -703,11 +710,11 @@ def _run_worker(
         early_stops=totals["early_stops"],
         legs_measured=totals["legs_measured"],
         chunks=totals["chunks"],
-        metrics=host.metrics.snapshot() if job.observe else None,
-        trace=host.trace.snapshot() if job.observe else None,
-        spans=host.spans.records() if job.observe else None,
-        provenance=host.provenance.snapshot() if job.observe else None,
-        events=host.events.snapshot() if job.observe else None,
+        **(
+            {name: getattr(host, name).snapshot() for name in _SINKS}
+            if job.observe
+            else {}
+        ),
     )
 
 
@@ -816,7 +823,7 @@ class ShardedCampaign:
         self.policy = policy
         self.workers = workers
         #: Enable observability in every worker and merge the snapshots
-        #: into one registry/trace/span/provenance/event set on the report.
+        #: into one registry/span/provenance/event set on the report.
         self.observe = observe
         self.telemetry = telemetry
         self.worker_timeout_s = worker_timeout_s
@@ -1023,39 +1030,35 @@ class ShardedCampaign:
             chunks=sum(r.chunks for r in results),
         )
         if self.observe:
-            metrics = MetricsRegistry()
-            provenance = ProvenanceLog()
-            events = EventBus(capacity=4096)
-            folded.trace = {"dropped": 0, "events": []}
+            sinks = {name: make() for name, make in _SINKS.items()}
             # The round is the sharded campaign's one ``campaign`` span:
             # from the fork, for as long as its slowest worker ran.
-            folded.spans = [
-                {
-                    "name": CAMPAIGN_SPAN,
-                    "start_ms": sim_started,
-                    "dur_ms": folded.makespan_ms,
-                    "track": 0,
-                    "shard": LEG_PHASE,
-                    "args": {"relays": len(order), "pairs": 0},
-                }
-            ]
+            sinks["spans"].merge_snapshot(
+                [
+                    {
+                        "name": CAMPAIGN_SPAN,
+                        "start_ms": sim_started,
+                        "dur_ms": folded.makespan_ms,
+                        "track": 0,
+                        "shard": LEG_PHASE,
+                        "args": {"relays": len(order), "pairs": 0},
+                    }
+                ]
+            )
             base = 1  # the round's own span holds track 0
             for result in results:
-                metrics.merge(MetricsRegistry.from_snapshot(result.metrics))
-                folded.trace["dropped"] += int(result.trace.get("dropped", 0))
-                folded.trace["events"].extend(result.trace.get("events", []))
                 # Workers of one round overlap in simulated time and
                 # share the shard label: give each its own tracks.
-                folded.spans.extend(
-                    {**span, "track": span["track"] + base}
-                    for span in result.spans
-                )
+                shifted = [
+                    {**span, "track": span["track"] + base} for span in result.spans
+                ]
                 base += 1 + max((s["track"] for s in result.spans), default=-1)
-                provenance.merge_snapshot(result.provenance)
-                events.merge_snapshot(result.events)
-            folded.metrics = metrics.snapshot()
-            folded.provenance = provenance.snapshot()
-            folded.events = events.snapshot()
+                for name, sink in sinks.items():
+                    sink.merge_snapshot(
+                        shifted if name == "spans" else getattr(result, name)
+                    )
+            for name, sink in sinks.items():
+                setattr(folded, name, sink.snapshot())
         return folded, leg_estimates, leg_failures
 
     def _run_inline(
@@ -1221,11 +1224,8 @@ class ShardedCampaign:
         matrix = RttMatrix(self.fingerprints)
         report = ShardedReport(matrix=matrix, workers=max(1, self.workers))
         if self.observe:
-            report.metrics = MetricsRegistry()
-            report.trace = TraceLog()
-            report.spans = SpanTracer()
-            report.provenance = ProvenanceLog()
-            report.events = EventBus(capacity=4096)
+            for name, make in _SINKS.items():
+                setattr(report, name, make())
         ordered = ([] if leg_result is None else [leg_result]) + sorted(
             results, key=lambda r: r.shard_index
         )
@@ -1252,35 +1252,19 @@ class ShardedCampaign:
         report.pairs_measured = matrix.num_measured
         return report
 
-    @staticmethod
-    def _merge_observability(report: ShardedReport, result: ShardResult) -> None:
+    def _merge_observability(
+        self, report: ShardedReport, result: ShardResult
+    ) -> None:
         """Fold one shard's observability snapshots into the report.
 
-        Counter-sum / gauge-max / histogram-bucket-sum for metrics;
-        trace events, spans, pair-provenance records, and event-bus
-        rings are adopted with a ``shard`` tag (``-1`` = leg phase) so
-        attribution survives the merge. Leg-provenance records keep
-        ``shard=None`` — the leg round belongs to the campaign. Event
-        counts sum per ``(category, severity)``.
+        One ``merge_snapshot(snap, shard=<index>)`` per sink (``-1`` =
+        leg phase), so attribution survives the merge; what each sink
+        does with it — counters sum, rows are adopted and tagged — is
+        the sink's own rule. Leg-provenance rows keep ``shard=None``:
+        the leg round belongs to the campaign.
         """
-        if result.metrics is not None and report.metrics is not None:
-            report.metrics.merge(MetricsRegistry.from_snapshot(result.metrics))
-        if result.trace is not None and report.trace is not None:
-            for entry in result.trace.get("events", []):
-                entry = dict(entry)
-                time_ms = entry.pop("time_ms")
-                kind = entry.pop("kind")
-                entry.setdefault("shard", result.shard_index)
-                report.trace.record(time_ms, kind, **entry)
-            report.trace.dropped += int(result.trace.get("dropped", 0))
-        if result.spans is not None and report.spans is not None:
-            report.spans.merge(result.spans, shard=result.shard_index)
-        if result.provenance is not None and report.provenance is not None:
-            # Array concatenation, not per-record adoption: pair rows
-            # are retagged with the producing shard; leg rows keep
-            # ``shard=None`` (only the leg round measures legs).
-            report.provenance.merge_snapshot(
-                result.provenance, shard=result.shard_index
-            )
-        if result.events is not None and report.events is not None:
-            report.events.merge_snapshot(result.events, shard=result.shard_index)
+        if self.observe:
+            for name in _SINKS:
+                getattr(report, name).merge_snapshot(
+                    getattr(result, name), shard=result.shard_index
+                )

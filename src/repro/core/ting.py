@@ -38,8 +38,6 @@ from repro.core.sampling import SamplePolicy, debiased_min_estimate, min_estimat
 from repro.obs import (
     CIRCUIT_BUILD_SPAN,
     LEG_SPAN,
-    PAIR_FAILED,
-    PAIR_MEASURED,
     PAIR_SPAN,
     PROBE_ROUND_SPAN,
     SpanHandle,
@@ -490,7 +488,7 @@ class PairRecorder:
     """Where one pair's outcome is written down, whoever scheduled it.
 
     The matrix entry, the :class:`PairProvenance` row, the ``campaign.*``
-    metrics, the trace record and the ``campaign`` bus events — the
+    metrics and the ``campaign`` bus events — the
     shard-invariant event stream: one ``pair_started`` and one
     ``pair_measured`` / ``pair_failed`` per attempt, regardless of which
     worker runs it. ``report`` is the run's report: anything with a
@@ -519,11 +517,6 @@ class PairRecorder:
         self.report.matrix.set(x_fp, y_fp, rtt)
         if host.metrics.enabled:
             host.metrics.observe("campaign.pair_duration_ms", duration)
-        if host.trace.enabled:
-            host.trace.record(
-                host.sim.campaign_ms, PAIR_MEASURED,
-                x=x_fp, y=y_fp, rtt_ms=rtt, duration_ms=duration,
-            )
         if host.provenance is not None:
             host.provenance.add(
                 PairProvenance(
@@ -566,10 +559,6 @@ class PairRecorder:
             host.metrics.inc(f"campaign.failures.{category}")
         if row:
             self.failed_row(x_fp, y_fp, reason, duration_ms=duration_ms)
-        if host.trace.enabled:
-            host.trace.record(
-                host.sim.campaign_ms, PAIR_FAILED, x=x_fp, y=y_fp, reason=reason
-            )
         if host.events.enabled:
             host.events.warning(
                 "campaign", "pair_failed", x=x_fp, y=y_fp, reason=reason

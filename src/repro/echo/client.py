@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.netsim.engine import Simulator
-from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_TRACE, PROBE_LOST, PROBE_SENT
+from repro.obs import NULL_EVENTS, NULL_METRICS
 from repro.tor.client import TorStream
 from repro.tor.control import SimFuture
 from repro.util.errors import MeasurementError
@@ -65,7 +65,6 @@ class EchoClient:
         self._nonce = 0
         #: Observability sinks; no-ops unless a live registry is wired in.
         self.metrics = NULL_METRICS
-        self.trace = NULL_TRACE
         self.events = NULL_EVENTS
 
     def probe(
@@ -146,19 +145,8 @@ class EchoClient:
         tracker = adaptive.make_tracker() if adaptive is not None else None
 
         def account_finished() -> None:
-            if not metrics.enabled:
-                return
-            lost = result.loss
-            if lost > 0:
-                metrics.inc("echo.probes_lost", lost)
-                if self.trace.enabled:
-                    self.trace.record(
-                        self.sim.campaign_ms,
-                        PROBE_LOST,
-                        lost=lost,
-                        sent=result.sent,
-                        received=result.received,
-                    )
+            if metrics.enabled and result.loss > 0:
+                metrics.inc("echo.probes_lost", result.loss)
 
         def finish_ok() -> None:
             if not state["finished"]:
@@ -241,8 +229,6 @@ class EchoClient:
             result.sent += 1
             if metrics.enabled:
                 metrics.inc("echo.probes_sent")
-                if self.trace.enabled:
-                    self.trace.record(self.sim.campaign_ms, PROBE_SENT, seq=seq)
             # The next send is arranged before this one goes out, so the
             # onion proxy can see that this sender does not wait for the
             # reply (a probe flight needs a quiet round trip; launched

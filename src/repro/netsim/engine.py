@@ -28,7 +28,7 @@ import time
 from math import inf
 from typing import Any, Callable
 
-from repro.obs import HEAP_COMPACTION, NULL_EVENTS, NULL_METRICS, NULL_TRACE
+from repro.obs import NULL_EVENTS, NULL_METRICS
 from repro.util.errors import SimulationError
 from repro.util.units import Milliseconds
 
@@ -125,7 +125,6 @@ class Simulator:
         #: Observability sinks; no-ops unless a live registry is wired in
         #: (see ``MeasurementHost.enable_observability``).
         self.metrics = NULL_METRICS
-        self.trace = NULL_TRACE
         self.events = NULL_EVENTS
         #: Called every :data:`BATCH_EVENTS` processed events while the
         #: loop runs — how shard workers pump heartbeats from *inside*
@@ -147,7 +146,7 @@ class Simulator:
     @property
     def campaign_ms(self) -> Milliseconds:
         """Simulated time since the simulator was made, clock restarts
-        included (``now`` if there were none): what span / trace /
+        included (``now`` if there were none): what span and
         event-bus stamps read, so that nothing reported runs backwards."""
         return self._restarted_ms + self.now
 
@@ -376,10 +375,6 @@ class Simulator:
         self._heap_compactions += 1
         self.metrics.inc("sim.heap_compactions")
         self.metrics.inc("sim.heap_compaction_purged", purged)
-        if self.trace.enabled:
-            self.trace.record(
-                self.campaign_ms, HEAP_COMPACTION, purged=purged, live=len(self._heap)
-            )
         if self.events.enabled:
             self.events.info(
                 "engine", "heap_compaction", purged=purged, live=len(self._heap)

@@ -4,9 +4,6 @@ Three primitives, all with zero-cost no-op defaults:
 
 * :class:`MetricsRegistry` — counters, gauges, and ms-bucketed
   histograms, aggregated by dotted name and exportable as JSON.
-* :class:`TraceLog` — a bounded structured log of typed events
-  (circuit built/failed, probe lost, leg cache hit, retry round, heap
-  compaction, ...).
 * :class:`SpanTracer` — hierarchical sim-time intervals (campaign →
   pair → leg → circuit build → probe round) exportable as Chrome
   trace-event JSON for Perfetto.
@@ -14,16 +11,19 @@ Three primitives, all with zero-cost no-op defaults:
   and wall-time, backed by a bounded :class:`FlightRecorder` ring and
   fanned out to sinks (JSONL, console, the shard progress queue).
 
-All of these are *mergeable*: shard workers snapshot their sinks and the
-parent folds them into one registry/log/tracer with counter-sum,
-gauge-max, histogram-bucket-sum, and shard-tagging semantics, so
-observability survives the fork boundary of ``ShardedCampaign``.
+All of these — and :class:`~repro.core.dataset.ProvenanceLog`, and
+:class:`~repro.serve.telemetry.ServeTelemetry` over the three — cross a
+fork boundary the same way: ``snapshot()`` is plain picklable data, and
+``merge_snapshot(snap, shard=None)`` folds it into a live sink
+(counter-sum, gauge-max, histogram-bucket-sum, bus counts summed, rows
+adopted and tagged ``shard``) and returns the sink, so a shipper or a
+merger is one loop over the sinks (DESIGN, "Merge semantics").
 
 Components (``Simulator``, ``OnionProxy``, ``Relay``, ``EchoClient``)
-each carry ``metrics``/``trace`` attributes defaulting to
-:data:`NULL_METRICS` / :data:`NULL_TRACE`; call
-``MeasurementHost.enable_observability()`` to wire one live registry,
-trace, and span tracer through an entire deployment.
+each carry a ``metrics`` attribute defaulting to :data:`NULL_METRICS`;
+call ``MeasurementHost.enable_observability()`` to wire one live
+registry, span tracer, provenance log and event bus through an entire
+deployment.
 """
 
 from repro.obs.events import (
@@ -62,23 +62,7 @@ from repro.obs.spans import (
     SpanHandle,
     SpanTracer,
 )
-from repro.obs.trace import (
-    CIRCUIT_BUILT,
-    CIRCUIT_FAILED,
-    HEAP_COMPACTION,
-    NULL_TRACE,
-    NullTraceLog,
-    PAIR_FAILED,
-    PAIR_MEASURED,
-    PROBE_LOST,
-    PROBE_SENT,
-    RETRY_ROUND,
-    STREAM_ATTACHED,
-    STREAM_FAILED,
-    TraceEvent,
-    TraceLog,
-    categorize_failure,
-)
+from repro.util.errors import categorize_failure
 
 __all__ = [
     "DEBUG",
@@ -102,28 +86,14 @@ __all__ = [
     "MetricsRegistry",
     "NULL_METRICS",
     "NULL_SPANS",
-    "NULL_TRACE",
     "NullMetricsRegistry",
     "NullSpanTracer",
-    "NullTraceLog",
     "SpanHandle",
     "SpanTracer",
-    "TraceEvent",
-    "TraceLog",
     "categorize_failure",
     "CAMPAIGN_SPAN",
     "PAIR_SPAN",
     "LEG_SPAN",
     "CIRCUIT_BUILD_SPAN",
     "PROBE_ROUND_SPAN",
-    "CIRCUIT_BUILT",
-    "CIRCUIT_FAILED",
-    "STREAM_ATTACHED",
-    "STREAM_FAILED",
-    "PROBE_SENT",
-    "PROBE_LOST",
-    "RETRY_ROUND",
-    "HEAP_COMPACTION",
-    "PAIR_MEASURED",
-    "PAIR_FAILED",
 ]

@@ -1,14 +1,15 @@
 """Live campaign telemetry: a structured, severity-leveled event bus.
 
 Where :class:`~repro.obs.registry.MetricsRegistry` aggregates and
-:class:`~repro.obs.trace.TraceLog` keeps post-hoc point events, an
-:class:`EventBus` is the *live* channel: every emit is stamped with both
-simulated time and wall time, counted by ``(category, severity)``,
-retained in a bounded ring-buffer **flight recorder**, and fanned out to
-attached sinks (JSONL files, the console, or the fork-boundary streamer
-of :class:`~repro.core.shard.ShardedCampaign`). The flight recorder is
-what a stall watchdog dumps when a campaign wedges: the last
-``capacity`` events of every worker, not just its final counters.
+:class:`~repro.obs.spans.SpanTracer` keeps intervals, an
+:class:`EventBus` is the *live* channel of point events: every emit is
+stamped with both simulated time and wall time, counted by
+``(category, severity)``, retained in a bounded ring-buffer **flight
+recorder**, and fanned out to attached sinks (JSONL files, the console,
+or the fork-boundary streamer of
+:class:`~repro.core.shard.ShardedCampaign`). The flight recorder is what
+a stall watchdog dumps when a campaign wedges: the last ``capacity``
+events of every worker, not just its final counters.
 
 Event categories mirror the measurement stack:
 
@@ -163,7 +164,7 @@ class FlightRecorder:
 
     The forensic record a watchdog dumps when a worker wedges — cheap
     enough to keep always-on for every shard, honest about eviction via
-    ``dropped`` (mirrors :class:`~repro.obs.trace.TraceLog`).
+    ``dropped``.
     """
 
     __slots__ = ("capacity", "_ring", "dropped")
@@ -218,7 +219,7 @@ class EventBus:
     Snapshots are plain data and merge associatively — counts sum, ring
     events are adopted with a ``shard`` tag — so the fork boundary of
     :class:`~repro.core.shard.ShardedCampaign` preserves them the same
-    way it preserves metrics and traces.
+    way it preserves metrics and spans.
     """
 
     #: Whether emits are kept; hot paths branch on this.
@@ -384,10 +385,6 @@ class EventBus:
             self.recorder.append(record)
         self.recorder.dropped += int(ring.get("dropped", 0))
         return self
-
-    def merge(self, other: "EventBus", shard: int | None = None) -> "EventBus":
-        """Fold another live bus into this one (snapshot semantics)."""
-        return self.merge_snapshot(other.snapshot(), shard=shard)
 
     def __len__(self) -> int:
         return len(self.recorder)

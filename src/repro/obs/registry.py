@@ -145,19 +145,11 @@ class Histogram:
         return state
 
     @classmethod
-    def from_snapshot(
-        cls,
-        data: dict[str, Any],
-        edges: tuple[float, ...] = DEFAULT_BUCKET_EDGES_MS,
-    ) -> "Histogram":
-        """Rebuild a histogram from :meth:`snapshot` output.
-
-        Edges embedded in the snapshot win over the ``edges`` argument,
-        so custom-bucket histograms round-trip losslessly.
-        """
-        if "edges" in data:
-            edges = tuple(float(e) for e in data["edges"])
-        histogram = cls(edges)
+    def from_snapshot(cls, data: dict[str, Any]) -> "Histogram":
+        """Rebuild a histogram from :meth:`snapshot` output, at the
+        edges embedded in it (the default ones when it names none)."""
+        edges = data.get("edges", DEFAULT_BUCKET_EDGES_MS)
+        histogram = cls(tuple(float(e) for e in edges))
         histogram.count = int(data["count"])
         histogram.total = float(data["sum"])
         histogram.min = data["min"]
@@ -188,16 +180,6 @@ class Histogram:
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
         return self
-
-    def copy(self) -> "Histogram":
-        """An independent deep copy (merge must not alias bucket lists)."""
-        duplicate = Histogram(self.edges)
-        duplicate.bucket_counts = list(self.bucket_counts)
-        duplicate.count = self.count
-        duplicate.total = self.total
-        duplicate.min = self.min
-        duplicate.max = self.max
-        return duplicate
 
     def __repr__(self) -> str:
         return f"Histogram(count={self.count}, mean={self.mean:.3f}ms)"
@@ -310,22 +292,17 @@ class MetricsRegistry:
         data, and data deserializes to a recording registry even when the
         classmethod is reached through :class:`NullMetricsRegistry`.
         """
-        registry = MetricsRegistry()
-        for name, value in data.get("counters", {}).items():
-            registry._counters[name] = int(value)
-        for name, value in data.get("gauges", {}).items():
-            registry._gauges[name] = float(value)
-        for name, hist_data in data.get("histograms", {}).items():
-            registry._histograms[name] = Histogram.from_snapshot(hist_data)
-        return registry
+        return MetricsRegistry().merge_snapshot(data)
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`to_json` output."""
         return cls.from_snapshot(json.loads(text))
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry's metrics into this one. Returns self.
+    def merge_snapshot(
+        self, snap: dict[str, Any], shard: int | None = None
+    ) -> "MetricsRegistry":
+        """Fold one :meth:`snapshot` into this registry. Returns self.
 
         Shard-merge semantics, chosen so deterministic campaign counters
         are invariant to how the work was partitioned:
@@ -338,24 +315,21 @@ class MetricsRegistry:
         * **histograms bucket-sum** (see :meth:`Histogram.merge`).
 
         The operation is associative and commutative (up to float
-        addition), so any merge tree over shard results yields the same
-        registry. ``other`` is not modified; adopted histograms are
-        copied, never aliased.
+        addition of histogram sums), so any merge tree over shard results
+        yields the same registry. Aggregates carry no rows, so ``shard``
+        (part of the one sink protocol) has nothing to tag here.
         """
-        if not other.enabled:
-            return self
-        for name, value in other._counters.items():
-            self._counters[name] = self._counters.get(name, 0) + value
-        for name, value in other._gauges.items():
-            current = self._gauges.get(name)
-            if current is None or value > current:
-                self._gauges[name] = value
-        for name, histogram in other._histograms.items():
+        for name, value in snap.get("counters", {}).items():
+            self._counters[name] = self._counters.get(name, 0) + int(value)
+        for name, value in snap.get("gauges", {}).items():
+            self.max_gauge(name, value)
+        for name, data in snap.get("histograms", {}).items():
+            adopted = Histogram.from_snapshot(data)
             mine = self._histograms.get(name)
             if mine is None:
-                self._histograms[name] = histogram.copy()
+                self._histograms[name] = adopted
             else:
-                mine.merge(histogram)
+                mine.merge(adopted)
         return self
 
     def __repr__(self) -> str:
@@ -409,7 +383,9 @@ class NullMetricsRegistry(MetricsRegistry):
     def reset(self) -> None:
         pass
 
-    def merge(self, other: MetricsRegistry) -> "MetricsRegistry":
+    def merge_snapshot(
+        self, snap: dict[str, Any], shard: int | None = None
+    ) -> "MetricsRegistry":
         """Null sinks drop merged data exactly as they drop writes."""
         return self
 

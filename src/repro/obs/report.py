@@ -1,9 +1,10 @@
-"""Run reports: fuse metrics, spans, provenance, and ground truth.
+"""Run reports: fuse metrics, spans, provenance, events, and ground truth.
 
-A campaign's raw observability output is four separate artifacts — a
+A campaign's raw observability output is five separate artifacts — a
 merged :class:`~repro.obs.registry.MetricsRegistry`, a
 :class:`~repro.obs.spans.SpanTracer`, a
-:class:`~repro.core.dataset.ProvenanceLog`, and the
+:class:`~repro.core.dataset.ProvenanceLog`, an
+:class:`~repro.obs.events.EventBus`, and the
 :class:`~repro.core.dataset.RttMatrix` itself. :func:`build_report`
 digests them into one :class:`RunReport` that answers the operator
 questions directly: how accurate was the run (when ground truth
@@ -20,9 +21,11 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.core.dataset import ProvenanceLog, RttMatrix
+from repro.obs.events import severity_name
 
-#: Format tag on the JSON form, bumped on breaking schema changes.
-REPORT_FORMAT = "ting-report/1"
+#: Format tag on the JSON form, bumped on breaking schema changes
+#: (2: the ``trace`` section became ``events``).
+REPORT_FORMAT = "ting-report/2"
 
 
 @dataclass
@@ -167,11 +170,14 @@ class RunReport:
                     f"{cuts.get('p95', 0):.2f}"
                 )
 
-        trace = self.data.get("trace")
-        if trace is not None:
-            lines.append("== trace ==")
-            lines.append(f"  events retained        {trace['events']}")
-            lines.append(f"  events dropped         {trace['dropped']}")
+        events = self.data.get("events")
+        if events is not None:
+            lines.append("== events ==")
+            for key in ("emitted", "retained", "dropped"):
+                lines.append(f"  {key:<22} {events[key]}")
+            for row in events["counts"]:
+                label = f"{row['category']}/{row['severity']}"
+                lines.append(f"  {label:<22} {row['count']}")
         return "\n".join(lines)
 
 
@@ -302,7 +308,7 @@ def build_report(
     metrics: Any | None = None,
     spans: Any | None = None,
     provenance: ProvenanceLog | None = None,
-    trace: Any | None = None,
+    events: Any | None = None,
     shards: Iterable[Any] | None = None,
     sharded_run: Any | None = None,
     ground_truth: RttMatrix | None = None,
@@ -317,7 +323,8 @@ def build_report(
     sections it has data for and omits the rest, so the same builder
     serves a bare ``measure`` run and a fully instrumented sharded
     campaign. ``metrics`` accepts a live registry or a snapshot dict;
-    ``spans`` a tracer or raw record list; ``shards`` any iterable of
+    ``spans`` a tracer or raw record list; ``events`` the (merged)
+    event bus; ``shards`` any iterable of
     shard results with ``shard_index``/``pairs_attempted``/
     ``makespan_ms``/``wall_s``/``events_processed`` attributes (and
     ``cpu_s``, read as 0 when absent); ``sharded_run`` the
@@ -426,8 +433,18 @@ def build_report(
         data["metrics"] = {
             name: counters.get(name, 0) for name in _HEADLINE_COUNTERS
         }
-    if trace is not None:
-        data["trace"] = {"events": len(trace), "dropped": trace.dropped}
+    if events is not None:
+        # The counts, not the ring, are the authoritative totals.
+        snap = events.snapshot()
+        data["events"] = {
+            "emitted": snap["emitted"],
+            "retained": len(snap["ring"]["events"]),
+            "dropped": snap["ring"]["dropped"],
+            "counts": [
+                {**row, "severity": severity_name(row["severity"])}
+                for row in snap["counts"]
+            ],
+        }
     if health is not None:
         data["health"] = health.to_dict() if hasattr(health, "to_dict") else health
     return RunReport(data=data)

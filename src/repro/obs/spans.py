@@ -1,7 +1,7 @@
 """Hierarchical sim-time span tracing with Perfetto export.
 
 Where :class:`~repro.obs.registry.MetricsRegistry` aggregates and
-:class:`~repro.obs.trace.TraceLog` keeps point events, a
+:class:`~repro.obs.events.EventBus` keeps point events, a
 :class:`SpanTracer` records *intervals*: how long each campaign, pair
 task, leg measurement, circuit build, and probe round occupied simulated
 time, and how they nest. The span hierarchy mirrors the measurement
@@ -96,7 +96,7 @@ class SpanTracer:
     ``clock`` supplies the current time in milliseconds; ``shard`` tags
     every span with the worker that recorded it (0 for single-process
     runs). Finished spans are plain dicts — picklable across the fork
-    boundary and mergeable in any order with :meth:`merge`.
+    boundary and mergeable in any order with :meth:`merge_snapshot`.
     """
 
     #: Whether spans are kept; hot paths may branch on this.
@@ -186,21 +186,22 @@ class SpanTracer:
         """Durations of every finished span with the given name."""
         return [r["dur_ms"] for r in self._records if r["name"] == name]
 
-    def merge(
-        self,
-        other: "SpanTracer | list[dict[str, Any]]",
-        shard: int | None = None,
+    def snapshot(self) -> list[dict[str, Any]]:
+        """What crosses the fork boundary: the finished-span records."""
+        return self.records()
+
+    def merge_snapshot(
+        self, snap: list[dict[str, Any]], shard: int | None = None
     ) -> "SpanTracer":
-        """Adopt another tracer's (or raw record list's) finished spans.
+        """Adopt the finished spans of one :meth:`snapshot`. Returns self.
 
         ``shard`` retags the adopted spans — the parent of a sharded
-        campaign merges worker tracers with ``shard=<index>`` so a fused
+        campaign merges worker snapshots with ``shard=<index>`` so a fused
         trace still shows which process ran what (workers all record
-        shard 0 locally). Returns self; merge order only affects record
-        order, never content.
+        shard 0 locally). Merge order only affects record order, never
+        content.
         """
-        records = other if isinstance(other, list) else other.records()
-        for record in records:
+        for record in snap:
             adopted = dict(record)
             if shard is not None:
                 adopted["shard"] = shard
@@ -301,10 +302,8 @@ class NullSpanTracer(SpanTracer):
     ) -> SpanHandle:
         return _NULL_HANDLE
 
-    def merge(
-        self,
-        other: "SpanTracer | list[dict[str, Any]]",
-        shard: int | None = None,
+    def merge_snapshot(
+        self, snap: list[dict[str, Any]], shard: int | None = None
     ) -> "SpanTracer":
         return self
 

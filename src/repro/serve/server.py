@@ -24,6 +24,7 @@ against the planner-smoke dataset.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import queue as queue_module
 from pathlib import Path
@@ -128,10 +129,15 @@ class QueryServer:
             else:
                 answer = {"q": q, "rtt_ms": index.global_percentile(q)}
         elif op == "rank":
+            rtt_ms = float(query["rtt_ms"])
+            if not math.isfinite(rtt_ms):
+                # Echoed back, it would put a bare NaN / Infinity token
+                # (not JSON) on the wire.
+                raise ConfigurationError(f"rtt_ms must be finite, got {rtt_ms}")
             answer = {
                 "x": query["x"],
-                "rtt_ms": float(query["rtt_ms"]),
-                "rank": index.rank(query["x"], float(query["rtt_ms"])),
+                "rtt_ms": rtt_ms,
+                "rank": index.rank(query["x"], rtt_ms),
             }
         elif op == "path":
             hops = list(query["hops"])
@@ -260,10 +266,8 @@ class QueryServer:
                 if proc.is_alive():
                     proc.terminate()
         if telemetry.enabled:
-            for w in range(n_workers):
-                snap = snaps.get(w)
-                if snap is not None:
-                    telemetry.merge_snapshot(snap, shard=w)
+            for w in sorted(snaps):
+                telemetry.merge_snapshot(snaps[w], shard=w)
             telemetry._sync_counters()
         out: list[dict[str, Any]] = []
         for w in range(n_workers):

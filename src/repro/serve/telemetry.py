@@ -68,6 +68,11 @@ QUERY_OPS = ("point", "knn", "percentile", "rank", "path", "via")
 SERVE_ERROR_TAXONOMY = ("unknown_op", "unknown_node", "bad_arg", "internal")
 
 
+#: The obs sinks a recorder bundles — its snapshot key and its attribute
+#: — each crossing the fork boundary by the one sink protocol.
+_SINKS = (("metrics", "registry"), ("events", "bus"), ("spans", "spans"))
+
+
 class UnknownOpError(ConfigurationError):
     """A query asked for an op outside :data:`QUERY_OPS`."""
 
@@ -126,8 +131,9 @@ class ServeTelemetry:
         self.timer = timer if timer is not None else time.perf_counter
         self.shard = shard
         #: Global index of this recorder's first query — a forked worker
-        #: answering ``queries[lo:hi]`` gets ``sample_offset=lo`` so the
-        #: 1-in-N span sample lands on the same queries for any fan-out.
+        #: answering ``queries[lo:hi]`` starts ``lo`` past its parent's
+        #: position (:meth:`worker_copy`) so the 1-in-N span sample
+        #: lands on the same queries for any fan-out.
         self._sample_offset = int(sample_offset)
         self._seen = 0
         # Premint one µs histogram per legitimate op: bounded
@@ -184,8 +190,8 @@ class ServeTelemetry:
         self._seen += 1
         if self.sample_every and index % self.sample_every == 0:
             # Synthesized record, not begin()/end(): the query already
-            # happened, and merge() adopts raw record dicts.
-            self.spans.merge([{
+            # happened, and merge_snapshot() adopts raw record dicts.
+            self.spans.merge_snapshot([{
                 "name": "serve.query",
                 "start_ms": start_s * 1000.0,
                 "dur_ms": dur_ms,
@@ -201,8 +207,10 @@ class ServeTelemetry:
         """A fresh same-config recorder for one forked batch worker.
 
         Built in the parent *before* the fork (so fake timers and other
-        injected callables ride the fork, never a pickle), with the
-        worker's slice offset wired into the span sampler.
+        injected callables ride the fork, never a pickle).
+        ``sample_offset`` is the worker's slice start within the batch;
+        the span sampler continues from this recorder's own position,
+        so every batch samples the queries an inline run would.
         """
         return ServeTelemetry(
             slow_ms=self.slow_ms,
@@ -210,7 +218,7 @@ class ServeTelemetry:
             capacity=self.bus.recorder.capacity,
             timer=self.timer,
             shard=shard,
-            sample_offset=sample_offset,
+            sample_offset=self._sample_offset + self._seen + sample_offset,
         )
 
     def _sync_counters(self) -> None:
@@ -230,12 +238,9 @@ class ServeTelemetry:
     def snapshot(self) -> dict[str, Any]:
         """A picklable, JSON-ready view of everything recorded."""
         self._sync_counters()
-        return {
-            "metrics": self.registry.snapshot(),
-            "events": self.bus.snapshot(),
-            "spans": self.spans.records(),
-            "seen": self._seen,
-        }
+        snap = {key: getattr(self, attr).snapshot() for key, attr in _SINKS}
+        snap["seen"] = self._seen
+        return snap
 
     def merge_snapshot(
         self, snap: dict[str, Any], shard: int | None = None
@@ -248,9 +253,8 @@ class ServeTelemetry:
         histogram sums — the parent merges in worker order so even the
         float paths are deterministic for a given fan-out.
         """
-        self.registry.merge(MetricsRegistry.from_snapshot(snap["metrics"]))
-        self.bus.merge_snapshot(snap["events"], shard=shard)
-        self.spans.merge(snap["spans"], shard=shard)
+        for key, attr in _SINKS:
+            getattr(self, attr).merge_snapshot(snap[key], shard=shard)
         self._seen += int(snap.get("seen", 0))
         return self
 
@@ -263,8 +267,7 @@ class ServeTelemetry:
         self._sync_counters()
         registry = self.registry
         per_op: dict[str, dict[str, Any]] = {}
-        for op in QUERY_OPS:
-            hist = self._hists[op]
+        for op, hist in self._hists.items():
             if not hist.count:
                 continue
             per_op[op] = {
@@ -347,29 +350,10 @@ class NullServeTelemetry(ServeTelemetry):
     def worker_copy(self, sample_offset: int = 0, shard: int = 0) -> ServeTelemetry:
         return self
 
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
-            "events": {"emitted": 0, "counts": [],
-                       "ring": {"dropped": 0, "events": []}},
-            "spans": [],
-            "seen": 0,
-        }
-
     def merge_snapshot(
         self, snap: dict[str, Any], shard: int | None = None
     ) -> ServeTelemetry:
         return self
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "queries": 0, "errors": 0, "errors_by_category": {},
-            "slow_queries": 0, "slow_ms": 0.0, "sampled_spans": 0,
-            "access_log_events": 0, "per_op": {},
-        }
-
-    def access_log(self) -> list[dict[str, Any]]:
-        return []
 
     def __repr__(self) -> str:
         return "NullServeTelemetry()"

@@ -28,14 +28,7 @@ from typing import Callable
 from repro.netsim.engine import EventHandle, Simulator
 from repro.netsim.latency import LOOPBACK_JITTER_MS
 from repro.netsim.policies import TrafficClass
-from repro.obs import (
-    CIRCUIT_BUILT,
-    CIRCUIT_FAILED,
-    NULL_METRICS,
-    NULL_TRACE,
-    STREAM_ATTACHED,
-    STREAM_FAILED,
-)
+from repro.obs import NULL_METRICS
 from repro.netsim.topology import Host, Topology
 from repro.netsim.transport import NetworkFabric, StreamConnection
 from repro.tor.cells import (
@@ -175,7 +168,6 @@ class OnionProxy:
         self._conn_for_circuit: dict[int, StreamConnection] = {}
         #: Observability sinks; no-ops unless a live registry is wired in.
         self.metrics = NULL_METRICS
-        self.trace = NULL_TRACE
         # The probe flight in the air, if it is this proxy's: what
         # ``_take_back`` needs to undo it and redo it as a cell.
         self._airborne: tuple | None = None
@@ -292,14 +284,6 @@ class OnionProxy:
             stream.state = "failed"
         circuit.streams.clear()
         self.metrics.inc("tor.circuits_failed")
-        if self.trace.enabled:
-            self.trace.record(
-                self.sim.campaign_ms,
-                CIRCUIT_FAILED,
-                circ_id=circuit.circ_id,
-                hops=len(circuit.path),
-                reason=reason,
-            )
         if build is not None:
             build.timeout.cancel()
             build.on_failure(circuit, reason)
@@ -339,14 +323,6 @@ class OnionProxy:
                 metrics.inc("tor.circuits_built")
                 metrics.observe(
                     "tor.circuit_build_ms", self.sim.now - circuit.created_at_ms
-                )
-            if self.trace.enabled:
-                self.trace.record(
-                    self.sim.campaign_ms,
-                    CIRCUIT_BUILT,
-                    circ_id=circuit.circ_id,
-                    hops=len(circuit.path),
-                    build_ms=self.sim.now - circuit.created_at_ms,
                 )
             build.on_built(circuit)
             return
@@ -444,14 +420,6 @@ class OnionProxy:
         stream.state = "open"
         stream.connected_at_ms = self.sim.now
         self.metrics.inc("tor.streams_attached")
-        if self.trace.enabled:
-            self.trace.record(
-                self.sim.campaign_ms,
-                STREAM_ATTACHED,
-                circ_id=circuit.circ_id,
-                stream_id=stream_id,
-                target=stream.target,
-            )
         on_connected(stream)
 
     def _stream_ended(self, circuit: Circuit, stream_id: int, reason: bytes) -> None:
@@ -464,14 +432,6 @@ class OnionProxy:
                 stream.state = "failed"
             decoded = reason.decode("ascii", errors="replace")
             self.metrics.inc("tor.stream_failures")
-            if self.trace.enabled:
-                self.trace.record(
-                    self.sim.campaign_ms,
-                    STREAM_FAILED,
-                    circ_id=circuit.circ_id,
-                    stream_id=stream_id,
-                    reason=decoded,
-                )
             on_failure(decoded)
             return
         if stream is not None and stream.state == "open":
@@ -488,14 +448,6 @@ class OnionProxy:
         if stream is not None:
             stream.state = "failed"
         self.metrics.inc("tor.stream_failures")
-        if self.trace.enabled:
-            self.trace.record(
-                self.sim.campaign_ms,
-                STREAM_FAILED,
-                circ_id=circuit.circ_id,
-                stream_id=stream_id,
-                reason="stream attach timed out",
-            )
         on_failure("stream attach timed out")
 
     def _send_stream_data(self, stream: TorStream, data: bytes) -> None:

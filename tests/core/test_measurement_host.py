@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.policies import TrafficClass
-from repro.obs import NULL_METRICS, NULL_TRACE, MetricsRegistry, TraceLog
+from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_SPANS, MetricsRegistry, SpanTracer
 
 
 class TestDeployment:
@@ -61,7 +61,8 @@ class TestDeployment:
     def test_observability_defaults_to_noop(self, mini_world):
         m = mini_world.measurement
         assert m.metrics is NULL_METRICS
-        assert m.trace is NULL_TRACE
+        assert m.spans is NULL_SPANS and m.events is NULL_EVENTS
+        assert m.provenance is None
         assert m.sim.metrics is NULL_METRICS
         assert m.echo_client.metrics is NULL_METRICS
 
@@ -79,19 +80,20 @@ class TestDeployment:
             m.relay_z.metrics,
         ):
             assert sink is registry
-        assert isinstance(m.trace, TraceLog)
-        assert m.trace is m.sim.trace is m.proxy.trace is m.echo_client.trace
+        assert m.spans.enabled and m.provenance is not None
+        assert m.events.enabled
+        assert m.events is m.sim.events is m.echo_client.events
         # Headline counters are pre-declared so snapshots report zeros.
         assert "tor.circuits_built" in registry.snapshot()["counters"]
         assert "sim.heap_compactions" in registry.snapshot()["counters"]
 
     def test_enable_observability_accepts_custom_sinks(self, mini_world):
         m = mini_world.measurement
-        registry, log = MetricsRegistry(), TraceLog(capacity=16)
-        returned = m.enable_observability(metrics=registry, trace=log)
+        registry, tracer = MetricsRegistry(), SpanTracer()
+        returned = m.enable_observability(metrics=registry, spans=tracer)
         assert returned is registry
         assert m.metrics is registry
-        assert m.trace is log
+        assert m.spans is tracer
 
     def test_refresh_consensus_updates_public_view(self, mini_world):
         m = mini_world.measurement

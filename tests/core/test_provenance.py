@@ -81,7 +81,7 @@ class TestProvenanceLog:
         worker.add(_measured("A", "B"))
         worker.add(_measured("A", "C", shard=7))
         parent = ProvenanceLog()
-        parent.merge(worker, shard=1)
+        parent.merge_snapshot(worker.snapshot(), shard=1)
         assert parent.get("A", "B").shard == 1
         assert parent.get("A", "C").shard == 7  # pre-tagged wins
         # Merge deep-copies: the worker's records are untouched.
@@ -91,7 +91,9 @@ class TestProvenanceLog:
         worker = ProvenanceLog()
         worker.add(_measured("A", "B"))
         parent = ProvenanceLog()
-        parent.merge(worker.to_list(), shard=0)
+        parent.merge_snapshot(
+            ProvenanceLog.from_list(worker.to_list()).snapshot(), shard=0
+        )
         assert len(parent) == 1
         assert parent.get("A", "B").shard == 0
 

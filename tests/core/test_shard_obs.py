@@ -1,9 +1,9 @@
-"""Cross-shard observability: merged metrics/traces/spans/provenance.
+"""Cross-shard observability: merged metrics/spans/provenance/events.
 
 PR 2 made the *matrix* invariant to the shard count; these tests pin
 the same property for the observability layer. Deterministic counters
 in the merged registry must be identical for workers in {1, 2, 4} and
-identical to an unsharded instrumented run, and every adopted trace
+identical to an unsharded instrumented run, and every adopted bus
 event, span, and provenance record must say which shard produced it
 (``-1`` = the campaign-wide leg phase).
 
@@ -142,11 +142,13 @@ class TestMergedCounterInvariance:
 
 
 class TestMergedArtifacts:
-    def test_trace_events_are_shard_tagged(self, merged_by_workers):
+    def test_bus_events_are_shard_tagged(self, merged_by_workers):
         report = merged_by_workers[2]
-        shards_seen = {event.fields.get("shard") for event in report.trace}
-        assert shards_seen == {LEG_PHASE, 0, 1}
-        assert report.trace.dropped == 0
+        assert {event["shard"] for event in report.events.events()} == {
+            LEG_PHASE, 0, 1,
+        }
+        assert report.events.recorder.dropped == 0
+        assert report.events.emitted == len(report.events)
 
     def test_spans_are_shard_tagged_and_cover_hierarchy(self, merged_by_workers):
         report = merged_by_workers[2]

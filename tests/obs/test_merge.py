@@ -1,10 +1,11 @@
 """Merge semantics for metrics registries and histograms.
 
 Shard workers snapshot their registries and the parent folds them into
-one; for the merged result to mean anything it must not depend on how
-the work was partitioned or in which order shards came home. These
-tests pin the algebra: counters sum, gauges max, histogram buckets sum,
-and the operation is associative and commutative.
+one. These tests pin the registry's own rule by example: counters sum,
+gauges max, histogram buckets sum, nothing aliased. That the fold is an
+algebra (associative, commutative, null as identity, snapshot round
+trip) is stated once for every sink in
+``tests/contract/test_merge_algebra.py``.
 """
 
 import pytest
@@ -40,7 +41,7 @@ class TestRegistryMerge:
             gauges=[("peak", 9.0)],
             observations=[("rtt", 100.0)],
         )
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         assert a.counter("pairs") == 7
         assert a.counter("legs") == 2
         assert a.gauge("peak") == 9.0
@@ -52,72 +53,26 @@ class TestRegistryMerge:
     def test_merge_returns_self_and_leaves_other_unchanged(self):
         a = _registry(counters=[("pairs", 1)], observations=[("rtt", 5.0)])
         b = _registry(counters=[("pairs", 2)], observations=[("rtt", 7.0)])
-        assert a.merge(b) is a
+        assert a.merge_snapshot(b.snapshot()) is a
         assert b.counter("pairs") == 2
         assert b.histogram("rtt").count == 1
 
     def test_adopted_histograms_are_copies_not_aliases(self):
         a = MetricsRegistry()
         b = _registry(observations=[("rtt", 5.0)])
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         a.observe("rtt", 50.0)
         assert b.histogram("rtt").count == 1
         assert a.histogram("rtt").count == 2
 
-    def test_commutative(self):
-        def build_pair():
-            a = _registry(
-                counters=[("pairs", 3)],
-                gauges=[("peak", 5.0)],
-                observations=[("rtt", 10.0)],
-            )
-            b = _registry(
-                counters=[("pairs", 4)],
-                gauges=[("peak", 2.0)],
-                observations=[("rtt", 90.0), ("build", 1.0)],
-            )
-            return a, b
-
-        a1, b1 = build_pair()
-        a2, b2 = build_pair()
-        ab = a1.merge(b1).snapshot()
-        ba = b2.merge(a2).snapshot()
-        assert ab == ba
-
-    def test_associative(self):
-        def shards():
-            return [
-                _registry(counters=[("pairs", i + 1)], observations=[("rtt", 10.0 * (i + 1))])
-                for i in range(3)
-            ]
-
-        left = shards()
-        right = shards()
-        # (a . b) . c
-        lhs = left[0].merge(left[1]).merge(left[2]).snapshot()
-        # a . (b . c)
-        rhs = right[0].merge(right[1].merge(right[2])).snapshot()
-        assert lhs == rhs
-
-    def test_snapshot_roundtrip_then_merge_matches_direct_merge(self):
-        a = _registry(counters=[("pairs", 3)], observations=[("rtt", 10.0)])
-        b = _registry(counters=[("pairs", 4)], observations=[("rtt", 90.0)])
-        direct = _registry()
-        direct.merge(a)
-        direct.merge(b)
-        via_snapshot = MetricsRegistry()
-        via_snapshot.merge(MetricsRegistry.from_snapshot(a.snapshot()))
-        via_snapshot.merge(MetricsRegistry.from_snapshot(b.snapshot()))
-        assert via_snapshot.snapshot() == direct.snapshot()
-
     def test_merging_null_is_a_noop(self):
         a = _registry(counters=[("pairs", 3)])
-        a.merge(NULL_METRICS)
+        a.merge_snapshot(NULL_METRICS.snapshot())
         assert a.snapshot()["counters"] == {"pairs": 3}
 
     def test_null_merge_discards(self):
         live = _registry(counters=[("pairs", 3)])
-        assert NULL_METRICS.merge(live) is NULL_METRICS
+        assert NULL_METRICS.merge_snapshot(live.snapshot()) is NULL_METRICS
         assert NULL_METRICS.counter("pairs") == 0
 
     def test_null_registry_is_allocation_free(self):
@@ -151,11 +106,3 @@ class TestHistogramMerge:
         a.merge(b)
         assert a.count == 6
         assert a.quantile(0.5) <= a.quantile(0.99)
-
-    def test_copy_is_independent(self):
-        a = Histogram()
-        a.observe(5.0)
-        duplicate = a.copy()
-        duplicate.observe(50.0)
-        assert a.count == 1
-        assert duplicate.count == 2

@@ -154,7 +154,7 @@ class TestConfigurableEdges:
         a, b = MetricsRegistry(), MetricsRegistry()
         for registry, value in ((a, 0.002), (b, 0.004)):
             registry.ensure_histogram("lat", MICRO_BUCKET_EDGES_MS).observe(value)
-        a.merge(MetricsRegistry.from_snapshot(b.snapshot()))
+        a.merge_snapshot(b.snapshot())
         merged = a.histogram("lat")
         assert merged.count == 2
         assert merged.edges == MICRO_BUCKET_EDGES_MS

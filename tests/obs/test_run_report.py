@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.dataset import PairProvenance, ProvenanceLog, RttMatrix
+from repro.obs import EventBus
 from repro.obs.report import REPORT_FORMAT, build_report
 
 
@@ -128,6 +129,35 @@ class TestBuildReport:
                 "  AAAAAAAA..BBBBBBBB  2.0 s  (10.0 ms)",
             ]
         )
+
+    def test_events_section_says_what_the_bus_saw(self):
+        # Counts, not the ring, are the totals: a two-slot ring that saw
+        # four events reports four, keeps two and admits to two dropped.
+        worker = EventBus(capacity=2)
+        for _ in range(3):
+            worker.info("campaign", "pair_measured")
+        worker.warning("campaign", "pair_failed")
+        merged = EventBus(capacity=2).merge_snapshot(worker.snapshot(), shard=1)
+        matrix = _matrix({("A", "B"): 10.0})
+        report = build_report(matrix, events=merged)
+        assert report.to_dict()["events"] == {
+            "emitted": 4,
+            "retained": 2,
+            "dropped": 2,
+            "counts": [
+                {"category": "campaign", "severity": "INFO", "count": 3},
+                {"category": "campaign", "severity": "WARNING", "count": 1},
+            ],
+        }
+        assert report.render_text().splitlines()[-6:] == [
+            "== events ==",
+            "  emitted                4",
+            "  retained               2",
+            "  dropped                2",
+            "  campaign/INFO          3",
+            "  campaign/WARNING       1",
+        ]
+        assert "events" not in build_report(matrix).to_dict()
 
     def test_matrix_only_report(self):
         matrix = _matrix({("A", "B"): 10.0})
@@ -277,6 +307,11 @@ class TestReportCommand:
         assert payload["format"] == REPORT_FORMAT
         assert payload["pairs"]["measured"] == 6
         assert payload["metrics"]["campaign.pairs_measured"] == 6
+        assert "== events ==" in out and "trace" not in payload
+        bus = payload["events"]
+        assert bus["emitted"] == bus["retained"] + bus["dropped"]
+        assert bus["emitted"] == sum(row["count"] for row in bus["counts"])
+        assert {"category": "campaign", "severity": "INFO", "count": 12} in bus["counts"]
 
         # The span export must be a valid Chrome trace-event file:
         # Perfetto's legacy JSON importer needs exactly these keys.

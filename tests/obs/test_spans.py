@@ -83,8 +83,8 @@ class TestSpanTracer:
         with worker.span(CAMPAIGN_SPAN):
             pass
         parent = SpanTracer()
-        parent.merge(worker, shard=2)
-        parent.merge(worker.records(), shard=3)
+        parent.merge_snapshot(worker.snapshot(), shard=2)
+        parent.merge_snapshot(worker.snapshot(), shard=3)
         assert [r["shard"] for r in parent.records()] == [2, 3]
         # The worker's own records are untouched.
         assert worker.records()[0]["shard"] == 0
@@ -135,7 +135,7 @@ class TestNullSpanTracer:
         live = SpanTracer()
         with live.span("pair"):
             pass
-        assert NULL_SPANS.merge(live) is NULL_SPANS
+        assert NULL_SPANS.merge_snapshot(live.snapshot()) is NULL_SPANS
         assert len(NULL_SPANS) == 0
 
     def test_export_is_empty_but_valid(self):

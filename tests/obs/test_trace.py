@@ -1,112 +1,9 @@
-"""Unit tests for the structured trace log."""
-
-import json
+"""Unit tests for failure categorization (``repro.util.errors``,
+re-exported by ``repro.obs``)."""
 
 import pytest
 
-from repro.obs import (
-    CIRCUIT_BUILT,
-    NULL_TRACE,
-    NullTraceLog,
-    PROBE_LOST,
-    TraceEvent,
-    TraceLog,
-    categorize_failure,
-)
-
-
-class TestTraceLog:
-    def test_records_typed_events(self):
-        log = TraceLog()
-        log.record(5.0, CIRCUIT_BUILT, circuit_id=1, hops=3)
-        log.record(9.0, PROBE_LOST, lost=2)
-        assert len(log) == 2
-        assert log.count(CIRCUIT_BUILT) == 1
-        (event,) = log.events(PROBE_LOST)
-        assert event.time_ms == 9.0
-        assert event.fields == {"lost": 2}
-
-    def test_events_returns_all_in_order(self):
-        log = TraceLog()
-        for i in range(5):
-            log.record(float(i), CIRCUIT_BUILT, index=i)
-        assert [event.fields["index"] for event in log.events()] == list(range(5))
-
-    def test_ring_buffer_drops_oldest(self):
-        log = TraceLog(capacity=3)
-        for i in range(5):
-            log.record(float(i), CIRCUIT_BUILT, index=i)
-        assert len(log) == 3
-        assert log.dropped == 2
-        assert [event.fields["index"] for event in log] == [2, 3, 4]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceLog(capacity=0)
-
-    def test_clear(self):
-        log = TraceLog(capacity=2)
-        for i in range(4):
-            log.record(float(i), CIRCUIT_BUILT)
-        log.clear()
-        assert len(log) == 0
-        assert log.dropped == 0
-
-    def test_json_roundtrip(self):
-        log = TraceLog()
-        log.record(1.0, CIRCUIT_BUILT, circuit_id=7)
-        log.record(2.0, PROBE_LOST, lost=1, sent=10)
-        restored = TraceLog.from_json(log.to_json())
-        assert [event.to_dict() for event in restored] == [
-            event.to_dict() for event in log
-        ]
-
-    def test_to_json_is_object_with_events_and_dropped(self):
-        log = TraceLog()
-        log.record(1.0, CIRCUIT_BUILT)
-        parsed = json.loads(log.to_json())
-        assert parsed == {
-            "dropped": 0,
-            "events": [{"time_ms": 1.0, "kind": CIRCUIT_BUILT}],
-        }
-
-    def test_json_roundtrips_dropped_count(self):
-        log = TraceLog(capacity=2)
-        for i in range(5):
-            log.record(float(i), CIRCUIT_BUILT)
-        assert log.dropped == 3
-        restored = TraceLog.from_json(log.to_json())
-        assert restored.dropped == 3
-        assert len(restored) == 2
-
-    def test_from_json_accepts_legacy_bare_array(self):
-        legacy = json.dumps([{"time_ms": 1.0, "kind": CIRCUIT_BUILT}])
-        restored = TraceLog.from_json(legacy)
-        assert restored.dropped == 0
-        assert [e.to_dict() for e in restored] == [
-            {"time_ms": 1.0, "kind": CIRCUIT_BUILT}
-        ]
-
-    def test_event_to_dict_flattens_fields(self):
-        event = TraceEvent(time_ms=3.0, kind="custom", fields={"x": "A"})
-        assert event.to_dict() == {"time_ms": 3.0, "kind": "custom", "x": "A"}
-
-
-class TestNullTraceLog:
-    def test_disabled_and_drops_everything(self):
-        log = NullTraceLog()
-        assert log.enabled is False
-        log.record(1.0, CIRCUIT_BUILT)
-        assert len(log) == 0
-        assert log.events() == []
-
-    def test_null_singleton_is_shared_default(self):
-        from repro.echo.client import EchoClient
-        from repro.netsim.engine import Simulator
-
-        sim = Simulator()
-        assert sim.trace is NULL_TRACE
-        assert EchoClient(sim).trace is NULL_TRACE
+from repro.obs import categorize_failure
 
 
 class TestCategorizeFailure:
@@ -148,38 +45,3 @@ class TestCategorizeFailure:
         assert metrics.counter("trace.uncategorized") == 1
         # The null registry is accepted and stays silent.
         assert categorize_failure("gremlins again", NULL_METRICS) == "other"
-
-
-class TestTraceLogMerge:
-    def test_merge_adopts_events_with_extra_fields(self):
-        parent = TraceLog()
-        worker = TraceLog()
-        worker.record(1.0, CIRCUIT_BUILT, circuit_id=4)
-        worker.record(2.0, PROBE_LOST)
-        parent.merge(worker, shard=3)
-        assert [e.to_dict() for e in parent] == [
-            {"time_ms": 1.0, "kind": CIRCUIT_BUILT, "circuit_id": 4, "shard": 3},
-            {"time_ms": 2.0, "kind": PROBE_LOST, "shard": 3},
-        ]
-
-    def test_merge_carries_dropped_counts(self):
-        parent = TraceLog()
-        worker = TraceLog(capacity=1)
-        worker.record(1.0, CIRCUIT_BUILT)
-        worker.record(2.0, CIRCUIT_BUILT)
-        assert worker.dropped == 1
-        parent.merge(worker)
-        assert parent.dropped == 1
-
-    def test_null_merge_discards(self):
-        worker = TraceLog()
-        worker.record(1.0, CIRCUIT_BUILT)
-        merged = NULL_TRACE.merge(worker)
-        assert merged is NULL_TRACE
-        assert len(NULL_TRACE) == 0
-
-    def test_null_snapshot_cannot_leak_shared_state(self):
-        snap = NULL_TRACE.snapshot()
-        snap["events"].append("garbage")
-        snap["dropped"] = 99
-        assert NULL_TRACE.snapshot() == {"dropped": 0, "events": []}

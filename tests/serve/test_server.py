@@ -128,6 +128,9 @@ class TestErrorTaxonomy:
         ({"op": "path", "hops": 12}, "bad_arg"),            # not iterable
         ({"op": "path", "hops": ["N000"]}, "bad_arg"),      # one hop
         ({"op": "rank", "x": "N000"}, "bad_arg"),           # missing rtt_ms
+        ({"op": "rank", "x": "N000", "rtt_ms": float("nan")}, "bad_arg"),
+        ({"op": "rank", "x": "N000", "rtt_ms": float("inf")}, "bad_arg"),
+        ({"op": "rank", "x": "N000", "rtt_ms": "nan"}, "bad_arg"),
         ({"op": "via", "x": "N000", "y": "N000"}, "bad_arg"),
     ])
     def test_category(self, server, query, category):
@@ -247,6 +250,31 @@ class TestTelemetryMergeInvariance:
                 sorted(r["args"]["sample_index"] for r in telemetry.spans.records())
                 == sorted(r["args"]["sample_index"] for r in baseline.spans.records())
             )
+
+    @pytest.mark.parametrize("batches", [2, 3])
+    def test_span_sample_is_the_inline_one_for_every_successive_batch(
+        self, server, batches
+    ):
+        # The sampler counts from the recorder's position, not from the
+        # start of each batch: 150-query batches with 1-in-100 sampling
+        # sample 0, 100, 200, ... whatever the fan-out.
+        queries = mixed_queries(server.index.nodes, count=150)
+
+        def sampled(workers):
+            telemetry = ServeTelemetry(
+                slow_ms=1e9, sample_every=100, timer=self.constant_delta_timer()
+            )
+            instrumented = QueryServer(server.index, telemetry=telemetry)
+            for _ in range(batches):
+                instrumented.batch(queries, workers=workers)
+            return sorted(
+                r["args"]["sample_index"] for r in telemetry.spans.records()
+            )
+
+        inline = sampled(workers=1)
+        assert inline == list(range(0, 150 * batches, 100))
+        for workers in (2, 3):
+            assert sampled(workers) == inline  # same set, hence same span count
 
     def test_access_log_merge_counts_match_inline(self, server):
         queries = [{"op": "teleport", "i": i} for i in range(12)]

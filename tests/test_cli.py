@@ -154,6 +154,7 @@ class TestCommands:
         assert "ting.leg_cache_hits" in out
         assert "sim.heap_compactions" in out
         assert "probe loss rate" in out
+        assert "bus events emitted" in out
         # Bucket-interpolated quantiles for every recorded histogram.
         assert "latency quantiles (bucket-interpolated):" in out
         assert "p50~" in out and "p95~" in out
@@ -793,6 +794,32 @@ class TestServeCommand:
         assert answers[1]["op"] == "knn"
         assert "error" in answers[2]  # the garbage line, in input order
         assert answers[3]["op"] == "via"
+
+    def test_batch_output_is_strict_json_for_a_non_finite_rank(
+        self, tmp_path, capsys
+    ):
+        import json as json_mod
+
+        path = self._dataset_path(tmp_path)
+        batch = tmp_path / "queries.jsonl"
+        batch.write_text(
+            '{"op": "rank", "x": "N00", "rtt_ms": NaN}\n'
+            '{"op": "rank", "x": "N00", "rtt_ms": Infinity}\n'
+            '{"op": "rank", "x": "N00", "rtt_ms": "nan"}\n'
+            '{"op": "rank", "x": "N00", "rtt_ms": 40.0}\n'
+        )
+        code = main(["-q", "serve", "--input", str(path), "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 0
+
+        def refuse(token):
+            raise AssertionError(f"non-finite token {token!r} on the serve wire")
+
+        answers = [
+            json_mod.loads(line, parse_constant=refuse) for line in out.splitlines()
+        ]
+        assert [a.get("category") for a in answers] == ["bad_arg"] * 3 + [None]
+        assert 0.0 <= answers[3]["rank"] <= 1.0
 
     def test_selftest_gate_passes(self, tmp_path, capsys):
         import json as json_mod
