@@ -167,6 +167,27 @@ if grep -rnE 'Trace[L]og|NULL_[T]RACE|\.trace\.[r]ecord\(' src; then
     exit 1
 fi
 
+echo "== worker faults =="
+# The leg round, the pair round and QueryServer.batch fork through one
+# pool (repro.util.cpus.run_pool). The matrix that holds it to its
+# contract — kill -9, raise, hang, slow and an unpicklable result at
+# each site, injected at the pool's one seam, each failing fast with a
+# categorized error naming its round and worker, and a worker wedged
+# inside a pair tripping the stall watchdog with its post-mortem — on
+# its own, under `timeout` as the backstop: a fault that regresses into
+# a hang kills this step instead of stalling the pipeline. Faults come
+# from tests, never from a config knob, and the fork boundary stays one.
+timeout 300 python -m pytest tests/contract/test_worker_faults.py -x -q
+if grep -rn 'drill_' src; then
+    echo "a fault-injection knob is back under src/" >&2
+    exit 1
+fi
+forks=$(grep -rn 'get_context("fork")' src | wc -l)
+if [[ "$forks" -gt 1 ]]; then
+    echo "get_context(\"fork\") appears $forks times under src/; the pool is the one fork" >&2
+    exit 1
+fi
+
 echo "== source size (printed, never gated) =="
 # ROADMAP item 3's target is src/ <= 19.0k lines (17.5k the stretch);
 # the three engine files are where "one campaign engine" is counted,
@@ -215,50 +236,6 @@ echo "== work-stealing chaos test =="
 # along: per-task resets and per-chunk result containers, counted
 # exactly, must be the same at 40 and at 400 relays.
 python -m pytest tests/core/test_shard_steal.py tests/core/test_shard_scaling.py -x -q
-
-echo "== watchdog smoke test =="
-# A deliberately wedged shard worker must trip the stall watchdog and
-# fail the campaign within its deadline — never hang CI. Shard 0 is
-# the wedged one with single-pair chunks: under work stealing worker 0
-# always claims a chunk (worker 1 would have to drain the whole queue
-# before worker 0's first get returns), so the drill fires
-# deterministically. The outer `timeout` is the backstop: if the
-# watchdog regresses into a hang, this step dies loudly instead of
-# stalling the pipeline.
-timeout 120 python - <<'PY'
-import functools, sys, tempfile, time
-from pathlib import Path
-
-from repro.core.sampling import SamplePolicy
-from repro.core.shard import CampaignTelemetry, ShardedCampaign
-from repro.obs import categorize_failure
-from repro.testbeds.livetor import LiveTorTestbed
-from repro.util.errors import MeasurementError
-
-factory = functools.partial(LiveTorTestbed.build, seed=3, n_relays=14)
-testbed = factory()
-fps = [d.fingerprint for d in testbed.random_relays(5, testbed.streams.get("shard.sel"))]
-dump = Path(tempfile.mkdtemp()) / "postmortem.json"
-telemetry = CampaignTelemetry(
-    heartbeat_s=0.1, stall_timeout_s=2.0,
-    postmortem_path=dump, drill_hang_after={0: 1},
-)
-campaign = ShardedCampaign(
-    factory, fps, policy=SamplePolicy(samples=3, interval_ms=2.0),
-    workers=2, telemetry=telemetry, steal_chunk_pairs=1,
-)
-started = time.monotonic()
-try:
-    campaign.run()
-except MeasurementError as exc:
-    elapsed = time.monotonic() - started
-    assert "shard 0 stalled" in str(exc), exc
-    assert categorize_failure(str(exc)) == "stall", exc
-    assert dump.exists(), "no flight-recorder post-mortem written"
-    print(f"watchdog tripped in {elapsed:.1f}s: {exc}")
-else:
-    sys.exit("hung worker did not trip the watchdog")
-PY
 
 echo "== planner campaign smoke test =="
 # Full-network-scale gate for the budgeted planner path: a ~300-relay

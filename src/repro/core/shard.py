@@ -36,11 +36,14 @@ one round function, called twice:
    batched incremental results instead of one big end-of-life pickle —
    and the worker's final :class:`ShardResult` carries only the totals.
 
-Every forked worker, in either round, first binds itself to its own
-share of the parent's CPU mask (:func:`repro.util.cpus.place_worker`):
-left alone, the kernel keeps both children of a fork on the CPU they
-were born on and the second core idles. Stealing is what makes a fixed
-placement safe — a worker on a busy CPU simply claims fewer chunks.
+Both rounds fork, place, steal, collect and notice death through the
+one pool in :mod:`repro.util.cpus` (:func:`~repro.util.cpus.run_pool`),
+the same one :meth:`~repro.serve.server.QueryServer.batch` uses. Every
+forked worker, in either round, first binds itself to its own share of
+the parent's CPU mask: left alone, the kernel keeps both children of a
+fork on the CPU they were born on and the second core idles. Stealing
+is what makes a fixed placement safe — a worker on a busy CPU simply
+claims fewer chunks.
 
 Pair workers assert the leg round did its job: a worker that has to
 build *any* leg circuit raises, because every miss is exactly the
@@ -59,8 +62,9 @@ invariant too.
 ``force_inline=True`` runs the same worker loop (same chunking, same
 telemetry sinks, same assertions) in-process with a deterministic chunk
 deal, for both rounds — how the invariance tests compare worker counts
-without fork nondeterminism, and the fallback for platforms without
-fork. One inline worker is the serial leg phase of earlier versions.
+without fork nondeterminism. The pool takes the same path by itself on
+a platform without fork. One inline worker is the serial leg phase of
+earlier versions.
 
 Live telemetry
 --------------
@@ -84,21 +88,18 @@ runs, so one slow pair is not mistaken for a hang — and because workers
 steal, a genuinely slow worker just claims fewer chunks instead of
 stalling the campaign.
 
-Independently of telemetry, ``worker_timeout_s`` bounds each round:
-a worker the OS killed is noticed via its exit code within a grace
-period, and a worker still grinding past the deadline fails the
-campaign naming the round and the worker — both work with
-``observe=False``.
+Independently of telemetry, the pool notices a worker the OS killed
+within a short grace, and ``worker_timeout_s`` bounds each round: a
+worker still grinding past the deadline fails the campaign naming the
+round and the worker — both work with ``observe=False``.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from queue import Empty
 from typing import Any, Callable, Sequence
 
 from repro.core.dataset import ProvenanceLog, RttMatrix
@@ -114,7 +115,7 @@ from repro.obs import (
 )
 from repro.obs.spans import CAMPAIGN_SPAN
 from repro.tor.directory import RelayDescriptor
-from repro.util.cpus import place_worker
+from repro.util.cpus import run_pool
 # Bound to a module-level name so tests can stand in another core count.
 from repro.util.cpus import schedulable_cpu_count as _schedulable_cpus
 from repro.util.errors import MeasurementError
@@ -163,14 +164,6 @@ class CampaignTelemetry:
     ``stall_timeout_s`` arms the watchdog (``None`` disables): a shard
     that produces neither events nor heartbeats for that long is
     declared stalled. Size it to comfortably exceed worker startup.
-    Fault injection for drills and tests: ``drill_hang_after``
-    (``{shard: n}``) wedges that worker forever at its *n*-th pair
-    start, after a forced heartbeat naming the in-flight pair — forked
-    workers only; ``drill_slow_ms`` (``{shard: ms}``) sleeps that many
-    wall milliseconds at every pair start, turning one worker into a
-    straggler without wedging it — legal inline too, and the chaos tests
-    use it to prove stealing rebalances around slow workers without
-    tripping the watchdog.
     """
 
     bus: EventBus | None = None
@@ -181,14 +174,13 @@ class CampaignTelemetry:
     postmortem_path: Path | None = None
     stream_min_severity: int = INFO
     ring_capacity: int = 512
-    drill_hang_after: dict[int, int] = field(default_factory=dict)
-    drill_slow_ms: dict[int, float] = field(default_factory=dict)
 
 
 class _WorkerTelemetry:
     """Worker-side sink: streams events and heartbeats to the parent.
 
-    Attached to the worker's event bus inside :func:`_run_worker`; every
+    Built and attached to the worker's event bus inside
+    :func:`_run_worker`, sending on the pool's channel; every
     leg-round worker streams as shard ``-1``, told apart by ``worker``
     (its slot in the round, which heartbeats carry).
     Every emitted event updates local progress counters (pair lifecycle
@@ -210,8 +202,6 @@ class _WorkerTelemetry:
         shard: int,
         heartbeat_s: float,
         min_severity: int,
-        hang_after: int = 0,
-        slow_ms: float = 0.0,
         wall: Callable[[], float] = time.monotonic,
         worker: int = 0,
     ) -> None:
@@ -220,12 +210,6 @@ class _WorkerTelemetry:
         self.worker = worker
         self.heartbeat_s = heartbeat_s
         self.min_severity = min_severity
-        #: Fault-injection drill: wedge forever at the Nth pair start
-        #: (0 disables).
-        self.hang_after = hang_after
-        #: Fault-injection drill: sleep this many wall milliseconds at
-        #: every pair start (0 disables) — a straggler, not a corpse.
-        self.slow_ms = slow_ms
         self._wall = wall
         self._last_beat = float("-inf")
         self.pairs_total = 0
@@ -234,19 +218,13 @@ class _WorkerTelemetry:
         self.probes_sent = 0
         self.probes_saved = 0
         self.in_flight: str | None = None
-        self._pair_starts = 0
 
     def __call__(self, event: Event) -> None:
         category, kind = event.category, event.kind
-        hang = False
         if category == "campaign":
             if kind == "pair_started":
-                self._pair_starts += 1
                 x, y = event.fields.get("x"), event.fields.get("y")
                 self.in_flight = f"pair {x}:{y}"
-                hang = self._pair_starts == self.hang_after
-                if self.slow_ms:
-                    time.sleep(self.slow_ms / 1000.0)
             elif kind == "pair_measured":
                 self.pairs_done += 1
                 self.in_flight = None
@@ -267,9 +245,7 @@ class _WorkerTelemetry:
                 self.probes_sent += int(event.fields.get("sent", 0))
         if event.severity >= self.min_severity:
             self.send(("event", self.shard, event.to_dict()))
-        self.beat(force=hang)
-        if hang:
-            self._hang()
+        self.beat()
 
     def beat(self, force: bool = False) -> None:
         """Send a heartbeat if ``heartbeat_s`` elapsed (or forced)."""
@@ -292,12 +268,6 @@ class _WorkerTelemetry:
                 },
             )
         )
-
-    def _hang(self) -> None:
-        # The drill: a forced heartbeat just named the in-flight pair;
-        # now wedge so the parent's watchdog must notice the silence.
-        while True:
-            time.sleep(3600)
 
 
 class _ShardMonitor:
@@ -372,15 +342,17 @@ class _ShardMonitor:
                 recorder.append(record)
             self.bus.ingest(record)
 
-    def stalled(self, pending: set[int], now: float) -> list[tuple[int, float]]:
-        """Pending shards silent past the deadline, worst first."""
+    def watch(self, pending: set[int], now: float) -> None:
+        """The pool's watch hook: raise for the pending shard silent
+        longest, if that is past the deadline."""
         deadline = self.telemetry.stall_timeout_s
         if deadline is None:
-            return []
-        ages = [(now - self.last_seen.get(s, now), s) for s in pending]
-        return [(s, age) for age, s in sorted(ages, reverse=True) if age > deadline]
+            return
+        age, shard = max((now - self.last_seen.get(s, now), s) for s in pending)
+        if age > deadline:
+            raise self._stall_error(shard, age)
 
-    def stall_error(self, shard: int, age: float) -> MeasurementError:
+    def _stall_error(self, shard: int, age: float) -> MeasurementError:
         """Dump the post-mortem and build the categorized failure."""
         in_flight = (self.heartbeats.get(shard) or {}).get("in_flight")
         reason = (
@@ -545,6 +517,8 @@ class _WorkerJob:
     observe: bool
     leg_estimates: dict[str, float]
     leg_failures: dict[str, str]
+    #: The campaign's live-telemetry config; ``None`` streams nothing.
+    telemetry: CampaignTelemetry | None = None
 
     @property
     def name(self) -> str:
@@ -557,17 +531,16 @@ class _WorkerJob:
 def _run_worker(
     job: _WorkerJob,
     next_task: Callable[[], Any],
-    send_chunk: Callable[[tuple], None],
-    telemetry: _WorkerTelemetry | None = None,
+    send: Callable[[tuple], None],
 ) -> ShardResult:
     """Worker loop: steal chunks until the sentinel, ship each home.
 
-    Module-level (not a closure) so the fork context inherits it and
-    tests can monkeypatch it. ``next_task`` yields ``(chunk_id, items)``
-    tuples and finally ``None`` — a blocking ``Queue.get`` in forked
-    mode, a deterministic iterator in inline mode. ``items`` are pairs
-    in the pair round and fingerprints in the leg round. Each finished
-    chunk's rows leave immediately via ``send_chunk`` (kind
+    The ``work`` both rounds hand :func:`~repro.util.cpus.run_pool`;
+    module-level so tests can monkeypatch it. ``next_task`` yields
+    ``(chunk_id, items)`` tuples and finally ``None`` — the pool's
+    shared queue forked, its deterministic deal inline. ``items`` are
+    pairs in the pair round and fingerprints in the leg round. Each
+    finished chunk's rows leave immediately via ``send`` (kind
     ``"chunk"``): ``(x, y, rtt)`` entries and ``(x, y, reason)``
     failures for a pair chunk, ``(relay, estimate)`` and ``(relay,
     reason)`` for a leg chunk. The returned :class:`ShardResult` carries
@@ -578,15 +551,22 @@ def _run_worker(
     first so an inline emulation (shared host) and a forked child
     (inherited parent bus) both start from an empty ring.
 
-    With ``telemetry`` (a :class:`_WorkerTelemetry` whose ``send`` is
-    already bound to the parent's channel) the worker wires a live
-    event bus regardless of ``observe``, attaches the streaming sink,
-    and pumps heartbeats from the simulator's per-batch hook. A forced
-    beat at every chunk claim publishes the stolen total.
+    With ``job.telemetry`` the worker wires a live event bus regardless
+    of ``observe``, attaches a :class:`_WorkerTelemetry` sending on
+    ``send``, and pumps heartbeats from the simulator's per-batch hook.
+    A forced beat at every chunk claim publishes the stolen total.
     """
     from repro.core.parallel import ParallelCampaign
 
-    if telemetry is not None:
+    telemetry = None
+    if job.telemetry is not None:
+        telemetry = _WorkerTelemetry(
+            send=send,
+            shard=job.shard_index,
+            heartbeat_s=job.telemetry.heartbeat_s,
+            min_severity=job.telemetry.stream_min_severity,
+            worker=job.worker,
+        )
         # Birth heartbeat: the liveness clock starts at spawn, not at
         # the first measurement.
         telemetry.beat(force=True)
@@ -667,7 +647,7 @@ def _run_worker(
             totals["legs_measured"] += chunk.legs_measured
             totals["chunks"] += 1
             totals["makespan_ms"] += chunk.makespan_ms
-            send_chunk(
+            send(
                 (
                     "chunk",
                     job.worker,
@@ -718,33 +698,6 @@ def _run_worker(
     )
 
 
-def _worker_entry(
-    channel: Any,
-    tasks: Any,
-    job: _WorkerJob,
-    telemetry: _WorkerTelemetry | None,
-    n_workers: int,
-) -> None:
-    """Forked-process target: steal chunks until empty, ship the outcome.
-
-    First of all the child moves onto its own share of the inherited
-    CPU mask. Exceptions cross the fork boundary as ``("error", worker,
-    reason)`` messages — the parent re-raises them as one
-    MeasurementError, which is how a worker that trips the pre-warm
-    assertion (or anything else) fails the campaign instead of hanging
-    it.
-    """
-    try:
-        place_worker(job.worker, n_workers)
-        result = _run_worker(
-            job, next_task=tasks.get, send_chunk=channel.put, telemetry=telemetry
-        )
-    except BaseException as exc:  # noqa: BLE001 — serialized for the parent
-        channel.put(("error", job.worker, f"{type(exc).__name__}: {exc}"))
-    else:
-        channel.put(("result", job.worker, result))
-
-
 def _absorb_chunks(result: ShardResult, payloads: list[dict]) -> None:
     """Fold a worker's streamed chunk payloads back into its result.
 
@@ -774,25 +727,21 @@ class ShardedCampaign:
     rounds (pairs per pair chunk, relays per leg chunk): smaller chunks
     balance better but cross the fork boundary more often.
     ``force_inline=True`` emulates the worker loop in-process with a
-    deterministic chunk deal — the invariance tests' comparison mode
-    and the no-fork fallback. ``clamp_to_cpus=True`` caps the *forked*
-    worker count at the schedulable CPU count (forking past the core
-    count is pure overhead; stealing makes the cap result-invariant),
-    collapsing to the inline emulation when only one CPU is available.
-    Forked workers each run on their own share of the parent's CPU mask.
+    deterministic chunk deal — the invariance tests' comparison mode,
+    and what the pool does by itself on a platform without fork.
+    ``clamp_to_cpus=True`` caps the *forked* worker count at the
+    schedulable CPU count (forking past the core count is pure overhead;
+    stealing makes the cap result-invariant), collapsing to the inline
+    emulation when only one CPU is available. Forked workers each run on
+    their own share of the parent's CPU mask.
 
     ``telemetry`` opts into live streaming (heartbeats, watchdog,
     progress — see :class:`CampaignTelemetry`); ``worker_timeout_s``
     bounds each round's forked-worker wall time independently of
-    telemetry, so an OS-killed or runaway worker fails the campaign
-    naming its round and index instead of blocking ``run()`` forever.
+    telemetry, so a runaway worker fails the campaign naming its round
+    and index instead of blocking ``run()`` forever (an OS-killed one
+    fails it within a second either way).
     """
-
-    #: Parent poll cadence: how often liveness/deadline checks run.
-    _POLL_S = 0.05
-    #: How long a dead worker's queued messages get to drain before the
-    #: parent declares it died without a result.
-    _DEATH_GRACE_S = 1.0
 
     def __init__(
         self,
@@ -891,16 +840,6 @@ class ShardedCampaign:
     def run(self) -> ShardedReport:
         """Steal every leg chunk, then every pair chunk; merge the results."""
         started = time.perf_counter()
-        chunks = self.pair_chunks()
-        if (
-            self._forked_workers(len(chunks)) <= 1
-            and self.telemetry is not None
-            and self.telemetry.drill_hang_after
-        ):
-            raise MeasurementError(
-                "drill_hang_after requires forked workers (workers >= 2); "
-                "an inline drill would wedge the parent process"
-            )
         monitor = (
             _ShardMonitor(self.telemetry, len(self.pairs))
             if self.telemetry is not None
@@ -927,7 +866,7 @@ class ShardedCampaign:
             leg_results, time.perf_counter() - round_started, sim_started
         )
         results = self._run_round(
-            PAIR_ROUND, chunks, testbed, descriptors, monitor,
+            PAIR_ROUND, self.pair_chunks(), testbed, descriptors, monitor,
             leg_estimates, leg_failures,
         )
         report = self._merge(results, leg_result)
@@ -939,20 +878,6 @@ class ShardedCampaign:
         return report
 
     # ------------------------------------------------------------------
-
-    def _worker_telemetry(
-        self, job: _WorkerJob, send: Callable[[tuple], None]
-    ) -> _WorkerTelemetry:
-        telemetry = self.telemetry
-        return _WorkerTelemetry(
-            send=send,
-            shard=job.shard_index,
-            heartbeat_s=telemetry.heartbeat_s,
-            min_severity=telemetry.stream_min_severity,
-            hang_after=telemetry.drill_hang_after.get(job.shard_index, 0),
-            slow_ms=telemetry.drill_slow_ms.get(job.shard_index, 0.0),
-            worker=job.worker,
-        )
 
     def _run_round(
         self,
@@ -968,8 +893,14 @@ class ShardedCampaign:
 
         The same function serves the leg round and the pair round: what
         differs is what a chunk holds and what its rows mean, and that
-        lives in :func:`_run_worker`. Returns one result per worker, in
-        worker order, each with its chunks' rows folded back in.
+        lives in :func:`_run_worker`. Both go through
+        :func:`~repro.util.cpus.run_pool`, forked (workers steal off one
+        shared queue) or inline (worker *i* runs ``chunks[i::W]`` on the
+        shared testbed, one worker after the other). Chunk messages are
+        keyed by worker slot and kept here; heartbeats and events are
+        keyed by shard label and go to the monitor, whose stall check is
+        the pool's watch hook. Returns one result per worker, in worker
+        order, each with its chunks' rows folded back in.
         """
         legs = kind == LEG_ROUND
         forked = self._forked_workers(len(chunks))
@@ -986,15 +917,40 @@ class ShardedCampaign:
                 observe=self.observe,
                 leg_estimates=leg_estimates,
                 leg_failures=leg_failures,
+                telemetry=self.telemetry,
             )
             for worker in range(n_workers)
         ]
+        payloads: list[list[dict]] = [[] for _ in jobs]
+
+        def on_message(msg: tuple) -> None:
+            if msg[0] == "chunk":
+                payloads[msg[1]].append(msg[2])
+                msg = ("chunk", jobs[msg[1]].shard_index)  # liveness only
+            if monitor is not None:
+                monitor.handle(msg)
+
+        watch = None
         if monitor is not None:
             for shard in {job.shard_index for job in jobs}:
                 monitor.register(shard)
-        if forked > 1:
-            return self._run_forked(jobs, chunks, monitor)
-        return self._run_inline(jobs, chunks, monitor)
+
+            def watch(pending: set[int], now: float) -> None:
+                monitor.watch({jobs[i].shard_index for i in pending}, now)
+
+        results = run_pool(
+            jobs,
+            [job.name for job in jobs],
+            _run_worker,
+            tasks=chunks,
+            on_message=on_message,
+            watch=watch,
+            deadline_s=self.worker_timeout_s,
+            inline=forked <= 1,
+        )
+        for result, chunk_payloads in zip(results, payloads):
+            _absorb_chunks(result, chunk_payloads)
+        return results
 
     def _fold_leg_round(
         self, results: list[ShardResult], wall_s: float, sim_started: float
@@ -1060,163 +1016,6 @@ class ShardedCampaign:
             for name, sink in sinks.items():
                 setattr(folded, name, sink.snapshot())
         return folded, leg_estimates, leg_failures
-
-    def _run_inline(
-        self,
-        jobs: list[_WorkerJob],
-        chunks: list[tuple[int, list]],
-        monitor: _ShardMonitor | None,
-    ) -> list[ShardResult]:
-        """Emulate the worker loop in-process, one worker at a time.
-
-        Worker *i* gets the deterministic chunk deal ``chunks[i::W]`` —
-        the steal order a perfectly fair race would produce — and runs
-        the *identical* :func:`_run_worker` code path on the shared
-        testbed, streaming straight to the monitor. Task isolation makes
-        the shared-host reuse safe; the worker-count-invariance tests
-        rely on this mode to compare worker counts deterministically.
-        """
-        results: list[ShardResult] = []
-        for job in jobs:
-            deal = list(chunks[job.worker :: len(jobs)]) + [None]
-            queue = iter(deal)
-            payloads: list[dict] = []
-            result = _run_worker(
-                job,
-                next_task=lambda it=queue: next(it),
-                send_chunk=lambda msg, sink=payloads: sink.append(msg[2]),
-                telemetry=None
-                if monitor is None
-                else self._worker_telemetry(job, monitor.handle),
-            )
-            _absorb_chunks(result, payloads)
-            results.append(result)
-        return results
-
-    def _run_forked(
-        self,
-        jobs: list[_WorkerJob],
-        chunks: list[tuple[int, list]],
-        monitor: _ShardMonitor | None,
-    ) -> list[ShardResult]:
-        """Fork the workers; they steal chunks off one shared queue.
-
-        The task queue is preloaded with every chunk plus one ``None``
-        sentinel per worker, so a fast worker simply claims more chunks
-        and every worker sees exactly one sentinel. The single result
-        channel carries five message kinds — ``hb``, ``event``,
-        ``chunk``, ``result``, ``error`` — and per-producer FIFO order
-        guarantees a worker's chunks all arrive before its result. The
-        first two are keyed by shard label and go to the monitor; the
-        last three are keyed by worker slot and routed here. The
-        parent's poll loop doubles as the liveness clock: every
-        ``queue.get`` timeout is a chance to notice a dead worker, a
-        blown deadline, or a stalled heartbeat.
-        """
-        ctx = multiprocessing.get_context("fork")
-        channel = ctx.Queue()
-        tasks = ctx.Queue()
-        for chunk in chunks:
-            tasks.put(chunk)
-        for _ in jobs:
-            tasks.put(None)
-        procs = [
-            ctx.Process(
-                target=_worker_entry,
-                args=(
-                    channel,
-                    tasks,
-                    job,
-                    None
-                    if monitor is None
-                    else self._worker_telemetry(job, channel.put),
-                    len(jobs),
-                ),
-                daemon=True,
-            )
-            for job in jobs
-        ]
-        started = time.monotonic()
-        pending = set(range(len(jobs)))
-        results: dict[int, ShardResult] = {}
-        chunk_payloads: list[list[dict]] = [[] for _ in jobs]
-        dead_since: dict[int, float] = {}
-        try:
-            for proc in procs:
-                proc.start()
-            while pending:
-                try:
-                    msg = channel.get(timeout=self._POLL_S)
-                except Empty:
-                    msg = None
-                if msg is not None:
-                    kind, key = msg[0], msg[1]
-                    if kind == "result":
-                        results[key] = msg[2]
-                        pending.discard(key)
-                    elif kind == "error":
-                        raise MeasurementError(
-                            f"{jobs[key].name} failed: {msg[2]}"
-                        )
-                    elif kind == "chunk":
-                        chunk_payloads[key].append(msg[2])
-                        if monitor is not None:  # liveness only
-                            monitor.handle(("chunk", jobs[key].shard_index))
-                    elif monitor is not None:
-                        monitor.handle(msg)
-                now = time.monotonic()
-                # A worker the OS killed never sends anything again:
-                # notice the corpse (after a short drain grace for any
-                # queued result) instead of waiting out the deadline.
-                for worker in sorted(pending):
-                    if procs[worker].is_alive():
-                        dead_since.pop(worker, None)
-                    elif now - dead_since.setdefault(worker, now) > self._DEATH_GRACE_S:
-                        raise MeasurementError(
-                            f"{jobs[worker].name} died without a result "
-                            f"(exit code {procs[worker].exitcode})"
-                        )
-                if (
-                    self.worker_timeout_s is not None
-                    and now - started > self.worker_timeout_s
-                ):
-                    raise MeasurementError(
-                        f"{jobs[min(pending)].name} exceeded the "
-                        f"{self.worker_timeout_s:.1f}s deadline "
-                        f"({len(pending)} shard(s) unfinished)"
-                    )
-                if monitor is not None:
-                    stalled = monitor.stalled(
-                        {jobs[worker].shard_index for worker in pending}, now
-                    )
-                    if stalled:
-                        raise monitor.stall_error(*stalled[0])
-            # Results are in; drain trailing heartbeats/events so the
-            # final progress totals and stream counts are complete.
-            while True:
-                try:
-                    msg = channel.get_nowait()
-                except Empty:
-                    break
-                if msg[0] == "chunk":
-                    chunk_payloads[msg[1]].append(msg[2])
-                elif monitor is not None and msg[0] in ("hb", "event"):
-                    monitor.handle(msg)
-            for proc in procs:
-                proc.join(timeout=5.0)
-        finally:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in procs:
-                if proc.pid is not None:
-                    proc.join(timeout=1.0)
-            tasks.cancel_join_thread()
-            tasks.close()
-            channel.close()
-        for worker, result in results.items():
-            _absorb_chunks(result, chunk_payloads[worker])
-        return [results[worker] for worker in sorted(results)]
 
     def _merge(
         self, results: list[ShardResult], leg_result: ShardResult | None = None

@@ -6,14 +6,15 @@ wire format of ``repro serve --batch``), each answer a plain dict —
 picklable, so batches fan out across forked worker processes with
 nothing but slice boundaries crossing the process gap.
 
-The multiprocess model mirrors ``ShardedCampaign``'s fork discipline:
-the index is built **once in the parent** and inherited copy-on-write;
-when the underlying matrix is a ``load(..., mmap=True)`` memmap, the
-workers don't even pay the COW — every process reads the same page-
-cache copy of the npz file. Queries are split into contiguous slices
-(one per worker), answered independently, and reassembled by position,
-so results are bit-identical for any worker count — the invariance the
-serve tests pin.
+The multiprocess model is ``ShardedCampaign``'s fork pool
+(:func:`repro.util.cpus.run_pool`): the index is built **once in the
+parent** and inherited copy-on-write; when the underlying matrix is a
+``load(..., mmap=True)`` memmap, the workers don't even pay the COW —
+every process reads the same page-cache copy of the npz file. Queries
+are split into contiguous slices (one per worker), answered
+independently, and reassembled by position, so results are
+bit-identical for any worker count — the invariance the serve tests
+pin.
 
 :func:`selftest` is the trust anchor: it re-answers sampled queries
 with brute-force numpy references straight off the raw matrix, checks
@@ -25,8 +26,6 @@ against the planner-smoke dataset.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import queue as queue_module
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -41,8 +40,8 @@ from repro.serve.telemetry import (
     UnknownOpError,
     classify_error,
 )
-from repro.util.cpus import place_worker
-from repro.util.errors import ConfigurationError, MeasurementError
+from repro.util.cpus import run_pool
+from repro.util.errors import ConfigurationError
 
 
 def _error_answer(query: dict[str, Any], exc: Exception) -> dict[str, Any]:
@@ -170,8 +169,9 @@ class QueryServer:
         ``workers`` overrides the server default. With more than one
         worker the batch is split into contiguous slices, each answered
         in a forked child, and reassembled by slice position — results
-        are identical to an inline run for any worker count. Forking
-        costs ~ms, so small batches run inline regardless.
+        are identical to an inline run for any worker count. A platform
+        without fork answers the same slices in-process, one after the
+        other.
 
         With live telemetry, each worker records into a fresh
         same-config recorder (span sampling offset by its slice start)
@@ -179,100 +179,52 @@ class QueryServer:
         them in worker order, so merged counters and histogram buckets
         equal the inline run's exactly.
 
-        A worker that dies before shipping its slice (kill -9, OOM) is
-        detected by polling ``exitcode`` under a bounded queue timeout
-        and raised as a categorized :class:`MeasurementError` — the
-        collection loop can never block forever on a dead child.
+        The workers are :func:`~repro.util.cpus.run_pool`'s, the same
+        pool the shard engine's rounds use: each binds itself to its CPU
+        share, and a worker that raises, or dies before shipping its
+        slice (kill -9, OOM), fails the batch at once or within a second
+        with a categorized :class:`MeasurementError` naming ``serve
+        worker N``. There is no deadline: a wedged worker blocks the
+        batch.
         """
         queries = list(queries)
         n_workers = self.workers if workers is None else workers
         if n_workers < 1:
             raise ConfigurationError("workers must be >= 1")
         n_workers = min(n_workers, len(queries))
-        if n_workers <= 1 or len(queries) < 2:
+        if n_workers <= 1:
             return self._batch_inline(queries)
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # platform without fork: inline fallback
-            return self._batch_inline(queries)
-
         telemetry = self.telemetry
-        bounds = np.linspace(0, len(queries), n_workers + 1).astype(int)
-        channel = ctx.Queue()
-        procs = []
-        for w in range(n_workers):
-            lo, hi = int(bounds[w]), int(bounds[w + 1])
-            worker_telemetry = (
+        bounds = np.linspace(0, len(queries), n_workers + 1).astype(int).tolist()
+        jobs = [
+            (
+                queries[lo:hi],
                 telemetry.worker_copy(sample_offset=lo, shard=w)
-                if telemetry.enabled else None
+                if telemetry.enabled else None,
             )
-            procs.append(
-                ctx.Process(
-                    target=_batch_worker,
-                    args=(
-                        channel, self, queries[lo:hi], w, n_workers,
-                        worker_telemetry,
-                    ),
-                    daemon=True,
-                )
-            )
-        slices: dict[int, list[dict[str, Any]]] = {}
-        snaps: dict[int, dict[str, Any]] = {}
-
-        def absorb(message: tuple[str, int, Any, Any]) -> None:
-            kind, w, payload, snap = message
-            if kind == "error":
-                raise MeasurementError(f"serve worker {w} failed: {payload}")
-            slices[w] = payload
-            if snap is not None:
-                snaps[w] = snap
-
-        try:
-            for proc in procs:
-                proc.start()
-            while len(slices) < n_workers:
-                try:
-                    absorb(channel.get(timeout=0.25))
-                    continue
-                except queue_module.Empty:
-                    pass
-                dead = [
-                    w for w, proc in enumerate(procs)
-                    if proc.exitcode is not None and w not in slices
-                ]
-                if not dead:
-                    continue
-                # A worker may exit cleanly with its message still in
-                # the feeder-thread pipe: one grace drain before the
-                # death is declared real.
-                try:
-                    while len(slices) < n_workers:
-                        absorb(channel.get(timeout=1.0))
-                except queue_module.Empty:
-                    pass
-                lost = [w for w in dead if w not in slices]
-                if lost:
-                    w = lost[0]
-                    raise MeasurementError(
-                        f"serve worker {w} died (exit "
-                        f"{procs[w].exitcode}) before shipping its slice"
-                    )
-        finally:
-            # A start that failed part-way leaves later entries unstarted.
-            for proc in procs:
-                if proc.pid is None:
-                    continue
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
+            for w, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
+        results = run_pool(
+            jobs, [f"serve worker {w}" for w in range(n_workers)], self._answer_slice
+        )
         if telemetry.enabled:
-            for w in sorted(snaps):
-                telemetry.merge_snapshot(snaps[w], shard=w)
+            for w, (_, snap) in enumerate(results):
+                telemetry.merge_snapshot(snap, shard=w)
             telemetry._sync_counters()
-        out: list[dict[str, Any]] = []
-        for w in range(n_workers):
-            out.extend(slices[w])
-        return out
+        return [answer for answers, _ in results for answer in answers]
+
+    def _answer_slice(
+        self, job: tuple[list[dict[str, Any]], ServeTelemetry | None], *_: Any
+    ) -> tuple[list[dict[str, Any]], dict[str, Any] | None]:
+        """One :meth:`batch` worker: its contiguous slice, answered through
+        its own recorder (built pre-fork by the parent, slice-offset
+        sampling wired in) when telemetry is live; the answers and the
+        recorder's snapshot go home together."""
+        queries, telemetry = job
+        if telemetry is None:
+            return [self.query(q) for q in queries], None
+        server = QueryServer(self.index, telemetry=telemetry)
+        return [server.query(q) for q in queries], telemetry.snapshot()
 
     def _batch_inline(self, queries: list[dict[str, Any]]) -> list[dict[str, Any]]:
         """Answer in-process; sync tallies so the registry state after
@@ -281,33 +233,6 @@ class QueryServer:
         if self.telemetry.enabled:
             self.telemetry._sync_counters()
         return out
-
-
-def _batch_worker(
-    channel: Any,
-    server: QueryServer,
-    queries: list[dict[str, Any]],
-    w: int,
-    n_workers: int,
-    telemetry: ServeTelemetry | None = None,
-) -> None:
-    """Forked child: answer one contiguous slice, ship it home whole.
-
-    The child first moves onto its own share of the inherited CPU mask
-    (left alone, the kernel keeps every child on the CPU it was forked
-    on). With telemetry, it answers through its own recorder (built
-    pre-fork by the parent, slice-offset sampling wired in) and ships
-    the snapshot alongside the answers.
-    """
-    try:
-        place_worker(w, n_workers)
-        if telemetry is not None:
-            server = QueryServer(server.index, telemetry=telemetry)
-        answers = [server.query(q) for q in queries]
-        snap = telemetry.snapshot() if telemetry is not None else None
-        channel.put(("ok", w, answers, snap))
-    except BaseException as exc:  # noqa: BLE001 — report, then die
-        channel.put(("error", w, f"{exc.__class__.__name__}: {exc}", None))
 
 
 # ----------------------------------------------------------------------

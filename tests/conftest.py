@@ -8,6 +8,9 @@ that mutate simulation state build their own via the factory fixtures.
 from __future__ import annotations
 
 import hashlib
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from repro.testbeds.livetor import LiveTorTestbed
 from repro.testbeds.planetlab import PlanetLabTestbed
 from repro.tor.directory import DirectoryAuthority, ExitPolicy
 from repro.tor.relay import ForwardingDelayModel, Relay
+from repro.util import cpus
 from repro.util.rng import RandomStreams
 
 
@@ -58,6 +62,105 @@ def take_draw(stream) -> tuple[float, float, float, float]:
     """The next draw of a ``DrawStream``, as ``(u0, u1, e0, e1)``."""
     i = stream.take()
     return (stream.u[i], stream.u[i + 1], stream.e[i], stream.e[i + 1])
+
+
+# ----------------------------------------------------------------------
+# Worker faults, injected at the fork pool's one seam
+
+#: How the pool names worker ``i`` at each of its three call sites.
+WORKER_NAMES = {
+    "leg round": "leg round worker {}",
+    "pair round": "shard {} worker",
+    "serve": "serve worker {}",
+}
+
+
+def worker_fault(monkeypatch, name: str, wrap) -> None:
+    """Make pool worker ``name`` run ``wrap(work)`` in place of ``work``.
+
+    Patched at the child's entry (``repro.util.cpus._pool_child``),
+    which a forked child inherits: placement, the pickling of the
+    result and the error / death reporting around ``work`` run exactly
+    as they do for a real fault. Calls compose, one worker each.
+    """
+    real = cpus._pool_child
+
+    def child(worker, index, n_workers, work, *rest):
+        real(worker, index, n_workers, wrap(work) if worker == name else work, *rest)
+
+    monkeypatch.setattr(cpus, "_pool_child", child)
+
+
+def _claim_then(act):
+    """A fault that claims one task first — a stolen chunk dies with it
+    (a serve worker claims nothing) — then acts."""
+
+    def wrap(work):
+        def faulty(job, next_task, send):
+            next_task()
+            act()
+
+        return faulty
+
+    return wrap
+
+
+def _raise() -> None:
+    raise RuntimeError("injected fault")
+
+
+def slow(delay_s: float):
+    """A straggler, not a corpse: ``delay_s`` before starting and before
+    every task it claims."""
+
+    def wrap(work):
+        def slowed(job, next_task, send):
+            def late_task():
+                time.sleep(delay_s)
+                return next_task()
+
+            time.sleep(delay_s)
+            return work(job, late_task, send)
+
+        return slowed
+
+    return wrap
+
+
+#: pickle looks a function up by name, and a lambda has none.
+UNPICKLABLE = lambda: None  # noqa: E731
+
+
+def _unpicklable(work):
+    def faulty(job, next_task, send):
+        return work(job, next_task, send), UNPICKLABLE
+
+    return faulty
+
+
+WORKER_FAULTS = {
+    "kill": _claim_then(lambda: os.kill(os.getpid(), signal.SIGKILL)),
+    "raise": _claim_then(_raise),
+    "hang": _claim_then(lambda: time.sleep(600.0)),
+    "slow": slow(0.15),
+    "unpicklable": _unpicklable,
+}
+
+
+def wedge_in_pair(work):
+    """Forward what the worker sends until a heartbeat names a pair in
+    flight, then go silent for good — inside the pair, not between."""
+
+    def wedged(job, next_task, send):
+        def send_then_wedge(msg):
+            send(msg)
+            if msg[0] == "hb" and str(msg[2]["in_flight"]).startswith("pair "):
+                while True:
+                    time.sleep(3600)
+
+        return work(job, next_task, send_then_wedge)
+
+    return wedged
 
 
 @pytest.fixture

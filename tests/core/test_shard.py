@@ -178,15 +178,17 @@ class TestChunkPartitioning:
         import repro.core.shard as shard_mod
 
         monkeypatch.setattr(shard_mod, "_schedulable_cpus", lambda: 1)
+        real_pool = shard_mod.run_pool
 
-        def no_fork(*args, **kwargs):
-            raise AssertionError("clamped run must not fork")
+        def inline_only(*args, inline=False, **kwargs):
+            assert inline, "clamped run must not fork"
+            return real_pool(*args, inline=inline, **kwargs)
 
+        monkeypatch.setattr(shard_mod, "run_pool", inline_only)
         campaign = ShardedCampaign(
             FACTORY, fingerprints, policy=POLICY, workers=4,
             clamp_to_cpus=True, steal_chunk_pairs=1,
         )
-        monkeypatch.setattr(campaign, "_run_forked", no_fork)
         report = campaign.run()
         # Inline emulation keeps the full logical worker fleet.
         assert len(report.shards) == 4
@@ -202,16 +204,17 @@ class TestChunkPartitioning:
             FACTORY, fingerprints, policy=POLICY, workers=4,
             clamp_to_cpus=True, steal_chunk_pairs=1,
         )
-        seen = {}
-        real_forked = campaign._run_forked
+        forked = []
+        real_pool = shard_mod.run_pool
 
-        def spy(jobs, *args):
-            seen["n_workers"] = len(jobs)
-            return real_forked(jobs, *args)
+        def spy(jobs, *args, inline=False, **kwargs):
+            if not inline:
+                forked.append(len(jobs))
+            return real_pool(jobs, *args, inline=inline, **kwargs)
 
-        monkeypatch.setattr(campaign, "_run_forked", spy)
+        monkeypatch.setattr(shard_mod, "run_pool", spy)
         report = campaign.run()
-        assert seen["n_workers"] == 2
+        assert forked == [2, 2]  # the leg round, then the pair round
         assert len(report.shards) == 2
         assert report.matrix.is_complete
 

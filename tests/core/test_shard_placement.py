@@ -1,13 +1,14 @@
-"""Forked shard workers each run on a CPU share of their own.
+"""Forked workers each run on a CPU share of their own.
 
 A fork leaves the child on its parent's CPU with its parent's mask, and
 the kernel is slow to spread CPU-bound siblings out — so every forked
-worker, in the leg round and in the pair round, binds itself to a
-disjoint share of the parent's mask first thing. These tests read the
-affinity *from inside the children* (the fork-context workers inherit a
-monkeypatched ``_run_worker``), check the parent's own mask is never
-touched, and check that a platform without ``sched_setaffinity`` — or a
-kernel that refuses it — costs nothing but the placement.
+worker of the one fork pool, in the leg round, in the pair round and in
+``QueryServer.batch``, binds itself to a disjoint share of the parent's
+mask first thing. These tests read the affinity *from inside the
+children* (through the pool's seam, which the fork-context workers
+inherit), check the parent's own mask is never touched, and check that a
+platform without ``sched_setaffinity`` — or a kernel that refuses it —
+costs nothing but the placement.
 """
 
 import functools
@@ -16,10 +17,12 @@ import os
 
 import numpy as np
 import pytest
+from conftest import WORKER_NAMES, worker_fault
 
-import repro.core.shard as shard_mod
+from repro.core.dataset import RttMatrix
 from repro.core.sampling import SamplePolicy
-from repro.core.shard import LEG_ROUND, PAIR_ROUND, ShardedCampaign
+from repro.core.shard import ShardedCampaign
+from repro.serve import MatrixIndex, QueryServer
 from repro.testbeds.livetor import LiveTorTestbed
 
 SEED = 3
@@ -44,38 +47,50 @@ def _campaign(fingerprints, **kwargs):
     )
 
 
+def _reporting(seen, worker):
+    """Report the child's affinity home, then do the worker's work."""
+
+    def wrap(work):
+        def reporting(job, next_task, send):
+            seen.put((worker, sorted(os.sched_getaffinity(0))))
+            return work(job, next_task, send)
+
+        return reporting
+
+    return wrap
+
+
+@pytest.mark.parametrize(
+    "site", WORKER_NAMES, ids=[site.replace(" ", "_") for site in WORKER_NAMES]
+)
 def test_children_run_on_disjoint_shares_of_the_parents_mask(
-    fingerprints, monkeypatch
+    fingerprints, monkeypatch, site
 ):
     seen = multiprocessing.get_context("fork").Queue()
-    real = shard_mod._run_worker
-
-    def reporting(job, **kwargs):
-        seen.put((job.round, job.worker, sorted(os.sched_getaffinity(0))))
-        return real(job, **kwargs)
-
-    monkeypatch.setattr(shard_mod, "_run_worker", reporting)
+    for worker in (0, 1):
+        name = WORKER_NAMES[site].format(worker)
+        worker_fault(monkeypatch, name, _reporting(seen, worker))
     mask = os.sched_getaffinity(0)
-    report = _campaign(fingerprints).run()
-    assert report.matrix.is_complete
+    if site == "serve":
+        nodes = [f"N{i}" for i in range(8)]
+        values = np.add.outer(np.arange(8.0), np.arange(8.0))
+        np.fill_diagonal(values, 0.0)
+        server = QueryServer(MatrixIndex.build(RttMatrix.from_array(nodes, values)))
+        queries = [{"op": "knn", "x": node, "k": 3} for node in nodes]
+        assert server.batch(queries, workers=2) == server.batch(queries)
+    else:
+        assert _campaign(fingerprints).run().matrix.is_complete
     assert os.sched_getaffinity(0) == mask, "the parent's mask moved"
 
-    shares = {}
-    for _ in range(4):
-        kind, worker, cpus = seen.get(timeout=10.0)
-        shares[kind, worker] = set(cpus)
-    assert set(shares) == {
-        (kind, worker) for kind in (LEG_ROUND, PAIR_ROUND) for worker in (0, 1)
-    }
-    for kind in (LEG_ROUND, PAIR_ROUND):
-        first, second = shares[kind, 0], shares[kind, 1]
-        assert first and second
-        assert first <= mask and second <= mask
-        if len(mask) >= 2:
-            assert not first & second
-            assert first | second == mask
-        else:
-            assert first == second == mask
+    shares = dict(seen.get(timeout=10.0) for _ in range(2))
+    first, second = set(shares[0]), set(shares[1])
+    assert first and second
+    assert first <= mask and second <= mask
+    if len(mask) >= 2:
+        assert not first & second
+        assert first | second == mask
+    else:
+        assert first == second == mask
 
 
 def _refuse(pid, cpus):

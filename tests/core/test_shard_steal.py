@@ -12,6 +12,7 @@ import functools
 
 import numpy as np
 import pytest
+from conftest import slow, worker_fault
 
 from repro.core.sampling import SamplePolicy
 from repro.core.shard import (
@@ -48,24 +49,23 @@ def uniform(fingerprints):
 
 
 class TestChaosSlowWorker:
-    """One straggler, injected with ``drill_slow_ms``."""
+    """One straggler: pair worker 0 waits 150 ms before every chunk it
+    claims, injected at the fork pool's seam like every worker fault."""
 
     @pytest.fixture(scope="class")
     def chaotic(self, fingerprints):
-        telemetry = CampaignTelemetry(
-            heartbeat_s=0.05,
-            stall_timeout_s=20.0,
-            drill_slow_ms={0: 150.0},
-        )
-        return ShardedCampaign(
-            FACTORY,
-            fingerprints,
-            policy=POLICY,
-            workers=2,
-            observe=True,
-            telemetry=telemetry,
-            steal_chunk_pairs=1,
-        ).run()
+        telemetry = CampaignTelemetry(heartbeat_s=0.05, stall_timeout_s=20.0)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            worker_fault(monkeypatch, "shard 0 worker", slow(0.15))
+            return ShardedCampaign(
+                FACTORY,
+                fingerprints,
+                policy=POLICY,
+                workers=2,
+                observe=True,
+                telemetry=telemetry,
+                steal_chunk_pairs=1,
+            ).run()
 
     def test_matrix_identical_to_uniform_run(self, chaotic, uniform):
         # The straggler changes the steal layout, never the data.

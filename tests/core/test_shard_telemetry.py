@@ -1,17 +1,17 @@
-"""Live telemetry across the fork boundary: streaming, watchdog, deadlines.
+"""Live telemetry across the fork boundary: streaming and progress.
 
 The acceptance bar for the telemetry layer: instrumented campaigns
 produce the same matrix, the same streamed campaign-event counts, and
-the same final progress totals whatever the worker count; a wedged
-worker trips the stall watchdog within its deadline and leaves a
-flight-recorder post-mortem naming the stuck shard and in-flight pair;
-an OS-killed worker or a blown per-worker deadline fails ``run()``
-with the shard index instead of hanging it forever.
+the same final progress totals whatever the worker count; a worker
+wedged inside a pair trips the stall watchdog within its deadline and
+leaves a flight-recorder post-mortem naming the stuck shard and
+in-flight pair. What a killed, raising, hung or slow worker does to
+each forked round is the worker-fault matrix's
+(``tests/contract/test_worker_faults.py``).
 
 The fork-context workers inherit the parent's memory, so
 monkeypatching ``_run_worker`` in this process changes what the *forked
-children* execute — that is how the dead-worker and runaway-worker
-faults are injected without any cooperation from the worker code.
+children* execute — that is how a sabotaged job is injected below.
 
 The leg phase reports as shard ``-1``: it heartbeats, streams, and gets
 its own flight-recorder ring like any worker.
@@ -19,12 +19,11 @@ its own flight-recorder ring like any worker.
 
 import functools
 import json
-import os
-import signal
 import time
 
 import numpy as np
 import pytest
+from conftest import wedge_in_pair, worker_fault
 
 import repro.core.shard as shard_mod
 from repro.core.sampling import SamplePolicy
@@ -38,7 +37,7 @@ N_RELAYS = 14
 POLICY = SamplePolicy(samples=3, interval_ms=2.0)
 FACTORY = functools.partial(LiveTorTestbed.build, seed=SEED, n_relays=N_RELAYS)
 
-#: Generous CI bound: every fault below must fail well under this.
+#: Generous CI bound: a wedged worker must trip the watchdog well under this.
 FAIL_FAST_S = 30.0
 
 
@@ -126,28 +125,32 @@ class TestWorkerCountInvariance:
 
 
 class TestStallWatchdog:
-    def test_hung_worker_trips_watchdog_with_postmortem(
-        self, fingerprints, tmp_path
-    ):
-        dump = tmp_path / "postmortem.json"
+    """Pair worker 0 wedges inside its first pair, injected at the fork
+    pool's seam; small chunks keep plenty of work queued so worker 1
+    just keeps stealing. Every event beats (``heartbeat_s=0``), so the
+    heartbeat naming the pair leaves before the silence."""
+
+    def _wedged_run(self, fingerprints, monkeypatch, **telemetry_kwargs):
+        worker_fault(monkeypatch, "shard 0 worker", wedge_in_pair)
         telemetry = CampaignTelemetry(
-            heartbeat_s=0.1,
-            stall_timeout_s=2.0,
-            postmortem_path=dump,
-            drill_hang_after={0: 1},
+            heartbeat_s=0.0, stall_timeout_s=2.0, **telemetry_kwargs
         )
-        # Worker 0 wedges at its first stolen pair; small chunks keep
-        # plenty of work queued so worker 1 just keeps stealing.
         campaign = _campaign(
             fingerprints, 2, telemetry=telemetry, steal_chunk_pairs=1
         )
         started = time.monotonic()
         with pytest.raises(MeasurementError) as excinfo:
             campaign.run()
-        elapsed = time.monotonic() - started
-        assert elapsed < FAIL_FAST_S
+        assert time.monotonic() - started < FAIL_FAST_S
+        return str(excinfo.value)
 
-        message = str(excinfo.value)
+    def test_hung_worker_trips_watchdog_with_postmortem(
+        self, fingerprints, monkeypatch, tmp_path
+    ):
+        dump = tmp_path / "postmortem.json"
+        message = self._wedged_run(
+            fingerprints, monkeypatch, postmortem_path=dump
+        )
         assert "shard 0 stalled" in message
         assert "flight recorder dumped to" in message
         assert categorize_failure(message) == "stall"
@@ -155,78 +158,31 @@ class TestStallWatchdog:
         doc = json.loads(dump.read_text())
         assert doc["category"] == "stall"
         assert doc["stuck_shard"] == 0
-        # The drill's forced heartbeat named the wedged pair before the
-        # silence began; the post-mortem must surface it.
+        # The heartbeat named the wedged pair before the silence began;
+        # the post-mortem must surface it.
         assert doc["in_flight"].startswith("pair ")
         # The leg phase has a ring of its own, as shard -1.
         assert set(doc["rings"]) == {"-1", "0", "1"}
         assert doc["rings"]["0"]["events"], "stuck shard streamed nothing"
         assert "heartbeats" in doc and "0" in doc["heartbeats"]
 
-    def test_watchdog_event_lands_on_stream(self, fingerprints, tmp_path):
+    def test_watchdog_event_lands_on_stream(
+        self, fingerprints, monkeypatch, tmp_path
+    ):
         bus = EventBus(capacity=1024)
-        telemetry = CampaignTelemetry(
-            bus=bus,
-            heartbeat_s=0.1,
-            stall_timeout_s=2.0,
+        self._wedged_run(
+            fingerprints, monkeypatch, bus=bus,
             postmortem_path=tmp_path / "pm.json",
-            drill_hang_after={0: 1},
         )
-        campaign = _campaign(
-            fingerprints, 2, telemetry=telemetry, steal_chunk_pairs=1
-        )
-        with pytest.raises(MeasurementError):
-            campaign.run()
         tripped = bus.events(kind="watchdog_tripped")
         assert len(tripped) == 1
         assert tripped[0]["stalled_shard"] == 0
 
-    def test_inline_drill_refuses_to_wedge_parent(self, fingerprints):
-        telemetry = CampaignTelemetry(drill_hang_after={0: 1})
-        campaign = _campaign(fingerprints, 1, telemetry=telemetry)
-        with pytest.raises(MeasurementError, match="forked workers"):
-            campaign.run()
-
 
 class TestWorkerFaults:
-    """Dead and runaway workers: no telemetry required to fail fast."""
-
-    def test_dead_worker_fails_campaign(self, fingerprints, monkeypatch):
-        real = shard_mod._run_worker
-
-        def killer(*args, **kwargs):
-            if args[0].shard_index == 1:
-                os._exit(9)  # simulate the OOM killer: no cleanup, no message
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(shard_mod, "_run_worker", killer)
-        campaign = _campaign(fingerprints, 2)
-        started = time.monotonic()
-        with pytest.raises(MeasurementError) as excinfo:
-            campaign.run()
-        assert time.monotonic() - started < FAIL_FAST_S
-        message = str(excinfo.value)
-        assert "shard 1 worker died without a result" in message
-        assert "exit code 9" in message
-        assert categorize_failure(message) == "shard"
-
-    def test_worker_timeout_fails_campaign(self, fingerprints, monkeypatch):
-        real = shard_mod._run_worker
-
-        def sleeper(*args, **kwargs):
-            if args[0].shard_index == 1:
-                time.sleep(600.0)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(shard_mod, "_run_worker", sleeper)
-        campaign = _campaign(fingerprints, 2, worker_timeout_s=2.0)
-        started = time.monotonic()
-        with pytest.raises(MeasurementError) as excinfo:
-            campaign.run()
-        assert time.monotonic() - started < FAIL_FAST_S
-        message = str(excinfo.value)
-        assert "shard 1 worker exceeded the 2.0s deadline" in message
-        assert categorize_failure(message) == "shard"
+    """What the worker-fault matrix (``tests/contract/test_worker_faults.py``)
+    does not inject at the pool's seam: a sabotaged job, and the
+    deadline's own validation."""
 
     def test_worker_prewarm_assertion_fails_campaign(
         self, fingerprints, monkeypatch
@@ -246,65 +202,6 @@ class TestWorkerFaults:
         with pytest.raises(MeasurementError) as excinfo:
             campaign.run()
         assert "leg phase should have pre-warmed" in str(excinfo.value)
-
-    @pytest.mark.parametrize("fault", ("sigkill", "raise"))
-    def test_leg_round_worker_fault_fails_campaign(
-        self, fingerprints, monkeypatch, fault
-    ):
-        # The leg round runs on the same fork → steal → ship → liveness
-        # loop: a leg worker the OS kills while it holds a claimed
-        # chunk, or one that raises, must fail the campaign naming the
-        # round — within the death grace, never a hang.
-        real = shard_mod._run_worker
-
-        def faulty(job, next_task, **kwargs):
-            if job.round != shard_mod.LEG_ROUND or job.worker != 1:
-                return real(job, next_task=next_task, **kwargs)
-
-            def claim_then_fail():
-                next_task()
-                if fault == "sigkill":
-                    os.kill(os.getpid(), signal.SIGKILL)
-                raise RuntimeError("leg chunk exploded")
-
-            return real(job, next_task=claim_then_fail, **kwargs)
-
-        monkeypatch.setattr(shard_mod, "_run_worker", faulty)
-        campaign = _campaign(fingerprints, 2, steal_chunk_pairs=1)
-        started = time.monotonic()
-        with pytest.raises(MeasurementError) as excinfo:
-            campaign.run()
-        assert time.monotonic() - started < FAIL_FAST_S
-        message = str(excinfo.value)
-        if fault == "sigkill":
-            assert "leg round worker 1 died without a result" in message
-            assert f"exit code {-signal.SIGKILL}" in message
-        else:
-            assert "leg round worker 1 failed" in message
-            assert "RuntimeError: leg chunk exploded" in message
-        assert categorize_failure(message) == "shard"
-
-    def test_leg_round_honours_the_worker_timeout(
-        self, fingerprints, monkeypatch
-    ):
-        real = shard_mod._run_worker
-
-        def sleeper(job, **kwargs):
-            if job.round == shard_mod.LEG_ROUND and job.worker == 0:
-                time.sleep(600.0)
-            return real(job, **kwargs)
-
-        monkeypatch.setattr(shard_mod, "_run_worker", sleeper)
-        campaign = _campaign(
-            fingerprints, 2, steal_chunk_pairs=1, worker_timeout_s=2.0
-        )
-        started = time.monotonic()
-        with pytest.raises(MeasurementError) as excinfo:
-            campaign.run()
-        assert time.monotonic() - started < FAIL_FAST_S
-        assert "leg round worker 0 exceeded the 2.0s deadline" in str(
-            excinfo.value
-        )
 
     def test_worker_timeout_must_be_positive(self, fingerprints):
         with pytest.raises(MeasurementError):

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import worker_fault
 
 from repro.core.dataset import CampaignDataset, RttMatrix
 from repro.obs import categorize_failure
@@ -172,47 +173,38 @@ class TestErrorTaxonomy:
             assert [a.get("category") for a in answers] == expect
 
 
+def _exit_with(code):
+    """A serve worker that exits before shipping its slice, injected at
+    the fork pool's seam."""
+
+    def wrap(work):
+        def dying(job, next_task, send):
+            os._exit(code)
+
+        return dying
+
+    return wrap
+
+
 class TestDeadWorker:
     def test_dead_worker_raises_categorized_error_not_hang(
         self, server, monkeypatch
     ):
-        from repro.serve import server as server_mod
-
-        real = server_mod._batch_worker
-
-        def dying(channel, srv, queries, w, n_workers, telemetry=None):
-            if w == 0:
-                os._exit(17)  # dies before putting its slice
-            real(channel, srv, queries, w, n_workers, telemetry)
-
-        monkeypatch.setattr(server_mod, "_batch_worker", dying)
+        worker_fault(monkeypatch, "serve worker 0", _exit_with(17))
         queries = mixed_queries(server.index.nodes, count=12)
-        with pytest.raises(MeasurementError, match=r"died \(exit 17\)"):
+        with pytest.raises(
+            MeasurementError,
+            match=r"serve worker 0 died without a result \(exit code 17\)",
+        ):
             server.batch(queries, workers=3)
 
     def test_death_categorizes_as_shard_failure(self, server, monkeypatch):
-        from repro.serve import server as server_mod
-
-        monkeypatch.setattr(
-            server_mod, "_batch_worker",
-            lambda channel, srv, queries, w, n_workers, telemetry=None: os._exit(9),
-        )
+        for w in (0, 1):
+            worker_fault(monkeypatch, f"serve worker {w}", _exit_with(9))
         queries = mixed_queries(server.index.nodes, count=8)
         with pytest.raises(MeasurementError) as err:
             server.batch(queries, workers=2)
         assert categorize_failure(str(err.value)) == "shard"
-
-    def test_worker_exception_still_reported_as_failure(
-        self, server, monkeypatch
-    ):
-        from repro.serve import server as server_mod
-
-        def broken(channel, srv, queries, w, n_workers, telemetry=None):
-            channel.put(("error", w, "ValueError: boom", None))
-
-        monkeypatch.setattr(server_mod, "_batch_worker", broken)
-        with pytest.raises(MeasurementError, match="failed"):
-            server.batch(mixed_queries(server.index.nodes, count=6), workers=2)
 
 
 class TestTelemetryMergeInvariance:
