@@ -42,8 +42,46 @@ echo "== probe flight contract =="
 # (OnionProxy._fly) instead of 4 x hops + 1. The differential that holds
 # the shortcut to the cell path, bit for bit — RTTs, clock, every draw
 # stream, queues, counters — on its own, for the same reason as above:
-# a flight that drifts from the cells is reported as that.
-python -m pytest tests/contract/test_probe_flight.py -x -q
+# a flight that drifts from the cells is reported as that. Then the
+# chart a flight remembers (OnionProxy._charted, keyed by the fabric's
+# wiring epoch) held to a fresh chart at every use and after every
+# event, over the same cases and every kind of write that moves it.
+python -m pytest tests/contract/test_probe_flight.py tests/contract/test_chart_memo.py -x -q
+# What the memo and the inline ping-pong send buy, counted: charts made
+# per flown probe and simulator events per probe, on the planner smoke's
+# world (below) measured the highacc_serial way — 200 ping-pong samples
+# per circuit. The planner smoke's own 2 ms trains fly nothing.
+python - <<'PY'
+from repro.core.campaign import AllPairsCampaign
+from repro.core.sampling import SamplePolicy
+from repro.core.ting import TingMeasurer
+from repro.testbeds.livetor import LiveTorTestbed
+from repro.tor.client import OnionProxy
+
+charts = []
+chart = OnionProxy._chart
+OnionProxy._chart = lambda self, *args: charts.append(1) or chart(self, *args)
+testbed = LiveTorTestbed.build(seed=11, n_relays=320, service_queues=True)
+registry = testbed.measurement.enable_observability()
+relays = testbed.random_relays(4, testbed.streams.get("ci.flight"))
+events = testbed.sim.events_processed
+report = AllPairsCampaign(
+    TingMeasurer(testbed.measurement, policy=SamplePolicy.serial(200)), relays
+).run()
+flown = registry.counter("echo.probes_flown")
+events = testbed.sim.events_processed - events
+assert report.pairs_measured == 6 and flown > 0, (report.pairs_measured, flown)
+print(f"probe flights, ping-pong on the planner smoke's world: {flown} flown / "
+      f"{report.probes_sent} sent, {len(charts) / flown:.4f} charts per flown "
+      f"probe, {events / report.probes_sent:.3f} events per probe "
+      f"({events} events, circuit builds included)")
+PY
+# The chart has one caller, the memo: a second would chart past it.
+callers=$(grep -rn '\._chart(' src | wc -l)
+if [[ "$callers" -ne 1 ]]; then
+    echo "OnionProxy._chart has $callers callers under src/; _charted is the one" >&2
+    exit 1
+fi
 
 echo "== task purity =="
 # Under task isolation a measurement is a function of its task alone:

@@ -687,6 +687,8 @@ class Relay:
         if entry.torn_down:
             return
         entry.torn_down = True
+        # Every probe flight's remembered chart through this entry is void.
+        self.fabric._wiring += 1
         events = self.events
         if events.enabled:
             # Orderly teardowns (a DESTROY from the path, a shutdown)

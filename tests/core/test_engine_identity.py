@@ -20,13 +20,16 @@ measured value moved, once. All 14 were regenerated mechanically with::
     PYTHONPATH=src python tests/core/test_engine_identity.py
 
 which prints, per configuration, the digests and the work tuple as
-shipped and the work tuple with every flight refused. "The clock" in a
+shipped and the work tuple with every flight refused and every send
+scheduled (``WORK_BEFORE_FLIGHTS``). "The clock" in a
 result digest is ``Simulator.campaign_ms`` (``now`` for a simulator
 whose clock was never restarted).
 
-Probe flights (PR 19) are the one thing that moves a work tuple: a
-flown probe crosses its circuit in one event instead of ``4·hops + 1``,
-so a configuration that flies processes ``Σ_flown 4·hops`` fewer events
+Two things move a work tuple, and only its event count. A flown probe
+crosses its circuit in one event instead of ``4·hops + 1``; and a
+ping-pong reply that finds nothing else due at its instant sends the
+next probe inside its own event instead of one scheduled at +0. So a
+configuration processes ``Σ_landed 4·hops + inline sends`` fewer events
 than ``WORK_BEFORE_FLIGHTS`` says, cancels as many and peaks as high.
 """
 
@@ -45,6 +48,7 @@ from repro.core.sampling import AdaptiveSpec, SamplePolicy
 from repro.core.shard import ShardedCampaign
 from repro.core.strawman import StrawmanMeasurer
 from repro.core.ting import TingMeasurer
+from repro.netsim.engine import Simulator
 from repro.testbeds.churn import ChurnProcess
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.testbeds.planetlab import PlanetLabTestbed
@@ -100,31 +104,46 @@ def _work(sim) -> tuple[int, int, int]:
 
 @pytest.fixture
 def events_saved(monkeypatch):
-    """Counts ``4·hops`` for every probe flight that lands."""
-    saved = [0]
+    """Counts the events saved: ``4·hops`` for every probe flight that
+    lands, and one for every inline send — an ``EchoClient`` ping-pong
+    reply asking ``quiet_through`` about its own instant and hearing yes
+    (a flight only ever asks about a later one)."""
+    saved = {"landings": 0, "inline sends": 0}
     # Absent at b6f7dad, where this file was generated and nothing flies.
     land = getattr(OnionProxy, "_land", None)
+    quiet_through = Simulator.quiet_through
 
-    def counting(self, stream, *args):
-        saved[0] += 4 * len(stream.circuit.layers)
+    def counting_land(self, stream, *args):
+        saved["landings"] += 4 * len(stream.circuit.layers)
         return land(self, stream, *args)
 
+    def counting_quiet(self, time):
+        quiet = quiet_through(self, time)
+        if quiet and time == self.now:
+            saved["inline sends"] += 1
+        return quiet
+
     if land is not None:
-        monkeypatch.setattr(OnionProxy, "_land", counting)
+        monkeypatch.setattr(OnionProxy, "_land", counting_land)
+        monkeypatch.setattr(Simulator, "quiet_through", counting_quiet)
     return saved
 
 
 def _assert_work(work, before, saved, pinned) -> None:
     """``work`` is pinned, and differs from what the configuration cost
-    ``before`` flights by the events the landed ones saved — nothing else."""
+    ``before`` flights by the events the landed ones and the inline sends
+    saved — nothing else."""
     assert work == pinned
-    assert before[0] - work[0] == saved[0]
+    assert before[0] - work[0] == saved["landings"] + saved["inline sends"]
     assert work[1:3] == before[1:3]
+    if len(work) == 4:  # the sharded report's own sum
+        assert before[3] - work[3] == before[0] - work[0]
 
 
 #: (events processed, events cancelled, heap peak) per configuration
-#: with every flight refused — each probe seventeen (or thirteen) cell
-#: events; the sharded ones add the report's own sum.
+#: with every flight refused and every ping-pong send an event of its
+#: own — each probe seventeen (or thirteen) cell events and its send;
+#: the sharded ones add the report's own sum.
 WORK_BEFORE_FLIGHTS = {
     ("sequential", "cached"): (4010, 45, 34),
     ("sequential", "churned"): (3612, 65, 54),
@@ -143,17 +162,18 @@ WORK_BEFORE_FLIGHTS = {
 }
 
 #: The same today, for the configurations that fly: the ping-pong
-#: policies, and the baselines' 2 ms trains down the forwarding-delay
-#: estimator's host-local two-hop circuit, whose echo is back in under a
-#: millisecond. A timer-paced train down a real path never flies.
+#: policies (which also send inline), and the baselines' 2 ms trains
+#: down the forwarding-delay estimator's host-local two-hop circuit,
+#: whose echo is back in under a millisecond. A timer-paced train down a
+#: real path never flies.
 WORK = {
     **WORK_BEFORE_FLIGHTS,
-    ("sequential", "cached"): (1370, 45, 34),
-    ("callback", "isolated"): (2519, 84, 5),
-    ("sharded", 1, 1): (2772, 96, 5, 2772),
-    ("sharded", 1, 8): (2772, 96, 5, 2772),
-    ("sharded", 2, 1): (2772, 96, 5, 2772),
-    ("sharded", 2, 8): (2772, 96, 5, 2772),
+    ("sequential", "cached"): (1205, 45, 34),
+    ("callback", "isolated"): (2411, 84, 5),
+    ("sharded", 1, 1): (2648, 96, 5, 2648),
+    ("sharded", 1, 8): (2648, 96, 5, 2648),
+    ("sharded", 2, 1): (2648, 96, 5, 2648),
+    ("sharded", 2, 8): (2648, 96, 5, 2648),
     ("baselines", 11): (790, 12, 15),
     ("baselines", 2015): (790, 12, 15),
 }
@@ -370,7 +390,6 @@ def test_sharded_engine_is_pinned(workers, chunk, events_saved):
     key = ("sharded", workers, chunk)
     before = WORK_BEFORE_FLIGHTS[key]
     _assert_work(work, before, events_saved, WORK[key])
-    assert before[3] - work[3] == events_saved[0]
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +433,8 @@ def test_baseline_measurers_are_pinned(seed, events_saved):
 def print_digests() -> None:
     """Print the pins (run at the commit whose measurements are to be
     kept): each configuration's digests and work tuple as shipped, then
-    its work tuple with every flight refused (``WORK_BEFORE_FLIGHTS``)."""
+    its work tuple with every flight refused and every ping-pong send
+    scheduled at +0 (``WORK_BEFORE_FLIGHTS``: nothing is ever quiet)."""
     from unittest.mock import patch
 
     configurations = (
@@ -425,7 +445,9 @@ def print_digests() -> None:
     )
     for key, run, args in configurations:
         print(key, run(*args))
-        with patch.object(OnionProxy, "_fly", lambda self, stream, payload: False):
+        with patch.object(
+            OnionProxy, "_fly", lambda self, stream, payload: False
+        ), patch.object(Simulator, "quiet_through", lambda self, time: False):
             print(key, "as cells:", run(*args)[-1])
 
 
