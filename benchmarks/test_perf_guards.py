@@ -166,8 +166,10 @@ def test_cipher_contexts_per_circuit_guard(report, monkeypatch):
 #: With the path charted once per stream (``OnionProxy._charted``)
 #: instead of twice per probe, and the next ping-pong send made inside
 #: the landing, a 2-vCPU x86 box reads flown 34.3 → 16.6 µs against
-#: 102 → 96 µs on the cell path: 0.34x → 0.17x.
-FLIGHT_COST_CEILING = 0.3
+#: 102 → 96 µs on the cell path: 0.34x → 0.17x. With the round walked
+#: once at its launch (``OnionProxy._walk_round``): flown 11.1–11.6 →
+#: 7.6–8.0 µs against 67–70 µs, 0.17x → 0.11x.
+FLIGHT_COST_CEILING = 0.2
 
 
 @pytest.mark.benchguard
@@ -207,6 +209,60 @@ def test_probe_flight_guard(report, monkeypatch):
         f"{cells_s / probes * 1e6:.1f} us ({flown_s / cells_s:.2f}x)"
     )
     assert flown_s <= FLIGHT_COST_CEILING * cells_s
+
+
+@pytest.mark.benchguard
+def test_round_walk_guard(report, monkeypatch):
+    """A 200-probe ping-pong round on the probe kernel's world is walked
+    once, at its first launch: one walk holding all 200 probes, one
+    simulator event per probe (plus the round's first send), and exactly
+    the block reads the same round makes as cells — nothing read ahead
+    that the cells would not read. Counted, not timed."""
+    from repro.tor.client import OnionProxy
+    from repro.util.rng import DrawStream
+
+    probes = 200
+
+    def one_round(refuse: bool) -> tuple[list, int, int, list]:
+        testbed, circuit = _kernel_circuit()
+        host = testbed.measurement
+        stream = host.controller.open_stream(
+            circuit, host.echo_address, host.echo_port
+        )
+        walks, reads = [], []
+        walk, read = OnionProxy._walk_round, DrawStream.read
+
+        def walked(proxy, *args):
+            taken = walk(proxy, *args)
+            walks.append(len(proxy._round.lands) if taken else 0)
+            return taken
+
+        def counted(draws, base):
+            reads.append(base)
+            return read(draws, base)
+
+        with monkeypatch.context() as patch:
+            if refuse:
+                patch.setattr(OnionProxy, "_fly", lambda self, stream, payload: False)
+            patch.setattr(OnionProxy, "_walk_round", walked)
+            patch.setattr(DrawStream, "read", counted)
+            events = testbed.sim.events_processed
+            result = host.echo_client.probe(
+                stream, probes, interval_ms=None, timeout_ms=probes * 30_000.0
+            )
+        return result.rtts_ms, testbed.sim.events_processed - events, len(reads), walks
+
+    rtts, events, reads, walks = one_round(refuse=False)
+    cell_rtts, _, cell_reads, _ = one_round(refuse=True)
+    report(
+        f"round walk, {probes} probes: {len(walks)} walk(s) holding {walks}, "
+        f"{events / probes:g} events per probe, {reads} block reads "
+        f"({cell_reads} as cells)"
+    )
+    assert rtts == cell_rtts
+    assert walks == [probes]
+    assert events == probes + 1
+    assert reads == cell_reads
 
 
 @pytest.mark.benchguard

@@ -47,34 +47,77 @@ echo "== probe flight contract =="
 # wiring epoch) held to a fresh chart at every use and after every
 # event, over the same cases and every kind of write that moves it.
 python -m pytest tests/contract/test_probe_flight.py tests/contract/test_chart_memo.py -x -q
-# What the memo and the inline ping-pong send buy, counted: charts made
-# per flown probe and simulator events per probe, on the planner smoke's
-# world (below) measured the highacc_serial way — 200 ping-pong samples
-# per circuit. The planner smoke's own 2 ms trains fly nothing.
+# What the memo, the inline ping-pong send and the round walk buy,
+# counted: charts made per flown probe, simulator events per probe, and
+# round walks (OnionProxy._walk_round: how many, probes each held, tails
+# given back), on the planner smoke's world (below) measured the
+# highacc_serial way — 200 ping-pong samples per circuit — and the same
+# campaign as cells beside it: equal RTT lists, clock and draw positions.
+# The planner smoke's own 2 ms trains fly nothing. Counted here, not by
+# a registry counter (one would have to join the flight contract's
+# FLIGHT_COUNTERS).
 python - <<'PY'
 from repro.core.campaign import AllPairsCampaign
 from repro.core.sampling import SamplePolicy
-from repro.core.ting import TingMeasurer
+from repro.core.ting import TingEngine, TingMeasurer
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.tor.client import OnionProxy
 
-charts = []
-chart = OnionProxy._chart
+charts, walks, tails, rounds = [], [], [], []
+chart, walk, back = OnionProxy._chart, OnionProxy._walk_round, OnionProxy._take_round_back
+account, fly = TingEngine.account, OnionProxy._fly
+
+
+def walked(self, *args):
+    taken = walk(self, *args)
+    if taken:
+        walks.append(len(self._round.lands))
+    return taken
+
+
+def given_back(self):
+    tails.append(self._round.airborne is not None)
+    return back(self)
+
+
 OnionProxy._chart = lambda self, *args: charts.append(1) or chart(self, *args)
-testbed = LiveTorTestbed.build(seed=11, n_relays=320, service_queues=True)
-registry = testbed.measurement.enable_observability()
-relays = testbed.random_relays(4, testbed.streams.get("ci.flight"))
-events = testbed.sim.events_processed
-report = AllPairsCampaign(
-    TingMeasurer(testbed.measurement, policy=SamplePolicy.serial(200)), relays
-).run()
-flown = registry.counter("echo.probes_flown")
-events = testbed.sim.events_processed - events
+OnionProxy._walk_round, OnionProxy._take_round_back = walked, given_back
+TingEngine.account = lambda self, result: rounds.append(result.rtts_ms) or account(self, result)
+
+
+def campaign():
+    testbed = LiveTorTestbed.build(seed=11, n_relays=320, service_queues=True)
+    registry = testbed.measurement.enable_observability()
+    relays = testbed.random_relays(4, testbed.streams.get("ci.flight"))
+    events = testbed.sim.events_processed
+    report = AllPairsCampaign(
+        TingMeasurer(testbed.measurement, policy=SamplePolicy.serial(200)), relays
+    ).run()
+    streams = testbed.streams.draws._streams
+    return (
+        report, registry.counter("echo.probes_flown"),
+        testbed.sim.events_processed - events, list(rounds), repr(testbed.sim.now),
+        {name: (draws.base, draws.pos) for name, draws in streams.items()},
+    )
+
+
+report, flown, events, flown_rounds, *flown_end = campaign()
+made = len(charts)
+rounds.clear()
+OnionProxy._fly = lambda self, stream, payload: False
+*_, cell_rounds, cell_clock, cell_draws = campaign()
+OnionProxy._fly = fly
 assert report.pairs_measured == 6 and flown > 0, (report.pairs_measured, flown)
+assert flown_rounds == cell_rounds, "a flown round's RTTs differ from the cells'"
+assert flown_end == [cell_clock, cell_draws], "flown clock / draw positions != cells'"
 print(f"probe flights, ping-pong on the planner smoke's world: {flown} flown / "
-      f"{report.probes_sent} sent, {len(charts) / flown:.4f} charts per flown "
+      f"{report.probes_sent} sent, {made / flown:.4f} charts per flown "
       f"probe, {events / report.probes_sent:.3f} events per probe "
       f"({events} events, circuit builds included)")
+print(f"round walks: {len(walks)} walks, {sum(walks) / len(walks):.1f} probes per "
+      f"walk, {len(tails)} tails given back ({sum(tails)} with a probe up); "
+      f"{len(flown_rounds)} rounds == as cells: RTT lists, clock, "
+      f"{len(cell_draws)} draw positions")
 PY
 # The chart has one caller, the memo: a second would chart past it.
 callers=$(grep -rn '\._chart(' src | wc -l)

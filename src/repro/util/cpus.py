@@ -93,20 +93,21 @@ def _pool_child(
 ) -> None:
     """Forked child: place, run ``work``, ship its outcome.
 
-    The result is pickled here, inside the ``try``, so a result that
-    does not pickle fails as itself (``PicklingError: …``) rather than
-    vanishing in the queue's feeder thread and reading as a clean death.
-    Any exception crosses as ``("error", index, "Type: msg")``.
+    Every message (each ``send``, the result) is pickled here, inside
+    the ``try``, so one that does not pickle fails as itself
+    (``PicklingError: …``) rather than vanishing in the queue's feeder
+    thread — a campaign silently short of a chunk, a result read as a
+    clean death. Any exception crosses as ``("error", index, "Type: msg")``.
     """
+
+    def send(msg: tuple) -> None:
+        channel.put(pickle.dumps(msg, pickle.HIGHEST_PROTOCOL))
+
     try:
         place_worker(index, n_workers)
-        result = pickle.dumps(
-            work(job, next_task, channel.put), pickle.HIGHEST_PROTOCOL
-        )
+        send(("result", index, work(job, next_task, send)))
     except BaseException as exc:  # noqa: BLE001 — serialized for the parent
-        channel.put(("error", index, f"{type(exc).__name__}: {exc}"))
-    else:
-        channel.put(("result", index, result))
+        send(("error", index, f"{type(exc).__name__}: {exc}"))
 
 
 def _ignore(msg: tuple) -> None:
@@ -177,10 +178,11 @@ def run_pool(
     results: dict[int, Any] = {}
     pending = set(range(len(jobs)))
 
-    def route(msg: tuple) -> None:
+    def route(pickled: bytes) -> None:
+        msg = pickle.loads(pickled)
         kind, index = msg[0], msg[1]
         if kind == "result":
-            results[index] = pickle.loads(msg[2])
+            results[index] = msg[2]
             pending.discard(index)
         elif kind == "error":
             raise MeasurementError(f"{names[index]} failed: {msg[2]}")

@@ -138,12 +138,24 @@ def _unpicklable(work):
     return faulty
 
 
+def _unpicklable_send(work):
+    """A message home (as a chunk's rows or a batch's answers are sent)
+    carrying something pickle cannot ship, sent first thing."""
+
+    def faulty(job, next_task, send):
+        send(("chunk", UNPICKLABLE))
+        return work(job, next_task, send)
+
+    return faulty
+
+
 WORKER_FAULTS = {
     "kill": _claim_then(lambda: os.kill(os.getpid(), signal.SIGKILL)),
     "raise": _claim_then(_raise),
     "hang": _claim_then(lambda: time.sleep(600.0)),
     "slow": slow(0.15),
     "unpicklable": _unpicklable,
+    "unpicklable_send": _unpicklable_send,
 }
 
 

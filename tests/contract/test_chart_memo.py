@@ -43,7 +43,7 @@ from repro.netsim.engine import Simulator
 from repro.testbeds.churn import ChurnProcess
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.tor.client import OnionProxy
-from repro.tor.relay import Relay
+from repro.tor.relay import DiurnalForwardingDelayModel, Relay
 
 ADAPTIVE = SamplePolicy(
     samples=6,
@@ -327,3 +327,34 @@ def test_a_circuit_extended_under_an_open_stream(memo):
     testbed.sim.run_until_idle()
     assert not got and stream.state == "closed"
     _used(memo)
+
+
+def test_a_clock_reading_model_swapped_in_mid_round(memo):
+    """A walked round reads every model once, at its launch; a hop's
+    model swapped for one that reads the clock inside a landing is met
+    by the next probe's ``_charted``, the held tail goes back and the
+    rest of the round is cells."""
+
+    def scenario(testbed, hops):
+        stream = flight._stream(testbed, hops)
+        done, replies = [], []
+        testbed.measurement.echo_client.probe_async(
+            stream, 64, done.append, done.append, interval_ms=None
+        )
+        deliver = stream.on_data
+
+        def on_data(payload):
+            replies.append(payload)
+            if len(replies) == 20:
+                testbed.relays[0].forwarding = DiurnalForwardingDelayModel(
+                    testbed.sim, phase_ms=6 * 3_600_000.0
+                )
+            deliver(payload)
+
+        stream.on_data = on_data
+        testbed.sim.run_until_idle()
+        return done[0].rtts_ms
+
+    with flight._Walks() as walks:
+        assert flight.differential(scenario, hops=4) == (20, 0)
+    assert walks.held == [64] and walks.tails == [False]

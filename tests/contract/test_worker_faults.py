@@ -13,7 +13,11 @@ worker runs and nothing else:
   shipping answers);
 * **slow** — a straggler: the result ``==`` a healthy run's;
 * **unpicklable** result — ``failed: PicklingError: …`` at once, not a
-  clean exit read as a death.
+  clean exit read as a death;
+* **unpicklable_send** — a message sent home that does not pickle (a
+  chunk's rows, a batch's answers): ``failed: PicklingError: …`` too,
+  where the queue's feeder thread used to drop it and the campaign came
+  back short of pairs with no failure.
 
 Every failure is a ``MeasurementError`` naming its round and worker that
 ``categorize_failure`` files under ``shard``, raised well inside
@@ -104,6 +108,7 @@ EXPECTED = {
     "raise": "failed: RuntimeError: injected fault",
     "hang": f"exceeded the {DEADLINE_S:.1f}s deadline",
     "unpicklable": "failed: PicklingError: ",
+    "unpicklable_send": "failed: PicklingError: ",
 }
 
 CASES = [(site, fault) for site in WORKER_NAMES for fault in WORKER_FAULTS]
@@ -205,3 +210,27 @@ def test_worker_wedged_in_a_pair_trips_the_watchdog(
     assert set(doc["rings"]) == {"-1", "0", "1"}
     assert doc["rings"]["0"]["events"], "stuck shard streamed nothing"
     assert "heartbeats" in doc and "0" in doc["heartbeats"]
+
+
+def test_a_chunk_that_never_arrives_fails_the_merge(fingerprints, monkeypatch):
+    """However a chunk's rows go missing, a shard whose rows fall short
+    of the pairs it attempted fails the run instead of truncating it."""
+
+    def drop_first_chunk(work):
+        def dropping(job, next_task, send):
+            dropped = []
+
+            def lossy(msg):
+                if msg[0] == "chunk" and not dropped:
+                    dropped.append(msg)
+                    return
+                send(msg)
+
+            return work(job, next_task, lossy)
+
+        return dropping
+
+    worker_fault(monkeypatch, "shard 0 worker", drop_first_chunk)
+    lost = r"shard 0 shipped \d+ rows for \d+ pairs attempted"
+    with pytest.raises(MeasurementError, match=lost):
+        _run("pair round", fingerprints, None)

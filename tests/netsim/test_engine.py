@@ -597,6 +597,70 @@ class TestFlights:
         with pytest.raises(SimulationError, match="already in the air"):
             self._flight(sim, 9.0)
 
+    @staticmethod
+    def _chain(sim, lands, log):
+        """Flights landing at ``lands``, each launched inside the last
+        one's landing, held through the last from the first launch."""
+
+        def take_back():
+            log.append(("taken back", sim.now))
+            return True
+
+        def land(k):
+            log.append(("landed", sim.now))
+            if k + 1 < len(lands) and not sim.launch_flight(
+                lands[k + 1], land, take_back, k + 1
+            ):
+                sim.ground_flight()  # the layer takes the rest back itself
+
+        assert sim.launch_flight(lands[0], land, take_back, 0)
+        sim.hold(lands[-1])
+
+    def test_a_held_chain_lands_flight_by_flight(self):
+        sim, log = Simulator(), []
+        self._chain(sim, [2.0, 4.0, 6.0], log)
+        sim.run()
+        assert log == [("landed", 2.0), ("landed", 4.0), ("landed", 6.0)]
+        assert sim.events_processed == 3
+        sim.schedule(0.5, lambda: log.append(("timer", sim.now)))  # nothing held
+        sim.run()
+        assert log[-1] == ("timer", 6.5) and len(log) == 4
+        sim.restart_clock()
+
+    def test_anything_due_before_a_held_chain_ends_grounds_it(self):
+        sim, log = Simulator(), []
+        self._chain(sim, [2.0, 4.0, 6.0], log)
+        sim.run(max_events=1)  # the first landing; the second flight is up
+        sim.schedule(3.0, lambda: log.append(("timer", sim.now)))
+        assert log == [("landed", 2.0), ("taken back", 2.0)]
+        sim.run()
+        assert log[-1] == ("timer", 5.0) and sim.events_processed == 2
+
+    def test_a_held_chain_is_grounded_between_a_landing_and_the_next_launch(self):
+        sim, log = Simulator(), []
+
+        def take_back():
+            log.append(("taken back", sim.now))
+            return True
+
+        def land():
+            log.append(("landed", sim.now))
+            sim.schedule(1.0, lambda: log.append(("timer", sim.now)))
+
+        assert sim.launch_flight(2.0, land, take_back)
+        sim.hold(6.0)
+        sim.run()
+        assert log == [("landed", 2.0), ("taken back", 2.0), ("timer", 3.0)]
+
+    def test_a_bounded_run_past_the_landing_in_the_air_lets_it_land(self):
+        sim, log = Simulator(), []
+        self._chain(sim, [2.0, 4.0, 6.0], log)
+        with pytest.raises(SimulationError, match="not idle"):
+            sim.restart_clock()
+        sim.run(until=2.5)  # lands the flight in the air; the next is refused
+        assert log == [("landed", 2.0), ("taken back", 2.0)] and sim.now == 2.5
+        sim.restart_clock()
+
     def test_after_landing_the_engine_is_as_before(self):
         sim = Simulator()
         _, log = self._flight(sim, 7.5)
