@@ -245,6 +245,13 @@ class ConvergenceTracker:
             and self.floor_confirmed()
         )
 
+    def replies_before_stop(self) -> int:
+        """The fewest further replies after which :meth:`update` could say
+        stop, whatever they measure (each grows the plateau by one at most)."""
+        spec, count = self.spec, self.count
+        return max(1, spec.min_samples - count, spec.confirm_k - count,
+                   spec.patience - self.plateau)
+
     def effective_patience(self) -> float:
         """The quiet window this run must sustain before stopping.
 

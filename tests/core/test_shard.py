@@ -232,6 +232,15 @@ class TestChunkPartitioning:
                 FACTORY, fingerprints, pairs=[(fingerprints[0], "unknown")]
             )
 
+    @pytest.mark.parametrize("again", ["same", "reversed"])
+    def test_a_pair_given_twice_is_rejected_up_front(self, fingerprints, again):
+        """The merge counts one row per attempted pair, so a repeated pair
+        (either order) must fail as bad input, not as a lost chunk."""
+        a, b = fingerprints[:2]
+        twice = [(a, b), (a, b) if again == "same" else (b, a)]
+        with pytest.raises(MeasurementError, match="invalid campaign pair"):
+            ShardedCampaign(FACTORY, fingerprints, pairs=twice)
+
     def test_rejects_unknown_fingerprint_before_dispatch(self, fingerprints):
         campaign = ShardedCampaign(
             FACTORY, ["missing-fp"] + fingerprints, policy=POLICY, workers=1
