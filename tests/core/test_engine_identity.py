@@ -23,7 +23,10 @@ which prints, per configuration, the digests and the work tuple as
 shipped and the work tuple with every flight refused and every send
 scheduled (``WORK_BEFORE_FLIGHTS``). "The clock" in a
 result digest is ``Simulator.campaign_ms`` (``now`` for a simulator
-whose clock was never restarted).
+whose clock was never restarted). The two ``budgeted`` configurations
+came later, taken the same way before the campaign schedulers were
+folded into one: a :class:`ProbeBudget` small enough to degrade the
+policy through two tiers or more, its spend in the result digest.
 
 Two things move a work tuple, and only its event count. A flown probe
 crosses its circuit in one event instead of ``4·hops + 1``; and a
@@ -40,7 +43,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.campaign import AllPairsCampaign
+from repro.core.campaign import AllPairsCampaign, ProbeBudget
 from repro.core.fwd_delay import ForwardingDelayEstimator
 from repro.core.parallel import ParallelCampaign
 from repro.core.planner import CampaignPlanner
@@ -102,6 +105,16 @@ def _work(sim) -> tuple[int, int, int]:
     return (sim.events_processed, sim.events_cancelled, sim.heap_peak)
 
 
+def _spent(budget: ProbeBudget | None, events) -> tuple:
+    """What a budget adds to a result digest (nothing without one). A
+    budgeted configuration must degrade its policy twice or more."""
+    if budget is None:
+        return ()
+    tiers = {event["tier"] for event in events.events("campaign", "budget_degraded")}
+    assert len(tiers) >= 2, f"the budget crossed only tiers {sorted(tiers)}"
+    return (budget.spent, budget.degraded_tasks)
+
+
 @pytest.fixture
 def events_saved(monkeypatch):
     """Counts the events saved: ``4·hops`` for every probe flight that
@@ -145,11 +158,13 @@ def _assert_work(work, before, saved, pinned) -> None:
 #: own — each probe seventeen (or thirteen) cell events and its send;
 #: the sharded ones add the report's own sum.
 WORK_BEFORE_FLIGHTS = {
+    ("sequential", "budgeted"): (1928, 45, 47),
     ("sequential", "cached"): (4010, 45, 34),
     ("sequential", "churned"): (3612, 65, 54),
     ("sequential", "permuted"): (2510, 45, 51),
     ("sequential", "reuse"): (2486, 48, 54),
     ("sequential", "uncached"): (4509, 90, 69),
+    ("callback", "budgeted-4"): (3700, 84, 73),
     ("callback", "concurrent-1"): (4801, 84, 69),
     ("callback", "concurrent-16"): (4763, 84, 111),
     ("callback", "isolated"): (4527, 84, 5),
@@ -165,10 +180,12 @@ WORK_BEFORE_FLIGHTS = {
 #: policies (which also send inline), and the baselines' 2 ms trains
 #: down the forwarding-delay estimator's host-local two-hop circuit,
 #: whose echo is back in under a millisecond. A timer-paced train down a
-#: real path never flies.
+#: real path never flies — unless a probe budget cut it to one probe.
 WORK = {
     **WORK_BEFORE_FLIGHTS,
+    ("sequential", "budgeted"): (1082, 45, 47),
     ("sequential", "cached"): (1205, 45, 34),
+    ("callback", "budgeted-4"): (3684, 84, 73),
     ("callback", "isolated"): (2411, 84, 5),
     ("sharded", 1, 1): (2648, 96, 5, 2648),
     ("sharded", 1, 8): (2648, 96, 5, 2648),
@@ -210,6 +227,7 @@ def _sequential(name: str) -> tuple[str, tuple]:
     policy = {
         "cached": SamplePolicy.serial(12),
         "churned": SamplePolicy(samples=6, interval_ms=2.0, timeout_ms=5_000.0),
+        "budgeted": ADAPTIVE,
     }.get(name, FIXED)
     measurer = TingMeasurer(
         host,
@@ -236,6 +254,8 @@ def _sequential(name: str) -> tuple[str, tuple]:
         )
         churn.start()
         kwargs.update(retries=1, retry_delay_ms=2_000.0)
+    # 72 probes unbudgeted; 60 enters tiers 1, 2 and 3.
+    budget = kwargs["budget"] = ProbeBudget(total=60) if name == "budgeted" else None
     report = AllPairsCampaign(measurer, relays, **kwargs).run()
     if name == "churned":
         assert report.failures_total > 0, "the churned world must exercise failures"
@@ -247,12 +267,14 @@ def _sequential(name: str) -> tuple[str, tuple]:
             ),
             report.pairs_measured,
             sorted((x, y) for x, y, _ in report.failures),
+            *_spent(budget, host.events),
         ),
         _work(testbed.sim),
     )
 
 
 SEQUENTIAL = {
+    "budgeted": "b9d55d5909abb72c9421322566b8e9484ac5bd97192022462c1548394f2e7660",
     "cached": "8ad272730dae9e0445a53d8dfe55990695aec294a4b08af926e60ee5809a31a9",
     "uncached": "b72a33d0ea11da36c7c43740823c7401ffacd0370df9fff52a2f8fd167923717",
     "reuse": "3c34fb00b41b8fecf22c9369466cdaeb86d2f1fd4cceb94d295a0e2746de98c9",
@@ -278,13 +300,16 @@ def _callback(name: str) -> tuple[str, str, tuple]:
     host = testbed.measurement
     registry = host.enable_observability()
     relays = testbed.random_relays(7, testbed.streams.get("identity.relays"))
+    # 168 probes unbudgeted; 120 enters tiers 1 and 2.
+    budget = ProbeBudget(total=120) if name.startswith("budgeted") else None
     if name == "isolated":
         campaign = ParallelCampaign(
             host, relays, policy=ADAPTIVE, isolation=testbed.task_isolation()
         )
     else:
         campaign = ParallelCampaign(
-            host, relays, policy=FIXED, concurrency=int(name.rpartition("-")[2])
+            host, relays, policy=FIXED, concurrency=int(name.rpartition("-")[2]),
+            budget=budget,
         )
     report = campaign.run()
     assert report.pairs_measured == 21 and report.legs_measured == 7
@@ -296,6 +321,7 @@ def _callback(name: str) -> tuple[str, str, tuple]:
             ),
             report.peak_concurrency,
             repr(report.makespan_ms),
+            *_spent(budget, host.events),
         ),
         _recorded(host.spans, host.provenance, host.events),
         _work(testbed.sim),
@@ -303,6 +329,10 @@ def _callback(name: str) -> tuple[str, str, tuple]:
 
 
 CALLBACK = {
+    "budgeted-4": (
+        "72ea8b606f7765852195d237a0fa1a0bc2a0968c7d8397150473aee7a081e26c",
+        "f61aa1dda04a60aa6acd113660b1a528be02420221ef343ee0c4f6c47cc83827",
+    ),
     "concurrent-1": (
         "8deb0337244618d647c99876fc0e7e5e904fa28ec5d392a83c02a7607bddcfb1",
         "deb03540c7b5c5968041b9795d1cfc14f388dd9c7b16d6b75c5feab8fed899fa",
