@@ -32,7 +32,7 @@ def main() -> None:
     report = AllPairsCampaign(measurer, relays, rng=rng).run()
     matrix = report.matrix
     print(f"  {report.pairs_measured} pairs measured in "
-          f"{report.duration_ms / 60000:.1f} simulated minutes")
+          f"{report.makespan_ms / 60000:.1f} simulated minutes")
 
     cache = Path(tempfile.gettempdir()) / "ting-allpairs.json"
     matrix.save(cache)

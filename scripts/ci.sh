@@ -27,7 +27,8 @@ python -c "import numpy; print('numpy', numpy.__version__)"
 python -m pytest tests/netsim/test_rng_identities.py tests/testbeds/test_build_identity.py -x -q
 
 echo "== pinned engine measurements =="
-# What the three campaign schedulers and the two baseline measurers
+# What the campaign scheduler (in each task order: sequential, budgeted,
+# concurrent, isolated, sharded) and the two baseline measurers
 # measure on those worlds — matrix bytes, clocks, registry counters, and
 # the callback engines' spans, provenance and bus records — against
 # digests taken at the last re-pin (PR 22: draws keyed by entity, a
@@ -59,13 +60,13 @@ python -m pytest tests/contract/test_probe_flight.py tests/contract/test_chart_m
 python - <<'PY'
 from repro.core.campaign import AllPairsCampaign
 from repro.core.sampling import SamplePolicy
-from repro.core.ting import TingEngine, TingMeasurer
+from repro.core.ting import TingMeasurer
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.tor.client import OnionProxy
 
 charts, walks, tails, rounds = [], [], [], []
 chart, walk, back = OnionProxy._chart, OnionProxy._walk_round, OnionProxy._take_round_back
-account, fly = TingEngine.account, OnionProxy._fly
+account, fly = TingMeasurer.account, OnionProxy._fly
 
 
 def walked(self, *args):
@@ -82,7 +83,7 @@ def given_back(self):
 
 OnionProxy._chart = lambda self, *args: charts.append(1) or chart(self, *args)
 OnionProxy._walk_round, OnionProxy._take_round_back = walked, given_back
-TingEngine.account = lambda self, result: rounds.append(result.rtts_ms) or account(self, result)
+TingMeasurer.account = lambda self, result: rounds.append(result.rtts_ms) or account(self, result)
 
 
 def campaign():
@@ -270,11 +271,14 @@ if [[ "$forks" -gt 1 ]]; then
 fi
 
 echo "== source size (printed, never gated) =="
-# ROADMAP item 3's target is src/ <= 19.0k lines (17.5k the stretch);
-# the three engine files are where "one campaign engine" is counted,
-# the obs package plus serve telemetry where "one merge protocol" is.
+# ROADMAP item 8's target is src/ <= 19.0k lines (17.5k the stretch);
+# the three engine files are where "one campaign scheduler" is counted
+# (ROADMAP item 2's target), the obs package plus serve telemetry where
+# "one merge protocol" is.
 find src -name '*.py' -print0 | xargs -0 cat | wc -l | xargs echo "src/ total lines:"
 wc -l src/repro/core/ting.py src/repro/core/campaign.py src/repro/core/parallel.py
+cat src/repro/core/ting.py src/repro/core/campaign.py src/repro/core/parallel.py \
+    | wc -l | xargs -I{} echo "engine files: {} lines (ROADMAP item 2 target: <= 1,400)"
 cat src/repro/obs/*.py src/repro/serve/telemetry.py | wc -l \
     | xargs echo "src/repro/obs + serve/telemetry.py lines:"
 

@@ -493,7 +493,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     status(f"  measured {report.pairs_measured} pairs, "
            f"{len(report.failures)} failures, "
            f"mean RTT {matrix.mean_rtt_ms():.1f} ms, "
-           f"{report.duration_ms / 60000:.1f} simulated minutes")
+           f"{report.makespan_ms / 60000:.1f} simulated minutes")
     if report.probes_saved:
         status(f"  probes sent {report.probes_sent}, "
                f"saved {report.probes_saved} by early stopping")

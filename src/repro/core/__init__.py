@@ -10,9 +10,10 @@
   ICMP pings) that Ting supersedes; kept as an evaluated baseline.
 * :class:`ForwardingDelayEstimator` — the Section 4.3 per-relay
   forwarding-delay estimation procedure.
-* :class:`RttMatrix` / :class:`AllPairsCampaign` — all-pairs datasets and
-  the campaign machinery that produces them (plus stability re-measurement
-  over simulated days).
+* :class:`RttMatrix` / :class:`ParallelCampaign` — all-pairs datasets and
+  the one campaign scheduler that produces them (:class:`AllPairsCampaign`
+  is its serial task order; plus stability re-measurement over simulated
+  days).
 """
 
 from repro.core.measurement_host import MeasurementHost
@@ -31,7 +32,7 @@ from repro.core.strawman import StrawmanMeasurer, StrawmanResult
 from repro.core.fwd_delay import ForwardingDelayEstimator, ForwardingDelayReport
 from repro.core.dataset import RttMatrix
 from repro.core.campaign import AllPairsCampaign, StabilityCampaign
-from repro.core.parallel import ParallelCampaign, ParallelReport
+from repro.core.parallel import CampaignReport, ParallelCampaign
 
 __all__ = [
     "MeasurementHost",
@@ -53,5 +54,5 @@ __all__ = [
     "AllPairsCampaign",
     "StabilityCampaign",
     "ParallelCampaign",
-    "ParallelReport",
+    "CampaignReport",
 ]

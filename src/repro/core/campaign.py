@@ -2,8 +2,10 @@
 
 :class:`AllPairsCampaign` measures every pair in a relay set (in
 randomized order, as the paper's validation did) and assembles an
-:class:`~repro.core.dataset.RttMatrix`. With leg caching the campaign
-needs one leg circuit per relay plus one pair circuit per pair.
+:class:`~repro.core.dataset.RttMatrix`: the serial task order of
+:class:`~repro.core.parallel.ParallelCampaign`, the one scheduler. With
+leg caching the campaign needs one leg circuit per relay plus one pair
+circuit per pair. :class:`ProbeBudget` caps a campaign's probes.
 
 :class:`StabilityCampaign` re-measures a fixed pair set on a schedule
 ("once an hour over the course of a week", Section 4.6) and reports the
@@ -16,10 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.dataset import RttMatrix
+from repro.core.parallel import ParallelCampaign
 from repro.core.sampling import SamplePolicy
-from repro.core.ting import PairRecorder, TingMeasurer
-from repro.obs import CAMPAIGN_SPAN, NULL_EVENTS, EventBus
+from repro.core.ting import TingMeasurer
+from repro.obs import NULL_EVENTS, EventBus
 from repro.tor.directory import RelayDescriptor
 from repro.util.errors import MeasurementError
 from repro.util.units import Milliseconds
@@ -27,7 +29,7 @@ from repro.util.units import Milliseconds
 
 @dataclass
 class ProbeBudget:
-    """A campaign-wide cap on echo probes, spent task by task.
+    """A campaign-wide cap on echo probes, spent round by round.
 
     DiProber (arXiv:2211.16751) frames relay probing as an
     estimation-budget problem; this is the campaign-level version of
@@ -38,12 +40,12 @@ class ProbeBudget:
     to ``min_samples``), trading accuracy for coverage so the matrix
     still completes. Fixed policies degrade by sample count alone.
 
-    Campaigns call :meth:`policy_for` at each task launch and
-    :meth:`spend` with the probes a task actually sent, so early-stopped
-    runs stretch the budget further. Spend order makes degraded tasks
-    depend on campaign history — a budgeted campaign is deterministic,
-    but it is *not* shard-invariant (``ShardedCampaign`` therefore does
-    not take one).
+    The campaign calls :meth:`policy_for` at each task launch; its
+    engine calls :meth:`spend` with the probes each round actually sent,
+    so early-stopped runs stretch the budget further. Spend order makes
+    degraded tasks depend on campaign history — a budgeted campaign is
+    deterministic, but it is *not* shard-invariant (``ShardedCampaign``
+    therefore does not take one).
     """
 
     total: int
@@ -83,7 +85,7 @@ class ProbeBudget:
         return self.spent >= self.total
 
     def spend(self, probes: int) -> None:
-        """Record probes actually sent by one finished task."""
+        """Record probes actually sent by one finished probe round."""
         self.spent += probes
 
     def policy_for(self, policy: SamplePolicy) -> SamplePolicy:
@@ -127,30 +129,18 @@ class ProbeBudget:
         return replace(policy, samples=samples, adaptive=degraded)
 
 
-@dataclass
-class CampaignReport:
-    """Bookkeeping for one all-pairs run.
+class AllPairsCampaign(ParallelCampaign):
+    """Measures all pairs among ``relays`` with one Ting measurer.
 
-    ``failures`` holds the *surviving* failure records — pairs still
-    unmeasured once every retry round has run. ``failures_total`` counts
-    every failed attempt across all rounds; it only grows, and it is the
-    quantity the ``max_failures`` abort threshold is checked against (a
-    retried pair must not reset the budget).
+    A task order of the one scheduler: no leg tasks (each leg is
+    measured by the first pair that demands it, ``C_xy → C_x → C_y``),
+    the pairs permuted by ``rng`` (in randomized order, as the paper's
+    validation did), concurrency 1 — so every pair runs through
+    ``measurer.measure_pair``. Failed pairs are re-attempted up to
+    ``retries`` extra rounds, ``retry_delay_ms`` apart — relays on a
+    churning network are often back within minutes — and more than
+    ``max_failures`` failed attempts in all abort the campaign.
     """
-
-    matrix: RttMatrix
-    pairs_attempted: int = 0
-    pairs_measured: int = 0
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
-    failures_total: int = 0
-    duration_ms: Milliseconds = 0.0
-    #: Echo probes actually sent / avoided by early stopping, this run.
-    probes_sent: int = 0
-    probes_saved: int = 0
-
-
-class AllPairsCampaign:
-    """Measures all pairs among ``relays`` with one Ting measurer."""
 
     def __init__(
         self,
@@ -163,148 +153,19 @@ class AllPairsCampaign:
         retry_delay_ms: Milliseconds = 60_000.0,
         budget: ProbeBudget | None = None,
     ) -> None:
-        if len(relays) < 2:
-            raise MeasurementError("need at least two relays for a campaign")
-        fingerprints = [r.fingerprint for r in relays]
-        if len(set(fingerprints)) != len(fingerprints):
-            raise MeasurementError("duplicate relays in campaign set")
+        super().__init__(
+            measurer.host, relays, policy=policy or measurer.policy,
+            concurrency=1, budget=budget, legs=[],
+        )
         if retries < 0:
             raise MeasurementError("retries must be non-negative")
-        self.measurer = measurer
-        self.relays = list(relays)
-        self.policy = policy or measurer.policy
-        #: Optional campaign-wide probe cap; see :class:`ProbeBudget`.
-        self.budget = budget
-        self._rng = rng
+        self._engine = measurer  # the caller's: its leg cache, its counters
+        if rng is not None:
+            pairs = self._task_lists()[1]
+            self.pairs = [pairs[i] for i in rng.permutation(len(pairs))]
         self.max_failures = max_failures
-        #: Failed pairs are re-attempted up to ``retries`` extra rounds,
-        #: ``retry_delay_ms`` apart — relays on a churning network are
-        #: often back within minutes.
         self.retries = retries
         self.retry_delay_ms = retry_delay_ms
-        #: Attempts made per pair this run, for provenance ``retries``.
-        self._attempts: dict[tuple[str, str], int] = {}
-
-    def run(self) -> CampaignReport:
-        """Measure every pair; failed pairs are recorded, not fatal."""
-        matrix = RttMatrix([r.fingerprint for r in self.relays])
-        report = CampaignReport(matrix=matrix)
-        host = self.measurer.host
-        recorder = PairRecorder(host, report)
-        started = host.sim.now
-        probes_sent_before = self.measurer.probes_sent
-        probes_saved_before = self.measurer.probes_saved
-        self._attempts = {}
-
-        pairs = [
-            (a, b)
-            for i, a in enumerate(self.relays)
-            for b in self.relays[i + 1 :]
-        ]
-        if self._rng is not None:
-            order = self._rng.permutation(len(pairs))
-            pairs = [pairs[i] for i in order]
-
-        events = host.events
-        if events.enabled:
-            events.info(
-                "shard",
-                "campaign_started",
-                relays=len(self.relays),
-                pairs=len(pairs),
-            )
-        if self.budget is not None:
-            self.budget.events = events
-
-        with host.spans.span(
-            CAMPAIGN_SPAN, relays=len(self.relays), pairs=len(pairs)
-        ):
-            failed = self._measure_round(pairs, recorder, report)
-            for round_index in range(self.retries):
-                if not failed:
-                    break
-                sim = host.sim
-                host.metrics.inc("campaign.retry_rounds")
-                if events.enabled:
-                    events.warning(
-                        "campaign",
-                        "retry_round",
-                        round=round_index + 1,
-                        pending_pairs=len(failed),
-                    )
-                sim.run(until=sim.now + self.retry_delay_ms)
-                # Leg conditions may have changed while relays were down.
-                self.measurer.invalidate_leg_cache()
-                retried = {(a.fingerprint, b.fingerprint) for a, b in failed}
-                report.failures = [
-                    f for f in report.failures if (f[0], f[1]) not in retried
-                ]
-                failed = self._measure_round(failed, recorder, report)
-
-        # Pairs still failed after every retry round get one final row
-        # each; measured pairs were recorded as they landed.
-        for x_fp, y_fp, reason in report.failures:
-            recorder.failed_row(
-                x_fp, y_fp, reason, retries=self._attempts[(x_fp, y_fp)] - 1
-            )
-
-        report.duration_ms = host.sim.now - started
-        report.probes_sent = self.measurer.probes_sent - probes_sent_before
-        report.probes_saved = self.measurer.probes_saved - probes_saved_before
-        if events.enabled:
-            events.info(
-                "shard",
-                "campaign_finished",
-                measured=report.pairs_measured,
-                failed=len(report.failures),
-                duration_ms=round(report.duration_ms, 3),
-            )
-        return report
-
-    def _measure_round(
-        self,
-        pairs: list[tuple[RelayDescriptor, RelayDescriptor]],
-        recorder: PairRecorder,
-        report: CampaignReport,
-    ) -> list[tuple[RelayDescriptor, RelayDescriptor]]:
-        failed: list[tuple[RelayDescriptor, RelayDescriptor]] = []
-        measurer = self.measurer
-        for a, b in pairs:
-            report.pairs_attempted += 1
-            key = (a.fingerprint, b.fingerprint)
-            self._attempts[key] = self._attempts.get(key, 0) + 1
-            recorder.started(*key)
-            # Budgeted campaigns re-resolve the policy at every launch so
-            # tolerance degrades as the remaining budget shrinks.
-            policy = (
-                self.policy
-                if self.budget is None
-                else self.budget.policy_for(self.policy)
-            )
-            sent_before = measurer.probes_sent
-            try:
-                result = measurer.measure_pair(a, b, policy=policy)
-            except MeasurementError as exc:
-                recorder.failed(*key, str(exc), row=False)
-                report.failures_total += 1
-                failed.append((a, b))
-                # The abort budget is cumulative across retry rounds:
-                # report.failures is pruned before each retry, so its
-                # length must not gate the threshold.
-                if (
-                    self.max_failures is not None
-                    and report.failures_total > self.max_failures
-                ):
-                    raise MeasurementError(
-                        f"campaign aborted after {report.failures_total} failures"
-                    ) from exc
-                continue
-            finally:
-                if self.budget is not None:
-                    self.budget.spend(measurer.probes_sent - sent_before)
-            recorder.measured(result, retries=self._attempts[key] - 1)
-            report.pairs_measured += 1
-        return failed
 
 
 @dataclass

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.core.measurement_host import MeasurementHost
 from repro.core.sampling import SamplePolicy, min_estimate
-from repro.core.ting import TingEngine, run_to_completion
+from repro.core.ting import TingMeasurer, run_to_completion
 from repro.netsim.transport import IcmpPinger, TcpConnectProber
 from repro.tor.directory import RelayDescriptor
 from repro.util.errors import MeasurementError
@@ -134,6 +134,6 @@ class ForwardingDelayEstimator:
 
     def _measure_circuit(self, path: tuple[str, ...]) -> Milliseconds:
         result = run_to_completion(
-            self.host.sim, TingEngine(self.host).measure, path, self.policy
+            self.host.sim, TingMeasurer(self.host).measure, path, self.policy
         )
         return min_estimate(result.rtts_ms)

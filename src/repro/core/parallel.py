@@ -1,27 +1,36 @@
-"""Concurrent all-pairs campaigns: many Ting measurements in flight.
+"""The campaign scheduler: one task list, two drives.
 
-Section 4.6 notes that "an all-pairs matrix can be time-consuming to
-calculate". Sequential measurement of n relays costs
-``C(n,2) + n`` circuit-measurements end to end; but the measurements are
-independent, so a client can keep several circuits open and probe them
-concurrently, dividing the campaign's *makespan* by (almost) the
-concurrency level. Relay load from the extra simultaneous circuits is
-negligible next to ambient traffic (each probe stream is a few cells per
-second).
+The paper has one procedure (Section 3.3, Eq. 1–4) and two schedules
+for it: the serial per-pair loop (``C_xy → C_x → C_y``, pair after
+pair) and the all-pairs sweep of Section 4.6, which notes that "an
+all-pairs matrix can be time-consuming to calculate". The measurements
+are independent, so a client can keep several circuits open and probe
+them concurrently, dividing the campaign's *makespan* by (almost) the
+concurrency level; relay load from the extra circuits is negligible
+next to ambient traffic (each probe stream is a few cells per second).
 
-:class:`ParallelCampaign` is the concurrent scheduler of the pair state
-machine in :mod:`repro.core.ting`: it *prefetches* every relay's leg
-(each ``C_x`` is measured exactly once and shared), runs pair tasks
-through a bounded worker pool, and assembles the same
-:class:`~repro.core.dataset.RttMatrix` as
-:class:`~repro.core.campaign.AllPairsCampaign`.
+:class:`ParallelCampaign` schedules the pair state machine of
+:mod:`repro.core.ting` for both. Its task order is data: leg tasks
+first (each ``C_x`` measured once and shared — none for a campaign that
+lets each pair demand its legs), then the pair tasks. Two drives run
+the list:
 
-With a :class:`TaskIsolation` attached the campaign instead runs its
-tasks strictly one at a time, each from a clock restarted at zero, on
-draws keyed by the task, over connections of its own that it tears down
-itself. Each task's result — value, event count, provenance row — then
-depends only on ``(root seed, task key)``, not on which tasks ran before
-it in this process, which is what lets
+* the **serial drive** — with task isolation or ``concurrency == 1`` —
+  runs each task to completion: a pair through the engine's
+  ``measure_pair`` (which may run the simulator itself, as circuit
+  reuse's TRUNCATE/EXTEND does), a leg through one ``demand_leg``;
+* the **windowed drive** keeps up to ``concurrency`` tasks in flight,
+  launching the next from inside the event that finished the last.
+
+Retry rounds, the cumulative ``max_failures`` abort, the probe budget
+and the failed pair's provenance row are written once, around both.
+:class:`~repro.core.campaign.AllPairsCampaign` is one task order of it.
+
+With a :class:`TaskIsolation` attached each task starts from a clock
+restarted at zero, on draws keyed by the task, over connections of its
+own that it tears down itself. Each task's result — value, event count,
+provenance row — then depends only on ``(root seed, task key)``, not on
+which tasks ran before it in this process, which is what lets
 :class:`~repro.core.shard.ShardedCampaign` split the pair list across
 worker processes and still merge a matrix that is equal, bit for bit,
 whatever the shard count.
@@ -31,17 +40,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Sequence
 
-from repro.core.campaign import ProbeBudget
 from repro.core.dataset import RttMatrix
 from repro.core.measurement_host import MeasurementHost
 from repro.core.sampling import SamplePolicy
 from repro.core.ting import (
     CircuitMeasurement,
     PairRecorder,
-    PairTask,
-    TingEngine,
+    TingMeasurer,
+    TingResult,
     run_to_completion,
 )
 from repro.obs import CAMPAIGN_SPAN
@@ -50,6 +58,22 @@ from repro.netsim.engine import Simulator
 from repro.util.errors import MeasurementError
 from repro.util.rng import DrawSource
 from repro.util.units import Milliseconds
+
+if TYPE_CHECKING:
+    from repro.core.campaign import ProbeBudget
+
+
+def check_pairs(pairs: Iterable[tuple[str, str]], known: Collection[str]) -> None:
+    """Refuse a pair of one relay, one naming a relay outside ``known``,
+    or one listed before in either order: a campaign measures each
+    unordered pair once, and writes one row for it."""
+    seen: set[frozenset[str]] = set()
+    for a, b in pairs:
+        pair = frozenset((a, b))
+        if a == b or a not in known or b not in known or pair in seen:
+            raise MeasurementError(f"invalid campaign pair ({a}, {b})")
+        seen.add(pair)
+
 
 @dataclass(frozen=True)
 class TaskIsolation:
@@ -85,13 +109,24 @@ class TaskIsolation:
 
 
 @dataclass
-class ParallelReport:
-    """Outcome of one concurrent campaign."""
+class CampaignReport:
+    """Outcome of one campaign, whichever drive ran it.
+
+    ``failures`` holds the *surviving* failure records — pairs still
+    unmeasured once every retry round has run. ``failures_total`` counts
+    every failed attempt across all rounds; it only grows, and it is the
+    quantity the ``max_failures`` abort threshold is checked against (a
+    retried pair must not reset the budget).
+    """
 
     matrix: RttMatrix
+    #: Pairs in the campaign's scope, each counted once however retried.
     pairs_attempted: int = 0
     pairs_measured: int = 0
     failures: list[tuple[str, str, str]] = field(default_factory=list)
+    failures_total: int = 0
+    #: Simulated time the campaign took; under task isolation, the sum
+    #: of its tasks' clocks.
     makespan_ms: Milliseconds = 0.0
     peak_concurrency: int = 0
     #: Echo probes actually sent across every circuit (legs + pairs).
@@ -106,9 +141,25 @@ class ParallelReport:
     #: distributed — shard workers running behind a leg phase assert 0.
     legs_measured: int = 0
 
+    @property
+    def duration_ms(self) -> Milliseconds:
+        """The makespan, by the name the benchmark reads it."""
+        return self.makespan_ms
+
 
 class ParallelCampaign:
-    """Measures all pairs with up to ``concurrency`` circuits in flight."""
+    """Measures pairs among ``relays`` with up to ``concurrency`` tasks in flight.
+
+    ``pairs`` narrows the scope (``None``: all C(n,2)). ``legs`` names
+    the leg tasks launched ahead of the pairs: ``None`` is every relay
+    the pairs touch, ``[]`` none — each pair then demands its own legs.
+    The failure rule is set on the instance, not passed in: ``retries``
+    extra rounds for the pairs still failed, ``retry_delay_ms`` apart,
+    and an abort once more than ``max_failures`` attempts have failed in
+    all (:class:`~repro.core.campaign.AllPairsCampaign` takes them as
+    arguments). Each failed pair gets one provenance row, written at its
+    last allowed attempt with that attempt's duration.
+    """
 
     def __init__(
         self,
@@ -133,7 +184,7 @@ class ParallelCampaign:
         #: Campaign node order, by fingerprint; also the membership test.
         self._rank = {fp: rank for rank, fp in enumerate(fingerprints)}
         if pairs is not None:
-            self._check_pairs(pairs)
+            check_pairs(pairs, self._rank)
         for name, mapping in (("legs", legs), ("leg_estimates", leg_estimates),
                               ("leg_failures", leg_failures)):
             for fp in mapping or ():
@@ -143,12 +194,10 @@ class ParallelCampaign:
         self.relays = list(relays)
         self.policy = policy or SamplePolicy.high_accuracy()
         self.concurrency = concurrency
-        #: Explicit pair subset (a shard); ``None`` means all C(n,2).
         self.pairs = list(pairs) if pairs is not None else None
-        #: Explicit leg task list. ``None`` derives legs from the pair
-        #: scope (every touched relay); a sharded campaign's workers
-        #: pass ``pairs=[]`` and ``legs=[]`` and are fed chunk by chunk
-        #: through :meth:`run_legs` / :meth:`run_pairs` instead.
+        #: A sharded campaign's workers pass ``pairs=[]`` and ``legs=[]``
+        #: and are fed chunk by chunk through :meth:`run_legs` /
+        #: :meth:`run_pairs` instead.
         self.legs = list(legs) if legs is not None else None
         #: When set, tasks run serially with per-task RNG/connection
         #: isolation; ``concurrency`` is ignored.
@@ -159,8 +208,11 @@ class ParallelCampaign:
         #: deterministic) but not shard-invariant — ShardedCampaign
         #: never passes one.
         self.budget = budget
+        self.max_failures: int | None = None
+        self.retries = 0
+        self.retry_delay_ms: Milliseconds = 60_000.0
         self._world_taken_over = False
-        self._engine = engine = TingEngine(host, budget=budget)
+        self._engine = engine = TingMeasurer(host, policy=self.policy, cache_legs=True)
         # Pre-warmed estimates (a sharded campaign's leg round) are
         # read-only inputs: tasks for them are never scheduled.
         for fp, estimate in (leg_estimates or {}).items():
@@ -181,47 +233,32 @@ class ParallelCampaign:
         """Every known leg failure reason, by relay."""
         return dict(self._engine.leg_failures)
 
-    def _check_pairs(self, pairs: Iterable[tuple[str, str]]) -> None:
-        for a, b in pairs:
-            if a == b or a not in self._rank or b not in self._rank:
-                raise MeasurementError(f"invalid campaign pair ({a}, {b})")
-
     def _missing_legs(self, wanted: Iterable[str]) -> list[str]:
         """The relays of ``wanted`` with no leg in the table yet."""
-        engine = self._engine
-        return [
-            fp for fp in wanted
-            if fp not in engine.legs and fp not in engine.leg_failures
-        ]
+        legs, failures = self._engine.legs, self._engine.leg_failures
+        return [fp for fp in wanted if fp not in legs and fp not in failures]
 
     def _task_lists(self) -> tuple[list[str], list[tuple[str, str]]]:
         """Leg fingerprints and pair tasks for this campaign's scope."""
-        if self.pairs is not None:
-            pair_tasks = list(self.pairs)
-            scope = {fp for pair in pair_tasks for fp in pair}
-        else:
-            pair_tasks = [
-                (a.fingerprint, b.fingerprint)
-                for i, a in enumerate(self.relays)
-                for b in self.relays[i + 1 :]
-            ]
-            scope = set(self._rank)
-        wanted = scope if self.legs is None else set(self.legs)
-        return self._missing_legs(fp for fp in self._rank if fp in wanted), pair_tasks
+        fps = list(self._rank)
+        pairs = self.pairs
+        if pairs is None:
+            pairs = [(a, b) for i, a in enumerate(fps) for b in fps[i + 1 :]]
+        wanted = (
+            {fp for pair in pairs for fp in pair} if self.legs is None
+            else set(self.legs)
+        )
+        return self._missing_legs(fp for fp in fps if fp in wanted), list(pairs)
 
-    def run(self) -> ParallelReport:
+    def run(self) -> CampaignReport:
         """Execute the campaign; drives the simulator until completion."""
         leg_fps, pair_tasks = self._task_lists()
         events = self.host.events
         if events.enabled:
             events.info(
-                "shard",
-                "campaign_started",
-                relays=len(self.relays),
-                pairs=len(pair_tasks),
+                "shard", "campaign_started",
+                relays=len(self.relays), pairs=len(pair_tasks),
             )
-        if self.budget is not None:
-            self.budget.events = events
         campaign_span = self.host.spans.begin(
             CAMPAIGN_SPAN, relays=len(self.relays), pairs=len(pair_tasks)
         )
@@ -240,79 +277,141 @@ class ParallelCampaign:
             metrics.max_gauge("campaign.peak_concurrency", report.peak_concurrency)
         if events.enabled:
             events.info(
-                "shard",
-                "campaign_finished",
-                measured=report.pairs_measured,
-                failed=len(report.failures),
-                makespan_ms=round(report.makespan_ms, 3),
+                "shard", "campaign_finished", measured=report.pairs_measured,
+                failed=len(report.failures), makespan_ms=round(report.makespan_ms, 3),
             )
         return report
 
     def _execute(
-        self,
-        leg_fps: Sequence[str],
-        pairs: Sequence[tuple[str, str]],
-        matrix: RttMatrix,
-    ) -> ParallelReport:
-        """Prefetch ``leg_fps``, then measure ``pairs`` into ``matrix``.
-
-        Leg tasks first (each exactly once), then pair tasks: a pair
-        whose legs are still in flight waits on the leg table.
+        self, legs: Sequence[str], pairs: Sequence[tuple[str, str]], matrix: RttMatrix
+    ) -> CampaignReport:
+        """Run the leg tasks of ``legs``, then the pair tasks of
+        ``pairs`` into ``matrix``, then retry rounds of the pairs still
+        failed. A pair whose legs are still in flight waits on the leg
+        table.
         """
-        engine, sim = self._engine, self.host.sim
-        report = ParallelReport(matrix=matrix)
-        recorder = PairRecorder(self.host, report)
+        host, engine, sim = self.host, self._engine, self.host.sim
+        report = CampaignReport(matrix=matrix)
+        recorder = PairRecorder(host, report)
+        engine.budget = budget = self.budget
+        if budget is not None:
+            budget.events = host.events
+        counters = ("probes_sent", "probes_saved", "early_stops", "legs_measured")
+        before = [getattr(engine, name) for name in counters]
         started = sim.now
-        engine.probes_sent = engine.probes_saved = 0
-        engine.early_stops = engine.legs_measured = 0
+        serial = self.isolation is not None or self.concurrency == 1
+        report.peak_concurrency = 1 if serial else 0
+        clocks = 0.0  # the isolated tasks' clocks, each restarted at zero
+        failed: list[tuple[str, ...]] = []
+        retry = 0  # the round running: every pair in it was retried this often
+
+        def policy() -> SamplePolicy:
+            # Re-resolved at every launch, so a budgeted campaign's policy
+            # degrades as the budget drains.
+            return self.policy if budget is None else budget.policy_for(self.policy)
 
         def launch(task: tuple[str, ...], finished: Callable[[], None]) -> None:
             if task[0] == "leg":
                 # A prefetch: a demand nobody is waiting on yet.
-                engine.demand_leg(
-                    task[1], self._launch_policy(), lambda launched: finished()
-                )
+                engine.demand_leg(task[1], policy(), lambda launched: finished())
                 return
-            x_fp, y_fp = task[1:]
-            task_started = sim.now
-            recorder.started(x_fp, y_fp)
+            pair, launched = task[1:], sim.now
+            recorder.started(*pair)
 
-            def measured(result) -> None:
-                recorder.measured(result)
+            def settle(outcome: TingResult | str) -> None:
+                if isinstance(outcome, TingResult):
+                    recorder.measured(outcome, retry)
+                else:
+                    failed.append(pair)
+                    report.failures_total += 1
+                    recorder.failed(
+                        *pair, outcome, sim.now - launched, retry,
+                        row=retry == self.retries,
+                    )
+                    # Cumulative across rounds: report.failures is emptied
+                    # before each retry round, so it cannot gate the abort.
+                    if (
+                        self.max_failures is not None
+                        and report.failures_total > self.max_failures
+                    ):
+                        raise MeasurementError(
+                            f"campaign aborted after {report.failures_total} failures"
+                        )
                 finished()
 
-            def failed(reason: str) -> None:
-                recorder.failed(x_fp, y_fp, reason, duration_ms=sim.now - task_started)
-                finished()
+            if not serial:
+                engine._start_pair(*pair, policy(), settle, settle)
+                return
+            try:
+                outcome = engine.measure_pair(*pair, policy=policy())
+            except MeasurementError as exc:
+                outcome = str(exc)
+            settle(outcome)
 
-            PairTask(
-                engine, x_fp, y_fp, self._launch_policy(), measured, failed
-            ).start()
+        tasks = [("leg", fp) for fp in legs] + [("pair", *pair) for pair in pairs]
+        while True:
+            if serial:
+                clocks += self._drive_serial(tasks, launch)
+            else:
+                report.peak_concurrency = max(
+                    report.peak_concurrency, self._drive_windowed(tasks, launch)
+                )
+            if not failed or retry == self.retries:
+                break
+            retry += 1
+            host.metrics.inc("campaign.retry_rounds")
+            if host.events.enabled:
+                host.events.warning(
+                    "campaign", "retry_round", round=retry, pending_pairs=len(failed)
+                )
+            sim.run(until=sim.now + self.retry_delay_ms)
+            # Leg conditions may have changed while relays were down.
+            engine.invalidate_leg_cache()
+            report.failures.clear()
+            tasks, failed = [("pair", *pair) for pair in failed], []
 
-        tasks: list[tuple[str, ...]] = [("leg", fp) for fp in leg_fps] + [
-            ("pair", a, b) for a, b in pairs
-        ]
-        if self.isolation is not None:
-            report.peak_concurrency = 1
-            report.makespan_ms = self._run_isolated(tasks, launch)
-        else:
-            report.peak_concurrency = self._run_concurrent(tasks, launch)
-            report.makespan_ms = sim.now - started
+        report.makespan_ms = clocks if self.isolation is not None else sim.now - started
         report.pairs_attempted = len(pairs)
         report.pairs_measured = matrix.num_measured
-        report.probes_sent = engine.probes_sent
-        report.probes_saved = engine.probes_saved
-        report.early_stops = engine.early_stops
-        report.legs_measured = engine.legs_measured
-        if pairs and self.host.metrics.enabled:
+        for name, count in zip(counters, before):
+            setattr(report, name, getattr(engine, name) - count)
+        if pairs and host.metrics.enabled:
             # Chunk counts sum to exactly what one unsharded run would
             # record — the merged-counter invariance rests on this.
-            metrics = self.host.metrics
-            metrics.inc("campaign.pairs_attempted", report.pairs_attempted)
-            metrics.inc("campaign.pairs_measured", report.pairs_measured)
+            host.metrics.inc("campaign.pairs_attempted", report.pairs_attempted)
+            host.metrics.inc("campaign.pairs_measured", report.pairs_measured)
         return report
 
-    def _run_concurrent(self, tasks: list[tuple[str, ...]], launch) -> int:
+    def _drive_serial(self, tasks: list[tuple[str, ...]], launch) -> Milliseconds:
+        """Run each task to completion, in order; returns the isolated
+        tasks' summed clocks (0 without isolation).
+
+        Under isolation a task (keyed ``leg:<fp>`` / ``pair:<a>:<b>``)
+        also ends by closing the connections it opened and draining the
+        simulator, so no event (circuit teardown, connection close)
+        crosses a task boundary and its samples and event count are the
+        same whether it runs in a full campaign, in one :meth:`run_pairs`
+        chunk on a shard worker, or alone. Legs stay tasks of their own:
+        one launched from inside a pair task would draw from its streams.
+        """
+        sim, isolation = self.host.sim, self.isolation
+        if isolation is not None and not self._world_taken_over:
+            # Whatever the world did before this campaign (connections it
+            # cached, events it left pending) is not the first task's.
+            isolation.finish()
+            self._world_taken_over = True
+        clocks = 0.0
+        for task in tasks:
+            if isolation is not None:
+                isolation.begin(":".join(task))
+            run_to_completion(sim, lambda done, error: launch(task, done))
+            if isolation is not None:
+                isolation.finish()
+                clocks += sim.now  # the task's clock started at zero
+                self.host.metrics.inc("campaign.task_isolations")
+        return clocks
+
+    def _drive_windowed(self, tasks: list[tuple[str, ...]], launch) -> int:
         """Keep up to ``concurrency`` tasks in flight; returns the peak."""
         # A deque: the C(n,2)+n task list is drained one task per
         # completion, and a list.pop(0) here is O(n^2) over the campaign
@@ -338,40 +437,10 @@ class ParallelCampaign:
             stop_when=lambda: state["done"] >= len(tasks),
         )
         if state["done"] < len(tasks):
-            raise MeasurementError("parallel campaign did not complete")
+            raise MeasurementError("campaign did not complete")
         return state["peak"]
 
-    def _run_isolated(self, tasks: list[tuple[str, ...]], launch) -> Milliseconds:
-        """Serial per-task execution with context-free task outcomes;
-        returns the makespan, the sum of the tasks' durations.
-
-        Each task (keyed ``leg:<fp>`` / ``pair:<a>:<b>``) starts from a
-        clock at zero and its own draws, and ends by closing the
-        connections it opened and draining the simulator, so no event
-        (circuit teardown, connection close) crosses a task boundary and
-        a task's event count is its own. Together these make every
-        task's samples a pure function of ``(root seed, task key)`` —
-        bit-identical whether the task runs as part of a full campaign,
-        inside one :meth:`run_pairs` chunk on a shard worker, or alone.
-        Legs stay tasks of their own here: one launched from inside a
-        pair task would draw from the pair's streams.
-        """
-        sim, isolation = self.host.sim, self.isolation
-        if not self._world_taken_over:
-            # Whatever the world did before this campaign (connections it
-            # cached, events it left pending) is not the first task's.
-            isolation.finish()
-            self._world_taken_over = True
-        makespan = 0.0
-        for task in tasks:
-            isolation.begin(":".join(task))
-            run_to_completion(sim, lambda done, error: launch(task, done))
-            isolation.finish()
-            makespan += sim.now  # the task's clock started at zero
-            self.host.metrics.inc("campaign.task_isolations")
-        return makespan
-
-    def run_pairs(self, pairs: Sequence[tuple[str, str]]) -> ParallelReport:
+    def run_pairs(self, pairs: Sequence[tuple[str, str]]) -> CampaignReport:
         """Measure one pair chunk incrementally, under task isolation.
 
         The work-stealing dispatch in
@@ -388,12 +457,12 @@ class ParallelCampaign:
         many leg circuits the chunk had to build itself (zero when fully
         pre-warmed).
         """
-        self._check_pairs(pairs)
+        check_pairs(pairs, self._rank)
         named = dict.fromkeys(fp for pair in pairs for fp in pair)
         matrix = RttMatrix(sorted(named, key=self._rank.__getitem__))
         return self._run_chunk(named, pairs, matrix)
 
-    def run_legs(self, fingerprints: Sequence[str]) -> ParallelReport:
+    def run_legs(self, fingerprints: Sequence[str]) -> CampaignReport:
         """Measure one leg chunk incrementally, under task isolation.
 
         The leg-round sibling of :meth:`run_pairs`: every named relay
@@ -410,19 +479,9 @@ class ParallelCampaign:
         return self._run_chunk(fingerprints, [], RttMatrix([]))
 
     def _run_chunk(
-        self,
-        relays: Iterable[str],
-        pairs: Sequence[tuple[str, str]],
-        matrix: RttMatrix,
-    ) -> ParallelReport:
+        self, relays: Iterable[str], pairs: Sequence[tuple[str, str]], matrix: RttMatrix
+    ) -> CampaignReport:
         """Run the missing legs of ``relays``, then ``pairs``, isolated."""
         if self.isolation is None:
             raise MeasurementError("chunked runs require task isolation")
         return self._execute(self._missing_legs(relays), pairs, matrix)
-
-    def _launch_policy(self) -> SamplePolicy:
-        """The policy for the task being launched right now (budgeted
-        campaigns degrade it as the budget drains)."""
-        if self.budget is None:
-            return self.policy
-        return self.budget.policy_for(self.policy)

@@ -103,6 +103,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.core.dataset import ProvenanceLog, RttMatrix
+from repro.core.parallel import ParallelCampaign, check_pairs
 from repro.core.sampling import SamplePolicy
 from repro.obs import (
     INFO,
@@ -556,8 +557,6 @@ def _run_worker(
     ``send``, and pumps heartbeats from the simulator's per-batch hook.
     A forced beat at every chunk claim publishes the stolen total.
     """
-    from repro.core.parallel import ParallelCampaign
-
     telemetry = None
     if job.telemetry is not None:
         telemetry = _WorkerTelemetry(
@@ -793,11 +792,8 @@ class ShardedCampaign:
                 for b in self.fingerprints[i + 1 :]
             ]
         else:
-            known, seen = set(self.fingerprints), set()
-            for a, b in pairs:  # each once, either order: ``_merge`` counts rows
-                if a == b or not {a, b} <= known or frozenset((a, b)) in seen:
-                    raise MeasurementError(f"invalid campaign pair ({a}, {b})")
-                seen.add(frozenset((a, b)))
+            # Each once, either order: ``_merge`` counts rows.
+            check_pairs(pairs, set(self.fingerprints))
             self.pairs = list(pairs)
         #: Relays that appear in at least one campaign pair, in
         #: fingerprint order. The leg round only measures these — under

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.measurement_host import MeasurementHost
 from repro.core.sampling import SamplePolicy, min_estimate
-from repro.core.ting import TingEngine, run_to_completion
+from repro.core.ting import TingMeasurer, run_to_completion
 from repro.netsim.transport import IcmpPinger
 from repro.tor.directory import RelayDescriptor
 from repro.util.errors import MeasurementError
@@ -91,8 +91,9 @@ class StrawmanMeasurer:
     def _measure_circuit(
         self, x_desc: RelayDescriptor, y_desc: RelayDescriptor
     ) -> Milliseconds:
+        path = [x_desc, y_desc]
         result = run_to_completion(
-            self.host.sim, TingEngine(self.host).measure, [x_desc, y_desc], self.policy
+            self.host.sim, TingMeasurer(self.host).measure, path, self.policy
         )
         return min_estimate(result.rtts_ms)
 

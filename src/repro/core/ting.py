@@ -16,14 +16,13 @@ with residual error ``F_x + F_y`` — the two relays' minimum forwarding
 delays, empirically 0–3 ms.
 
 The procedure is one callback state machine: :class:`CircuitProbe` (one
-circuit, a *build* step and a *probe* step), :class:`TingEngine` (the
-leg table and the probe accounting), :class:`PairTask` (``C_xy`` →
+circuit, a *build* step and a *probe* step), :class:`TingMeasurer` (the
+leg table, the probe accounting, and the synchronous calls that run one
+task to completion — ``measure_pair`` is ``C_xy → C_x → C_y``, each leg
+launched by the demand that misses it), :class:`PairTask` (``C_xy`` →
 demand leg x → demand leg y → Eq. 4) and :class:`PairRecorder` (where an
-outcome is written down). The campaign classes are *schedulers* of it:
-:class:`TingMeasurer` runs one task at a time to completion, so each leg
-is launched by the demand that misses it (``C_xy → C_x → C_y``);
-:class:`~repro.core.parallel.ParallelCampaign` prefetches every leg and
-keeps many tasks in flight.
+outcome is written down). :class:`~repro.core.parallel.ParallelCampaign`
+is the one scheduler of it; a campaign class only chooses its task order.
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ class CircuitProbe:
     """
 
     def __init__(
-        self, engine: "TingEngine", path, span_parent: SpanHandle | None = None
+        self, engine: "TingMeasurer", path, span_parent: SpanHandle | None = None
     ) -> None:
         self.engine = engine
         self.host = engine.host
@@ -241,35 +240,53 @@ class CircuitProbe:
             self.circuit = None
 
 
-class TingEngine:
-    """The state every Ting measurement on one host shares.
+def _fingerprint(relay: RelayDescriptor | str) -> str:
+    return relay.fingerprint if isinstance(relay, RelayDescriptor) else relay
+
+
+class TingMeasurer:
+    """Measures R(x, y) for arbitrary relay pairs from one host.
+
+    The state every Ting measurement on that host shares, and the
+    synchronous calls that drive one measurement to completion.
 
     **The leg table.** A relay's leg ``R_Cx`` is *known* (``legs``),
     *failed* (``leg_failures``) or *in flight* (a list of waiters);
-    :meth:`demand_leg` is the only way in. With ``cache_legs=False`` a
+    :meth:`demand_leg` is the only way in. ``cache_legs`` keeps each leg
+    across pairs — an all-pairs campaign over n relays then needs n leg
+    circuits plus C(n,2) pair circuits instead of 3·C(n,2). Without it a
     leg is forgotten the moment it is demanded again, so every demand
     measures (the paper's validation: all three circuits per pair).
 
     **Probe accounting.** Every circuit and probe round lands in the
-    counters below and, round by round, in ``budget`` — a concurrent
-    campaign's next launch sees what has been spent so far.
+    counters below and, round by round, in ``budget`` — a campaign sets
+    it for its run, so its next launch sees what has been spent so far.
     """
 
     def __init__(
         self,
         host: MeasurementHost,
-        cache_legs: bool = True,
-        budget: "ProbeBudget | None" = None,
+        policy: SamplePolicy | None = None,
+        cache_legs: bool = False,
+        reuse_circuits: bool = False,
     ) -> None:
         self.host = host
+        self.policy = policy or SamplePolicy.high_accuracy()
         self.cache_legs = cache_legs
-        self.budget = budget
+        #: With ``reuse_circuits``, the x-leg circuit (w, x, z) is carved
+        #: out of the just-used pair circuit by TRUNCATE + EXTEND instead
+        #: of being built from scratch — one fewer full circuit build per
+        #: pair, with identical estimates (protocol surgery moves no
+        #: packets through different paths).
+        self.reuse_circuits = reuse_circuits
+        self.budget: ProbeBudget | None = None
         self.w = host.relay_w.fingerprint
         self.z = host.relay_z.fingerprint
         self.legs: dict[str, CircuitMeasurement] = {}
         self.leg_failures: dict[str, str] = {}
         self._leg_waiters: dict[str, list[Callable[[bool], None]]] = {}
         self.circuits_built = 0
+        self.circuits_reused = 0
         self.probes_sent = 0
         #: Probes an adaptive policy's early stop avoided sending.
         self.probes_saved = 0
@@ -402,6 +419,100 @@ class TingEngine:
             launch = partial(self.measure, path, span_parent=span)
         launch(policy, done, error)
 
+    def measure_pair(
+        self,
+        x: RelayDescriptor | str,
+        y: RelayDescriptor | str,
+        policy: SamplePolicy | None = None,
+    ) -> TingResult:
+        """Run the full Ting procedure for the pair (x, y)."""
+        x_fp, y_fp = _fingerprint(x), _fingerprint(y)
+        if x_fp == y_fp:
+            raise MeasurementError("cannot measure a relay against itself")
+        if self.w in (x_fp, y_fp) or self.z in (x_fp, y_fp):
+            raise MeasurementError("cannot measure the local helper relays")
+        return run_to_completion(
+            self.host.sim, self._start_pair, x_fp, y_fp, policy or self.policy
+        )
+
+    def measure_leg(
+        self, x: RelayDescriptor | str, policy: SamplePolicy | None = None
+    ) -> CircuitMeasurement:
+        """Measure just ``R_Cx`` — the (w, x, z) circuit — for one relay."""
+        x_fp = _fingerprint(x)
+        run_to_completion(
+            self.host.sim,
+            lambda done, error: self.demand_leg(x_fp, policy or self.policy, done),
+        )
+        if x_fp in self.leg_failures:
+            raise MeasurementError(f"leg failed: {self.leg_failures[x_fp]}")
+        return self.legs[x_fp]
+
+    def measure_pair_circuit(
+        self,
+        x: RelayDescriptor | str,
+        y: RelayDescriptor | str,
+        policy: SamplePolicy | None = None,
+    ) -> CircuitMeasurement:
+        """Measure only the full circuit ``C_xy = (w, x, y, z)``.
+
+        Used by the sample-convergence analysis (Section 4.4), which
+        studies raw sample traces rather than the Eq. 4 estimate.
+        """
+        policy = policy or self.policy
+        path = (self.w, _fingerprint(x), _fingerprint(y), self.z)
+        result = run_to_completion(self.host.sim, self.measure, path, policy)
+        return self.measurement(path, result, policy)
+
+    def leg_is_cached(self, x: RelayDescriptor | str) -> bool:
+        """Whether ``R_Cx`` for this relay would come from the leg cache.
+
+        Callers ask *before* measuring so they can count cache hits per
+        pair without re-deriving cache policy.
+        """
+        return self.cache_legs and _fingerprint(x) in self.legs
+
+    def invalidate_leg_cache(self) -> None:
+        """Drop cached leg measurements (e.g. after simulated hours pass)."""
+        self.legs.clear()
+        self.leg_failures.clear()
+
+    def _start_pair(
+        self, x_fp: str, y_fp: str, policy: SamplePolicy,
+        on_done: OnDone, on_error: OnError,
+    ) -> None:
+        """Launch one pair task. With ``reuse_circuits`` the steps up to
+        the carve run the simulator themselves: never call it from inside
+        a simulator event."""
+        task = PairTask(self, x_fp, y_fp, policy, on_done, on_error)
+        if not self.reuse_circuits:
+            task.start()
+            return
+        # Circuit reuse: probe C_xy, keep it open, and satisfy an x-leg
+        # miss by carving C_x out of it. The controller's surgery is
+        # synchronous, so each step up to it runs to completion here.
+        sim, controller = self.host.sim, self.host.controller
+        circuit = CircuitProbe(self, task.path, task.span)
+
+        def carve(leg_policy: SamplePolicy, done: OnDone, error: OnError) -> None:
+            try:
+                # Keep (w, x); drop (y, z); splice z back on.
+                controller.truncate_circuit(circuit.circuit, to_hop=1)
+                controller.extend_circuit(circuit.circuit, [self.z])
+            except CircuitError as exc:
+                error(f"circuit reuse surgery failed for {x_fp}: {exc}")
+                return
+            self.circuits_reused += 1
+            circuit.probe(leg_policy, done, error)
+
+        try:
+            run_to_completion(sim, circuit.build)
+            probed_xy = run_to_completion(sim, circuit.probe, policy)
+        except MeasurementError as exc:
+            task.fail(str(exc))
+            return
+        task.pair_probed(probed_xy, carve, circuit.close)
+
 
 class PairTask:
     """One Ting pair: ``C_xy`` → demand leg x → demand leg y → Eq. 4.
@@ -413,7 +524,7 @@ class PairTask:
 
     def __init__(
         self,
-        engine: TingEngine,
+        engine: TingMeasurer,
         x_fp: str,
         y_fp: str,
         policy: SamplePolicy,
@@ -504,7 +615,7 @@ class PairRecorder:
         if self.host.events.enabled:
             self.host.events.info("campaign", "pair_started", x=x_fp, y=y_fp)
 
-    def measured(self, result: TingResult, retries: int = 0) -> None:
+    def measured(self, result: TingResult, retries: int) -> None:
         """A pair was measured.
 
         The provenance row counts only the circuits the pair itself
@@ -543,34 +654,21 @@ class PairRecorder:
             )
 
     def failed(
-        self, x_fp: str, y_fp: str, reason: str, row: bool = True,
-        duration_ms: Milliseconds = 0.0,
+        self, x_fp: str, y_fp: str, reason: str, duration_ms: Milliseconds,
+        retries: int, row: bool,
     ) -> None:
-        """One attempt at a pair failed.
+        """One attempt at a pair failed, ``duration_ms`` after it launched.
 
-        A scheduler that retries passes ``row=False`` and writes
-        :meth:`failed_row` once, for the pairs still failed at the end —
-        the provenance log holds one row per pair, not per attempt.
+        ``row`` says whether it was the pair's last allowed attempt: the
+        provenance log holds one row per pair, not per attempt.
         """
         host = self.host
         self.report.failures.append((x_fp, y_fp, reason))
         if host.metrics.enabled:
             category = categorize_failure(reason, host.metrics)
             host.metrics.inc(f"campaign.failures.{category}")
-        if row:
-            self.failed_row(x_fp, y_fp, reason, duration_ms=duration_ms)
-        if host.events.enabled:
-            host.events.warning(
-                "campaign", "pair_failed", x=x_fp, y=y_fp, reason=reason
-            )
-
-    def failed_row(
-        self, x_fp: str, y_fp: str, reason: str,
-        duration_ms: Milliseconds = 0.0, retries: int = 0,
-    ) -> None:
-        """The provenance row of a pair that stayed failed."""
-        if self.host.provenance is not None:
-            self.host.provenance.add(
+        if row and host.provenance is not None:
+            host.provenance.add(
                 PairProvenance(
                     x=x_fp,
                     y=y_fp,
@@ -581,129 +679,7 @@ class PairRecorder:
                     duration_ms=duration_ms,
                 )
             )
-
-
-def _fingerprint(relay: RelayDescriptor | str) -> str:
-    return relay.fingerprint if isinstance(relay, RelayDescriptor) else relay
-
-
-class TingMeasurer(TingEngine):
-    """Measures R(x, y) for arbitrary relay pairs from one host.
-
-    The sequential scheduler: each call starts one task of the engine
-    and drives the simulator until it resolves.
-
-    ``cache_legs`` reuses each relay's leg measurement (``R_Cx``) across
-    pairs — an all-pairs campaign over n relays then needs n leg circuits
-    plus C(n,2) pair circuits instead of 3·C(n,2) circuits. The paper's
-    validation measures all three circuits per pair; campaigns enable the
-    cache.
-    """
-
-    def __init__(
-        self,
-        host: MeasurementHost,
-        policy: SamplePolicy | None = None,
-        cache_legs: bool = False,
-        reuse_circuits: bool = False,
-    ) -> None:
-        super().__init__(host, cache_legs=cache_legs)
-        self.policy = policy or SamplePolicy.high_accuracy()
-        #: With ``reuse_circuits``, the x-leg circuit (w, x, z) is carved
-        #: out of the just-used pair circuit by TRUNCATE + EXTEND instead
-        #: of being built from scratch — one fewer full circuit build per
-        #: pair, with identical estimates (protocol surgery moves no
-        #: packets through different paths).
-        self.reuse_circuits = reuse_circuits
-        self.circuits_reused = 0
-
-    def measure_pair(
-        self,
-        x: RelayDescriptor | str,
-        y: RelayDescriptor | str,
-        policy: SamplePolicy | None = None,
-    ) -> TingResult:
-        """Run the full Ting procedure for the pair (x, y)."""
-        x_fp, y_fp = _fingerprint(x), _fingerprint(y)
-        if x_fp == y_fp:
-            raise MeasurementError("cannot measure a relay against itself")
-        if self.w in (x_fp, y_fp) or self.z in (x_fp, y_fp):
-            raise MeasurementError("cannot measure the local helper relays")
-        return run_to_completion(
-            self.host.sim, self._start_pair, x_fp, y_fp, policy or self.policy
-        )
-
-    def measure_leg(
-        self, x: RelayDescriptor | str, policy: SamplePolicy | None = None
-    ) -> CircuitMeasurement:
-        """Measure just ``R_Cx`` — the (w, x, z) circuit — for one relay."""
-        x_fp = _fingerprint(x)
-        run_to_completion(
-            self.host.sim,
-            lambda done, error: self.demand_leg(x_fp, policy or self.policy, done),
-        )
-        if x_fp in self.leg_failures:
-            raise MeasurementError(f"leg failed: {self.leg_failures[x_fp]}")
-        return self.legs[x_fp]
-
-    def measure_pair_circuit(
-        self,
-        x: RelayDescriptor | str,
-        y: RelayDescriptor | str,
-        policy: SamplePolicy | None = None,
-    ) -> CircuitMeasurement:
-        """Measure only the full circuit ``C_xy = (w, x, y, z)``.
-
-        Used by the sample-convergence analysis (Section 4.4), which
-        studies raw sample traces rather than the Eq. 4 estimate.
-        """
-        policy = policy or self.policy
-        path = (self.w, _fingerprint(x), _fingerprint(y), self.z)
-        result = run_to_completion(self.host.sim, self.measure, path, policy)
-        return self.measurement(path, result, policy)
-
-    def leg_is_cached(self, x: RelayDescriptor | str) -> bool:
-        """Whether ``R_Cx`` for this relay would come from the leg cache.
-
-        Callers ask *before* measuring so they can count cache hits per
-        pair without re-deriving cache policy.
-        """
-        return self.cache_legs and _fingerprint(x) in self.legs
-
-    def invalidate_leg_cache(self) -> None:
-        """Drop cached leg measurements (e.g. after simulated hours pass)."""
-        self.legs.clear()
-        self.leg_failures.clear()
-
-    def _start_pair(
-        self, x_fp: str, y_fp: str, policy: SamplePolicy,
-        on_done: OnDone, on_error: OnError,
-    ) -> None:
-        task = PairTask(self, x_fp, y_fp, policy, on_done, on_error)
-        if not self.reuse_circuits:
-            task.start()
-            return
-        # Circuit reuse: probe C_xy, keep it open, and satisfy an x-leg
-        # miss by carving C_x out of it. The controller's surgery is
-        # synchronous, so each step up to it runs to completion here.
-        sim, controller = self.host.sim, self.host.controller
-        circuit = CircuitProbe(self, task.path, task.span)
-
-        def carve(leg_policy: SamplePolicy, done: OnDone, error: OnError) -> None:
-            try:
-                # Keep (w, x); drop (y, z); splice z back on.
-                controller.truncate_circuit(circuit.circuit, to_hop=1)
-                controller.extend_circuit(circuit.circuit, [self.z])
-            except CircuitError as exc:
-                error(f"circuit reuse surgery failed for {x_fp}: {exc}")
-                return
-            self.circuits_reused += 1
-            circuit.probe(leg_policy, done, error)
-
-        try:
-            run_to_completion(sim, circuit.build)
-            probed_xy = run_to_completion(sim, circuit.probe, policy)
-        except MeasurementError as exc:
-            task.fail(str(exc))
-            return
-        task.pair_probed(probed_xy, carve, circuit.close)
+        if host.events.enabled:
+            host.events.warning(
+                "campaign", "pair_failed", x=x_fp, y=y_fp, reason=reason
+            )

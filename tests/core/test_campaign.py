@@ -94,6 +94,25 @@ class TestAllPairsCampaign:
         )
         assert categorized == 4
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_a_failed_row_is_its_last_attempt(self, mini_world, retries):
+        # Was: duration_ms=0.0 in every failed row this campaign wrote.
+        host = mini_world.measurement
+        host.enable_observability()
+        relays = [r.descriptor() for r in mini_world.relays[:3]]
+        mini_world.relays[2].shutdown()
+        AllPairsCampaign(
+            TingMeasurer(host, policy=FAST),
+            relays,
+            policy=SamplePolicy(samples=5, timeout_ms=5000.0),
+            retries=retries,
+            retry_delay_ms=1_000.0,
+        ).run()
+        failed = host.provenance.by_status("failed")
+        assert len(failed) == 2 and len(host.provenance) == 3
+        assert all(row.duration_ms > 0 for row in failed)
+        assert [row.retries for row in failed] == [retries, retries]
+
     def test_max_failures_budget_survives_retry_pruning(self, mini_world):
         # The regression: pruning retried pairs from report.failures used
         # to reset the abort budget each round, so a permanently-dead

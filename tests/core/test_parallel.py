@@ -68,6 +68,19 @@ class TestParallelCampaign:
         assert len(report.failures) == 2
         assert report.matrix.has(relays[0].fingerprint, relays[1].fingerprint)
 
+    @pytest.mark.parametrize("again", ["same", "reversed"])
+    def test_a_pair_given_twice_is_refused(self, mini_world, again):
+        # Was: pairs_attempted=2, pairs_measured=1, no failure, and the
+        # second measurement overwrote the first matrix entry.
+        relays = [r.descriptor() for r in mini_world.relays[:3]]
+        a, b = relays[0].fingerprint, relays[1].fingerprint
+        twice = [(a, b), (a, b) if again == "same" else (b, a)]
+        with pytest.raises(MeasurementError, match="invalid campaign pair"):
+            ParallelCampaign(mini_world.measurement, relays, pairs=twice)
+        campaign = ParallelCampaign(mini_world.measurement, relays, pairs=[])
+        with pytest.raises(MeasurementError, match="invalid campaign pair"):
+            campaign.run_pairs(twice)
+
     def test_validation(self, mini_world):
         relays = [r.descriptor() for r in mini_world.relays[:2]]
         with pytest.raises(MeasurementError):

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import MiniWorld
 
 from repro.core.campaign import AllPairsCampaign
 from repro.core.parallel import ParallelCampaign
@@ -231,6 +232,25 @@ class TestOneRecorder:
             assert row.samples_requested == FAST.samples * (1 + misses)
             assert row.samples_kept <= row.samples_requested
         assert rows[-1].samples_kept == FAST.samples
+
+    def test_a_failed_row_has_its_attempts_duration_whoever_ran_the_pair(self):
+        # Was: 0.0 in every failed row from the sequential campaign, the
+        # attempt's duration from the concurrent one.
+        durations = {}
+        for scheduler in ("sequential", "concurrent"):
+            world = MiniWorld()
+            world.measurement.enable_observability()
+            relays = [r.descriptor() for r in world.relays[:3]]
+            world.relays[2].shutdown()
+            _run(scheduler, world, relays, SamplePolicy(samples=5, timeout_ms=5000.0))
+            durations[scheduler] = {
+                (row.x, row.y): row.duration_ms
+                for row in world.measurement.provenance.by_status("failed")
+            }
+        # The campaigns start at different clocks: equal up to rounding.
+        assert durations["sequential"] == pytest.approx(durations["concurrent"])
+        assert len(durations["sequential"]) == 2
+        assert all(duration > 0 for duration in durations["sequential"].values())
 
     @pytest.mark.parametrize("scheduler", ["sequential", "concurrent"])
     def test_dead_leg_relay_is_a_leg_failure_whoever_ran_the_pair(

@@ -115,7 +115,7 @@ class _World:
 _relay = st.integers(min_value=0, max_value=N_RELAYS - 1)
 _pair = st.tuples(_relay, _relay).filter(lambda pair: pair[0] != pair[1])
 _op = st.one_of(
-    st.tuples(st.just("pairs"), st.lists(_pair, min_size=1, max_size=3)),
+    st.tuples(st.just("pairs"), st.lists(_pair, min_size=1, max_size=3, unique_by=frozenset)),
     st.tuples(st.sampled_from(["down", "up"]), _relay),
 )
 
