@@ -154,7 +154,7 @@ def _one_chunk(testbed, campaign, pairs) -> dict:
 @given(
     before=st.lists(
         st.tuples(st.integers(0, 13), st.integers(0, 13)).filter(lambda p: p[0] != p[1]),
-        min_size=1, max_size=4,
+        min_size=1, max_size=4, unique_by=frozenset,  # a campaign lists a pair once
     )
 )
 def test_a_task_alone_equals_the_same_task_mid_campaign(before):
