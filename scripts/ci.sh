@@ -460,6 +460,21 @@ assert len(lines) == len(queries), (len(lines), len(queries))
 answers = [json.loads(line, parse_constant=refuse) for line in lines]
 print(f"serve wire smoke: {len(answers)} answers, all strict JSON, "
       f"{sum('error' in a for a in answers)} error answers")
+
+# A JSONL line that is valid JSON but no object answers as a bad_arg
+# record in its place; the forked batch around it is still answered.
+a, b = nodes[0], nodes[1]
+good = json.dumps({"op": "point", "x": a, "y": b})
+done = subprocess.run(
+    [sys.executable, "-m", "repro.cli", "-q", "serve",
+     "--input", "/tmp/ting_planner_smoke.npz", "--batch", "-", "--workers", "2"],
+    input=f"{good}\n[1, 2]\n{good}\n", capture_output=True, text=True,
+)
+assert done.returncode == 0, (done.returncode, done.stderr)
+answers = [json.loads(line) for line in done.stdout.splitlines()]
+assert len(answers) == 3, answers
+assert [a.get("category") for a in answers] == [None, "bad_arg", None], answers
+print("serve non-object smoke: 3 lines, 1 bad_arg record, exit 0")
 PY
 
 echo "== serve telemetry smoke gate =="

@@ -1254,28 +1254,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         else:
             lines = args.batch.read_text(encoding="utf-8").splitlines()
-        queries = []
+        # One output row per non-blank line, in order: a parse error's
+        # record, or None where the next batch answer goes.
+        queries, rows = [], []
         for number, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 queries.append(json.loads(line))
+                rows.append(None)
             except json.JSONDecodeError as exc:
-                queries.append({"op": f"<line {number}>", "_parse": str(exc)})
-        answers = server.batch(
-            [q for q in queries if "_parse" not in q]
-        )
-        results = iter(answers)
-        for query in queries:
-            if "_parse" in query:
-                print(json.dumps(
-                    {"op": None, "error": f"bad JSONL {query['op']}: "
-                                          f"{query['_parse']}"}
-                ))
-            else:
-                print(json.dumps(next(results)))
-        status(f"{len(queries)} queries answered")
+                rows.append({"op": None, "error": f"bad JSONL <line {number}>: {exc}"})
+        answers = iter(server.batch(queries))
+        for row in rows:
+            print(json.dumps(next(answers) if row is None else row))
+        status(f"{len(rows)} queries answered")
         _emit_serve_telemetry(args, telemetry, status)
         return 0
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -128,18 +128,32 @@ class ViaAnswer:
         return self.direct_rtt_ms - self.via_rtt_ms
 
     def to_dict(self) -> dict[str, Any]:
-        record: dict[str, Any] = {
-            "x": self.x,
-            "y": self.y,
-            "via": self.via,
-            "via_rtt_ms": self.via_rtt_ms,
-            "direct_rtt_ms": self.direct_rtt_ms,
-            "improved": self.improved,
-        }
-        savings = self.savings_ms
-        if savings is not None:
-            record["savings_ms"] = round(savings, 6)
-        return record
+        return _via_record(
+            self.x, self.y, self.via, self.via_rtt_ms,
+            self.direct_rtt_ms, self.improved,
+        )
+
+
+def _via_record(
+    x: str,
+    y: str,
+    via: str | None,
+    via_rtt_ms: float | None,
+    direct_rtt_ms: float | None,
+    improved: bool,
+) -> dict[str, Any]:
+    """The wire form of one detour (:meth:`ViaAnswer.to_dict`)."""
+    record: dict[str, Any] = {
+        "x": x,
+        "y": y,
+        "via": via,
+        "via_rtt_ms": via_rtt_ms,
+        "direct_rtt_ms": direct_rtt_ms,
+        "improved": improved,
+    }
+    if via_rtt_ms is not None and direct_rtt_ms is not None:
+        record["savings_ms"] = round(direct_rtt_ms - via_rtt_ms, 6)
+    return record
 
 
 def _sorted_percentile(ascending: np.ndarray, count: int, q: float) -> float:
@@ -174,6 +188,7 @@ class MatrixIndex:
         "nodes",
         "_id",
         "_rtt",
+        "_cols",
         "_order",
         "_row_sorted",
         "_degree",
@@ -204,6 +219,9 @@ class MatrixIndex:
         self.nodes = nodes
         self._id = {node: i for i, node in enumerate(nodes)}
         self._rtt = rtt
+        # ``_cols[j]`` is column j; :meth:`build` swaps in ``rtt`` itself
+        # when the matrix is symmetric, so via reads a contiguous row.
+        self._cols = rtt.T
         self._order = order
         self._row_sorted = row_sorted
         self._degree = degree
@@ -257,6 +275,10 @@ class MatrixIndex:
             )
         np.fill_diagonal(work, np.inf)
         work[np.isnan(work)] = np.inf
+        # Bit for bit (so 0.0 and -0.0 differ): only then is row b of
+        # the matrix its column b down to the sign of a zero.
+        bits = work.view(np.int64)
+        symmetric = bool((bits == bits.T).all())
         order = np.argsort(work, axis=1, kind="stable")[:, : n - 1].astype(
             np.int32
         )
@@ -277,7 +299,7 @@ class MatrixIndex:
                 stale_after = int(scores.stale_after_rows)
 
         version = matrix.content_hash()[:12]
-        return cls(
+        index = cls(
             nodes=nodes,
             rtt=rtt,
             order=order,
@@ -291,6 +313,9 @@ class MatrixIndex:
             measured_pairs=matrix.num_measured,
             provenance_rows=0 if dataset is None else len(dataset.provenance),
         )
+        if symmetric:
+            index._cols = rtt
+        return index
 
     # ------------------------------------------------------------------
     # Introspection
@@ -328,17 +353,15 @@ class MatrixIndex:
         """(quality, age_rows, stale) for one pair of a quality-joined
         index (callers test ``self._quality`` once per query), or Nones
         where the join has no score for the pair."""
-        q = self._quality[i, j]
-        if np.isnan(q):
+        q = self._quality.item(i, j)
+        if q != q:  # NaN: no score
             return None, None, None
-        age = self._age[i, j]
-        age_rows = None if np.isnan(age) else int(age)
-        stale = (
-            None
-            if age_rows is None or self._stale_after is None
-            else age_rows > self._stale_after
-        )
-        return float(q), age_rows, stale
+        age = self._age.item(i, j)
+        if age != age:
+            return q, None, None
+        age_rows = int(age)
+        stale_after = self._stale_after
+        return q, age_rows, None if stale_after is None else age_rows > stale_after
 
     # ------------------------------------------------------------------
     # Point / row queries
@@ -359,6 +382,24 @@ class MatrixIndex:
             return PointAnswer(a, b, rtt_ms, measured)
         return PointAnswer(a, b, rtt_ms, measured, *self._meta_at(i, j))
 
+    def _wire_point(self, a: str, b: str) -> dict[str, Any]:
+        """``point(a, b).to_dict()``, written without the dataclass (the
+        lookup is :meth:`point`'s, repeated: a shared helper is one more
+        call on the hottest op)."""
+        _id = self._id
+        try:
+            i = _id[a]
+            j = _id[b]
+        except KeyError as exc:
+            raise UnknownNodeError(f"unknown node {exc.args[0]!r}") from None
+        rtt_ms = self._rtt.item(i, j)
+        measured = rtt_ms == rtt_ms  # NaN: unmeasured
+        if not measured:
+            rtt_ms = None
+        if self._quality is None:
+            return {"x": a, "y": b, "rtt_ms": rtt_ms, "measured": measured}
+        return _point_record(a, b, rtt_ms, measured, *self._meta_at(i, j))
+
     def row(self, a: str) -> np.ndarray:
         """The read-only RTT row for one node (NaN where unmeasured)."""
         return self._rtt[self.index_of(a)]
@@ -372,40 +413,45 @@ class MatrixIndex:
         O(k): the ranking was argsorted at build time. Fewer than ``k``
         measured neighbors returns what exists.
         """
+        i, ids, rtts = self._neighbors(a, k)
+        nodes = self.nodes
+        if self._quality is None:
+            return [PointAnswer(a, nodes[r], rtt, True) for r, rtt in zip(ids, rtts)]
+        meta_at = self._meta_at
         return [
-            PointAnswer(a, y, rtt, True, quality, age_rows, stale)
-            for y, rtt, quality, age_rows, stale in self._neighbors(a, k)
+            PointAnswer(a, nodes[r], rtt, True, *meta_at(i, r))
+            for r, rtt in zip(ids, rtts)
         ]
 
-    def _neighbors(
-        self, a: str, k: int
-    ) -> Iterator[tuple[str, float, float | None, int | None, bool | None]]:
-        """``(y, rtt_ms, quality, age_rows, stale)`` per ranked neighbor.
+    def _wire_neighbors(self, a: str, k: int) -> list[dict[str, Any]]:
+        """``[p.to_dict() for p in k_nearest(a, k)]``, written without
+        the dataclasses."""
+        i, ids, rtts = self._neighbors(a, k)
+        nodes = self.nodes
+        if self._quality is None:
+            return [
+                {"x": a, "y": nodes[r], "rtt_ms": rtt, "measured": True}
+                for r, rtt in zip(ids, rtts)
+            ]
+        meta_at = self._meta_at
+        return [
+            _point_record(a, nodes[r], rtt, True, *meta_at(i, r))
+            for r, rtt in zip(ids, rtts)
+        ]
 
-        What :meth:`k_nearest` wraps in dataclasses and
-        :meth:`_neighbor_records` writes straight into wire dicts.
-        """
+    def _neighbors(self, a: str, k: int) -> tuple[int, list[int], list[float]]:
+        """``(i, neighbor ids, rtts)``: row ``a``'s first ``min(k,
+        degree)`` ranked neighbors, the two build-time slices as lists —
+        what :meth:`k_nearest` and :meth:`_wire_neighbors` share."""
         if k < 1:
             raise ConfigurationError("k must be >= 1")
         i = self.index_of(a)
-        count = min(k, int(self._degree[i]))
-        ranked = zip(
-            self._order[i, :count].tolist(), self._row_sorted[i, :count].tolist()
+        count = min(k, self._degree.item(i))
+        return (
+            i,
+            self._order[i, :count].tolist(),
+            self._row_sorted[i, :count].tolist(),
         )
-        nodes = self.nodes
-        if self._quality is None:
-            return ((nodes[idx], rtt, None, None, None) for idx, rtt in ranked)
-        meta_at = self._meta_at
-        return ((nodes[idx], rtt, *meta_at(i, idx)) for idx, rtt in ranked)
-
-    def _neighbor_records(self, a: str, k: int) -> list[dict[str, Any]]:
-        """:meth:`k_nearest` in wire form, for the server's ``knn`` op:
-        ``[p.to_dict() for p in k_nearest(a, k)]`` without the
-        intermediate dataclasses."""
-        return [
-            _point_record(a, y, rtt, True, quality, age_rows, stale)
-            for y, rtt, quality, age_rows, stale in self._neighbors(a, k)
-        ]
 
     def percentile(self, a: str, q: float) -> float:
         """The ``q``-th percentile RTT among ``a``'s measured neighbors."""
@@ -490,6 +536,19 @@ class MatrixIndex:
         unmeasured) — the triangle-inequality-violation exploitation
         Section 5.2.1 measures and ShorTor deploys.
         """
+        return [ViaAnswer(a, b, *detour) for detour in self._detours(a, b, k)]
+
+    def _wire_detours(self, a: str, b: str, k: int) -> list[dict[str, Any]]:
+        """``[v.to_dict() for v in best_via(a, b, k)]``, written without
+        the dataclasses."""
+        return [_via_record(a, b, *detour) for detour in self._detours(a, b, k)]
+
+    def _detours(
+        self, a: str, b: str, k: int
+    ) -> list[tuple[str | None, float | None, float | None, bool]]:
+        """``(via, via_rtt_ms, direct_rtt_ms, improved)`` per detour, in
+        :meth:`best_via`'s order — the ranking it and
+        :meth:`_wire_detours` share."""
         if k < 1:
             raise ConfigurationError("k must be >= 1")
         i = self.index_of(a)
@@ -499,7 +558,8 @@ class MatrixIndex:
         direct = self._rtt.item(i, j)
         if direct != direct:
             direct = None
-        detour = self._rtt[i, :] + self._rtt[:, j]
+        # Column j: a contiguous row when symmetric, else stride n.
+        detour = self._rtt[i] + self._cols[j]
         detour[i] = np.inf
         detour[j] = np.inf
         np.fmin(detour, np.inf, out=detour)  # NaN (an unmeasured leg) -> +inf
@@ -516,9 +576,9 @@ class MatrixIndex:
         ranked = sorted(zip(detour[below].tolist(), below.tolist()))
         ranked += [(bound, r) for r in tied.tolist()]
         if not ranked:
-            return [ViaAnswer(a, b, None, None, direct, False)]
+            return [(None, None, direct, False)]
         nodes = self.nodes
         return [
-            ViaAnswer(a, b, nodes[r], cost, direct, direct is None or cost < direct)
+            (nodes[r], cost, direct, direct is None or cost < direct)
             for cost, r in ranked
         ]

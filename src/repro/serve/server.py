@@ -53,13 +53,81 @@ SHIP_EVERY_S = 0.1
 PROGRESS_DEADLINE_S = 2.0
 
 
-def _error_answer(query: dict[str, Any], exc: Exception) -> dict[str, Any]:
-    """The error wire format: echoed op, message, taxonomy category."""
+def _error_answer(query: Any, exc: Exception) -> dict[str, Any]:
+    """The error wire format: echoed op (``None`` for a query that is no
+    dict), message, taxonomy category."""
     return {
-        "op": query.get("op"),
+        "op": query.get("op") if isinstance(query, dict) else None,
         "error": str(exc) or exc.__class__.__name__,
         "category": classify_error(exc),
     }
+
+
+# ----------------------------------------------------------------------
+# One writer per op: query dict -> answer dict (``_dispatch`` appends op
+# and version). Point, knn and via records come from the index's
+# ``_wire_*`` methods, which write the value API's ``to_dict()`` output
+# straight from its arrays.
+
+
+def _count(query: dict[str, Any], default: int) -> int:
+    """The query's ``k``: an integer, never a float or bool cut to one."""
+    k = query.get("k", default)
+    if k.__class__ is int:
+        return k
+    if isinstance(k, np.integer):
+        return int(k)
+    raise ConfigurationError(f"k must be an integer, got {k!r}")
+
+
+def _point(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
+    return index._wire_point(query["x"], query["y"])
+
+
+def _knn(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
+    k = _count(query, 10)
+    a = query["x"]
+    return {"x": a, "k": k, "neighbors": index._wire_neighbors(a, k)}
+
+
+def _via(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
+    k = _count(query, 1)
+    return {"detours": index._wire_detours(query["x"], query["y"], k)}
+
+
+def _percentile(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
+    q = float(query["q"])
+    if "x" in query:
+        return {"x": query["x"], "q": q, "rtt_ms": index.percentile(query["x"], q)}
+    return {"q": q, "rtt_ms": index.global_percentile(q)}
+
+
+def _rank(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
+    rtt_ms = float(query["rtt_ms"])
+    if not math.isfinite(rtt_ms):
+        # Echoed back, it would put a bare NaN / Infinity token (not
+        # JSON) on the wire.
+        raise ConfigurationError(f"rtt_ms must be finite, got {rtt_ms}")
+    return {"x": query["x"], "rtt_ms": rtt_ms, "rank": index.rank(query["x"], rtt_ms)}
+
+
+def _path(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
+    hops = query["hops"]
+    if not isinstance(hops, (list, tuple)):
+        # A string would be walked one character at a time.
+        raise ConfigurationError(f"hops must be a list of nodes, got {hops!r}")
+    hops = list(hops)
+    return {"hops": hops, "rtt_ms": index.path_rtt(hops)}
+
+
+_WRITERS: dict[str, Callable[[MatrixIndex, dict[str, Any]], dict[str, Any]]] = {
+    "point": _point,
+    "knn": _knn,
+    "percentile": _percentile,
+    "rank": _rank,
+    "path": _path,
+    "via": _via,
+}
 
 
 class QueryServer:
@@ -95,7 +163,9 @@ class QueryServer:
     def query(self, query: dict[str, Any]) -> dict[str, Any]:
         """Answer one query dict; errors come back as ``{"error": ...,
         "category": <taxonomy>}`` rather than raising, so one bad query
-        cannot poison a batch."""
+        cannot poison a batch. A query that is not a dict (a JSONL line
+        holding an array, string, number or null) answers ``{"op": None,
+        ..., "category": "bad_arg"}``."""
         telemetry = self.telemetry
         if not telemetry.enabled:
             try:
@@ -108,60 +178,29 @@ class QueryServer:
         except Exception as exc:  # noqa: BLE001
             answer = _error_answer(query, exc)
             telemetry.record(
-                query.get("op"), start_s, telemetry.timer(),
+                answer["op"], start_s, telemetry.timer(),
                 category=answer["category"], detail=answer["error"],
             )
             return answer
-        telemetry.record(query.get("op"), start_s, telemetry.timer())
+        telemetry.record(answer["op"], start_s, telemetry.timer())
         return answer
 
     def _dispatch(self, query: dict[str, Any]) -> dict[str, Any]:
+        """The one seam every op passes through: the op's writer, then
+        the echoed op and the dataset version."""
+        if not isinstance(query, dict):
+            raise ConfigurationError(
+                f"a query must be a JSON object, got {type(query).__name__}"
+            )
         op = query.get("op")
-        index = self.index
-        if op == "point":
-            answer = index.point(query["x"], query["y"]).to_dict()
-        elif op == "knn":
-            k = int(query.get("k", 10))
-            answer = {
-                "x": query["x"],
-                "k": k,
-                "neighbors": index._neighbor_records(query["x"], k),
-            }
-        elif op == "percentile":
-            q = float(query["q"])
-            if "x" in query:
-                answer = {
-                    "x": query["x"], "q": q,
-                    "rtt_ms": index.percentile(query["x"], q),
-                }
-            else:
-                answer = {"q": q, "rtt_ms": index.global_percentile(q)}
-        elif op == "rank":
-            rtt_ms = float(query["rtt_ms"])
-            if not math.isfinite(rtt_ms):
-                # Echoed back, it would put a bare NaN / Infinity token
-                # (not JSON) on the wire.
-                raise ConfigurationError(f"rtt_ms must be finite, got {rtt_ms}")
-            answer = {
-                "x": query["x"],
-                "rtt_ms": rtt_ms,
-                "rank": index.rank(query["x"], rtt_ms),
-            }
-        elif op == "path":
-            hops = list(query["hops"])
-            answer = {"hops": hops, "rtt_ms": index.path_rtt(hops)}
-        elif op == "via":
-            k = int(query.get("k", 1))
-            answer = {
-                "detours": [
-                    v.to_dict()
-                    for v in index.best_via(query["x"], query["y"], k=k)
-                ],
-            }
-        else:
+        try:
+            writer = _WRITERS[op]
+        except (KeyError, TypeError):  # TypeError: an unhashable op
             raise UnknownOpError(
                 f"unknown op {op!r}; expected one of {QUERY_OPS}"
-            )
+            ) from None
+        index = self.index
+        answer = writer(index, query)
         answer["op"] = op
         answer["version"] = index.version
         return answer

@@ -204,7 +204,13 @@ def dataset_with_partial_provenance(nodes, values):
     """A symmetric dataset whose log covers every other measured pair."""
     upper = np.triu(values, k=1)
     symmetric = upper + upper.T
-    matrix = RttMatrix.from_array(nodes, symmetric)
+    return logged_dataset(nodes, symmetric), symmetric
+
+
+def logged_dataset(nodes, values):
+    """``values`` as they are (symmetric or not), every other measured
+    pair in the provenance log."""
+    matrix = RttMatrix.from_array(nodes, values)
     log = ProvenanceLog()
     for slot, (a, b, rtt) in enumerate(matrix.measured_pairs()):
         if slot % 2 == 0:
@@ -212,7 +218,7 @@ def dataset_with_partial_provenance(nodes, values):
                 x=a, y=b, status="measured", rtt_ms=rtt,
                 samples_requested=6, samples_kept=3 + slot % 4,
             ))
-    return CampaignDataset(matrix=matrix, provenance=log), symmetric
+    return CampaignDataset(matrix=matrix, provenance=log)
 
 
 def expected_meta(scores, i, j):
@@ -336,6 +342,131 @@ class TestWireDicts:
                 float(np.percentile(pool, q)), rel=0, abs=1e-9
             )
             assert got == {"q": q, "op": "percentile", **tail}
+
+
+def dumps(answer):
+    return json.dumps(answer)
+
+
+class TestWireText:
+    """The wire, as text: key order included, and the value API agrees.
+
+    Quality-joined and bare indexes over symmetric and asymmetric
+    matrices; the symmetric ones serve ``via`` from row ``b``, the
+    others from column ``b``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(world=worlds(), join=st.booleans())
+    def test_every_op_as_json_text(self, world, join):
+        nodes, values, k, q = world
+        if join:
+            dataset = logged_dataset(nodes, values)
+            index = MatrixIndex.build(dataset)
+            scores = dataset.quality() if len(dataset.provenance) else None
+        else:
+            index = adopt(nodes, values)
+            scores = None
+        server = QueryServer(index)
+        tail = {"version": index.version}
+
+        def meta(i, j):
+            return {} if scores is None else expected_meta(scores, i, j)
+
+        for i, j in sampled_pairs(len(nodes), count=8):
+            a, b = nodes[i], nodes[j]
+            value = values[i, j]
+            measured = not np.isnan(value)
+            point = {"op": "point", "x": a, "y": b}
+            assert dumps(server.query(point)) == dumps({
+                "x": a, "y": b, "rtt_ms": float(value) if measured else None,
+                "measured": bool(measured), **meta(i, j), "op": "point", **tail,
+            })
+            ids, rtts = ranked_neighbors(values, i)
+            assert dumps(server.query({"op": "knn", "x": a, "k": k})) == dumps({
+                "x": a, "k": k,
+                "neighbors": [
+                    {"x": a, "y": nodes[r], "rtt_ms": float(rtt), "measured": True,
+                     **meta(i, int(r))}
+                    for r, rtt in zip(ids[:k], rtts[:k])
+                ],
+                "op": "knn", **tail,
+            })
+            assert dumps(server.query({"op": "via", "x": a, "y": b, "k": k})) == dumps({
+                "detours": expected_detours(nodes, values, i, j, k),
+                "op": "via", **tail,
+            })
+            if rtts.size:
+                got = server.query({"op": "percentile", "x": a, "q": q})
+                assert got["rtt_ms"] == pytest.approx(
+                    float(np.percentile(rtts, q)), rel=0, abs=1e-9
+                )
+                assert dumps(got) == dumps({
+                    "x": a, "q": q, "rtt_ms": got["rtt_ms"], "op": "percentile", **tail,
+                })
+                assert dumps(server.query({"op": "rank", "x": a, "rtt_ms": 7.5})) == dumps({
+                    "x": a, "rtt_ms": 7.5,
+                    "rank": int((rtts <= 7.5).sum()) / rtts.size,
+                    "op": "rank", **tail,
+                })
+            hops = [a, b, nodes[(j + 1) % len(nodes)]]
+            legs = [values[i, j], values[j, (j + 1) % len(nodes)]]
+            assert dumps(server.query({"op": "path", "hops": hops})) == dumps({
+                "hops": hops,
+                "rtt_ms": None if np.isnan(legs).any() else float(legs[0] + legs[1]),
+                "op": "path", **tail,
+            })
+
+    @settings(max_examples=40, deadline=None)
+    @given(world=worlds(), join=st.booleans())
+    def test_value_api_agrees_with_the_wire(self, world, join):
+        nodes, values, k, _ = world
+        index = MatrixIndex.build(logged_dataset(nodes, values)) if join else adopt(
+            nodes, values
+        )
+        server = QueryServer(index)
+
+        def served(query, key=None):
+            answer = server.query(query)
+            assert (answer.pop("op"), answer.pop("version")) == (
+                query["op"], index.version
+            )
+            return answer if key is None else answer[key]
+
+        for i, j in sampled_pairs(len(nodes), count=8):
+            a, b = nodes[i], nodes[j]
+            for wire, value in (
+                (served({"op": "point", "x": a, "y": b}), index.point(a, b).to_dict()),
+                (
+                    served({"op": "knn", "x": a, "k": k}, "neighbors"),
+                    [p.to_dict() for p in index.k_nearest(a, k)],
+                ),
+                (
+                    served({"op": "via", "x": a, "y": b, "k": k}, "detours"),
+                    [v.to_dict() for v in index.best_via(a, b, k=k)],
+                ),
+            ):
+                assert wire == value
+                assert dumps(wire) == dumps(value)
+
+    def test_via_reads_row_b_only_when_symmetric_to_the_bit(self):
+        # Row 2 holds +0.0 where column 2 holds -0.0: == calls the two
+        # equal, a row read would turn the detour 0 -> 1 -> 2 from -0.0
+        # into +0.0 — build's symmetry test compares bits.
+        nodes = ["a", "b", "c", "d"]
+        values = np.full((4, 4), 9.0)
+        np.fill_diagonal(values, 0.0)
+        values[0, 1] = values[1, 0] = -0.0
+        values[1, 2] = -0.0
+        values[2, 1] = 0.0
+        index = adopt(nodes, values)
+        assert index._cols is not index._rtt
+        assert dumps(index.best_via("a", "c")[0].to_dict()).count("-0.0") == 1
+        answer = QueryServer(index).query({"op": "via", "x": "a", "y": "c"})
+        assert answer["detours"][0]["via"] == "b"
+        assert json.dumps(answer["detours"][0]["via_rtt_ms"]) == "-0.0"
+        values[2, 1] = -0.0
+        symmetric = adopt(nodes, values)
+        assert symmetric._cols is symmetric._rtt
 
 
 class TestBuildRefusesNonMeasurements:

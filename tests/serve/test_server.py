@@ -133,11 +133,44 @@ class TestErrorTaxonomy:
         ({"op": "rank", "x": "N000", "rtt_ms": float("inf")}, "bad_arg"),
         ({"op": "rank", "x": "N000", "rtt_ms": "nan"}, "bad_arg"),
         ({"op": "via", "x": "N000", "y": "N000"}, "bad_arg"),
+        # No silent coercion: a count is an integer, hops a list.
+        ({"op": "knn", "x": "N000", "k": 2.9}, "bad_arg"),
+        ({"op": "knn", "x": "N000", "k": True}, "bad_arg"),
+        ({"op": "knn", "x": "N000", "k": "3"}, "bad_arg"),
+        ({"op": "via", "x": "N000", "y": "N001", "k": 2.9}, "bad_arg"),
+        ({"op": "via", "x": "N000", "y": "N001", "k": True}, "bad_arg"),
+        ({"op": "path", "hops": "ab"}, "bad_arg"),
+        ({"op": "path", "hops": {"N000": 0, "N001": 1}}, "bad_arg"),
     ])
     def test_category(self, server, query, category):
         answer = server.query(query)
         assert answer["error"]
         assert answer["category"] == category
+
+    def test_integral_k_of_any_integer_type_is_served(self, server):
+        plain = server.query({"op": "knn", "x": "N000", "k": 3})
+        assert server.query({"op": "knn", "x": "N000", "k": np.int64(3)}) == plain
+        assert server.query({"op": "path", "hops": ("N000", "N001")}) == (
+            server.query({"op": "path", "hops": ["N000", "N001"]})
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_object_queries_answer_bad_arg(self, server, workers):
+        nodes = server.index.nodes
+        good = {"op": "point", "x": nodes[0], "y": nodes[1]}
+        bad = [[1, 2], "abc", None, 42, 2.5, True]
+        answers = server.batch([good, *bad, good], workers=workers)
+        assert len(answers) == len(bad) + 2
+        assert answers[0] == answers[-1] == server.query(good)
+        for answer in answers[1:-1]:
+            assert answer["op"] is None and answer["error"]
+            assert answer["category"] == "bad_arg"
+
+    def test_non_object_query_counts_under_bad_arg(self, server):
+        telemetry = ServeTelemetry(slow_ms=1e9, sample_every=0)
+        answer = QueryServer(server.index, telemetry=telemetry).query([1, 2])
+        assert answer["category"] == "bad_arg"
+        assert telemetry.summary()["errors_by_category"] == {"bad_arg": 1}
 
     def test_internal_for_data_states_the_client_did_not_cause(self):
         # An isolated node (all-NaN row) is valid input against bad

@@ -821,6 +821,43 @@ class TestServeCommand:
         assert [a.get("category") for a in answers] == ["bad_arg"] * 3 + [None]
         assert 0.0 <= answers[3]["rank"] <= 1.0
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_batch_answers_non_object_lines(self, tmp_path, capsys, workers):
+        import json as json_mod
+
+        path = self._dataset_path(tmp_path)
+        batch = tmp_path / "queries.jsonl"
+        good = '{"op": "point", "x": "N00", "y": "N01"}\n'
+        batch.write_text(
+            good + "[1, 2]\n" + '"abc"\n' + "42\n" + "null\n" + good
+        )
+        code = main(["-q", "serve", "--input", str(path), "--batch", str(batch),
+                     "--workers", workers])
+        out = capsys.readouterr().out
+        assert code == 0
+        answers = [json_mod.loads(line) for line in out.splitlines()]
+        assert [a.get("category") for a in answers] == [None] + ["bad_arg"] * 4 + [None]
+        assert all(a["op"] is None for a in answers[1:5])
+        assert answers[0] == answers[5] and answers[0]["rtt_ms"] > 0
+
+    def test_batch_answers_a_query_whatever_keys_it_carries(self, tmp_path, capsys):
+        import json as json_mod
+
+        path = self._dataset_path(tmp_path)
+        batch = tmp_path / "queries.jsonl"
+        batch.write_text(
+            '{"op": "point", "x": "N00", "y": "N01", "_parse": "mine"}\n'
+            "not json\n"
+            '{"op": "knn", "x": "N02", "k": 2, "_parse": 1}\n'
+        )
+        code = main(["-q", "serve", "--input", str(path), "--batch", str(batch)])
+        out = capsys.readouterr().out
+        assert code == 0
+        answers = [json_mod.loads(line) for line in out.splitlines()]
+        assert [a["op"] for a in answers] == ["point", None, "knn"]
+        assert "error" not in answers[0] and "error" not in answers[2]
+        assert answers[1]["error"].startswith("bad JSONL <line 2>: ")
+
     def test_selftest_gate_passes(self, tmp_path, capsys):
         import json as json_mod
 
