@@ -127,6 +127,17 @@ if [[ "$callers" -ne 1 ]]; then
     exit 1
 fi
 
+echo "== cell path =="
+# Most (≈ 80%) of a dense campaign's events are cells crossing relay hops
+# (StreamConnection._receive, then Relay._process_cell). The guard that
+# pins the Python calls they cost and the Cell objects they make (one
+# per cell originated: a relay forwards the cell it holds) with ==, on
+# its own for the same reason as above: a seam that adds a frame to
+# every hop is reported as that, not as a few percent of bench drift.
+# Then the counts, per event and per relay-processed cell, printed.
+python -m pytest tests/tor/test_cell_path_calls.py -x -q
+python tests/tor/test_cell_path_calls.py
+
 echo "== task purity =="
 # Under task isolation a measurement is a function of its task alone:
 # clock restarted at zero, draws keyed by (root seed, entity, task key),

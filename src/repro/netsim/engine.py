@@ -384,7 +384,8 @@ class Simulator:
         for event in self._heap:
             if event[4]:  # cancelled
                 event[5] = True  # done
-        self._heap = [event for event in self._heap if not event[4]]
+        # In place: run() holds the list in a local.
+        self._heap[:] = [event for event in self._heap if not event[4]]
         heapq.heapify(self._heap)
         self._cancelled_pending = 0
         self._compaction_purged += purged
@@ -447,22 +448,24 @@ class Simulator:
         # Wall time spent *between* run() calls must not read as a
         # stall; the first batch tick of each run just baselines.
         self._batch_wall = None
+        # The heap is only ever changed in place, so a local stays it.
+        heap, heappop = self._heap, heapq.heappop
         try:
             processed = 0
-            while self._heap:
+            while heap:
                 if max_events is not None and processed >= max_events:
                     break
                 # Indexed, not through the properties: this is the hot
                 # loop. [time, seq, callback, args, cancelled, done, sim]
-                event = self._heap[0]
+                event = heap[0]
                 if event[4]:  # cancelled
-                    heapq.heappop(self._heap)
+                    heappop(heap)
                     event[5] = True  # done
                     self._cancelled_pending -= 1
                     continue
                 if until is not None and event[0] > until:
                     break
-                heapq.heappop(self._heap)
+                heappop(heap)
                 event[5] = True
                 self.now = event[0]
                 event[2](*event[3])

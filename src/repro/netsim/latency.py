@@ -24,7 +24,7 @@ import numpy as np
 from repro.netsim.policies import TrafficClass
 from repro.netsim.routing import Router
 from repro.netsim.topology import Host, Topology
-from repro.util.rng import DrawStream, RandomStreams
+from repro.util.rng import BLOCK_WORDS, DrawStream, RandomStreams
 from repro.util.units import Milliseconds
 
 #: Mean of the exponential scheduling noise on a loopback "link".
@@ -56,7 +56,12 @@ class JitterModel:
     def sample(self, draws: DrawStream) -> Milliseconds:
         """One jitter value in milliseconds (>= 0): the next draw of
         ``draws``, read as body ``e0``, burst coin ``u0``, burst ``e1``."""
-        i = draws.take()
+        # DrawStream.take, inline.
+        i = draws.pos
+        if i == BLOCK_WORDS:
+            draws.fill(draws.base + i)
+            i = 0
+        draws.pos = i + 2
         e = draws.e
         jitter = self.scale_ms * e[i]
         if draws.u[i] < self.burst_probability:
@@ -108,8 +113,13 @@ class Link:
     def sample_ms(self) -> Milliseconds:
         """One packet's one-way delay: floor plus sampled jitter."""
         if self.jitter is None:
+            # DrawStream.take, inline (before ``draws.e`` is read: it may refill).
             draws = self.draws
-            i = draws.take()  # before ``draws.e`` is read: it may refill
+            i = draws.pos
+            if i == BLOCK_WORDS:
+                draws.fill(draws.base + i)
+                i = 0
+            draws.pos = i + 2
             return self.base_ms + LOOPBACK_JITTER_MS * draws.e[i]
         return self.base_ms + self.jitter.sample(self.draws)
 

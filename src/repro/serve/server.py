@@ -80,6 +80,16 @@ def _count(query: dict[str, Any], default: int) -> int:
     raise ConfigurationError(f"k must be an integer, got {k!r}")
 
 
+def _number(query: dict[str, Any], key: str) -> float:
+    """The query's ``key``: a number, never a bool or a string read as one."""
+    value = query[key]
+    if value.__class__ is float or value.__class__ is int:
+        return float(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return float(value)
+    raise ConfigurationError(f"{key} must be a number, got {value!r}")
+
+
 def _point(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
     return index._wire_point(query["x"], query["y"])
 
@@ -96,14 +106,14 @@ def _via(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
 
 
 def _percentile(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
-    q = float(query["q"])
+    q = _number(query, "q")
     if "x" in query:
         return {"x": query["x"], "q": q, "rtt_ms": index.percentile(query["x"], q)}
     return {"q": q, "rtt_ms": index.global_percentile(q)}
 
 
 def _rank(index: MatrixIndex, query: dict[str, Any]) -> dict[str, Any]:
-    rtt_ms = float(query["rtt_ms"])
+    rtt_ms = _number(query, "rtt_ms")
     if not math.isfinite(rtt_ms):
         # Echoed back, it would put a bare NaN / Infinity token (not
         # JSON) on the wire.

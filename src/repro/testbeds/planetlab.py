@@ -36,7 +36,7 @@ from repro.tor.directory import (
 )
 from repro.tor.relay import ForwardingDelayModel, Relay
 from repro.util.errors import ConfigurationError
-from repro.util.rng import RandomStreams
+from repro.util.rng import RandomStreams, draw_item, draw_uniform
 from repro.util.units import Milliseconds
 
 #: How many relays the paper's testbed ran.
@@ -125,9 +125,9 @@ class PlanetLabTestbed:
                 # (filled in after the measurement host exists).
                 exit_policy=ExitPolicy.reject_all(),
                 forwarding_model=ForwardingDelayModel(
-                    crypto_floor_ms=float(relay_rng.uniform(0.1, 1.2)),
-                    load=float(relay_rng.uniform(load_lo, load_hi)),
-                    queue_scale_ms=float(relay_rng.uniform(0.5, 2.5)),
+                    crypto_floor_ms=draw_uniform(relay_rng, 0.1, 1.2),
+                    load=draw_uniform(relay_rng, load_lo, load_hi),
+                    queue_scale_ms=draw_uniform(relay_rng, 0.5, 2.5),
                 ),
             )
             relays.append(relay)
@@ -202,7 +202,7 @@ class PlanetLabTestbed:
         while len(sites) < n_relays:
             region = ("us", "europe")[len(sites) % 2]
             pool = pops_by_region.get(region, [])
-            sites.append(int(rng.choice(pool)))
+            sites.append(draw_item(rng, pool))
         return sites
 
     @staticmethod

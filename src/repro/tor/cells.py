@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.util.errors import ReproError
 
@@ -58,6 +58,10 @@ class RelayCommand(enum.IntEnum):
     DROP = 10
 
 
+#: Relay command by wire value: a dict lookup where the enum call costs frames.
+_RELAY_COMMANDS = {int(command): command for command in RelayCommand}
+
+
 class CellError(ReproError):
     """A cell failed to parse or validate."""
 
@@ -68,6 +72,11 @@ class Cell:
 
     ``payload`` is structured data for CREATE/CREATED/DESTROY and raw
     ``bytes`` (the encrypted body) for RELAY cells.
+
+    A cell belongs to the hop that holds it: a relay forwards a RELAY
+    cell by re-addressing this object (new ``circ_id``, new ``payload``)
+    and sending it on, so nothing may keep a cell past the event it
+    arrived in — copy what is needed instead.
     """
 
     circ_id: int
@@ -120,6 +129,13 @@ class RelayCellBody:
         body = header + self.data
         return body + b"\x00" * (RELAY_BODY_LEN - len(body))
 
+    def pack_stamped(self, digest_of: Callable[[bytes], bytes]) -> bytes:
+        """:meth:`pack_for_digest`, with ``digest_of`` of it spliced into
+        the digest field: the bytes ``with_digest(digest).pack()`` gives,
+        packed once."""
+        plain = self.pack_for_digest()
+        return plain[:5] + digest_of(plain) + plain[9:]
+
     @classmethod
     def unpack(cls, raw: bytes) -> "RelayCellBody":
         """Parse a RELAY_BODY_LEN-byte plaintext body."""
@@ -130,10 +146,9 @@ class RelayCellBody:
         )
         if length > RELAY_DATA_LEN:
             raise CellError(f"relay length field too large: {length}")
-        try:
-            relay_command = RelayCommand(command)
-        except ValueError:
-            raise CellError(f"unknown relay command {command}") from None
+        relay_command = _RELAY_COMMANDS.get(command)
+        if relay_command is None:
+            raise CellError(f"unknown relay command {command}")
         data = raw[_RELAY_HEADER.size : _RELAY_HEADER.size + length]
         return cls(
             relay_command=relay_command,

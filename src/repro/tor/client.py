@@ -23,6 +23,7 @@ A long ping-pong round is walked at once (:meth:`OnionProxy._walk_round`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from typing import Callable
@@ -297,7 +298,7 @@ class OnionProxy:
             return
 
         def established(conn: StreamConnection) -> None:
-            conn.on_data = lambda cell, c=conn: self._cell_arrived(c, cell)
+            conn.on_data = functools.partial(self._cell_arrived, conn)
             on_ready(conn)
 
         def failed(reason: str) -> None:
@@ -1092,8 +1093,7 @@ class OnionProxy:
             raise CircuitError("circuit has no completed hops")
         hop = target_hop if target_hop is not None else len(circuit.layers) - 1
         body = RelayCellBody(relay_command=command, stream_id=stream_id, data=data)
-        digest = circuit.layers[hop].forward_digest.update(body.pack_for_digest())
-        packed = body.with_digest(digest).pack()
+        packed = body.pack_stamped(circuit.layers[hop].forward_digest.update)
         for index in range(hop, -1, -1):
             packed = circuit.layers[index].forward_cipher.process(packed)
         conn = self._conn_for_circuit.get(circuit.circ_id)
@@ -1104,7 +1104,7 @@ class OnionProxy:
     def _send_cell(self, conn: StreamConnection, cell: Cell) -> None:
         if conn.closed or not conn.established:
             return
-        conn.send(cell, size_bytes=cell.size_bytes)
+        self.fabric._transmit(conn, cell, CELL_SIZE_BYTES)
 
     # ------------------------------------------------------------------
     # Circuit teardown

@@ -14,6 +14,7 @@ with relay load, which is why Ting takes the minimum of many samples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -24,6 +25,7 @@ from repro.netsim.topology import Host, Topology
 from repro.obs import DEBUG, NULL_EVENTS, NULL_METRICS, WARNING
 from repro.netsim.transport import NetworkFabric, StreamConnection
 from repro.tor.cells import (
+    CELL_SIZE_BYTES,
     Cell,
     CellCommand,
     CellError,
@@ -38,7 +40,7 @@ from repro.tor.crypto import (
     ServerHandshake,
 )
 from repro.tor.directory import ExitPolicy, RelayDescriptor
-from repro.util.rng import DrawStream
+from repro.util.rng import BLOCK_WORDS, DrawStream
 from repro.util.units import Milliseconds
 
 
@@ -83,12 +85,18 @@ class ForwardingDelayModel:
         """One cell's forwarding delay in milliseconds: the next draw of
         ``draws`` (the relay's own stream), read as queueing coin ``u0``,
         wait ``e0``, burst coin ``u1``, burst ``e1``."""
-        i = draws.take()
+        # DrawStream.take, inline.
+        i = draws.pos
+        if i == BLOCK_WORDS:
+            draws.fill(draws.base + i)
+            i = 0
+        draws.pos = i + 2
         u, e = draws.u, draws.e
         delay = self.crypto_floor_ms
-        if u[i] < self.load:
+        load = self.load
+        if u[i] < load:
             delay += self.queue_scale_ms * e[i]
-        if u[i + 1] < self.burst_probability * max(self.load, 0.05):
+        if u[i + 1] < self.burst_probability * (0.05 if 0.05 > load else load):
             delay += self.burst_scale_ms * e[i + 1]
         return delay
 
@@ -293,7 +301,7 @@ class Relay:
         if self.conn_registry is not None:
             self.conn_registry.add(self)
         conn.owner = self
-        conn.on_data = lambda cell, c=conn: self._cell_arrived(c, cell)
+        conn.on_data = functools.partial(self._cell_arrived, conn)
 
     def _or_conn_to(
         self, address: str, port: int, on_ready: Callable[[StreamConnection], None]
@@ -321,7 +329,7 @@ class Relay:
 
         def established(conn: StreamConnection) -> None:
             conn.owner = self
-            conn.on_data = lambda cell, c=conn: self._cell_arrived(c, cell)
+            conn.on_data = functools.partial(self._cell_arrived, conn)
             on_ready(conn)
 
         def failed(reason: str) -> None:
@@ -365,13 +373,18 @@ class Relay:
         :meth:`_cell_arrived` schedules the processing at the result, a
         probe flight (:mod:`repro.tor.client`) walks on from it.
         """
-        ready_at = max(
-            now + self.forwarding.sample(self.draws), conn._queue_head + 1e-6
-        )
-        if self.service_queue is not None:
+        # max(a, b) is `if b > a: a = b` here, as in the flight's walk.
+        ready_at = now + self.forwarding.sample(self.draws)
+        head = conn._queue_head + 1e-6
+        if head > ready_at:
+            ready_at = head
+        queue = self.service_queue
+        if queue is not None:
             # Real queueing: this cell also has to wait for the relay's
             # forwarding capacity, shared with every other circuit.
-            ready_at = max(ready_at, self.service_queue.admit(now))
+            admitted = queue.admit(now)
+            if admitted > ready_at:
+                ready_at = admitted
         conn._queue_head = ready_at
         return ready_at
 
@@ -393,14 +406,29 @@ class Relay:
         )
 
     def _process_cell(self, conn: StreamConnection, cell: Cell) -> None:
-        self.count_cell(cell.command is CellCommand.RELAY)
-        if cell.command is CellCommand.CREATE:
+        command = cell.command
+        if command is CellCommand.RELAY:
+            self.count_cell(True)
+            # switch(), inline: the one lookup every relayed cell makes.
+            key = (id(conn), cell.circ_id)
+            entry = self._circuits.get(key)
+            if entry is not None and not entry.torn_down:
+                self._relay_forward(entry, cell)
+                return
+            entry = self._next_side.get(key)
+            if entry is not None and not entry.torn_down:
+                self._relay_backward(entry, cell)
+                return
+            self._send_cell(
+                conn, Cell(cell.circ_id, CellCommand.DESTROY, "unknown circuit")
+            )
+            return
+        self.count_cell(False)
+        if command is CellCommand.CREATE:
             self._handle_create(conn, cell)
-        elif cell.command is CellCommand.CREATED:
+        elif command is CellCommand.CREATED:
             self._handle_created(conn, cell)
-        elif cell.command is CellCommand.RELAY:
-            self._handle_relay(conn, cell)
-        elif cell.command is CellCommand.DESTROY:
+        elif command is CellCommand.DESTROY:
             self._handle_destroy(conn, cell)
         # PADDING and unknown commands are dropped.
 
@@ -437,23 +465,13 @@ class Relay:
 
     # --- RELAY cells ----------------------------------------------------
 
-    def _handle_relay(self, conn: StreamConnection, cell: Cell) -> None:
-        entry, forward = self.switch(conn, cell.circ_id)
-        if entry is None:
-            self._send_cell(
-                conn, Cell(cell.circ_id, CellCommand.DESTROY, "unknown circuit")
-            )
-        elif forward:
-            self._relay_forward(entry, cell)
-        else:
-            self._relay_backward(entry, cell)
-
     def switch(
         self, conn: StreamConnection, circ_id: int
     ) -> tuple[_CircuitEntry | None, bool]:
         """The live circuit a RELAY cell arriving on ``conn`` belongs to,
         and whether it travels forward (away from the client);
-        ``(None, False)`` for a circuit this relay does not carry."""
+        ``(None, False)`` for a circuit this relay does not carry.
+        (:meth:`_process_cell` makes the same lookup inline.)"""
         key = (id(conn), circ_id)
         entry = self._circuits.get(key)
         if entry is not None and not entry.torn_down:
@@ -462,6 +480,9 @@ class Relay:
         if entry is not None and not entry.torn_down:
             return entry, False
         return None, False
+
+    # A relayed cell goes on as the same Cell, re-addressed to the next
+    # (or previous) hop: it belongs to whichever hop holds it (see Cell).
 
     def _relay_forward(self, entry: _CircuitEntry, cell: Cell) -> None:
         body = entry.crypto.peel_forward(cell.payload)
@@ -477,15 +498,13 @@ class Relay:
             # Unrecognized at the last hop: protocol violation.
             self._teardown(entry, reason="unrecognized cell at circuit end")
             return
-        self._send_cell(
-            entry.next_conn, Cell(entry.next_circ_id, CellCommand.RELAY, body)
-        )
+        cell.circ_id, cell.payload = entry.next_circ_id, body
+        self._send_cell(entry.next_conn, cell)
 
     def _relay_backward(self, entry: _CircuitEntry, cell: Cell) -> None:
         body = entry.crypto.wrap_backward(cell.payload)
-        self._send_cell(
-            entry.prev_conn, Cell(entry.prev_circ_id, CellCommand.RELAY, body)
-        )
+        cell.circ_id, cell.payload = entry.prev_circ_id, body
+        self._send_cell(entry.prev_conn, cell)
 
     def _recognize(self, entry: _CircuitEntry, body: bytes) -> bool:
         """Tor's 'recognized' check: zero field plus running-digest match."""
@@ -662,8 +681,7 @@ class Relay:
     ) -> None:
         """Originate a client-bound relay cell (stamp digest, add layer)."""
         body = RelayCellBody(relay_command=command, stream_id=stream_id, data=data)
-        digest = entry.crypto.backward_digest.update(body.pack_for_digest())
-        packed = body.with_digest(digest).pack()
+        packed = body.pack_stamped(entry.crypto.backward_digest.update)
         encrypted = entry.crypto.wrap_backward(packed)
         self._send_cell(
             entry.prev_conn, Cell(entry.prev_circ_id, CellCommand.RELAY, encrypted)
@@ -672,7 +690,8 @@ class Relay:
     def _send_cell(self, conn: StreamConnection, cell: Cell) -> None:
         if conn.closed or not conn.established:
             return
-        conn.send(cell, size_bytes=cell.size_bytes)
+        # StreamConnection.send, whose one check this is, without its frame.
+        self.fabric._transmit(conn, cell, CELL_SIZE_BYTES)
 
     # ------------------------------------------------------------------
     # Teardown

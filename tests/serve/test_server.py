@@ -141,6 +141,13 @@ class TestErrorTaxonomy:
         ({"op": "via", "x": "N000", "y": "N001", "k": True}, "bad_arg"),
         ({"op": "path", "hops": "ab"}, "bad_arg"),
         ({"op": "path", "hops": {"N000": 0, "N001": 1}}, "bad_arg"),
+        # ... and a quantile or an RTT is a number, not a bool or a string.
+        ({"op": "percentile", "x": "N000", "q": True}, "bad_arg"),
+        ({"op": "percentile", "x": "N000", "q": "50"}, "bad_arg"),
+        ({"op": "percentile", "q": False}, "bad_arg"),
+        ({"op": "percentile", "q": "50"}, "bad_arg"),
+        ({"op": "rank", "x": "N000", "rtt_ms": True}, "bad_arg"),
+        ({"op": "rank", "x": "N000", "rtt_ms": "50"}, "bad_arg"),
     ])
     def test_category(self, server, query, category):
         answer = server.query(query)
@@ -153,6 +160,15 @@ class TestErrorTaxonomy:
         assert server.query({"op": "path", "hops": ("N000", "N001")}) == (
             server.query({"op": "path", "hops": ["N000", "N001"]})
         )
+
+    def test_a_number_of_any_numeric_type_is_served(self, server):
+        half = server.query({"op": "percentile", "x": "N000", "q": 50.0})
+        assert "error" not in half
+        for q in (50, np.float64(50.0), np.int64(50)):
+            assert server.query({"op": "percentile", "x": "N000", "q": q}) == half
+        rank = server.query({"op": "rank", "x": "N000", "rtt_ms": 40.0})
+        assert "error" not in rank
+        assert server.query({"op": "rank", "x": "N000", "rtt_ms": 40}) == rank
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_object_queries_answer_bad_arg(self, server, workers):
