@@ -8,6 +8,7 @@ failure, not a gradual wall-time drift someone has to notice.
 """
 
 import hashlib
+import sys
 import time
 
 import numpy as np
@@ -22,6 +23,13 @@ from repro.tor.crypto import LayerCipher
 #: this much faster than the hash-keystream cipher it replaced, on
 #: full-size relay-cell bodies.
 CRYPTO_SPEEDUP_FLOOR = 3.0
+
+#: Python frames one ``LayerCipher(key)`` may enter, its own included.
+#: Through the public ``Cipher(AES(key), mode).encryptor()`` it was 25
+#: (the deprecation ``__getattr__`` of the ``algorithms`` module, ``abc``
+#: checks, the mode re-validated); through the binding that call ends
+#: in, 11 (``cryptography`` 48.0).
+CONTEXT_FRAMES_CEILING = 12
 
 
 class _ShakeLayerCipher:
@@ -113,13 +121,24 @@ def _cells(testbed) -> int:
 def test_cipher_contexts_per_circuit_guard(report, monkeypatch):
     """A four-hop build constructs exactly 16 cipher contexts (two
     directions, client and relay side, per hop) and a probe none: a
-    context costs ~20 bodies' worth of encryption to create, so per-cell
-    construction must never creep in. A flown ping-pong probe (a probe
-    flight) goes further: no cipher call at all, one simulator event
-    (its landing, which sends the next probe; the round's first send is
-    the one event more), and still 7 cells reported. Counted, not
-    timed."""
+    context costs ~5 bodies' worth of encryption to create, so per-cell
+    construction must never creep in. One context enters at most
+    :data:`CONTEXT_FRAMES_CEILING` Python frames: the binding the public
+    ``Cipher(...).encryptor()`` ends in, not the façade around it. A
+    flown ping-pong probe (a probe flight) goes further: no cipher call
+    at all, one simulator event (its landing, which sends the next
+    probe; the round's first send is the one event more), and still 7
+    cells reported. Counted, not timed."""
     from repro.tor import crypto
+
+    key = b"\x07" * 32
+    LayerCipher(key)  # the ``abc`` caches warm on the first context
+    frames = []
+    sys.setprofile(lambda frame, event, arg: frames.append(1) if event == "call" else None)
+    try:
+        LayerCipher(key)
+    finally:
+        sys.setprofile(None)
 
     created, processed = [], []
 
@@ -152,12 +171,13 @@ def test_cipher_contexts_per_circuit_guard(report, monkeypatch):
     events = testbed.sim.events_processed - events
     cells = _cells(testbed) - cells
     report(
-        f"cipher contexts: {built} per four-hop build, "
-        f"{len(created) - built} over stream open + {probes} probes; "
+        f"cipher contexts: {built} per four-hop build, {len(frames)} Python "
+        f"frames each, {len(created) - built} over stream open + {probes} probes; "
         f"per flown probe {updates / probes:g} cipher calls, "
         f"{events / probes:g} events, {cells / probes:g} cells"
     )
     assert built == 16
+    assert len(frames) <= CONTEXT_FRAMES_CEILING
     assert len(created) == built
     assert (updates, events, cells) == (0, probes + 1, 7 * probes)
 

@@ -294,15 +294,29 @@ cat src/repro/obs/*.py src/repro/serve/telemetry.py | wc -l \
     | xargs echo "src/repro/obs + serve/telemetry.py lines:"
 
 echo "== cell cipher library and import hygiene =="
-# The onion layers are the cryptography package's AES-CTR. Same idea as
-# above: a missing wheel, an OpenSSL that disagrees with NIST SP 800-38A
-# or a returning networkx (20 MB of RSS for a 50-node graph) is
-# reported as that in the first second, not as a wall of failures.
+# The onion layers are the cryptography package's AES-CTR, each context
+# made by the binding the public Cipher(...).encryptor() ends in. Same
+# idea as above: a missing wheel, a release that moves that binding, an
+# OpenSSL that disagrees with NIST SP 800-38A or a returning networkx
+# (20 MB of RSS for a 50-node graph) is reported as that in the first
+# second, not as a wall of failures. The price of one context is
+# printed: µs and Python frames per LayerCipher.
 python -c "
+import sys, timeit
 import cryptography
 from cryptography.hazmat.backends.openssl.backend import backend
-print('cryptography', cryptography.__version__, '/', backend.openssl_version_text())"
-python -m pytest tests/tor/test_crypto_equivalence.py -k nist -x -q
+from repro.tor.crypto import LayerCipher
+key = bytes(32)
+LayerCipher(key)
+frames = []
+sys.setprofile(lambda frame, event, arg: frames.append(1) if event == 'call' else None)
+LayerCipher(key)
+sys.setprofile(None)
+us = min(timeit.repeat(lambda: LayerCipher(key), number=10_000, repeat=5)) / 10_000 * 1e6
+print('cryptography', cryptography.__version__, '/', backend.openssl_version_text(),
+      f'/ LayerCipher: {us:.2f} us, {len(frames)} Python frames per context')"
+python -m pytest tests/tor/test_crypto_equivalence.py -x -q \
+    -k "nist or test_factory_is_the_public_paths"
 python -c "
 import sys, repro.testbeds.livetor, repro.serve
 assert 'networkx' not in sys.modules, 'networkx is imported by the program again'

@@ -148,32 +148,24 @@ class MeasurementHost:
             controller=Controller(proxy),
         )
 
-    def enable_observability(
-        self,
-        metrics: MetricsRegistry | None = None,
-        spans: SpanTracer | None = None,
-        events: EventBus | None = None,
-    ) -> MetricsRegistry:
-        """Wire one live registry through the whole stack.
+    def enable_observability(self) -> MetricsRegistry:
+        """Wire one fresh live registry through the whole stack.
 
         Attaches to the simulator, the onion proxy, the echo client, and
         the two helper relays (w, z); measurers and campaigns built on
         this host pick the sinks up via ``host.metrics`` / ``host.spans``.
         Also installs a :class:`SpanTracer` ticking on the simulated
-        clock, a fresh :class:`ProvenanceLog`, and a live
-        :class:`EventBus` (via :meth:`enable_events`), so instrumented
-        campaigns record interval, per-pair, and live-telemetry data
-        without further setup. Returns the registry so callers can
-        snapshot it.
+        clock, a fresh :class:`ProvenanceLog`, and, unless one is already
+        live, an :class:`EventBus` (via :meth:`enable_events`), so
+        instrumented campaigns record interval, per-pair, and
+        live-telemetry data without further setup. Returns the registry
+        so callers can snapshot it.
         """
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self.metrics = registry
-        self.spans = spans if spans is not None else SpanTracer(
-            clock=lambda: self.sim.campaign_ms
-        )
+        registry = self.metrics = MetricsRegistry()
+        self.spans = SpanTracer(clock=lambda: self.sim.campaign_ms)
         self.provenance = ProvenanceLog()
-        if events is not None or not self.events.enabled:
-            self.enable_events(events)
+        if not self.events.enabled:
+            self.enable_events()
         self.sim.metrics = registry
         self.proxy.metrics = registry
         self.echo_client.metrics = registry
@@ -203,7 +195,7 @@ class MeasurementHost:
             registry.inc(name, 0)
         return registry
 
-    def enable_events(self, bus: EventBus | None = None) -> EventBus:
+    def enable_events(self) -> EventBus:
         """Wire one live :class:`EventBus` through the whole stack.
 
         Independent of :meth:`enable_observability` — live telemetry
@@ -212,7 +204,7 @@ class MeasurementHost:
         ``ShardedCampaign`` keeps its telemetry path cheap when
         ``observe=False``. Returns the bus so callers can attach sinks.
         """
-        live = bus if bus is not None else EventBus(clock=lambda: self.sim.campaign_ms)
+        live = EventBus(clock=lambda: self.sim.campaign_ms)
         self.events = live
         self.sim.events = live
         self.echo_client.events = live

@@ -31,14 +31,18 @@ import os
 from dataclasses import dataclass
 from typing import Callable
 
+from cryptography.hazmat.bindings._rust import openssl as rust_openssl
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from repro.tor.cells import RELAY_BODY_LEN
 from repro.util.errors import ReproError
 
 #: tor-spec §0.3: the counter starts at zero. Mode objects hold no
-#: per-stream state, so every context shares this one.
+#: per-stream state, so every context shares this one; the public
+#: ``Cipher`` validates it for AES here, once.
 _ZERO_IV_CTR = modes.CTR(bytes(16))
+Cipher(algorithms.AES(bytes(32)), _ZERO_IV_CTR)
+_AES = algorithms.AES
 
 
 class CryptoError(ReproError):
@@ -57,8 +61,10 @@ class LayerCipher:
     stream — the two ends of a circuit stay in lockstep even when one
     side processes a body in pieces.
 
-    A context is dear to create (≈ 10 µs) and cheap to run (≈ 0.5 µs
-    per body): build one per direction per hop, never per cell.
+    A context costs ≈ 2.5 µs to create and ≈ 0.5 µs per body to run:
+    build one per direction per hop, never per cell. It is made by the
+    binding the public ``Cipher(...).encryptor()`` ends in, without the
+    checks around it that re-validate the module-constant mode.
     """
 
     __slots__ = ("process",)
@@ -71,7 +77,9 @@ class LayerCipher:
             raise CryptoError(
                 f"layer key must be 16, 24 or 32 bytes (AES), got {len(key)}"
             )
-        self.process = Cipher(algorithms.AES(key), _ZERO_IV_CTR).encryptor().update
+        self.process = rust_openssl.ciphers.create_encryption_ctx(
+            _AES(key), _ZERO_IV_CTR
+        ).update
 
 
 class RunningDigest:

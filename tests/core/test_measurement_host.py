@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.policies import TrafficClass
-from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_SPANS, MetricsRegistry, SpanTracer
+from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_SPANS, MetricsRegistry
 
 
 class TestDeployment:
@@ -86,14 +86,6 @@ class TestDeployment:
         # Headline counters are pre-declared so snapshots report zeros.
         assert "tor.circuits_built" in registry.snapshot()["counters"]
         assert "sim.heap_compactions" in registry.snapshot()["counters"]
-
-    def test_enable_observability_accepts_custom_sinks(self, mini_world):
-        m = mini_world.measurement
-        registry, tracer = MetricsRegistry(), SpanTracer()
-        returned = m.enable_observability(metrics=registry, spans=tracer)
-        assert returned is registry
-        assert m.metrics is registry
-        assert m.spans is tracer
 
     def test_refresh_consensus_updates_public_view(self, mini_world):
         m = mini_world.measurement

@@ -17,8 +17,10 @@ import hashlib
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import base as cipher_base
 from hypothesis import given, settings, strategies as st
 
+from repro.tor import crypto
 from repro.tor.cells import RELAY_BODY_LEN
 from repro.tor.crypto import (
     CryptoError,
@@ -146,6 +148,37 @@ class TestKeySizes:
     @pytest.mark.parametrize("size", [15, 20, 33])
     def test_non_aes_key_size_raises_crypto_error(self, size):
         # A CryptoError, never the library's bare ValueError.
+        with pytest.raises(CryptoError):
+            LayerCipher(bytes(size))
+
+
+class TestContextBinding:
+    """``LayerCipher`` creates its context with the function the public
+    ``Cipher(...).encryptor()`` ends in, skipping only the checks around
+    it: the same context, the same keystream, the same refusals."""
+
+    def test_factory_is_the_public_paths(self):
+        # A ``cryptography`` release that moves the binding fails here
+        # (and at ``import repro.tor``), not as a wall of failures.
+        assert (
+            crypto.rust_openssl.ciphers.create_encryption_ctx
+            is cipher_base.rust_openssl.ciphers.create_encryption_ctx
+        )
+        public = Cipher(algorithms.AES(bytes(32)), modes.CTR(bytes(16))).encryptor()
+        assert type(LayerCipher(bytes(32)).process.__self__) is type(public)
+
+    @given(key=aes_keys, chunks=st.lists(st.binary(max_size=600), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_process_matches_public_encryptor(self, key, chunks):
+        ours = LayerCipher(key).process
+        public = Cipher(algorithms.AES(key), modes.CTR(bytes(16))).encryptor().update
+        for chunk in chunks:
+            assert ours(chunk) == public(chunk)
+
+    @pytest.mark.parametrize("size", [0, 8, 20, 33, 64])
+    def test_non_aes_ctr_key_size_raises_crypto_error(self, size):
+        # 64 bytes is an AES-256-XTS key: ``AES`` alone accepts it, the
+        # public path refuses it in ``CTR``'s check, and so must this.
         with pytest.raises(CryptoError):
             LayerCipher(bytes(size))
 
