@@ -37,6 +37,18 @@ echo "== pinned engine measurements =="
 # an asserted formula. Under its own heading for the same reason: a
 # moved draw or event is reported as that.
 python -m pytest tests/core/test_engine_identity.py -x -q
+# The engine drives only the onion proxy's callbacks, so a pair launch
+# never runs the simulator itself and may start inside an event — circuit
+# reuse's TRUNCATE/EXTEND included. No code under repro.core may reach
+# for the host's Stem-like controller (measurement_host.py, which makes
+# it, is the one exception), and a reuse pair launched from inside an
+# event must equal measure_pair on a twin world.
+if grep -rnw controller src/repro/core --include='*.py' \
+        | grep -v '^src/repro/core/measurement_host\.py:'; then
+    echo "repro.core references the controller (above): drive the proxy's callbacks" >&2
+    exit 1
+fi
+python -m pytest "tests/core/test_ting.py::TestCircuitReuse::test_reuse_pair_launches_inside_an_event" -x -q
 
 echo "== probe flight contract =="
 # A lone echo cell on a quiet simulator crosses its circuit in one event

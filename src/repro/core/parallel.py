@@ -17,8 +17,8 @@ the list:
 
 * the **serial drive** — with task isolation or ``concurrency == 1`` —
   runs each task to completion: a pair through the engine's
-  ``measure_pair`` (which may run the simulator itself, as circuit
-  reuse's TRUNCATE/EXTEND does), a leg through one ``demand_leg``;
+  ``measure_pair`` (the call the benchmark's serial workload traces), a
+  leg through one ``demand_leg``;
 * the **windowed drive** keeps up to ``concurrency`` tasks in flight,
   launching the next from inside the event that finished the last.
 
@@ -48,6 +48,7 @@ from repro.core.sampling import SamplePolicy
 from repro.core.ting import (
     CircuitMeasurement,
     PairRecorder,
+    PairTask,
     TingMeasurer,
     TingResult,
     run_to_completion,
@@ -179,6 +180,8 @@ class ParallelCampaign:
         fingerprints = [r.fingerprint for r in relays]
         if len(set(fingerprints)) != len(fingerprints):
             raise MeasurementError("duplicate relays in campaign set")
+        if {host.relay_w.fingerprint, host.relay_z.fingerprint} & set(fingerprints):
+            raise MeasurementError("cannot measure the local helper relays")
         if concurrency < 1:
             raise MeasurementError("concurrency must be >= 1")
         #: Campaign node order, by fingerprint; also the membership test.
@@ -340,7 +343,7 @@ class ParallelCampaign:
                 finished()
 
             if not serial:
-                engine._start_pair(*pair, policy(), settle, settle)
+                PairTask(engine, *pair, policy(), settle, settle).start()
                 return
             try:
                 outcome = engine.measure_pair(*pair, policy=policy())

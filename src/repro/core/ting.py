@@ -133,7 +133,8 @@ class CircuitProbe:
     """One circuit: a build step, any number of probe steps, a close.
 
     The only code under ``repro.core`` that asks the onion proxy for a
-    circuit or a stream, or the echo client for a probe round. A failure
+    circuit or a stream, or the echo client for a probe round
+    (:meth:`PairTask._carve` reshapes one it built). A failure
     — reported through a callback or raised by the call itself — closes
     the stream and the circuit *before* it is passed on.
     """
@@ -431,8 +432,9 @@ class TingMeasurer:
             raise MeasurementError("cannot measure a relay against itself")
         if self.w in (x_fp, y_fp) or self.z in (x_fp, y_fp):
             raise MeasurementError("cannot measure the local helper relays")
+        task = partial(PairTask, self, x_fp, y_fp, policy or self.policy)
         return run_to_completion(
-            self.host.sim, self._start_pair, x_fp, y_fp, policy or self.policy
+            self.host.sim, lambda done, error: task(done, error).start()
         )
 
     def measure_leg(
@@ -477,45 +479,15 @@ class TingMeasurer:
         self.legs.clear()
         self.leg_failures.clear()
 
-    def _start_pair(
-        self, x_fp: str, y_fp: str, policy: SamplePolicy,
-        on_done: OnDone, on_error: OnError,
-    ) -> None:
-        """Launch one pair task. With ``reuse_circuits`` the steps up to
-        the carve run the simulator themselves: never call it from inside
-        a simulator event."""
-        task = PairTask(self, x_fp, y_fp, policy, on_done, on_error)
-        if not self.reuse_circuits:
-            task.start()
-            return
-        # Circuit reuse: probe C_xy, keep it open, and satisfy an x-leg
-        # miss by carving C_x out of it. The controller's surgery is
-        # synchronous, so each step up to it runs to completion here.
-        sim, controller = self.host.sim, self.host.controller
-        circuit = CircuitProbe(self, task.path, task.span)
-
-        def carve(leg_policy: SamplePolicy, done: OnDone, error: OnError) -> None:
-            try:
-                # Keep (w, x); drop (y, z); splice z back on.
-                controller.truncate_circuit(circuit.circuit, to_hop=1)
-                controller.extend_circuit(circuit.circuit, [self.z])
-            except CircuitError as exc:
-                error(f"circuit reuse surgery failed for {x_fp}: {exc}")
-                return
-            self.circuits_reused += 1
-            circuit.probe(leg_policy, done, error)
-
-        try:
-            run_to_completion(sim, circuit.build)
-            probed_xy = run_to_completion(sim, circuit.probe, policy)
-        except MeasurementError as exc:
-            task.fail(str(exc))
-            return
-        task.pair_probed(probed_xy, carve, circuit.close)
-
 
 class PairTask:
     """One Ting pair: ``C_xy`` → demand leg x → demand leg y → Eq. 4.
+
+    :meth:`start` launches the chain and every later step fires from the
+    last one's callback, so a task can be started inside a simulator
+    event. ``C_xy`` closes once probed — or, with the engine's
+    ``reuse_circuits``, once the x leg has settled: an x-leg miss is
+    then measured over ``C_xy`` itself (:meth:`_carve`).
 
     ``on_done`` receives the :class:`TingResult`, ``on_error`` the reason
     (a failed leg reads ``leg failed: <why>`` and ends the task there:
@@ -538,31 +510,51 @@ class PairTask:
         self.path = (engine.w, x_fp, y_fp, engine.z)
         self.started = engine.host.sim.now
         self.span = engine.host.spans.begin(PAIR_SPAN, x=x_fp, y=y_fp)
+        self.circuit = CircuitProbe(engine, self.path, self.span)
         self.probed: list[CircuitMeasurement] = []
 
     def start(self) -> None:
-        """Launch the chain from a fresh ``C_xy``."""
-        self.engine.measure(
-            self.path, self.policy, self.pair_probed, self.fail, self.span
+        """Build ``C_xy`` and probe it."""
+        circuit = self.circuit
+        circuit.build(
+            lambda: circuit.probe(self.policy, self._pair_probed, self.fail),
+            self.fail,
         )
 
-    def pair_probed(self, result, launch_x=None, x_settled=None) -> None:
-        """``C_xy`` is probed: demand the legs, then combine.
+    def _pair_probed(self, result) -> None:
+        """``C_xy`` is probed: demand the legs, then combine."""
+        engine = self.engine
+        self.probed.append(engine.measurement(self.path, result, self.policy))
+        carve = self._carve if engine.reuse_circuits else None
+        if carve is None:
+            self.circuit.close()
+        self._demand(self.x, lambda: self._demand(self.y, self._combine), carve)
 
-        A caller that probed ``C_xy`` itself and still holds the circuit
-        enters here, with ``launch_x`` (how to measure the x leg on a
-        miss) and ``x_settled`` (called once the x leg is measured, found
-        or failed — before the y leg is demanded).
-        """
-        self.probed.append(self.engine.measurement(self.path, result, self.policy))
-        self._demand(
-            self.x, lambda: self._demand(self.y, self._combine), launch_x, x_settled
-        )
+    def _carve(self, policy: SamplePolicy, done: OnDone, error: OnError) -> None:
+        """Measure the x leg over ``C_xy``: keep (w, x), drop (y, z) with
+        TRUNCATE, splice z back on with EXTEND, then probe."""
+        engine, circuit, proxy = self.engine, self.circuit, self.engine.host.proxy
 
-    def _demand(self, fingerprint: str, then, launch=None, settled=None) -> None:
+        def failed(_, reason: str) -> None:
+            error(f"circuit reuse surgery failed for {self.x}: {reason}")
+
+        def extended(_) -> None:
+            engine.circuits_reused += 1
+            circuit.probe(policy, done, error)
+
+        try:
+            proxy.truncate_circuit(
+                circuit.circuit, 1,
+                lambda cut: proxy.extend_circuit(cut, [engine.z], extended, failed),
+                failed,
+            )
+        except CircuitError as exc:
+            failed(None, str(exc))
+
+    def _demand(self, fingerprint: str, then, launch=None) -> None:
         def ready(launched: bool) -> None:
-            if settled is not None:
-                settled()
+            if launch is not None:  # C_xy was held open for the carve
+                self.circuit.close()
             reason = self.engine.leg_failures.get(fingerprint)
             if reason is not None:
                 self.fail(f"leg failed: {reason}")

@@ -145,7 +145,8 @@ class TorStream:
 
 
 class _BuildState:
-    """Transient bookkeeping while a circuit is under construction."""
+    """Transient bookkeeping while a circuit is under construction, or
+    being cut back by TRUNCATE (``on_built`` then takes the cut circuit)."""
 
     def __init__(
         self,
@@ -196,9 +197,6 @@ class OnionProxy:
         self._stream_waiters: dict[
             tuple[int, int],
             tuple[Callable[[TorStream], None], Callable[[str], None], EventHandle],
-        ] = {}
-        self._truncate_waiters: dict[
-            int, tuple[int, Callable[[Circuit], None], EventHandle]
         ] = {}
         # OR connections keyed by "address:port" of the entry relay, plus
         # the mapping from connection to the circuits it carries.
@@ -987,6 +985,7 @@ class OnionProxy:
         circuit: Circuit,
         to_hop: int,
         on_truncated: Callable[[Circuit], None],
+        on_failure: Callable[[Circuit, str], None],
         timeout_ms: Milliseconds = DEFAULT_CIRCUIT_TIMEOUT_MS,
     ) -> None:
         """Cut the circuit back so ``to_hop`` becomes its last relay.
@@ -994,7 +993,9 @@ class OnionProxy:
         Sends TRUNCATE to hop ``to_hop``; that relay destroys everything
         beyond itself and acknowledges with TRUNCATED, at which point the
         dropped hops' onion layers are discarded and ``on_truncated``
-        fires. The shortened circuit can then be re-extended with
+        fires. A circuit that fails first (a DESTROY, no TRUNCATED within
+        ``timeout_ms``) calls ``on_failure`` instead, once, as a build
+        does. The shortened circuit can then be re-extended with
         :meth:`extend_circuit` — the mechanism that lets a measurement
         client reuse an existing circuit prefix instead of rebuilding.
         """
@@ -1010,24 +1011,23 @@ class OnionProxy:
         timeout = self.sim.schedule(
             timeout_ms, self._truncate_timed_out, circuit
         )
-        self._truncate_waiters[circuit.circ_id] = (to_hop, on_truncated, timeout)
+        self._builds[circuit.circ_id] = _BuildState(on_truncated, on_failure, timeout)
         self._send_relay_cell(
             circuit, RelayCommand.TRUNCATE, 0, b"", target_hop=to_hop
         )
 
     def _truncated(self, circuit: Circuit, source_hop: int) -> None:
-        waiter = self._truncate_waiters.pop(circuit.circ_id, None)
-        if waiter is None:
+        """TRUNCATED from ``source_hop``: it is now the last hop."""
+        truncate = self._builds.pop(circuit.circ_id, None)
+        if truncate is None:
             return
-        to_hop, on_truncated, timeout = waiter
-        timeout.cancel()
-        del circuit.layers[to_hop + 1 :]
-        del circuit.path[to_hop + 1 :]
-        on_truncated(circuit)
+        truncate.timeout.cancel()
+        del circuit.layers[source_hop + 1 :]
+        del circuit.path[source_hop + 1 :]
+        truncate.on_built(circuit)
 
     def _truncate_timed_out(self, circuit: Circuit) -> None:
-        if self._truncate_waiters.pop(circuit.circ_id, None) is not None:
-            self._fail_circuit(circuit, "truncate timed out")
+        self._fail_circuit(circuit, "truncate timed out")
 
     def extend_circuit(
         self,

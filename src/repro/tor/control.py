@@ -5,11 +5,11 @@ library: build an explicit circuit, attach a TCP connection to it, tear
 it down. :class:`Controller` provides the same surface here, in two
 flavours:
 
-* a programmatic API (``build_circuit``, ``open_stream``,
-  ``close_circuit``) with synchronous variants that drive the simulator
-  until the operation resolves — what circuit surgery, tests and the
-  line protocol below use (Ting's measurement loop drives the proxy's
-  callbacks directly, see :mod:`repro.core.ting`); and
+* a programmatic API (``build_circuit``, ``open_stream``, ``close_circuit``,
+  circuit surgery) with synchronous variants that drive the simulator
+  until the operation resolves — what tests, the apps and the line
+  protocol below use (Ting's engine, circuit reuse included, drives the
+  proxy's callbacks directly, see :mod:`repro.core.ting`); and
 * a line-oriented command protocol (``raw_command``) modelled on Tor's
   control-port grammar (``EXTENDCIRCUIT``, ``CLOSECIRCUIT``,
   ``GETINFO``, ``SETEVENTS``) for protocol-level tests and realism.
@@ -144,7 +144,11 @@ class Controller:
             self._emit(f"CIRC {circ.circ_id} TRUNCATED LEN={len(circ.path)}")
             future.resolve(circ)
 
-        self.proxy.truncate_circuit(circuit, to_hop, truncated, timeout_ms)
+        def failed(circ: Circuit, reason: str) -> None:
+            self._emit(f"CIRC {circ.circ_id} FAILED REASON={reason}")
+            future.reject(reason)
+
+        self.proxy.truncate_circuit(circuit, to_hop, truncated, failed, timeout_ms)
         return future.wait()
 
     def extend_circuit(

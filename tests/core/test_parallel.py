@@ -81,6 +81,25 @@ class TestParallelCampaign:
         with pytest.raises(MeasurementError, match="invalid campaign pair"):
             campaign.run_pairs(twice)
 
+    @pytest.mark.parametrize("helper", ["relay_w", "relay_z"])
+    @pytest.mark.parametrize("campaign", ["serial", "windowed", "all-pairs"])
+    def test_the_hosts_own_relays_are_refused(self, mini_world, campaign, helper):
+        # Was: the serial drive recorded "cannot measure the local helper
+        # relays" for each pair through w, the windowed one "a relay
+        # cannot appear on a circuit more than once".
+        host = mini_world.measurement
+        relays = [getattr(host, helper).descriptor()] + [
+            r.descriptor() for r in mini_world.relays[:2]
+        ]
+        with pytest.raises(MeasurementError, match="local helper relays"):
+            if campaign == "all-pairs":
+                AllPairsCampaign(TingMeasurer(host, policy=FAST), relays)
+            else:
+                ParallelCampaign(
+                    host, relays, policy=FAST,
+                    concurrency=1 if campaign == "serial" else 4,
+                )
+
     def test_validation(self, mini_world):
         relays = [r.descriptor() for r in mini_world.relays[:2]]
         with pytest.raises(MeasurementError):

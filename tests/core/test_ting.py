@@ -2,8 +2,9 @@
 
 import pytest
 
+from conftest import MiniWorld
 from repro.core.sampling import SamplePolicy
-from repro.core.ting import TingMeasurer
+from repro.core.ting import PairTask, TingMeasurer
 from repro.util.errors import MeasurementError
 
 FAST = SamplePolicy(samples=30, interval_ms=2.0)
@@ -190,6 +191,68 @@ class TestCircuitReuse:
         reuse.measure_pair(relays[0].descriptor(), relays[2].descriptor())
         assert reuse.circuits_reused == 1
         assert reuse.circuits_built == built_first + 2
+
+    def test_relay_dying_mid_surgery_fails_the_pair_at_the_destroy(
+        self, mini_world, monkeypatch
+    ):
+        # Was: the truncate's waiter was never told of the DESTROY, so the
+        # pair sat out the 60 s truncate timeout and then failed with
+        # "simulation quiesced before operation completed".
+        host = mini_world.measurement
+        proxy, sim = host.proxy, mini_world.sim
+        x, y, other = mini_world.relays[:3]
+        reuse = TingMeasurer(host, policy=FAST, reuse_circuits=True)
+        truncate, cut = proxy.truncate_circuit, []
+
+        def truncate_then_shut_x(circuit, *args, **kwargs):
+            truncate(circuit, *args, **kwargs)
+            cut.append(circuit)
+            monkeypatch.undo()
+            x.shutdown()
+
+        monkeypatch.setattr(proxy, "truncate_circuit", truncate_then_shut_x)
+        started = sim.now
+        expected = (
+            f"leg failed: circuit reuse surgery failed for {x.fingerprint}: "
+            "destroyed: "
+        )
+        with pytest.raises(MeasurementError, match=expected):
+            reuse.measure_pair(x.fingerprint, y.fingerprint)
+        assert sim.now - started < 2_000.0
+        [circuit] = cut
+        assert circuit.state == "closed"
+        assert proxy.open_circuit_count == 0
+        result = reuse.measure_pair(y.fingerprint, other.fingerprint)
+        assert result.circuit_x.path == (reuse.w, y.fingerprint, reuse.z)
+        assert reuse.circuits_reused == 1
+
+    def test_reuse_pair_launches_inside_an_event(self):
+        # Was: SimulationError (Simulator.run() is not reentrant) — the
+        # reuse launch ran the simulator itself for the C_xy build and
+        # probe and for the controller's TRUNCATE and EXTEND.
+        def world():
+            mini = MiniWorld()
+            reuse = TingMeasurer(mini.measurement, policy=FAST, reuse_circuits=True)
+            return mini, reuse, mini.relays[0].fingerprint, mini.relays[1].fingerprint
+
+        twin, twin_reuse, x, y = world()
+        expected = twin_reuse.measure_pair(x, y)
+        mini, reuse, x, y = world()
+        outcomes = []
+        mini.sim.schedule(
+            0.0,
+            lambda: PairTask(
+                reuse, x, y, FAST, outcomes.append, outcomes.append
+            ).start(),
+        )
+        mini.sim.run_until_idle()
+        [result] = outcomes
+        assert result.rtt_ms == expected.rtt_ms
+        for name in ("circuit_xy", "circuit_x", "circuit_y"):
+            assert getattr(result, name).samples_ms == getattr(expected, name).samples_ms
+        assert (reuse.circuits_built, reuse.circuits_reused) == (
+            twin_reuse.circuits_built, twin_reuse.circuits_reused
+        ) == (2, 1)
 
     @pytest.mark.parametrize("reuse_circuits", [False, True])
     def test_leg_cache_accounting_identity(self, mini_world, reuse_circuits):

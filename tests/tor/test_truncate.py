@@ -73,11 +73,13 @@ class TestTruncate:
         circuit = _build(mini_world, 0)
         with pytest.raises(CircuitError):
             controller.proxy.truncate_circuit(
-                circuit, to_hop=2, on_truncated=lambda c: None
+                circuit, to_hop=2, on_truncated=lambda c: None,
+                on_failure=lambda c, reason: None,
             )
         with pytest.raises(CircuitError):
             controller.proxy.truncate_circuit(
-                circuit, to_hop=-1, on_truncated=lambda c: None
+                circuit, to_hop=-1, on_truncated=lambda c: None,
+                on_failure=lambda c, reason: None,
             )
 
     def test_truncate_with_open_streams_rejected(self, mini_world):
@@ -89,7 +91,8 @@ class TestTruncate:
         )
         with pytest.raises(CircuitError):
             controller.proxy.truncate_circuit(
-                circuit, to_hop=0, on_truncated=lambda c: None
+                circuit, to_hop=0, on_truncated=lambda c: None,
+                on_failure=lambda c, reason: None,
             )
 
     def test_truncate_unbuilt_circuit_rejected(self, mini_world):
@@ -98,8 +101,55 @@ class TestTruncate:
         controller.close_circuit(circuit)
         with pytest.raises(CircuitError):
             controller.proxy.truncate_circuit(
-                circuit, to_hop=0, on_truncated=lambda c: None
+                circuit, to_hop=0, on_truncated=lambda c: None,
+                on_failure=lambda c, reason: None,
             )
+
+
+#: How a truncate can end without TRUNCATED: the reason, and the
+#: timeout it is given.
+CUT_SHORT = {
+    "shutdown": ("destroyed: torn down", 60_000.0),
+    "timeout": ("truncate timed out", 1.0),
+}
+
+
+class TestTruncateFailure:
+    """A truncate that ends without TRUNCATED calls ``on_failure`` once,
+    with the reason, and never ``on_truncated``."""
+
+    @pytest.mark.parametrize("how", sorted(CUT_SHORT))
+    def test_on_failure_fires_once_with_the_reason(self, mini_world, how):
+        reason, timeout_ms = CUT_SHORT[how]
+        sim = mini_world.sim
+        circuit = _build(mini_world, 0, 1)  # (w, r0, r1, z)
+        calls = []
+        mini_world.measurement.proxy.truncate_circuit(
+            circuit,
+            to_hop=1,
+            on_truncated=lambda c: calls.append(("truncated", c)),
+            on_failure=lambda c, why: calls.append((c, why, sim.now)),
+            timeout_ms=timeout_ms,
+        )
+        sent = sim.now
+        if how == "shutdown":  # the kept relay, with TRUNCATE in flight
+            mini_world.relays[0].shutdown()
+        sim.run_until_idle()
+        [(failed, why, at)] = calls
+        assert (failed, why) == (circuit, reason)
+        assert circuit.state == "failed"
+        # At the DESTROY (or the 1 ms timeout), not at the 60 s default.
+        assert at - sent < 1_000.0
+
+    @pytest.mark.parametrize("how", sorted(CUT_SHORT))
+    def test_controller_raises_the_reason(self, mini_world, how):
+        reason, timeout_ms = CUT_SHORT[how]
+        controller = mini_world.measurement.controller
+        circuit = _build(mini_world, 0, 1)
+        if how == "shutdown":  # fires once TRUNCATE is sent
+            mini_world.sim.schedule(0.0, mini_world.relays[0].shutdown)
+        with pytest.raises(CircuitError, match=reason):
+            controller.truncate_circuit(circuit, to_hop=1, timeout_ms=timeout_ms)
 
 
 class TestExtendInPlace:
