@@ -138,6 +138,61 @@ if [[ "$callers" -ne 1 ]]; then
     echo "OnionProxy._chart has $callers callers under src/; _charted is the one" >&2
     exit 1
 fi
+# A circuit's CREATE, each EXTEND and its BEGIN, answered in one event on
+# a quiet simulator (OnionProxy._fly_set_up: the far end's new OR or TCP
+# connection and CREATE/CREATED walked too). The differential that holds
+# it to the cell path, bit for bit — RTTs, clock, draw positions,
+# connections, relay and proxy tables, counters — then the set-up
+# flights flown and refused and the events per isolated task on the
+# planner smoke's world, as cells beside it.
+python -m pytest tests/contract/test_set_up_flight.py -x -q
+python - <<'PY'
+from repro.core.planner import CampaignPlanner
+from repro.core.sampling import SamplePolicy
+from repro.core.shard import ShardedCampaign
+from repro.testbeds.livetor import LiveTorTestbed
+from repro.tor.client import OnionProxy
+
+fly, sent = OnionProxy._fly_set_up, []
+
+
+def counted(self, *args):
+    sent.append(fly(self, *args))
+    return sent[-1]
+
+
+def campaign():
+    world = LiveTorTestbed.build(seed=11, n_relays=320)
+    fps = [d.fingerprint for d in world.random_relays(300, world.streams.get("ci.plan"))]
+    pairs = CampaignPlanner(fps, seed=11).plan(budget_pairs=40).pairs
+    report = ShardedCampaign(
+        lambda: world, fps, policy=SamplePolicy(samples=3, interval_ms=2.0),
+        pairs=pairs, workers=1, force_inline=True,
+    ).run()
+    tasks = report.pairs_measured + report.legs_measured
+    return report.matrix.as_array().tobytes(), report.events_processed, tasks
+
+
+OnionProxy._fly_set_up = counted
+matrix, events, tasks = campaign()
+OnionProxy._fly_set_up = lambda self, cell: False
+cells, cell_events, _ = campaign()
+OnionProxy._fly_set_up = fly
+assert matrix == cells, "a set-up flight moved a measured RTT"
+print(f"set-up flights, isolated tasks on the planner smoke's world: "
+      f"{sum(sent)} flown / {len(sent) - sum(sent)} refused; "
+      f"{events / tasks:.1f} events per task ({cell_events / tasks:.1f} as cells, "
+      f"{tasks} tasks), matrices equal")
+PY
+# The scalar walk (OnionProxy._walk) is the one copy of arrival_ms /
+# ready_ms's arithmetic a flight makes: probe and set-up flights share it.
+for line in 'last_arrival + 1e-6 > at' '_queue_head + 1e-6 > at'; do
+    copies=$(grep -rnF "$line" src | wc -l)
+    if [[ "$copies" -ne 1 ]]; then
+        echo "the scalar walk's '$line' appears $copies times under src/; _walk is the one" >&2
+        exit 1
+    fi
+done
 
 echo "== cell path =="
 # Most (≈ 80%) of a dense campaign's events are cells crossing relay hops
@@ -456,12 +511,10 @@ echo "== dataset health gate =="
 python -m repro.cli -q health --input /tmp/ting_planner_smoke.npz --check
 
 echo "== serve smoke gate =="
-# The read side of the same dataset: build the serve index from the
-# planner-smoke dataset and run the selftest — sampled queries
-# re-answered by brute-force numpy references, mmap-backed answers
-# bit-identical to in-memory answers, forked batches identical to
-# inline ones. Exits nonzero on any mismatch.
-python -m repro.cli -q serve --input /tmp/ting_planner_smoke.npz --selftest
+# The read side of the same dataset: mmap-backed answers and forked
+# batches identical to in-memory inline ones, for a mixed batch of every
+# op. Exits nonzero on any mismatch.
+python scripts/serve_smoke.py /tmp/ting_planner_smoke.npz
 # The differential suite behind it: every index answer and every wire
 # dict vs plain numpy on the raw array, over small tie-heavy matrices.
 # Runs inside tier-1 too; gated explicitly like the chaos test above.

@@ -44,9 +44,7 @@ Commands mirror how the paper's tool was used operationally:
   (``point A B``, ``knn A [K]``, ``percentile A Q``, ``path A B C``,
   ``via A B [K]``, ``freshness``), a ``--batch`` JSONL mode fanned out
   across ``--workers`` forked processes, ``--mmap`` to share one page-
-  cache copy of the npz matrix between them, and ``--selftest`` — the
-  CI gate that re-answers sampled queries with brute-force references
-  and checks mmap/fork invariance.
+  cache copy of the npz matrix between them.
 
 Output conventions: machine-readable results (reports, metric
 listings, ``tail`` lines) go to **stdout**; human-facing progress
@@ -404,12 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch", type=Path, default=None,
                        help="answer a JSONL file of query dicts "
                             "('-' = stdin); one JSON answer per line")
-    serve.add_argument("--selftest", action="store_true",
-                       help="verify the serve stack against brute-force "
-                            "references plus mmap/fork invariance; exit "
-                            "nonzero on any mismatch (the CI gate)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="forked query workers for --batch/--selftest")
+                       help="forked query workers for --batch")
     serve.add_argument("--mmap", action="store_true",
                        help="memory-map the npz matrix so workers share "
                             "one page-cache copy (no effect on JSON)")
@@ -1193,9 +1187,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Loads the dataset (``--mmap`` memory-maps the npz matrix so forked
     workers share one page-cache copy), freezes it into a
     :class:`~repro.serve.index.MatrixIndex`, and answers: a one-shot
-    positional query, a ``--batch`` JSONL stream (fanned out across
-    ``--workers`` forked processes, answers in input order), or
-    ``--selftest`` (exit 1 on any mismatch — the CI gate). Answers are
+    positional query or a ``--batch`` JSONL stream (fanned out across
+    ``--workers`` forked processes, answers in input order). Answers are
     JSON on stdout, one object per query. ``--stats`` / ``--telemetry``
     opt into query telemetry (merged across batch workers).
     """
@@ -1204,32 +1197,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         MatrixIndex,
         QueryServer,
         ServeTelemetry,
-        selftest,
     )
 
     status = _status(args)
     if not args.input.exists():
         print(f"dataset {args.input} not found", file=sys.stderr)
         return 2
-    modes = sum((bool(args.query), args.batch is not None, args.selftest))
-    if modes != 1:
-        print("serve needs exactly one of: a query, --batch, --selftest",
-              file=sys.stderr)
+    if bool(args.query) == (args.batch is not None):
+        print("serve needs exactly one of: a query, --batch", file=sys.stderr)
         return 2
-
-    if args.selftest:
-        report = selftest(
-            path=args.input, workers=max(2, args.workers), progress=status
-        )
-        print(json.dumps(report, indent=2))
-        if not report["ok"]:
-            print("serve selftest FAILED:", file=sys.stderr)
-            for problem in report["problems"]:
-                print(f"  {problem}", file=sys.stderr)
-            return 1
-        status(f"selftest ok: {report['checks']} checks, "
-               f"version {report['version']}")
-        return 0
 
     dataset = CampaignDataset.load(args.input, mmap=args.mmap)
     start = time.perf_counter()

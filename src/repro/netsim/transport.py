@@ -36,6 +36,9 @@ ICMP_PORT = 0
 #: Default payload size (bytes) for bare packets; Tor cells override this.
 DEFAULT_PACKET_BYTES = 64
 
+#: Bytes on the wire for a SYN or a SYN-ACK.
+SYN_BYTES = 60
+
 
 @dataclass
 class Packet:
@@ -62,7 +65,11 @@ class NetworkFabric:
         self._conn_ids = itertools.count(1)
         self._ephemeral = itertools.count(49152)
         # The wiring epoch ``OnionProxy._charted`` keys its memo by: moved
-        # by every write that can break a charted path (DESIGN §5).
+        # by every write that can break a charted path (DESIGN §5). A
+        # flight in the air walked the old wiring, so each such write
+        # grounds it first: that can only happen at its launch instant
+        # (anything later grounds it by being scheduled), where taking it
+        # back is exact, so no landing meets a wiring its walk did not.
         self._wiring = 0
 
     # --- datagram layer -------------------------------------------------
@@ -145,6 +152,8 @@ class NetworkFabric:
 
     def stop_listening(self, host: Host, port: int) -> None:
         """Stop accepting stream connections on ``host:port``."""
+        self.sim.ground_flight()  # a set-up flight may have walked to it
+        self._wiring += 1
         self._listeners.pop((host.host_id, port), None)
 
     def connect(
@@ -181,7 +190,7 @@ class NetworkFabric:
             dport=dport,
             traffic_class=traffic_class,
             payload=("syn", conn_id, sport),
-            size_bytes=60,
+            size_bytes=SYN_BYTES,
         )
         client._on_established = on_established
         client._on_failure = on_failure
@@ -219,12 +228,49 @@ class NetworkFabric:
             traffic_class=syn.traffic_class,
             is_client=False,
         )
+        self._join(client, server, listener)
+        delay_back = server.link().sample_ms() + syn.dst.serialization_delay_ms(
+            SYN_BYTES
+        )
+        self.sim.schedule(delay_back, client._establish)
+
+    @staticmethod
+    def _join(
+        client: "StreamConnection",
+        server: "StreamConnection",
+        listener: Callable[["StreamConnection"], None],
+    ) -> None:
+        """What a SYN's arrival writes: the server end established, the
+        two ends peers, the listener told."""
         server.established = True
         client._peer = server
         server._peer = client
         listener(server)
-        delay_back = server.link().sample_ms() + syn.dst.serialization_delay_ms(60)
-        self.sim.schedule(delay_back, client._establish)
+
+    def unopened(
+        self, src: Host, dst: Host, dport: int, traffic_class: TrafficClass
+    ) -> tuple["StreamConnection", "StreamConnection"]:
+        """The two ends :meth:`connect` would make to ``dst:dport``, not yet
+        numbered or joined: a set-up flight (:mod:`repro.tor.client`)
+        walks on them, and :meth:`open_walked` makes them the real ones."""
+        return (
+            StreamConnection(self, 0, src, dst, 0, dport, traffic_class, True),
+            StreamConnection(self, 0, dst, src, dport, 0, traffic_class, False),
+        )
+
+    def open_walked(
+        self,
+        client: "StreamConnection",
+        server: "StreamConnection",
+        listener: Callable[["StreamConnection"], None],
+    ) -> None:
+        """What :meth:`connect`, :meth:`_accept` and :meth:`_establish`
+        write for :meth:`unopened`'s ends, in their order; the caller
+        runs what the client's ``on_established`` would."""
+        client.conn_id = server.conn_id = next(self._conn_ids)
+        client.local_port = server.remote_port = next(self._ephemeral)
+        self._join(client, server, listener)
+        client.established = True
 
     def _transmit(
         self, conn: "StreamConnection", payload: Any, size_bytes: int
@@ -304,6 +350,28 @@ class StreamConnection:
             raise SimulationError("cannot send on a non-established stream")
         self.fabric._transmit(self, payload, size_bytes)
 
+    def wait(
+        self,
+        on_established: Callable[["StreamConnection"], None],
+        on_failure: Callable[[str], None],
+    ) -> None:
+        """Also call ``on_established(self)`` when this connecting client
+        end is established, or ``on_failure(reason)`` if it is refused,
+        after whatever was waiting already."""
+        established, failed = self._on_established, self._on_failure
+
+        def chained_established(conn: StreamConnection) -> None:
+            if established is not None:
+                established(conn)
+            on_established(conn)
+
+        def chained_failure(reason: str) -> None:
+            if failed is not None:
+                failed(reason)
+            on_failure(reason)
+
+        self._on_established, self._on_failure = chained_established, chained_failure
+
     def link(self) -> Link:
         """The direction this endpoint writes to (floor, jitter model and
         draw stream), looked up on first use."""
@@ -318,9 +386,10 @@ class StreamConnection:
         """Close both endpoints (peer's ``on_close`` fires after transit)."""
         if self.closed:
             return
-        self.closed = True
+        self.fabric.sim.ground_flight()  # it walked the old wiring
         # Covers the peer's flag too, set after transit: a chart reads both.
         self.fabric._wiring += 1
+        self.closed = True
         peer = self._peer
         if peer is not None and not peer.closed:
             self.fabric.sim.schedule(self.link().sample_ms(), peer._peer_closed)

@@ -9,7 +9,7 @@ CLI.
 """
 
 from repro.serve.index import MatrixIndex, PointAnswer, UnknownNodeError, ViaAnswer
-from repro.serve.server import QUERY_OPS, QueryServer, selftest
+from repro.serve.server import QUERY_OPS, QueryServer
 from repro.serve.telemetry import (
     NULL_SERVE_TELEMETRY,
     SERVE_ERROR_TAXONOMY,
@@ -25,7 +25,6 @@ __all__ = [
     "ViaAnswer",
     "QueryServer",
     "QUERY_OPS",
-    "selftest",
     "ServeTelemetry",
     "NullServeTelemetry",
     "NULL_SERVE_TELEMETRY",

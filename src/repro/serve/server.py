@@ -1,4 +1,4 @@
-"""The query server: batched dispatch, forked workers, selftest.
+"""The query server: batched dispatch, forked workers.
 
 :class:`QueryServer` turns a :class:`~repro.serve.index.MatrixIndex`
 into a request/response surface: each query is a plain dict (the JSONL
@@ -16,11 +16,9 @@ independently, and reassembled by position, so results are
 bit-identical for any worker count — the invariance the serve tests
 pin.
 
-:func:`selftest` is the trust anchor: it re-answers sampled queries
-with brute-force numpy references straight off the raw matrix, checks
-mmap-backed answers against in-memory answers, and checks forked
-batches against inline ones. ``repro serve --selftest`` runs it in CI
-against the planner-smoke dataset.
+``tests/serve/test_index_differential.py`` holds every answer to plain
+numpy on the raw array; ``scripts/serve_smoke.py`` checks, on a saved
+dataset, that mmap-backed and forked answers equal in-memory inline ones.
 """
 
 from __future__ import annotations
@@ -28,12 +26,10 @@ from __future__ import annotations
 import math
 import pickle
 import time
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.dataset import CampaignDataset
 from repro.serve.index import MatrixIndex
 from repro.serve.telemetry import (
     NULL_SERVE_TELEMETRY,
@@ -323,203 +319,3 @@ class QueryServer:
         if self.telemetry.enabled:
             self.telemetry._sync_counters()
         return out
-
-
-# ----------------------------------------------------------------------
-# Selftest: brute-force references + load-path and fork invariance
-
-
-def _sample_nodes(
-    rng: np.random.Generator, nodes: list[str], count: int
-) -> list[str]:
-    picked = rng.choice(len(nodes), size=min(count, len(nodes)), replace=False)
-    return [nodes[int(i)] for i in picked]
-
-
-def _reference_checks(
-    index: MatrixIndex,
-    matrix: np.ndarray,
-    nodes: list[str],
-    rng: np.random.Generator,
-    samples: int,
-    problems: list[str],
-) -> int:
-    """Re-answer sampled queries with brute-force numpy; count checks."""
-    n = len(nodes)
-    checks = 0
-    picks = rng.integers(0, n, size=(samples, 2))
-    for i, j in picks:
-        i, j = int(i), int(j)
-        if i == j:
-            continue
-        a, b = nodes[i], nodes[j]
-        value = matrix[i, j]
-        answer = index.point(a, b)
-        checks += 1
-        if np.isnan(value):
-            if answer.measured or answer.rtt_ms is not None:
-                problems.append(f"point({a},{b}): expected unmeasured")
-        elif answer.rtt_ms != float(value):
-            problems.append(
-                f"point({a},{b}): {answer.rtt_ms} != {float(value)}"
-            )
-
-        # k-NN vs a full row sort.
-        row = matrix[i].copy()
-        row[i] = np.nan
-        finite = np.flatnonzero(~np.isnan(row))
-        k = int(rng.integers(1, 8))
-        got = index.k_nearest(a, k)
-        expect = finite[np.argsort(row[finite], kind="stable")][:k]
-        checks += 1
-        if [p.y for p in got] != [nodes[int(e)] for e in expect]:
-            problems.append(f"knn({a},{k}): ranking mismatch")
-        elif [p.rtt_ms for p in got] != [float(row[e]) for e in expect]:
-            problems.append(f"knn({a},{k}): value mismatch")
-
-        # Row percentile vs np.percentile on the raw row.
-        if finite.size:
-            q = float(rng.uniform(0, 100))
-            got_p = index.percentile(a, q)
-            expect_p = float(np.percentile(row[finite], q))
-            checks += 1
-            if not np.isclose(got_p, expect_p, rtol=0, atol=1e-9):
-                problems.append(f"percentile({a},{q:.2f}): {got_p} != {expect_p}")
-
-        # Best-via detour vs the brute-force min.
-        detour = matrix[i, :] + matrix[:, j]
-        detour[i] = np.nan
-        detour[j] = np.nan
-        finite_d = np.flatnonzero(~np.isnan(detour))
-        got_via = index.best_via(a, b)[0]
-        checks += 1
-        if finite_d.size == 0:
-            if got_via.via is not None:
-                problems.append(f"via({a},{b}): expected no finite detour")
-        else:
-            best = float(detour[finite_d].min())
-            if got_via.via_rtt_ms != best:
-                problems.append(
-                    f"via({a},{b}): {got_via.via_rtt_ms} != {best}"
-                )
-
-    # Path sums over random 3-hop paths, batch == scalar.
-    paths = [
-        tuple(_sample_nodes(rng, nodes, 3))
-        for _ in range(min(samples, 32))
-        if n >= 3
-    ]
-    if paths:
-        batch = index.batch_path_rtt(paths)
-        for path, total in zip(paths, batch):
-            scalar = index.path_rtt(path)
-            ids = [nodes.index(h) for h in path]
-            legs = [matrix[x, y] for x, y in zip(ids, ids[1:])]
-            expect = None if any(np.isnan(v) for v in legs) else float(sum(legs))
-            checks += 1
-            if scalar != expect:
-                problems.append(f"path({path}): {scalar} != {expect}")
-            if expect is None:
-                if not np.isnan(total):
-                    problems.append(f"batch path({path}): expected NaN")
-            elif float(total) != expect:
-                problems.append(f"batch path({path}): {float(total)} != {expect}")
-    return checks
-
-
-def _selftest_queries(
-    rng: np.random.Generator, nodes: list[str], count: int
-) -> list[dict[str, Any]]:
-    """A mixed query batch for the load-path/fork invariance checks."""
-    queries: list[dict[str, Any]] = []
-    n = len(nodes)
-    for _ in range(count):
-        i, j = (int(v) for v in rng.integers(0, n, size=2))
-        if i == j:
-            j = (j + 1) % n
-        a, b = nodes[i], nodes[j]
-        kind = int(rng.integers(0, 5))
-        if kind == 0:
-            queries.append({"op": "point", "x": a, "y": b})
-        elif kind == 1:
-            queries.append({"op": "knn", "x": a, "k": int(rng.integers(1, 9))})
-        elif kind == 2:
-            queries.append(
-                {"op": "percentile", "x": a, "q": float(rng.uniform(0, 100))}
-            )
-        elif kind == 3:
-            queries.append(
-                {"op": "path", "hops": _sample_nodes(rng, nodes, 3)}
-            )
-        else:
-            queries.append({"op": "via", "x": a, "y": b, "k": 2})
-    return queries
-
-
-def selftest(
-    path: str | Path | None = None,
-    dataset: CampaignDataset | None = None,
-    seed: int = 0,
-    samples: int = 64,
-    workers: int = 2,
-    progress: Callable[[str], None] | None = None,
-) -> dict[str, Any]:
-    """Verify the serve stack end to end; returns the result report.
-
-    Three layers of checks, ``problems`` empty on success:
-
-    1. **Reference answers** — sampled point/k-NN/percentile/via/path
-       queries re-answered by brute-force numpy over the raw matrix.
-    2. **Load-path invariance** — for npz datasets, a mmap-backed index
-       must answer a mixed batch bit-identically to the in-memory one.
-    3. **Fork invariance** — a forked multi-worker batch must equal the
-       inline single-process batch, element for element.
-    """
-    say = progress or (lambda _msg: None)
-    if dataset is None:
-        if path is None:
-            raise ConfigurationError("selftest needs a dataset or a path")
-        dataset = CampaignDataset.load(path)
-    rng = np.random.default_rng(seed)
-    index = MatrixIndex.build(dataset)
-    nodes = index.nodes
-    matrix = np.array(dataset.matrix.matrix, dtype=np.float64, copy=True)
-    problems: list[str] = []
-
-    say(f"reference checks over {samples} sampled nodes ...")
-    checks = _reference_checks(index, matrix, nodes, rng, samples, problems)
-
-    queries = _selftest_queries(rng, nodes, max(32, samples))
-    server = QueryServer(index)
-    inline = server.batch(queries, workers=1)
-
-    mmap_checked = False
-    if path is not None and Path(path).suffix == ".npz":
-        say("mmap vs in-memory load-path invariance ...")
-        mapped = CampaignDataset.load(path, mmap=True)
-        mapped_index = MatrixIndex.build(mapped)
-        mapped_answers = QueryServer(mapped_index).batch(queries, workers=1)
-        checks += 1
-        mmap_checked = True
-        if mapped_answers != inline:
-            problems.append("mmap-backed answers differ from in-memory answers")
-
-    forked = None
-    if workers > 1:
-        say(f"fork invariance ({workers} workers) ...")
-        forked = server.batch(queries, workers=workers)
-        checks += 1
-        if forked != inline:
-            problems.append(
-                f"{workers}-worker batch differs from the inline batch"
-            )
-
-    return {
-        "ok": not problems,
-        "checks": checks,
-        "queries": len(queries),
-        "mmap_checked": mmap_checked,
-        "fork_workers": workers if forked is not None else 1,
-        "version": index.version,
-        "problems": problems,
-    }

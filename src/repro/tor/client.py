@@ -35,7 +35,7 @@ from repro.netsim.latency import LOOPBACK_JITTER_MS, JitterModel
 from repro.netsim.policies import TrafficClass
 from repro.obs import NULL_METRICS
 from repro.netsim.topology import Host, Topology
-from repro.netsim.transport import NetworkFabric, StreamConnection
+from repro.netsim.transport import SYN_BYTES, NetworkFabric, StreamConnection
 from repro.tor.cells import (
     CELL_SIZE_BYTES,
     Cell,
@@ -85,6 +85,9 @@ class Circuit:
         self.created_at_ms: Milliseconds = 0.0
         self.built_at_ms: Milliseconds | None = None
         self.streams: dict[int, "TorStream"] = {}
+        # When the last set-up cell went, how long the one before took.
+        self._asked_ms: Milliseconds = 0.0
+        self._answer_ms: Milliseconds = 0.0
 
     @property
     def hops_completed(self) -> int:
@@ -257,10 +260,7 @@ class OnionProxy:
                 entry.identity_public, nonce=self._make_nonce()
             )
             self._builds[circuit.circ_id].handshake = handshake
-            self._send_cell(
-                conn,
-                Cell(circuit.circ_id, CellCommand.CREATE, handshake.create_payload()),
-            )
+            self._set_up(circuit, CellCommand.CREATE, 0, handshake.create_payload())
 
         self._entry_conn(entry, conn_ready, circuit)
         return circuit
@@ -279,15 +279,12 @@ class OnionProxy:
         if existing is not None and existing.established and not existing.closed:
             self.sim.schedule(0.0, on_ready, existing)
             return
+
+        def refused(reason: str) -> None:
+            self._fail_circuit(circuit, f"entry connection failed: {reason}")
+
         if existing is not None and not existing.closed:
-            previous = existing._on_established
-
-            def chained(conn: StreamConnection) -> None:
-                if previous is not None:
-                    previous(conn)
-                on_ready(conn)
-
-            existing._on_established = chained
+            existing.wait(on_ready, refused)  # still connecting
             return
         try:
             target = self.topology.host_by_address(entry.address)
@@ -301,7 +298,7 @@ class OnionProxy:
 
         def failed(reason: str) -> None:
             self._or_conns.pop(key, None)
-            self._fail_circuit(circuit, f"entry connection failed: {reason}")
+            refused(reason)
 
         conn = self.fabric.connect(
             self.host, target, entry.or_port, TrafficClass.TOR, established, failed
@@ -341,6 +338,7 @@ class OnionProxy:
             self._fail_circuit(circuit, f"destroyed: {cell.payload}")
 
     def _advance_build(self, circuit: Circuit, handshake_payload: bytes) -> None:
+        circuit._answer_ms = self.sim.now - circuit._asked_ms
         build = self._builds.get(circuit.circ_id)
         if build is None or build.handshake is None or circuit.state != "building":
             return
@@ -370,7 +368,7 @@ class OnionProxy:
         build.handshake = handshake
         spec = f"{next_hop.address}:{next_hop.or_port}:{next_hop.fingerprint}"
         data = spec.encode("ascii") + b"|" + handshake.create_payload()
-        self._send_relay_cell(circuit, RelayCommand.EXTEND, 0, data)
+        self._set_up(circuit, RelayCommand.EXTEND, 0, data)
 
     def _handle_relay_cell(self, circuit: Circuit, encrypted: bytes) -> None:
         """Unwrap backward layers until some hop's digest recognizes the cell."""
@@ -443,12 +441,13 @@ class OnionProxy:
             on_failure,
             timeout,
         )
-        self._send_relay_cell(
+        self._set_up(
             circuit, RelayCommand.BEGIN, stream_id, f"{address}:{port}".encode("ascii")
         )
         return stream
 
     def _stream_connected(self, circuit: Circuit, stream_id: int) -> None:
+        circuit._answer_ms = self.sim.now - circuit._asked_ms
         waiter = self._stream_waiters.pop((circuit.circ_id, stream_id), None)
         stream = circuit.streams.get(stream_id)
         if waiter is None or stream is None:
@@ -521,14 +520,11 @@ class OnionProxy:
           time after;
         * no hop's wait would have raised a ``queue_saturated`` event.
 
-        The walk takes the draws the cells would take — each segment the
-        next draw of its link direction, each arrival the next draw of
-        its relay — and computes from them, inline, what the cells' own
-        helpers compute (:meth:`NetworkFabric.arrival_ms`,
-        :meth:`Relay.ready_ms`: the same float operations in the same
-        order; ``tests/contract/test_probe_flight.py`` holds the two
-        together), so connections, queue heads and service queues end up
-        as the cells would leave them. A flight refused after drawing
+        The walk (:meth:`_walk`) takes the draws the cells would take,
+        in their order, so connections, queue heads and service queues
+        end up as the cells would leave them
+        (``tests/contract/test_probe_flight.py`` holds the two
+        together). A flight refused after drawing
         gives every draw back (each stream rewound to the position it
         was marked at, queues rewound): all or nothing, no knob.
         Counters move at the landing, when the cells would have moved
@@ -571,8 +567,26 @@ class OnionProxy:
             stream, payload, chart, follows + 1
         ):
             return True
+        at, marks = self._walk(steps, now)
+        if at is not None and sim.launch_flight(
+            at, self._land, self._take_back, stream, payload, chart
+        ):
+            self._airborne = (stream, payload, steps, marks)
+            return True
+        self._give_back(steps, marks)
+        self.metrics.inc("echo.flight_rollbacks")
+        return False
+
+    def _walk(self, steps: list[tuple], at: Milliseconds) -> tuple:
+        """Walk ``steps`` from ``at`` as the cells would: each segment the
+        next draw of its link direction, each relay visit the next of its
+        relay, computed inline as :meth:`NetworkFabric.arrival_ms` and
+        :meth:`Relay.ready_ms` compute them (same float operations, same
+        order: the one scalar copy) and written where they write. A step
+        with no peer is a SYN or SYN-ACK (``NetworkFabric._send_syn`` /
+        ``_accept``): no order kept, nothing written. ``(landing, marks)``,
+        or ``(None, marks)`` if a hop owes a ``queue_saturated`` event."""
         marks = []
-        at = now
         # The helpers' max(a, b) is `if b > a: a = b` here: same float, no call.
         for conn, peer, serialization_ms, relay, _ in steps:
             # NetworkFabric.arrival_ms, inline.
@@ -595,9 +609,10 @@ class OnionProxy:
                 delay = link.base_ms + jitter
             delay += serialization_ms
             at += delay
-            if last_arrival + 1e-6 > at:
-                at = last_arrival + 1e-6
-            conn._last_arrival = at
+            if peer is not None:
+                if last_arrival + 1e-6 > at:
+                    at = last_arrival + 1e-6
+                conn._last_arrival = at
             if relay is None:
                 marks.append((last_arrival, link_mark))
                 continue
@@ -636,15 +651,8 @@ class OnionProxy:
                     at = admitted
             peer._queue_head = at
             if queue is not None and relay.saturation_due(arrived, at):
-                break
-        else:
-            if sim.launch_flight(
-                at, self._land, self._take_back, stream, payload, chart
-            ):
-                self._airborne = (stream, payload, steps, marks)
-                return True
-        self._give_back(steps, marks)
-        return False
+                return None, marks
+        return at, marks
 
     def _walk_round(
         self, stream: TorStream, payload: bytes, chart: tuple, left: int
@@ -829,14 +837,35 @@ class OnionProxy:
         open, reflector open). Only :meth:`_charted` calls it.
         """
         circuit = stream.circuit
-        circ_id, hops = circuit.circ_id, len(circuit.layers)
-        first = conn = self._attached(stream)
-        if first is None:
+        hops = len(circuit.layers)
+        first = self._attached(stream)
+        out = first and self._out(first, circuit.circ_id, hops)
+        if not out:
             return None
+        steps, relay, entry = out
+        # The last hop recognizes the cell: out to the reflector and back.
+        conn = entry.exit_streams.get(stream.stream_id)
+        if conn is None or not conn.established:
+            return None
+        peer = conn._peer
+        reflector = peer.owner
+        if not getattr(reflector, "reflects_payloads", False):
+            return None
+        steps.append((conn, peer, relay.exit_segment_bytes(payload), None, None))
+        steps.append((peer, conn, reflector.segment_bytes(payload), None, None))
+        if not self._back(steps, hops, entry, first, circuit.circ_id):
+            return None
+        steps = self._timed(steps)
+        return steps and (steps, reflector, tuple(step[3] for step in steps[:hops]))
+
+    @staticmethod
+    def _out(conn: StreamConnection, circ_id: int, hops: int) -> tuple | None:
+        """The segments a RELAY cell on entry connection ``conn`` crosses to
+        the ``hops``-th relay (each hop switching it forward), that relay
+        and its entry; ``None`` if the cell would not get there."""
         steps: list[tuple] = []
-        # Out: every hop finds the circuit in its table and switches the
-        # cell forward. (An established connection has a peer.)
-        for _ in circuit.layers:
+        relay = entry = None
+        for _ in range(hops):
             if conn is None or not conn.established:
                 return None
             peer = conn._peer
@@ -848,39 +877,43 @@ class OnionProxy:
                 return None
             steps.append((conn, peer, CELL_SIZE_BYTES, relay, entry))
             conn, circ_id = entry.next_conn, entry.next_circ_id
-        # The last hop recognizes the cell: out to the reflector and back.
-        conn = entry.exit_streams.get(stream.stream_id)
-        if conn is None or not conn.established:
-            return None
-        peer = conn._peer
-        reflector = peer.owner
-        if not getattr(reflector, "reflects_payloads", False):
-            return None
-        steps.append((conn, peer, relay.exit_segment_bytes(payload), None, None))
-        steps.append((peer, conn, reflector.segment_bytes(payload), None, None))
-        # Back: each relay met on the way out, nearest the exit first,
-        # finds the same entry from its other side.
+        return steps, relay, entry
+
+    @staticmethod
+    def _back(
+        steps: list, hops: int, entry, first: StreamConnection, circ_id: int
+    ) -> bool:
+        """Append the segments a cell from ``entry``'s relay back to
+        ``first`` crosses, each relay met on the way out finding the same
+        entry from its other side; ``False`` if it would not get there."""
         for _, _, _, relay, expected in reversed(steps[: hops - 1]):
-            conn, circ_id = entry.prev_conn, entry.prev_circ_id
+            conn = entry.prev_conn
             peer = conn._peer
-            entry, forward = relay.switch(peer, circ_id)
+            entry, forward = relay.switch(peer, entry.prev_circ_id)
             if entry is not expected or forward:
-                return None
+                return False
             steps.append((conn, peer, CELL_SIZE_BYTES, relay, entry))
         conn = entry.prev_conn
-        if conn._peer is not first or entry.prev_circ_id != circuit.circ_id:
-            return None
+        if conn._peer is not first or entry.prev_circ_id != circ_id:
+            return False
         steps.append((conn, first, CELL_SIZE_BYTES, None, None))
-        # What ``send`` checks on the writer and ``_receive`` on the
-        # reader, for every segment.
+        return True
+
+    @staticmethod
+    def _timed(steps: list, unopened: tuple = ()) -> list | None:
+        """``steps`` with each size as its writer's serialization delay,
+        or ``None`` unless every segment passes what ``send`` checks on
+        the writer and ``_receive`` on the reader (not checked: the
+        ``unopened`` ends of a connection the walk opens)."""
         for conn, peer, _, _, _ in steps:
-            if not conn.established or conn.closed or peer.closed:
+            if conn not in unopened and (
+                not conn.established or conn.closed or peer.closed
+            ):
                 return None
-        steps = [
+        return [
             (conn, peer, conn.local.serialization_delay_ms(size), relay, entry)
             for conn, peer, size, relay, entry in steps
         ]
-        return steps, reflector, tuple(step[3] for step in steps[:hops])
 
     def _floor_ms(self, steps: list[tuple]) -> Milliseconds:
         """The least the charted round trip can take: every segment at
@@ -910,7 +943,19 @@ class OnionProxy:
                 peer._queue_head = mark[3]
                 if mark[4] is not None:
                     relay.service_queue.rewind(mark[4])
-        self.metrics.inc("echo.flight_rollbacks")
+
+    @staticmethod
+    def _untouched(steps: list[tuple], marks: list) -> bool:
+        """Whether every stream a walk drew from stands where the walk
+        left it: one draw past its last mark."""
+        left_at = {}
+        for (conn, _, _, relay, _), mark in zip(steps, marks):
+            left_at[conn._link.draws] = mark[1] + 2
+            if relay is not None:
+                left_at[relay.draws] = mark[2] + 2
+        return all(
+            draws.base + draws.pos == position for draws, position in left_at.items()
+        )
 
     def _take_back(self) -> bool:
         """Undo the flight in the air and send its payload as a cell
@@ -919,16 +964,9 @@ class OnionProxy:
         direction's is reachable from outside an event."""
         stream, payload, steps, marks = self._airborne
         self._airborne = None
-        # Where the walk left each stream: one draw past its last mark.
-        left_at = {}
-        for (conn, _, _, relay, _), mark in zip(steps, marks):
-            left_at[conn._link.draws] = mark[1] + 2
-            if relay is not None:
-                left_at[relay.draws] = mark[2] + 2
-        untouched = all(
-            draws.base + draws.pos == position for draws, position in left_at.items()
-        )
+        untouched = self._untouched(steps, marks)
         self._give_back(steps, marks)
+        self.metrics.inc("echo.flight_rollbacks")
         self._send_relay_cell(
             stream.circuit, RelayCommand.DATA, stream.stream_id, payload
         )
@@ -976,6 +1014,192 @@ class OnionProxy:
         self._send_relay_cell(
             circuit, RelayCommand.DROP, 0, b"", target_hop=hop
         )
+
+    # ------------------------------------------------------------------
+    # Set-up flights: a set-up cell is ``(circuit, command, stream id, data)``
+
+    def _set_up(
+        self,
+        circuit: Circuit,
+        command: CellCommand | RelayCommand,
+        stream_id: int,
+        data: bytes,
+    ) -> None:
+        """Send the cell a set-up step waits on — CREATE, EXTEND (from
+        the last hop) or BEGIN — as a flight if it may fly."""
+        circuit._asked_ms = self.sim.now
+        cell = (circuit, command, stream_id, data)
+        if not self._fly_set_up(cell):
+            self._send_set_up_cell(cell)
+
+    def _send_set_up_cell(self, cell: tuple) -> None:
+        circuit, command, stream_id, data = cell
+        if command is CellCommand.CREATE:
+            conn = self._conn_for_circuit[circuit.circ_id]
+            self._send_cell(conn, Cell(circuit.circ_id, command, data))
+        else:
+            self._send_relay_cell(circuit, command, stream_id, data)
+
+    def _fly_set_up(self, cell: tuple) -> bool:
+        """Walk a set-up cell, the far end and the answer (:meth:`_walk`) in
+        this event and land the answer alone (:meth:`_land_set_up`). ``False``,
+        nothing left that the cells will not redo, unless the cells' checks
+        pass (:meth:`_chart_set_up`), no relay reads the clock or owes a
+        ``queue_saturated`` event and nothing is due before the landing, a
+        tie included: tested first against the circuit's last answer time
+        (the entry hop's floor round trip before one), so a busy simulator
+        pays one comparison, then against the drawn landing."""
+        circuit = cell[0]
+        sim = self.sim
+        sim.ground_flight()
+        first = self._conn_for_circuit.get(circuit.circ_id)
+        if first is None or not first.established:
+            return False
+        floor = circuit._answer_ms  # near enough: refusing is always exact
+        if not floor:
+            floor = first._link.base_ms + first._peer._link.base_ms
+        if not sim.quiet_through(sim.now + floor):
+            return False
+        chart = self._chart_set_up(cell)
+        if chart is None:
+            return False
+        steps = chart[0]
+        at, marks = self._walk(steps, sim.now)
+        take_back = functools.partial(self._take_set_up_back, cell, steps, marks)
+        if at is not None and sim.launch_flight(
+            at, self._land_set_up, take_back, cell, chart
+        ):
+            return True
+        self._give_back(steps, marks)
+        return False
+
+    def _chart_set_up(self, cell: tuple) -> tuple | None:
+        """What a set-up cell and its answer meet, or ``None`` if a cell
+        sent now would not come back answered: ``(steps, visits, answer,
+        events)``. The steps go out to the circuit's last hop, then
+        through the far end — a CREATE at the entry, or the last hop's
+        EXTEND (a new OR connection's SYN and SYN-ACK if it needs one, then
+        CREATE/CREATED at the new hop) or BEGIN (its TCP connection's SYN
+        and SYN-ACK to the echo server) — then back. ``visits`` are the
+        relay visits to count, ``answer()`` applies the far end's writes in
+        cell order and returns the handshake reply, ``events`` is what the
+        cells take. A new connection's ends are made here, unnumbered."""
+        circuit, command, stream_id, data = cell
+        first = self._conn_for_circuit.get(circuit.circ_id)
+        out = first and first.established and self._out(
+            first, circuit.circ_id, len(circuit.layers)
+        )
+        if not out:
+            return None
+        (steps, relay, entry), hops, opened = out, len(circuit.layers), None
+        if command is RelayCommand.BEGIN:
+            address, _, port = data.decode("ascii").rpartition(":")
+            if not relay.exit_policy.allows(address, int(port)):
+                return None
+            opened = self._open_to(relay, address, int(port), TrafficClass.TCP)
+            if opened is None or not getattr(
+                getattr(opened[2], "__self__", None), "reflects_payloads", False
+            ):
+                return None
+
+            def answer() -> None:
+                self.fabric.open_walked(*opened)
+                relay._attach_exit(entry, stream_id, opened[0])
+
+        else:  # CREATE at the entry, or the last hop's EXTEND
+            conn, onionskin = first, data
+            if hops:
+                hop, onionskin = circuit.path[hops], data.split(b"|", 1)[1]
+                if entry.next_conn is not None or hop.fingerprint == relay.fingerprint:
+                    return None
+                key = f"{hop.address}:{hop.or_port}"
+                conn = relay._or_conns.get(key)
+                if conn is None or conn.closed:
+                    opened = self._open_to(
+                        relay, hop.address, hop.or_port, TrafficClass.TOR
+                    )
+                    if opened is None:
+                        return None
+                    conn = opened[0]
+                elif not conn.established:
+                    return None  # waiting on it is left to the cells
+            peer = conn._peer if opened is None else opened[1]
+            far = peer.owner if opened is None else getattr(opened[2], "__self__", None)
+            if not isinstance(far, Relay) or (
+                not hops and (id(peer), circuit.circ_id) in far._circuits
+            ):
+                return None
+            steps += [
+                (conn, peer, CELL_SIZE_BYTES, far, None),
+                (peer, conn, CELL_SIZE_BYTES, relay, None),
+            ]
+
+            def answer() -> bytes:
+                circ_id = circuit.circ_id
+                if hops:
+                    if opened is not None:
+                        relay._dial(key, conn)
+                        self.fabric.open_walked(*opened)
+                        relay._own(conn)
+                    circ_id = relay._extend_entry(entry, conn)
+                return far._answer_create(peer, circ_id, onionskin)
+
+        if opened is not None:
+            steps[hops:hops] = [
+                (opened[0], None, SYN_BYTES, None, None),
+                (opened[1], None, SYN_BYTES, None, None),
+            ]
+        if hops and not self._back(steps, hops, entry, first, circuit.circ_id):
+            return None
+        visits = [(step[3], step[4] is not None) for step in steps if step[3]]
+        for visited, _ in visits:
+            if visited.forwarding.reads_clock:
+                return None
+        steps = self._timed(steps, opened[:2] if opened else ())
+        if steps is None:
+            return None
+        events = len(steps) + len(visits) + bool(opened)  # a SYN is sent in an event
+        return steps, visits, answer, events
+
+    def _open_to(
+        self, relay: Relay, address: str, port: int, traffic_class: TrafficClass
+    ) -> tuple | None:
+        """The two ends of the connection ``relay`` would open to
+        ``address:port`` and the listener there, or ``None`` if the
+        connection would be refused."""
+        try:
+            target = self.topology.host_by_address(address)
+        except KeyError:
+            return None
+        listener = self.fabric._listeners.get((target.host_id, port))
+        if listener is None:
+            return None
+        ends = self.fabric.unopened(relay.host, target, port, traffic_class)
+        return (*ends, listener)
+
+    def _land_set_up(self, cell: tuple, chart: tuple) -> None:
+        """The one event of a set-up flight: count the cells, apply the
+        far end's writes in cell order, then run the client code the
+        answer's cell would have reached, if it would have reached it."""
+        circuit, command, stream_id, _ = cell
+        steps, visits, answer, _ = chart
+        for relay, relayed in visits:
+            relay.count_cell(relayed)
+        reply = answer()
+        if steps[-1][1].closed or self.circuits.get(circuit.circ_id) is not circuit:
+            return  # the answer's cell would be dropped here
+        if command is RelayCommand.BEGIN:
+            self._stream_connected(circuit, stream_id)
+        else:
+            self._advance_build(circuit, reply)
+
+    def _take_set_up_back(self, cell: tuple, steps: list, marks: list) -> bool:
+        """Undo the set-up flight in the air and send its cell; exact
+        unless one of the walk's streams was drawn from since the launch."""
+        untouched = self._untouched(steps, marks)
+        self._give_back(steps, marks)
+        self._send_set_up_cell(cell)
+        return untouched
 
     # ------------------------------------------------------------------
     # Truncation and in-place extension
@@ -1060,13 +1284,7 @@ class OnionProxy:
         build.handshake = handshake
         spec = f"{next_hop.address}:{next_hop.or_port}:{next_hop.fingerprint}"
         data = spec.encode("ascii") + b"|" + handshake.create_payload()
-        self._send_relay_cell(
-            circuit,
-            RelayCommand.EXTEND,
-            0,
-            data,
-            target_hop=circuit.hops_completed - 1,
-        )
+        self._set_up(circuit, RelayCommand.EXTEND, 0, data)  # from the last hop
 
     # ------------------------------------------------------------------
     # Outbound relay cells

@@ -300,44 +300,49 @@ class Relay:
     def _accept_or_connection(self, conn: StreamConnection) -> None:
         if self.conn_registry is not None:
             self.conn_registry.add(self)
+        self._own(conn)
+
+    def _own(self, conn: StreamConnection) -> None:
+        """Take the cells arriving on ``conn``, one end of an OR connection."""
         conn.owner = self
         conn.on_data = functools.partial(self._cell_arrived, conn)
 
     def _or_conn_to(
-        self, address: str, port: int, on_ready: Callable[[StreamConnection], None]
+        self,
+        address: str,
+        port: int,
+        on_ready: Callable[[StreamConnection], None],
+        on_failure: Callable[[str], None],
     ) -> None:
-        """Get or open an OR connection to a peer relay."""
+        """Get or open an OR connection to a peer relay; ``on_failure``
+        if it is refused."""
         key = f"{address}:{port}"
         existing = self._or_conns.get(key)
         if existing is not None and existing.established and not existing.closed:
             on_ready(existing)
             return
         if existing is not None and not existing.closed:
-            # Still connecting; chain onto establishment.
-            previous = existing._on_established
-
-            def chained(conn: StreamConnection) -> None:
-                if previous is not None:
-                    previous(conn)
-                on_ready(conn)
-
-            existing._on_established = chained
+            existing.wait(on_ready, on_failure)  # still connecting
             return
         target = self.topology.host_by_address(address)
-        if self.conn_registry is not None:
-            self.conn_registry.add(self)
 
         def established(conn: StreamConnection) -> None:
-            conn.owner = self
-            conn.on_data = functools.partial(self._cell_arrived, conn)
+            self._own(conn)
             on_ready(conn)
 
         def failed(reason: str) -> None:
             self._or_conns.pop(key, None)
+            on_failure(reason)
 
         conn = self.fabric.connect(
             self.host, target, port, TrafficClass.TOR, established, failed
         )
+        self._dial(key, conn)
+
+    def _dial(self, key: str, conn: StreamConnection) -> None:
+        """Keep ``conn``, being opened, as the OR connection to ``key``."""
+        if self.conn_registry is not None:
+            self.conn_registry.add(self)
         self._or_conns[key] = conn
 
     # ------------------------------------------------------------------
@@ -447,14 +452,22 @@ class Relay:
             self._send_cell(conn, Cell(cell.circ_id, CellCommand.DESTROY, "duplicate"))
             return
         try:
-            created_payload, keys = ServerHandshake(self.identity).respond(cell.payload)
+            created_payload = self._answer_create(conn, cell.circ_id, cell.payload)
         except CryptoError:
             self._send_cell(conn, Cell(cell.circ_id, CellCommand.DESTROY, "handshake"))
             return
-        self._circuits[key] = _CircuitEntry(
-            prev_conn=conn, prev_circ_id=cell.circ_id, crypto=RelayCryptoState(keys)
-        )
         self._send_cell(conn, Cell(cell.circ_id, CellCommand.CREATED, created_payload))
+
+    def _answer_create(
+        self, conn: StreamConnection, circ_id: int, onionskin: bytes
+    ) -> bytes:
+        """Answer a CREATE's handshake and enter the circuit in the table;
+        the CREATED payload."""
+        created_payload, keys = ServerHandshake(self.identity).respond(onionskin)
+        self._circuits[(id(conn), circ_id)] = _CircuitEntry(
+            prev_conn=conn, prev_circ_id=circ_id, crypto=RelayCryptoState(keys)
+        )
+        return created_payload
 
     def _handle_created(self, conn: StreamConnection, cell: Cell) -> None:
         entry = self._next_side.get((id(conn), cell.circ_id))
@@ -552,18 +565,26 @@ class Relay:
         def ready(next_conn: StreamConnection) -> None:
             if entry.torn_down:
                 return
-            next_circ_id = next(self._circ_id_counter)
-            entry.next_conn = next_conn
-            entry.next_circ_id = next_circ_id
-            self._next_side[(id(next_conn), next_circ_id)] = entry
+            next_circ_id = self._extend_entry(entry, next_conn)
             self._send_cell(
                 next_conn, Cell(next_circ_id, CellCommand.CREATE, bytes(onionskin))
             )
 
+        def failed(reason: str) -> None:
+            self._teardown(entry, reason=f"extend failed: {reason}")
+
         try:
-            self._or_conn_to(address, port, ready)
+            self._or_conn_to(address, port, ready, failed)
         except KeyError:
             self._teardown(entry, reason=f"no route to {address}:{port}")
+
+    def _extend_entry(self, entry: _CircuitEntry, next_conn: StreamConnection) -> int:
+        """Switch ``entry`` on to ``next_conn`` under a new circuit id (returned)."""
+        next_circ_id = next(self._circ_id_counter)
+        entry.next_conn = next_conn
+        entry.next_circ_id = next_circ_id
+        self._next_side[(id(next_conn), next_circ_id)] = entry
+        return next_circ_id
 
     def _handle_begin(self, entry: _CircuitEntry, body: RelayCellBody) -> None:
         try:
@@ -592,11 +613,7 @@ class Relay:
             if entry.torn_down:
                 exit_conn.close()
                 return
-            entry.exit_streams[stream_id] = exit_conn
-            exit_conn.on_data = lambda data: self._exit_data_arrived(
-                entry, stream_id, data
-            )
-            exit_conn.on_close = lambda: self._exit_closed(entry, stream_id)
+            self._attach_exit(entry, stream_id, exit_conn)
             self._send_backward(entry, RelayCommand.CONNECTED, stream_id, b"")
 
         def failed(reason: str) -> None:
@@ -608,6 +625,14 @@ class Relay:
         self.fabric.connect(
             self.host, target, port, TrafficClass.TCP, established, failed
         )
+
+    def _attach_exit(
+        self, entry: _CircuitEntry, stream_id: int, exit_conn: StreamConnection
+    ) -> None:
+        """Carry ``exit_conn`` on ``entry`` as its stream ``stream_id``."""
+        entry.exit_streams[stream_id] = exit_conn
+        exit_conn.on_data = lambda data: self._exit_data_arrived(entry, stream_id, data)
+        exit_conn.on_close = lambda: self._exit_closed(entry, stream_id)
 
     def _handle_exit_data(self, entry: _CircuitEntry, body: RelayCellBody) -> None:
         exit_conn = entry.exit_streams.get(body.stream_id)
@@ -705,9 +730,10 @@ class Relay:
     ) -> None:
         if entry.torn_down:
             return
-        entry.torn_down = True
-        # Every probe flight's remembered chart through this entry is void.
+        # Every flight's chart through this entry is void.
+        self.sim.ground_flight()
         self.fabric._wiring += 1
+        entry.torn_down = True
         events = self.events
         if events.enabled:
             # Orderly teardowns (a DESTROY from the path, a shutdown)

@@ -192,7 +192,10 @@ class DrawStream:
         make current — as arrays, without moving the stream."""
         source = self._source
         if self._key is None:
-            self._key = hash_words(f"{source.seed}:{self.name}")
+            key = source._keys.get(self.name)
+            if key is None:
+                key = source._keys[self.name] = hash_words(f"{source.seed}:{self.name}")
+            self._key = key
         source._counter[1] = base // BLOCK_WORDS
         source._state["state"]["key"] = self._key
         source._bits.state = source._state
@@ -269,6 +272,10 @@ class DrawSource:
         self._state = self._bits.state
         self._state["state"]["counter"] = self._counter
         self._streams: dict[str, DrawStream] = {}
+        # Each entity's key (SHA-256 of ``seed:name``) by name, kept past
+        # ``begin`` (which forgets link streams): hashed once per world,
+        # not once per task.
+        self._keys: dict[str, np.ndarray] = {}
         # Streams that filled a block since the last ``begin``.
         self._touched: list[DrawStream] = []
         #: Blocks a round walk read past where it left a stream, by

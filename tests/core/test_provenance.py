@@ -247,10 +247,14 @@ class TestOneRecorder:
                 (row.x, row.y): row.duration_ms
                 for row in world.measurement.provenance.by_status("failed")
             }
-        # The campaigns start at different clocks: equal up to rounding.
-        assert durations["sequential"] == pytest.approx(durations["concurrent"])
+        # The same pairs fail under both. Each row holds its attempt's
+        # duration: the extension to the shut-down relay is refused within
+        # a round trip (its jitter drawn where each scheduler's draws stand,
+        # so the two differ by it), not at the 60 s build timeout.
+        assert durations["sequential"].keys() == durations["concurrent"].keys()
         assert len(durations["sequential"]) == 2
-        assert all(duration > 0 for duration in durations["sequential"].values())
+        for rows in durations.values():
+            assert all(0 < duration < 1_000.0 for duration in rows.values())
 
     @pytest.mark.parametrize("scheduler", ["sequential", "concurrent"])
     def test_dead_leg_relay_is_a_leg_failure_whoever_ran_the_pair(

@@ -14,7 +14,6 @@ from repro.serve import (
     MatrixIndex,
     QueryServer,
     ServeTelemetry,
-    selftest,
 )
 from repro.util.errors import ConfigurationError, MeasurementError
 
@@ -367,27 +366,3 @@ class TestMmapBitIdentity:
         server = QueryServer(MatrixIndex.build(mapped))
         queries = mixed_queries(list(matrix.nodes), count=30)
         assert server.batch(queries, workers=3) == server.batch(queries)
-
-
-class TestSelftest:
-    def test_passes_on_saved_dataset(self, tmp_path):
-        matrix, _ = random_matrix(n=12, density=0.8, seed=13)
-        path = tmp_path / "ds.npz"
-        CampaignDataset(matrix=matrix).save(path)
-        report = selftest(path=path, workers=2, samples=24)
-        assert report["ok"], report["problems"]
-        assert report["mmap_checked"]
-        assert report["fork_workers"] == 2
-        assert report["checks"] > 50
-
-    def test_passes_on_inline_dataset(self):
-        matrix, _ = random_matrix(n=12, density=1.0, seed=14)
-        report = selftest(
-            dataset=CampaignDataset(matrix=matrix), workers=1, samples=16
-        )
-        assert report["ok"], report["problems"]
-        assert not report["mmap_checked"]
-
-    def test_needs_input(self):
-        with pytest.raises(ConfigurationError):
-            selftest()

@@ -858,25 +858,6 @@ class TestServeCommand:
         assert "error" not in answers[0] and "error" not in answers[2]
         assert answers[1]["error"].startswith("bad JSONL <line 2>: ")
 
-    def test_selftest_gate_passes(self, tmp_path, capsys):
-        import json as json_mod
-
-        path = self._dataset_path(tmp_path)
-        code = main(["-q", "serve", "--input", str(path), "--selftest"])
-        report = json_mod.loads(capsys.readouterr().out)
-        assert code == 0
-        assert report["ok"] is True
-        assert report["mmap_checked"] is True
-
-    def test_selftest_on_json_dataset_skips_mmap_check(self, tmp_path, capsys):
-        import json as json_mod
-
-        path = self._dataset_path(tmp_path, suffix=".json")
-        code = main(["-q", "serve", "--input", str(path), "--selftest"])
-        report = json_mod.loads(capsys.readouterr().out)
-        assert code == 0
-        assert report["mmap_checked"] is False
-
     def test_exactly_one_mode_required(self, tmp_path, capsys):
         path = self._dataset_path(tmp_path)
         code = main(["-q", "serve", "--input", str(path)])

@@ -25,6 +25,21 @@ tuple: with ``==``, re-pinned only with a stated reason.
   the distinct cells ever written to a connection — and not the segments
   written. (Before: 1,614 made for 1,614 segments.)
 
+An **isolated task** is pinned the same way, on a small sharded
+campaign run inline (4 relays of a 12-relay world at seed 11, 6 pairs
+and 4 legs, one worker, the ``pipeline_fullnet`` policy): events,
+program calls and ``Cell`` constructions over the campaign, and per
+task. There the simulator is quiet through every circuit's set-up, so
+the CREATE, each EXTEND and the BEGIN fly (``OnionProxy._fly_set_up``):
+before set-up flights the campaign read 1,418 events, 19,693 program
+calls and 270 cells made (141.8, 1,969.3 and 27.0 per task); now 922,
+15,735 and 126 (92.2, 1,573.5 and 12.6). On the dense shape above no
+set-up flies: 45,696 → 46,708 program calls, events unmoved. Each
+set-up send the simulator refuses costs ≈ 9 calls more (the entry
+point, its one comparison, the far end's writes as methods of their
+own), and each close or teardown one (``Simulator.ground_flight``: a
+write that moves the wiring epoch brings a flight down first).
+
 Print the counts with ``PYTHONPATH=src python tests/tor/test_cell_path_calls.py``.
 """
 
@@ -34,15 +49,20 @@ import sys
 
 from repro.core.parallel import ParallelCampaign
 from repro.core.sampling import SamplePolicy
+from repro.core.shard import ShardedCampaign
 from repro.netsim.transport import NetworkFabric
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.tor.cells import Cell
 from repro.tor.relay import Relay
 
 #: Program calls and simulator events of the campaign.
-PROGRAM_CALLS, EVENTS = 45_696, 3_549
+PROGRAM_CALLS, EVENTS = 46_708, 3_549
 #: ``Cell`` constructions and cell segments written to connections.
 CELLS_MADE, CELLS_SENT = 660, 1_614
+
+
+#: The isolated tasks': events, program calls and ``Cell`` constructions.
+TASKS, TASK_EVENTS, TASK_PROGRAM_CALLS, TASK_CELLS_MADE = 10, 922, 15_735, 126
 
 
 def count_cell_path() -> dict[str, int]:
@@ -55,6 +75,24 @@ def count_cell_path() -> dict[str, int]:
         policy=SamplePolicy(samples=6, interval_ms=2.0),
         concurrency=16,
     )
+    return _counted(campaign.run, testbed.measurement.sim)
+
+
+def count_isolated_tasks() -> dict[str, int]:
+    """The small sharded campaign, inline, under the same profiler."""
+    testbed = LiveTorTestbed.build(seed=11, n_relays=12)
+    relays = testbed.random_relays(4, testbed.streams.get("bench.campaign"))
+    campaign = ShardedCampaign(
+        lambda: testbed,
+        [relay.fingerprint for relay in relays],
+        policy=SamplePolicy(samples=4, interval_ms=2.0),
+        workers=1,
+        force_inline=True,
+    )
+    return _counted(campaign.run, testbed.measurement.sim)
+
+
+def _counted(run, sim) -> dict[str, int]:
     made_code = Cell.__init__.__code__
     transmit_code = NetworkFabric._transmit.__code__
     process_code = Relay._process_cell.__code__
@@ -80,16 +118,16 @@ def count_cell_path() -> dict[str, int]:
                 counts["cells_sent"] += 1
                 sent[id(payload)] = payload
 
-    sim = testbed.measurement.sim
     events = sim.events_processed
     sys.setprofile(profile)
     try:
-        report = campaign.run()
+        report = run()
     finally:
         sys.setprofile(None)
     counts["events"] = sim.events_processed - events
     counts["cells_originated"] = len(sent)
     counts["pairs_measured"] = report.pairs_measured
+    counts["tasks"] = report.pairs_measured + report.legs_measured
     return counts
 
 
@@ -103,6 +141,15 @@ def test_cell_path_work_is_pinned():
     # whatever the pins above are re-pinned to.
     assert counts["cells_made"] == counts["cells_originated"]
     assert counts["cells_made"] < counts["cells_sent"]
+
+
+def test_isolated_task_work_is_pinned():
+    counts = count_isolated_tasks()
+    assert (counts["pairs_measured"], counts["tasks"]) == (6, TASKS)
+    assert (counts["events"], counts["program_calls"], counts["cells_made"]) == (
+        TASK_EVENTS, TASK_PROGRAM_CALLS, TASK_CELLS_MADE
+    )
+    assert counts["cells_made"] == counts["cells_originated"]
 
 
 if __name__ == "__main__":
@@ -119,4 +166,13 @@ if __name__ == "__main__":
     print(
         f"cells: {counts['cells_made']} made == {counts['cells_originated']} "
         f"originated, {counts['cells_sent']} segments written"
+    )
+    counts = count_isolated_tasks()
+    tasks = counts["tasks"]
+    print(
+        f"isolated tasks, 4 of 12 relays at seed 11, inline: {tasks} tasks, "
+        f"{counts['events']} events ({counts['events'] / tasks:.1f} per task), "
+        f"program calls {counts['program_calls']} "
+        f"({counts['program_calls'] / tasks:.1f} per task), cells made "
+        f"{counts['cells_made']} ({counts['cells_made'] / tasks:.1f} per task)"
     )
