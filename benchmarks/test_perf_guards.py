@@ -239,7 +239,7 @@ def test_round_walk_guard(report, monkeypatch):
     the block reads the same round makes as cells — nothing read ahead
     that the cells would not read. Counted, not timed."""
     from repro.tor.client import OnionProxy
-    from repro.util.rng import DrawStream
+    from repro.util.rng import BLOCK_WORDS, DrawStream
 
     probes = 200
 
@@ -250,7 +250,7 @@ def test_round_walk_guard(report, monkeypatch):
             circuit, host.echo_address, host.echo_port
         )
         walks, reads = [], []
-        walk, read = OnionProxy._walk_round, DrawStream.read
+        walk, read, read_run = OnionProxy._walk_round, DrawStream.read, DrawStream.read_run
 
         def walked(proxy, *args):
             taken = walk(proxy, *args)
@@ -261,11 +261,16 @@ def test_round_walk_guard(report, monkeypatch):
             reads.append(base)
             return read(draws, base)
 
+        def counted_run(draws, base, u, e):
+            reads.extend(range(base, base + len(u), BLOCK_WORDS))
+            return read_run(draws, base, u, e)
+
         with monkeypatch.context() as patch:
             if refuse:
                 patch.setattr(OnionProxy, "_fly", lambda self, stream, payload: False)
             patch.setattr(OnionProxy, "_walk_round", walked)
             patch.setattr(DrawStream, "read", counted)
+            patch.setattr(DrawStream, "read_run", counted_run)
             events = testbed.sim.events_processed
             result = host.echo_client.probe(
                 stream, probes, interval_ms=None, timeout_ms=probes * 30_000.0

@@ -26,6 +26,53 @@ echo "== numpy draw identities and pinned worlds =="
 python -c "import numpy; print('numpy', numpy.__version__)"
 python -m pytest tests/netsim/test_rng_identities.py tests/testbeds/test_build_identity.py -x -q
 
+echo "== draw blocks =="
+# Per-packet draws come a block at a time from one Philox re-keyed in
+# place: its key, counter and buffer_pos words, located once per process
+# in the object's bytes (repro.util.rng.locate_philox_words) and checked
+# against the public state getter. A numpy that moves them fails here,
+# named, not as a wall of moved floats. Printed: where the words sit and
+# what a block costs, normalised to the bench's reference loop — a
+# single read, and one block of a 200-block run (a round walk's read).
+python -c "
+import sys, timeit
+sys.path.insert(0, 'bench')
+import numpy as np
+from harness import normalise, spin_ms
+from repro.util.rng import BLOCK_WORDS, DrawSource, _philox_layout
+stream = DrawSource(47).stream('relay:ci')
+u, e = np.empty(200 * BLOCK_WORDS), np.empty(200 * BLOCK_WORDS)
+spin_ms()  # the first reading runs cold
+before = spin_ms()
+single = min(timeit.repeat(lambda: stream.read(0), number=2_000, repeat=5)) / 2_000
+run = min(timeit.repeat(lambda: stream.read_run(0, u, e), number=20, repeat=5)) / 20 / 200
+after = spin_ms()
+window, pos = _philox_layout()
+print(f'numpy {np.__version__}: Philox key+counter at byte {window}, buffer_pos at {pos}; '
+      f'normalised {normalise(single, before, after) * 1e6:.2f} us per single block, '
+      f'{normalise(run, before, after) * 1e6:.2f} us per block of a 200-block run')"
+python -m pytest -x -q "tests/netsim/test_rng.py::TestBlockReader" \
+    tests/contract/test_task_purity.py -k "TestBlockReader or fresh_philox or rekeys or rewind_across"
+# The public Philox.state setter (≈ 30% of a block) is the locator's
+# alone: any other assignment to a .state under src/ must be a string.
+python -c "
+import ast, pathlib
+found = []
+for path in sorted(pathlib.Path('src').rglob('*.py')):
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    funcs = [n for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in nodes:
+        if not isinstance(node, ast.Assign) or (
+            isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+        ):
+            continue
+        if any(isinstance(t, ast.Attribute) and t.attr == 'state' for t in node.targets):
+            inside = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            found.append((str(path), inside[-1] if inside else None))
+assert found == [('src/repro/util/rng.py', '_philox_layout')], (
+    f'a .state set under src/ outside the locator: {found}')
+print('Philox.state setter: the locator only')"
+
 echo "== pinned engine measurements =="
 # What the campaign scheduler (in each task order: sequential, budgeted,
 # concurrent, isolated, sharded) and the two baseline measurers

@@ -67,6 +67,7 @@ DEFAULT_STREAM_TIMEOUT_MS = 30_000.0
 #:   left           4     8    16    24    32    64   200
 #:   probe by probe 19.4  17.2  16.1  16.1  15.5  15.2  14.8
 #:   round walk     53.1  31.8  20.4  16.2  13.7  11.3   8.9
+#: (Re-measured with a walk's blocks read as one run: DESIGN §5.)
 ROUND_WALK_MIN = 24
 
 #: A loopback segment's scheduling noise, as a jitter model: no burst.
@@ -701,12 +702,11 @@ class OnionProxy:
         for source, sites in uses.items():
             words = 2 * len(sites)
             u, e, mark = source.ahead(words * count)
-            us += u
-            es += e
-            read = sum(map(len, u))
-            draws.append((source, words, start, start + read, mark))
+            us.append(u)
+            es.append(e)
+            draws.append((source, words, u, e, mark))
             pick.update((site, (words, start + 2 * i)) for i, site in enumerate(sites))
-            start += read
+            start += len(u)
         u, e = np.concatenate(us), np.concatenate(es)
         probes = np.arange(count)[:, None]
         delays = np.empty((count, len(links) + len(hops)))
@@ -748,7 +748,6 @@ class OnionProxy:
         failed = np.flatnonzero(~ok)
         lands = after[: failed[0] if len(failed) else count, -1].tolist()
         held = bisect_left(lands, True, key=lambda at: not sim.quiet_through(at))
-        draws = [(d, words, u[at:to], e[at:to], mark) for d, words, at, to, mark in draws]
         end = [mark[0] + mark[1] + words * held for _, words, _, _, mark in draws]
 
         def settle(done: int) -> bool:

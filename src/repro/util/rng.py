@@ -25,12 +25,18 @@ when.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
+import numbers
+import struct
 from bisect import bisect_right
 from collections.abc import Sequence
 from typing import TypeVar
 
 import numpy as np
+
+from repro.util.errors import ReproError
 
 _T = TypeVar("_T")
 
@@ -92,9 +98,10 @@ class RandomStreams:
     """
 
     def __init__(self, seed: int) -> None:
-        if not isinstance(seed, int):
+        # A numpy integer is its ``int``'s world; ``True`` hashes apart from 1.
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-        self._seed = seed
+        self._seed = seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
         #: Where this world's per-packet draws come from.
         self.draws = DrawSource(seed)
@@ -136,9 +143,44 @@ class RandomStreams:
         return f"RandomStreams(seed={self._seed}, streams={len(self._streams)})"
 
 
-def hash_words(payload: str) -> np.ndarray:
-    """Two ``uint64`` words of SHA-256 over ``payload``."""
-    return np.frombuffer(hashlib.sha256(payload.encode("utf-8")).digest()[:16], "<u8")
+def hash_words(payload: str) -> tuple[int, int]:
+    """Two little-endian ``uint64`` words of SHA-256 over ``payload``."""
+    return struct.unpack("<2Q", hashlib.sha256(payload.encode("utf-8")).digest()[:16])
+
+
+class DrawLayoutError(ReproError):
+    """numpy's ``Philox`` words are not where :class:`DrawSource` writes them."""
+
+
+#: The key, counter and buffer position written to find a ``Philox``'s words.
+_PROBE_KEY = (0x5F79656B5F676E69, 0x7465645F786F6C69)
+_PROBE_COUNTER = (0x315F726574, 0x325F726574, 0x335F726574, 0x345F726574)
+_PROBE_POS = 0x736F705F
+
+
+def locate_philox_words(raw: bytes) -> tuple[int, int]:
+    """The offsets ``(window, pos)`` in ``raw`` (a ``Philox``'s bytes, probe
+    state written) of its key + counter (6 words) and ``buffer_pos`` (an
+    ``int``): each found exactly once, aligned, or :class:`DrawLayoutError`."""
+    key, counter = struct.pack("=2Q", *_PROBE_KEY), struct.pack("=4Q", *_PROBE_COUNTER)
+    pos = struct.pack("=i", _PROBE_POS)
+    window, at = raw.find(key), raw.find(pos)
+    found = (raw.count(key), raw.count(counter), raw.count(pos))
+    if found != (1, 1, 1) or raw.find(counter) != window + 16 or window % 8 or at % 4:
+        raise DrawLayoutError(
+            f"numpy {np.__version__}'s Philox: key, counter and buffer_pos found "
+            f"{found} times, counter not right after the key, or unaligned"
+        )
+    return window, at
+
+
+@functools.cache
+def _philox_layout() -> tuple[int, int]:
+    """:func:`locate_philox_words` on this process's numpy, once."""
+    bits = np.random.Philox(key=0)
+    bits.state = bits.state | {"buffer_pos": _PROBE_POS, "state": {
+        "key": np.array(_PROBE_KEY, np.uint64), "counter": np.array(_PROBE_COUNTER, np.uint64)}}
+    return locate_philox_words(ctypes.string_at(id(bits), type(bits).__basicsize__))
 
 
 class DrawStream:
@@ -156,7 +198,7 @@ class DrawStream:
     def __init__(self, source: "DrawSource", name: str) -> None:
         self.name = name
         self._source = source
-        self._key: np.ndarray | None = None  # derived at the first fill
+        self._key: tuple[int, int] | None = None  # derived at the first read
         self.u: list[float] = _NO_BLOCK
         self.e: list[float] = _NO_BLOCK
         self.reset()
@@ -196,34 +238,62 @@ class DrawStream:
             if key is None:
                 key = source._keys[self.name] = hash_words(f"{source.seed}:{self.name}")
             self._key = key
-        source._counter[1] = base // BLOCK_WORDS
-        source._state["state"]["key"] = self._key
-        source._bits.state = source._state
+        words = source._words
+        words[0], words[1] = self._key
+        words[2] = 0
+        words[3] = base // BLOCK_WORDS
+        source._pos.value = 4
         u = source._generator.random(BLOCK_WORDS)
         return u, source._generator.standard_exponential(BLOCK_WORDS)
+
+    def read_run(self, base: int, u: np.ndarray, e: np.ndarray) -> None:
+        """Fill ``u`` and ``e`` (as long, a whole number of blocks) with the
+        blocks from stream offset ``base`` on, each what :meth:`read` gives."""
+        source = self._source
+        if self._key is None:  # a stream whose first block is read in a run
+            self._key = hash_words(f"{source.seed}:{self.name}")
+        words, buffer_pos, generator = source._words, source._pos, source._generator
+        random, exponential = generator.random, generator.standard_exponential
+        words[0], words[1] = self._key
+        first = base // BLOCK_WORDS
+        rows = u.reshape(-1, BLOCK_WORDS), e.reshape(-1, BLOCK_WORDS)
+        for block, block_u, block_e in zip(range(first, first + len(rows[0])), *rows):
+            words[2] = 0
+            words[3] = block
+            buffer_pos.value = 4
+            random(out=block_u)
+            exponential(out=block_e)
 
     def _place(self, base: int, pos: int, u: list[float], e: list[float]) -> None:
         if self.base < 0 <= base:
             self._source._touched.append(self)
         self.base, self.pos, self.u, self.e = base, pos, u, e
 
-    def ahead(self, words: int) -> tuple[list, list, tuple]:
+    def ahead(self, words: int) -> tuple[np.ndarray, np.ndarray, tuple]:
         """The next ``words`` words (or more, to a block's end) of ``u``
-        and of ``e`` as pieces to concatenate, read as :meth:`take` would
-        fill them without moving the stream; and the mark :meth:`seek` takes."""
+        and of ``e``, read as :meth:`take` would fill them without moving
+        the stream — blocks in :attr:`DrawSource.spare` taken from there,
+        the others read as runs —; and the mark :meth:`seek` takes."""
         base, pos, spare = self.base, self.pos, self._source.spare
-        us, es = [self.u[pos:]], [self.e[pos:]]
-        block = base + BLOCK_WORDS
-        while block < base + pos + words:
-            u, e = spare and spare.pop((self, block), None) or self.read(block)
-            us.append(u)
-            es.append(e)
-            block += BLOCK_WORDS
-        return us, es, (base, pos, self.u, self.e)
+        start, head = base + pos, BLOCK_WORDS - pos
+        size = head + max(0, -(-(words - head) // BLOCK_WORDS)) * BLOCK_WORDS
+        u, e = np.empty(size), np.empty(size)
+        u[:head], e[:head] = self.u[pos:], self.e[pos:]
+        run = head  # where the blocks still to read start
+        for at in range(head, size, BLOCK_WORDS) if spare else ():
+            held = spare.pop((self, start + at), None)
+            if held is not None:
+                if run < at:
+                    self.read_run(start + run, u[run:at], e[run:at])
+                u[at : at + BLOCK_WORDS], e[at : at + BLOCK_WORDS] = held
+                run = at + BLOCK_WORDS
+        if run < size:
+            self.read_run(start + run, u[run:], e[run:])
+        return u, e, (base, pos, self.u, self.e)
 
     def seek(self, words: int, u: np.ndarray, e: np.ndarray, mark: tuple) -> None:
-        """Stand ``words`` words past ``mark`` (``u``, ``e``: the pieces of
-        its :meth:`ahead`, concatenated) as takes would, reading no block
+        """Stand ``words`` words past ``mark`` (``u``, ``e``: what its
+        :meth:`ahead` returned) as takes would, reading no block
         again; ``words == 0`` puts back the stream ``ahead`` found. Blocks
         read past the new position go to :attr:`DrawSource.spare`."""
         base, pos, block_u, block_e = mark
@@ -260,22 +330,33 @@ class DrawSource:
     Blocks of different entities, contexts and numbers therefore cannot
     overlap, and block ``b`` of an entity is the same floats whoever
     else drew in between. One shared generator rather than one per
-    entity because *creating* a ``Generator`` costs 9–12 µs and re-keying
-    this one ≈ 2 µs.
+    entity because *creating* a ``Generator`` costs 9–12 µs.
+
+    The re-key writes the ``Philox``'s key + counter (one ``c_uint64 * 6``)
+    and ``buffer_pos`` (4: buffer spent) in place, where
+    :func:`locate_philox_words` found them, read back here through the
+    public getter (else :class:`DrawLayoutError`): ``Philox.state = ...``
+    less its dict, ≈ 30% of a block.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._bits = np.random.Philox(key=0)
-        self._generator = np.random.Generator(self._bits)
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._state = self._bits.state
-        self._state["state"]["counter"] = self._counter
+        self._bits = bits = np.random.Philox(key=0)
+        self._generator = np.random.Generator(bits)
+        window, pos = _philox_layout()
+        self._words = (ctypes.c_uint64 * 6).from_address(id(bits) + window)
+        self._pos = ctypes.c_int.from_address(id(bits) + pos)
+        self._words[:], self._pos.value = _PROBE_KEY + _PROBE_COUNTER, _PROBE_POS
+        state = bits.state
+        if (*state["state"]["key"].tolist(), *state["state"]["counter"].tolist(),
+                state["buffer_pos"]) != (*_PROBE_KEY, *_PROBE_COUNTER, _PROBE_POS):
+            raise DrawLayoutError(f"numpy {np.__version__}'s Philox: located words misread")
+        self._words[:], self._pos.value = (0,) * 6, 4
         self._streams: dict[str, DrawStream] = {}
         # Each entity's key (SHA-256 of ``seed:name``) by name, kept past
         # ``begin`` (which forgets link streams): hashed once per world,
         # not once per task.
-        self._keys: dict[str, np.ndarray] = {}
+        self._keys: dict[str, tuple[int, int]] = {}
         # Streams that filled a block since the last ``begin``.
         self._touched: list[DrawStream] = []
         #: Blocks a round walk read past where it left a stream, by
@@ -300,7 +381,7 @@ class DrawSource:
         link streams live as long as its connections do (a relay keeps
         its own stream and goes on using it).
         """
-        self._counter[2:] = hash_words(context)
+        self._words[4], self._words[5] = hash_words(context)
         self.spare.clear()
         for stream in self._touched:
             stream.reset()

@@ -34,7 +34,7 @@ from repro.tor.cells import RELAY_DATA_LEN
 from repro.tor.client import ROUND_WALK_MIN, OnionProxy
 from repro.tor.relay import DiurnalForwardingDelayModel, ServiceQueue
 from repro.util.errors import SimulationError
-from repro.util.rng import DrawStream
+from repro.util.rng import BLOCK_WORDS, DrawStream
 
 FLIGHT_COUNTERS = ("echo.probes_flown", "echo.flight_rollbacks")
 
@@ -490,14 +490,16 @@ def test_drawing_on_another_link_under_a_flight_is_replayed_exactly():
 
 class _Walks:
     """Round walks, the probes each held, tails given back (and whether
-    a probe was in the air then), and block reads, while patched in."""
+    a probe was in the air then), and block reads (a single read counts
+    one, a run as many blocks as it fills), while patched in."""
 
     def __init__(self):
         self.held, self.tails, self.reads = [], [], 0
 
     def __enter__(self):
-        walk, back, read = (
-            OnionProxy._walk_round, OnionProxy._take_round_back, DrawStream.read
+        walk, back, read, read_run = (
+            OnionProxy._walk_round, OnionProxy._take_round_back, DrawStream.read,
+            DrawStream.read_run,
         )
 
         def walked(proxy, *args):
@@ -514,10 +516,15 @@ class _Walks:
             self.reads += 1
             return read(draws, base)
 
+        def counted_run(draws, base, u, e):
+            self.reads += len(u) // BLOCK_WORDS
+            return read_run(draws, base, u, e)
+
         self._patches = [
             patch.object(OnionProxy, "_walk_round", walked),
             patch.object(OnionProxy, "_take_round_back", given_back),
             patch.object(DrawStream, "read", counted),
+            patch.object(DrawStream, "read_run", counted_run),
         ]
         for p in self._patches:
             p.start()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from repro.testbeds.livetor import LiveTorTestbed
@@ -90,6 +91,19 @@ def test_livetor_world_is_pinned(seed, n_relays, service_queues):
 
 def test_planetlab_world_is_pinned():
     assert world_digest(PlanetLabTestbed.build(seed=2015)) == PLANETLAB_2015
+
+
+def test_a_numpy_integer_seed_builds_the_same_world():
+    # What ``build(seed=rng.integers(...))`` passes: the world of its int.
+    testbed = LiveTorTestbed.build(seed=np.int64(47), n_relays=1015)
+    assert testbed.streams.seed == 47 and type(testbed.streams.seed) is int
+    assert world_digest(testbed) == LIVE_WORLDS[(47, 1015, False)]
+
+
+def test_a_bool_seed_is_refused():
+    # ``True`` would hash as "True:…", a world apart from seed 1's.
+    with pytest.raises(TypeError):
+        LiveTorTestbed.build(seed=True, n_relays=22)
 
 
 def test_digest_sees_a_single_extra_draw():

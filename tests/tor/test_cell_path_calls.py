@@ -40,6 +40,17 @@ point, its one comparison, the far end's writes as methods of their
 own), and each close or teardown one (``Simulator.ground_flight``: a
 write that moves the wiring epoch brings a flight down first).
 
+A **ping-pong round** is the third shape: 200 probes on one stream of
+the probe kernel's world (``bench/kernels.py``: a four-hop circuit of a
+20-relay world at seed 47), built and opened outside the profiler. The
+round is walked once at its first launch (``OnionProxy._walk_round``),
+so it costs 201 events (a landing per probe, plus the first send) and
+reads 207 blocks — counted as blocks whichever reader reads them
+(``DrawStream.read`` one, ``DrawStream.read_run`` as many as it fills).
+When the walk read its ≈ 200 blocks ahead one ``read`` call each, the
+round entered 5,404 program calls; read as one run per stream it
+enters 5,210, events and blocks unmoved.
+
 Print the counts with ``PYTHONPATH=src python tests/tor/test_cell_path_calls.py``.
 """
 
@@ -54,6 +65,7 @@ from repro.netsim.transport import NetworkFabric
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.tor.cells import Cell
 from repro.tor.relay import Relay
+from repro.util.rng import BLOCK_WORDS, DrawStream
 
 #: Program calls and simulator events of the campaign.
 PROGRAM_CALLS, EVENTS = 46_708, 3_549
@@ -63,6 +75,10 @@ CELLS_MADE, CELLS_SENT = 660, 1_614
 
 #: The isolated tasks': events, program calls and ``Cell`` constructions.
 TASKS, TASK_EVENTS, TASK_PROGRAM_CALLS, TASK_CELLS_MADE = 10, 922, 15_735, 126
+
+#: The round's probes, and its events, program calls and block reads.
+ROUND_PROBES = 200
+ROUND_EVENTS, ROUND_PROGRAM_CALLS, ROUND_BLOCK_READS = 201, 5_210, 207
 
 
 def count_cell_path() -> dict[str, int]:
@@ -92,12 +108,35 @@ def count_isolated_tasks() -> dict[str, int]:
     return _counted(campaign.run, testbed.measurement.sim)
 
 
+def count_round() -> dict[str, int]:
+    """One 200-probe ping-pong round on the probe kernel's world (a
+    four-hop circuit of a 20-relay world at seed 47), under the same
+    profiler: the circuit is built and the stream opened outside it."""
+    testbed = LiveTorTestbed.build(seed=47, n_relays=20)
+    host = testbed.measurement
+    fps = [relay.descriptor().fingerprint for relay in testbed.relays]
+    circuit = host.controller.build_circuit(
+        [host.relay_w.fingerprint, fps[0], fps[1], host.relay_z.fingerprint]
+    )
+    stream = host.controller.open_stream(circuit, host.echo_address, host.echo_port)
+
+    def probe_round():
+        result = host.echo_client.probe(
+            stream, ROUND_PROBES, interval_ms=None, timeout_ms=ROUND_PROBES * 30_000.0
+        )
+        assert len(result.rtts_ms) == ROUND_PROBES
+        return result
+
+    return _counted(probe_round, testbed.sim)
+
+
 def _counted(run, sim) -> dict[str, int]:
     made_code = Cell.__init__.__code__
     transmit_code = NetworkFabric._transmit.__code__
     process_code = Relay._process_cell.__code__
+    read_code, run_code = DrawStream.read.__code__, DrawStream.read_run.__code__
     counts = {"calls": 0, "program_calls": 0, "cells_made": 0, "cells_sent": 0,
-              "cells_processed": 0}
+              "cells_processed": 0, "block_reads": 0}
     # Held, so that an id stays one cell's for the whole run.
     sent: dict[int, Cell] = {}
 
@@ -112,6 +151,10 @@ def _counted(run, sim) -> dict[str, int]:
             counts["cells_made"] += 1
         elif code is process_code:
             counts["cells_processed"] += 1
+        elif code is read_code:
+            counts["block_reads"] += 1
+        elif code is run_code:
+            counts["block_reads"] += len(frame.f_locals["u"]) // BLOCK_WORDS
         elif code is transmit_code:
             payload = frame.f_locals["payload"]
             if isinstance(payload, Cell):
@@ -126,8 +169,9 @@ def _counted(run, sim) -> dict[str, int]:
         sys.setprofile(None)
     counts["events"] = sim.events_processed - events
     counts["cells_originated"] = len(sent)
-    counts["pairs_measured"] = report.pairs_measured
-    counts["tasks"] = report.pairs_measured + report.legs_measured
+    if hasattr(report, "pairs_measured"):
+        counts["pairs_measured"] = report.pairs_measured
+        counts["tasks"] = report.pairs_measured + report.legs_measured
     return counts
 
 
@@ -152,6 +196,13 @@ def test_isolated_task_work_is_pinned():
     assert counts["cells_made"] == counts["cells_originated"]
 
 
+def test_round_work_is_pinned():
+    counts = count_round()
+    assert (counts["events"], counts["program_calls"], counts["block_reads"]) == (
+        ROUND_EVENTS, ROUND_PROGRAM_CALLS, ROUND_BLOCK_READS
+    )
+
+
 if __name__ == "__main__":
     counts = count_cell_path()
     events, processed = counts["events"], counts["cells_processed"]
@@ -166,6 +217,13 @@ if __name__ == "__main__":
     print(
         f"cells: {counts['cells_made']} made == {counts['cells_originated']} "
         f"originated, {counts['cells_sent']} segments written"
+    )
+    counts = count_round()
+    print(
+        f"one {ROUND_PROBES}-probe ping-pong round, probe kernel's world at seed 47: "
+        f"{counts['events']} events, program calls {counts['program_calls']} "
+        f"({counts['program_calls'] / ROUND_PROBES:.1f} per probe), block reads "
+        f"{counts['block_reads']}"
     )
     counts = count_isolated_tasks()
     tasks = counts["tasks"]
