@@ -126,9 +126,9 @@ def test_cipher_contexts_per_circuit_guard(report, monkeypatch):
     :data:`CONTEXT_FRAMES_CEILING` Python frames: the binding the public
     ``Cipher(...).encryptor()`` ends in, not the façade around it. A
     flown ping-pong probe (a probe flight) goes further: no cipher call
-    at all, one simulator event (its landing, which sends the next
-    probe; the round's first send is the one event more), and still 7
-    cells reported. Counted, not timed."""
+    at all and still 7 cells reported. The 50-probe round is walked at
+    its first send and lands in one event: 2 events in all (51 when each
+    probe landed in an event of its own). Counted, not timed."""
     from repro.tor import crypto
 
     key = b"\x07" * 32
@@ -179,7 +179,7 @@ def test_cipher_contexts_per_circuit_guard(report, monkeypatch):
     assert built == 16
     assert len(frames) <= CONTEXT_FRAMES_CEILING
     assert len(created) == built
-    assert (updates, events, cells) == (0, probes + 1, 7 * probes)
+    assert (updates, events, cells) == (0, 2, 7 * probes)
 
 
 #: A flown probe must cost at most this fraction of a cell-path probe.
@@ -188,7 +188,9 @@ def test_cipher_contexts_per_circuit_guard(report, monkeypatch):
 #: the landing, a 2-vCPU x86 box reads flown 34.3 → 16.6 µs against
 #: 102 → 96 µs on the cell path: 0.34x → 0.17x. With the round walked
 #: once at its launch (``OnionProxy._walk_round``): flown 11.1–11.6 →
-#: 7.6–8.0 µs against 67–70 µs, 0.17x → 0.11x.
+#: 7.6–8.0 µs against 67–70 µs, 0.17x → 0.11x. With the walked round
+#: landing in one event, its replies handed over as one list: 11.6–17.9
+#: → 5.3–8.1 µs against 95–145 µs on the cell path, 0.12x → 0.05–0.06x.
 FLIGHT_COST_CEILING = 0.2
 
 
@@ -234,10 +236,11 @@ def test_probe_flight_guard(report, monkeypatch):
 @pytest.mark.benchguard
 def test_round_walk_guard(report, monkeypatch):
     """A 200-probe ping-pong round on the probe kernel's world is walked
-    once, at its first launch: one walk holding all 200 probes, one
-    simulator event per probe (plus the round's first send), and exactly
-    the block reads the same round makes as cells — nothing read ahead
-    that the cells would not read. Counted, not timed."""
+    once, at its first launch: one walk holding all 200 probes, two
+    simulator events (the round's first send and its one landing; 201
+    when each probe landed in an event of its own), and exactly the
+    block reads the same round makes as cells — nothing read ahead that
+    the cells would not read. Counted, not timed."""
     from repro.tor.client import OnionProxy
     from repro.util.rng import BLOCK_WORDS, DrawStream
 
@@ -253,9 +256,9 @@ def test_round_walk_guard(report, monkeypatch):
         walk, read, read_run = OnionProxy._walk_round, DrawStream.read, DrawStream.read_run
 
         def walked(proxy, *args):
-            taken = walk(proxy, *args)
-            walks.append(len(proxy._round.lands) if taken else 0)
-            return taken
+            held = walk(proxy, *args)
+            walks.append(held)
+            return held
 
         def counted(draws, base):
             reads.append(base)
@@ -281,12 +284,12 @@ def test_round_walk_guard(report, monkeypatch):
     cell_rtts, _, cell_reads, _ = one_round(refuse=True)
     report(
         f"round walk, {probes} probes: {len(walks)} walk(s) holding {walks}, "
-        f"{events / probes:g} events per probe, {reads} block reads "
+        f"{events} events, {reads} block reads "
         f"({cell_reads} as cells)"
     )
     assert rtts == cell_rtts
     assert walks == [probes]
-    assert events == probes + 1
+    assert events == 2
     assert reads == cell_reads
 
 

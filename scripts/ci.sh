@@ -109,10 +109,12 @@ echo "== probe flight contract =="
 python -m pytest tests/contract/test_probe_flight.py tests/contract/test_chart_memo.py -x -q
 # What the memo, the inline ping-pong send and the round walk buy,
 # counted: charts made per flown probe, simulator events per probe, and
-# round walks (OnionProxy._walk_round: how many, probes each held, tails
-# given back), on the planner smoke's world (below) measured the
-# highacc_serial way — 200 ping-pong samples per circuit — and the same
-# campaign as cells beside it: equal RTT lists, clock and draw positions.
+# round walks (OnionProxy._walk_round: how many, probes each held, and
+# the events of a probe round that one walk landed in one event — 2: its
+# first send and the landing), on the planner smoke's world (below)
+# measured the highacc_serial way — 200 ping-pong samples per circuit —
+# and the same campaign as cells beside it: equal RTT lists, clock and
+# draw positions.
 # The planner smoke's own 2 ms trains fly nothing. Counted here, not by
 # a registry counter (one would have to join the flight contract's
 # FLIGHT_COUNTERS).
@@ -120,28 +122,38 @@ python - <<'PY'
 from repro.core.campaign import AllPairsCampaign
 from repro.core.sampling import SamplePolicy
 from repro.core.ting import TingMeasurer
+from repro.echo.client import EchoClient
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.tor.client import OnionProxy
 
-charts, walks, tails, rounds = [], [], [], []
-chart, walk, back = OnionProxy._chart, OnionProxy._walk_round, OnionProxy._take_round_back
+charts, walks, walked_at, round_events, rounds = [], [], [], [], []
+chart, walk, probe_async = OnionProxy._chart, OnionProxy._walk_round, EchoClient.probe_async
 account, fly = TingMeasurer.account, OnionProxy._fly
 
 
 def walked(self, *args):
-    taken = walk(self, *args)
-    if taken:
-        walks.append(len(self._round.lands))
-    return taken
+    held = walk(self, *args)
+    if held:
+        walks.append(held)
+        walked_at.append(self.sim.events_processed)
+    return held
 
 
-def given_back(self):
-    tails.append(self._round.airborne is not None)
-    return back(self)
+def counted(self, stream, samples, on_done, *args, **kwargs):
+    # A probe round one walk landed whole: its events from the send that
+    # walked it to the landing, both counted only once they return.
+    walked_before = len(walks)
+
+    def done(result):
+        if len(walks) == walked_before + 1 and walks[-1] == result.received:
+            round_events.append(self.sim.events_processed - walked_at[-1] + 1)
+        on_done(result)
+
+    return probe_async(self, stream, samples, done, *args, **kwargs)
 
 
 OnionProxy._chart = lambda self, *args: charts.append(1) or chart(self, *args)
-OnionProxy._walk_round, OnionProxy._take_round_back = walked, given_back
+OnionProxy._walk_round, EchoClient.probe_async = walked, counted
 TingMeasurer.account = lambda self, result: rounds.append(result.rtts_ms) or account(self, result)
 
 
@@ -174,11 +186,18 @@ print(f"probe flights, ping-pong on the planner smoke's world: {flown} flown / "
       f"{report.probes_sent} sent, {made / flown:.4f} charts per flown "
       f"probe, {events / report.probes_sent:.3f} events per probe "
       f"({events} events, circuit builds included)")
+assert round_events and set(round_events) == {2}, round_events
 print(f"round walks: {len(walks)} walks, {sum(walks) / len(walks):.1f} probes per "
-      f"walk, {len(tails)} tails given back ({sum(tails)} with a probe up); "
-      f"{len(flown_rounds)} rounds == as cells: RTT lists, clock, "
-      f"{len(cell_draws)} draw positions")
+      f"walk; {len(round_events)} probe rounds landed by one walk, "
+      f"{round_events[0]} events each; {len(flown_rounds)} rounds == as cells: "
+      f"RTT lists, clock, {len(cell_draws)} draw positions")
 PY
+# A walked round lands once (OnionProxy._land hands its replies over as
+# one list): no chain of flights is held in the engine any more.
+if grep -rn '\.hold(' src; then
+    echo "Simulator.hold is gone: a walked round is one flight" >&2
+    exit 1
+fi
 # The chart has one caller, the memo: a second would chart past it.
 callers=$(grep -rn '\._chart(' src | wc -l)
 if [[ "$callers" -ne 1 ]]; then

@@ -35,6 +35,7 @@ import io
 import json
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple, Sequence
@@ -1050,19 +1051,18 @@ def _npz_entry_memmap(path: Path, name: str) -> np.ndarray | None:
 
     Returns ``None`` when the entry is absent, compressed, or not a
     plain little-endian npy v1/v2 array — callers fall back to the
-    eager load path.
+    eager load path. Raises :class:`zipfile.BadZipFile` where the eager
+    path would: no zip, or an entry whose bytes fail its stored CRC-32
+    (checked over the mapping: ≈ 3 ms per 8 MB).
     """
-    try:
-        with zipfile.ZipFile(path) as archive:
-            try:
-                info = archive.getinfo(name + ".npy")
-            except KeyError:
-                return None
-            if info.compress_type != zipfile.ZIP_STORED:
-                return None
-            header_offset = info.header_offset
-    except zipfile.BadZipFile:
-        return None
+    with zipfile.ZipFile(path) as archive:
+        try:
+            info = archive.getinfo(name + ".npy")
+        except KeyError:
+            return None
+        if info.compress_type != zipfile.ZIP_STORED:
+            return None
+        header_offset = info.header_offset
     with open(path, "rb") as handle:
         handle.seek(header_offset)
         local = handle.read(30)
@@ -1071,7 +1071,8 @@ def _npz_entry_memmap(path: Path, name: str) -> np.ndarray | None:
         # Local file header: name and extra lengths live at bytes 26/28.
         name_len = int.from_bytes(local[26:28], "little")
         extra_len = int.from_bytes(local[28:30], "little")
-        handle.seek(header_offset + 30 + name_len + extra_len)
+        entry_offset = header_offset + 30 + name_len + extra_len
+        handle.seek(entry_offset)
         try:
             version = np.lib.format.read_magic(handle)
             if version == (1, 0):
@@ -1085,6 +1086,11 @@ def _npz_entry_memmap(path: Path, name: str) -> np.ndarray | None:
         if dtype.hasobject:
             return None
         data_offset = handle.tell()
+    entry = np.memmap(
+        path, dtype=np.uint8, mode="r", offset=entry_offset, shape=(info.file_size,)
+    )
+    if zlib.crc32(entry) != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
     return np.memmap(
         path,
         dtype=dtype,
@@ -1251,15 +1257,24 @@ class CampaignDataset:
         Provenance columns and metadata are always loaded eagerly (they
         are small), and JSON documents — which have no binary layout to
         map — ignore the flag.
+
+        A damaged or foreign file (truncated, not a zip, an entry failing
+        its CRC-32 — on the mapped matrix too —, not JSON) raises
+        :class:`MeasurementError`, whichever path reads it.
         """
         path = Path(path)
         with open(path, "rb") as handle:
             magic = handle.read(4)
-        if magic == _NPZ_MAGIC:
+        try:
+            if magic != _NPZ_MAGIC:
+                return cls.from_json(path.read_text())
             matrix_values = _npz_entry_memmap(path, "matrix") if mmap else None
             with np.load(path, allow_pickle=False) as data:
                 return cls._from_arrays(data, matrix_values=matrix_values)
-        return cls.from_json(path.read_text())
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            raise MeasurementError(
+                f"cannot load dataset {path}: {type(exc).__name__}: {exc}"
+            ) from exc
 
     # -- incremental refresh -------------------------------------------
 

@@ -8,6 +8,7 @@ back — the quantity every Ting equation is written in.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ from repro.netsim.engine import Simulator
 from repro.obs import NULL_EVENTS, NULL_METRICS
 from repro.tor.client import TorStream
 from repro.tor.control import SimFuture
-from repro.util.errors import MeasurementError
+from repro.util.errors import MeasurementError, SimulationError
 from repro.util.units import Milliseconds
 
 _PROBE = struct.Struct("!IQ")  # sequence number, nonce
@@ -178,35 +179,55 @@ class EchoClient:
                     )
                 on_error(reason)
 
-        def reply_arrived(payload: bytes) -> None:
-            if state["finished"]:
+        def landed(payload: bytes | None, lands: list | None = None) -> None:
+            # One reply (``payload``), or a walked round's replies landing
+            # at ``lands``: the probe in flight's first, then each a send
+            # the walk made at the landing before it.
+            if lands is not None:
+                sent_at = in_flight.pop(result.sent - 1)
+            elif state["finished"] or len(payload) != _PROBE.size:
                 # A reply landing after the run resolved (early stop or
                 # deadline with probes still in flight) must not mutate
                 # the already-delivered result.
                 return
-            if len(payload) != _PROBE.size:
-                return
-            seq, _ = _PROBE.unpack(payload)
-            sent_at = in_flight.pop(seq, None)
-            if sent_at is None:
-                return
-            rtt = self.sim.now - sent_at
-            result.rtts_ms.append(rtt)
-            result.received += 1
-            if metrics.enabled:
-                metrics.inc("echo.probes_received")
-                metrics.observe("echo.rtt_ms", rtt)
-            if result.received >= samples:
-                finish_ok()
-            elif tracker is not None and tracker.update(rtt):
-                result.stopped_early = True
-                result.stop_reason = "converged"
-                result.samples_saved = samples - result.sent
+            else:
+                sent_at = in_flight.pop(_PROBE.unpack(payload)[0], None)
+                if sent_at is None:
+                    return
+                lands = [self.sim.now]
+            last = len(lands) - 1
+            for k, at in enumerate(lands):
+                if k:
+                    self._nonce += 1
+                    result.sent += 1
+                    if metrics.enabled:
+                        metrics.inc("echo.probes_sent")
+                rtt = at - sent_at
+                sent_at = at
+                result.rtts_ms.append(rtt)
+                result.received += 1
                 if metrics.enabled:
-                    metrics.inc("echo.early_stops")
-                    metrics.inc("echo.probes_saved", result.samples_saved)
+                    metrics.inc("echo.probes_received")
+                    metrics.observe("echo.rtt_ms", rtt)
+                full = result.received >= samples
+                if not full and (tracker is None or not tracker.update(rtt)):
+                    continue
+                if k < last:
+                    raise SimulationError(
+                        f"a probe round of {samples} ends at reply "
+                        f"{result.received} of a walked round of {len(lands)} "
+                        f"promised to run to reply {result.received - k + last}"
+                    )
+                if not full:
+                    result.stopped_early = True
+                    result.stop_reason = "converged"
+                    result.samples_saved = samples - result.sent
+                    if metrics.enabled:
+                        metrics.inc("echo.early_stops")
+                        metrics.inc("echo.probes_saved", result.samples_saved)
                 finish_ok()
-            elif pingpong and result.sent < samples:
+                return
+            if pingpong and result.sent < samples:
                 if self.sim.quiet_through(self.sim.now):
                     # Nothing else due now and nothing after this draws
                     # or schedules: a +0 event's order, bar a
@@ -215,7 +236,8 @@ class EchoClient:
                 else:
                     self.sim.schedule(0.0, send_next, result.sent)
 
-        stream.on_data = reply_arrived
+        stream.on_data = landed
+        stream.on_round = functools.partial(landed, None)
 
         def send_next(seq: int) -> None:
             if state["finished"]:

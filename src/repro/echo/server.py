@@ -45,9 +45,9 @@ class EchoServer:
         self.count_echo()
         conn.send(payload, size_bytes=self.segment_bytes(payload))
 
-    def count_echo(self) -> None:
-        """Account for one payload sent back."""
-        self.payloads_echoed += 1
+    def count_echo(self, payloads: int = 1) -> None:
+        """Account for ``payloads`` payloads sent back."""
+        self.payloads_echoed += payloads
 
     @staticmethod
     def segment_bytes(payload: bytes) -> int:

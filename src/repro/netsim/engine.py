@@ -17,9 +17,7 @@ inside one event, everything a chain of its own future events would do
 (:meth:`Simulator.quiet_through`) — schedules the chain's last event
 alone. The engine holds it to that promise: anything scheduled to fire
 before a flight lands takes the flight back first, and the layer redoes
-it event by event (:meth:`Simulator.ground_flight`). A chain of
-flights, each launched inside the last one's landing, can be *held* the
-same way until its last landing (:meth:`Simulator.hold`).
+it event by event (:meth:`Simulator.ground_flight`).
 """
 
 from __future__ import annotations
@@ -98,10 +96,11 @@ class Simulator:
     #: the wall clock once (stall detection) and pumps ``on_batch``
     #: (worker heartbeats), so the hot loop pays one integer decrement
     #: per event rather than a syscall. The count is of *events*, not of
-    #: work: a flown ping-pong probe is one event, a cell-path one 18. On
-    #: the ``highacc_serial`` shape (2-vCPU x86) a batch spans 0.050–0.055 s
-    #: of host time probe by probe and 0.038–0.042 s with rounds walked at
-    #: once (same events): the margin under ``STALL_THRESHOLD_S`` is ≈ 20×.
+    #: work: a flown ping-pong probe is one event, a cell-path one 18, a
+    #: walked round of 200 probes one. On the ``highacc_serial`` shape
+    #: (2-vCPU x86: 1,147 events a campaign, 0.051–0.108 s of host time)
+    #: a batch spans 0.18–0.39 s: the margin under ``STALL_THRESHOLD_S``
+    #: is ≥ 2.5× (≈ 20× when each walked probe landed as an event).
     BATCH_EVENTS = 4096
 
     #: Wall seconds one batch may take before an ``engine`` /
@@ -137,10 +136,10 @@ class Simulator:
         self._batch_wall: float | None = None
         # ``until`` of the run() in progress (``inf`` outside one).
         self._run_until: Milliseconds = inf
-        # The flight in the air: its landing event, when the chain it
-        # stands for ends (``-inf`` with none, so ``schedule_at`` pays
-        # one comparison), when taking it back is exact (its launch) and
-        # how to (``None`` with no flight up and no chain held).
+        # The flight in the air: its landing event, when it lands
+        # (``-inf`` with none, so ``schedule_at`` pays one comparison),
+        # when taking it back is exact (its launch) and how to (``None``
+        # with no flight up).
         self._flight: EventHandle | None = None
         self._flight_lands: Milliseconds = -inf
         self._flight_launched: Milliseconds = 0.0
@@ -160,7 +159,7 @@ class Simulator:
         in it: a live event, a flight up or a run in progress raises
         :class:`SimulationError`; cancelled entries of the old clock are
         dropped (not a compaction: nothing is re-ordered)."""
-        up = self._flight_take_back is not None  # a flight, or a held chain
+        up = self._flight is not None
         if self._running or up or not all(event[4] for event in self._heap):
             raise SimulationError(
                 "cannot restart the clock of a simulator that is not idle "
@@ -227,8 +226,8 @@ class Simulator:
                 f"cannot schedule into the past: time={time} < now={self.now}"
             )
         if time <= self._flight_lands:
-            # This event would fire while a flight is in the air (or, on
-            # a tie, before the last of the chain the flight stands for).
+            # This event would fire while a flight is in the air (a tie
+            # too: the chain's last event would be scheduled after it).
             self.ground_flight()
         event = EventHandle(
             (time, next(self._seq), callback, args, False, False, self)
@@ -300,31 +299,19 @@ class Simulator:
             raise SimulationError("a flight is already in the air")
         if not self.quiet_through(lands_at):
             return False
-        # A held chain's next flight is scheduled inside it, not before.
-        held, self._flight_lands = self._flight_lands, -inf
         self._flight = self.schedule_at(lands_at, self._flight_landed, land, args)
-        self._flight_lands = held if held > lands_at else lands_at
+        self._flight_lands = lands_at
         self._flight_launched = self.now
         self._flight_take_back = take_back
         return True
 
-    def hold(self, through: Milliseconds) -> None:
-        """Hold the chain of flights the one just launched starts, quiet
-        through ``through`` (each next launched inside a landing): until
-        its last landing, whatever would ground a flight grounds it."""
-        self._flight_lands = through
-
     def _flight_landed(self, land: Callable[..., None], args: tuple) -> None:
-        self._flight = None
-        if self._flight_lands > self.now:  # held: exact until the next launch
-            self._flight_launched = self.now
-        else:
-            self._flight_lands = -inf
-            self._flight_take_back = None
+        self._flight = self._flight_take_back = None
+        self._flight_lands = -inf
         land(*args)
 
     def ground_flight(self) -> None:
-        """Take back the flight in the air (or a held chain), if any.
+        """Take back the flight in the air, if any.
 
         Called by whoever is about to do something the flight did not
         foresee: :meth:`schedule_at` for an event that would fire before
@@ -345,10 +332,9 @@ class Simulator:
         event, lands = self._flight, self._flight_lands
         self._flight = self._flight_take_back = None
         self._flight_lands = -inf
-        if event is not None:
-            self._heap.remove(event)
-            heapq.heapify(self._heap)
-            event[5] = True  # done
+        self._heap.remove(event)
+        heapq.heapify(self._heap)
+        event[5] = True  # done
         if self.now != self._flight_launched or not take_back():
             raise SimulationError(
                 f"a probe flight launched at {self._flight_launched!r} ms lands at "

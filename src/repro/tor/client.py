@@ -18,7 +18,8 @@ would make in the order the cells would make them, and schedules the
 reply's delivery alone (:meth:`OnionProxy._fly`). No cell, cipher or
 digest is touched — both ends of every onion layer skip the same cells,
 so they stay in lockstep for the cell-path traffic around a flight.
-A long ping-pong round is walked at once (:meth:`OnionProxy._walk_round`).
+A long ping-pong round is walked at once and lands in one event, its
+replies handed to the sender as one list (:meth:`OnionProxy._walk_round`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.tor.cells import (
 from repro.tor.crypto import ClientHandshake, CryptoError, OnionLayer
 from repro.tor.directory import Consensus, RelayDescriptor
 from repro.tor.relay import Relay
-from repro.util.errors import CircuitError, StreamError
+from repro.util.errors import CircuitError, SimulationError, StreamError
 from repro.util.rng import BLOCK_WORDS
 from repro.util.units import Milliseconds
 
@@ -62,13 +63,13 @@ DEFAULT_STREAM_TIMEOUT_MS = 30_000.0
 #: being sent included, up to the next live event at the path's floor
 #: round trip each) for :meth:`OnionProxy._walk_round` to walk them at
 #: once; fewer go probe by probe. Per probe on a 4-hop service-queue
-#: world (µs, 2-vCPU x86, median of three), by probes left:
+#: world (µs spin-normalised, 2-vCPU x86, median of three), by probes left:
 #:
-#:   left           4     8    16    24    32    64   200
-#:   probe by probe 19.4  17.2  16.1  16.1  15.5  15.2  14.8
-#:   round walk     53.1  31.8  20.4  16.2  13.7  11.3   8.9
-#: (Re-measured with a walk's blocks read as one run: DESIGN §5.)
-ROUND_WALK_MIN = 24
+#:   left            4     8    12    16    18    20    24    32    64   200
+#:   probe by probe 24.0  20.9  20.6  19.2  20.1  20.2  18.1  18.4  17.8  18.0
+#:   round walk     70.9  34.4  25.3  23.0  19.9  17.8  14.5  12.0   8.2   4.7
+#: (Re-measured with the walked round landing in one event: DESIGN §5.)
+ROUND_WALK_MIN = 18
 
 #: A loopback segment's scheduling noise, as a jitter model: no burst.
 _LOOPBACK = JitterModel(LOOPBACK_JITTER_MS, 0.0, 0.0)
@@ -114,6 +115,10 @@ class TorStream:
         self.target = target
         self.state = "connecting"  # connecting | open | closed | failed
         self.on_data: Callable[[bytes], None] | None = None
+        #: A sender that declares ``follows`` takes a walked round's
+        #: replies here, as their landing times; a stream without one
+        #: is never walked.
+        self.on_round: Callable[[list[Milliseconds]], None] | None = None
         self.on_close: Callable[[], None] | None = None
         self._proxy: "OnionProxy | None" = None
         self.opened_at_ms: Milliseconds = 0.0
@@ -128,8 +133,9 @@ class TorStream:
 
     def send(self, data: bytes, follows: int = 0) -> None:
         """Send application bytes to the stream's destination; ``follows``
-        more sends are sure to come, each at the last one's reply (a
-        sender that stops sooner stays exact, but wastes a round walk)."""
+        more sends are sure to come, each at the last one's reply: a
+        promise that lets ``on_round`` take up to ``follows + 1`` replies
+        at once, the sends between them made for the sender."""
         if self.state != "open":
             raise StreamError(f"stream {self.stream_id} is {self.state}")
         assert self._proxy is not None
@@ -164,18 +170,6 @@ class _BuildState:
         self.handshake: ClientHandshake | None = None
 
 
-class _Round:
-    """A held round (:meth:`OnionProxy._walk_round`): probe ``k`` lands at
-    ``lands[k]``, ``sent`` are launched, ``airborne`` is the payload up.
-    ``settle(done)`` leaves the world as ``done`` probes' cells would."""
-
-    __slots__ = ("stream", "chart", "lands", "settle", "sent", "airborne")
-
-    def __init__(self, stream, chart, lands, settle, payload) -> None:
-        self.stream, self.chart, self.lands, self.settle = stream, chart, lands, settle
-        self.sent, self.airborne = 1, payload
-
-
 class OnionProxy:
     """The local Tor client process."""
 
@@ -208,11 +202,10 @@ class OnionProxy:
         self._conn_for_circuit: dict[int, StreamConnection] = {}
         #: Observability sinks; no-ops unless a live registry is wired in.
         self.metrics = NULL_METRICS
-        # The probe flight in the air, if it is this proxy's: what
-        # ``_take_back`` needs to undo it and redo it as a cell.
+        # The flight in the air (a probe or a walked round), if it is
+        # this proxy's: what ``_take_back`` needs to undo it and redo it
+        # as a cell.
         self._airborne: tuple | None = None
-        # The walked round the engine holds, if it is this proxy's.
-        self._round: _Round | None = None
 
     def set_consensus(self, consensus: Consensus) -> None:
         """Install a fresh network view (e.g. after a directory fetch)."""
@@ -531,20 +524,11 @@ class OnionProxy:
         Counters move at the landing, when the cells would have moved
         the last of them.
 
-        A round with :data:`ROUND_WALK_MIN` probes or more left is walked
-        at once instead (:meth:`_walk_round`); later sends launch its probes.
+        A round with :data:`ROUND_WALK_MIN` probes or more left, on a
+        stream with a round handler, is walked at once instead
+        (:meth:`_walk_round`).
         """
         sim = self.sim
-        walk = self._round
-        if walk is not None and walk.stream is stream and walk.airborne is None:
-            # The walked round's next probe, sent at the last one's landing.
-            chart = walk.chart
-            if self._charted(stream, payload) == chart and sim.launch_flight(
-                walk.lands[walk.sent], self._land, self._take_round_back,
-                stream, payload, chart,
-            ):
-                walk.sent, walk.airborne = walk.sent + 1, payload
-                return True
         sim.ground_flight()
         now = sim.now
         floor = stream._floor_rtt_ms
@@ -564,15 +548,18 @@ class OnionProxy:
         follows = stream._follows
         if stream._unheld:
             stream._unheld -= 1
-        elif follows >= ROUND_WALK_MIN - 1 and self._walk_round(
-            stream, payload, chart, follows + 1
+        elif (
+            follows >= ROUND_WALK_MIN - 1
+            and stream.on_round is not None
+            and self._walk_round(stream, payload, chart, follows + 1)
         ):
             return True
         at, marks = self._walk(steps, now)
         if at is not None and sim.launch_flight(
-            at, self._land, self._take_back, stream, payload, chart
+            at, self._land, self._take_back, stream, payload, chart, None
         ):
-            self._airborne = (stream, payload, steps, marks)
+            undo = functools.partial(self._undo, steps, marks)
+            self._airborne = (stream, payload, undo)
             return True
         self._give_back(steps, marks)
         self.metrics.inc("echo.flight_rollbacks")
@@ -657,26 +644,27 @@ class OnionProxy:
 
     def _walk_round(
         self, stream: TorStream, payload: bytes, chart: tuple, left: int
-    ) -> bool:
+    ) -> int:
         """Walk as many of the ``left`` probes sure to be sent (each at the
         last one's landing) as could land, at the floor round trip, before
         anything is due — if :data:`ROUND_WALK_MIN` or more. Launch the
-        first, and have the engine hold the longest prefix the cells would
-        reproduce exactly (DESIGN §5): each delay a numpy column (the
+        longest prefix the cells would reproduce exactly (DESIGN §5) as one
+        flight, landing with its last probe: each delay a numpy column (the
         per-probe walk's operations, in order), arrivals one ``cumsum``,
         then per probe no ``max`` that binds, no ``queue_saturated`` owed,
-        landing before anything is due. ``False``, nothing changed, if no
-        probe passes, too few could land or a connection end repeats."""
+        landing before anything is due. The probes held, or 0, nothing
+        changed, if no probe passes, too few could land or a connection
+        end repeats."""
         steps = chart[0]
         conns, peers = [s[0] for s in steps], [s[1] for s in steps if s[3] is not None]
         if len(set(conns)) < len(conns) or len(set(peers)) < len(peers):
-            return False
+            return 0
         sim, now, rtt = self.sim, self.sim.now, stream._floor_rtt_ms
         count = bisect_left(
             range(1, left + 1), True, key=lambda k: not sim.quiet_through(now + k * rtt)
         )
         if count < ROUND_WALK_MIN:
-            return False
+            return 0
         # A site is a draw a probe takes, in the walk's order: each
         # segment's link, then the relay it reaches, if any.
         uses, links, hops, visits = {}, [], [], {}
@@ -767,24 +755,11 @@ class OnionProxy:
         settle(held)
         # The probes walked and not held go probe by probe: none twice.
         stream._unheld = count - held
-        if not held:
-            return False
-        self._round = _Round(stream, chart, lands[:held], settle, payload)
-        land, take_back = self._land, self._take_round_back
-        sim.launch_flight(lands[0], land, take_back, stream, payload, chart)
-        sim.hold(lands[held - 1])
-        return True
-
-    def _take_round_back(self) -> bool:
-        """Undo what the held round has not landed and send its probe in
-        the air, if any, as a cell; exact unless a walked stream was drawn."""
-        walk, self._round = self._round, None
-        untouched = walk.settle(walk.sent - (walk.airborne is not None))
-        if walk.airborne is not None:
-            self.metrics.inc("echo.flight_rollbacks")
-            circuit, stream_id = walk.stream.circuit, walk.stream.stream_id
-            self._send_relay_cell(circuit, RelayCommand.DATA, stream_id, walk.airborne)
-        return untouched
+        if held:  # quiet through its last landing: the launch is sure
+            sim.launch_flight(lands[held - 1], self._land, self._take_back,
+                              stream, payload, chart, lands[:held])
+            self._airborne = (stream, payload, functools.partial(settle, 0))
+        return held
 
     def _charted(self, stream: TorStream, payload: bytes) -> tuple | None:
         """:meth:`_chart`, remembered on the stream: a flight's one way to
@@ -943,56 +918,62 @@ class OnionProxy:
                 if mark[4] is not None:
                     relay.service_queue.rewind(mark[4])
 
-    @staticmethod
-    def _untouched(steps: list[tuple], marks: list) -> bool:
-        """Whether every stream a walk drew from stands where the walk
-        left it: one draw past its last mark."""
+    def _undo(self, steps: list[tuple], marks: list) -> bool:
+        """:meth:`_give_back`, and whether every stream the walk drew from
+        stood where it left them (one draw past its last mark)."""
         left_at = {}
         for (conn, _, _, relay, _), mark in zip(steps, marks):
             left_at[conn._link.draws] = mark[1] + 2
             if relay is not None:
                 left_at[relay.draws] = mark[2] + 2
-        return all(
+        untouched = all(
             draws.base + draws.pos == position for draws, position in left_at.items()
         )
+        self._give_back(steps, marks)
+        return untouched
 
     def _take_back(self) -> bool:
-        """Undo the flight in the air and send its payload as a cell
-        (see :meth:`Simulator.ground_flight`). Exact unless someone has
-        drawn from one of the walk's streams since the launch — a link
-        direction's is reachable from outside an event."""
-        stream, payload, steps, marks = self._airborne
+        """Undo the flight in the air and send its (first) payload as a
+        cell (see :meth:`Simulator.ground_flight`). Exact unless someone
+        has drawn from one of the walk's streams since the launch — a
+        link direction's is reachable from outside an event."""
+        stream, payload, undo = self._airborne
         self._airborne = None
-        untouched = self._untouched(steps, marks)
-        self._give_back(steps, marks)
+        untouched = undo()
         self.metrics.inc("echo.flight_rollbacks")
         self._send_relay_cell(
             stream.circuit, RelayCommand.DATA, stream.stream_id, payload
         )
         return untouched
 
-    def _land(self, stream: TorStream, payload: bytes, chart: tuple) -> None:
-        """The one event of a flight: count what the cells would have
-        counted, then deliver the echo if every check still holds."""
+    def _land(
+        self, stream: TorStream, payload: bytes, chart: tuple, lands: list | None
+    ) -> None:
+        """The one event of a flight — a probe, or a walked round's
+        ``lands`` (nothing else can run between its landings): count what
+        the cells would have counted, then deliver the echo (the round's
+        landing times) if every check still holds."""
         self._airborne = None
-        walk = self._round
-        if walk is not None:
-            walk.airborne = None
-            if walk.sent == len(walk.lands):  # the held round's last
-                self._round = walk = None
+        probes = 1 if lands is None else len(lands)
         steps, reflector, _ = chart
         for step in steps:
             if step[3] is not None:
-                step[3].count_cell(True)
-        reflector.count_echo()
-        self.metrics.inc("echo.probes_flown")
+                step[3].count_cell(True, probes)
+        reflector.count_echo(probes)
+        self.metrics.inc("echo.probes_flown", probes)
         # Nothing can have fired since the launch, but the code that
         # launched it ran on: evaluate every check again, as the cells
         # would have met them on the way (a fresh chart if the wiring moved).
-        if self._charted(stream, payload) == chart and stream.on_data is not None:
+        if self._charted(stream, payload) != chart:
+            if probes > 1:  # the cells would have dropped the first reply
+                raise SimulationError(
+                    f"a round of {probes} probes walked to land at "
+                    f"{self.sim.now!r} ms lost its path before its first landing"
+                )
+        elif lands is not None:
+            stream.on_round(lands)
+        elif stream.on_data is not None:
             stream.on_data(payload)
-        if walk is not None and self._round is walk and walk.airborne is None:
-            self.sim.ground_flight()  # the sender stopped: the rest goes back
 
     def _end_stream(self, stream: TorStream) -> None:
         stream.circuit.streams.pop(stream.stream_id, None)
@@ -1195,8 +1176,7 @@ class OnionProxy:
     def _take_set_up_back(self, cell: tuple, steps: list, marks: list) -> bool:
         """Undo the set-up flight in the air and send its cell; exact
         unless one of the walk's streams was drawn from since the launch."""
-        untouched = self._untouched(steps, marks)
-        self._give_back(steps, marks)
+        untouched = self._undo(steps, marks)
         self._send_set_up_cell(cell)
         return untouched
 

@@ -437,14 +437,15 @@ class Relay:
             self._handle_destroy(conn, cell)
         # PADDING and unknown commands are dropped.
 
-    def count_cell(self, relayed: bool) -> None:
-        """Account for one cell processed here (a RELAY cell if ``relayed``)."""
-        self.cells_processed += 1
+    def count_cell(self, relayed: bool, cells: int = 1) -> None:
+        """Account for ``cells`` cells processed here (RELAY cells if
+        ``relayed``)."""
+        self.cells_processed += cells
         metrics = self.metrics
         if metrics.enabled:
-            metrics.inc("relay.cells_processed")
+            metrics.inc("relay.cells_processed", cells)
             if relayed:
-                metrics.inc("relay.cells_relayed")
+                metrics.inc("relay.cells_relayed", cells)
 
     def _handle_create(self, conn: StreamConnection, cell: Cell) -> None:
         key = (id(conn), cell.circ_id)

@@ -330,31 +330,34 @@ def test_a_circuit_extended_under_an_open_stream(memo):
 
 
 def test_a_clock_reading_model_swapped_in_mid_round(memo):
-    """A walked round reads every model once, at its launch; a hop's
-    model swapped for one that reads the clock inside a landing is met
-    by the next probe's ``_charted``, the held tail goes back and the
+    """A walked round reads every model once, at its launch. The paper's
+    adaptive round is sure of its first 30 replies only, so its first walk
+    lands those 30 at once; a hop's model swapped for one that reads the
+    clock after reply 30 — in that landing's round handler, or after the
+    30th reply as cells — is met by the next probe's ``_charted``, and the
     rest of the round is cells."""
+    adaptive = SamplePolicy.adaptive_1ms().adaptive
 
     def scenario(testbed, hops):
         stream = flight._stream(testbed, hops)
         done, replies = [], []
         testbed.measurement.echo_client.probe_async(
-            stream, 64, done.append, done.append, interval_ms=None
+            stream, 64, done.append, done.append, interval_ms=None, adaptive=adaptive
         )
-        deliver = stream.on_data
+        deliver, deliver_round = stream.on_data, stream.on_round
 
-        def on_data(payload):
-            replies.append(payload)
-            if len(replies) == 20:
+        def after(count):
+            replies.append(count)
+            if sum(replies) == adaptive.patience:
                 testbed.relays[0].forwarding = DiurnalForwardingDelayModel(
                     testbed.sim, phase_ms=6 * 3_600_000.0
                 )
-            deliver(payload)
 
-        stream.on_data = on_data
+        stream.on_data = lambda payload: (after(1), deliver(payload))
+        stream.on_round = lambda lands: (after(len(lands)), deliver_round(lands))
         testbed.sim.run_until_idle()
         return done[0].rtts_ms
 
     with flight._Walks() as walks:
-        assert flight.differential(scenario, hops=4) == (20, 0)
-    assert walks.held == [64] and walks.tails == [False]
+        assert flight.differential(scenario, hops=4) == (adaptive.patience, 0)
+    assert walks.held == [adaptive.patience]

@@ -11,14 +11,14 @@ RTT lists, the final clock, every draw stream's position (and every
 named generator's state), per-relay cell counts, service-queue state, every connection's last arrival, queue
 heads, the echo server's count and the whole metrics registry. The one
 thing allowed to differ is the simulator's event count, and only by
-``4 x hops`` per landed flight.
+``4 x hops`` per flown probe plus ``held - 1`` per walked round that
+landed once (its ``held`` probes in one event).
 
 (The first file of ``tests/contract/``, ROADMAP item 2.)
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from unittest.mock import patch
 
 import numpy as np
@@ -100,13 +100,21 @@ def _state(testbed, registry):
 def differential(scenario, hops, seed=47, n_relays=10, service_queues=False):
     """Run ``scenario(testbed, hops)`` flown and as cells; assert the two
     indistinguishable; return ``(probes flown, flights rolled back)``."""
-    runs = []
+    runs, rounds, land = [], [], OnionProxy._land
+
+    def landed(proxy, stream, payload, chart, lands):
+        if lands is not None:
+            rounds.append(len(lands))
+        return land(proxy, stream, payload, chart, lands)
+
     for refuse in (False, True):
         testbed = LiveTorTestbed.build(
             seed=seed, n_relays=n_relays, service_queues=service_queues
         )
         registry = testbed.measurement.enable_observability()
-        with patch.object(OnionProxy, "_fly", _refuse) if refuse else nullcontext():
+        with patch.object(
+            OnionProxy, *(("_fly", _refuse) if refuse else ("_land", landed))
+        ):
             observed = scenario(testbed, hops)
         counters = registry.snapshot()["counters"]
         runs.append(
@@ -121,7 +129,7 @@ def differential(scenario, hops, seed=47, n_relays=10, service_queues=False):
     assert reference[3] == (0, 0)
     assert observed == reference[0]
     assert state == reference[1]
-    assert reference[2] - events == 4 * hops * flown
+    assert reference[2] - events == 4 * hops * flown + sum(n - 1 for n in rounds)
     return flown, rollbacks
 
 
@@ -445,6 +453,23 @@ def test_landing_drops_what_the_last_cell_would_have_dropped(change):
     assert differential(scenario, hops=4) == (1, 0)
 
 
+def test_a_walked_round_whose_path_broke_before_its_landing_raises():
+    """A walked round lands once, with its last probe. A raw write that
+    breaks its path while it is up (between ``run()`` calls; a write
+    inside an event schedules something, which takes the round back)
+    would have dropped the first reply, before that landing: it raises."""
+    testbed = LiveTorTestbed.build(seed=47, n_relays=10)
+    stream, sim = _stream(testbed, hops=4), testbed.sim
+    testbed.measurement.echo_client.probe_async(
+        stream, 64, lambda result: None, lambda reason: None, interval_ms=None
+    )
+    sim.run(max_events=1)  # the first send: the round is launched
+    assert sim._flight is not None
+    del testbed.measurement.proxy.circuits[stream.circuit.circ_id]
+    with pytest.raises(SimulationError, match="lost its path"):
+        sim.run_until_idle()
+
+
 def _ping_under_a_flight(to_helper_w: bool):
     """Launch a flight, then send a datagram from the echo client's host
     before the landing; returns ``(testbed, landing event, send)``."""
@@ -489,28 +514,20 @@ def test_drawing_on_another_link_under_a_flight_is_replayed_exactly():
 
 
 class _Walks:
-    """Round walks, the probes each held, tails given back (and whether
-    a probe was in the air then), and block reads (a single read counts
-    one, a run as many blocks as it fills), while patched in."""
+    """Round walks, the probes each held, and block reads (a single read
+    counts one, a run as many blocks as it fills), while patched in."""
 
     def __init__(self):
-        self.held, self.tails, self.reads = [], [], 0
+        self.held, self.reads = [], 0
 
     def __enter__(self):
-        walk, back, read, read_run = (
-            OnionProxy._walk_round, OnionProxy._take_round_back, DrawStream.read,
-            DrawStream.read_run,
-        )
+        walk, read, read_run = OnionProxy._walk_round, DrawStream.read, DrawStream.read_run
 
         def walked(proxy, *args):
-            taken = walk(proxy, *args)
-            if taken:
-                self.held.append(len(proxy._round.lands))
-            return taken
-
-        def given_back(proxy):
-            self.tails.append(proxy._round.airborne is not None)
-            return back(proxy)
+            held = walk(proxy, *args)
+            if held:
+                self.held.append(held)
+            return held
 
         def counted(draws, base):
             self.reads += 1
@@ -522,7 +539,6 @@ class _Walks:
 
         self._patches = [
             patch.object(OnionProxy, "_walk_round", walked),
-            patch.object(OnionProxy, "_take_round_back", given_back),
             patch.object(DrawStream, "read", counted),
             patch.object(DrawStream, "read_run", counted_run),
         ]
@@ -561,8 +577,7 @@ def test_pingpong_rounds_on_both_sides_of_the_crossover(samples):
                     _pingpong(samples), hops, service_queues=service_queues
                 ) == (samples, 0)
             assert walks.held == ([samples] if _either_side(samples) else [])
-            assert walks.tails == []
-
+        
 
 @pytest.mark.parametrize("samples", [12, 64])
 def test_adaptive_early_stop_on_both_sides_of_the_crossover(samples):
@@ -583,7 +598,6 @@ def test_adaptive_early_stop_on_both_sides_of_the_crossover(samples):
         flown, _ = differential(walks.reading(scenario, reads), hops=4)
     assert flown == sent[0] < samples
     assert walks.held == ([samples // 2] if _either_side(samples // 2) else [])
-    assert walks.tails == []
     assert reads[0] == reads[1]
 
 
@@ -640,8 +654,8 @@ def test_an_adaptive_round_walks_only_the_probes_it_is_sure_to_send():
     """The paper's operating point (``SamplePolicy.adaptive_1ms``: cap
     200, ``min_samples`` 10, ``patience`` 30): no stop can come before the
     30th reply, so the first walk holds 30 probes, later ones only what a
-    plateau still needs — no tail is given back and every block read is
-    one the cells read."""
+    plateau still needs — each landing as one event, no flight taken
+    back, and every block read is one the cells read."""
     adaptive = SamplePolicy.adaptive_1ms().adaptive
     rounds, reads = [], []
 
@@ -656,15 +670,15 @@ def test_an_adaptive_round_walks_only_the_probes_it_is_sure_to_send():
         )
     rtts, sent, received, stopped, saved, reason = rounds[0]
     assert stopped and reason == "converged" and sent == received == flown < 200
-    assert rollbacks == 0 and walks.tails == []
+    assert rollbacks == 0
     assert walks.held[0] == adaptive.patience and sum(walks.held) <= sent
     assert reads[0] == reads[1]
 
 
-def _overstating(cap, adaptive, on_stop=lambda testbed: None):
+def _overstating(cap, adaptive):
     """A ping-pong sender that declares the rest of its cap as following
-    every send but stops when ``adaptive``'s tracker says so (then calls
-    ``on_stop``): a walk holds the cap, and the stop lands inside it."""
+    every send but stops when ``adaptive``'s tracker says so, and takes
+    its replies one by one (no ``on_round``)."""
 
     def scenario(testbed, hops):
         stream, sim = _stream(testbed, hops), testbed.sim
@@ -676,9 +690,7 @@ def _overstating(cap, adaptive, on_stop=lambda testbed: None):
 
         def reply(payload):
             rtts.append(sim.now - sent_at[-1])
-            if tracker.update(rtts[-1]):
-                on_stop(testbed)
-            elif len(sent_at) < cap:
+            if not tracker.update(rtts[-1]) and len(sent_at) < cap:
                 send()
 
         stream.on_data = reply
@@ -689,7 +701,10 @@ def _overstating(cap, adaptive, on_stop=lambda testbed: None):
     return scenario
 
 
-def test_an_adaptive_stop_gives_the_tail_back_and_stops_on_the_same_sample():
+def test_a_sender_without_a_round_handler_is_never_walked():
+    """Declaring ``follows`` is not enough: a stream whose sender takes no
+    round (``TorStream.on_round``) goes probe by probe, and a sender that
+    stops short of what it declared stops on the cells' sample."""
     adaptive = AdaptiveSpec(absolute_ms=1.0, min_samples=2, patience=2, confirm_k=2)
     rounds = []
 
@@ -701,7 +716,7 @@ def test_an_adaptive_stop_gives_the_tail_back_and_stops_on_the_same_sample():
     with _Walks() as walks:
         flown, rollbacks = differential(scenario, hops=3, service_queues=True)
     assert 1 < len(rounds[0]) == flown < 200 and rollbacks == 0
-    assert walks.held == [200] and walks.tails == [False]
+    assert walks.held == []
 
 
 def test_a_live_timer_inside_the_round_cuts_the_walk_short():
@@ -726,7 +741,6 @@ def test_a_live_timer_inside_the_round_cuts_the_walk_short():
             walks.reading(scenario, reads), hops=4, service_queues=True
         ) == (200, 0)
     assert len(walks.held) == 2 and walks.held[0] < 31 and sum(walks.held) <= 200
-    assert walks.tails == []
     flown_reads, cell_reads = reads
     assert flown_reads == cell_reads
 
@@ -751,31 +765,8 @@ def test_a_busy_service_queue_at_the_first_probe_falls_back_exactly():
         assert differential(
             walks.reading(scenario, reads), hops=3, service_queues=True
         ) == (64, 0)
-    assert walks.held == [] and walks.tails == []
+    assert walks.held == []
     assert reads[0] == reads[1]
-
-
-def test_a_datagram_from_the_finish_callback_on_a_walked_link_fails_fast():
-    """A sender that stops inside a held round (declaring more sends than
-    it makes) leaves the tail held while its stop runs: a draw taken then
-    on a link the walk read ahead on cannot be reconciled with the
-    cells' order, so it raises."""
-    testbed = LiveTorTestbed.build(seed=47, n_relays=10)
-    host = testbed.measurement
-    ping = Packet(
-        src=host.echo_client_host, dst=host.relay_w.host, sport=0, dport=0,
-        traffic_class=TrafficClass.ICMP, payload=("echo-request", 0, None),
-    )
-    adaptive = AdaptiveSpec(absolute_ms=1.0, min_samples=2, patience=2, confirm_k=2)
-    stops = []
-
-    def on_stop(testbed):
-        stops.append(testbed.sim.now)
-        testbed.fabric.send(ping)
-
-    with pytest.raises(SimulationError, match="lands at"):
-        _overstating(64, adaptive, on_stop)(testbed, hops=4)
-    assert stops
 
 
 @pytest.mark.parametrize("hops", [3, 4])
@@ -813,7 +804,7 @@ def test_a_connection_whose_last_arrival_is_ahead_falls_back_exactly():
 
     with _Walks() as walks:
         assert differential(walks.reading(scenario, reads), hops=3) == (64, 0)
-    assert walks.held == [] and walks.tails == []
+    assert walks.held == []
     assert reads[0] == reads[1]
 
 
@@ -859,5 +850,5 @@ def test_a_chart_that_meets_a_connection_end_twice_is_not_walked():
     before, pending = positions(), testbed.sim.pending
     repeated = (steps + steps[:1], *chart[1:])
     assert not proxy._walk_round(stream, bytes(12), repeated, 30)
-    assert proxy._round is None and testbed.sim.pending == pending
+    assert proxy._airborne is None and testbed.sim.pending == pending
     assert positions() == before

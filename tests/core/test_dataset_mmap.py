@@ -1,6 +1,7 @@
 """Memory-mapped dataset loads and their copy-on-write semantics."""
 
 import hashlib
+import zipfile
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.core.dataset import (
     ProvenanceLog,
     RttMatrix,
 )
+from repro.util.errors import MeasurementError
 
 
 def build_dataset(n=10, seed=2, holes=True):
@@ -115,6 +117,73 @@ class TestCopyOnWrite:
         mapped = CampaignDataset.load(path, mmap=True)
         with pytest.raises(ValueError):
             mapped.matrix.matrix[0, 1] = 7.0
+
+
+def _matrix_end(path):
+    """The offset just past the matrix entry's bytes (its last value's)."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("matrix.npy")
+    return info.header_offset + 30 + len(info.filename) + info.file_size
+
+
+def _damaged(path, damage):
+    """``path``'s bytes with ``damage`` done to them."""
+    raw = path.read_bytes()
+    if damage == "truncated":
+        return raw[: len(raw) // 2]
+    if damage == "not a zip":
+        return b"PK\x03\x04" + bytes(len(raw) - 4)
+    # A high mantissa bit of the matrix's last off-diagonal value.
+    flipped = bytearray(raw)
+    flipped[_matrix_end(path) - 8 - 2] ^= 0x40
+    return bytes(flipped)
+
+
+class TestDamagedFiles:
+    """A damaged npz fails the same way on both paths — a categorized
+    :class:`MeasurementError` — and a mapped matrix is never served from
+    bytes that fail the entry's stored CRC-32."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("damage", ["truncated", "bit flipped", "not a zip"])
+    def test_every_damage_raises_on_both_paths(self, tmp_path, damage, mmap):
+        path = tmp_path / "ds.npz"
+        build_dataset(n=50, holes=False).save(path)
+        path.write_bytes(_damaged(path, damage))
+        with pytest.raises(MeasurementError, match="cannot load dataset"):
+            CampaignDataset.load(path, mmap=mmap)
+
+    def test_the_flipped_bit_moves_the_matrix_a_raw_mapping_would_serve(
+        self, tmp_path
+    ):
+        """What the CRC keeps out: the same bytes mapped without it hash
+        differently from the matrix that was saved."""
+        path = tmp_path / "ds.npz"
+        dataset = build_dataset(n=50, holes=False)
+        dataset.save(path)
+        path.write_bytes(_damaged(path, "bit flipped"))
+        n = len(dataset.matrix.nodes)
+        raw = np.memmap(
+            path, dtype="<f8", mode="r", offset=_matrix_end(path) - 8 * n * n,
+            shape=(n, n),
+        )
+        served = RttMatrix.from_array(dataset.matrix.nodes, np.array(raw))
+        assert served.content_hash() != dataset.matrix.content_hash()
+
+    def test_an_intact_file_still_maps(self, tmp_path):
+        path = tmp_path / "ds.npz"
+        dataset = build_dataset(n=50)
+        dataset.save(path)
+        mapped = CampaignDataset.load(path, mmap=True)
+        assert isinstance(mapped.matrix._matrix, np.memmap)
+        assert mapped.matrix.content_hash() == dataset.matrix.content_hash()
+
+    def test_a_file_that_is_neither_json_nor_npz(self, tmp_path):
+        path = tmp_path / "ds.json"
+        path.write_bytes(b"\x00\xffnot a dataset")
+        for mmap in (False, True):
+            with pytest.raises(MeasurementError, match="cannot load dataset"):
+                CampaignDataset.load(path, mmap=mmap)
 
 
 class TestFromArrayAdoption:

@@ -3,8 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.sampling import AdaptiveSpec, ConvergenceTracker
 from repro.netsim import EventHandle
 from repro.netsim.engine import Simulator
+from repro.netsim.policies import TrafficClass
+from repro.netsim.transport import Packet
+from repro.testbeds.livetor import LiveTorTestbed
+from repro.tor.client import OnionProxy
 from repro.util.errors import SimulationError
 
 
@@ -597,70 +602,6 @@ class TestFlights:
         with pytest.raises(SimulationError, match="already in the air"):
             self._flight(sim, 9.0)
 
-    @staticmethod
-    def _chain(sim, lands, log):
-        """Flights landing at ``lands``, each launched inside the last
-        one's landing, held through the last from the first launch."""
-
-        def take_back():
-            log.append(("taken back", sim.now))
-            return True
-
-        def land(k):
-            log.append(("landed", sim.now))
-            if k + 1 < len(lands) and not sim.launch_flight(
-                lands[k + 1], land, take_back, k + 1
-            ):
-                sim.ground_flight()  # the layer takes the rest back itself
-
-        assert sim.launch_flight(lands[0], land, take_back, 0)
-        sim.hold(lands[-1])
-
-    def test_a_held_chain_lands_flight_by_flight(self):
-        sim, log = Simulator(), []
-        self._chain(sim, [2.0, 4.0, 6.0], log)
-        sim.run()
-        assert log == [("landed", 2.0), ("landed", 4.0), ("landed", 6.0)]
-        assert sim.events_processed == 3
-        sim.schedule(0.5, lambda: log.append(("timer", sim.now)))  # nothing held
-        sim.run()
-        assert log[-1] == ("timer", 6.5) and len(log) == 4
-        sim.restart_clock()
-
-    def test_anything_due_before_a_held_chain_ends_grounds_it(self):
-        sim, log = Simulator(), []
-        self._chain(sim, [2.0, 4.0, 6.0], log)
-        sim.run(max_events=1)  # the first landing; the second flight is up
-        sim.schedule(3.0, lambda: log.append(("timer", sim.now)))
-        assert log == [("landed", 2.0), ("taken back", 2.0)]
-        sim.run()
-        assert log[-1] == ("timer", 5.0) and sim.events_processed == 2
-
-    def test_a_held_chain_is_grounded_between_a_landing_and_the_next_launch(self):
-        sim, log = Simulator(), []
-
-        def take_back():
-            log.append(("taken back", sim.now))
-            return True
-
-        def land():
-            log.append(("landed", sim.now))
-            sim.schedule(1.0, lambda: log.append(("timer", sim.now)))
-
-        assert sim.launch_flight(2.0, land, take_back)
-        sim.hold(6.0)
-        sim.run()
-        assert log == [("landed", 2.0), ("taken back", 2.0), ("timer", 3.0)]
-
-    def test_a_bounded_run_past_the_landing_in_the_air_lets_it_land(self):
-        sim, log = Simulator(), []
-        self._chain(sim, [2.0, 4.0, 6.0], log)
-        with pytest.raises(SimulationError, match="not idle"):
-            sim.restart_clock()
-        sim.run(until=2.5)  # lands the flight in the air; the next is refused
-        assert log == [("landed", 2.0), ("taken back", 2.0)] and sim.now == 2.5
-        sim.restart_clock()
-
     def test_after_landing_the_engine_is_as_before(self):
         sim = Simulator()
         _, log = self._flight(sim, 7.5)
@@ -671,6 +612,126 @@ class TestFlights:
         sim.run()
         assert log[-1] == ("timer", 8.0)
         assert second == [("landed", 7.9, ("a", 1))]
+
+
+class TestWalkedRoundLanding:
+    """A walked ping-pong round (``OnionProxy._walk_round``) is one flight
+    landing with its last probe: the engine keeps it alone in the air, and
+    its replies reach the sender as one list. The exact cases run flown
+    and as cells (``OnionProxy._fly`` refusing) on one seed's worlds."""
+
+    @staticmethod
+    def _world():
+        testbed = LiveTorTestbed.build(seed=47, n_relays=10)
+        host = testbed.measurement
+        circuit = host.controller.build_circuit(
+            [host.relay_w.fingerprint, testbed.relays[0].fingerprint,
+             host.relay_z.fingerprint]
+        )
+        stream = host.controller.open_stream(circuit, host.echo_address, host.echo_port)
+        return testbed, stream
+
+    def _both(self, scenario, monkeypatch):
+        """Assert ``scenario(testbed, stream)`` observes, ends its clock and
+        leaves every draw stream the same flown and as cells; return the
+        flown run's ``(observed, landed rounds' landing times, flights
+        taken back)``."""
+        runs, land = [], OnionProxy._land
+        for refuse in (False, True):
+            testbed, stream = self._world()
+            registry = testbed.measurement.enable_observability()
+            rounds = []
+
+            def landed(proxy, stream, payload, chart, lands):
+                if lands is not None:
+                    rounds.append(lands)
+                return land(proxy, stream, payload, chart, lands)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(OnionProxy, "_land", landed)
+                if refuse:
+                    patch.setattr(OnionProxy, "_fly", lambda *args: False)
+                observed = scenario(testbed, stream)
+            streams = testbed.streams.draws._streams.values()
+            end = repr(testbed.sim.now), {d.name: d.base + d.pos for d in streams}
+            runs.append((observed, end, rounds, registry.counter("echo.flight_rollbacks")))
+        (observed, end, rounds, taken_back), reference = runs
+        assert (observed, end) == reference[:2] and reference[2:] == ([], 0)
+        return observed, rounds, taken_back
+
+    def test_a_bounded_run_inside_a_round_lands_exactly_the_prefix_before_until(
+        self, monkeypatch
+    ):
+        def scenario(testbed, stream):
+            sim, host, done = testbed.sim, testbed.measurement, []
+            rtt = host.echo_client.probe(stream, 1, interval_ms=None).rtts_ms[0]
+            until = sim.now + 60.5 * rtt
+            host.echo_client.probe_async(
+                stream, 200, done.append, done.append, interval_ms=None
+            )
+            sim.run(until=until)
+            # Replies of this round by ``until`` (the lone probe's aside).
+            received = host.metrics.counter("echo.probes_received") - 1
+            at_until = received, repr(sim.now), bool(done)
+            sim.run_until_idle()
+            return at_until, until, done[0].rtts_ms
+
+        ((received, now, done), until, _), rounds, taken_back = self._both(
+            scenario, monkeypatch
+        )
+        assert now == repr(until) and not done and taken_back == 0
+        # The round walked at the first send holds every probe that lands
+        # by ``until``, and no more; the rest is walked after it.
+        assert len(rounds[0]) == received and rounds[0][-1] <= until
+        assert len(rounds) >= 2 and rounds[1][0] > until
+
+    def test_a_max_events_stop_inside_a_round_stays_exact_or_raises(
+        self, monkeypatch
+    ):
+        """``run(max_events=1)`` returns at the round's launch, with it up:
+        something scheduled inside it then takes it back exactly; a draw
+        taken outside any event on a link it walked cannot be replayed."""
+        up = []
+
+        def scenario(testbed, stream):
+            sim, done, ticks = testbed.sim, [], []
+            testbed.measurement.echo_client.probe_async(
+                stream, 200, done.append, done.append, interval_ms=None
+            )
+            sim.run(max_events=1)  # the first send: the round is launched
+            up.append(sim._flight is not None)
+            sim.schedule(1.0, lambda: ticks.append(sim.now))
+            sim.run_until_idle()
+            return done[0].rtts_ms, ticks
+
+        _, rounds, taken_back = self._both(scenario, monkeypatch)
+        assert up == [True, False] and taken_back == 1 and rounds
+
+        testbed, stream = self._world()
+        host, sim = testbed.measurement, testbed.sim
+        host.echo_client.probe_async(
+            stream, 200, lambda result: None, lambda reason: None, interval_ms=None
+        )
+        sim.run(max_events=1)
+        landing = sim._flight.time
+        ping = Packet(
+            src=host.echo_client_host, dst=host.relay_w.host, sport=0, dport=0,
+            traffic_class=TrafficClass.ICMP, payload=("echo-request", 0, None),
+        )
+        with pytest.raises(SimulationError, match=f"lands at {landing!r} ms"):
+            testbed.fabric.send(ping)
+
+    def test_a_broken_follows_promise_raises(self, monkeypatch):
+        """A sender that stops inside a walked round it promised to follow
+        (here the tracker overstating what it is sure of) raises, naming
+        the round, rather than settle short of the replies it was handed."""
+        monkeypatch.setattr(ConvergenceTracker, "replies_before_stop", lambda self: 200)
+        testbed, stream = self._world()
+        adaptive = AdaptiveSpec(absolute_ms=1.0, min_samples=2, patience=2, confirm_k=2)
+        with pytest.raises(SimulationError, match="a probe round of 200 ends at reply"):
+            testbed.measurement.echo_client.probe(
+                stream, 200, interval_ms=None, adaptive=adaptive
+            )
 
 
 class TestClockRestart:

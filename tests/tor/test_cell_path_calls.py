@@ -43,13 +43,16 @@ write that moves the wiring epoch brings a flight down first).
 A **ping-pong round** is the third shape: 200 probes on one stream of
 the probe kernel's world (``bench/kernels.py``: a four-hop circuit of a
 20-relay world at seed 47), built and opened outside the profiler. The
-round is walked once at its first launch (``OnionProxy._walk_round``),
-so it costs 201 events (a landing per probe, plus the first send) and
-reads 207 blocks — counted as blocks whichever reader reads them
-(``DrawStream.read`` one, ``DrawStream.read_run`` as many as it fills).
-When the walk read its ≈ 200 blocks ahead one ``read`` call each, the
-round entered 5,404 program calls; read as one run per stream it
-enters 5,210, events and blocks unmoved.
+round is walked once at its first launch (``OnionProxy._walk_round``)
+and lands in one event, its 200 replies handed to the echo client as one
+list: 2 events (the first send and the landing) and 207 blocks read —
+counted as blocks whichever reader reads them (``DrawStream.read`` one,
+``DrawStream.read_run`` as many as it fills). When the walk read its
+≈ 200 blocks ahead one ``read`` call each, the round entered 5,404
+program calls; read as one run per stream, 5,210. Both landed a probe
+per event (201 events: each landing sent the next probe through
+``TorStream.send``, ≈ 26 calls a probe); landed once, the round enters
+233, blocks unmoved.
 
 Print the counts with ``PYTHONPATH=src python tests/tor/test_cell_path_calls.py``.
 """
@@ -78,7 +81,7 @@ TASKS, TASK_EVENTS, TASK_PROGRAM_CALLS, TASK_CELLS_MADE = 10, 922, 15_735, 126
 
 #: The round's probes, and its events, program calls and block reads.
 ROUND_PROBES = 200
-ROUND_EVENTS, ROUND_PROGRAM_CALLS, ROUND_BLOCK_READS = 201, 5_210, 207
+ROUND_EVENTS, ROUND_PROGRAM_CALLS, ROUND_BLOCK_READS = 2, 233, 207
 
 
 def count_cell_path() -> dict[str, int]:
