@@ -183,11 +183,11 @@ def test_cipher_contexts_per_circuit_guard(report, monkeypatch):
 
 
 #: A flown probe must cost at most this fraction of a cell-path probe.
-#: With the path charted once per stream (``OnionProxy._charted``)
+#: With the path charted once per stream (``Probe.charted``)
 #: instead of twice per probe, and the next ping-pong send made inside
 #: the landing, a 2-vCPU x86 box reads flown 34.3 → 16.6 µs against
 #: 102 → 96 µs on the cell path: 0.34x → 0.17x. With the round walked
-#: once at its launch (``OnionProxy._walk_round``): flown 11.1–11.6 →
+#: once at its launch (``Probe.walk_round``): flown 11.1–11.6 →
 #: 7.6–8.0 µs against 67–70 µs, 0.17x → 0.11x. With the walked round
 #: landing in one event, its replies handed over as one list: 11.6–17.9
 #: → 5.3–8.1 µs against 95–145 µs on the cell path, 0.12x → 0.05–0.06x.
@@ -201,7 +201,7 @@ def test_probe_flight_guard(report, monkeypatch):
     (18 events, 7 cells through AES and digests) on the probe kernel's
     world. The reference is the production cell path itself, reached by
     making the flight's one entry point refuse."""
-    from repro.tor.client import OnionProxy
+    from repro.tor.flight import Probe
 
     probes = scaled(1_000, minimum=300)
 
@@ -213,7 +213,7 @@ def test_probe_flight_guard(report, monkeypatch):
         )
         with monkeypatch.context() as patch:
             if refuse:
-                patch.setattr(OnionProxy, "_fly", lambda self, stream, payload: False)
+                patch.setattr(Probe, "launch", lambda self: False)
             start = time.perf_counter()
             result = host.echo_client.probe(
                 stream, probes, interval_ms=None, timeout_ms=probes * 30_000.0
@@ -241,7 +241,7 @@ def test_round_walk_guard(report, monkeypatch):
     when each probe landed in an event of its own), and exactly the
     block reads the same round makes as cells — nothing read ahead that
     the cells would not read. Counted, not timed."""
-    from repro.tor.client import OnionProxy
+    from repro.tor.flight import Probe
     from repro.util.rng import BLOCK_WORDS, DrawStream
 
     probes = 200
@@ -253,10 +253,10 @@ def test_round_walk_guard(report, monkeypatch):
             circuit, host.echo_address, host.echo_port
         )
         walks, reads = [], []
-        walk, read, read_run = OnionProxy._walk_round, DrawStream.read, DrawStream.read_run
+        walk, read, read_run = Probe.walk_round, DrawStream.read, DrawStream.read_run
 
-        def walked(proxy, *args):
-            held = walk(proxy, *args)
+        def walked(probe, left):
+            held = walk(probe, left)
             walks.append(held)
             return held
 
@@ -270,8 +270,8 @@ def test_round_walk_guard(report, monkeypatch):
 
         with monkeypatch.context() as patch:
             if refuse:
-                patch.setattr(OnionProxy, "_fly", lambda self, stream, payload: False)
-            patch.setattr(OnionProxy, "_walk_round", walked)
+                patch.setattr(Probe, "launch", lambda self: False)
+            patch.setattr(Probe, "walk_round", walked)
             patch.setattr(DrawStream, "read", counted)
             patch.setattr(DrawStream, "read_run", counted_run)
             events = testbed.sim.events_processed

@@ -99,17 +99,17 @@ python -m pytest "tests/core/test_ting.py::TestCircuitReuse::test_reuse_pair_lau
 
 echo "== probe flight contract =="
 # A lone echo cell on a quiet simulator crosses its circuit in one event
-# (OnionProxy._fly) instead of 4 x hops + 1. The differential that holds
+# (a probe flight, repro.tor.flight.Probe) instead of 4 x hops + 1. The differential that holds
 # the shortcut to the cell path, bit for bit — RTTs, clock, every draw
 # stream, queues, counters — on its own, for the same reason as above:
 # a flight that drifts from the cells is reported as that. Then the
-# chart a flight remembers (OnionProxy._charted, keyed by the fabric's
+# chart a flight remembers (Probe.charted, keyed by the fabric's
 # wiring epoch) held to a fresh chart at every use and after every
 # event, over the same cases and every kind of write that moves it.
 python -m pytest tests/contract/test_probe_flight.py tests/contract/test_chart_memo.py -x -q
 # What the memo, the inline ping-pong send and the round walk buy,
 # counted: charts made per flown probe, simulator events per probe, and
-# round walks (OnionProxy._walk_round: how many, probes each held, and
+# round walks (Probe.walk_round: how many, probes each held, and
 # the events of a probe round that one walk landed in one event — 2: its
 # first send and the landing), on the planner smoke's world (below)
 # measured the highacc_serial way — 200 ping-pong samples per circuit —
@@ -124,18 +124,19 @@ from repro.core.sampling import SamplePolicy
 from repro.core.ting import TingMeasurer
 from repro.echo.client import EchoClient
 from repro.testbeds.livetor import LiveTorTestbed
-from repro.tor.client import OnionProxy
+from repro.tor import flight
+from repro.tor.flight import Probe
 
 charts, walks, walked_at, round_events, rounds = [], [], [], [], []
-chart, walk, probe_async = OnionProxy._chart, OnionProxy._walk_round, EchoClient.probe_async
-account, fly = TingMeasurer.account, OnionProxy._fly
+chart, walk, probe_async = flight._chart, Probe.walk_round, EchoClient.probe_async
+account, launch = TingMeasurer.account, Probe.launch
 
 
-def walked(self, *args):
-    held = walk(self, *args)
+def walked(self, left):
+    held = walk(self, left)
     if held:
         walks.append(held)
-        walked_at.append(self.sim.events_processed)
+        walked_at.append(self.proxy.sim.events_processed)
     return held
 
 
@@ -152,8 +153,8 @@ def counted(self, stream, samples, on_done, *args, **kwargs):
     return probe_async(self, stream, samples, done, *args, **kwargs)
 
 
-OnionProxy._chart = lambda self, *args: charts.append(1) or chart(self, *args)
-OnionProxy._walk_round, EchoClient.probe_async = walked, counted
+flight._chart = lambda *args: charts.append(1) or chart(*args)
+Probe.walk_round, EchoClient.probe_async = walked, counted
 TingMeasurer.account = lambda self, result: rounds.append(result.rtts_ms) or account(self, result)
 
 
@@ -176,9 +177,9 @@ def campaign():
 report, flown, events, flown_rounds, *flown_end = campaign()
 made = len(charts)
 rounds.clear()
-OnionProxy._fly = lambda self, stream, payload: False
+Probe.launch = lambda self: False
 *_, cell_rounds, cell_clock, cell_draws = campaign()
-OnionProxy._fly = fly
+Probe.launch = launch
 assert report.pairs_measured == 6 and flown > 0, (report.pairs_measured, flown)
 assert flown_rounds == cell_rounds, "a flown round's RTTs differ from the cells'"
 assert flown_end == [cell_clock, cell_draws], "flown clock / draw positions != cells'"
@@ -192,20 +193,26 @@ print(f"round walks: {len(walks)} walks, {sum(walks) / len(walks):.1f} probes pe
       f"{round_events[0]} events each; {len(flown_rounds)} rounds == as cells: "
       f"RTT lists, clock, {len(cell_draws)} draw positions")
 PY
-# A walked round lands once (OnionProxy._land hands its replies over as
-# one list): no chain of flights is held in the engine any more.
+# A walked round lands once (Probe.landed hands its replies over as one
+# list): no chain of flights is held in the engine any more.
 if grep -rn '\.hold(' src; then
     echo "Simulator.hold is gone: a walked round is one flight" >&2
     exit 1
 fi
 # The chart has one caller, the memo: a second would chart past it.
-callers=$(grep -rn '\._chart(' src | wc -l)
+callers=$(grep -rn '[^[:alnum:]_.]_chart(' src | grep -vc 'def _chart(' || true)
 if [[ "$callers" -ne 1 ]]; then
-    echo "OnionProxy._chart has $callers callers under src/; _charted is the one" >&2
+    echo "repro.tor.flight._chart has $callers callers under src/; Probe.charted is the one" >&2
+    exit 1
+fi
+# Flights have one launch: nothing under src/ but the flight module
+# launches one (Simulator.launch_flight).
+if grep -rn 'launch_flight(' src | grep -v '^src/repro/tor/flight.py:' | grep -v 'def launch_flight('; then
+    echo "only repro/tor/flight.py may call launch_flight (above)" >&2
     exit 1
 fi
 # A circuit's CREATE, each EXTEND and its BEGIN, answered in one event on
-# a quiet simulator (OnionProxy._fly_set_up: the far end's new OR or TCP
+# a quiet simulator (a set-up flight, repro.tor.flight.SetUp: the far end's new OR or TCP
 # connection and CREATE/CREATED walked too). The differential that holds
 # it to the cell path, bit for bit — RTTs, clock, draw positions,
 # connections, relay and proxy tables, counters — then the set-up
@@ -217,13 +224,13 @@ from repro.core.planner import CampaignPlanner
 from repro.core.sampling import SamplePolicy
 from repro.core.shard import ShardedCampaign
 from repro.testbeds.livetor import LiveTorTestbed
-from repro.tor.client import OnionProxy
+from repro.tor.flight import SetUp
 
-fly, sent = OnionProxy._fly_set_up, []
+launch, sent = SetUp.launch, []
 
 
-def counted(self, *args):
-    sent.append(fly(self, *args))
+def counted(self):
+    sent.append(launch(self))
     return sent[-1]
 
 
@@ -239,18 +246,18 @@ def campaign():
     return report.matrix.as_array().tobytes(), report.events_processed, tasks
 
 
-OnionProxy._fly_set_up = counted
+SetUp.launch = counted
 matrix, events, tasks = campaign()
-OnionProxy._fly_set_up = lambda self, cell: False
+SetUp.launch = lambda self: False
 cells, cell_events, _ = campaign()
-OnionProxy._fly_set_up = fly
+SetUp.launch = launch
 assert matrix == cells, "a set-up flight moved a measured RTT"
 print(f"set-up flights, isolated tasks on the planner smoke's world: "
       f"{sum(sent)} flown / {len(sent) - sum(sent)} refused; "
       f"{events / tasks:.1f} events per task ({cell_events / tasks:.1f} as cells, "
       f"{tasks} tasks), matrices equal")
 PY
-# The scalar walk (OnionProxy._walk) is the one copy of arrival_ms /
+# The scalar walk (repro.tor.flight._walk) is the one copy of arrival_ms /
 # ready_ms's arithmetic a flight makes: probe and set-up flights share it.
 for line in 'last_arrival + 1e-6 > at' '_queue_head + 1e-6 > at'; do
     copies=$(grep -rnF "$line" src | wc -l)

@@ -329,10 +329,15 @@ class RttMatrix:
         for node in self.nodes:
             digest.update(node.encode("utf-8"))
             digest.update(b"\x00")
-        rounded = np.round(self._matrix, 6)
-        # Normalize NaN payloads so the hash only sees "missing".
-        rounded = np.nan_to_num(rounded, nan=-1.0)
-        digest.update(np.ascontiguousarray(rounded).tobytes())
+        # The values' C-order bytes, a sixteenth of the rows at a time in
+        # one buffer, NaN payloads normalized so the hash only sees "missing".
+        values = self._matrix
+        block = np.empty((max(1, len(values) // 16), len(values)))
+        for start in range(0, len(values), len(block)):
+            out = block[: len(values) - start]
+            np.round(values[start : start + len(out)], 6, out=out)
+            np.nan_to_num(out, copy=False, nan=-1.0)
+            digest.update(out)
         return digest.hexdigest()
 
     # ------------------------------------------------------------------
@@ -1051,9 +1056,11 @@ def _npz_entry_memmap(path: Path, name: str) -> np.ndarray | None:
 
     Returns ``None`` when the entry is absent, compressed, or not a
     plain little-endian npy v1/v2 array — callers fall back to the
-    eager load path. Raises :class:`zipfile.BadZipFile` where the eager
-    path would: no zip, or an entry whose bytes fail its stored CRC-32
-    (checked over the mapping: ≈ 3 ms per 8 MB).
+    eager load path. Raises where the eager path would:
+    :class:`zipfile.BadZipFile` for no zip or an entry whose bytes fail
+    its stored CRC-32 (checked over the mapping: ≈ 3 ms per 8 MB),
+    :class:`ValueError` for an npy header whose shape and dtype do not
+    end exactly where the entry does (a mapping would read past it).
     """
     with zipfile.ZipFile(path) as archive:
         try:
@@ -1086,6 +1093,11 @@ def _npz_entry_memmap(path: Path, name: str) -> np.ndarray | None:
         if dtype.hasobject:
             return None
         data_offset = handle.tell()
+    if data_offset + dtype.itemsize * math.prod(shape) != entry_offset + info.file_size:
+        raise ValueError(
+            f"{info.filename!r} holds {entry_offset + info.file_size - data_offset} "
+            f"bytes of data, but its header says {shape} {dtype}"
+        )
     entry = np.memmap(
         path, dtype=np.uint8, mode="r", offset=entry_offset, shape=(info.file_size,)
     )

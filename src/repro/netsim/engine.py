@@ -278,11 +278,10 @@ class Simulator:
     def launch_flight(
         self,
         lands_at: Milliseconds,
-        land: Callable[..., None],
+        land: Callable[[], None],
         take_back: Callable[[], bool],
-        *args: Any,
     ) -> bool:
-        """Schedule ``land(*args)`` as the one event of a flight.
+        """Schedule ``land()`` as the one event of a flight.
 
         The caller has already worked out, from now to ``lands_at``,
         what a chain of its own events would have done, and needs
@@ -299,16 +298,16 @@ class Simulator:
             raise SimulationError("a flight is already in the air")
         if not self.quiet_through(lands_at):
             return False
-        self._flight = self.schedule_at(lands_at, self._flight_landed, land, args)
+        self._flight = self.schedule_at(lands_at, self._flight_landed, land)
         self._flight_lands = lands_at
         self._flight_launched = self.now
         self._flight_take_back = take_back
         return True
 
-    def _flight_landed(self, land: Callable[..., None], args: tuple) -> None:
+    def _flight_landed(self, land: Callable[[], None]) -> None:
         self._flight = self._flight_take_back = None
         self._flight_lands = -inf
-        land(*args)
+        land()
 
     def ground_flight(self) -> None:
         """Take back the flight in the air, if any.

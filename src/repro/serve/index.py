@@ -279,13 +279,14 @@ class MatrixIndex:
         # the matrix its column b down to the sign of a zero.
         bits = work.view(np.int64)
         symmetric = bool((bits == bits.T).all())
-        order = np.argsort(work, axis=1, kind="stable")[:, : n - 1].astype(
-            np.int32
-        )
-        row_sorted = np.take_along_axis(work, order.astype(np.int64), axis=1)
+        # Gathered with the argsort's own int64 ranking, narrowed after.
+        ranking = np.argsort(work, axis=1, kind="stable")[:, : n - 1]
+        row_sorted = np.take_along_axis(work, ranking, axis=1)
+        order = ranking.astype(np.int32)
+        del ranking
         degree = (np.isfinite(row_sorted)).sum(axis=1).astype(np.int64)
-        iu, ju = np.triu_indices(n, k=1)
-        upper = work[iu, ju]
+        # The upper triangle, row by row, through a mask (no index arrays).
+        upper = work[~np.tri(n, dtype=bool)]
         all_sorted = np.sort(upper[np.isfinite(upper)])
 
         quality_matrix = None

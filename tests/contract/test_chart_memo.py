@@ -1,8 +1,8 @@
 """Contract: the chart a probe flight remembers is the chart.
 
-A probe flight walks a path it charted — ``OnionProxy._chart``, every
-check a cell would meet out to the echo server and back. The chart is
-made once per stream and remembered (``OnionProxy._charted``) under the
+A probe flight walks a path it charted — ``repro.tor.flight._chart``,
+every check a cell would meet out to the echo server and back. The chart
+is made once per stream and remembered (``Probe.charted``) under the
 fabric's *wiring epoch*, which every write that can change the answer
 moves: a connection closing, a relay tearing a circuit down. The
 client's own checks are made on every use, the entry connection, hop
@@ -42,7 +42,8 @@ from repro.core.ting import TingMeasurer
 from repro.netsim.engine import Simulator
 from repro.testbeds.churn import ChurnProcess
 from repro.testbeds.livetor import LiveTorTestbed
-from repro.tor.client import OnionProxy
+from repro.tor import flight as flights
+from repro.tor.flight import Probe
 from repro.tor.relay import DiurnalForwardingDelayModel, Relay
 
 ADAPTIVE = SamplePolicy(
@@ -61,27 +62,27 @@ def _fresh(proxy, stream, payload):
     return chart
 
 
-_CHART = OnionProxy._chart
+_CHART = flights._chart
 
 
 @pytest.fixture
 def memo(monkeypatch):
     """Check every use of the memo, and every current memo after every
     event; count uses and the charts actually made."""
-    charted, run = OnionProxy._charted, Simulator.run
+    charted, run = Probe.charted, Simulator.run
     counts = {"uses": 0, "charts": 0}
     streams = {}
 
-    def checked(self, stream, payload):
-        answer = charted(self, stream, payload)
+    def checked(probe):
+        answer = charted(probe)
         counts["uses"] += 1
-        streams[stream] = self
-        assert answer == _fresh(self, stream, payload)
+        streams[probe.stream] = probe.proxy
+        assert answer == _fresh(probe.proxy, probe.stream, probe.cell[3])
         return answer
 
-    def counted(self, stream, payload):
+    def counted(proxy, stream, payload):
         counts["charts"] += 1
-        return _CHART(self, stream, payload)
+        return _CHART(proxy, stream, payload)
 
     def current_memos_hold():
         for stream, proxy in list(streams.items()):
@@ -93,7 +94,7 @@ def memo(monkeypatch):
             (wiring, first, hops, length), chart = stream._chart_memo
             if (
                 wiring != proxy.fabric._wiring
-                or proxy._attached(stream) is not first
+                or flights._attached(proxy, stream) is not first
                 or len(stream.circuit.layers) != hops
             ):
                 continue
@@ -106,8 +107,8 @@ def memo(monkeypatch):
 
         return run(self, until, max_events, after_each_event)
 
-    monkeypatch.setattr(OnionProxy, "_charted", checked)
-    monkeypatch.setattr(OnionProxy, "_chart", counted)
+    monkeypatch.setattr(Probe, "charted", checked)
+    monkeypatch.setattr(flights, "_chart", counted)
     monkeypatch.setattr(Simulator, "run", checked_run)
     return counts
 
@@ -250,7 +251,8 @@ def _then_asked(testbed, stream, write):
     def write_then_ask():
         payload = bytes(stream._chart_memo[0][3])
         write()
-        assert testbed.measurement.proxy._charted(stream, payload) is None
+        probe = flight._probe(testbed.measurement.proxy, stream, payload)
+        assert probe.charted() is None
 
     return write_then_ask
 
@@ -334,7 +336,7 @@ def test_a_clock_reading_model_swapped_in_mid_round(memo):
     adaptive round is sure of its first 30 replies only, so its first walk
     lands those 30 at once; a hop's model swapped for one that reads the
     clock after reply 30 — in that landing's round handler, or after the
-    30th reply as cells — is met by the next probe's ``_charted``, and the
+    30th reply as cells — is met by the next probe's ``charted``, and the
     rest of the round is cells."""
     adaptive = SamplePolicy.adaptive_1ms().adaptive
 

@@ -1,26 +1,29 @@
 """Contract: a probe flight is the cell path without the cells.
 
 ``OnionProxy._send_stream_data`` may send a lone echo cell as a *probe
-flight* — every draw the cells would take, each from its own link's or
-relay's stream, inside the sending event, and one landing event. The claim is that nothing a
-measurement can observe tells the two apart. This file holds the claim
-to that: each case runs once as shipped and once with the flight's
-single entry point (``OnionProxy._fly``) refusing everything, on two
-worlds generated from the same seed, and compares — bit for bit — the
-RTT lists, the final clock, every draw stream's position (and every
-named generator's state), per-relay cell counts, service-queue state, every connection's last arrival, queue
-heads, the echo server's count and the whole metrics registry. The one
-thing allowed to differ is the simulator's event count, and only by
-``4 x hops`` per flown probe plus ``held - 1`` per walked round that
-landed once (its ``held`` probes in one event).
+flight* (``repro.tor.flight.Probe``) — every draw the cells would take,
+each from its own link's or relay's stream, inside the sending event,
+and one landing event. The claim is that nothing a measurement can
+observe tells the two apart. This file holds the claim to that: each
+case runs once as shipped and once with every probe flight refused
+(``_world.refusing(Probe)``), on two worlds generated from the same
+seed, and compares — bit for bit — what was measured and the world's
+snapshot (``_world.state``: the clock, every draw stream, every
+connection end, relay tables, cell counts, service queues, the echo
+server, the whole metrics registry but the flight counters), and the
+heap peak. The one thing allowed to differ is the simulator's event
+count, and only by ``4 x hops`` per flown probe plus ``held - 1`` per
+walked round that landed once (its ``held`` probes in one event).
 
 (The first file of ``tests/contract/``, ROADMAP item 2.)
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from unittest.mock import patch
 
+import _world
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,18 +33,14 @@ from repro.netsim.policies import TrafficClass
 from repro.netsim.transport import Packet
 from repro.testbeds.churn import ChurnProcess
 from repro.testbeds.livetor import LiveTorTestbed
-from repro.tor.cells import RELAY_DATA_LEN
-from repro.tor.client import ROUND_WALK_MIN, OnionProxy
+from repro.tor import flight
+from repro.tor.cells import RELAY_DATA_LEN, RelayCommand
+from repro.tor.flight import ROUND_WALK_MIN, Probe
 from repro.tor.relay import DiurnalForwardingDelayModel, ServiceQueue
 from repro.util.errors import SimulationError
 from repro.util.rng import BLOCK_WORDS, DrawStream
 
 FLIGHT_COUNTERS = ("echo.probes_flown", "echo.flight_rollbacks")
-
-
-def _refuse(self, stream, payload):
-    """``OnionProxy._fly`` for the reference run: every probe is cells."""
-    return False
 
 
 def _stream(testbed, hops, first=0):
@@ -54,81 +53,21 @@ def _stream(testbed, hops, first=0):
     return host.controller.open_stream(circuit, host.echo_address, host.echo_port)
 
 
-def _state(testbed, registry):
-    """Everything the two paths must leave identical."""
-    host = testbed.measurement
-    relays = [*testbed.relays, host.relay_w, host.relay_z]
-    last_arrival, queue_heads = {}, {}
-    for relay in relays:
-        for entry in relay._circuits.values():
-            for conn in (entry.prev_conn, entry.next_conn, *entry.exit_streams.values()):
-                for end in (conn, conn._peer) if conn is not None else ():
-                    last_arrival[(end.conn_id, end.is_client)] = end._last_arrival
-                    queue_heads[(end.conn_id, end.is_client)] = end._queue_head
-    snapshot = registry.snapshot()
-    sim = testbed.sim
-    return {
-        "now": repr(sim.now),
-        "streams": {
-            name: rng.bit_generator.state
-            for name, rng in testbed.streams._streams.items()
-        },
-        "draws": {
-            name: (draws.base, draws.pos)
-            for name, draws in testbed.streams.draws._streams.items()
-        },
-        "forwarding": [(r.draws.base, r.draws.pos) for r in relays],
-        "cells": [relay.cells_processed for relay in relays],
-        "queues": [
-            None if queue is None else (queue.cells_served, queue._busy_until)
-            for queue in (relay.service_queue for relay in relays)
-        ],
-        "queue_heads": queue_heads,
-        "last_arrival": last_arrival,
-        "echoed": host.echo_server.payloads_echoed,
-        "counters": {
-            name: value
-            for name, value in snapshot["counters"].items()
-            if name not in FLIGHT_COUNTERS
-        },
-        "histograms": snapshot["histograms"],
-        "cancelled": sim.events_cancelled,
-        "heap_peak": sim.heap_peak,
-    }
-
-
 def differential(scenario, hops, seed=47, n_relays=10, service_queues=False):
     """Run ``scenario(testbed, hops)`` flown and as cells; assert the two
     indistinguishable; return ``(probes flown, flights rolled back)``."""
-    runs, rounds, land = [], [], OnionProxy._land
-
-    def landed(proxy, stream, payload, chart, lands):
-        if lands is not None:
-            rounds.append(len(lands))
-        return land(proxy, stream, payload, chart, lands)
-
-    for refuse in (False, True):
-        testbed = LiveTorTestbed.build(
-            seed=seed, n_relays=n_relays, service_queues=service_queues
-        )
-        registry = testbed.measurement.enable_observability()
-        with patch.object(
-            OnionProxy, *(("_fly", _refuse) if refuse else ("_land", landed))
-        ):
-            observed = scenario(testbed, hops)
-        counters = registry.snapshot()["counters"]
-        runs.append(
-            (
-                observed,
-                _state(testbed, registry),
-                testbed.sim.events_processed,
-                tuple(counters.get(name, 0) for name in FLIGHT_COUNTERS),
-            )
-        )
-    (observed, state, events, (flown, rollbacks)), reference = runs
-    assert reference[3] == (0, 0)
+    both = _world.runs(
+        lambda testbed: scenario(testbed, hops), Probe, seed, n_relays, service_queues
+    )
+    (flown, rollbacks), cells = (
+        tuple(run[1]["counters"].pop(name, 0) for name in FLIGHT_COUNTERS) for run in both
+    )
+    (observed, state, events, peak, landed), reference = both
+    assert cells == (0, 0)
     assert observed == reference[0]
     assert state == reference[1]
+    assert peak == reference[3]
+    rounds = [len(probe.lands) for probe in landed if probe.lands is not None]
     assert reference[2] - events == 4 * hops * flown + sum(n - 1 for n in rounds)
     return flown, rollbacks
 
@@ -262,13 +201,13 @@ def test_cross_traffic_through_shared_relays_never_flies():
         return done["train"].rtts_ms, done["pingpong"].rtts_ms
 
     charts = []
-    chart = OnionProxy._chart
+    chart = flight._chart
 
-    def counting(self, stream, payload):
+    def counting(proxy, stream, payload):
         charts.append(stream)
-        return chart(self, stream, payload)
+        return chart(proxy, stream, payload)
 
-    with patch.object(OnionProxy, "_chart", counting):
+    with patch.object(flight, "_chart", counting):
         assert differential(scenario, hops=3) == (0, 0)
     # Not even charted: until a stream's floor is known, the round trip
     # it took to open stands in for it.
@@ -521,10 +460,10 @@ class _Walks:
         self.held, self.reads = [], 0
 
     def __enter__(self):
-        walk, read, read_run = OnionProxy._walk_round, DrawStream.read, DrawStream.read_run
+        walk, read, read_run = Probe.walk_round, DrawStream.read, DrawStream.read_run
 
-        def walked(proxy, *args):
-            held = walk(proxy, *args)
+        def walked(probe, left):
+            held = walk(probe, left)
             if held:
                 self.held.append(held)
             return held
@@ -537,18 +476,14 @@ class _Walks:
             self.reads += len(u) // BLOCK_WORDS
             return read_run(draws, base, u, e)
 
-        self._patches = [
-            patch.object(OnionProxy, "_walk_round", walked),
-            patch.object(DrawStream, "read", counted),
-            patch.object(DrawStream, "read_run", counted_run),
-        ]
-        for p in self._patches:
-            p.start()
+        self._patches = ExitStack()
+        self._patches.enter_context(patch.object(Probe, "walk_round", walked))
+        self._patches.enter_context(patch.object(DrawStream, "read", counted))
+        self._patches.enter_context(patch.object(DrawStream, "read_run", counted_run))
         return self
 
     def __exit__(self, *exc):
-        for p in self._patches:
-            p.stop()
+        self._patches.close()
 
     def reading(self, scenario, runs):
         """``scenario``, appending each run's block reads to ``runs``
@@ -833,7 +768,7 @@ def test_a_hop_owing_queue_saturated_events_ends_each_prefix():
     with _Walks() as walks:
         flown, _ = differential(walks.reading(scenario, reads), hops=3)
     assert 0 < flown < 64 and len(walks.held) == 1 and walks.held[0] < 8
-    with _Walks() as unwalked, patch("repro.tor.client.ROUND_WALK_MIN", 10**9):
+    with _Walks() as unwalked, patch("repro.tor.flight.ROUND_WALK_MIN", 10**9):
         assert differential(unwalked.reading(scenario, probe_by_probe), 3)[0] == flown
     assert unwalked.held == [] and reads == probe_by_probe
 
@@ -841,14 +776,20 @@ def test_a_hop_owing_queue_saturated_events_ends_each_prefix():
 def test_a_chart_that_meets_a_connection_end_twice_is_not_walked():
     testbed = LiveTorTestbed.build(seed=47, n_relays=10)
     proxy, stream = testbed.measurement.proxy, _stream(testbed, hops=3)
-    chart = proxy._charted(stream, bytes(12))
+    probe = _probe(proxy, stream, bytes(12))
+    chart = probe.charted()
     steps = chart[0]
     def positions():
         streams = testbed.streams.draws._streams.values()
         return {draws.name: draws.base + draws.pos for draws in streams}
 
     before, pending = positions(), testbed.sim.pending
-    repeated = (steps + steps[:1], *chart[1:])
-    assert not proxy._walk_round(stream, bytes(12), repeated, 30)
-    assert proxy._airborne is None and testbed.sim.pending == pending
+    probe.chart = (steps + steps[:1], *chart[1:])
+    assert not probe.walk_round(30)
+    assert testbed.sim._flight is None and testbed.sim.pending == pending
     assert positions() == before
+
+
+def _probe(proxy, stream, payload):
+    """The probe flight ``stream.send(payload)`` would launch."""
+    return Probe(proxy, (stream.circuit, RelayCommand.DATA, stream.stream_id, payload), stream)

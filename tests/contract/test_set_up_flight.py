@@ -8,15 +8,14 @@ answer back, all walked inside the sending event with the draws the cells
 would take, and one landing that applies the far end's writes and runs
 the client code the answer would have reached. The claim is that nothing
 a measurement can observe tells the two apart. Each case here runs once
-as shipped and once with the flight's one entry point
-(``OnionProxy._fly_set_up``) refusing everything, on two worlds generated
-from the same seed, and compares bit for bit: what was measured, the
-final clock, every draw stream's position and named generator, every
-connection end (id, ports, state, last arrival, queue head), every
-relay's circuit tables, OR connections and counters, the proxy's tables,
-the echo server and the whole metrics registry. The simulator's event
-count may differ, and only by ``events − 1`` per landed set-up flight;
-its heap peak may only fall.
+as shipped and once with every set-up flight refused
+(``_world.refusing(SetUp)``), on two worlds generated from the same seed,
+and compares bit for bit what was measured and the world's snapshot
+(``_world.state``: the clock, every draw stream and named generator,
+every connection end, every relay's circuit tables, OR connections and
+counters, the proxy's tables, the echo server and the whole metrics
+registry). The simulator's event count may differ, and only by
+``events − 1`` per landed set-up flight; its heap peak may only fall.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from unittest.mock import patch
 
+import _world
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,125 +35,19 @@ from repro.core.shard import ShardedCampaign
 from repro.core.ting import TingMeasurer
 from repro.testbeds.churn import ChurnProcess
 from repro.testbeds.livetor import LiveTorTestbed
-from repro.tor.client import OnionProxy
-
-
-def _refuse(self, cell):
-    """``OnionProxy._fly_set_up`` for the reference run: every set-up is cells."""
-    return False
-
-
-def _ends(conn):
-    return (conn, conn._peer) if conn is not None and conn._peer is not None else (
-        (conn,) if conn is not None else ()
-    )
-
-
-def _end(conn):
-    return None if conn is None else (conn.conn_id, conn.is_client)
-
-
-def _state(testbed, registry):
-    """Everything the two paths must leave identical."""
-    host = testbed.measurement
-    relays = [*testbed.relays, host.relay_w, host.relay_z]
-    proxy = host.proxy
-    seen = {}
-
-    def visit(conn):
-        for end in _ends(conn):
-            seen[_end(end)] = (
-                end.local_port, end.remote_port, end.established, end.closed,
-                end._last_arrival, end._queue_head, type(end.owner).__name__,
-                end._link is not None,
-            )
-
-    tables = []
-    for relay in relays:
-        entries = []
-        for entry in relay._circuits.values():
-            for conn in (entry.prev_conn, entry.next_conn, *entry.exit_streams.values()):
-                visit(conn)
-            entries.append((
-                _end(entry.prev_conn), entry.prev_circ_id, _end(entry.next_conn),
-                entry.next_circ_id, entry.torn_down,
-                [(sid, _end(conn)) for sid, conn in entry.exit_streams.items()],
-            ))
-        for conn in relay._or_conns.values():
-            visit(conn)
-        tables.append((
-            entries,
-            [(_end(entry.next_conn), entry.next_circ_id) for entry in relay._next_side.values()],
-            [(key, _end(conn)) for key, conn in relay._or_conns.items()],
-            repr(relay._circ_id_counter),
-            relay.cells_processed,
-            relay.draws.base + relay.draws.pos,
-            None if relay.service_queue is None
-            else (relay.service_queue.cells_served, relay.service_queue._busy_until),
-            relay.conn_registry is not None and relay in relay.conn_registry,
-        ))
-    for conn in proxy._or_conns.values():
-        visit(conn)
-    snapshot = registry.snapshot()
-    sim, fabric = testbed.sim, testbed.fabric
-    return {
-        "now": repr(sim.now),
-        "campaign_ms": repr(sim.campaign_ms),
-        "streams": {
-            name: rng.bit_generator.state for name, rng in testbed.streams._streams.items()
-        },
-        # A stream's position is the number of words taken; one rewound to
-        # its start after a refused walk stands where an untouched one does.
-        "draws": {
-            name: draws.base + draws.pos
-            for name, draws in testbed.streams.draws._streams.items()
-            if draws.base + draws.pos > 0
-        },
-        "connections": seen,
-        "relays": tables,
-        "fabric": (repr(fabric._conn_ids), repr(fabric._ephemeral)),
-        "proxy": (
-            [(c.circ_id, c.state, c.failure_reason, len(c.layers), c.built_at_ms)
-             for c in proxy.circuits.values()],
-            [(key, _end(conn)) for key, conn in proxy._or_conns.items()],
-            [(cid, _end(conn)) for cid, conn in proxy._conn_for_circuit.items()],
-            sorted(proxy._builds), sorted(proxy._stream_waiters),
-        ),
-        "echo": (host.echo_server.connections_accepted, host.echo_server.payloads_echoed),
-        "counters": snapshot["counters"],
-        "histograms": snapshot["histograms"],
-        "cancelled": sim.events_cancelled,
-    }
+from repro.tor.flight import SetUp
 
 
 def differential(scenario, seed=47, n_relays=10, service_queues=False):
     """Run ``scenario(testbed)`` with set-up flights and as cells; assert
     the two indistinguishable; return the set-up flights landed."""
-    runs = []
-    for refuse in (False, True):
-        testbed = LiveTorTestbed.build(
-            seed=seed, n_relays=n_relays, service_queues=service_queues
-        )
-        registry = testbed.measurement.enable_observability()
-        landed = []
-        land = OnionProxy._land_set_up
-
-        def counting(self, *args):
-            landed.append(args[-1][3] - 1)
-            return land(self, *args)
-
-        with patch.object(OnionProxy, "_fly_set_up", _refuse) if refuse else nullcontext(), \
-                patch.object(OnionProxy, "_land_set_up", counting):
-            observed = scenario(testbed)
-        runs.append((
-            observed, _state(testbed, registry), testbed.sim.events_processed,
-            testbed.sim.heap_peak, landed,
-        ))
-    (observed, state, events, peak, landed), reference = runs
+    (observed, state, events, peak, landed), reference = _world.runs(
+        scenario, SetUp, seed, n_relays, service_queues
+    )
     assert reference[4] == []
     assert observed == reference[0]
     assert state == reference[1]
-    assert reference[2] - events == sum(landed)
+    assert reference[2] - events == sum(flight.chart[2] - 1 for flight in landed)
     assert peak <= reference[3]
     return len(landed)
 
@@ -236,17 +130,16 @@ def test_a_sharded_campaign_inline():
     matrix, and the workers' events lower by the formula."""
     runs = []
     for refuse in (False, True):
-        landed = []
-        land = OnionProxy._land_set_up
+        landed, land = [], SetUp.land
 
-        def counting(self, *args):
-            landed.append(args[-1][3] - 1)
-            return land(self, *args)
+        def counting(flight):
+            landed.append(flight.chart[2] - 1)
+            return land(flight)
 
         world = LiveTorTestbed.build(seed=47, n_relays=10)
         fps = [d.fingerprint for d in _relays(world, 4)]
-        with patch.object(OnionProxy, "_fly_set_up", _refuse) if refuse else nullcontext(), \
-                patch.object(OnionProxy, "_land_set_up", counting):
+        with _world.refusing(SetUp) if refuse else nullcontext(), \
+                patch.object(SetUp, "land", counting):
             report = ShardedCampaign(
                 lambda: LiveTorTestbed.build(seed=47, n_relays=10), fps,
                 policy=SamplePolicy(samples=4, interval_ms=2.0), workers=2,
@@ -261,14 +154,14 @@ def test_a_sharded_campaign_inline():
 
 def test_a_busy_simulator_flies_nothing_and_charts_nothing():
     charts = []
-    chart = OnionProxy._chart_set_up
+    chart = SetUp.charted
 
-    def counting(self, *args):
+    def counting(flight):
         charts.append(1)
-        return chart(self, *args)
+        return chart(flight)
 
     def scenario(testbed):
-        with patch.object(OnionProxy, "_chart_set_up", counting):
+        with patch.object(SetUp, "charted", counting):
             report = ParallelCampaign(
                 testbed.measurement, _relays(testbed, 6),
                 policy=SamplePolicy(samples=6, interval_ms=2.0), concurrency=16,

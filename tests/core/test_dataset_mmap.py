@@ -126,6 +126,24 @@ def _matrix_end(path):
     return info.header_offset + 30 + len(info.filename) + info.file_size
 
 
+def _header_lying(path, n=40):
+    """Save an ``n``-node dataset whose matrix entry's npy header says
+    ``(n, n)`` but which stores ``(n - 1)²`` zeros (its CRC-32 valid),
+    followed by a zero-filled entry; returns ``n``."""
+    build_dataset(n=n, holes=False).save(path)
+    with zipfile.ZipFile(path) as archive:
+        entries = [(info, archive.read(info)) for info in archive.infolist()]
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+        for info, stored in entries:
+            if info.filename == "matrix.npy":
+                header = stored[: len(stored) - 8 * n * n]
+                archive.writestr(info, header + bytes(8 * (n - 1) ** 2))
+                archive.writestr("zeros", bytes(8 * n * n))
+            else:
+                archive.writestr(info, stored)
+    return n
+
+
 def _damaged(path, damage):
     """``path``'s bytes with ``damage`` done to them."""
     raw = path.read_bytes()
@@ -152,6 +170,32 @@ class TestDamagedFiles:
         path.write_bytes(_damaged(path, damage))
         with pytest.raises(MeasurementError, match="cannot load dataset"):
             CampaignDataset.load(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_a_header_that_overstates_its_payload_raises_on_both_paths(
+        self, tmp_path, mmap
+    ):
+        path = tmp_path / "ds.npz"
+        _header_lying(path)
+        with pytest.raises(MeasurementError, match="cannot load dataset"):
+            CampaignDataset.load(path, mmap=mmap)
+
+    def test_a_mapping_that_trusted_the_header_would_serve_a_full_matrix(
+        self, tmp_path
+    ):
+        """What the length check keeps out: 39 × 39 stored zeros read as
+        40 × 40 run on into the zero-filled entry after them, a matrix
+        with every pair measured."""
+        path = tmp_path / "ds.npz"
+        n = _header_lying(path)
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("matrix.npy")
+            stored = archive.read(info)
+        header = len(stored) - 8 * (n - 1) ** 2
+        offset = info.header_offset + 30 + len(info.filename) + header
+        raw = np.memmap(path, dtype="<f8", mode="r", offset=offset, shape=(n, n))
+        served = RttMatrix.from_array([f"N{i:02d}" for i in range(n)], np.array(raw))
+        assert served.num_measured == n * (n - 1) // 2
 
     def test_the_flipped_bit_moves_the_matrix_a_raw_mapping_would_serve(
         self, tmp_path

@@ -188,6 +188,50 @@ class TestMatrixView:
         assert matrix.get("a", "b") == 10.0
 
 
+def _whole_array_hash(matrix):
+    """``content_hash`` as one pass over the whole array (three full
+    copies): the digest the blocked hash must keep."""
+    digest = hashlib.sha256()
+    for node in matrix.nodes:
+        digest.update(node.encode("utf-8") + b"\x00")
+    rounded = np.nan_to_num(np.round(matrix.matrix, 6), nan=-1.0)
+    digest.update(np.ascontiguousarray(rounded).tobytes())
+    return digest.hexdigest()
+
+
+def _random_matrix(n, seed=3):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(1.0, 300.0, (n, n)).round(9)
+    values[rng.random((n, n)) < 0.2] = np.nan
+    values = np.triu(values, 1)
+    values = values + values.T
+    return [f"N{i}" for i in range(n)], values
+
+
+class TestContentHash:
+    @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 33, 100])
+    def test_the_blocked_digest_is_the_whole_arrays(self, n):
+        nodes, values = _random_matrix(n)
+        matrix = RttMatrix.from_array(nodes, values)
+        assert matrix.content_hash() == _whole_array_hash(matrix)
+        # Adopted in Fortran order, it still hashes its C-order values.
+        adopted = RttMatrix.from_array(nodes, np.asfortranarray(matrix.matrix), copy=False)
+        assert adopted.content_hash() == matrix.content_hash()
+
+    def test_hashing_allocates_at_most_an_eighth_of_the_matrix(self):
+        import tracemalloc
+
+        nodes, values = _random_matrix(1_000)
+        matrix = RttMatrix.from_array(nodes, values)
+        tracemalloc.start()
+        try:
+            matrix.content_hash()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= matrix.matrix.nbytes / 8
+
+
 class TestCachedCounts:
     def test_counts_track_sets(self):
         matrix = RttMatrix(["a", "b", "c"])

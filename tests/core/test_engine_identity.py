@@ -33,7 +33,7 @@ down. A flown probe crosses its circuit in one event instead of
 ``4·hops + 1``; a ping-pong reply that finds nothing else due at its
 instant sends the next probe inside its own event instead of one
 scheduled at +0; and a flown set-up step (CREATE, EXTEND or BEGIN
-answered in one event, ``OnionProxy._fly_set_up``) lands in one event
+answered in one event, ``repro.tor.flight.SetUp``) lands in one event
 instead of the ``events`` its cells and connections take. So a
 configuration processes ``Σ_landed 4·hops + inline sends + Σ_set-ups
 (events − 1)`` fewer events than ``WORK_BEFORE_FLIGHTS`` says, cancels
@@ -59,7 +59,7 @@ from repro.netsim.engine import Simulator
 from repro.testbeds.churn import ChurnProcess
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.testbeds.planetlab import PlanetLabTestbed
-from repro.tor.client import OnionProxy
+from repro.tor.flight import Probe, SetUp
 
 #: The registry counters ``bench/workloads.py:REGISTRY_COUNTERS`` reads.
 COUNTERS = (
@@ -126,19 +126,16 @@ def events_saved(monkeypatch):
     reply asking ``quiet_through`` about its own instant and hearing yes
     (a flight only ever asks about a later one)."""
     saved = {"landings": 0, "inline sends": 0, "set-ups": 0}
-    # Absent at b6f7dad, where this file was generated and nothing flies.
-    land = getattr(OnionProxy, "_land", None)
-    land_set_up = OnionProxy._land_set_up
+    land, land_set_up = Probe.land, SetUp.land
     quiet_through = Simulator.quiet_through
 
-    def counting_land(self, stream, *args):
-        saved["landings"] += 4 * len(stream.circuit.layers)
-        return land(self, stream, *args)
+    def counting_land(probe):
+        saved["landings"] += 4 * len(probe.stream.circuit.layers)
+        return land(probe)
 
-    def counting_set_up(self, *args):
-        chart = args[-1]
-        saved["set-ups"] += chart[3] - 1
-        return land_set_up(self, *args)
+    def counting_set_up(flight):
+        saved["set-ups"] += flight.chart[2] - 1
+        return land_set_up(flight)
 
     def counting_quiet(self, time):
         quiet = quiet_through(self, time)
@@ -146,10 +143,9 @@ def events_saved(monkeypatch):
             saved["inline sends"] += 1
         return quiet
 
-    if land is not None:
-        monkeypatch.setattr(OnionProxy, "_land", counting_land)
-        monkeypatch.setattr(Simulator, "quiet_through", counting_quiet)
-        monkeypatch.setattr(OnionProxy, "_land_set_up", counting_set_up)
+    monkeypatch.setattr(Probe, "land", counting_land)
+    monkeypatch.setattr(Simulator, "quiet_through", counting_quiet)
+    monkeypatch.setattr(SetUp, "land", counting_set_up)
     return saved
 
 
@@ -503,7 +499,7 @@ def print_digests() -> None:
     for key, run, args in configurations:
         print(key, run(*args))
         with patch.object(
-            OnionProxy, "_fly", lambda self, stream, payload: False
+            Probe, "launch", lambda self: False
         ), patch.object(Simulator, "quiet_through", lambda self, time: False):
             print(key, "as cells:", run(*args)[-1])
 

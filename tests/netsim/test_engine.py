@@ -9,7 +9,7 @@ from repro.netsim.engine import Simulator
 from repro.netsim.policies import TrafficClass
 from repro.netsim.transport import Packet
 from repro.testbeds.livetor import LiveTorTestbed
-from repro.tor.client import OnionProxy
+from repro.tor.flight import Probe
 from repro.util.errors import SimulationError
 
 
@@ -496,11 +496,7 @@ class TestFlights:
             return replays_exactly
 
         launched = sim.launch_flight(
-            lands_at,
-            lambda *args: log.append(("landed", sim.now, args)),
-            take_back,
-            "a",
-            1,
+            lands_at, lambda: log.append(("landed", sim.now)), take_back
         )
         return launched, log
 
@@ -538,7 +534,7 @@ class TestFlights:
         launched, log = self._flight(sim, 7.5)
         assert launched
         sim.run()
-        assert log == [("landed", 7.5, ("a", 1))]
+        assert log == [("landed", 7.5)]
         assert sim.events_processed == 1
 
     def test_flight_is_refused_when_something_is_due_first_or_at_the_same_time(self):
@@ -569,7 +565,7 @@ class TestFlights:
         _, log = self._flight(sim, 7.5)
         sim.schedule(7.5001, lambda: log.append(("timer", sim.now)))
         sim.run()
-        assert log == [("landed", 7.5, ("a", 1)), ("timer", 7.5001)]
+        assert log == [("landed", 7.5), ("timer", 7.5001)]
 
     def test_a_tie_with_the_landing_takes_the_flight_back(self):
         # The chain's own last event would have been scheduled later
@@ -611,14 +607,14 @@ class TestFlights:
         assert launched
         sim.run()
         assert log[-1] == ("timer", 8.0)
-        assert second == [("landed", 7.9, ("a", 1))]
+        assert second == [("landed", 7.9)]
 
 
 class TestWalkedRoundLanding:
-    """A walked ping-pong round (``OnionProxy._walk_round``) is one flight
+    """A walked ping-pong round (``Probe.walk_round``) is one flight
     landing with its last probe: the engine keeps it alone in the air, and
     its replies reach the sender as one list. The exact cases run flown
-    and as cells (``OnionProxy._fly`` refusing) on one seed's worlds."""
+    and as cells (``Probe.launch`` refusing) on one seed's worlds."""
 
     @staticmethod
     def _world():
@@ -636,21 +632,21 @@ class TestWalkedRoundLanding:
         leaves every draw stream the same flown and as cells; return the
         flown run's ``(observed, landed rounds' landing times, flights
         taken back)``."""
-        runs, land = [], OnionProxy._land
+        runs, land = [], Probe.land
         for refuse in (False, True):
             testbed, stream = self._world()
             registry = testbed.measurement.enable_observability()
             rounds = []
 
-            def landed(proxy, stream, payload, chart, lands):
-                if lands is not None:
-                    rounds.append(lands)
-                return land(proxy, stream, payload, chart, lands)
+            def landed(probe):
+                if probe.lands is not None:
+                    rounds.append(probe.lands)
+                return land(probe)
 
             with monkeypatch.context() as patch:
-                patch.setattr(OnionProxy, "_land", landed)
+                patch.setattr(Probe, "land", landed)
                 if refuse:
-                    patch.setattr(OnionProxy, "_fly", lambda *args: False)
+                    patch.setattr(Probe, "launch", lambda self: False)
                 observed = scenario(testbed, stream)
             streams = testbed.streams.draws._streams.values()
             end = repr(testbed.sim.now), {d.name: d.base + d.pos for d in streams}

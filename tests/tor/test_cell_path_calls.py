@@ -30,7 +30,7 @@ campaign run inline (4 relays of a 12-relay world at seed 11, 6 pairs
 and 4 legs, one worker, the ``pipeline_fullnet`` policy): events,
 program calls and ``Cell`` constructions over the campaign, and per
 task. There the simulator is quiet through every circuit's set-up, so
-the CREATE, each EXTEND and the BEGIN fly (``OnionProxy._fly_set_up``):
+the CREATE, each EXTEND and the BEGIN fly (``repro.tor.flight.SetUp``):
 before set-up flights the campaign read 1,418 events, 19,693 program
 calls and 270 cells made (141.8, 1,969.3 and 27.0 per task); now 922,
 15,735 and 126 (92.2, 1,573.5 and 12.6). On the dense shape above no
@@ -43,7 +43,7 @@ write that moves the wiring epoch brings a flight down first).
 A **ping-pong round** is the third shape: 200 probes on one stream of
 the probe kernel's world (``bench/kernels.py``: a four-hop circuit of a
 20-relay world at seed 47), built and opened outside the profiler. The
-round is walked once at its first launch (``OnionProxy._walk_round``)
+round is walked once at its first launch (``Probe.walk_round``)
 and lands in one event, its 200 replies handed to the echo client as one
 list: 2 events (the first send and the landing) and 207 blocks read —
 counted as blocks whichever reader reads them (``DrawStream.read`` one,
@@ -53,6 +53,15 @@ program calls; read as one run per stream, 5,210. Both landed a probe
 per event (201 events: each landing sent the next probe through
 ``TorStream.send``, ≈ 26 calls a probe); landed once, the round enters
 233, blocks unmoved.
+
+With the flights moved into one module (``repro.tor.flight``: one
+record, one launch), a flight attempt enters two frames more (the
+record's ``__init__`` and its kind's ``floor``), a charted one one more
+(``walked_round``) and a landing one more (its kind's ``landed``), and
+a take-back fewer (one give-back, no generator): dense 46,708 → 47,158
+(225 attempts, 5 of them charted; its one take-back 5 frames fewer),
+isolated 15,735 → 15,999 (86 attempts, 46 charted, 46 landed), round
+233 → 237 (one attempt, charted and landed); events and cells unmoved.
 
 Print the counts with ``PYTHONPATH=src python tests/tor/test_cell_path_calls.py``.
 """
@@ -71,17 +80,17 @@ from repro.tor.relay import Relay
 from repro.util.rng import BLOCK_WORDS, DrawStream
 
 #: Program calls and simulator events of the campaign.
-PROGRAM_CALLS, EVENTS = 46_708, 3_549
+PROGRAM_CALLS, EVENTS = 47_158, 3_549
 #: ``Cell`` constructions and cell segments written to connections.
 CELLS_MADE, CELLS_SENT = 660, 1_614
 
 
 #: The isolated tasks': events, program calls and ``Cell`` constructions.
-TASKS, TASK_EVENTS, TASK_PROGRAM_CALLS, TASK_CELLS_MADE = 10, 922, 15_735, 126
+TASKS, TASK_EVENTS, TASK_PROGRAM_CALLS, TASK_CELLS_MADE = 10, 922, 15_999, 126
 
 #: The round's probes, and its events, program calls and block reads.
 ROUND_PROBES = 200
-ROUND_EVENTS, ROUND_PROGRAM_CALLS, ROUND_BLOCK_READS = 2, 233, 207
+ROUND_EVENTS, ROUND_PROGRAM_CALLS, ROUND_BLOCK_READS = 2, 237, 207
 
 
 def count_cell_path() -> dict[str, int]:
