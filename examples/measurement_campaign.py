@@ -3,7 +3,7 @@
 
 Section 4.6 argues Ting's measurements are stable for at least a week,
 so an all-pairs matrix can be measured once and cached. This example
-runs a campaign, saves the matrix as JSON, reloads it, and verifies a
+runs a campaign, saves the matrix as a campaign dataset, reloads it, and verifies a
 few pairs hours of simulated time later.
 
 Run:  python examples/measurement_campaign.py
@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import LiveTorTestbed, RttMatrix, SamplePolicy, TingMeasurer
+from repro import LiveTorTestbed, SamplePolicy, TingMeasurer
 from repro.core.campaign import AllPairsCampaign, StabilityCampaign
+from repro.core.dataset import CampaignDataset
 
 
 def main() -> None:
@@ -34,11 +35,11 @@ def main() -> None:
     print(f"  {report.pairs_measured} pairs measured in "
           f"{report.makespan_ms / 60000:.1f} simulated minutes")
 
-    cache = Path(tempfile.gettempdir()) / "ting-allpairs.json"
-    matrix.save(cache)
+    cache = Path(tempfile.gettempdir()) / "ting-allpairs.npz"
+    CampaignDataset(matrix=matrix).save(cache)
     print(f"  matrix cached to {cache}")
 
-    reloaded = RttMatrix.load(cache)
+    reloaded = CampaignDataset.load(cache).matrix
     assert reloaded.is_complete
 
     print("\nRe-measuring 3 pairs hourly to check stability ...")

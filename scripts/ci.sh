@@ -421,6 +421,38 @@ if [[ "$forks" -gt 1 ]]; then
     exit 1
 fi
 
+echo "== one dataset file =="
+# npz is the only dataset file written: `measure --output` saves a
+# CampaignDataset, and tiv, deanon and `report --input` all read that one
+# file. JSON stays read-only (legacy files, tests/core/data/legacy_*.json),
+# and the controller keeps only its Stem verbs: the JSON writers, a
+# `format=` on CampaignDataset.save and the control-port grammar must
+# not come back.
+one=$(mktemp -d)/campaign.npz
+python -m repro.cli -q measure --relays 5 --network-size 20 --samples 6 --output "$one"
+python -m repro.cli -q tiv "$one"
+python -m repro.cli -q deanon "$one" --runs 20
+python -m repro.cli -q report --input "$one" >/dev/null
+python - "$one" <<'PY'
+import ast, sys
+with open(sys.argv[1], "rb") as handle:
+    assert handle.read(4) == b"PK\x03\x04", "measure --output wrote no npz"
+tree = ast.parse(open("src/repro/core/dataset.py").read())
+(save,) = [
+    node for cls in tree.body
+    if isinstance(cls, ast.ClassDef) and cls.name == "CampaignDataset"
+    for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "save"
+]
+args = [a.arg for a in save.args.args + save.args.kwonlyargs]
+assert args == ["self", "path"], f"CampaignDataset.save takes {args}"
+print(f"one dataset file: {sys.argv[1]} is npz; CampaignDataset.save({', '.join(args[1:])})")
+PY
+rm -r "$(dirname "$one")"
+if grep -nE 'def to_json|raw_command' src/repro/core/dataset.py src/repro/tor/control.py; then
+    echo "a JSON writer or the control-port grammar is back" >&2
+    exit 1
+fi
+
 echo "== source size (printed, never gated) =="
 # ROADMAP item 8's target is src/ <= 19.0k lines (17.5k the stretch);
 # the three engine files are where "one campaign scheduler" is counted
@@ -432,6 +464,9 @@ cat src/repro/core/ting.py src/repro/core/campaign.py src/repro/core/parallel.py
     | wc -l | xargs -I{} echo "engine files: {} lines (ROADMAP item 2 target: <= 1,400)"
 cat src/repro/obs/*.py src/repro/serve/telemetry.py | wc -l \
     | xargs echo "src/repro/obs + serve/telemetry.py lines:"
+# The two modules that lost their second path (JSON writing, the
+# control-port grammar).
+wc -l src/repro/core/dataset.py src/repro/tor/control.py
 
 echo "== cell cipher library and import hygiene =="
 # The onion layers are the cryptography package's AES-CTR, each context

@@ -6,11 +6,11 @@ Commands mirror how the paper's tool was used operationally:
   small scale): build the PlanetLab-style testbed, measure all pairs,
   compare against ping.
 * ``measure`` — run an all-pairs Ting campaign over a random live-relay
-  sample and optionally write the RTT matrix to JSON.
-* ``tiv`` — analyze a measured matrix (from ``measure --output``) for
-  triangle-inequality violations.
+  sample and optionally save it as a campaign dataset (npz).
+* ``tiv`` — analyze a saved dataset's matrix (from ``measure --output``)
+  for triangle-inequality violations.
 * ``deanon`` — replay the Section 5.1 deanonymization strategies over a
-  measured matrix.
+  saved dataset's matrix.
 * ``coverage`` — synthesize a consensus archive and print the
   Section 5.3 coverage statistics.
 * ``stats`` — run an instrumented concurrent all-pairs campaign and
@@ -26,8 +26,8 @@ Commands mirror how the paper's tool was used operationally:
   matrix+provenance dataset.
 * ``tail`` — render an ``--events`` JSONL stream as console lines,
   with severity/category/``--since`` filters and an optional
-  ``--follow`` mode; pointed at a saved campaign dataset (JSON or
-  ``.npz``, sniffed) it replays the provenance history as events.
+  ``--follow`` mode; pointed at a saved campaign dataset (sniffed) it
+  replays the provenance history as events.
 * ``plan`` — score every pair of a relay set against an existing
   campaign dataset (coverage, staleness, predicted-vs-measured
   disagreement, ``--quality`` data-quality deficit) and emit a
@@ -170,9 +170,9 @@ def _geo_meta(testbed, relays) -> dict[str, list[float]]:
     """``meta["geo"]``: fingerprint → [lat, lon] from the testbed's
     geolocation database, for the health layer's light-time check.
 
-    The coordinates persist with the dataset (meta survives both JSON
-    and npz), so ``repro health`` can run the physical-plausibility
-    check on a reloaded dataset with no testbed around.
+    The coordinates persist with the dataset's meta, so ``repro
+    health`` can run the physical-plausibility check on a reloaded
+    dataset with no testbed around.
     """
     db = getattr(testbed, "geolocation", None)
     if db is None:
@@ -247,13 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--events", type=Path, default=None,
                          help="stream campaign telemetry events to this "
                               "JSONL file (read it with 'repro tail')")
-    measure.add_argument("--output", type=Path, default=None)
+    measure.add_argument("--output", type=Path, default=None,
+                         help="save the matrix and run metadata as a "
+                              "campaign dataset (npz)")
 
     tiv = sub.add_parser("tiv", help="TIV analysis of a measured matrix")
-    tiv.add_argument("matrix", type=Path)
+    tiv.add_argument("matrix", type=Path, help="a saved campaign dataset")
 
     deanon = sub.add_parser("deanon", help="deanonymization replay")
-    deanon.add_argument("matrix", type=Path)
+    deanon.add_argument("matrix", type=Path, help="a saved campaign dataset")
     deanon.add_argument("--runs", type=int, default=300)
 
     coverage = sub.add_parser("coverage", help="network coverage statistics")
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the span trace as Chrome trace-event "
                              "JSON (open in ui.perfetto.dev)")
     report.add_argument("--output", type=Path, default=None,
-                        help="write the matrix+provenance dataset as JSON")
+                        help="write the matrix+provenance dataset (npz)")
     report.add_argument("--progress", action="store_true",
                         help="live progress line on stderr, fed by worker "
                              "heartbeats streamed across the fork boundary")
@@ -324,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="max pairs to plan (default: every pair with a "
                            "positive score)")
     plan.add_argument("--input", type=Path, default=None,
-                      help="existing campaign dataset to refresh "
-                           "(JSON or .npz; format auto-detected)")
+                      help="existing campaign dataset to refresh")
     plan.add_argument("--predict", action="store_true",
                       help="train a Vivaldi coordinate model on the dataset "
                            "and steer the plan toward predicted-vs-measured "
@@ -342,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--workers", type=int, default=2,
                       help="worker processes for --run")
     plan.add_argument("--output", type=Path, default=None,
-                      help="write the refreshed dataset here "
-                           "(.npz suffix = binary format)")
+                      help="write the refreshed dataset here (npz)")
     plan.add_argument("--quality", action="store_true",
                       help="score per-pair data quality from the dataset's "
                            "provenance (repro.obs.health) and refresh "
@@ -355,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tail.add_argument("events", type=Path,
                       help="events JSONL file — or a saved campaign dataset "
-                           "(JSON or .npz, sniffed), whose provenance "
-                           "history is replayed as events")
+                           "(sniffed), whose provenance history is "
+                           "replayed as events")
     tail.add_argument("--min-severity", choices=SEVERITY_CHOICES,
                       default="debug", help="hide events below this severity")
     tail.add_argument("--category", default=None,
@@ -374,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "health", help="data-quality scorecard + drift diff for a dataset"
     )
     health.add_argument("--input", type=Path, required=True,
-                        help="campaign dataset to grade (JSON or .npz; "
-                             "format auto-detected)")
+                        help="campaign dataset to grade")
     health.add_argument("--baseline", type=Path, default=None,
                         help="older dataset version: also emit the drift "
                              "diff (node churn, per-pair deltas, quality "
@@ -393,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="answer latency queries against a saved dataset"
     )
     serve.add_argument("--input", type=Path, required=True,
-                       help="campaign dataset to serve (JSON or .npz; "
-                            "format auto-detected)")
+                       help="campaign dataset to serve")
     serve.add_argument("query", nargs="*", default=[],
                        help="one-shot query: point A B | knn A [K] | "
                             "percentile A Q | path A B C... | via A B [K] "
@@ -406,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forked query workers for --batch")
     serve.add_argument("--mmap", action="store_true",
                        help="memory-map the npz matrix so workers share "
-                            "one page-cache copy (no effect on JSON)")
+                            "one page-cache copy (no effect on a legacy "
+                            "JSON file)")
     serve.add_argument("--stats", action="store_true",
                        help="record query telemetry and print a summary "
                             "(per-op latency quantiles, error taxonomy, "
@@ -497,14 +496,24 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if args.events is not None:
         status(f"  events written to {args.events}")
     if args.output is not None:
-        matrix.save(args.output)
-        status(f"  matrix written to {args.output}")
+        CampaignDataset(
+            matrix=matrix,
+            meta={
+                "seed": args.seed,
+                "network_size": args.network_size,
+                "relays": args.relays,
+                "samples": args.samples,
+                "pairs_attempted": report.pairs_attempted,
+                "geo": _geo_meta(testbed, relays),
+            },
+        ).save(args.output)
+        status(f"  campaign dataset written to {args.output}")
     return 0
 
 
 def cmd_tiv(args: argparse.Namespace) -> int:
-    """``tiv``: TIV analysis of a saved RTT matrix."""
-    matrix = RttMatrix.load(args.matrix)
+    """``tiv``: TIV analysis of a saved dataset's matrix."""
+    matrix = CampaignDataset.load(args.matrix).matrix
     summary = tiv_summary(matrix)
     print(f"nodes: {len(matrix)}  pairs: {int(summary['pairs'])}")
     print(f"pairs with a TIV: {summary['tiv_fraction']:.1%} (paper: 69%)")
@@ -517,7 +526,7 @@ def cmd_tiv(args: argparse.Namespace) -> int:
 
 def cmd_deanon(args: argparse.Namespace) -> int:
     """``deanon``: replay the Section 5.1 strategies."""
-    matrix = RttMatrix.load(args.matrix)
+    matrix = CampaignDataset.load(args.matrix).matrix
     simulator = DeanonymizationSimulator(matrix, np.random.default_rng(args.seed))
     results = simulator.evaluate_all(runs=args.runs)
     print(f"{args.runs} victim circuits over {len(matrix)} nodes:")
@@ -814,8 +823,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     on the dataset disagrees most with the measured values. Without
     ``--input`` every pair is a cold-start coverage candidate. ``--run``
     measures the planned pairs with the sharded engine and folds matrix
-    entries + provenance back into the dataset (``--output`` to save;
-    ``.npz`` selects the binary format).
+    entries + provenance back into the dataset (``--output`` to save).
     """
     status = _status(args)
     if args.budget is not None and args.budget < 0:
@@ -942,7 +950,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def _sniff_dataset(path: Path) -> bool:
     """Is this file a saved :class:`CampaignDataset` rather than JSONL?
 
-    The npz container starts with the zip magic; the JSON document
+    The npz container starts with the zip magic; a legacy JSON dataset
     starts with a ``ting-campaign`` format tag in its first bytes.
     Event JSONL lines are JSON objects too, but never carry that tag.
     """
@@ -993,7 +1001,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
     The after-the-fact (or, with ``--follow``, live) view of a
     ``--events`` file, formatted identically to the console sink so an
     operator sees the same lines either way. Pointed at a saved
-    campaign dataset instead (JSON or ``.npz``, sniffed), it replays
+    campaign dataset instead (sniffed), it replays
     the provenance history as synthetic events. Output goes to stdout —
     it *is* the machine/pipeline output of this command.
     """
@@ -1061,7 +1069,7 @@ def cmd_tail(args: argparse.Namespace) -> int:
 def cmd_health(args: argparse.Namespace) -> int:
     """``health``: grade a saved dataset's data quality, gate CI on it.
 
-    Loads the dataset (JSON or ``.npz``), computes per-pair quality
+    Loads the dataset, computes per-pair quality
     scores from provenance, and prints the graded scorecard; with
     ``--baseline`` it also diffs the two dataset versions (node churn,
     per-pair deltas with provenance attribution, quality regressions).

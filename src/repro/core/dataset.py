@@ -3,9 +3,10 @@
 :class:`RttMatrix` is the product Ting exists to create: a symmetric
 matrix of minimum RTTs between every pair in a relay set. Every
 application in Section 5 (deanonymization speedup, TIV hunting, long
-low-latency circuits) consumes one of these. Matrices serialize to JSON
-so that expensive campaigns can be cached, which Section 4.6 justifies:
-Ting's measurements are stable over at least a week.
+low-latency circuits) consumes one of these. Matrices are saved inside a
+:class:`CampaignDataset` so that expensive campaigns can be cached,
+which Section 4.6 justifies: Ting's measurements are stable over at
+least a week.
 
 A bare matrix cannot say *why* an entry is what it is, so instrumented
 campaigns also emit one :class:`PairProvenance` record per pair — how
@@ -23,9 +24,9 @@ the public API is unchanged while merges become array concatenation and
 the fork-boundary snapshot becomes a handful of buffers.
 
 :class:`CampaignDataset` persists matrix + provenance + run metadata as
-one document: JSON for small/debug datasets, or a deterministic ``.npz``
-container (matrix + provenance columns + a meta JSON sidecar entry) for
-large ones, with format auto-detection on load.
+one deterministic ``.npz`` container (matrix + provenance columns + a
+meta JSON sidecar entry). JSON documents written by earlier releases
+still load, read-only.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from tokenize import TokenError
 from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -322,9 +324,9 @@ class RttMatrix:
         return sub
 
     def content_hash(self) -> str:
-        """SHA-256 over nodes + values rounded to the serialization
-        precision (6 decimals), so JSON and npz round-trips of the same
-        matrix hash identically."""
+        """SHA-256 over nodes + values rounded to the legacy JSON
+        precision (6 decimals), so a JSON file and the same matrix saved
+        as npz hash identically."""
         digest = hashlib.sha256()
         for node in self.nodes:
             digest.update(node.encode("utf-8"))
@@ -340,23 +342,10 @@ class RttMatrix:
             digest.update(out)
         return digest.hexdigest()
 
-    # ------------------------------------------------------------------
-    # Serialization
-
-    def to_json(self) -> str:
-        """Serialize the matrix (nodes + values) to a JSON string."""
-        payload = {
-            "nodes": self.nodes,
-            "rtts_ms": [
-                [None if math.isnan(v) else round(float(v), 6) for v in row]
-                for row in self._matrix
-            ],
-        }
-        return json.dumps(payload)
-
     @classmethod
     def from_json(cls, text: str) -> "RttMatrix":
-        """Rebuild a matrix from :meth:`to_json` output."""
+        """Read a legacy bare matrix document, ``{"nodes", "rtts_ms"}``
+        (``null`` for a missing entry). Nothing writes one any more."""
         payload = json.loads(text)
         matrix = cls(payload["nodes"])
         rows = payload["rtts_ms"]
@@ -371,15 +360,6 @@ class RttMatrix:
         np.fill_diagonal(matrix._matrix, 0.0)
         matrix._recount()
         return matrix
-
-    def save(self, path: str | Path) -> None:
-        """Write the matrix as JSON to ``path``."""
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RttMatrix":
-        """Read a matrix previously written by :meth:`save`."""
-        return cls.from_json(Path(path).read_text())
 
     def __repr__(self) -> str:
         return (
@@ -439,7 +419,7 @@ class PairProvenance:
         return (self.leg_x_ms + self.leg_y_ms) / 2.0
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-ready view; ``None`` fields are omitted for compactness."""
+        """A plain-dict view; ``None`` fields are omitted for compactness."""
         record: dict[str, Any] = {
             "x": self.x,
             "y": self.y,
@@ -515,7 +495,7 @@ class LegProvenance:
     shard: int | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-ready view; ``None`` fields are omitted for compactness."""
+        """A plain-dict view; ``None`` fields are omitted for compactness."""
         record: dict[str, Any] = {
             "relay": self.relay,
             "samples_requested": self.samples_requested,
@@ -911,13 +891,13 @@ class ProvenanceLog:
     # -- serialization --------------------------------------------------
 
     def to_list(self) -> list[dict[str, Any]]:
-        """JSON-ready list of every pair record."""
+        """Every pair record as a plain dict, in insertion order."""
         # Bypass the row cache: bulk serialization of a 500k-row log
         # should not pin 500k value objects in memory afterwards.
         return [self._materialize_pair(i).to_dict() for i in range(len(self._pairs))]
 
     def legs_to_list(self) -> list[dict[str, Any]]:
-        """JSON-ready list of every leg record."""
+        """Every leg record as a plain dict, in insertion order."""
         return [self._leg_at(i).to_dict() for i in range(len(self._legs))]
 
     @classmethod
@@ -1113,7 +1093,7 @@ def _npz_entry_memmap(path: Path, name: str) -> np.ndarray | None:
     )
 
 
-def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+def _write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     """A deterministic ``np.savez``: identical input arrays produce
     byte-identical files. ``np.savez`` itself stamps each zip entry with
     the current time, so two saves of the same dataset differ; here every
@@ -1139,11 +1119,10 @@ class CampaignDataset:
     all-pairs latency data (overlay routing, latency-aware circuit
     construction) need before they build on it.
 
-    Two on-disk formats: the historical JSON document (kept for small /
-    debug datasets and external tooling), and a binary ``.npz`` container
-    holding the float64 matrix, the provenance columns, and the metadata
-    as an embedded JSON entry — no O(n²) Python-float round-trip.
-    :meth:`load` auto-detects which one it is reading.
+    One on-disk format: a deterministic ``.npz`` container holding the
+    float64 matrix, the provenance columns, and the metadata as an
+    embedded JSON entry — no O(n²) Python-float round-trip. :meth:`load`
+    also reads, read-only, the JSON documents earlier releases wrote.
     """
 
     matrix: RttMatrix
@@ -1151,25 +1130,19 @@ class CampaignDataset:
     meta: dict[str, Any] = field(default_factory=dict)
     _quality_cache: Any = field(default=None, repr=False, compare=False)
 
-    def to_json(self, indent: int | None = None) -> str:
-        """One JSON document: format tag, metadata, matrix, provenance."""
-        payload = {
-            "format": DATASET_FORMAT,
-            "meta": self.meta,
-            "matrix": json.loads(self.matrix.to_json()),
-            "provenance": self.provenance.to_list(),
-        }
-        # Leg provenance is additive: datasets without it (pre-v2
-        # campaigns) serialize byte-identically to the historical schema.
-        legs = self.provenance.legs_to_list()
-        if legs:
-            payload["legs"] = legs
-        return json.dumps(payload, indent=indent)
-
     @classmethod
     def from_json(cls, text: str) -> "CampaignDataset":
-        """Rebuild a dataset from :meth:`to_json` output."""
+        """Read a legacy JSON dataset (format ``ting-campaign/1``: meta,
+        matrix, provenance, legs), or a bare matrix document as
+        :meth:`RttMatrix.from_json` reads it. Nothing writes either any
+        more."""
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise MeasurementError(
+                f"a dataset JSON document is an object, not {type(payload).__name__}"
+            )
+        if "format" not in payload and "rtts_ms" in payload:
+            return cls(matrix=RttMatrix.from_json(text))
         if payload.get("format") != DATASET_FORMAT:
             raise MeasurementError(
                 f"unknown dataset format {payload.get('format')!r}"
@@ -1226,6 +1199,31 @@ class CampaignDataset:
                 for row, text in zip(data["reason_rows"], data["reason_text"])
             },
         }
+        pairs, legs = snap["pairs"], snap["legs"]
+        # One row per record: a column of another length would be
+        # broadcast or cut to the first one's.
+        for kind, cols in (("pair", pairs), ("leg", legs)):
+            shapes = sorted({np.shape(col) for col in cols.values()})
+            if len(shapes) != 1 or len(shapes[0]) != 1:
+                raise ValueError(f"{kind} columns have shapes {shapes}")
+        # Intern codes index the name and category tables; one outside
+        # them would re-attribute rows (a negative index reads from the end).
+        names, cats = len(snap["names"]), len(snap["cats"])
+        for column, codes, low, high in (
+            ("pair_x", pairs["x"], 0, names),
+            ("pair_y", pairs["y"], 0, names),
+            ("leg_relay", legs["relay"], 0, names),
+            ("pair_status", pairs["status"], 0, cats),
+            ("pair_stop_reason", pairs["stop_reason"], _NO_CAT, cats),
+            ("pair_failure_category", pairs["failure_category"], _NO_CAT, cats),
+            ("leg_stop_reason", legs["stop_reason"], _NO_CAT, cats),
+        ):
+            if codes.dtype.kind not in "iu" or (
+                codes.size and not low <= codes.min() <= codes.max() < high
+            ):
+                raise ValueError(
+                    f"{column!r} holds {codes.dtype} codes outside [{low}, {high})"
+                )
         return cls(
             matrix=matrix,
             provenance=ProvenanceLog.from_snapshot(snap),
@@ -1234,27 +1232,15 @@ class CampaignDataset:
 
     # -- persistence ----------------------------------------------------
 
-    def save(self, path: str | Path, format: str = "auto") -> None:
-        """Write the dataset to ``path``.
-
-        ``format`` is ``"json"``, ``"npz"``, or ``"auto"`` (npz when the
-        suffix is ``.npz``, JSON otherwise — preserving the historical
-        default for every pre-existing call site).
-        """
-        path = Path(path)
-        if format == "auto":
-            format = "npz" if path.suffix == ".npz" else "json"
-        if format == "json":
-            path.write_text(self.to_json())
-        elif format == "npz":
-            _write_npz(path, self._to_arrays())
-        else:
-            raise MeasurementError(f"unknown dataset save format {format!r}")
+    def save(self, path: str | Path) -> None:
+        """Write the dataset to ``path`` as the deterministic npz
+        container, whatever the suffix."""
+        _write_npz(path, self._to_arrays())
 
     @classmethod
     def load(cls, path: str | Path, mmap: bool = False) -> "CampaignDataset":
-        """Read a dataset previously written by :meth:`save`, sniffing
-        the on-disk format (JSON document vs npz container).
+        """Read a dataset written by :meth:`save` — or a legacy JSON
+        document (:meth:`from_json`), told apart by the zip magic.
 
         ``mmap=True`` memory-maps the O(n²) matrix entry of an npz
         container instead of copying it into anonymous memory: the
@@ -1267,12 +1253,14 @@ class CampaignDataset:
         (and ``RttMatrix.set``) materialize a private writable copy
         before the first write, detaching the dataset from the file.
         Provenance columns and metadata are always loaded eagerly (they
-        are small), and JSON documents — which have no binary layout to
-        map — ignore the flag.
+        are small), and legacy JSON documents — which have no binary
+        layout to map — ignore the flag.
 
-        A damaged or foreign file (truncated, not a zip, an entry failing
-        its CRC-32 — on the mapped matrix too —, not JSON) raises
-        :class:`MeasurementError`, whichever path reads it.
+        A damaged or foreign file (truncated, not a zip, a zip header
+        naming an unsupported compression or encryption, an entry failing
+        its CRC-32 — on the mapped matrix too —, provenance columns of
+        unequal length or holding a code outside its table, not JSON)
+        raises :class:`MeasurementError`, whichever path reads it. A missing file raises :class:`FileNotFoundError`.
         """
         path = Path(path)
         with open(path, "rb") as handle:
@@ -1283,7 +1271,10 @@ class CampaignDataset:
             matrix_values = _npz_entry_memmap(path, "matrix") if mmap else None
             with np.load(path, allow_pickle=False) as data:
                 return cls._from_arrays(data, matrix_values=matrix_values)
-        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        except (
+            zipfile.BadZipFile, EOFError, KeyError, ValueError, NotImplementedError,
+            RuntimeError, OSError, TokenError,
+        ) as exc:
             raise MeasurementError(
                 f"cannot load dataset {path}: {type(exc).__name__}: {exc}"
             ) from exc

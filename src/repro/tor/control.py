@@ -2,27 +2,22 @@
 
 The paper drives its unmodified Tor client through the Stem controller
 library: build an explicit circuit, attach a TCP connection to it, tear
-it down. :class:`Controller` provides the same surface here, in two
-flavours:
-
-* a programmatic API (``build_circuit``, ``open_stream``, ``close_circuit``,
-  circuit surgery) with synchronous variants that drive the simulator
-  until the operation resolves — what tests, the apps and the line
-  protocol below use (Ting's engine, circuit reuse included, drives the
-  proxy's callbacks directly, see :mod:`repro.core.ting`); and
-* a line-oriented command protocol (``raw_command``) modelled on Tor's
-  control-port grammar (``EXTENDCIRCUIT``, ``CLOSECIRCUIT``,
-  ``GETINFO``, ``SETEVENTS``) for protocol-level tests and realism.
+it down. :class:`Controller` offers those verbs (``build_circuit``,
+``open_stream``, ``close_circuit``) plus circuit surgery
+(``truncate_circuit``, ``extend_circuit``); all but ``close_circuit``
+drive the simulator until the operation resolves. Tests, the benchmarks
+and the apps use it; Ting's engine, circuit reuse included, drives the
+proxy's callbacks directly (see :mod:`repro.core.ting`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.netsim.engine import Simulator
 from repro.tor.client import Circuit, OnionProxy, TorStream
 from repro.tor.directory import RelayDescriptor
-from repro.util.errors import CircuitError, ControlProtocolError, StreamError
+from repro.util.errors import CircuitError, StreamError
 from repro.util.units import Milliseconds
 
 
@@ -69,17 +64,11 @@ class SimFuture:
 
 
 class Controller:
-    """Programmatic + textual control of one onion proxy."""
+    """Synchronous Stem-like control of one onion proxy."""
 
     def __init__(self, proxy: OnionProxy) -> None:
         self.proxy = proxy
         self.sim = proxy.sim
-        self._event_log: list[str] = []
-        self._subscribed: set[str] = set()
-        self._event_listeners: list[Callable[[str], None]] = []
-
-    # ------------------------------------------------------------------
-    # Programmatic API
 
     def build_circuit(
         self,
@@ -88,16 +77,10 @@ class Controller:
     ) -> Circuit:
         """Build a circuit through ``path`` and wait for completion."""
         future = SimFuture(self.sim)
-
-        def built(circuit: Circuit) -> None:
-            self._emit(f"CIRC {circuit.circ_id} BUILT")
-            future.resolve(circuit)
-
-        def failed(circuit: Circuit, reason: str) -> None:
-            self._emit(f"CIRC {circuit.circ_id} FAILED REASON={reason}")
-            future.reject(reason)
-
-        self.proxy.create_circuit(path, built, failed, timeout_ms=timeout_ms)
+        self.proxy.create_circuit(
+            path, future.resolve, lambda _, reason: future.reject(reason),
+            timeout_ms=timeout_ms,
+        )
         return future.wait()
 
     def open_stream(
@@ -109,17 +92,9 @@ class Controller:
     ) -> TorStream:
         """Attach a stream to ``circuit`` and wait until it connects."""
         future = SimFuture(self.sim)
-
-        def connected(stream: TorStream) -> None:
-            self._emit(f"STREAM {stream.stream_id} SUCCEEDED {address}:{port}")
-            future.resolve(stream)
-
-        def failed(reason: str) -> None:
-            self._emit(f"STREAM FAILED {address}:{port} REASON={reason}")
-            future.reject(reason)
-
         self.proxy.open_stream(
-            circuit, address, port, connected, failed, timeout_ms=timeout_ms
+            circuit, address, port, future.resolve, future.reject,
+            timeout_ms=timeout_ms,
         )
         try:
             return future.wait()
@@ -129,7 +104,6 @@ class Controller:
     def close_circuit(self, circuit: Circuit) -> None:
         """Tear down ``circuit``."""
         self.proxy.close_circuit(circuit)
-        self._emit(f"CIRC {circuit.circ_id} CLOSED")
 
     def truncate_circuit(
         self,
@@ -139,16 +113,10 @@ class Controller:
     ) -> Circuit:
         """Truncate ``circuit`` so hop ``to_hop`` is its last relay."""
         future = SimFuture(self.sim)
-
-        def truncated(circ: Circuit) -> None:
-            self._emit(f"CIRC {circ.circ_id} TRUNCATED LEN={len(circ.path)}")
-            future.resolve(circ)
-
-        def failed(circ: Circuit, reason: str) -> None:
-            self._emit(f"CIRC {circ.circ_id} FAILED REASON={reason}")
-            future.reject(reason)
-
-        self.proxy.truncate_circuit(circuit, to_hop, truncated, failed, timeout_ms)
+        self.proxy.truncate_circuit(
+            circuit, to_hop, future.resolve, lambda _, reason: future.reject(reason),
+            timeout_ms,
+        )
         return future.wait()
 
     def extend_circuit(
@@ -159,110 +127,8 @@ class Controller:
     ) -> Circuit:
         """Extend a built circuit in place and wait for completion."""
         future = SimFuture(self.sim)
-
-        def built(circ: Circuit) -> None:
-            self._emit(f"CIRC {circ.circ_id} BUILT")
-            future.resolve(circ)
-
-        def failed(circ: Circuit, reason: str) -> None:
-            self._emit(f"CIRC {circ.circ_id} FAILED REASON={reason}")
-            future.reject(reason)
-
-        self.proxy.extend_circuit(circuit, additional_path, built, failed, timeout_ms)
+        self.proxy.extend_circuit(
+            circuit, additional_path, future.resolve,
+            lambda _, reason: future.reject(reason), timeout_ms,
+        )
         return future.wait()
-
-    def get_network_statuses(self) -> list[RelayDescriptor]:
-        """All relays in the proxy's current consensus (Stem's
-        ``get_network_statuses``)."""
-        return list(self.proxy.consensus.routers.values())
-
-    def run_for(self, duration_ms: Milliseconds) -> None:
-        """Advance the simulation by ``duration_ms``."""
-        self.sim.run(until=self.sim.now + duration_ms)
-
-    # ------------------------------------------------------------------
-    # Events
-
-    def add_event_listener(self, listener: Callable[[str], None]) -> None:
-        """Receive controller event lines (CIRC/STREAM) as they happen."""
-        self._event_listeners.append(listener)
-
-    def _emit(self, event: str) -> None:
-        kind = event.split(" ", 1)[0]
-        if not self._subscribed or kind in self._subscribed:
-            self._event_log.append(event)
-        for listener in self._event_listeners:
-            listener(event)
-
-    def drain_events(self) -> list[str]:
-        """Return and clear the buffered event lines."""
-        events, self._event_log = self._event_log, []
-        return events
-
-    # ------------------------------------------------------------------
-    # Line protocol (Tor control-port grammar, simplified)
-
-    def raw_command(self, line: str) -> str:
-        """Execute one control-port command line and return the reply."""
-        line = line.strip()
-        if not line:
-            raise ControlProtocolError("empty command")
-        verb, _, rest = line.partition(" ")
-        verb = verb.upper()
-        handler = getattr(self, f"_cmd_{verb.lower()}", None)
-        if handler is None:
-            return f'510 Unrecognized command "{verb}"'
-        return handler(rest.strip())
-
-    def _cmd_extendcircuit(self, args: str) -> str:
-        parts = args.split()
-        if len(parts) != 2:
-            return "512 syntax: EXTENDCIRCUIT 0 fp1,fp2,..."
-        circ_id_text, path_text = parts
-        if circ_id_text != "0":
-            return "552 only new circuits (id 0) are supported"
-        fingerprints = [fp for fp in path_text.split(",") if fp]
-        try:
-            circuit = self.build_circuit(fingerprints)
-        except CircuitError as exc:
-            return f"552 {exc}"
-        return f"250 EXTENDED {circuit.circ_id}"
-
-    def _cmd_closecircuit(self, args: str) -> str:
-        try:
-            circ_id = int(args.split()[0])
-        except (ValueError, IndexError):
-            return "512 syntax: CLOSECIRCUIT <id>"
-        circuit = self.proxy.circuits.get(circ_id)
-        if circuit is None:
-            return f"552 Unknown circuit {circ_id}"
-        self.close_circuit(circuit)
-        return "250 OK"
-
-    def _cmd_setevents(self, args: str) -> str:
-        self._subscribed = {kind.upper() for kind in args.split()}
-        return "250 OK"
-
-    def _cmd_getinfo(self, args: str) -> str:
-        if args == "circuit-status":
-            lines = [
-                f"{c.circ_id} {c.state.upper()} "
-                + ",".join(d.fingerprint for d in c.path)
-                for c in self.proxy.circuits.values()
-                if c.state in ("building", "built")
-            ]
-            body = "\n".join(lines)
-            return f"250+circuit-status=\n{body}\n.\n250 OK"
-        if args == "ns/all":
-            lines = [
-                f"r {d.nickname} {d.fingerprint} {d.address} {d.or_port}"
-                for d in self.proxy.consensus.routers.values()
-            ]
-            body = "\n".join(lines)
-            return f"250+ns/all=\n{body}\n.\n250 OK"
-        return f'552 Unrecognized key "{args}"'
-
-    def _cmd_signal(self, args: str) -> str:
-        if args.upper() == "NEWNYM":
-            return "250 OK"
-        return f'552 Unrecognized signal "{args}"'

@@ -75,9 +75,5 @@ class StreamError(ReproError):
     """A Tor stream could not be attached or carried data incorrectly."""
 
 
-class ControlProtocolError(ReproError):
-    """The Stem-like control channel received a malformed command or reply."""
-
-
 class DirectoryError(ReproError):
     """Directory/consensus lookup failed (unknown relay, stale consensus)."""

@@ -11,6 +11,7 @@ import hashlib
 import os
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +174,62 @@ def wedge_in_pair(work):
         return work(job, next_task, send_then_wedge)
 
     return wedged
+
+
+#: JSON files written by the JSON writers (``CampaignDataset.to_json``,
+#: ``RttMatrix.to_json``) before they were deleted: the dataset that
+#: :func:`legacy_dataset` builds and its bare matrix, the form
+#: ``repro measure --output`` wrote. Kept to pin the read-only JSON path.
+LEGACY_CAMPAIGN = Path(__file__).parent / "core" / "data" / "legacy_campaign.json"
+LEGACY_MATRIX = Path(__file__).parent / "core" / "data" / "legacy_matrix.json"
+
+
+def legacy_dataset():
+    """The five-relay dataset the legacy JSON files hold: one pair failed
+    (its entry missing, its reason text kept), adaptive stops on pairs
+    and on a leg, shard tags on some rows, and run metadata."""
+    from repro.core.dataset import (
+        CampaignDataset,
+        LegProvenance,
+        PairProvenance,
+        ProvenanceLog,
+        RttMatrix,
+    )
+
+    nodes = [f"R{i}" for i in range(5)]
+    matrix = RttMatrix(nodes)
+    log = ProvenanceLog()
+    for i, relay in enumerate(nodes):
+        log.add_leg(LegProvenance(
+            relay=relay, rtt_ms=20.5 + 3 * i, samples_requested=6,
+            samples_kept=4 if i == 2 else 6, samples_saved=2 if i == 2 else 0,
+            stop_reason="converged" if i == 2 else None, duration_ms=110.25 + i,
+        ))
+    for k, (i, j) in enumerate((i, j) for i in range(5) for j in range(i + 1, 5)):
+        x, y = nodes[i], nodes[j]
+        if (i, j) == (1, 3):
+            log.add(PairProvenance(
+                x=x, y=y, status="failed", samples_requested=6, retries=1,
+                failure_category="probe_timeout", reason="echo timed out",
+                duration_ms=600.0, shard=1,
+            ))
+            continue
+        rtt = 15.125 + 7.5 * k
+        matrix.set(x, y, rtt)
+        adaptive = k % 3 == 0
+        log.add(PairProvenance(
+            x=x, y=y, rtt_ms=rtt, cxy_ms=rtt + 41.0, leg_x_ms=20.5 + 3 * i,
+            leg_y_ms=20.5 + 3 * j, samples_requested=6,
+            samples_kept=3 if adaptive else 6, samples_saved=3 if adaptive else 0,
+            stop_reason="converged" if adaptive else None,
+            leg_cache_hits=min(k, 2), duration_ms=250.5 + k, shard=k % 2,
+        ))
+    meta = {
+        "seed": 7, "network_size": 20, "relays": 5, "samples": 6,
+        "pairs_attempted": 10,
+        "geo": {node: [40.0 + i, 2.5 * i - 3.0] for i, node in enumerate(nodes)},
+    }
+    return CampaignDataset(matrix=matrix, provenance=log, meta=meta)
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
 """Tests for the all-pairs RTT matrix."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import LEGACY_MATRIX, legacy_dataset
 from hypothesis import given, strategies as st
 
-from repro.core.dataset import RttMatrix
+from repro.core.dataset import CampaignDataset, RttMatrix
 from repro.util.errors import MeasurementError
 
 
@@ -119,23 +123,28 @@ class TestSubmatrix:
 
 
 class TestSerialization:
-    def test_json_roundtrip(self, matrix):
-        restored = RttMatrix.from_json(matrix.to_json())
-        assert restored.nodes == matrix.nodes
-        for a, b, rtt in matrix.measured_pairs():
-            assert restored.get(a, b) == pytest.approx(rtt)
+    """A matrix is saved inside a :class:`CampaignDataset` (npz); the
+    bare JSON matrix document is read-only, pinned by
+    ``tests/core/data/legacy_matrix.json`` (written by the deleted
+    ``RttMatrix.to_json`` from ``legacy_dataset().matrix``)."""
 
-    def test_json_preserves_missing(self):
-        m = RttMatrix(["a", "b", "c"])
-        m.set("a", "b", 5.0)
-        restored = RttMatrix.from_json(m.to_json())
-        assert restored.has("a", "b")
-        assert not restored.has("b", "c")
+    def test_legacy_json_reads(self):
+        written = legacy_dataset().matrix
+        restored = RttMatrix.from_json(LEGACY_MATRIX.read_text())
+        assert restored.nodes == written.nodes
+        for a, b, rtt in written.measured_pairs():
+            assert restored.get(a, b) == pytest.approx(rtt)
+        assert restored.content_hash() == written.content_hash()
+
+    def test_legacy_json_preserves_missing(self):
+        restored = RttMatrix.from_json(LEGACY_MATRIX.read_text())
+        assert restored.has("R0", "R1")
+        assert not restored.has("R1", "R3")
 
     def test_save_load(self, matrix, tmp_path):
-        path = tmp_path / "matrix.json"
-        matrix.save(path)
-        assert RttMatrix.load(path).get("b", "c") == pytest.approx(20.0)
+        path = tmp_path / "matrix.npz"
+        CampaignDataset(matrix=matrix).save(path)
+        assert CampaignDataset.load(path).matrix.get("b", "c") == pytest.approx(20.0)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(MeasurementError):
@@ -156,6 +165,9 @@ class TestSerialization:
             for b in nodes[i + 1 :]:
                 m.set(a, b, rtts[idx])
                 idx += 1
-        restored = RttMatrix.from_json(m.to_json())
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "matrix.npz"
+            CampaignDataset(matrix=m).save(path)
+            restored = CampaignDataset.load(path).matrix
         for a, b, rtt in m.measured_pairs():
-            assert restored.get(a, b) == pytest.approx(rtt, abs=1e-5)
+            assert restored.get(a, b) == rtt

@@ -1,16 +1,24 @@
-"""Memory-mapped dataset loads and their copy-on-write semantics."""
+"""Memory-mapped dataset loads, their copy-on-write semantics, and
+damaged files on both load paths."""
 
 import hashlib
+import io
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import LEGACY_CAMPAIGN, legacy_dataset
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import (
     CampaignDataset,
+    LegProvenance,
     PairProvenance,
     ProvenanceLog,
     RttMatrix,
+    _write_npz,
 )
 from repro.util.errors import MeasurementError
 
@@ -37,6 +45,54 @@ def file_digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def held(dataset):
+    """What a dataset holds, as a load must give it back."""
+    return dataset.matrix.content_hash(), dataset.provenance.to_list(), dataset.meta
+
+
+def _saved_three_nodes():
+    dataset = build_dataset(n=3)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "ds.npz"
+        dataset.save(path)
+        return path.read_bytes(), held(dataset)
+
+
+#: A saved 3-node dataset's bytes, and what it holds.
+SAVED, HELD = _saved_three_nodes()
+
+
+def _escaped_at_bit_0():
+    """Where four flips of bit 0x01 in :data:`SAVED` sit that once
+    escaped ``load`` uncategorized, each naming what it raised."""
+    with zipfile.ZipFile(io.BytesIO(SAVED)) as archive:
+        matrix = archive.getinfo("matrix.npy")
+    central = SAVED.find(b"PK\x01\x02")  # the first entry's directory record
+    return {
+        # The matrix entry's npy header length: on the mmap path the
+        # header parse ran past it (tokenize.TokenError).
+        "npy header length": matrix.header_offset + 30 + len(matrix.filename) + 9,
+        "encryption flag": central + 8,  # RuntimeError: password required
+        "compression method": central + 10,  # NotImplementedError
+        "central directory offset": SAVED.rfind(b"PK\x05\x06") + 17,  # OSError
+    }
+
+
+ESCAPED = _escaped_at_bit_0()
+
+
+def loads_the_same_or_raises(damaged, mmap):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "ds.npz"
+        path.write_bytes(damaged)
+        try:
+            loaded = CampaignDataset.load(path, mmap=mmap)
+        except MeasurementError as exc:
+            assert "cannot load dataset" in str(exc)
+            return
+        assert held(loaded) == HELD
+
+
 class TestMmapLoad:
     def test_matrix_is_memmap_backed(self, tmp_path):
         path = tmp_path / "ds.npz"
@@ -58,13 +114,10 @@ class TestMmapLoad:
         assert eager.matrix.content_hash() == mapped.matrix.content_hash()
         assert eager.matrix.num_measured == mapped.matrix.num_measured
 
-    def test_json_load_ignores_mmap_flag(self, tmp_path):
-        path = tmp_path / "ds.json"
-        dataset = build_dataset()
-        dataset.save(path)
-        loaded = CampaignDataset.load(path, mmap=True)
+    def test_legacy_json_load_ignores_mmap_flag(self):
+        loaded = CampaignDataset.load(LEGACY_CAMPAIGN, mmap=True)
         assert not loaded.matrix.is_readonly
-        assert loaded.matrix.content_hash() == dataset.matrix.content_hash()
+        assert loaded.matrix.content_hash() == legacy_dataset().matrix.content_hash()
 
     def test_eager_load_stays_plain_ndarray(self, tmp_path):
         path = tmp_path / "ds.npz"
@@ -214,6 +267,30 @@ class TestDamagedFiles:
         served = RttMatrix.from_array(dataset.matrix.nodes, np.array(raw))
         assert served.content_hash() != dataset.matrix.content_hash()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        offset=st.integers(0, len(SAVED) - 1),
+        mask=st.integers(1, 255),
+        mmap=st.booleans(),
+    )
+    @example(offset=ESCAPED["npy header length"], mask=0x01, mmap=True)
+    @example(offset=ESCAPED["encryption flag"], mask=0x01, mmap=False)
+    @example(offset=ESCAPED["compression method"], mask=0x01, mmap=True)
+    @example(offset=ESCAPED["central directory offset"], mask=0x01, mmap=False)
+    def test_any_byte_flip_loads_the_same_data_or_raises(self, offset, mask, mmap):
+        damaged = bytearray(SAVED)
+        damaged[offset] ^= mask
+        loads_the_same_or_raises(bytes(damaged), mmap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(length=st.integers(0, len(SAVED) - 1), mmap=st.booleans())
+    def test_any_truncation_loads_the_same_data_or_raises(self, length, mmap):
+        loads_the_same_or_raises(SAVED[:length], mmap)
+
+    def test_a_missing_file_is_not_a_damaged_one(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            CampaignDataset.load(tmp_path / "absent.npz", mmap=True)
+
     def test_an_intact_file_still_maps(self, tmp_path):
         path = tmp_path / "ds.npz"
         dataset = build_dataset(n=50)
@@ -243,3 +320,71 @@ class TestFromArrayAdoption:
         values = np.eye(3)
         with pytest.raises(MeasurementError):
             RttMatrix.from_array(["a", "b", "c"], values, copy=False)
+
+
+def _with_column(path, column, values):
+    """Rewrite the dataset at ``path`` with one column replaced."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays[column] = np.asarray(values)
+    _write_npz(path, arrays)
+
+
+class TestProvenanceColumns:
+    """Provenance columns hold one row per record, and codes into the
+    name and category tables. A code outside its table used to load
+    silently re-attributed (a negative index reads from the end) or
+    escape as an ``IndexError``; a column of another length was
+    broadcast or cut to the first one's."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "column, values",
+        [
+            ("pair_rtt_ms", np.zeros(1)),
+            ("pair_duration_ms", np.zeros(5)),
+            ("pair_x", np.array(0, dtype=np.int32)),
+            ("leg_rtt_ms", np.zeros((1, 1))),
+        ],
+    )
+    def test_a_column_of_another_length_raises(self, tmp_path, column, values, mmap):
+        dataset = build_dataset(n=3, holes=False)
+        dataset.provenance.add_leg(LegProvenance(relay="N00", rtt_ms=30.0))
+        path = tmp_path / "ds.npz"
+        dataset.save(path)
+        _with_column(path, column, values)
+        with pytest.raises(MeasurementError, match="columns have shapes"):
+            CampaignDataset.load(path, mmap=mmap)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "column, codes",
+        [
+            ("pair_x", [-1, -1, -1]),
+            ("pair_y", [1, 2, 99]),
+            ("pair_x", [0.0, 0.0, 1.0]),
+            ("leg_relay", [-1]),
+            ("pair_status", [0, 0, -1]),
+            ("pair_failure_category", [-1, -1, 5]),
+            ("pair_stop_reason", [-1, -2, -1]),
+            ("leg_stop_reason", [1]),
+        ],
+    )
+    def test_a_code_outside_its_table_raises(self, tmp_path, column, codes, mmap):
+        dataset = build_dataset(n=3, holes=False)
+        dataset.provenance.add_leg(LegProvenance(relay="N00", rtt_ms=30.0))
+        path = tmp_path / "ds.npz"
+        dataset.save(path)
+        _with_column(path, column, codes)
+        with pytest.raises(MeasurementError, match=f"'{column}' holds"):
+            CampaignDataset.load(path, mmap=mmap)
+
+    def test_codes_inside_their_tables_load(self, tmp_path):
+        dataset = build_dataset(n=3, holes=False)
+        path = tmp_path / "ds.npz"
+        dataset.save(path)
+        _with_column(path, "pair_x", np.array([1, 0, 0], dtype=np.int64))
+        loaded = CampaignDataset.load(path)
+        assert [(r.x, r.y) for r in loaded.provenance] == [
+            ("N01", "N01"), ("N00", "N02"), ("N00", "N02"),
+        ]

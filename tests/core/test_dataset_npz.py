@@ -6,19 +6,20 @@ Three contracts pinned here:
   again and the bytes match (deterministic zip metadata), so dataset
   files diff cleanly under version control and content-addressed
   storage.
-* JSON and npz are **interchangeable**: the same dataset written both
-  ways loads back with the same matrix content hash and identical
-  provenance, and pre-existing JSON datasets keep loading.
+* npz is the **one format written**, whatever the suffix; JSON files
+  written before the JSON writers were deleted
+  (``tests/core/data/legacy_*.json``) still load, to the same data as
+  the npz they save to.
 * ``RttMatrix.matrix`` is a read-only view with O(1) cached
   completeness counters, and ``CampaignDataset.absorb`` folds fresh
   results into a standing dataset.
 """
 
 import hashlib
-import json
 
 import numpy as np
 import pytest
+from conftest import LEGACY_CAMPAIGN, LEGACY_MATRIX, legacy_dataset
 
 from repro.core.dataset import (
     CampaignDataset,
@@ -27,7 +28,6 @@ from repro.core.dataset import (
     ProvenanceLog,
     RttMatrix,
 )
-from repro.util.errors import MeasurementError
 
 
 def _build_dataset(n=5, with_failures=True):
@@ -101,42 +101,40 @@ class TestNpzRoundtrip:
         assert restored.provenance.to_list() == dataset.provenance.to_list()
         assert restored.provenance.legs_to_list() == dataset.provenance.legs_to_list()
 
-    def test_json_and_npz_agree(self, tmp_path):
-        dataset = _build_dataset()
-        as_json = tmp_path / "campaign.json"
-        as_npz = tmp_path / "campaign.npz"
-        dataset.save(as_json)
-        dataset.save(as_npz)
-        from_json = CampaignDataset.load(as_json)
-        from_npz = CampaignDataset.load(as_npz)
-        assert from_json.matrix.content_hash() == from_npz.matrix.content_hash()
-        assert len(from_json.provenance) == len(from_npz.provenance)
-        assert from_json.provenance.failure_breakdown() == (
-            from_npz.provenance.failure_breakdown()
-        )
-        assert from_json.meta == from_npz.meta
+    @pytest.mark.parametrize("legacy", [LEGACY_CAMPAIGN, LEGACY_MATRIX])
+    def test_a_legacy_json_file_and_its_npz_agree(self, tmp_path, legacy):
+        """Both legacy files (a full dataset and the bare matrix ``repro
+        measure --output`` wrote) load to what they were written from,
+        and saving that as npz changes nothing."""
+        from_json = CampaignDataset.load(legacy)
+        from_json.save(tmp_path / "campaign.npz")
+        from_npz = CampaignDataset.load(tmp_path / "campaign.npz")
+        written = legacy_dataset()
+        if legacy == LEGACY_MATRIX:
+            written = CampaignDataset(matrix=written.matrix)
+        for loaded in (from_json, from_npz):
+            assert loaded.matrix.content_hash() == written.matrix.content_hash()
+            assert loaded.provenance.to_list() == written.provenance.to_list()
+            assert loaded.provenance.legs_to_list() == written.provenance.legs_to_list()
+            assert (
+                loaded.provenance.failure_breakdown()
+                == written.provenance.failure_breakdown()
+            )
+            assert loaded.meta == written.meta
 
-    def test_auto_format_follows_suffix(self, tmp_path):
+    def test_save_writes_npz_whatever_the_suffix(self, tmp_path):
         dataset = _build_dataset(n=3)
-        as_npz = tmp_path / "x.npz"
-        as_json = tmp_path / "x.json"
-        dataset.save(as_npz)
-        dataset.save(as_json)
-        assert as_npz.read_bytes()[:4] == b"PK\x03\x04"
-        assert as_json.read_bytes()[:1] == b"{"
-
-    def test_explicit_format_overrides_suffix(self, tmp_path):
-        dataset = _build_dataset(n=3)
-        path = tmp_path / "oddly.json"
-        dataset.save(path, format="npz")
+        paths = [tmp_path / name for name in ("x.npz", "x.json", "x")]
+        for path in paths:
+            dataset.save(path)
+        assert {path.read_bytes() for path in paths} == {paths[0].read_bytes()}
+        assert paths[0].read_bytes()[:4] == b"PK\x03\x04"
         # Load sniffs the magic bytes, not the suffix.
-        restored = CampaignDataset.load(path)
-        assert restored.matrix.nodes == dataset.matrix.nodes
+        assert CampaignDataset.load(paths[1]).matrix.nodes == dataset.matrix.nodes
 
-    def test_unknown_format_rejected(self, tmp_path):
-        dataset = _build_dataset(n=3)
-        with pytest.raises(MeasurementError):
-            dataset.save(tmp_path / "x.bin", format="parquet")
+    def test_save_takes_no_format(self, tmp_path):
+        with pytest.raises(TypeError):
+            _build_dataset(n=3).save(tmp_path / "x.json", format="json")
 
     def test_empty_provenance_dataset_roundtrips(self, tmp_path):
         matrix = RttMatrix(["A", "B"])
@@ -247,12 +245,10 @@ class TestCachedCounts:
         assert matrix.is_complete
         assert matrix.missing_count == 0
 
-    def test_counts_survive_json_roundtrip(self):
-        matrix = RttMatrix(["a", "b", "c"])
-        matrix.set("a", "b", 1.0)
-        restored = RttMatrix.from_json(matrix.to_json())
-        assert restored.num_measured == 1
-        assert restored.missing_count == 2
+    def test_counts_survive_a_legacy_json_read(self):
+        restored = RttMatrix.from_json(LEGACY_MATRIX.read_text())
+        assert restored.num_measured == 9
+        assert restored.missing_count == 1
 
 
 class TestAbsorb:

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from conftest import MiniWorld
+from conftest import LEGACY_CAMPAIGN, MiniWorld, legacy_dataset
 
 from repro.core.campaign import AllPairsCampaign
 from repro.core.parallel import ParallelCampaign
@@ -131,25 +131,37 @@ class TestCampaignDataset:
             meta={"seed": 3, "samples": 10},
         )
 
-    def test_json_roundtrip(self, dataset):
-        restored = CampaignDataset.from_json(dataset.to_json())
-        assert restored.meta == {"seed": 3, "samples": 10}
-        assert restored.matrix.get("A", "B") == pytest.approx(42.5)
-        assert restored.provenance.get("A", "B").samples_kept == 28
+    def test_legacy_json_reads(self):
+        """``tests/core/data/legacy_campaign.json`` was written by the
+        deleted ``CampaignDataset.to_json`` from :func:`legacy_dataset`."""
+        written = legacy_dataset()
+        restored = CampaignDataset.from_json(LEGACY_CAMPAIGN.read_text())
+        assert json.loads(LEGACY_CAMPAIGN.read_text())["format"] == DATASET_FORMAT
+        assert restored.meta == written.meta
+        assert restored.matrix.get("R0", "R1") == pytest.approx(15.125)
+        assert restored.provenance.get("R0", "R1").stop_reason == "converged"
+        assert restored.provenance.get("R1", "R3").reason == "echo timed out"
+        assert restored.provenance.leg_for("R2").stop_reason == "converged"
+        assert restored.provenance.to_list() == written.provenance.to_list()
 
     def test_save_load(self, dataset, tmp_path):
         path = tmp_path / "campaign.json"
         dataset.save(path)
-        payload = json.loads(path.read_text())
-        assert payload["format"] == DATASET_FORMAT
+        assert path.read_bytes()[:4] == b"PK\x03\x04"
         restored = CampaignDataset.load(path)
-        assert len(restored.provenance) == 1
+        assert restored.meta == {"seed": 3, "samples": 10}
+        assert restored.matrix.get("A", "B") == pytest.approx(42.5)
+        assert restored.provenance.get("A", "B").samples_kept == 28
 
-    def test_unknown_format_rejected(self, dataset):
-        payload = json.loads(dataset.to_json())
+    def test_unknown_format_rejected(self):
+        payload = json.loads(LEGACY_CAMPAIGN.read_text())
         payload["format"] = "ting-campaign/99"
         with pytest.raises(MeasurementError):
             CampaignDataset.from_json(json.dumps(payload))
+
+    def test_a_json_document_that_is_no_object_rejected(self):
+        with pytest.raises(MeasurementError):
+            CampaignDataset.from_json("[1, 2]")
 
 
 class TestCampaignRecordsProvenance:

@@ -74,11 +74,11 @@ class TestCampaignToApplications:
         assert result.found_entry and result.found_middle
 
     def test_matrix_round_trips_through_disk(self, measured_matrix, tmp_path):
-        from repro.core.dataset import RttMatrix
+        from repro.core.dataset import CampaignDataset
 
-        path = tmp_path / "campaign.json"
-        measured_matrix.save(path)
-        restored = RttMatrix.load(path)
+        path = tmp_path / "campaign.npz"
+        CampaignDataset(matrix=measured_matrix).save(path)
+        restored = CampaignDataset.load(path).matrix
         assert restored.is_complete
         assert restored.mean_rtt_ms() == pytest.approx(
             measured_matrix.mean_rtt_ms()

@@ -16,10 +16,12 @@ Four contracts pinned here:
   on-disk format.
 """
 
+import copy
 import functools
 
 import numpy as np
 import pytest
+from conftest import LEGACY_CAMPAIGN
 
 from repro.core.dataset import (
     CampaignDataset,
@@ -81,8 +83,12 @@ def _build_dataset(n=8, seed=5, with_failures=False, geo=False):
 
 
 def _copy_dataset(dataset):
-    """A deep, independent copy via the JSON round-trip."""
-    return CampaignDataset.from_json(dataset.to_json())
+    """A deep, independent copy."""
+    return CampaignDataset(
+        matrix=RttMatrix.from_array(dataset.matrix.nodes, dataset.matrix.matrix),
+        provenance=ProvenanceLog.from_snapshot(dataset.provenance.snapshot()),
+        meta=copy.deepcopy(dataset.meta),
+    )
 
 
 def _with_value(dataset, x, y, value):
@@ -544,38 +550,31 @@ class TestInvariance:
         means = [r.to_dict()["quality"]["mean"] for r in reports.values()]
         assert max(means) - min(means) < 0.02
 
-    def test_health_invariant_to_on_disk_format(self, tmp_path):
-        dataset = _build_dataset(n=12, seed=9, with_failures=True, geo=True)
-        as_json = tmp_path / "ds.json"
-        as_npz = tmp_path / "ds.npz"
-        dataset.save(as_json)
-        dataset.save(as_npz)
-        from_json = health_report(CampaignDataset.load(as_json))
-        from_npz = health_report(CampaignDataset.load(as_npz))
-        assert from_json.to_dict() == from_npz.to_dict()
+    @pytest.mark.parametrize("source", ["built", "legacy json"])
+    def test_health_invariant_to_on_disk_format(self, tmp_path, source):
+        """A dataset — a legacy JSON one too — grades as its npz reload."""
+        if source == "built":
+            dataset = _build_dataset(n=12, seed=9, with_failures=True, geo=True)
+        else:
+            dataset = CampaignDataset.load(LEGACY_CAMPAIGN)
+        dataset.save(tmp_path / "ds.npz")
+        reloaded = CampaignDataset.load(tmp_path / "ds.npz")
+        assert health_report(dataset).to_dict() == health_report(reloaded).to_dict()
 
     def test_drift_invariant_to_on_disk_format(self, tmp_path):
-        baseline = _build_dataset(n=8, seed=9)
+        baseline = CampaignDataset.load(LEGACY_CAMPAIGN)
         current = _copy_dataset(baseline)
         fresh = RttMatrix(current.matrix.nodes)
-        fresh.set("N000", "N003", 500.0)
+        fresh.set("R0", "R3", 500.0)
         log = ProvenanceLog()
-        log.add(
-            PairProvenance(x="N000", y="N003", status="measured", rtt_ms=500.0)
-        )
+        log.add(PairProvenance(x="R0", y="R3", status="measured", rtt_ms=500.0))
         current.absorb(fresh, provenance=log)
         paths = {}
         for name, ds in (("base", baseline), ("cur", current)):
-            paths[name + ".json"] = p = tmp_path / f"{name}.json"
+            paths[name] = p = tmp_path / f"{name}.npz"
             ds.save(p)
-            paths[name + ".npz"] = p = tmp_path / f"{name}.npz"
-            ds.save(p)
-        drift_json = diff_datasets(
-            CampaignDataset.load(paths["base.json"]),
-            CampaignDataset.load(paths["cur.json"]),
-        )
+        drift_json = diff_datasets(baseline, current)
         drift_npz = diff_datasets(
-            CampaignDataset.load(paths["base.npz"]),
-            CampaignDataset.load(paths["cur.npz"]),
+            CampaignDataset.load(paths["base"]), CampaignDataset.load(paths["cur"])
         )
         assert drift_json.to_dict() == drift_npz.to_dict()

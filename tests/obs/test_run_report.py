@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.dataset import PairProvenance, ProvenanceLog, RttMatrix
+from repro.core.dataset import (
+    CampaignDataset,
+    PairProvenance,
+    ProvenanceLog,
+    RttMatrix,
+)
 from repro.obs import EventBus
 from repro.obs.report import REPORT_FORMAT, build_report
 
@@ -279,7 +284,7 @@ class TestReportCommand:
     def test_end_to_end(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"
         spans_path = tmp_path / "spans.json"
-        dataset_path = tmp_path / "dataset.json"
+        dataset_path = tmp_path / "dataset.npz"
         code = main(
             [
                 "--seed", "3",
@@ -332,9 +337,8 @@ class TestReportCommand:
         # pairs fit one steal chunk, so a single worker claims them all.
         assert shards_seen == {-1, 0}
 
-        dataset = json.loads(dataset_path.read_text())
-        assert dataset["format"] == "ting-campaign/1"
-        assert len(dataset["provenance"]) == 6
+        assert dataset_path.read_bytes()[:4] == b"PK\x03\x04"
+        assert len(CampaignDataset.load(dataset_path).provenance) == 6
 
     def test_flight_counters_merge_across_shards(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"
@@ -357,7 +361,7 @@ class TestReportCommand:
         assert cost["flight_rollbacks"] == 0
 
     def test_report_from_saved_dataset(self, tmp_path, capsys):
-        dataset_path = tmp_path / "dataset.json"
+        dataset_path = tmp_path / "dataset.npz"
         main(
             [
                 "--seed", "3",

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
+from conftest import LEGACY_CAMPAIGN
 
 from repro.cli import build_parser, main
-from repro.core.dataset import RttMatrix
+from repro.core.dataset import CampaignDataset, RttMatrix
 
 
 @pytest.fixture
@@ -18,8 +21,8 @@ def small_matrix_file(tmp_path):
         for j in range(i + 1, n):
             base = float(np.linalg.norm(points[i] - points[j])) * 300 + 5
             matrix.set(nodes[i], nodes[j], base + float(rng.uniform(0, 40)))
-    path = tmp_path / "matrix.json"
-    matrix.save(path)
+    path = tmp_path / "matrix.npz"
+    CampaignDataset(matrix=matrix).save(path)
     return path
 
 
@@ -45,7 +48,7 @@ class TestCommands:
         assert "within 10% of ping" in out
         assert "Spearman" in out
 
-    def test_measure_writes_matrix(self, tmp_path, capsys):
+    def test_measure_writes_a_dataset(self, tmp_path, capsys):
         output = tmp_path / "out.json"
         code = main(
             [
@@ -57,9 +60,16 @@ class TestCommands:
             ]
         )
         assert code == 0
-        matrix = RttMatrix.load(output)
-        assert matrix.is_complete
-        assert len(matrix) == 4
+        assert output.read_bytes()[:4] == b"PK\x03\x04"
+        dataset = CampaignDataset.load(output)
+        assert dataset.matrix.is_complete
+        assert len(dataset.matrix) == 4
+        meta = dict(dataset.meta)
+        assert sorted(meta.pop("geo")) == sorted(dataset.matrix.nodes)
+        assert meta == {
+            "seed": 2015, "network_size": 20, "relays": 4, "samples": 15,
+            "pairs_attempted": 6,
+        }
 
     def test_measure_adaptive_policy_reports_savings(self, capsys):
         code = main(
@@ -129,6 +139,20 @@ class TestCommands:
         assert code == 0
         assert "speedup" in out
         assert "informed" in out
+
+    def test_tiv_and_deanon_read_a_legacy_json_matrix(self, small_matrix_file, capsys):
+        """The bare ``{"nodes", "rtts_ms"}`` document ``measure --output``
+        wrote before it wrote datasets (``legacy_matrix.json``'s form, here
+        over a complete matrix, which TIV analysis needs)."""
+        matrix = CampaignDataset.load(small_matrix_file).matrix
+        legacy = small_matrix_file.with_suffix(".json")
+        legacy.write_text(json.dumps(
+            {"nodes": matrix.nodes, "rtts_ms": np.round(matrix.matrix, 6).tolist()}
+        ))
+        for command in (["tiv", str(legacy)], ["deanon", str(legacy), "--runs", "30"]):
+            assert main(command) == 0
+        out = capsys.readouterr().out
+        assert "nodes: 8  pairs: 28" in out and "speedup" in out
 
     def test_coverage_runs(self, capsys):
         code = main(["coverage", "--days", "3", "--relays", "300"])
@@ -667,13 +691,12 @@ class TestTailDatasetReplay:
         # 10 measured + 1 failed provenance rows, one line each.
         assert out.count("\n") == 11
 
-    def test_json_dataset_sniffed_too(self, tmp_path, capsys):
-        path = tmp_path / "ds.json"
-        _synthetic_dataset(n=5).save(path)
-        code = main(["tail", str(path)])
+    def test_legacy_json_dataset_sniffed_too(self, capsys):
+        code = main(["tail", str(LEGACY_CAMPAIGN)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "campaign.pair_measured" in out
+        assert out.count("campaign.pair_measured") == 9
+        assert out.count("campaign.pair_failed") == 1
 
     def test_since_filters_provenance_rows(self, tmp_path, capsys):
         path = tmp_path / "ds.npz"

@@ -5,7 +5,6 @@ import pytest
 from repro.util.errors import (
     CircuitError,
     ConfigurationError,
-    ControlProtocolError,
     DirectoryError,
     MeasurementError,
     ReproError,
@@ -19,7 +18,6 @@ ALL_ERRORS = (
     MeasurementError,
     CircuitError,
     StreamError,
-    ControlProtocolError,
     DirectoryError,
 )
 
