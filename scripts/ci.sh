@@ -453,6 +453,62 @@ if grep -nE 'def to_json|raw_command' src/repro/core/dataset.py src/repro/tor/co
     exit 1
 fi
 
+echo "== read-side memory =="
+# save -> load(mmap=True) -> MatrixIndex.build at 4,000 relays, in a
+# fresh process so that ru_maxrss is this sequence's own. Above the
+# built dataset it may take 1.25x what the read side keeps: the mapped
+# matrix, the index's sorted rows and their ranking (the narrowest
+# unsigned type for n - 1) and the quality positions (the narrowest for
+# the scored-pair count). A save that copies the matrix, or an n x n
+# scratch in the build, breaks it.
+python - <<'PY'
+import resource, sys, tempfile, time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, "tests/core")
+from test_tail_scaling import _embedded_dataset
+
+from repro.core.dataset import CampaignDataset
+from repro.serve.index import MatrixIndex
+
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+n = 4000
+_, dataset = _embedded_dataset(n)
+built = peak_mb()
+walls = {}
+
+
+def timed(name, call):
+    start = time.perf_counter()
+    result = call()
+    walls[name] = time.perf_counter() - start
+    return result
+
+
+with tempfile.TemporaryDirectory() as directory:
+    path = Path(directory) / "ds.npz"
+    timed("save", lambda: dataset.save(path))
+    mapped = timed("load", lambda: CampaignDataset.load(path, mmap=True))
+    timed("build", lambda: MatrixIndex.build(mapped))
+    above = peak_mb() - built
+scored = len(mapped.quality().pair_scores)
+kept = (
+    n * n * 8
+    + n * (n - 1) * (8 + np.min_scalar_type(n - 1).itemsize)
+    + n * n * np.min_scalar_type(scored).itemsize
+) / 2**20
+print(f"read side, {n} relays: " + "  ".join(f"{k} {v:.2f}s" for k, v in walls.items())
+      + f"  peak RSS {above:.0f} MB above the built dataset, keeps {kept:.0f} MB"
+      f" (ceiling 1.25x = {1.25 * kept:.0f} MB)")
+assert above <= 1.25 * kept, f"the read side peaked {above:.0f} MB above the dataset"
+PY
+
 echo "== source size (printed, never gated) =="
 # ROADMAP item 8's target is src/ <= 19.0k lines (17.5k the stretch);
 # the three engine files are where "one campaign scheduler" is counted

@@ -35,6 +35,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import zipfile
 import zlib
 from dataclasses import dataclass, field
@@ -179,6 +180,16 @@ class RttMatrix:
             return
         self._matrix = np.array(self._matrix)
         self._readonly = False
+        self._view = self._matrix.view()
+        self._view.flags.writeable = False
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {key: value for key, value in self.__dict__.items() if key != "_view"}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """A copy or an unpickled matrix gets its read-only view over its
+        own backing, not over the original's."""
+        self.__dict__.update(state)
         self._view = self._matrix.view()
         self._view.flags.writeable = False
 
@@ -347,14 +358,23 @@ class RttMatrix:
         """Read a legacy bare matrix document, ``{"nodes", "rtts_ms"}``
         (``null`` for a missing entry). Nothing writes one any more."""
         payload = json.loads(text)
-        matrix = cls(payload["nodes"])
-        rows = payload["rtts_ms"]
-        n = len(matrix.nodes)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise MeasurementError("malformed RTT matrix JSON")
+        try:
+            matrix = cls(payload["nodes"])
+            rows = payload["rtts_ms"]
+            n = len(matrix.nodes)
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise MeasurementError("malformed RTT matrix JSON")
+        except TypeError as exc:
+            raise MeasurementError(f"malformed RTT matrix JSON: {exc}") from None
+        # Only what ``set`` accepts: a finite, non-negative number (JSON
+        # reads 1e400 as inf; a bool is no RTT).
+        if not all(
+            v is None or (type(v) in (int, float) and 0 <= v <= sys.float_info.max)
+            for row in rows for v in row
+        ):
+            raise MeasurementError("RTT matrix JSON holds an RTT set would refuse")
         values = np.array(
-            [[np.nan if v is None else float(v) for v in row] for row in rows],
-            dtype=float,
+            [[np.nan if v is None else v for v in row] for row in rows], dtype=float
         ).reshape(n, n)
         matrix._matrix[:, :] = values
         np.fill_diagonal(matrix._matrix, 0.0)
@@ -1098,16 +1118,22 @@ def _write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     byte-identical files. ``np.savez`` itself stamps each zip entry with
     the current time, so two saves of the same dataset differ; here every
     entry gets the zip epoch (1980-01-01) and no compression, and entry
-    order is the caller's dict order. Still readable by ``np.load``."""
+    order is the caller's dict order. Still readable by ``np.load``.
+    Each entry streams its npy header, then the array's own buffer,
+    through the writer ``writestr`` uses: no array is copied."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, arr in arrays.items():
-            buffer = io.BytesIO()
-            np.lib.format.write_array(
-                buffer, np.ascontiguousarray(arr), allow_pickle=False
+            arr = np.ascontiguousarray(arr)
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, np.lib.format.header_data_from_array_1_0(arr)
             )
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             info.compress_type = zipfile.ZIP_STORED
-            archive.writestr(info, buffer.getvalue())
+            info.file_size = header.tell() + arr.nbytes
+            with archive.open(info, "w") as entry:
+                entry.write(header.getvalue())
+                entry.write(arr.reshape(-1).view(np.uint8))
 
 
 @dataclass(slots=True)
@@ -1162,7 +1188,7 @@ class CampaignDataset:
         arrays: dict[str, np.ndarray] = {
             "header": np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
             "nodes": _str_array(self.matrix.nodes),
-            "matrix": self.matrix.copy_matrix(),
+            "matrix": self.matrix.matrix,
             "prov_names": _str_array(prov._names),
             "prov_cats": _str_array(prov._cats),
         }

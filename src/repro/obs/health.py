@@ -116,8 +116,8 @@ class QualityScores:
     ``scores`` (alias ``matrix``), ``components[name]`` and
     ``age_rows`` are the same data as symmetric read-only ``n×n`` arrays
     aligned to ``nodes``, NaN where unscored — built on first access,
-    for the consumers that are dense by design (the serve index, drift
-    diffs).
+    and read now only by the drift diff (:func:`diff_datasets`); the
+    serve index joins ``pair_scores`` / ``pair_ages`` through positions.
     """
 
     def __init__(

@@ -8,7 +8,8 @@ primitive served to millions of users. :class:`MatrixIndex` is that
 primitive's data structure: built once from a
 :class:`~repro.core.dataset.CampaignDataset`, then immutable.
 
-Build-time precomputation (all O(n²), vectorized):
+Build-time precomputation (all O(n²), vectorized, one ≈ 1 MB block of
+rows at a time, so no temporary spans the matrix):
 
 * a contiguous float64 matrix reference (zero-copy view of the dataset
   matrix — which may itself be a read-only ``np.memmap`` over the npz
@@ -20,9 +21,10 @@ Build-time precomputation (all O(n²), vectorized):
   a computed offset, a rank one ``searchsorted`` over a prefix slice;
 * the global sorted value vector, for matrix-wide percentiles;
 * an optional quality/freshness join from the dataset's provenance
-  (:meth:`~repro.core.dataset.CampaignDataset.quality`): per-pair
-  quality scores and age-in-provenance-rows ride along on every
-  answer, so a consumer can see *how much* to trust an estimate.
+  (:meth:`~repro.core.dataset.CampaignDataset.quality`), one n×n
+  matrix of positions into its score and age columns: per-pair quality
+  scores and age-in-provenance-rows ride along on every answer, so a
+  consumer can see *how much* to trust an estimate.
 
 Query surface: :meth:`point`, :meth:`row`, :meth:`k_nearest`,
 :meth:`percentile` / :meth:`rank` / :meth:`global_percentile`,
@@ -176,6 +178,17 @@ def _sorted_percentile(ascending: np.ndarray, count: int, q: float) -> float:
     return lo + (hi - lo) * weight
 
 
+def _scratch(block: np.ndarray, start: int) -> np.ndarray:
+    """A float64 copy of ``block`` — rows ``start..`` of the matrix, or
+    of its transpose — with the diagonal and unmeasured entries at
+    +inf, so they rank past every finite RTT."""
+    work = np.array(block, dtype=np.float64)
+    np.fmin(work, np.inf, out=work)  # NaN -> +inf, everything else kept
+    rows = np.arange(len(work))
+    work[rows, rows + start] = np.inf
+    return work
+
+
 class MatrixIndex:
     """A frozen, read-optimized view of one dataset version.
 
@@ -194,7 +207,8 @@ class MatrixIndex:
         "_degree",
         "_all_sorted",
         "_quality",
-        "_age",
+        "_scores",
+        "_ages",
         "_stale_after",
         "version",
         "measured_pairs",
@@ -210,7 +224,8 @@ class MatrixIndex:
         degree: np.ndarray,
         all_sorted: np.ndarray,
         quality: np.ndarray | None,
-        age: np.ndarray | None,
+        scores: np.ndarray | None,
+        ages: np.ndarray | None,
         stale_after: int | None,
         version: str,
         measured_pairs: int,
@@ -226,8 +241,11 @@ class MatrixIndex:
         self._row_sorted = row_sorted
         self._degree = degree
         self._all_sorted = all_sorted
+        # ``_quality[i, j]`` is the pair's row in the ``_scores`` /
+        # ``_ages`` columns, or their length where the pair is unscored.
         self._quality = quality
-        self._age = age
+        self._scores = scores
+        self._ages = ages
         self._stale_after = stale_after
         #: Short content-hash prefix identifying the dataset version
         #: every answer was served from.
@@ -262,41 +280,52 @@ class MatrixIndex:
             raise ConfigurationError("need at least two nodes to index")
         rtt = matrix.matrix  # read-only view; possibly memmap-backed
 
-        # Neighbor ranking scratch: diagonal and unmeasured entries to
-        # +inf so they sort past every finite RTT.
-        work = np.array(rtt, dtype=np.float64, copy=True)
-        # Adopted and memory-mapped arrays never went through
-        # ``RttMatrix.set``; an infinity would pass for "unmeasured" in
-        # the rankings yet be served by ``point``, a negative RTT is no
-        # measurement at all.
-        if np.isinf(work).any() or (work < 0.0).any():
-            raise MeasurementError(
-                "matrix holds infinite or negative RTTs; not indexing it"
-            )
-        np.fill_diagonal(work, np.inf)
-        work[np.isnan(work)] = np.inf
-        # Bit for bit (so 0.0 and -0.0 differ): only then is row b of
-        # the matrix its column b down to the sign of a zero.
-        bits = work.view(np.int64)
-        symmetric = bool((bits == bits.T).all())
-        # Gathered with the argsort's own int64 ranking, narrowed after.
-        ranking = np.argsort(work, axis=1, kind="stable")[:, : n - 1]
-        row_sorted = np.take_along_axis(work, ranking, axis=1)
-        order = ranking.astype(np.int32)
-        del ranking
-        degree = (np.isfinite(row_sorted)).sum(axis=1).astype(np.int64)
-        # The upper triangle, row by row, through a mask (no index arrays).
-        upper = work[~np.tri(n, dtype=bool)]
-        all_sorted = np.sort(upper[np.isfinite(upper)])
+        row_sorted = np.empty((n, n - 1))
+        # Node ids in the narrowest unsigned type that holds n - 1.
+        order = np.empty((n, n - 1), dtype=np.min_scalar_type(n - 1))
+        degree = np.empty(n, dtype=np.int64)
+        upper = []
+        symmetric = True
+        # One block of rows (about 1 MB) at a time: no scratch, ranking
+        # or mask ever spans the matrix.
+        step = max(1, (1 << 20) // (8 * n))
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            # Adopted and memory-mapped arrays never went through
+            # ``RttMatrix.set``; an infinity would pass for "unmeasured"
+            # in the rankings yet be served by ``point``, a negative RTT
+            # is no measurement at all.
+            if np.isinf(rtt[rows]).any() or (rtt[rows] < 0.0).any():
+                raise MeasurementError(
+                    "matrix holds infinite or negative RTTs; not indexing it"
+                )
+            work = _scratch(rtt[rows], start)
+            # Bit for bit (so 0.0 and -0.0 differ): only then is row b of
+            # the matrix its column b down to the sign of a zero.
+            if symmetric:
+                cols = _scratch(rtt[:, rows].T, start).view(np.int64)
+                symmetric = bool((work.view(np.int64) == cols).all())
+                del cols
+            # The argsort's own int64 ranking, narrowed as it is stored.
+            ranking = np.argsort(work, axis=1, kind="stable")[:, : n - 1]
+            row_sorted[rows] = np.take_along_axis(work, ranking, axis=1)
+            order[rows] = ranking
+            degree[rows] = np.isfinite(row_sorted[rows]).sum(axis=1)
+            # The upper triangle, row by row, through a mask (no index arrays).
+            values = work[np.arange(n) > np.arange(start, rows.stop)[:, None]]
+            upper.append(values[np.isfinite(values)])
+        all_sorted = np.concatenate(upper)
+        all_sorted.sort()
 
-        quality_matrix = None
-        age = None
-        stale_after = None
+        positions = pair_scores = pair_ages = stale_after = None
         if quality and dataset is not None and len(dataset.provenance):
             scores = dataset.quality()
             if list(scores.nodes) == nodes:
-                quality_matrix = np.asarray(scores.scores, dtype=np.float64)
-                age = np.asarray(scores.age_rows, dtype=np.float64)
+                pair_scores, pair_ages = scores.pair_scores, scores.pair_ages
+                scored = len(pair_scores)
+                positions = np.full((n, n), scored, dtype=np.min_scalar_type(scored))
+                positions[scores.pair_i, scores.pair_j] = np.arange(scored)
+                positions[scores.pair_j, scores.pair_i] = np.arange(scored)
                 stale_after = int(scores.stale_after_rows)
 
         version = matrix.content_hash()[:12]
@@ -307,8 +336,9 @@ class MatrixIndex:
             row_sorted=row_sorted,
             degree=degree,
             all_sorted=all_sorted,
-            quality=quality_matrix,
-            age=age,
+            quality=positions,
+            scores=pair_scores,
+            ages=pair_ages,
             stale_after=stale_after,
             version=version,
             measured_pairs=matrix.num_measured,
@@ -354,10 +384,14 @@ class MatrixIndex:
         """(quality, age_rows, stale) for one pair of a quality-joined
         index (callers test ``self._quality`` once per query), or Nones
         where the join has no score for the pair."""
-        q = self._quality.item(i, j)
+        k = self._quality.item(i, j)
+        scores = self._scores
+        if k == scores.size:
+            return None, None, None
+        q = scores.item(k)
         if q != q:  # NaN: no score
             return None, None, None
-        age = self._age.item(i, j)
+        age = self._ages.item(k)
         if age != age:
             return q, None, None
         age_rows = int(age)

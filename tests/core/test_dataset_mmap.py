@@ -1,8 +1,10 @@
 """Memory-mapped dataset loads, their copy-on-write semantics, and
-damaged files on both load paths."""
+damaged files on both load paths and in legacy JSON."""
 
 import hashlib
 import io
+import itertools
+import json
 import tempfile
 import zipfile
 from pathlib import Path
@@ -305,6 +307,65 @@ class TestDamagedFiles:
         for mmap in (False, True):
             with pytest.raises(MeasurementError, match="cannot load dataset"):
                 CampaignDataset.load(path, mmap=mmap)
+
+
+#: One entry of a legacy ``rtts_ms`` row: mostly RTTs and holes, then
+#: other JSON values — non-numbers, negatives, infinities, NaN, and
+#: integers no float holds.
+_LEGACY_ENTRY = st.one_of(
+    st.none(),
+    st.floats(0.0, 500.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.sampled_from([-1, 10**400, True, "5", {}, [], [1.0]]),
+)
+
+
+@st.composite
+def _legacy_documents(draw):
+    """A legacy JSON document, a bare matrix or a ``ting-campaign/1``
+    dataset, whose ``rtts_ms`` may hold anything at any length."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(_LEGACY_ENTRY, min_size=n - 1, max_size=n + 1)
+    rows = draw(st.one_of(
+        st.lists(row, min_size=n, max_size=n),
+        st.lists(st.one_of(row, _LEGACY_ENTRY), min_size=n - 1, max_size=n + 1),
+        _LEGACY_ENTRY,
+    ))
+    matrix = {"nodes": [f"R{k}" for k in range(n)], "rtts_ms": rows}
+    if draw(st.booleans()):
+        return json.dumps(matrix)
+    return json.dumps({"format": "ting-campaign/1", "matrix": matrix})
+
+
+class TestDamagedLegacyJson:
+    """A legacy JSON document loads only RTTs ``RttMatrix.set`` takes;
+    any other row raises :class:`MeasurementError`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_legacy_documents())
+    @example(text='{"nodes": ["a", "b"], "rtts_ms": [[0, {}], [1, 0]]}')
+    @example(text='{"nodes": ["a", "b"], "rtts_ms": 5}')
+    @example(text='{"nodes": ["a", "b"], "rtts_ms": [[0, -1], [-1, 0]]}')
+    @example(text='{"nodes": ["a", "b"], "rtts_ms": [[0, 1e400], [1e400, 0]]}')
+    @example(
+        text='{"format": "ting-campaign/1", '
+        '"matrix": {"nodes": ["a", "b"], "rtts_ms": [[0, {}], [1, 0]]}}'
+    )
+    def test_loads_what_set_accepts_or_raises(self, text):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "legacy.json"
+            path.write_text(text)
+            try:
+                loaded = CampaignDataset.load(path)
+            except MeasurementError:
+                return
+        nodes = loaded.matrix.nodes
+        accepting = RttMatrix(nodes)
+        for i, j in itertools.permutations(range(len(nodes)), 2):
+            value = loaded.matrix.matrix[i, j]
+            if not np.isnan(value):
+                accepting.set(nodes[i], nodes[j], value)  # raises on a refusal
 
 
 class TestFromArrayAdoption:

@@ -11,11 +11,14 @@ Three contracts pinned here:
   (``tests/core/data/legacy_*.json``) still load, to the same data as
   the npz they save to.
 * ``RttMatrix.matrix`` is a read-only view with O(1) cached
-  completeness counters, and ``CampaignDataset.absorb`` folds fresh
-  results into a standing dataset.
+  completeness counters — a deep copy's or an unpickled matrix's over
+  its own backing — and ``CampaignDataset.absorb`` folds fresh results
+  into a standing dataset.
 """
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -155,6 +158,52 @@ class TestNpzRoundtrip:
         assert failed[0].reason == "probe timed out"
 
 
+def _holes_300():
+    """A 300-node matrix with about 30% of its pairs unmeasured."""
+    rng = np.random.default_rng(300)
+    n = 300
+    values = np.triu(rng.uniform(5.0, 300.0, (n, n)), 1)
+    values += values.T
+    hole = np.triu(rng.random((n, n)) < 0.3, 1)
+    values[hole | hole.T] = np.nan
+    np.fill_diagonal(values, 0.0)
+    nodes = [f"N{i:03d}" for i in range(n)]
+    return CampaignDataset(
+        matrix=RttMatrix.from_array(nodes, values), meta={"relays": n}
+    )
+
+
+#: SHA-256 of two saved files as written when each entry was first built
+#: whole in memory (``np.lib.format.write_array`` into a buffer, then
+#: ``ZipFile.writestr``). The streamed writer keeps every byte.
+PINNED_FILES = {
+    "legacy": (
+        legacy_dataset,
+        "6e05c0e85846b779ec07d17d156a7ccfe9139cfe757c398b3d34d1209caccc45",
+    ),
+    "holes_300": (
+        _holes_300,
+        "d8d4a24aeb6ffbc92855447e1ee54bbd55c298efe6f697c92c6698f0381c522d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FILES))
+def test_the_streamed_file_keeps_its_bytes(tmp_path, name):
+    build, digest = PINNED_FILES[name]
+    dataset = build()
+    path = tmp_path / "ds.npz"
+    dataset.save(path)
+    assert _sha(path) == digest
+    for mmap in (False, True):
+        loaded = CampaignDataset.load(path, mmap=mmap)
+        assert loaded.matrix.nodes == dataset.matrix.nodes
+        assert loaded.matrix.matrix.tobytes() == dataset.matrix.matrix.tobytes()
+        assert loaded.provenance.to_list() == dataset.provenance.to_list()
+        assert loaded.provenance.legs_to_list() == dataset.provenance.legs_to_list()
+        assert loaded.meta == dataset.meta
+
+
 class TestMatrixView:
     def test_view_is_read_only(self):
         matrix = RttMatrix(["a", "b"])
@@ -177,6 +226,31 @@ class TestMatrixView:
         copy = matrix.copy_matrix()
         copy[0, 1] = 99.0
         assert matrix.get("a", "b") == 10.0
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["owned", "mapped"])
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda dataset: pickle.loads(pickle.dumps(dataset))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_reads_its_own_writes(self, tmp_path, duplicate, mapped):
+        dataset = _build_dataset(n=4)
+        if mapped:
+            dataset.save(tmp_path / "ds.npz")
+            dataset = CampaignDataset.load(tmp_path / "ds.npz", mmap=True)
+        before = dataset.matrix.copy_matrix()
+        twin = duplicate(dataset)
+        twin.matrix.set("N0", "N1", 5.0)
+        fresh = RttMatrix(["N2", "N3"])
+        fresh.set("N2", "N3", 7.0)
+        twin.absorb(fresh)
+        view = twin.matrix.matrix
+        assert view.flags.writeable is False
+        assert (view[0, 1], view[1, 0], view[2, 3]) == (5.0, 5.0, 7.0)
+        assert twin.matrix.get("N0", "N1") == 5.0
+        i, j, values = twin.matrix.measured_entries()
+        assert np.array_equal(view[i, j], values)
+        assert np.array_equal(dataset.matrix.matrix, before, equal_nan=True)
 
     def test_as_array_still_returns_a_copy(self):
         matrix = RttMatrix(["a", "b"])

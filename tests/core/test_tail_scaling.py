@@ -10,7 +10,8 @@ jitter, are switched off — the identical plan. The second bounds what
 the cycle allocates at 2,000 relays with ``tracemalloc``: the only
 things left that are sized by n² are the planner's per-slot jitter
 vector (and the selection's copy of it) and the one ``+inf``-filled work
-matrix the TIV detour check reads.
+matrix the TIV detour check reads. The third bounds the read side at the
+same size: saving the dataset and building its serve index.
 """
 
 import tracemalloc
@@ -25,6 +26,7 @@ from repro.core.dataset import (
 )
 from repro.core.planner import CampaignPlanner, PlannerWeights
 from repro.obs.health import health_report
+from repro.serve.index import MatrixIndex
 
 MEASURED_PAIRS = 150
 #: The embedded dataset only names relays below this index.
@@ -152,3 +154,51 @@ def test_the_cycle_allocates_a_bounded_number_of_matrices(capsys):
             f"(ceiling {ALLOCATION_CEILING_MATRICES:g}; the dense tail read 12.8)"
         )
     assert peak <= ALLOCATION_CEILING_MATRICES * one_matrix
+
+
+#: What the read side may allocate beyond what it keeps, in units of
+#: one n×n float64 matrix. Measured 0.003 for ``save`` and 0.15 for
+#: ``MatrixIndex.build`` (one block of rows of scratch, plus
+#: ``content_hash``'s row block). Before both streamed, ``save`` read
+#: 2.48 (a copy of the matrix, an npy image of it and that image as
+#: bytes) and ``build`` 1.60 (an n×n scratch copy and its int64
+#: ranking), and the index kept two dense float64 quality views.
+SAVE_CEILING_MATRICES = 1 / 8
+BUILD_CEILING_MATRICES = 1 / 4
+
+
+def test_the_read_side_allocates_a_fraction_of_one_matrix(tmp_path, capsys):
+    n_relays = 2000
+    _, dataset = _embedded_dataset(n_relays)
+    one_matrix = n_relays * n_relays * 8
+
+    tracemalloc.start()
+    try:
+        dataset.save(tmp_path / "ds.npz")
+        _, saved = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        index = MatrixIndex.build(dataset)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    built = peak - kept
+    with capsys.disabled():
+        print(
+            f"\n  read side at {n_relays} relays: save {saved / one_matrix:.3f}, "
+            f"index build {built / one_matrix:.3f} x n^2 x 8 bytes beyond what "
+            f"it keeps (ceilings {SAVE_CEILING_MATRICES:g}, {BUILD_CEILING_MATRICES:g})"
+        )
+    assert saved < SAVE_CEILING_MATRICES * one_matrix
+    assert built < BUILD_CEILING_MATRICES * one_matrix
+    # Beyond the dataset's own matrix, the only n×n float64 table is
+    # the per-row sorted RTTs: the quality join is positions.
+    dense = [
+        name
+        for name in MatrixIndex.__slots__
+        if isinstance(table := getattr(index, name), np.ndarray)
+        and table.dtype == np.float64
+        and table.size >= n_relays * (n_relays - 1)
+        and not np.may_share_memory(table, dataset.matrix.matrix)
+    ]
+    assert dense == ["_row_sorted"]

@@ -82,15 +82,6 @@ def _build_dataset(n=8, seed=5, with_failures=False, geo=False):
     return CampaignDataset(matrix=matrix, provenance=log, meta=meta)
 
 
-def _copy_dataset(dataset):
-    """A deep, independent copy."""
-    return CampaignDataset(
-        matrix=RttMatrix.from_array(dataset.matrix.nodes, dataset.matrix.matrix),
-        provenance=ProvenanceLog.from_snapshot(dataset.provenance.snapshot()),
-        meta=copy.deepcopy(dataset.meta),
-    )
-
-
 def _with_value(dataset, x, y, value):
     """A dataset whose matrix holds ``value`` for one pair, bypassing
     ``RttMatrix.set`` validation so impossible values can be injected."""
@@ -393,7 +384,7 @@ class TestHealthReport:
 class TestDriftDiff:
     def test_refresh_changes_attributed_remeasured(self):
         baseline = _build_dataset(n=10, seed=7)
-        current = _copy_dataset(baseline)
+        current = copy.deepcopy(baseline)
         fresh = RttMatrix(current.matrix.nodes)
         log = ProvenanceLog()
         refreshed = [("N000", "N001"), ("N002", "N005"), ("N003", "N008")]
@@ -420,7 +411,7 @@ class TestDriftDiff:
 
     def test_silent_mutation_attributed_unexplained(self):
         baseline = _build_dataset(n=6, seed=7)
-        current = _copy_dataset(baseline)
+        current = copy.deepcopy(baseline)
         current.matrix.set("N001", "N004", 999.0)  # no provenance record
         drift = diff_datasets(baseline, current)
         assert drift.data["pairs"]["changed"] == 1
@@ -429,7 +420,7 @@ class TestDriftDiff:
 
     def test_node_churn_reported(self):
         baseline = _build_dataset(n=5, seed=7)
-        current = _copy_dataset(baseline)
+        current = copy.deepcopy(baseline)
         fresh = RttMatrix(["N001", "NEW"])
         fresh.set("N001", "NEW", 77.0)
         current.absorb(fresh)
@@ -455,7 +446,7 @@ class TestDriftDiff:
 
     def test_quality_regression_attributed_to_component(self):
         baseline = _build_dataset(n=6, seed=7)
-        current = _copy_dataset(baseline)
+        current = copy.deepcopy(baseline)
         # A string of failed retries tanks N000:N001's history component.
         for _ in range(3):
             current.provenance.add(
@@ -483,7 +474,7 @@ class TestDriftDiff:
 
     def test_render_text_mentions_attribution(self):
         baseline = _build_dataset(n=6, seed=7)
-        current = _copy_dataset(baseline)
+        current = copy.deepcopy(baseline)
         current.matrix.set("N001", "N004", 999.0)
         text = diff_datasets(baseline, current).render_text()
         assert "== dataset drift ==" in text
@@ -563,7 +554,7 @@ class TestInvariance:
 
     def test_drift_invariant_to_on_disk_format(self, tmp_path):
         baseline = CampaignDataset.load(LEGACY_CAMPAIGN)
-        current = _copy_dataset(baseline)
+        current = copy.deepcopy(baseline)
         fresh = RttMatrix(current.matrix.nodes)
         fresh.set("R0", "R3", 500.0)
         log = ProvenanceLog()
