@@ -420,6 +420,17 @@ if [[ "$forks" -gt 1 ]]; then
     echo "get_context(\"fork\") appears $forks times under src/; the pool is the one fork" >&2
     exit 1
 fi
+# Worker silence is measured once, per slot, by the pool's silence_s:
+# no watch hook on run_pool and no second clock beside the pool's.
+timeout 60 python -m pytest tests/core/test_shard_telemetry.py -x -q -k PerWorkerSilence
+if grep -rnE 'watch=|def watch' src; then
+    echo "a watch hook is back under src/; the pool's silence_s is the one silence rule" >&2
+    exit 1
+fi
+if grep -rnF -e 'last_seen' -e 'heard[' src | grep -v '^src/repro/util/cpus.py:'; then
+    echo "a silence clock outside repro/util/cpus.py; the pool keeps the only one" >&2
+    exit 1
+fi
 
 echo "== one dataset file =="
 # npz is the only dataset file written: `measure --output` saves a
@@ -523,6 +534,8 @@ cat src/repro/obs/*.py src/repro/serve/telemetry.py | wc -l \
 # The two modules that lost their second path (JSON writing, the
 # control-port grammar).
 wc -l src/repro/core/dataset.py src/repro/tor/control.py
+# The sharded engine and the one progress tally (ROADMAP item 4).
+wc -l src/repro/core/shard.py src/repro/obs/events.py
 
 echo "== cell cipher library and import hygiene =="
 # The onion layers are the cryptography package's AES-CTR, each context

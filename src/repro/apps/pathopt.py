@@ -144,11 +144,6 @@ class CircuitSelector:
             self._dist = dist
         return self._dist
 
-    def _circuit_distance_km(self, circuit: tuple[int, int, int]) -> float:
-        a, b, c = circuit
-        dist = self._distances_km()
-        return float(dist[a, b] + dist[b, c])
-
     def _random_circuits(self, count: int, weighted: bool) -> np.ndarray:
         """``count`` circuits as a (count, 3) int array, one vectorized
         ``rng.choice`` per rejection round (rows with repeated relays

@@ -118,52 +118,9 @@ def _write_json_artifact(
     status(f"{label} written to {path}")
 
 
-def _progress_sink(
-    tracker: ProgressTracker, stream=None
-) -> Callable[[Event], None]:
-    """An event-bus sink driving a live one-line progress display.
-
-    Tracks an unsharded campaign as shard 0 with absolute totals — the
-    same idempotent contract the forked workers' heartbeats use. The
-    line redraws in place (``\\r``) on every pair completion.
-    """
-    out = stream if stream is not None else sys.stderr
-    state = {"done": 0, "failed": 0, "sent": 0, "saved": 0}
-
-    def sink(event: Event) -> None:
-        if event.category == "campaign" and event.kind == "pair_measured":
-            state["done"] += 1
-        elif event.category == "campaign" and event.kind == "pair_failed":
-            state["done"] += 1
-            state["failed"] += 1
-        elif event.category == "probe" and event.kind in (
-            "round_finished", "round_failed"
-        ):
-            state["sent"] += int(event.fields.get("sent", 0))
-            state["saved"] += int(event.fields.get("saved", 0))
-            return  # probes tick silently; the line redraws per pair
-        else:
-            return
-        tracker.update_shard(
-            0,
-            pairs_done=state["done"],
-            pairs_failed=state["failed"],
-            probes_sent=state["sent"],
-            probes_saved=state["saved"],
-        )
-        print(f"\r  {tracker.render()}", end="", file=out, flush=True)
-
-    return sink
-
-
-def _render_heartbeat_progress(stream=None) -> Callable[[ProgressTracker], None]:
-    """An ``on_progress`` callback for sharded runs: redraw per heartbeat."""
-    out = stream if stream is not None else sys.stderr
-
-    def render(tracker: ProgressTracker) -> None:
-        print(f"\r  {tracker.render()}", end="", file=out, flush=True)
-
-    return render
+def _render_progress(tracker: ProgressTracker) -> None:
+    """Redraw the one-line progress display on stderr, in place (``\\r``)."""
+    print(f"\r  {tracker.render()}", end="", file=sys.stderr, flush=True)
 
 
 def _geo_meta(testbed, relays) -> dict[str, list[float]]:
@@ -473,7 +430,13 @@ def cmd_measure(args: argparse.Namespace) -> int:
             jsonl = JsonlSink(args.events)
             bus.add_sink(jsonl)
         if args.progress and not args.quiet:
-            bus.add_sink(_progress_sink(ProgressTracker(pairs)))
+            tracker = ProgressTracker(pairs)
+
+            def redraw(event: Event) -> None:
+                if tracker.observe(event):  # per pair; probes tick silently
+                    _render_progress(tracker)
+
+            bus.add_sink(redraw)
     status(f"Measuring all {pairs} pairs ({args.policy} policy) ...")
     try:
         report = AllPairsCampaign(measurer, relays, rng=rng, budget=budget).run()
@@ -739,12 +702,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.progress or args.events is not None:
         telemetry = CampaignTelemetry()
         if args.progress and not args.quiet:
-            telemetry.on_progress = _render_heartbeat_progress()
+            telemetry.on_progress = _render_progress
         if args.events is not None:
-            from repro.obs import EventBus
-
             jsonl = JsonlSink(args.events)
-            telemetry.bus = EventBus(capacity=4096)
             telemetry.bus.add_sink(jsonl)
     try:
         sharded = ShardedCampaign(

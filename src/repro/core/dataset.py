@@ -359,13 +359,17 @@ class RttMatrix:
         (``null`` for a missing entry). Nothing writes one any more."""
         payload = json.loads(text)
         try:
-            matrix = cls(payload["nodes"])
-            rows = payload["rtts_ms"]
-            n = len(matrix.nodes)
+            nodes, rows = payload["nodes"], payload["rtts_ms"]
+            if not isinstance(nodes, list) or not all(
+                isinstance(node, str) for node in nodes
+            ):
+                raise MeasurementError("RTT matrix JSON nodes are not strings")
+            matrix = cls(nodes)
+            n = len(nodes)
             if len(rows) != n or any(len(row) != n for row in rows):
                 raise MeasurementError("malformed RTT matrix JSON")
-        except TypeError as exc:
-            raise MeasurementError(f"malformed RTT matrix JSON: {exc}") from None
+        except (KeyError, TypeError) as exc:
+            raise MeasurementError(f"malformed RTT matrix JSON: {exc!r}") from None
         # Only what ``set`` accepts: a finite, non-negative number (JSON
         # reads 1e400 as inf; a bool is no RTT).
         if not all(
@@ -376,8 +380,10 @@ class RttMatrix:
         values = np.array(
             [[np.nan if v is None else v for v in row] for row in rows], dtype=float
         ).reshape(n, n)
+        np.fill_diagonal(values, 0.0)
+        if not np.array_equal(values, values.T, equal_nan=True):
+            raise MeasurementError("RTT matrix JSON is not symmetric")
         matrix._matrix[:, :] = values
-        np.fill_diagonal(matrix._matrix, 0.0)
         matrix._recount()
         return matrix
 
@@ -926,12 +932,19 @@ class ProvenanceLog:
         data: list[dict[str, Any]],
         legs: list[dict[str, Any]] | None = None,
     ) -> "ProvenanceLog":
-        """Rebuild a log from :meth:`to_list` (+ :meth:`legs_to_list`) output."""
+        """Rebuild a log from :meth:`to_list` (+ :meth:`legs_to_list`)
+        output; anything else raises :class:`MeasurementError`."""
+        legs = [] if legs is None else legs
+        if not isinstance(data, list) or not isinstance(legs, list):
+            raise MeasurementError("provenance is not a list of records")
         log = cls()
-        for entry in data:
-            log.add(PairProvenance.from_dict(entry))
-        for entry in legs or []:
-            log.add_leg(LegProvenance.from_dict(entry))
+        try:
+            for entry in data:
+                log.add(PairProvenance.from_dict(entry))
+            for entry in legs:
+                log.add_leg(LegProvenance.from_dict(entry))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MeasurementError(f"malformed provenance record: {exc!r}") from None
         return log
 
     # -- queries --------------------------------------------------------
@@ -1173,11 +1186,16 @@ class CampaignDataset:
             raise MeasurementError(
                 f"unknown dataset format {payload.get('format')!r}"
             )
-        matrix = RttMatrix.from_json(json.dumps(payload["matrix"]))
+        meta = payload.get("meta", {})
+        if not isinstance(meta, dict):
+            raise MeasurementError(
+                f"dataset meta is an object, not {type(meta).__name__}"
+            )
+        matrix = RttMatrix.from_json(json.dumps(payload.get("matrix")))
         provenance = ProvenanceLog.from_list(
             payload.get("provenance", []), legs=payload.get("legs")
         )
-        return cls(matrix=matrix, provenance=provenance, meta=payload.get("meta", {}))
+        return cls(matrix=matrix, provenance=provenance, meta=meta)
 
     # -- binary format --------------------------------------------------
 

@@ -71,18 +71,20 @@ Live telemetry
 
 Pass a :class:`CampaignTelemetry` and every worker of both rounds
 attaches a streaming sink to the host's
-:class:`~repro.obs.events.EventBus`: events at or above
-``stream_min_severity`` cross the fork boundary over one message queue,
-along with rate-limited **heartbeats** carrying absolute progress totals
-(``pairs_done``, ``pairs_total`` = pairs claimed so far under stealing)
-and the in-flight pair or leg. The parent keeps a per-shard
+:class:`~repro.obs.events.EventBus`: events at INFO or above cross the
+fork boundary over the pool's one channel, along with rate-limited
+**heartbeats** carrying the worker's own
+:class:`~repro.obs.events.ProgressTracker` totals (``pairs_done``,
+``pairs_total`` = pairs claimed so far under stealing) and the in-flight
+pair or leg. The parent keeps a per-shard
 :class:`~repro.obs.events.FlightRecorder` (every leg worker records
-under shard ``-1``), feeds a :class:`~repro.obs.events.ProgressTracker`,
-and arms a **stall watchdog**: a shard silent past ``stall_timeout_s``
-trips it, which dumps every shard's flight-recorder ring (plus the stuck
-shard's in-flight task) to a post-mortem JSON artifact and fails the
-campaign with a categorized
+under shard ``-1``), sums the heartbeats in one tracker, and arms the
+pool's ``silence_s`` as a **stall watchdog**: a worker silent past
+``stall_timeout_s`` trips it, which dumps every shard's flight-recorder
+ring (plus the stuck worker's in-flight task) to a post-mortem JSON
+artifact and fails the campaign with a categorized
 :class:`~repro.util.errors.MeasurementError` instead of hanging forever.
+Silence is per worker, so a chatty sibling cannot hide a wedged one.
 The engine's per-batch hook pumps heartbeats from inside long simulator
 runs, so one slow pair is not mistaken for a hang — and because workers
 steal, a genuinely slow worker just claims fewer chunks instead of
@@ -116,7 +118,7 @@ from repro.obs import (
 )
 from repro.obs.spans import CAMPAIGN_SPAN
 from repro.tor.directory import RelayDescriptor
-from repro.util.cpus import run_pool
+from repro.util.cpus import WorkerSilence, run_pool
 # Bound to a module-level name so tests can stand in another core count.
 from repro.util.cpus import schedulable_cpu_count as _schedulable_cpus
 from repro.util.errors import MeasurementError
@@ -145,241 +147,125 @@ _SINKS: dict[str, Callable[[], Any]] = {
     "events": lambda: EventBus(capacity=4096),
 }
 
-#: Heartbeat fields that are running totals of one worker process.
-_HEARTBEAT_TOTALS = (
-    "pairs_done", "pairs_failed", "pairs_total", "probes_sent", "probes_saved",
-)
+#: Each shard's parent-side flight-recorder ring: the post-mortem's tail.
+RING_CAPACITY = 512
 
 
 @dataclass
 class CampaignTelemetry:
     """Configuration for live streaming telemetry across the fork boundary.
 
-    ``bus`` is the parent-side event bus fed by worker streams (one is
-    created when omitted); attach sinks to it *before* ``run()`` to see
-    events live. ``progress`` likewise defaults to a fresh
-    :class:`~repro.obs.events.ProgressTracker` sized to the pair list,
-    and ``on_progress`` is invoked (with the tracker) after every
-    heartbeat — the CLI's streaming status line hangs off it.
+    ``bus`` is the parent-side event bus fed by worker streams, a fresh
+    one per config unless given; attach sinks to it *before* ``run()``
+    to see events live. ``on_progress`` is invoked with the campaign's
+    :class:`~repro.obs.events.ProgressTracker` after every heartbeat —
+    the CLI's streaming status line hangs off it.
 
-    ``stall_timeout_s`` arms the watchdog (``None`` disables): a shard
-    that produces neither events nor heartbeats for that long is
+    ``stall_timeout_s`` arms the watchdog (``None`` disables): a worker
+    that sends nothing — no event, heartbeat or chunk — for that long is
     declared stalled. Size it to comfortably exceed worker startup.
     """
 
-    bus: EventBus | None = None
-    progress: ProgressTracker | None = None
+    bus: EventBus = field(default_factory=lambda: EventBus(capacity=4096))
     on_progress: Callable[[ProgressTracker], None] | None = None
     heartbeat_s: float = 1.0
     stall_timeout_s: float | None = 30.0
     postmortem_path: Path | None = None
-    stream_min_severity: int = INFO
-    ring_capacity: int = 512
 
 
 class _WorkerTelemetry:
     """Worker-side sink: streams events and heartbeats to the parent.
 
     Built and attached to the worker's event bus inside
-    :func:`_run_worker`, sending on the pool's channel; every
-    leg-round worker streams as shard ``-1``, told apart by ``worker``
-    (its slot in the round, which heartbeats carry).
-    Every emitted event updates local progress counters (pair lifecycle
-    from ``campaign`` events, probe totals from ``probe`` rounds, the
-    in-flight label from pair/leg starts), rides the fork-boundary
-    channel when at or above ``min_severity``, and gives the heartbeat
-    pump a chance to fire. The simulator's per-batch hook calls
-    :meth:`beat` too, so a worker grinding through one long simulator
-    run still proves liveness between events.
-
-    ``pairs_total`` is the number of pairs this worker has *claimed* so
-    far — under work stealing it grows chunk by chunk, and heartbeats
-    carry the running value so the parent can attribute load.
+    :func:`_run_worker`, sending on the pool's channel as the worker's
+    slot. Every emitted event goes to the worker's own
+    :class:`~repro.obs.events.ProgressTracker`, rides the channel when
+    at :data:`~repro.obs.events.INFO` or above, and gives the heartbeat
+    pump a chance to fire; a heartbeat ships the tracker's totals, the
+    shard label they belong to (every leg-round worker is shard ``-1``)
+    and ``pairs_total``, the pairs this worker has *claimed* so far under
+    work stealing. The simulator's per-batch hook calls :meth:`beat`
+    too, so a worker grinding through one long simulator run still
+    proves liveness between events.
     """
 
     def __init__(
-        self,
-        send: Callable[[tuple], None],
-        shard: int,
-        heartbeat_s: float,
-        min_severity: int,
-        wall: Callable[[], float] = time.monotonic,
-        worker: int = 0,
+        self, send: Callable[[tuple], None], shard: int, heartbeat_s: float, worker: int
     ) -> None:
         self.send = send
         self.shard = shard
         self.worker = worker
         self.heartbeat_s = heartbeat_s
-        self.min_severity = min_severity
-        self._wall = wall
-        self._last_beat = float("-inf")
+        self.progress = ProgressTracker(0)
         self.pairs_total = 0
-        self.pairs_done = 0
-        self.pairs_failed = 0
-        self.probes_sent = 0
-        self.probes_saved = 0
-        self.in_flight: str | None = None
+        self._last_beat = float("-inf")
 
     def __call__(self, event: Event) -> None:
-        category, kind = event.category, event.kind
-        if category == "campaign":
-            if kind == "pair_started":
-                x, y = event.fields.get("x"), event.fields.get("y")
-                self.in_flight = f"pair {x}:{y}"
-            elif kind == "pair_measured":
-                self.pairs_done += 1
-                self.in_flight = None
-            elif kind == "pair_failed":
-                self.pairs_done += 1
-                self.pairs_failed += 1
-                self.in_flight = None
-        elif category == "leg":
-            if kind == "started":
-                self.in_flight = f"leg {event.fields.get('relay')}"
-            else:  # finished / failed
-                self.in_flight = None
-        elif category == "probe":
-            if kind == "round_finished":
-                self.probes_sent += int(event.fields.get("sent", 0))
-                self.probes_saved += int(event.fields.get("saved", 0))
-            elif kind == "round_failed":
-                self.probes_sent += int(event.fields.get("sent", 0))
-        if event.severity >= self.min_severity:
-            self.send(("event", self.shard, event.to_dict()))
+        self.progress.observe(event)
+        if event.severity >= INFO:
+            self.send(("event", self.worker, event.to_dict()))
         self.beat()
 
     def beat(self, force: bool = False) -> None:
         """Send a heartbeat if ``heartbeat_s`` elapsed (or forced)."""
-        now = self._wall()
+        now = time.monotonic()
         if not force and now - self._last_beat < self.heartbeat_s:
             return
         self._last_beat = now
-        self.send(
-            (
-                "hb",
-                self.shard,
-                {
-                    "worker": self.worker,
-                    "pairs_done": self.pairs_done,
-                    "pairs_failed": self.pairs_failed,
-                    "pairs_total": self.pairs_total,
-                    "probes_sent": self.probes_sent,
-                    "probes_saved": self.probes_saved,
-                    "in_flight": self.in_flight,
-                },
-            )
-        )
+        totals = self.progress.totals()
+        totals.update(shard=self.shard, pairs_total=self.pairs_total)
+        self.send(("hb", self.worker, totals))
 
 
 class _ShardMonitor:
-    """Parent-side telemetry state: what the watchdog knows per shard.
+    """Parent-side telemetry state: rings, progress, the post-mortem.
 
     Streamed events land in a per-shard flight recorder *and* the
     parent bus (so sinks attached there see the whole campaign live);
-    heartbeats update ``last_seen``, the progress tracker (including
-    per-shard claimed totals under work stealing), and the in-flight
-    labels the post-mortem names. Any other message kind (``chunk``)
-    counts as liveness only. The parent keeps its own recorders because
-    a hung child's memory — including its local ring — is unreachable;
-    what was streamed before the silence is all the forensics there is.
-
-    A shard is a label, not a process: the leg round puts all of its
-    workers behind shard ``-1``. Heartbeats are absolute totals of one
-    process, so the monitor keeps the latest per ``(shard, worker)`` and
-    reports their sum.
+    heartbeats are one worker's absolute totals, kept per ``(shard,
+    worker)`` by the progress tracker, which sums them. The parent keeps
+    its own recorders because a hung child's memory — including its
+    local ring — is unreachable; what was streamed before the silence is
+    all the forensics there is. Silence itself is the pool's to notice.
     """
 
-    def __init__(
-        self,
-        telemetry: CampaignTelemetry,
-        pairs_total: int,
-        wall: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, telemetry: CampaignTelemetry, pairs_total: int) -> None:
         self.telemetry = telemetry
-        self.bus = telemetry.bus if telemetry.bus is not None else EventBus(
-            capacity=4096
-        )
-        self.progress = (
-            telemetry.progress
-            if telemetry.progress is not None
-            else ProgressTracker(pairs_total)
-        )
-        self._wall = wall
+        self.progress = ProgressTracker(pairs_total)
         self.recorders: dict[int, FlightRecorder] = {}
-        self.last_seen: dict[int, float] = {}
-        self.heartbeats: dict[int, dict[str, Any]] = {}
-        self._beats: dict[int, dict[int, dict[str, Any]]] = {}
-
-    def register(self, shard: int) -> None:
-        """Start the liveness clock for one shard (at spawn time)."""
-        self.last_seen[shard] = self._wall()
-        self.recorders[shard] = FlightRecorder(
-            capacity=self.telemetry.ring_capacity
-        )
 
     def handle(self, msg: tuple) -> None:
-        """Absorb one worker message (``hb``, ``event``, or liveness)."""
-        kind, shard = msg[0], msg[1]
-        self.last_seen[shard] = self._wall()
-        if kind == "hb":
-            beats = self._beats.setdefault(shard, {})
-            beats[msg[2].get("worker", 0)] = msg[2]
-            merged: dict[str, Any] = {
-                key: sum(beat.get(key, 0) for beat in beats.values())
-                for key in _HEARTBEAT_TOTALS
-            }
-            merged["in_flight"] = next(
-                (b["in_flight"] for b in beats.values() if b.get("in_flight")),
-                None,
-            )
-            self.heartbeats[shard] = merged
-            self.progress.update_shard(shard, **merged)
+        """Absorb one worker message (``hb`` or ``event``)."""
+        if msg[0] == "hb":
+            self.progress.update_shard(worker=msg[1], **msg[2])
             if self.telemetry.on_progress is not None:
                 self.telemetry.on_progress(self.progress)
-        elif kind == "event":
-            record = msg[2]
-            recorder = self.recorders.get(shard)
-            if recorder is not None:
-                recorder.append(record)
-            self.bus.ingest(record)
+        elif msg[0] == "event":
+            self.recorders[msg[2]["shard"]].append(msg[2])
+            self.telemetry.bus.ingest(msg[2])
 
-    def watch(self, pending: set[int], now: float) -> None:
-        """The pool's watch hook: raise for the pending shard silent
-        longest, if that is past the deadline."""
-        deadline = self.telemetry.stall_timeout_s
-        if deadline is None:
-            return
-        age, shard = max((now - self.last_seen.get(s, now), s) for s in pending)
-        if age > deadline:
-            raise self._stall_error(shard, age)
-
-    def _stall_error(self, shard: int, age: float) -> MeasurementError:
-        """Dump the post-mortem and build the categorized failure."""
-        in_flight = (self.heartbeats.get(shard) or {}).get("in_flight")
+    def stall_error(self, shard: int, worker: int, age: float) -> MeasurementError:
+        """Dump the post-mortem for a silent worker; the categorized failure."""
+        in_flight = self.progress.totals(shard, worker)["in_flight"]
         reason = (
             f"shard {shard} stalled: no heartbeat for {age:.1f}s "
             f"(deadline {self.telemetry.stall_timeout_s:.1f}s"
             + (f", in flight: {in_flight}" if in_flight else "")
             + ")"
         )
-        self.bus.error(
+        self.telemetry.bus.error(
             "shard", "watchdog_tripped",
             stalled_shard=shard, age_s=round(age, 2), in_flight=in_flight,
         )
-        path = self.write_postmortem(shard, reason)
-        return MeasurementError(f"{reason}; flight recorder dumped to {path}")
-
-    def write_postmortem(self, shard: int, reason: str) -> Path:
-        """Write the flight-recorder dump for a tripped watchdog."""
-        path = self.telemetry.postmortem_path
-        if path is None:
-            path = Path("ting_postmortem.json")
+        path = self.telemetry.postmortem_path or Path("ting_postmortem.json")
         doc = {
             "reason": reason,
             "category": "stall",
             "stuck_shard": shard,
-            "in_flight": (self.heartbeats.get(shard) or {}).get("in_flight"),
-            "heartbeats": {str(s): hb for s, hb in sorted(self.heartbeats.items())},
+            "in_flight": in_flight,
+            "heartbeats": {
+                str(s): totals for s, totals in self.progress.shard_totals().items()
+            },
             "progress": self.progress.snapshot(),
             "rings": {
                 str(s): recorder.dump()
@@ -387,7 +273,7 @@ class _ShardMonitor:
             },
         }
         path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-        return path
+        return MeasurementError(f"{reason}; flight recorder dumped to {path}")
 
 
 @dataclass
@@ -560,14 +446,10 @@ def _run_worker(
     telemetry = None
     if job.telemetry is not None:
         telemetry = _WorkerTelemetry(
-            send=send,
-            shard=job.shard_index,
-            heartbeat_s=job.telemetry.heartbeat_s,
-            min_severity=job.telemetry.stream_min_severity,
-            worker=job.worker,
+            send, job.shard_index, job.telemetry.heartbeat_s, job.worker
         )
-        # Birth heartbeat: the liveness clock starts at spawn, not at
-        # the first measurement.
+        # Birth heartbeat: the parent tracks this worker from its spawn,
+        # not from its first measurement.
         telemetry.beat(force=True)
     started = time.perf_counter()
     cpu_started = time.process_time()
@@ -580,13 +462,12 @@ def _run_worker(
         host.events.clear()
     events_start = testbed.sim.events_processed
     cells_start = _testbed_cells(testbed)
-    bus = None
     if telemetry is not None:
-        bus = host.events if host.events.enabled else host.enable_events()
-        bus.shard = job.shard_index
-        bus.add_sink(telemetry)
+        if not host.events.enabled:
+            host.enable_events()
+        host.events.add_sink(telemetry)
         testbed.sim.on_batch = telemetry.beat
-    elif job.observe:
+    if telemetry is not None or job.observe:
         host.events.shard = job.shard_index
     campaign = ParallelCampaign(
         host,
@@ -671,8 +552,8 @@ def _run_worker(
             # Final forced beat so the parent's tracker lands on 100%.
             telemetry.beat(force=True)
     finally:
-        if telemetry is not None and bus is not None:
-            bus.remove_sink(telemetry)
+        if telemetry is not None:
+            host.events.remove_sink(telemetry)
             testbed.sim.on_batch = None
     return ShardResult(
         shard_index=job.shard_index,
@@ -837,11 +718,9 @@ class ShardedCampaign:
     def run(self) -> ShardedReport:
         """Steal every leg chunk, then every pair chunk; merge the results."""
         started = time.perf_counter()
-        monitor = (
-            _ShardMonitor(self.telemetry, len(self.pairs))
-            if self.telemetry is not None
-            else None
-        )
+        monitor = None
+        if self.telemetry is not None:
+            monitor = _ShardMonitor(self.telemetry, len(self.pairs))
         testbed = self.factory()
         build_s = time.perf_counter() - started
         by_fp = {relay.fingerprint: relay for relay in testbed.relays}
@@ -869,7 +748,7 @@ class ShardedCampaign:
         report = self._merge(results, leg_result)
         report.build_s = build_s
         if monitor is not None:
-            report.stream = monitor.bus
+            report.stream = self.telemetry.bus
             report.progress = monitor.progress
         report.wall_s = time.perf_counter() - started
         return report
@@ -894,10 +773,10 @@ class ShardedCampaign:
         :func:`~repro.util.cpus.run_pool`, forked (workers steal off one
         shared queue) or inline (worker *i* runs ``chunks[i::W]`` on the
         shared testbed, one worker after the other). Chunk messages are
-        keyed by worker slot and kept here; heartbeats and events are
-        keyed by shard label and go to the monitor, whose stall check is
-        the pool's watch hook. Returns one result per worker, in worker
-        order, each with its chunks' rows folded back in.
+        kept here by worker slot; heartbeats and events go to the
+        monitor, and the pool's silence failure becomes the monitor's
+        stall error. Returns one result per worker, in worker order, each
+        with its chunks' rows folded back in.
         """
         legs = kind == LEG_ROUND
         forked = self._forked_workers(len(chunks))
@@ -923,28 +802,30 @@ class ShardedCampaign:
         def on_message(msg: tuple) -> None:
             if msg[0] == "chunk":
                 payloads[msg[1]].append(msg[2])
-                msg = ("chunk", jobs[msg[1]].shard_index)  # liveness only
-            if monitor is not None:
+            elif monitor is not None:
                 monitor.handle(msg)
 
-        watch = None
+        silence_s = None
         if monitor is not None:
-            for shard in {job.shard_index for job in jobs}:
-                monitor.register(shard)
-
-            def watch(pending: set[int], now: float) -> None:
-                monitor.watch({jobs[i].shard_index for i in pending}, now)
-
-        results = run_pool(
-            jobs,
-            [job.name for job in jobs],
-            _run_worker,
-            tasks=chunks,
-            on_message=on_message,
-            watch=watch,
-            deadline_s=self.worker_timeout_s,
-            inline=forked <= 1,
-        )
+            silence_s = self.telemetry.stall_timeout_s
+            for job in jobs:
+                monitor.recorders.setdefault(
+                    job.shard_index, FlightRecorder(capacity=RING_CAPACITY)
+                )
+        try:
+            results = run_pool(
+                jobs,
+                [job.name for job in jobs],
+                _run_worker,
+                tasks=chunks,
+                on_message=on_message,
+                silence_s=silence_s,
+                deadline_s=self.worker_timeout_s,
+                inline=forked <= 1,
+            )
+        except WorkerSilence as silence:
+            shard = jobs[silence.slot].shard_index
+            raise monitor.stall_error(shard, silence.slot, silence.age_s) from silence
         for result, chunk_payloads in zip(results, payloads):
             _absorb_chunks(result, chunk_payloads)
         return results

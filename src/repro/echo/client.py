@@ -46,13 +46,6 @@ class EchoProbeResult:
     stop_reason: str | None = None
 
     @property
-    def min_rtt_ms(self) -> Milliseconds:
-        """The minimum observed RTT (Ting's estimator input)."""
-        if not self.rtts_ms:
-            raise MeasurementError("no echo samples collected")
-        return min(self.rtts_ms)
-
-    @property
     def loss(self) -> int:
         """Probes sent but never answered."""
         return self.sent - self.received

@@ -523,14 +523,24 @@ class ConsoleSink:
         print(format_event(event.to_dict()), file=self.stream)
 
 
+#: The running totals one worker's progress is made of; ``pairs_total``
+#: is what the worker has claimed so far under work stealing.
+_PROGRESS_TOTALS = (
+    "pairs_done", "pairs_failed", "pairs_total", "probes_sent", "probes_saved",
+)
+_IDLE = {**dict.fromkeys(_PROGRESS_TOTALS, 0), "in_flight": None}
+
+
 class ProgressTracker:
     """Live campaign progress: totals, EWMA pair rate, and an ETA.
 
-    Workers report *absolute* per-shard totals (idempotent heartbeats —
-    a re-delivered heartbeat cannot double-count), and the tracker sums
-    across shards. The pair-completion rate is an exponentially weighted
-    moving average over wall time, so the ETA adapts when a slow shard
-    drags the tail of a campaign.
+    The one place bus events become progress: :meth:`observe` counts an
+    event into its shard's totals (the pair lifecycle,
+    probe-round totals, the in-flight pair or leg), :meth:`update_shard`
+    adopts a worker's *absolute* totals (a re-delivered heartbeat cannot
+    double-count), and every view sums over workers. The pair-completion
+    rate is an exponentially weighted moving average over wall time, so
+    the ETA adapts when a slow shard drags the tail of a campaign.
 
     Work-stealing dispatch makes a shard's *claimed* total
     (``pairs_total`` in its heartbeat) grow mid-run as it takes chunks
@@ -554,37 +564,54 @@ class ProgressTracker:
         self.pairs_total = pairs_total
         self._clock = clock if clock is not None else time.monotonic
         self._alpha = alpha
-        self._shards: dict[int, dict[str, Any]] = {}
+        self._workers: dict[tuple[int, int], dict[str, Any]] = {}
         self._started = self._clock()
         self._last_time = self._started
         self._last_done = 0
         self._rate: float | None = None
 
-    def update_shard(
-        self,
-        shard: int,
-        pairs_done: int = 0,
-        pairs_failed: int = 0,
-        probes_sent: int = 0,
-        probes_saved: int = 0,
-        in_flight: str | None = None,
-        pairs_total: int = 0,
-    ) -> None:
-        """Absorb one shard's absolute progress totals.
+    def observe(self, event: Event) -> bool:
+        """Count one bus event into ``event.shard``'s totals (each worker
+        observes into its own tracker, so the slot is always 0); whether
+        it resolved (measured or failed) a pair."""
+        state = self._workers.get((event.shard, 0))
+        if state is None:
+            state = self._workers[event.shard, 0] = dict(_IDLE)
+        category, kind, fields = event.category, event.kind, event.fields
+        if category == "campaign":
+            if kind == "pair_started":
+                state["in_flight"] = f"pair {fields.get('x')}:{fields.get('y')}"
+            elif kind in ("pair_measured", "pair_failed"):
+                state["pairs_done"] += 1
+                state["pairs_failed"] += kind == "pair_failed"
+                state["in_flight"] = None
+                self._advance()
+                return True
+        elif category == "leg":
+            label = f"leg {fields.get('relay')}"
+            state["in_flight"] = label if kind == "started" else None
+        elif category == "probe" and kind in ("round_finished", "round_failed"):
+            state["probes_sent"] += int(fields.get("sent", 0))
+            state["probes_saved"] += int(fields.get("saved", 0))
+        return False
 
-        ``pairs_total`` is the shard's claimed share so far — it grows
+    def update_shard(self, shard: int, worker: int = 0, **totals: Any) -> None:
+        """Absorb one worker's absolute progress totals: any of
+        :data:`_PROGRESS_TOTALS` (0 when absent) and ``in_flight``.
+
+        ``pairs_total`` is the worker's claimed share so far — it grows
         as a work-stealing worker takes chunks, and is *not* part of the
         ETA denominator (the campaign-wide total is fixed at
         construction).
         """
-        self._shards[shard] = {
-            "pairs_done": pairs_done,
-            "pairs_failed": pairs_failed,
-            "probes_sent": probes_sent,
-            "probes_saved": probes_saved,
-            "in_flight": in_flight,
-            "pairs_total": pairs_total,
-        }
+        unknown = totals.keys() - _IDLE.keys()
+        if unknown:
+            raise TypeError(f"unknown progress totals {sorted(unknown)}")
+        self._workers[shard, worker] = {**_IDLE, **totals}
+        self._advance()
+
+    def _advance(self) -> None:
+        """Fold a moved ``pairs_done`` into the EWMA rate."""
         done = self.pairs_done
         now = self._clock()
         if done > self._last_done:
@@ -598,8 +625,28 @@ class ProgressTracker:
             self._last_time = now
             self._last_done = done
 
+    def totals(
+        self, shard: int | None = None, worker: int | None = None
+    ) -> dict[str, Any]:
+        """The :data:`_PROGRESS_TOTALS` summed over the workers matching
+        ``shard`` and ``worker`` (``None`` matches all), with the first
+        of their in-flight labels."""
+        states = [
+            state
+            for (s, w), state in sorted(self._workers.items())
+            if shard in (None, s) and worker in (None, w)
+        ]
+        merged = {key: sum(state[key] for state in states) for key in _PROGRESS_TOTALS}
+        labels = [state["in_flight"] for state in states if state["in_flight"]]
+        return {**merged, "in_flight": labels[0] if labels else None}
+
+    def shard_totals(self) -> dict[int, dict[str, Any]]:
+        """:meth:`totals` per shard, ascending."""
+        shards = sorted({shard for shard, _ in self._workers})
+        return {shard: self.totals(shard) for shard in shards}
+
     def _sum(self, key: str) -> int:
-        return sum(state[key] for state in self._shards.values())
+        return sum(state[key] for state in self._workers.values())
 
     @property
     def pairs_done(self) -> int:
@@ -637,16 +684,16 @@ class ProgressTracker:
     def in_flight(self) -> dict[int, str]:
         """Per-shard in-flight task labels (shards with one pending)."""
         return {
-            shard: state["in_flight"]
-            for shard, state in sorted(self._shards.items())
-            if state["in_flight"]
+            shard: totals["in_flight"]
+            for shard, totals in self.shard_totals().items()
+            if totals["in_flight"]
         }
 
     def shard_progress(self) -> dict[int, tuple[int, int]]:
         """Per-shard ``(done, claimed_total)`` — the steal balance view."""
         return {
-            shard: (state["pairs_done"], state.get("pairs_total", 0))
-            for shard, state in sorted(self._shards.items())
+            shard: (totals["pairs_done"], totals["pairs_total"])
+            for shard, totals in self.shard_totals().items()
         }
 
     def snapshot(self) -> dict[str, Any]:

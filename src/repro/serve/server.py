@@ -39,7 +39,7 @@ from repro.serve.telemetry import (
     classify_error,
 )
 from repro.util.cpus import run_pool
-from repro.util.errors import ConfigurationError, MeasurementError
+from repro.util.errors import ConfigurationError
 
 #: A :meth:`QueryServer.batch` worker ships its answers at least every
 #: ``SHIP_EVERY_S`` and is wedged once silent for ``PROGRESS_DEADLINE_S``
@@ -240,8 +240,9 @@ class QueryServer:
         with a categorized :class:`MeasurementError` naming ``serve
         worker N``. A worker ships answers at least every
         :data:`SHIP_EVERY_S`; one silent for :data:`PROGRESS_DEADLINE_S`
-        fails the batch (``serve worker N exceeded the 2.0s deadline
-        between answers``): a deadline on progress, not on the batch.
+        fails the batch (the pool's ``silence_s``: ``serve worker N
+        exceeded the 2.0s deadline between messages``): a deadline on
+        progress, not on the batch.
         """
         queries = list(queries)
         n_workers = self.workers if workers is None else workers
@@ -261,26 +262,15 @@ class QueryServer:
             )
             for w, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
-        names = [f"serve worker {w}" for w in range(n_workers)]
-        # Kept pickled until the pool is done: the watch loop only reads
+        # Kept pickled until the pool is done: the pool's loop only reads
         # bytes, so no shipment can hold up the view of another worker.
         shipments: list[list[bytes]] = [[] for _ in range(n_workers)]
-        heard: dict[int, float] = {}
-
-        def receive(msg: tuple) -> None:
-            shipments[msg[1]].append(msg[2])
-            heard[msg[1]] = time.monotonic()
-
-        def watch(pending: set[int], now: float) -> None:
-            for w in sorted(pending):
-                if now - heard.setdefault(w, now) > PROGRESS_DEADLINE_S:
-                    raise MeasurementError(
-                        f"{names[w]} exceeded the {PROGRESS_DEADLINE_S:.1f}s deadline "
-                        f"between answers ({len(shipments[w])} shipments in)"
-                    )
-
         results = run_pool(
-            jobs, names, self._answer_slice, on_message=receive, watch=watch
+            jobs,
+            [f"serve worker {w}" for w in range(n_workers)],
+            self._answer_slice,
+            on_message=lambda msg: shipments[msg[1]].append(msg[2]),
+            silence_s=PROGRESS_DEADLINE_S,
         )
         if telemetry.enabled:
             for w, (_, snap) in enumerate(results):

@@ -155,10 +155,6 @@ class Consensus:
                 return descriptor
         raise DirectoryError(f"no relay named {nickname!r}")
 
-    def with_flag(self, flag: RelayFlag) -> list[RelayDescriptor]:
-        """All descriptors carrying ``flag``."""
-        return [d for d in self.routers.values() if d.has_flag(flag)]
-
     def total_bandwidth_kbps(self) -> int:
         """Sum of all relays' consensus bandwidths."""
         return sum(d.bandwidth_kbps for d in self.routers.values())

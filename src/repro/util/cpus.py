@@ -18,6 +18,9 @@ whichever of them it hit — ``"<name> failed: …"``, ``"<name> died
 without a result (exit code N)"`` or ``"<name> exceeded the Ns deadline
 …"``, each a :class:`~repro.util.errors.MeasurementError` that
 :func:`~repro.util.errors.categorize_failure` files under ``shard``.
+Every message carries its sender's slot second, so the pool alone keeps
+the one silence clock, per worker: ``silence_s`` fails a pending worker
+that sent nothing for that long with a :class:`WorkerSilence`.
 :func:`_pool_child` is the child's entry and the one seam tests inject
 worker faults at.
 """
@@ -33,7 +36,7 @@ from typing import Any, Callable, Sequence
 
 from repro.util.errors import MeasurementError
 
-#: Parent poll cadence: how often liveness, deadline and watch checks run.
+#: Parent poll cadence: how often liveness, deadline and silence checks run.
 POLL_S = 0.05
 #: How long a dead worker's queued messages get to drain before the
 #: parent declares it died without a result.
@@ -41,6 +44,14 @@ DEATH_GRACE_S = 1.0
 
 #: ``work(job, next_task, send)``: one worker's whole life.
 Work = Callable[[Any, Callable[[], Any], Callable[[tuple], None]], Any]
+
+
+class WorkerSilence(MeasurementError):
+    """Worker ``slot`` sent nothing for ``age_s``, past the pool's ``silence_s``."""
+
+    def __init__(self, message: str, slot: int, age_s: float) -> None:
+        super().__init__(message)
+        self.slot, self.age_s = slot, age_s
 
 
 def schedulable_cpus() -> list[int]:
@@ -124,7 +135,7 @@ def run_pool(
     work: Work,
     tasks: Sequence[Any] | None = None,
     on_message: Callable[[tuple], None] = _ignore,
-    watch: Callable[[set[int], float], None] | None = None,
+    silence_s: float | None = None,
     deadline_s: float | None = None,
     inline: bool = False,
 ) -> list[Any]:
@@ -134,14 +145,16 @@ def run_pool(
     calls ``work``. With ``tasks``, one shared queue holds them followed
     by one ``None`` sentinel per worker, and ``next_task`` steals the
     next; without, ``next_task`` returns ``None``. ``send`` puts a
-    message on the one channel home: the parent routes ``result`` and
-    ``error`` by worker slot and hands every other message, in arrival
-    order, to ``on_message``. Between messages it checks, every
-    :data:`POLL_S`, for a pending worker dead past
-    :data:`DEATH_GRACE_S`, for ``deadline_s`` (wall seconds since the
-    fork), and calls ``watch(pending_slots, now)``, which may raise.
-    ``names[i]`` is how failures name worker ``i``. Whatever happens,
-    live children are terminated before they are joined.
+    message ``(kind, slot, ...)`` on the one channel home: the parent
+    notes when it last heard from ``slot``, routes ``result`` and
+    ``error`` by it and hands every other message, in arrival order, to
+    ``on_message``. Between messages it checks, every :data:`POLL_S`,
+    for a pending worker dead past :data:`DEATH_GRACE_S`, for
+    ``deadline_s`` (wall seconds since the fork) and for a pending
+    worker silent for ``silence_s`` (since its fork or its last
+    message), which raises :class:`WorkerSilence`. ``names[i]`` is how
+    failures name worker ``i``. Whatever happens, live children are
+    terminated before they are joined.
 
     ``inline=True``, or a platform without fork, runs the same ``work``
     in this process, one job after the other, with the deterministic
@@ -177,10 +190,12 @@ def run_pool(
     ]
     results: dict[int, Any] = {}
     pending = set(range(len(jobs)))
+    heard: dict[int, float] = {}
 
     def route(pickled: bytes) -> None:
         msg = pickle.loads(pickled)
         kind, index = msg[0], msg[1]
+        heard[index] = time.monotonic()
         if kind == "result":
             results[index] = msg[2]
             pending.discard(index)
@@ -212,8 +227,15 @@ def run_pool(
                     f"{names[min(pending)]} exceeded the {deadline_s:.1f}s "
                     f"deadline ({len(pending)} worker(s) unfinished)"
                 )
-            if watch is not None:
-                watch(pending, now)
+            if silence_s is not None:
+                age, i = max((now - heard.get(i, started), i) for i in pending)
+                if age > silence_s:
+                    raise WorkerSilence(
+                        f"{names[i]} exceeded the {silence_s:.1f}s deadline "
+                        f"between messages ({age:.1f}s silent)",
+                        i,
+                        age,
+                    )
             try:
                 route(channel.get(timeout=POLL_S))
             except Empty:

@@ -338,6 +338,28 @@ def _legacy_documents(draw):
     return json.dumps({"format": "ting-campaign/1", "matrix": matrix})
 
 
+#: JSON values that are not a list of provenance records.
+_NOT_RECORDS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.lists(
+        st.one_of(
+            st.none(), st.integers(), st.text(max_size=2), st.lists(st.integers())
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+_CAMPAIGN_HEAD = (
+    '{"format": "ting-campaign/1", '
+    '"matrix": {"nodes": ["a", "b"], "rtts_ms": [[0, 1], [1, 0]]}'
+)
+
+
 class TestDamagedLegacyJson:
     """A legacy JSON document loads only RTTs ``RttMatrix.set`` takes;
     any other row raises :class:`MeasurementError`."""
@@ -366,6 +388,45 @@ class TestDamagedLegacyJson:
             value = loaded.matrix.matrix[i, j]
             if not np.isnan(value):
                 accepting.set(nodes[i], nodes[j], value)  # raises on a refusal
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=_NOT_RECORDS, key=st.sampled_from(["provenance", "legs"]))
+    @example(records=[5], key="provenance")
+    @example(records="x", key="provenance")
+    def test_provenance_not_a_list_of_objects_raises(self, records, key):
+        # The provenance half: pair and leg records load only as a list
+        # of objects, never as a raw TypeError.
+        if key == "legs" and records is None:
+            return  # a null leg list is no legs
+        text = f'{_CAMPAIGN_HEAD}, "{key}": {json.dumps(records)}}}'
+        with pytest.raises(MeasurementError):
+            CampaignDataset.from_json(text)
+
+    def test_a_record_missing_its_pair_raises(self):
+        text = f'{_CAMPAIGN_HEAD}, "provenance": [{{"y": "b"}}]}}'
+        with pytest.raises(MeasurementError, match="malformed provenance"):
+            CampaignDataset.from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"nodes": ["a", "b"], "rtts_ms": [[0, 1], [2, 0]]}',
+            '{"nodes": ["a", "b"], "rtts_ms": [[0, 1], [null, 0]]}',
+            '{"nodes": [1, 2], "rtts_ms": [[0, 1], [1, 0]]}',
+            '{"nodes": "ab", "rtts_ms": [[0, 1], [1, 0]]}',
+            _CAMPAIGN_HEAD + ', "meta": [1, 2]}',
+        ],
+        ids=["asymmetric", "half_measured", "int_nodes", "string_nodes",
+             "list_meta"],
+    )
+    def test_what_set_cannot_produce_raises(self, text):
+        # An asymmetric matrix, node ids that are not strings, meta that
+        # is not an object: each used to load.
+        with pytest.raises(MeasurementError):
+            CampaignDataset.from_json(text)
+        if '"format"' not in text:
+            with pytest.raises(MeasurementError):
+                RttMatrix.from_json(text)
 
 
 class TestFromArrayAdoption:

@@ -23,13 +23,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import wedge_in_pair, worker_fault
+from conftest import slow, wedge_in_pair, worker_fault
 
 import repro.core.shard as shard_mod
 from repro.core.sampling import SamplePolicy
 from repro.core.shard import LEG_PHASE, CampaignTelemetry, ShardedCampaign
 from repro.obs import INFO, EventBus, categorize_failure
 from repro.testbeds.livetor import LiveTorTestbed
+from repro.util.cpus import WorkerSilence
 from repro.util.errors import MeasurementError
 
 SEED = 3
@@ -179,6 +180,63 @@ class TestStallWatchdog:
         assert tripped[0]["stalled_shard"] == 0
 
 
+def wedge_in_leg(work):
+    """Forward what the worker sends until a heartbeat names a leg in
+    flight, then go silent for good — inside the leg, not between."""
+
+    def wedged(job, next_task, send):
+        def send_then_wedge(msg):
+            send(msg)
+            if msg[0] == "hb" and str(msg[2]["in_flight"]).startswith("leg "):
+                while True:
+                    time.sleep(3600)
+
+        return work(job, next_task, send_then_wedge)
+
+    return wedged
+
+
+class TestPerWorkerSilence:
+    """Every leg-round worker streams as shard -1, but silence is each
+    worker's own: a sibling that keeps talking must not keep a wedged
+    worker's clock fresh."""
+
+    STALL_S = 1.0
+
+    def test_chatty_sibling_cannot_hide_a_wedged_leg_worker(
+        self, fingerprints, monkeypatch, tmp_path
+    ):
+        # Worker 1 sleeps before its birth heartbeat and every claim, so
+        # worker 0 claims the first leg chunk, fingerprints[0], and
+        # wedges in it; worker 1 then speaks every 0.6 s, inside the
+        # deadline, for the four chunks left.
+        worker_fault(monkeypatch, "leg round worker 0", wedge_in_leg)
+        worker_fault(monkeypatch, "leg round worker 1", slow(0.6))
+        dump = tmp_path / "postmortem.json"
+        telemetry = CampaignTelemetry(
+            heartbeat_s=0.0, stall_timeout_s=self.STALL_S, postmortem_path=dump
+        )
+        campaign = _campaign(
+            fingerprints, 2, telemetry=telemetry, steal_chunk_pairs=1
+        )
+        started = time.monotonic()
+        with pytest.raises(MeasurementError) as excinfo:
+            campaign.run()
+        # The silence itself trips just past the deadline; the wall-time
+        # bound leaves room for building the testbed and forking, yet
+        # still catches a chatty sibling's ≈ 4.7 s of hiding.
+        silence = excinfo.value.__cause__
+        assert isinstance(silence, WorkerSilence) and silence.slot == 0
+        assert silence.age_s < self.STALL_S + 0.5
+        assert time.monotonic() - started < self.STALL_S + 2.5
+        message = str(excinfo.value)
+        assert "shard -1 stalled" in message
+        assert categorize_failure(message) == "stall"
+        doc = json.loads(dump.read_text())
+        assert doc["stuck_shard"] == LEG_PHASE
+        assert doc["in_flight"] == f"leg {fingerprints[0]}"
+
+
 class TestWorkerFaults:
     """What the worker-fault matrix (``tests/contract/test_worker_faults.py``)
     does not inject at the pool's seam: a sabotaged job, and the
@@ -243,7 +301,7 @@ class TestStreamingDetail:
 
     def test_min_severity_filters_stream(self, fingerprints):
         telemetry = CampaignTelemetry(
-            heartbeat_s=0.05, stream_min_severity=INFO
+            heartbeat_s=0.05
         )
         report = _campaign(fingerprints, 2, telemetry=telemetry).run()
         assert all(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.sampling import min_estimate
 from repro.util.errors import StreamError
 
 
@@ -182,7 +183,7 @@ class TestPingPongPacing:
         result = client.probe(stream, samples=15, interval_ms=None)
         serial_elapsed = mini_world.sim.now - start
         stream.close()
-        min_rtt = result.min_rtt_ms
+        min_rtt = min_estimate(result.rtts_ms)
 
         stream = measurement.controller.open_stream(
             circuit, measurement.echo_address, measurement.echo_port

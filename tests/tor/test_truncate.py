@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.sampling import min_estimate
 from repro.util.errors import CircuitError
 
 
@@ -194,7 +195,9 @@ class TestExtendInPlace:
         stream = controller.open_stream(
             fresh, measurement.echo_address, measurement.echo_port
         )
-        fresh_min = echo.probe(stream, samples=40, interval_ms=3.0).min_rtt_ms
+        fresh_min = min_estimate(
+            echo.probe(stream, samples=40, interval_ms=3.0).rtts_ms
+        )
         stream.close()
         controller.close_circuit(fresh)
 
@@ -204,5 +207,7 @@ class TestExtendInPlace:
         stream = controller.open_stream(
             surgically, measurement.echo_address, measurement.echo_port
         )
-        surgical_min = echo.probe(stream, samples=40, interval_ms=3.0).min_rtt_ms
+        surgical_min = min_estimate(
+            echo.probe(stream, samples=40, interval_ms=3.0).rtts_ms
+        )
         assert surgical_min == pytest.approx(fresh_min, rel=0.1, abs=3.0)
