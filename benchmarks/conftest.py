@@ -20,12 +20,21 @@ import numpy as np
 import pytest
 
 from _config import scaled
+from repro.core import shard
 from repro.core.campaign import AllPairsCampaign
 from repro.core.dataset import RttMatrix
 from repro.core.sampling import SamplePolicy
 from repro.core.ting import TingMeasurer
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.testbeds.planetlab import PlanetLabTestbed
+
+
+@pytest.fixture(autouse=True)
+def no_kept_world(monkeypatch):
+    """Each bench starts, and leaves, with no world kept by a forked
+    ``ShardedCampaign.run`` (``repro.core.shard._kept``), so that a
+    bench's builds and ``build_s`` do not depend on the benches before it."""
+    monkeypatch.setattr(shard, "_kept", None)
 
 
 @pytest.fixture

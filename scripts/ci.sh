@@ -520,6 +520,88 @@ print(f"read side, {n} relays: " + "  ".join(f"{k} {v:.2f}s" for k, v in walls.i
 assert above <= 1.25 * kept, f"the read side peaked {above:.0f} MB above the dataset"
 PY
 
+echo "== paper-scale cycle =="
+# pipeline_fullnet's loop without the queries, at 6,500 relays, in a
+# fresh process: plan 100 -> sharded run -> absorb -> quality -> refresh
+# plan 50 -> adaptive sharded run -> absorb -> save -> load(mmap=True)
+# -> health -> MatrixIndex.build. Printed: each stage's seconds and the
+# ru_maxrss after it. Gated: the world builds. A forked run keeps the
+# world its workers never touched and the refresh takes it, so with two
+# or more CPUs the cycle builds once; on one CPU both runs are inline
+# and build twice. Builds are counted through the factory's partial.
+python - <<'PY'
+import functools, resource, tempfile, time
+from pathlib import Path
+
+from repro.core.dataset import CampaignDataset, RttMatrix
+from repro.core.planner import CampaignPlanner
+from repro.core.sampling import AdaptiveSpec, SamplePolicy
+from repro.core.shard import ShardedCampaign
+from repro.obs.health import health_report
+from repro.serve.index import MatrixIndex
+from repro.testbeds.livetor import LiveTorTestbed
+from repro.util.cpus import schedulable_cpu_count
+
+RELAYS, SPARE, SEED = 6500, 15, 47
+COLD = SamplePolicy(samples=4, interval_ms=2.0)
+REFRESH = SamplePolicy(samples=4, interval_ms=None, adaptive=AdaptiveSpec(
+    absolute_ms=1.0, min_samples=2, patience=2, confirm_k=2))
+builds = []
+
+
+def counted_build(**kwargs):
+    builds.append(kwargs)
+    return LiveTorTestbed.build(**kwargs)
+
+
+factory = functools.partial(counted_build, seed=SEED, n_relays=RELAYS + SPARE)
+world = LiveTorTestbed.build(seed=SEED, n_relays=RELAYS + SPARE)
+fps = [d.fingerprint for d in world.random_relays(RELAYS, world.streams.get("bench.campaign"))]
+del world
+stages = []
+
+
+def stage(name, call):
+    start = time.perf_counter()
+    result = call()
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    stages.append((name, time.perf_counter() - start, rss))
+    return result
+
+
+def run(pairs, policy):
+    return ShardedCampaign(factory, fps, policy=policy, workers=2, pairs=pairs,
+                           observe=True, clamp_to_cpus=True).run()
+
+
+plan = stage("plan cold", lambda: CampaignPlanner(fps, seed=SEED).plan(budget_pairs=100))
+cold = stage("run cold", lambda: run(plan.pairs, COLD))
+dataset = CampaignDataset(matrix=RttMatrix(fps))
+stage("absorb", lambda: dataset.absorb(cold.matrix, provenance=cold.provenance))
+quality = stage("quality", dataset.quality)
+replan = stage("plan refresh", lambda: CampaignPlanner(
+    fps, dataset=dataset, seed=SEED + 1, quality=quality).plan(budget_pairs=50))
+refresh = stage("run refresh", lambda: run(replan.pairs, REFRESH))
+stage("absorb", lambda: dataset.absorb(refresh.matrix, provenance=refresh.provenance))
+with tempfile.TemporaryDirectory() as directory:
+    path = Path(directory) / "cycle.npz"
+    stage("save", lambda: dataset.save(path))
+    loaded = stage("load mmap", lambda: CampaignDataset.load(path, mmap=True))
+    stage("health", lambda: health_report(loaded))
+    stage("index build", lambda: MatrixIndex.build(loaded))
+    del loaded
+for name, wall, rss in stages:
+    print(f"  {name:<13} {wall:7.3f} s   ru_maxrss {rss:6.0f} MB")
+pairs = cold.pairs_attempted + refresh.pairs_attempted
+cycle = sum(wall for _, wall, _ in stages)
+print(f"paper-scale cycle, {RELAYS} relays: {cycle:.2f} s for {pairs} pairs"
+      f" ({cycle / pairs * 1e6:,.0f} us/pair); build_s cold {cold.build_s:.3f}"
+      f" refresh {refresh.build_s:.3f}; {len(builds)} world build(s)")
+expected = 1 if schedulable_cpu_count() >= 2 else 2
+assert len(builds) == expected, f"{len(builds)} world builds, expected {expected}"
+assert (cold.pairs_attempted, refresh.pairs_attempted) == (100, 50)
+PY
+
 echo "== source size (printed, never gated) =="
 # ROADMAP item 8's target is src/ <= 19.0k lines (17.5k the stretch);
 # the three engine files are where "one campaign scheduler" is counted
@@ -659,6 +741,9 @@ rerun = ShardedCampaign(
     pairs=replan.pairs, observe=True, clamp_to_cpus=True,
 ).run()
 check_sharded(rerun, replan.pairs)
+if schedulable_cpu_count() >= 2:
+    # Both runs forked, so the refresh took the world the cold run kept.
+    assert rerun.build_s == 0.0, f"the refresh built its world ({rerun.build_s:.3f}s)"
 refreshed = dataset.absorb(rerun.matrix, provenance=rerun.provenance)
 assert refreshed > 0, "refresh absorbed nothing"
 

@@ -398,6 +398,13 @@ class RttMatrix:
 # Per-pair measurement provenance
 
 
+def _node_id(data: dict[str, Any], key: str) -> str:
+    """``data[key]``, refused unless it is a node id (a ``str``)."""
+    if not isinstance(data[key], str):
+        raise MeasurementError(f"provenance {key} is not a node id: {data[key]!r}")
+    return data[key]
+
+
 @dataclass(slots=True)
 class PairProvenance:
     """Why one matrix entry is what it is (or why it is missing).
@@ -480,8 +487,8 @@ class PairProvenance:
     def from_dict(cls, data: dict[str, Any]) -> "PairProvenance":
         """Rebuild a record from :meth:`to_dict` output."""
         return cls(
-            x=data["x"],
-            y=data["y"],
+            x=_node_id(data, "x"),
+            y=_node_id(data, "y"),
             status=data.get("status", "measured"),
             rtt_ms=data.get("rtt_ms"),
             cxy_ms=data.get("cxy_ms"),
@@ -542,7 +549,7 @@ class LegProvenance:
     def from_dict(cls, data: dict[str, Any]) -> "LegProvenance":
         """Rebuild a record from :meth:`to_dict` output."""
         return cls(
-            relay=data["relay"],
+            relay=_node_id(data, "relay"),
             rtt_ms=data.get("rtt_ms"),
             samples_requested=int(data.get("samples_requested", 0)),
             samples_kept=int(data.get("samples_kept", 0)),

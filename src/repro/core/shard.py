@@ -94,10 +94,19 @@ Independently of telemetry, the pool notices a worker the OS killed
 within a short grace, and ``worker_timeout_s`` bounds each round: a
 worker still grinding past the deadline fails the campaign naming the
 round and the worker — both work with ``observe=False``.
+
+World lifecycle
+---------------
+
+A forked run never runs a task on the parent's world, so afterwards the
+parent's copy is still as the factory built it. The process keeps it in
+a one-slot keeper under the factory's recipe, and the next run to fork
+with an equal recipe takes it instead of building (DESIGN §8).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -348,7 +357,8 @@ class ShardedReport:
     ``wall_s`` spans the whole of ``run()``; ``build_s`` is the part of
     it spent inside ``factory()``. The testbed build is the caller's
     recipe, not campaign work: subtract it before reading ``wall_s`` as
-    leg round + pair round + ship/merge.
+    leg round + pair round + ship/merge. ``build_s`` is exactly ``0.0``
+    when the run took the world an earlier forked run kept.
     """
 
     matrix: RttMatrix
@@ -383,6 +393,34 @@ def _testbed_cells(testbed: Any) -> int:
     return cells
 
 
+def _witness(testbed: Any) -> tuple[int, int]:
+    """What any task run on ``testbed`` moves: events and relay cells."""
+    return testbed.sim.events_processed, _testbed_cells(testbed)
+
+
+def _recipe(factory: Callable[[], object]) -> Any:
+    """A hashable partial's function, arguments and keywords, else ``None``."""
+    if not isinstance(factory, functools.partial):
+        return None
+    recipe = (factory.func, factory.args, tuple(sorted(factory.keywords.items())))
+    try:
+        hash(recipe)
+    except TypeError:
+        return None
+    return recipe
+
+
+#: The one world this process keeps: ``(recipe, testbed)`` or ``None``.
+_kept: tuple[Any, Any] | None = None
+
+
+def _take(recipe: Any) -> Any:
+    """Empty the slot; the kept world if it was built by ``recipe``."""
+    global _kept
+    kept, _kept = _kept, None
+    return kept[1] if kept is not None and kept[0] == recipe else None
+
+
 @dataclass
 class _WorkerJob:
     """Everything one worker needs, inherited over fork (not pickled):
@@ -406,6 +444,9 @@ class _WorkerJob:
     leg_failures: dict[str, str]
     #: The campaign's live-telemetry config; ``None`` streams nothing.
     telemetry: CampaignTelemetry | None = None
+    #: Set by the worker loop in the process that runs it, so still
+    #: ``False`` in the parent after the job ran in a forked child.
+    ran_here: bool = False
 
     @property
     def name(self) -> str:
@@ -443,6 +484,7 @@ def _run_worker(
     ``send``, and pumps heartbeats from the simulator's per-batch hook.
     A forced beat at every chunk claim publishes the stolen total.
     """
+    job.ran_here = True
     telemetry = None
     if job.telemetry is not None:
         telemetry = _WorkerTelemetry(
@@ -596,9 +638,11 @@ class ShardedCampaign:
     ``factory`` is any zero-argument callable returning a testbed with
     ``relays``, ``measurement``, ``sim``, and ``task_isolation()`` — in
     practice ``functools.partial(LiveTorTestbed.build, seed=...,
-    n_relays=...)``. The factory runs **once, in the parent**; forked
-    workers inherit the built testbed copy-on-write (v1 rebuilt the
-    world per worker). ``fingerprints`` names the relay subset to
+    n_relays=...)``. The factory runs **at most once, in the parent**;
+    forked workers inherit the built testbed copy-on-write. It must be
+    pure (equal partials build equal worlds): a forked run keeps its
+    untouched world for the next run with the same recipe (*World
+    lifecycle* above). ``fingerprints`` names the relay subset to
     measure (order fixes the matrix's node order). ``pairs`` optionally
     restricts the campaign to a pair subset; by default all C(n,2)
     pairs are measured.
@@ -717,12 +761,22 @@ class ShardedCampaign:
 
     def run(self) -> ShardedReport:
         """Steal every leg chunk, then every pair chunk; merge the results."""
+        global _kept
         started = time.perf_counter()
         monitor = None
         if self.telemetry is not None:
             monitor = _ShardMonitor(self.telemetry, len(self.pairs))
-        testbed = self.factory()
-        build_s = time.perf_counter() - started
+        leg_chunks, pair_chunks = self.leg_chunks(), self.pair_chunks()
+        leg_forks = self._forked_workers(len(leg_chunks))
+        pair_forks = self._forked_workers(len(pair_chunks))
+        # Only a run that is to fork both rounds may take or keep a world.
+        recipe = _recipe(self.factory) if min(leg_forks, pair_forks) > 1 else None
+        testbed = None if recipe is None else _take(recipe)
+        build_s = 0.0
+        if testbed is None:
+            testbed = self.factory()
+            build_s = time.perf_counter() - started
+        witness = None if recipe is None else _witness(testbed)
         by_fp = {relay.fingerprint: relay for relay in testbed.relays}
         missing = [fp for fp in self.fingerprints if fp not in by_fp]
         if missing:
@@ -735,18 +789,22 @@ class ShardedCampaign:
         descriptors = [by_fp[fp].descriptor() for fp in self.fingerprints]
         round_started = time.perf_counter()
         sim_started = testbed.sim.campaign_ms
-        leg_results = self._run_round(
-            LEG_ROUND, self.leg_chunks(), testbed, descriptors, monitor, {}, {}
+        leg_results, leg_here = self._run_round(
+            LEG_ROUND, leg_chunks, leg_forks, testbed, descriptors, monitor, {}, {}
         )
         leg_result, leg_estimates, leg_failures = self._fold_leg_round(
             leg_results, time.perf_counter() - round_started, sim_started
         )
-        results = self._run_round(
-            PAIR_ROUND, self.pair_chunks(), testbed, descriptors, monitor,
+        results, pair_here = self._run_round(
+            PAIR_ROUND, pair_chunks, pair_forks, testbed, descriptors, monitor,
             leg_estimates, leg_failures,
         )
         report = self._merge(results, leg_result)
         report.build_s = build_s
+        if recipe is not None and not (leg_here or pair_here) and (
+            _witness(testbed) == witness
+        ):
+            _kept = (recipe, testbed)  # no task ran on it here: still pristine
         if monitor is not None:
             report.stream = self.telemetry.bus
             report.progress = monitor.progress
@@ -759,13 +817,15 @@ class ShardedCampaign:
         self,
         kind: str,
         chunks: list[tuple[int, list]],
+        forked: int,
         testbed: Any,
         descriptors: list[RelayDescriptor],
         monitor: _ShardMonitor | None,
         leg_estimates: dict[str, float],
         leg_failures: dict[str, str],
-    ) -> list[ShardResult]:
-        """Run one round — every chunk stolen once — forked or inline.
+    ) -> tuple[list[ShardResult], bool]:
+        """Run one round — every chunk stolen once — on ``forked`` workers
+        (``_forked_workers``; ≤ 1 runs inline).
 
         The same function serves the leg round and the pair round: what
         differs is what a chunk holds and what its rows mean, and that
@@ -776,10 +836,10 @@ class ShardedCampaign:
         kept here by worker slot; heartbeats and events go to the
         monitor, and the pool's silence failure becomes the monitor's
         stall error. Returns one result per worker, in worker order, each
-        with its chunks' rows folded back in.
+        with its chunks' rows folded back in, and whether any worker ran
+        in this process (on the parent's own world).
         """
         legs = kind == LEG_ROUND
-        forked = self._forked_workers(len(chunks))
         # The inline emulation keeps the full logical worker fleet.
         n_workers = forked if forked > 1 else max(1, min(self.workers, len(chunks)))
         jobs = [
@@ -828,7 +888,7 @@ class ShardedCampaign:
             raise monitor.stall_error(shard, silence.slot, silence.age_s) from silence
         for result, chunk_payloads in zip(results, payloads):
             _absorb_chunks(result, chunk_payloads)
-        return results
+        return results, forked <= 1 or any(job.ran_here for job in jobs)
 
     def _fold_leg_round(
         self, results: list[ShardResult], wall_s: float, sim_started: float

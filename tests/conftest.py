@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import shard
 from repro.core.measurement_host import MeasurementHost
 from repro.netsim.engine import Simulator
 from repro.netsim.latency import LatencyEngine
@@ -63,6 +64,14 @@ def take_draw(stream) -> tuple[float, float, float, float]:
     """The next draw of a ``DrawStream``, as ``(u0, u1, e0, e1)``."""
     i = stream.take()
     return (stream.u[i], stream.u[i + 1], stream.e[i], stream.e[i + 1])
+
+
+@pytest.fixture(autouse=True)
+def no_kept_world(monkeypatch):
+    """Each test starts, and leaves, with no world kept by a forked
+    ``ShardedCampaign.run`` (``repro.core.shard._kept``), so that a
+    test's builds and ``build_s`` do not depend on the tests before it."""
+    monkeypatch.setattr(shard, "_kept", None)
 
 
 # ----------------------------------------------------------------------

@@ -163,6 +163,22 @@ class TestCampaignDataset:
         with pytest.raises(MeasurementError):
             CampaignDataset.from_json("[1, 2]")
 
+    @pytest.mark.parametrize(
+        ("records", "key"),
+        [
+            ([{"x": 1, "y": 2}], "provenance"),
+            ([{"x": "A", "y": 2}], "provenance"),
+            ([{"relay": 5}], "legs"),
+        ],
+        ids=["int_pair", "int_y", "int_relay"],
+    )
+    def test_a_record_whose_node_id_is_no_string_rejected(self, records, key):
+        # Records no campaign can write: every node id is a fingerprint.
+        payload = json.loads(LEGACY_CAMPAIGN.read_text())
+        payload[key] = records
+        with pytest.raises(MeasurementError, match="is not a node id"):
+            CampaignDataset.from_json(json.dumps(payload))
+
 
 class TestCampaignRecordsProvenance:
     def test_measured_pairs_recorded(self, mini_world):
