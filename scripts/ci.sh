@@ -456,6 +456,17 @@ tree = ast.parse(open("src/repro/core/dataset.py").read())
 ]
 args = [a.arg for a in save.args.args + save.args.kwonlyargs]
 assert args == ["self", "path"], f"CampaignDataset.save takes {args}"
+# Provenance is written only as npz columns: no JSON writer on the log
+# or its records (the legacy reader, ProvenanceLog.from_list, stays).
+writers = {
+    (cls.name, node.name)
+    for cls in tree.body if isinstance(cls, ast.ClassDef)
+    for node in cls.body if isinstance(node, ast.FunctionDef)
+} & {
+    ("ProvenanceLog", "to_list"), ("ProvenanceLog", "legs_to_list"),
+    ("PairProvenance", "to_dict"), ("LegProvenance", "to_dict"),
+}
+assert not writers, f"provenance JSON writers are back: {sorted(writers)}"
 print(f"one dataset file: {sys.argv[1]} is npz; CampaignDataset.save({', '.join(args[1:])})")
 PY
 rm -r "$(dirname "$one")"

@@ -55,7 +55,6 @@ flag — so ``repro report --quiet > report.txt`` stays clean.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -541,16 +540,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             print("--probe-budget requires an unsharded run (--workers 0)",
                   file=sys.stderr)
             return 2
-        factory = functools.partial(
-            LiveTorTestbed.build, seed=args.seed, n_relays=args.network_size
-        )
-        testbed = factory()
+        testbed = LiveTorTestbed.build(seed=args.seed, n_relays=args.network_size)
         rng = testbed.streams.get("cli.selection")
         relays = testbed.random_relays(args.relays, rng)
         status(f"Measuring all {pairs} pairs "
                f"({args.workers} workers, instrumented) ...")
         sharded = ShardedCampaign(
-            factory,
+            lambda: testbed,
             [d.fingerprint for d in relays],
             policy=policy,
             workers=args.workers,
@@ -688,10 +684,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 0
 
     status(f"Building live-Tor-style network ({args.network_size} relays) ...")
-    factory = functools.partial(
-        LiveTorTestbed.build, seed=args.seed, n_relays=args.network_size
-    )
-    testbed = factory()
+    testbed = LiveTorTestbed.build(seed=args.seed, n_relays=args.network_size)
     rng = testbed.streams.get("cli.selection")
     relays = testbed.random_relays(args.relays, rng)
     pairs = args.relays * (args.relays - 1) // 2
@@ -708,7 +701,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             telemetry.bus.add_sink(jsonl)
     try:
         sharded = ShardedCampaign(
-            factory,
+            lambda: testbed,
             [d.fingerprint for d in relays],
             policy=resolve_policy(args.policy, args.samples),
             workers=args.workers,
@@ -790,10 +783,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print("--budget must be zero or more pairs", file=sys.stderr)
         return 2
     status(f"Building live-Tor-style network ({args.network_size} relays) ...")
-    factory = functools.partial(
-        LiveTorTestbed.build, seed=args.seed, n_relays=args.network_size
-    )
-    testbed = factory()
+    testbed = LiveTorTestbed.build(seed=args.seed, n_relays=args.network_size)
     rng = testbed.streams.get("cli.selection")
     relays = testbed.random_relays(args.relays, rng)
     fingerprints = [d.fingerprint for d in relays]
@@ -871,7 +861,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     status(f"Measuring {len(plan.pairs)} planned pairs "
            f"({max(1, args.workers)} worker(s)) ...")
     sharded = ShardedCampaign(
-        factory,
+        lambda: testbed,
         fingerprints,
         policy=resolve_policy(args.policy, args.samples),
         workers=args.workers,

@@ -38,7 +38,7 @@ import math
 import sys
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from tokenize import TokenError
 from typing import Any, Iterator, NamedTuple, Sequence
@@ -398,13 +398,6 @@ class RttMatrix:
 # Per-pair measurement provenance
 
 
-def _node_id(data: dict[str, Any], key: str) -> str:
-    """``data[key]``, refused unless it is a node id (a ``str``)."""
-    if not isinstance(data[key], str):
-        raise MeasurementError(f"provenance {key} is not a node id: {data[key]!r}")
-    return data[key]
-
-
 @dataclass(slots=True)
 class PairProvenance:
     """Why one matrix entry is what it is (or why it is missing).
@@ -451,61 +444,6 @@ class PairProvenance:
             return None
         return (self.leg_x_ms + self.leg_y_ms) / 2.0
 
-    def to_dict(self) -> dict[str, Any]:
-        """A plain-dict view; ``None`` fields are omitted for compactness."""
-        record: dict[str, Any] = {
-            "x": self.x,
-            "y": self.y,
-            "status": self.status,
-            "samples_requested": self.samples_requested,
-            "samples_kept": self.samples_kept,
-            "leg_cache_hits": self.leg_cache_hits,
-            "retries": self.retries,
-            "duration_ms": round(self.duration_ms, 6),
-        }
-        for name in ("rtt_ms", "cxy_ms", "leg_x_ms", "leg_y_ms"):
-            value = getattr(self, name)
-            if value is not None:
-                record[name] = round(float(value), 6)
-        if self.residual_ms is not None:
-            record["residual_ms"] = round(self.residual_ms, 6)
-        # Adaptive-only fields stay out of fixed-policy records so the
-        # historical provenance schema is byte-stable by default.
-        if self.samples_saved:
-            record["samples_saved"] = self.samples_saved
-        if self.stop_reason is not None:
-            record["stop_reason"] = self.stop_reason
-        if self.failure_category is not None:
-            record["failure_category"] = self.failure_category
-        if self.reason is not None:
-            record["reason"] = self.reason
-        if self.shard is not None:
-            record["shard"] = self.shard
-        return record
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PairProvenance":
-        """Rebuild a record from :meth:`to_dict` output."""
-        return cls(
-            x=_node_id(data, "x"),
-            y=_node_id(data, "y"),
-            status=data.get("status", "measured"),
-            rtt_ms=data.get("rtt_ms"),
-            cxy_ms=data.get("cxy_ms"),
-            leg_x_ms=data.get("leg_x_ms"),
-            leg_y_ms=data.get("leg_y_ms"),
-            samples_requested=int(data.get("samples_requested", 0)),
-            samples_kept=int(data.get("samples_kept", 0)),
-            samples_saved=int(data.get("samples_saved", 0)),
-            stop_reason=data.get("stop_reason"),
-            leg_cache_hits=int(data.get("leg_cache_hits", 0)),
-            retries=int(data.get("retries", 0)),
-            failure_category=data.get("failure_category"),
-            reason=data.get("reason"),
-            duration_ms=float(data.get("duration_ms", 0.0)),
-            shard=data.get("shard"),
-        )
-
 
 @dataclass(slots=True)
 class LegProvenance:
@@ -527,41 +465,9 @@ class LegProvenance:
     duration_ms: float = 0.0
     shard: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        """A plain-dict view; ``None`` fields are omitted for compactness."""
-        record: dict[str, Any] = {
-            "relay": self.relay,
-            "samples_requested": self.samples_requested,
-            "samples_kept": self.samples_kept,
-            "duration_ms": round(self.duration_ms, 6),
-        }
-        if self.rtt_ms is not None:
-            record["rtt_ms"] = round(float(self.rtt_ms), 6)
-        if self.samples_saved:
-            record["samples_saved"] = self.samples_saved
-        if self.stop_reason is not None:
-            record["stop_reason"] = self.stop_reason
-        if self.shard is not None:
-            record["shard"] = self.shard
-        return record
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LegProvenance":
-        """Rebuild a record from :meth:`to_dict` output."""
-        return cls(
-            relay=_node_id(data, "relay"),
-            rtt_ms=data.get("rtt_ms"),
-            samples_requested=int(data.get("samples_requested", 0)),
-            samples_kept=int(data.get("samples_kept", 0)),
-            samples_saved=int(data.get("samples_saved", 0)),
-            stop_reason=data.get("stop_reason"),
-            duration_ms=float(data.get("duration_ms", 0.0)),
-            shard=data.get("shard"),
-        )
-
 
 # ----------------------------------------------------------------------
-# Columnar storage
+# Columnar storage: each record's schema, stated once
 
 
 #: ``shard`` column sentinel for "no shard recorded". ``-1`` is a real
@@ -571,35 +477,77 @@ _NO_SHARD = int(np.iinfo(np.int32).min)
 #: Intern-table sentinel for "category is None".
 _NO_CAT = -1
 
-_PAIR_SPEC: tuple[tuple[str, type], ...] = (
-    ("x", np.int32),
-    ("y", np.int32),
-    ("status", np.int16),
-    ("rtt_ms", np.float64),
-    ("cxy_ms", np.float64),
-    ("leg_x_ms", np.float64),
-    ("leg_y_ms", np.float64),
-    ("samples_requested", np.int32),
-    ("samples_kept", np.int32),
-    ("samples_saved", np.int32),
-    ("stop_reason", np.int16),
-    ("leg_cache_hits", np.int32),
-    ("retries", np.int32),
-    ("failure_category", np.int16),
-    ("duration_ms", np.float64),
-    ("shard", np.int32),
+# How a column stores its field. Appends, materialization, merges, the
+# npz loader's code check and the legacy JSON reader all walk the specs
+# below by these kinds; none lists the fields again.
+_NAME = "name"  # a node id, as a code into the interned name table
+_CAT = "category"  # a str or None, as a code into the category table
+_OPT = "optional float"  # a float, NaN for None
+_SHARD = "shard"  # a worker index, _NO_SHARD for None
+_NUM = "number"  # a plain int or float
+
+#: One column per :class:`PairProvenance` field, in field order, but
+#: ``reason``: free text, kept in a sparse ``{row: text}`` dict.
+_PAIR_SPEC: tuple[tuple[str, type, str], ...] = (
+    ("x", np.int32, _NAME),
+    ("y", np.int32, _NAME),
+    ("status", np.int16, _CAT),
+    ("rtt_ms", np.float64, _OPT),
+    ("cxy_ms", np.float64, _OPT),
+    ("leg_x_ms", np.float64, _OPT),
+    ("leg_y_ms", np.float64, _OPT),
+    ("samples_requested", np.int32, _NUM),
+    ("samples_kept", np.int32, _NUM),
+    ("samples_saved", np.int32, _NUM),
+    ("stop_reason", np.int16, _CAT),
+    ("leg_cache_hits", np.int32, _NUM),
+    ("retries", np.int32, _NUM),
+    ("failure_category", np.int16, _CAT),
+    ("duration_ms", np.float64, _NUM),
+    ("shard", np.int32, _SHARD),
 )
 
-_LEG_SPEC: tuple[tuple[str, type], ...] = (
-    ("relay", np.int32),
-    ("rtt_ms", np.float64),
-    ("samples_requested", np.int32),
-    ("samples_kept", np.int32),
-    ("samples_saved", np.int32),
-    ("stop_reason", np.int16),
-    ("duration_ms", np.float64),
-    ("shard", np.int32),
+#: One column per :class:`LegProvenance` field, in field order.
+_LEG_SPEC: tuple[tuple[str, type, str], ...] = (
+    ("relay", np.int32, _NAME),
+    ("rtt_ms", np.float64, _OPT),
+    ("samples_requested", np.int32, _NUM),
+    ("samples_kept", np.int32, _NUM),
+    ("samples_saved", np.int32, _NUM),
+    ("stop_reason", np.int16, _CAT),
+    ("duration_ms", np.float64, _NUM),
+    ("shard", np.int32, _SHARD),
 )
+
+#: Each record kind: its npz entry prefix, its class and its spec.
+_RECORDS = (("pair", PairProvenance, _PAIR_SPEC), ("leg", LegProvenance, _LEG_SPEC))
+
+
+def _from_legacy(record: type, spec: tuple[tuple[str, type, str], ...], data: Any) -> Any:
+    """One record of a legacy JSON document: an absent field takes the
+    record's default, and a number is coerced to its default's type
+    (counts ``int``, ``duration_ms`` ``float``). A node id that is no
+    ``str`` raises :class:`MeasurementError`; anything else malformed (no
+    object, no node id, a null ``status``, no number) raises what
+    :meth:`ProvenanceLog.from_list` turns into one."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a provenance record is an object, not {type(data).__name__}")
+    kinds = {name: kind for name, _, kind in spec}
+    values = {}
+    for column in fields(record):
+        name, kind = column.name, kinds.get(column.name)
+        if kind == _NAME:
+            value = data[name]
+            if not isinstance(value, str):
+                raise MeasurementError(f"provenance {name} is not a node id: {value!r}")
+        else:
+            value = data.get(name, column.default)
+            if kind == _NUM:
+                value = type(column.default)(value)
+            elif kind == _CAT and value is None and column.default is not None:
+                raise ValueError(f"provenance {name} is unset")
+        values[name] = value
+    return record(**values)
 
 
 class _ColumnBlock:
@@ -607,10 +555,10 @@ class _ColumnBlock:
 
     __slots__ = ("_spec", "_cols", "_n")
 
-    def __init__(self, spec: tuple[tuple[str, type], ...], capacity: int = 16) -> None:
+    def __init__(self, spec: tuple[tuple[str, type, str], ...], capacity: int = 16) -> None:
         self._spec = spec
         self._n = 0
-        self._cols = {name: np.empty(capacity, dtype=dt) for name, dt in spec}
+        self._cols = {name: np.empty(capacity, dtype=dt) for name, dt, _ in spec}
 
     def __len__(self) -> int:
         return self._n
@@ -625,12 +573,12 @@ class _ColumnBlock:
             grown[: self._n] = arr[: self._n]
             self._cols[name] = grown
 
-    def append(self, values: dict[str, Any]) -> int:
-        """Append one row; returns its index."""
+    def append(self, values: list[Any]) -> int:
+        """Append one row, its values in spec order; returns its index."""
         self._reserve(1)
         i = self._n
-        for name, value in values.items():
-            self._cols[name][i] = value
+        for col, value in zip(self._cols.values(), values):
+            col[i] = value
         self._n += 1
         return i
 
@@ -640,8 +588,8 @@ class _ColumnBlock:
         if count == 0:
             return
         self._reserve(count)
-        for name, _ in self._spec:
-            self._cols[name][self._n : self._n + count] = cols[name][:count]
+        for name, col in self._cols.items():
+            col[self._n : self._n + count] = cols[name][:count]
         self._n += count
 
     def column(self, name: str) -> np.ndarray:
@@ -650,15 +598,7 @@ class _ColumnBlock:
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Trimmed copies of every column — a picklable flat payload."""
-        return {name: self._cols[name][: self._n].copy() for name, _ in self._spec}
-
-
-def _f(value: float | None) -> float:
-    return math.nan if value is None else float(value)
-
-
-def _opt_float(value: float) -> float | None:
-    return None if math.isnan(value) else float(value)
+        return {name: col[: self._n].copy() for name, col in self._cols.items()}
 
 
 class ProvenanceLog:
@@ -728,90 +668,60 @@ class ProvenanceLog:
 
     # -- appends --------------------------------------------------------
 
+    def _encode(self, block: _ColumnBlock, record: Any) -> list[Any]:
+        """``record``'s fields as ``block``'s column values, in spec order."""
+        values = []
+        for name, _, kind in block._spec:
+            value = getattr(record, name)
+            if kind == _NAME:
+                value = self._intern_name(value)
+            elif kind == _CAT:
+                value = self._intern_cat(value)
+            elif kind == _OPT:
+                value = math.nan if value is None else value
+            elif kind == _SHARD:
+                value = _NO_SHARD if value is None else value
+            values.append(value)
+        return values
+
     def add(self, record: PairProvenance) -> None:
         """Append one pair's provenance."""
-        row = self._pairs.append(
-            {
-                "x": self._intern_name(record.x),
-                "y": self._intern_name(record.y),
-                "status": self._intern_cat(record.status),
-                "rtt_ms": _f(record.rtt_ms),
-                "cxy_ms": _f(record.cxy_ms),
-                "leg_x_ms": _f(record.leg_x_ms),
-                "leg_y_ms": _f(record.leg_y_ms),
-                "samples_requested": record.samples_requested,
-                "samples_kept": record.samples_kept,
-                "samples_saved": record.samples_saved,
-                "stop_reason": self._intern_cat(record.stop_reason),
-                "leg_cache_hits": record.leg_cache_hits,
-                "retries": record.retries,
-                "failure_category": self._intern_cat(record.failure_category),
-                "duration_ms": float(record.duration_ms),
-                "shard": _NO_SHARD if record.shard is None else record.shard,
-            }
-        )
+        row = self._pairs.append(self._encode(self._pairs, record))
         if record.reason is not None:
             self._reasons[row] = record.reason
 
     def add_leg(self, record: LegProvenance) -> None:
         """Append one leg circuit's provenance."""
-        self._legs.append(
-            {
-                "relay": self._intern_name(record.relay),
-                "rtt_ms": _f(record.rtt_ms),
-                "samples_requested": record.samples_requested,
-                "samples_kept": record.samples_kept,
-                "samples_saved": record.samples_saved,
-                "stop_reason": self._intern_cat(record.stop_reason),
-                "duration_ms": float(record.duration_ms),
-                "shard": _NO_SHARD if record.shard is None else record.shard,
-            }
-        )
+        self._legs.append(self._encode(self._legs, record))
 
     # -- materialization ------------------------------------------------
+
+    def _decode(self, block: _ColumnBlock, row: int) -> dict[str, Any]:
+        """Row ``row`` of ``block`` as its record's field values."""
+        values = {}
+        for name, _, kind in block._spec:
+            value = block._cols[name].item(row)
+            if kind == _NAME:
+                value = self._names[value]
+            elif kind == _CAT:
+                value = self._cat_at(value)
+            elif kind == _OPT:
+                value = None if math.isnan(value) else value
+            elif kind == _SHARD:
+                value = None if value == _NO_SHARD else value
+            values[name] = value
+        return values
 
     def _pair_at(self, row: int) -> PairProvenance:
         cached = self._row_cache.get(row)
         if cached is None:
-            cached = self._row_cache[row] = self._materialize_pair(row)
+            cached = self._row_cache[row] = PairProvenance(
+                **self._decode(self._pairs, row), reason=self._reasons.get(row)
+            )
         return cached
 
-    def _materialize_pair(self, row: int) -> PairProvenance:
-        cols = self._pairs._cols
-        shard = int(cols["shard"][row])
-        return PairProvenance(
-            x=self._names[cols["x"][row]],
-            y=self._names[cols["y"][row]],
-            status=self._cats[cols["status"][row]],
-            rtt_ms=_opt_float(cols["rtt_ms"][row]),
-            cxy_ms=_opt_float(cols["cxy_ms"][row]),
-            leg_x_ms=_opt_float(cols["leg_x_ms"][row]),
-            leg_y_ms=_opt_float(cols["leg_y_ms"][row]),
-            samples_requested=int(cols["samples_requested"][row]),
-            samples_kept=int(cols["samples_kept"][row]),
-            samples_saved=int(cols["samples_saved"][row]),
-            stop_reason=self._cat_at(int(cols["stop_reason"][row])),
-            leg_cache_hits=int(cols["leg_cache_hits"][row]),
-            retries=int(cols["retries"][row]),
-            failure_category=self._cat_at(int(cols["failure_category"][row])),
-            reason=self._reasons.get(row),
-            duration_ms=float(cols["duration_ms"][row]),
-            shard=None if shard == _NO_SHARD else shard,
-        )
-
     def _leg_at(self, row: int) -> LegProvenance:
-        cols = self._legs._cols
-        shard = int(cols["shard"][row])
-        return LegProvenance(
-            relay=self._names[cols["relay"][row]],
-            rtt_ms=_opt_float(cols["rtt_ms"][row]),
-            samples_requested=int(cols["samples_requested"][row]),
-            samples_kept=int(cols["samples_kept"][row]),
-            samples_saved=int(cols["samples_saved"][row]),
-            stop_reason=self._cat_at(int(cols["stop_reason"][row])),
-            duration_ms=float(cols["duration_ms"][row]),
-            shard=None if shard == _NO_SHARD else shard,
-        )
+        return LegProvenance(**self._decode(self._legs, row))
 
     def legs(self) -> list[LegProvenance]:
         """All leg records, in insertion order."""
@@ -880,40 +790,25 @@ class ProvenanceLog:
         name_map = np.array(
             [self._intern_name(n) for n in snap["names"]], dtype=np.int32
         )
+        # The trailing _NO_CAT maps code _NO_CAT (None) to itself.
         cat_map = np.array(
-            [self._intern_cat(c) for c in snap["cats"]], dtype=np.int16
+            [self._intern_cat(c) for c in snap["cats"]] + [_NO_CAT], dtype=np.int16
         )
-
-        def remap_cat(col: np.ndarray) -> np.ndarray:
-            if cat_map.size == 0:
-                return col.copy()
-            return np.where(
-                col >= 0, cat_map[np.maximum(col, 0)], np.int16(_NO_CAT)
-            ).astype(np.int16)
-
-        def retag(col: np.ndarray, tag: int | None) -> np.ndarray:
-            if tag is None:
-                return col
-            return np.where(col == _NO_SHARD, np.int32(tag), col).astype(np.int32)
-
-        pair_cols = dict(snap["pairs"])
-        if name_map.size:
-            pair_cols["x"] = name_map[pair_cols["x"]]
-            pair_cols["y"] = name_map[pair_cols["y"]]
-        for cat_col in ("status", "stop_reason", "failure_category"):
-            pair_cols[cat_col] = remap_cat(pair_cols[cat_col])
-        pair_cols["shard"] = retag(pair_cols["shard"], shard)
         base_row = len(self._pairs)
-        self._pairs.extend(pair_cols)
+        for block, cols, tag in (
+            (self._pairs, dict(snap["pairs"]), shard),
+            (self._legs, dict(snap["legs"]), leg_shard),
+        ):
+            for name, _, kind in block._spec:
+                if kind == _NAME:
+                    cols[name] = name_map[cols[name]]
+                elif kind == _CAT:
+                    cols[name] = cat_map[cols[name]]
+                elif kind == _SHARD and tag is not None:
+                    cols[name] = np.where(cols[name] == _NO_SHARD, tag, cols[name])
+            block.extend(cols)
         for row, text in snap.get("reasons", {}).items():
             self._reasons[base_row + int(row)] = text
-
-        leg_cols = dict(snap["legs"])
-        if name_map.size and leg_cols["relay"].shape[0]:
-            leg_cols["relay"] = name_map[leg_cols["relay"]]
-        leg_cols["stop_reason"] = remap_cat(leg_cols["stop_reason"])
-        leg_cols["shard"] = retag(leg_cols["shard"], leg_shard)
-        self._legs.extend(leg_cols)
         return self
 
     @classmethod
@@ -921,17 +816,7 @@ class ProvenanceLog:
         """Rebuild a log from :meth:`snapshot` output."""
         return cls().merge_snapshot(snap)
 
-    # -- serialization --------------------------------------------------
-
-    def to_list(self) -> list[dict[str, Any]]:
-        """Every pair record as a plain dict, in insertion order."""
-        # Bypass the row cache: bulk serialization of a 500k-row log
-        # should not pin 500k value objects in memory afterwards.
-        return [self._materialize_pair(i).to_dict() for i in range(len(self._pairs))]
-
-    def legs_to_list(self) -> list[dict[str, Any]]:
-        """Every leg record as a plain dict, in insertion order."""
-        return [self._leg_at(i).to_dict() for i in range(len(self._legs))]
+    # -- legacy JSON ----------------------------------------------------
 
     @classmethod
     def from_list(
@@ -939,18 +824,19 @@ class ProvenanceLog:
         data: list[dict[str, Any]],
         legs: list[dict[str, Any]] | None = None,
     ) -> "ProvenanceLog":
-        """Rebuild a log from :meth:`to_list` (+ :meth:`legs_to_list`)
-        output; anything else raises :class:`MeasurementError`."""
+        """Read the pair (and leg) records of a legacy JSON dataset,
+        written before npz was the one format; anything else raises
+        :class:`MeasurementError`."""
         legs = [] if legs is None else legs
         if not isinstance(data, list) or not isinstance(legs, list):
             raise MeasurementError("provenance is not a list of records")
         log = cls()
         try:
             for entry in data:
-                log.add(PairProvenance.from_dict(entry))
+                log.add(_from_legacy(PairProvenance, _PAIR_SPEC, entry))
             for entry in legs:
-                log.add_leg(LegProvenance.from_dict(entry))
-        except (KeyError, TypeError, ValueError) as exc:
+                log.add_leg(_from_legacy(LegProvenance, _LEG_SPEC, entry))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MeasurementError(f"malformed provenance record: {exc!r}") from None
         return log
 
@@ -1208,19 +1094,18 @@ class CampaignDataset:
 
     def _to_arrays(self) -> dict[str, np.ndarray]:
         header = json.dumps({"format": DATASET_NPZ_FORMAT, "meta": self.meta})
-        prov = self.provenance
-        reasons = prov._reasons
+        snap = self.provenance.snapshot()
+        reasons = snap["reasons"]
         arrays: dict[str, np.ndarray] = {
             "header": np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
             "nodes": _str_array(self.matrix.nodes),
             "matrix": self.matrix.matrix,
-            "prov_names": _str_array(prov._names),
-            "prov_cats": _str_array(prov._cats),
+            "prov_names": _str_array(snap["names"]),
+            "prov_cats": _str_array(snap["cats"]),
         }
-        for name, _ in _PAIR_SPEC:
-            arrays[f"pair_{name}"] = prov._pairs.column(name).copy()
-        for name, _ in _LEG_SPEC:
-            arrays[f"leg_{name}"] = prov._legs.column(name).copy()
+        for prefix, _, _ in _RECORDS:
+            for name, col in snap[prefix + "s"].items():
+                arrays[f"{prefix}_{name}"] = col
         arrays["reason_rows"] = np.array(sorted(reasons), dtype=np.int64)
         arrays["reason_text"] = _str_array([reasons[k] for k in sorted(reasons)])
         return arrays
@@ -1243,38 +1128,41 @@ class CampaignDataset:
         snap = {
             "names": [str(n) for n in data["prov_names"]],
             "cats": [str(c) for c in data["prov_cats"]],
-            "pairs": {name: data[f"pair_{name}"] for name, _ in _PAIR_SPEC},
-            "legs": {name: data[f"leg_{name}"] for name, _ in _LEG_SPEC},
             "reasons": {
                 int(row): str(text)
                 for row, text in zip(data["reason_rows"], data["reason_text"])
             },
         }
-        pairs, legs = snap["pairs"], snap["legs"]
-        # One row per record: a column of another length would be
-        # broadcast or cut to the first one's.
-        for kind, cols in (("pair", pairs), ("leg", legs)):
+        for prefix, record, spec in _RECORDS:
+            cols = snap[prefix + "s"] = {
+                name: data[f"{prefix}_{name}"] for name, _, _ in spec
+            }
+            # One row per record: a column of another length would be
+            # broadcast or cut to the first one's.
             shapes = sorted({np.shape(col) for col in cols.values()})
             if len(shapes) != 1 or len(shapes[0]) != 1:
-                raise ValueError(f"{kind} columns have shapes {shapes}")
-        # Intern codes index the name and category tables; one outside
-        # them would re-attribute rows (a negative index reads from the end).
-        names, cats = len(snap["names"]), len(snap["cats"])
-        for column, codes, low, high in (
-            ("pair_x", pairs["x"], 0, names),
-            ("pair_y", pairs["y"], 0, names),
-            ("leg_relay", legs["relay"], 0, names),
-            ("pair_status", pairs["status"], 0, cats),
-            ("pair_stop_reason", pairs["stop_reason"], _NO_CAT, cats),
-            ("pair_failure_category", pairs["failure_category"], _NO_CAT, cats),
-            ("leg_stop_reason", legs["stop_reason"], _NO_CAT, cats),
-        ):
-            if codes.dtype.kind not in "iu" or (
-                codes.size and not low <= codes.min() <= codes.max() < high
-            ):
-                raise ValueError(
-                    f"{column!r} holds {codes.dtype} codes outside [{low}, {high})"
-                )
+                raise ValueError(f"{prefix} columns have shapes {shapes}")
+            # Intern codes index the name and category tables; one outside
+            # them would re-attribute rows (a negative index reads from the
+            # end). A category the record cannot leave unset (a pair's
+            # status) has no _NO_CAT code.
+            defaults = {column.name: column.default for column in fields(record)}
+            for name, _, kind in spec:
+                if kind == _NAME:
+                    low, high = 0, len(snap["names"])
+                elif kind == _CAT:
+                    low = _NO_CAT if defaults[name] is None else 0
+                    high = len(snap["cats"])
+                else:
+                    continue
+                codes = cols[name]
+                if codes.dtype.kind not in "iu" or (
+                    codes.size and not low <= codes.min() <= codes.max() < high
+                ):
+                    raise ValueError(
+                        f"'{prefix}_{name}' holds {codes.dtype} codes outside "
+                        f"[{low}, {high})"
+                    )
         return cls(
             matrix=matrix,
             provenance=ProvenanceLog.from_snapshot(snap),

@@ -33,7 +33,7 @@ from __future__ import annotations
 import inspect
 import json
 import pickle
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable
 
 import pytest
@@ -160,7 +160,7 @@ def _write_provenance(log: ProvenanceLog, op: tuple) -> None:
 
 def _provenance_rows(snap: dict) -> tuple[list[dict], list[dict]]:
     log = ProvenanceLog.from_snapshot(snap)
-    return log.to_list(), log.legs_to_list()
+    return [asdict(row) for row in log.records()], [asdict(leg) for leg in log.legs()]
 
 
 def _live_serve() -> ServeTelemetry:
@@ -369,11 +369,11 @@ def test_provenance_leg_rows_keep_the_campaign_attribution(data):
     """``shard=`` never touches a leg row; ``leg_shard=`` fills the unset."""
     sink = SINKS["provenance"]
     (snap,) = _worker_snapshots(sink, data.draw(_deals(sink, max_size=10)), 1)
-    legs = _provenance_rows(snap)[1]
+    legs = ProvenanceLog.from_snapshot(snap).legs()
     tagged = ProvenanceLog().merge_snapshot(snap, shard=TAG)
-    assert tagged.legs_to_list() == legs
+    assert tagged.legs() == legs
     filled = ProvenanceLog().merge_snapshot(snap, shard=TAG, leg_shard=2)
-    assert filled.legs_to_list() == [{**leg, "shard": 2} for leg in legs]
+    assert filled.legs() == [replace(leg, shard=2) for leg in legs]
 
 
 @settings(max_examples=60, deadline=None)

@@ -49,7 +49,7 @@ def file_digest(path):
 
 def held(dataset):
     """What a dataset holds, as a load must give it back."""
-    return dataset.matrix.content_hash(), dataset.provenance.to_list(), dataset.meta
+    return dataset.matrix.content_hash(), dataset.provenance.records(), dataset.meta
 
 
 def _saved_three_nodes():
@@ -404,6 +404,23 @@ class TestDamagedLegacyJson:
 
     def test_a_record_missing_its_pair_raises(self):
         text = f'{_CAMPAIGN_HEAD}, "provenance": [{{"y": "b"}}]}}'
+        with pytest.raises(MeasurementError, match="malformed provenance"):
+            CampaignDataset.from_json(text)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"x": "a", "y": "b", "status": None},
+            {"x": "a", "y": "b", "samples_kept": 1e300},
+            {"x": "a", "y": "b", "shard": 2**40},
+        ],
+        ids=["null_status", "huge_count", "huge_shard"],
+    )
+    def test_a_record_no_campaign_writes_raises(self, record):
+        # Was: a null status loaded, then read back as a raw IndexError
+        # (or as another row's category); a count or shard past int32
+        # escaped load as a raw OverflowError.
+        text = f'{_CAMPAIGN_HEAD}, "provenance": [{json.dumps(record)}]}}'
         with pytest.raises(MeasurementError, match="malformed provenance"):
             CampaignDataset.from_json(text)
 

@@ -101,8 +101,8 @@ class TestNpzRoundtrip:
         assert np.array_equal(
             restored.matrix.matrix, dataset.matrix.matrix, equal_nan=True
         )
-        assert restored.provenance.to_list() == dataset.provenance.to_list()
-        assert restored.provenance.legs_to_list() == dataset.provenance.legs_to_list()
+        assert restored.provenance.records() == dataset.provenance.records()
+        assert restored.provenance.legs() == dataset.provenance.legs()
 
     @pytest.mark.parametrize("legacy", [LEGACY_CAMPAIGN, LEGACY_MATRIX])
     def test_a_legacy_json_file_and_its_npz_agree(self, tmp_path, legacy):
@@ -117,8 +117,8 @@ class TestNpzRoundtrip:
             written = CampaignDataset(matrix=written.matrix)
         for loaded in (from_json, from_npz):
             assert loaded.matrix.content_hash() == written.matrix.content_hash()
-            assert loaded.provenance.to_list() == written.provenance.to_list()
-            assert loaded.provenance.legs_to_list() == written.provenance.legs_to_list()
+            assert loaded.provenance.records() == written.provenance.records()
+            assert loaded.provenance.legs() == written.provenance.legs()
             assert (
                 loaded.provenance.failure_breakdown()
                 == written.provenance.failure_breakdown()
@@ -199,8 +199,8 @@ def test_the_streamed_file_keeps_its_bytes(tmp_path, name):
         loaded = CampaignDataset.load(path, mmap=mmap)
         assert loaded.matrix.nodes == dataset.matrix.nodes
         assert loaded.matrix.matrix.tobytes() == dataset.matrix.matrix.tobytes()
-        assert loaded.provenance.to_list() == dataset.provenance.to_list()
-        assert loaded.provenance.legs_to_list() == dataset.provenance.legs_to_list()
+        assert loaded.provenance.records() == dataset.provenance.records()
+        assert loaded.provenance.legs() == dataset.provenance.legs()
         assert loaded.meta == dataset.meta
 
 

@@ -1,6 +1,8 @@
 """Per-pair provenance records and the bundled campaign dataset."""
 
 import json
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 import pytest
 from conftest import LEGACY_CAMPAIGN, MiniWorld, legacy_dataset
@@ -8,8 +10,15 @@ from conftest import LEGACY_CAMPAIGN, MiniWorld, legacy_dataset
 from repro.core.campaign import AllPairsCampaign
 from repro.core.parallel import ParallelCampaign
 from repro.core.dataset import (
+    _CAT,
+    _LEG_SPEC,
+    _NAME,
+    _OPT,
+    _PAIR_SPEC,
+    _SHARD,
     CampaignDataset,
     DATASET_FORMAT,
+    LegProvenance,
     PairProvenance,
     ProvenanceLog,
     RttMatrix,
@@ -44,7 +53,7 @@ class TestPairProvenance:
 
     def test_dict_roundtrip_measured(self):
         record = _measured()
-        restored = PairProvenance.from_dict(record.to_dict())
+        (restored,) = ProvenanceLog.from_list([asdict(record)]).records()
         assert restored == record
 
     def test_dict_roundtrip_failed(self):
@@ -58,16 +67,29 @@ class TestPairProvenance:
             duration_ms=15000.0,
             shard=3,
         )
-        restored = PairProvenance.from_dict(record.to_dict())
+        (restored,) = ProvenanceLog.from_list([asdict(record)]).records()
         assert restored == record
         assert restored.rtt_ms is None
         assert restored.residual_ms is None
 
-    def test_to_dict_omits_unset_fields(self):
-        payload = PairProvenance(x="A", y="B", status="failed").to_dict()
-        assert "rtt_ms" not in payload
-        assert "failure_category" not in payload
-        assert payload["status"] == "failed"
+
+@pytest.mark.parametrize(
+    ("record", "spec", "nodes"),
+    [(PairProvenance, _PAIR_SPEC, {"x", "y"}), (LegProvenance, _LEG_SPEC, {"relay"})],
+    ids=["pair", "leg"],
+)
+def test_the_spec_states_every_stored_field_in_order(record, spec, nodes):
+    """A field added to a record and not to its spec (or the other way
+    round) fails here, not in a saved file."""
+    assert [name for name, _, _ in spec] == [
+        column.name for column in fields(record) if column.name != "reason"
+    ]
+    hints = get_type_hints(record)
+    for name, _, kind in spec:
+        assert (name in nodes) == (kind == _NAME), name
+        assert (hints[name] == float | None) == (kind == _OPT), name
+        assert (hints[name] == str | None) <= (kind == _CAT), name
+        assert (hints[name] == int | None) == (kind == _SHARD), name
 
 
 class TestProvenanceLog:
@@ -93,7 +115,7 @@ class TestProvenanceLog:
         worker.add(_measured("A", "B"))
         parent = ProvenanceLog()
         parent.merge_snapshot(
-            ProvenanceLog.from_list(worker.to_list()).snapshot(), shard=0
+            ProvenanceLog.from_list([asdict(r) for r in worker]).snapshot(), shard=0
         )
         assert len(parent) == 1
         assert parent.get("A", "B").shard == 0
@@ -114,8 +136,8 @@ class TestProvenanceLog:
         log = ProvenanceLog()
         log.add(_measured("A", "B", shard=2))
         log.add(PairProvenance(x="A", y="C", status="failed"))
-        restored = ProvenanceLog.from_list(log.to_list())
-        assert restored.to_list() == log.to_list()
+        restored = ProvenanceLog.from_list([asdict(r) for r in log])
+        assert restored.records() == log.records()
 
 
 class TestCampaignDataset:
@@ -142,7 +164,8 @@ class TestCampaignDataset:
         assert restored.provenance.get("R0", "R1").stop_reason == "converged"
         assert restored.provenance.get("R1", "R3").reason == "echo timed out"
         assert restored.provenance.leg_for("R2").stop_reason == "converged"
-        assert restored.provenance.to_list() == written.provenance.to_list()
+        assert restored.provenance.records() == written.provenance.records()
+        assert restored.provenance.legs() == written.provenance.legs()
 
     def test_save_load(self, dataset, tmp_path):
         path = tmp_path / "campaign.json"

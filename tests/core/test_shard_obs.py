@@ -14,6 +14,7 @@ fix.
 """
 
 import functools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ def _leg_round_view(fingerprints, workers, chunk, forked):
     report = campaign.run()
     leg_rows = sorted(
         (
-            {k: v for k, v in record.to_dict().items() if k != "duration_ms"}
+            {k: v for k, v in asdict(record).items() if k != "duration_ms"}
             for record in report.provenance.legs()
         ),
         key=lambda row: row["relay"],

@@ -1,13 +1,17 @@
 """Tests for the command-line interface."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 from conftest import LEGACY_CAMPAIGN
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, resolve_policy
+from repro.core import shard
 from repro.core.dataset import CampaignDataset, RttMatrix
+from repro.core.shard import ShardedCampaign
+from repro.testbeds.livetor import LiveTorTestbed
 
 
 @pytest.fixture
@@ -396,6 +400,72 @@ class TestDatasetRoundTrip:
         assert code == 0
         assert "probe cost" in out
         assert "saved" in out
+
+
+class TestOneWorldPerCommand:
+    """``stats --workers N``, ``report`` and ``plan --run`` build one world:
+    the relay selection and the sharded run share it, so a forked run
+    leaves no second world kept that nothing takes."""
+
+    ARGS = ["--network-size", "20", "--samples", "3", "--workers", "2"]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = LiveTorTestbed.build
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return build(**kwargs)
+
+        monkeypatch.setattr(LiveTorTestbed, "build", counted)
+        return calls
+
+    def fresh_matrix(self, nodes, pairs=None):
+        """The matrix a run on a world of its own measures."""
+        return ShardedCampaign(
+            functools.partial(LiveTorTestbed.build, seed=7, n_relays=20),
+            nodes,
+            policy=resolve_policy("fixed", 3),
+            workers=2,
+            pairs=pairs,
+            observe=True,
+            clamp_to_cpus=True,
+        ).run().matrix.matrix
+
+    def test_stats(self, builds, capsys):
+        assert main(["--seed", "7", "stats", "--relays", "4", *self.ARGS]) == 0
+        capsys.readouterr()
+        assert builds == [{"seed": 7, "n_relays": 20}]
+        assert shard._kept is None
+
+    def test_report(self, builds, tmp_path, capsys):
+        output = tmp_path / "report.npz"
+        code = main(["--seed", "7", "report", "--relays", "4", *self.ARGS, "--output", str(output)])
+        capsys.readouterr()
+        assert code == 0
+        assert builds == [{"seed": 7, "n_relays": 20}]
+        assert shard._kept is None
+        saved = CampaignDataset.load(output).matrix
+        assert np.array_equal(
+            saved.matrix, self.fresh_matrix(saved.nodes), equal_nan=True
+        )
+
+    def test_plan_run(self, builds, tmp_path, capsys):
+        output, plan = tmp_path / "plan.npz", tmp_path / "plan.json"
+        code = main([
+            "--seed", "7", "plan", "--relays", "6", *self.ARGS, "--budget", "5", "--run",
+            "--output", str(output), "--json", str(plan),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        assert builds == [{"seed": 7, "n_relays": 20}]
+        assert shard._kept is None
+        saved = CampaignDataset.load(output).matrix
+        planned = [(a, b) for a, b, _ in json.loads(plan.read_text())["pairs"]]
+        assert np.array_equal(
+            saved.matrix, self.fresh_matrix(saved.nodes, planned), equal_nan=True
+        )
 
 
 class TestPlanCommand:

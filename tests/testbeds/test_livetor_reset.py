@@ -107,8 +107,8 @@ class _World:
             "outcomes": self.outcomes,
             "legs": self.campaign.leg_estimates,
             "leg_failures": self.campaign.leg_failures,
-            "pair_samples": host.provenance.to_list(),
-            "leg_samples": host.provenance.legs_to_list(),
+            "pair_samples": host.provenance.records(),
+            "leg_samples": host.provenance.legs(),
         }
 
 
