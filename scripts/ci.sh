@@ -402,7 +402,8 @@ fi
 
 echo "== worker faults =="
 # The leg round, the pair round and QueryServer.batch fork through one
-# pool (repro.util.cpus.run_pool). The matrix that holds it to its
+# pool (repro.util.cpus.run_pool; a sharded run's two rounds are two
+# phases of one pool, past a barrier). The matrix that holds it to its
 # contract — kill -9, raise, hang, slow and an unpicklable result at
 # each site, injected at the pool's one seam, each failing fast with a
 # categorized error naming its round and worker, and a worker wedged
@@ -411,6 +412,9 @@ echo "== worker faults =="
 # a hang kills this step instead of stalling the pipeline. Faults come
 # from tests, never from a config knob, and the fork boundary stays one.
 timeout 300 python -m pytest tests/contract/test_worker_faults.py -x -q
+# One pool per run: W children, not 2W; a child parked at the barrier
+# is never silent; every deadline is per round.
+timeout 120 python -m pytest tests/core/test_shard_one_pool.py -x -q
 if grep -rn 'drill_' src; then
     echo "a fault-injection knob is back under src/" >&2
     exit 1
@@ -536,14 +540,20 @@ echo "== paper-scale cycle =="
 # fresh process: plan 100 -> sharded run -> absorb -> quality -> refresh
 # plan 50 -> adaptive sharded run -> absorb -> save -> load(mmap=True)
 # -> health -> MatrixIndex.build. Printed: each stage's seconds and the
-# ru_maxrss after it. Gated: the world builds. A forked run keeps the
-# world its workers never touched and the refresh takes it, so with two
-# or more CPUs the cycle builds once; on one CPU both runs are inline
-# and build twice. Builds are counted through the factory's partial.
+# ru_maxrss after it. Gated: the world builds and the fork pools. A
+# forked run keeps the world its workers never touched and the refresh
+# takes it, so with two or more CPUs the cycle builds once; on one CPU
+# both runs are inline and build twice. Builds are counted through the
+# factory's partial. A forked run is one pool, its leg round and pair
+# round on the same children, so with two or more CPUs the cycle forks
+# two pools (one per run; a pool per round made four), each fork
+# copying the page tables of a parent past 1 GB. Pools and their
+# children are counted by wrapping repro.core.shard.run_pool.
 python - <<'PY'
 import functools, resource, tempfile, time
 from pathlib import Path
 
+import repro.core.shard as shard
 from repro.core.dataset import CampaignDataset, RttMatrix
 from repro.core.planner import CampaignPlanner
 from repro.core.sampling import AdaptiveSpec, SamplePolicy
@@ -558,11 +568,23 @@ COLD = SamplePolicy(samples=4, interval_ms=2.0)
 REFRESH = SamplePolicy(samples=4, interval_ms=None, adaptive=AdaptiveSpec(
     absolute_ms=1.0, min_samples=2, patience=2, confirm_k=2))
 builds = []
+pools = []  # children per forked pool
+real_pool = shard.run_pool
 
 
 def counted_build(**kwargs):
     builds.append(kwargs)
     return LiveTorTestbed.build(**kwargs)
+
+
+def counted_pool(jobs, *args, **kwargs):
+    if not kwargs.get("inline"):
+        then = kwargs.get("then")
+        pools.append(max(len(jobs), len(then.jobs) if then is not None else 0))
+    return real_pool(jobs, *args, **kwargs)
+
+
+shard.run_pool = counted_pool
 
 
 factory = functools.partial(counted_build, seed=SEED, n_relays=RELAYS + SPARE)
@@ -607,9 +629,13 @@ pairs = cold.pairs_attempted + refresh.pairs_attempted
 cycle = sum(wall for _, wall, _ in stages)
 print(f"paper-scale cycle, {RELAYS} relays: {cycle:.2f} s for {pairs} pairs"
       f" ({cycle / pairs * 1e6:,.0f} us/pair); build_s cold {cold.build_s:.3f}"
-      f" refresh {refresh.build_s:.3f}; {len(builds)} world build(s)")
-expected = 1 if schedulable_cpu_count() >= 2 else 2
+      f" refresh {refresh.build_s:.3f}; {len(builds)} world build(s);"
+      f" {len(pools)} fork pool(s), {sum(pools)} children")
+forked = schedulable_cpu_count() >= 2
+expected = 1 if forked else 2
 assert len(builds) == expected, f"{len(builds)} world builds, expected {expected}"
+expected = 2 if forked else 0
+assert len(pools) == expected, f"{len(pools)} fork pools, expected {expected}"
 assert (cold.pairs_attempted, refresh.pairs_attempted) == (100, 50)
 PY
 

@@ -528,8 +528,8 @@ def _from_legacy(record: type, spec: tuple[tuple[str, type, str], ...], data: An
     record's default, and a number is coerced to its default's type
     (counts ``int``, ``duration_ms`` ``float``). A node id that is no
     ``str`` raises :class:`MeasurementError`; anything else malformed (no
-    object, no node id, a null ``status``, no number) raises what
-    :meth:`ProvenanceLog.from_list` turns into one."""
+    object, no node id, a null ``status``, text that is no ``str``, no
+    number) raises what :meth:`ProvenanceLog.from_list` turns into one."""
     if not isinstance(data, dict):
         raise TypeError(f"a provenance record is an object, not {type(data).__name__}")
     kinds = {name: kind for name, _, kind in spec}
@@ -544,8 +544,11 @@ def _from_legacy(record: type, spec: tuple[tuple[str, type, str], ...], data: An
             value = data.get(name, column.default)
             if kind == _NUM:
                 value = type(column.default)(value)
-            elif kind == _CAT and value is None and column.default is not None:
-                raise ValueError(f"provenance {name} is unset")
+            elif kind in (_CAT, None):  # a category, or the free-text reason
+                if value is None and column.default is not None:
+                    raise ValueError(f"provenance {name} is unset")
+                if value is not None and not isinstance(value, str):
+                    raise TypeError(f"provenance {name} is not text: {value!r}")
         values[name] = value
     return record(**values)
 

@@ -1,4 +1,4 @@
-"""Sharded all-pairs campaigns: a leg round, then a pair round, both stolen.
+"""Sharded all-pairs campaigns: a leg round, then a pair round, on one pool.
 
 A single :class:`~repro.core.parallel.ParallelCampaign` is bound to one
 Python process; an all-pairs matrix over hundreds of relays is hours of
@@ -9,8 +9,8 @@ each of W workers would rebuild the leg circuit R_Cx for every relay its
 pair shard touches, measuring most legs W times and burning O(W·n) leg
 circuits where the Ting decomposition needs exactly n.
 
-The engine therefore runs two **rounds** over one work-stealing pool —
-one round function, called twice:
+The engine therefore runs two **rounds** on one work-stealing pool —
+one pool, two phases, the leg caches broadcast at its barrier:
 
 1. **Leg round.** The pair-touched fingerprints (all relays for an
    all-pairs campaign; only the relays the pair list references for a
@@ -19,29 +19,31 @@ one round function, called twice:
    :meth:`~repro.core.parallel.ParallelCampaign.run_legs` under the same
    task isolation as everything else, so every needed relay's R_Cx is
    measured exactly once, by whichever worker drew it. Each chunk ships
-   its estimates and failures home; the parent folds them, in campaign
-   order, into the read-only caches the pair round inherits — via fork
-   copy-on-write, never re-pickled. The round reports as *one*
-   :data:`LEG_PHASE` result (counters summed over its workers), and leg
-   provenance is attributed to the round itself (``shard=None``), not to
-   whichever worker measured the leg.
+   its estimates and failures home; the workers park at the pool's
+   barrier while the parent folds them, in campaign order, into the two
+   leg caches, which it ships, pickled once, to every worker. The round
+   reports as *one* :data:`LEG_PHASE` result (counters summed over its
+   workers), and leg provenance is attributed to the round itself
+   (``shard=None``), not to whichever worker measured the leg.
 
 2. **Pair round.** The pair list is cut into contiguous chunks of
-   ``steal_chunk_pairs`` and preloaded onto one shared task queue,
-   followed by one ``None`` sentinel per worker. Workers *steal* chunks
-   as they finish rather than receiving a static round-robin stripe, so
-   a slow worker (noisy neighbour, unlucky relay cluster) holds at most
-   one chunk hostage instead of 1/W of the campaign. Each finished
-   chunk's entries ship home immediately as a ``chunk`` message —
-   batched incremental results instead of one big end-of-life pickle —
-   and the worker's final :class:`ShardResult` carries only the totals.
+   ``steal_chunk_pairs`` and put on the pool's task queue after the
+   caches, followed by one ``None`` sentinel per worker. The same
+   workers *steal* chunks as they finish rather than receiving a static
+   round-robin stripe, so a slow worker (noisy neighbour, unlucky relay
+   cluster) holds at most one chunk hostage instead of 1/W of the
+   campaign. Each finished chunk's entries ship home immediately as a
+   ``chunk`` message — batched incremental results instead of one big
+   end-of-life pickle — and the worker's final :class:`ShardResult`
+   carries only the totals.
 
-Both rounds fork, place, steal, collect and notice death through the
-one pool in :mod:`repro.util.cpus` (:func:`~repro.util.cpus.run_pool`),
-the same one :meth:`~repro.serve.server.QueryServer.batch` uses. Every
-forked worker, in either round, first binds itself to its own share of
-the parent's CPU mask: left alone, the kernel keeps both children of a
-fork on the CPU they were born on and the second core idles. Stealing
+A run forks once: the pool in :mod:`repro.util.cpus`
+(:func:`~repro.util.cpus.run_pool`, the one
+:meth:`~repro.serve.server.QueryServer.batch` uses) forks as many
+children as the wider round has workers and runs each round on the
+first of them. Every forked worker first binds itself to its own share
+of the parent's CPU mask: left alone, the kernel keeps both children of
+a fork on the CPU they were born on and the second core idles. Stealing
 is what makes a fixed placement safe — a worker on a busy CPU simply
 claims fewer chunks.
 
@@ -93,7 +95,9 @@ stalling the campaign.
 Independently of telemetry, the pool notices a worker the OS killed
 within a short grace, and ``worker_timeout_s`` bounds each round: a
 worker still grinding past the deadline fails the campaign naming the
-round and the worker — both work with ``observe=False``.
+round and the worker — both work with ``observe=False``. Every clock
+restarts at the barrier, and a worker parked there is in neither
+round, so waiting out a leg-round straggler is not silence.
 
 World lifecycle
 ---------------
@@ -127,7 +131,7 @@ from repro.obs import (
 )
 from repro.obs.spans import CAMPAIGN_SPAN
 from repro.tor.directory import RelayDescriptor
-from repro.util.cpus import WorkerSilence, run_pool
+from repro.util.cpus import Phase, WorkerSilence, run_pool
 # Bound to a module-level name so tests can stand in another core count.
 from repro.util.cpus import schedulable_cpu_count as _schedulable_cpus
 from repro.util.errors import MeasurementError
@@ -426,7 +430,7 @@ class _WorkerJob:
     """Everything one worker needs, inherited over fork (not pickled):
     the parent-built testbed, the campaign's relay descriptors (in node
     order, built once before the fork), and — for the pair round — the
-    leg round's read-only estimate/failure caches."""
+    leg caches the pool's barrier fills."""
 
     testbed: Any
     descriptors: list[RelayDescriptor]
@@ -454,6 +458,14 @@ class _WorkerJob:
         if self.round == LEG_ROUND:
             return f"leg round worker {self.worker}"
         return f"shard {self.worker} worker"
+
+
+#: The counters a worker sums over its chunks' reports into its
+#: :class:`ShardResult`, field for field.
+_CHUNK_TOTALS = (
+    "pairs_attempted", "probes_sent", "probes_saved", "early_stops",
+    "legs_measured", "makespan_ms",
+)
 
 
 def _run_worker(
@@ -521,15 +533,7 @@ def _run_worker(
         leg_estimates=job.leg_estimates,
         leg_failures=job.leg_failures,
     )
-    totals = {
-        "pairs_attempted": 0,
-        "probes_sent": 0,
-        "probes_saved": 0,
-        "early_stops": 0,
-        "legs_measured": 0,
-        "chunks": 0,
-        "makespan_ms": 0.0,
-    }
+    totals = {"chunks": 0, **dict.fromkeys(_CHUNK_TOTALS, 0), "makespan_ms": 0.0}
     try:
         if host.events.enabled:
             host.events.info("shard", "worker_started", worker=job.shard_index)
@@ -562,13 +566,9 @@ def _run_worker(
                     )
                 entries = list(chunk.matrix.measured_pairs())
                 failures = list(chunk.failures)
-            totals["pairs_attempted"] += chunk.pairs_attempted
-            totals["probes_sent"] += chunk.probes_sent
-            totals["probes_saved"] += chunk.probes_saved
-            totals["early_stops"] += chunk.early_stops
-            totals["legs_measured"] += chunk.legs_measured
+            for key in _CHUNK_TOTALS:
+                totals[key] += getattr(chunk, key)
             totals["chunks"] += 1
-            totals["makespan_ms"] += chunk.makespan_ms
             send(
                 (
                     "chunk",
@@ -601,17 +601,11 @@ def _run_worker(
         shard_index=job.shard_index,
         entries=[],
         failures=[],
-        pairs_attempted=totals["pairs_attempted"],
         events_processed=testbed.sim.events_processed - events_start,
         cells_processed=_testbed_cells(testbed) - cells_start,
-        makespan_ms=totals["makespan_ms"],
         wall_s=time.perf_counter() - started,
         cpu_s=time.process_time() - cpu_started,
-        probes_sent=totals["probes_sent"],
-        probes_saved=totals["probes_saved"],
-        early_stops=totals["early_stops"],
-        legs_measured=totals["legs_measured"],
-        chunks=totals["chunks"],
+        **totals,
         **(
             {name: getattr(host, name).snapshot() for name in _SINKS}
             if job.observe
@@ -620,16 +614,20 @@ def _run_worker(
     )
 
 
-def _absorb_chunks(result: ShardResult, payloads: list[dict]) -> None:
-    """Fold a worker's streamed chunk payloads back into its result.
+def _absorb_chunks(results: list[ShardResult], payloads: list) -> list[ShardResult]:
+    """Fold each worker's streamed chunk payloads back into its result,
+    emptying ``payloads`` for the next round.
 
     Chunks are re-sorted by chunk id so the entry order is deterministic
     regardless of steal order; the values themselves are steal-order
     independent already (task isolation).
     """
-    for payload in sorted(payloads, key=lambda p: p["chunk"]):
-        result.entries.extend(tuple(entry) for entry in payload["entries"])
-        result.failures.extend(tuple(item) for item in payload["failures"])
+    for result, mine in zip(results, payloads):
+        for payload in sorted(mine, key=lambda p: p["chunk"]):
+            result.entries.extend(tuple(entry) for entry in payload["entries"])
+            result.failures.extend(tuple(item) for item in payload["failures"])
+        mine.clear()
+    return results
 
 
 class ShardedCampaign:
@@ -760,17 +758,16 @@ class ShardedCampaign:
         return forked
 
     def run(self) -> ShardedReport:
-        """Steal every leg chunk, then every pair chunk; merge the results."""
+        """Steal every leg chunk, then every pair chunk, on one pool; merge."""
         global _kept
         started = time.perf_counter()
         monitor = None
         if self.telemetry is not None:
             monitor = _ShardMonitor(self.telemetry, len(self.pairs))
-        leg_chunks, pair_chunks = self.leg_chunks(), self.pair_chunks()
-        leg_forks = self._forked_workers(len(leg_chunks))
-        pair_forks = self._forked_workers(len(pair_chunks))
-        # Only a run that is to fork both rounds may take or keep a world.
-        recipe = _recipe(self.factory) if min(leg_forks, pair_forks) > 1 else None
+        chunks = (self.leg_chunks(), self.pair_chunks())
+        forks = list(map(self._forked_workers, map(len, chunks)))
+        # Only a run that is to fork may take or keep a world.
+        recipe = _recipe(self.factory) if max(forks) > 1 else None
         testbed = None if recipe is None else _take(recipe)
         build_s = 0.0
         if testbed is None:
@@ -787,23 +784,12 @@ class ShardedCampaign:
         # Built once, before any fork: every worker of both rounds
         # shares this list instead of each walking all relays again.
         descriptors = [by_fp[fp].descriptor() for fp in self.fingerprints]
-        round_started = time.perf_counter()
-        sim_started = testbed.sim.campaign_ms
-        leg_results, leg_here = self._run_round(
-            LEG_ROUND, leg_chunks, leg_forks, testbed, descriptors, monitor, {}, {}
-        )
-        leg_result, leg_estimates, leg_failures = self._fold_leg_round(
-            leg_results, time.perf_counter() - round_started, sim_started
-        )
-        results, pair_here = self._run_round(
-            PAIR_ROUND, pair_chunks, pair_forks, testbed, descriptors, monitor,
-            leg_estimates, leg_failures,
+        leg_result, results, ran_here = self._run_rounds(
+            chunks, forks, testbed, descriptors, monitor
         )
         report = self._merge(results, leg_result)
         report.build_s = build_s
-        if recipe is not None and not (leg_here or pair_here) and (
-            _witness(testbed) == witness
-        ):
+        if recipe is not None and not ran_here and _witness(testbed) == witness:
             _kept = (recipe, testbed)  # no task ran on it here: still pristine
         if monitor is not None:
             report.stream = self.telemetry.bus
@@ -813,51 +799,51 @@ class ShardedCampaign:
 
     # ------------------------------------------------------------------
 
-    def _run_round(
+    def _run_rounds(
         self,
-        kind: str,
-        chunks: list[tuple[int, list]],
-        forked: int,
+        chunks: tuple[list[tuple[int, list]], list[tuple[int, list]]],
+        forks: list[int],
         testbed: Any,
         descriptors: list[RelayDescriptor],
         monitor: _ShardMonitor | None,
-        leg_estimates: dict[str, float],
-        leg_failures: dict[str, str],
-    ) -> tuple[list[ShardResult], bool]:
-        """Run one round — every chunk stolen once — on ``forked`` workers
-        (``_forked_workers``; ≤ 1 runs inline).
+    ) -> tuple[ShardResult, list[ShardResult], bool]:
+        """Both rounds — every chunk of each stolen once — on one pool.
 
-        The same function serves the leg round and the pair round: what
-        differs is what a chunk holds and what its rows mean, and that
-        lives in :func:`_run_worker`. Both go through
-        :func:`~repro.util.cpus.run_pool`, forked (workers steal off one
-        shared queue) or inline (worker *i* runs ``chunks[i::W]`` on the
-        shared testbed, one worker after the other). Chunk messages are
-        kept here by worker slot; heartbeats and events go to the
-        monitor, and the pool's silence failure becomes the monitor's
-        stall error. Returns one result per worker, in worker order, each
-        with its chunks' rows folded back in, and whether any worker ran
-        in this process (on the parent's own world).
+        Forked, ``forks[r]`` children steal round *r*'s chunks; between
+        the rounds they park at the pool's barrier while ``ship`` folds
+        the leg round (:meth:`_fold_leg_round`) and take the leg caches
+        in ``receive``. Inline, worker *i* runs ``chunks[i::W]``. Returns
+        the :data:`LEG_PHASE` result, the pair results in worker order,
+        and whether any worker ran on the parent's own world.
         """
-        legs = kind == LEG_ROUND
+        inline = max(forks) <= 1
+        # The pair jobs' caches: filled at the barrier, in each pair worker.
+        caches: tuple[dict[str, float], dict[str, str]] = ({}, {})
         # The inline emulation keeps the full logical worker fleet.
-        n_workers = forked if forked > 1 else max(1, min(self.workers, len(chunks)))
-        jobs = [
-            _WorkerJob(
-                testbed=testbed,
-                descriptors=descriptors,
-                policy=self.policy,
-                round=kind,
-                worker=worker,
-                shard_index=LEG_PHASE if legs else worker,
-                observe=self.observe,
-                leg_estimates=leg_estimates,
-                leg_failures=leg_failures,
-                telemetry=self.telemetry,
-            )
-            for worker in range(n_workers)
+        sizes = [
+            max(1, min(self.workers, len(round_chunks))) if inline else forked
+            for round_chunks, forked in zip(chunks, forks)
         ]
-        payloads: list[list[dict]] = [[] for _ in jobs]
+        jobs: list[list[_WorkerJob]] = []
+        for kind, n_workers, (estimates, failures) in zip(
+            (LEG_ROUND, PAIR_ROUND), sizes, (({}, {}), caches)
+        ):
+            jobs.append([
+                _WorkerJob(
+                    testbed=testbed,
+                    descriptors=descriptors,
+                    policy=self.policy,
+                    round=kind,
+                    worker=worker,
+                    shard_index=LEG_PHASE if kind == LEG_ROUND else worker,
+                    observe=self.observe,
+                    leg_estimates=estimates,
+                    leg_failures=failures,
+                    telemetry=self.telemetry,
+                )
+                for worker in range(n_workers)
+            ])
+        payloads: list[list[dict]] = [[] for _ in range(max(map(len, jobs)))]
 
         def on_message(msg: tuple) -> None:
             if msg[0] == "chunk":
@@ -865,30 +851,46 @@ class ShardedCampaign:
             elif monitor is not None:
                 monitor.handle(msg)
 
+        def ship(results: list[ShardResult]) -> list[dict]:
+            nonlocal leg_result
+            wall_s = time.perf_counter() - round_started
+            leg_result, *found = self._fold_leg_round(
+                _absorb_chunks(results, payloads), wall_s, sim_started
+            )
+            return found
+
+        def receive(found: list[dict]) -> None:
+            for cache, values in zip(caches, found):
+                cache.update(values)
+
         silence_s = None
         if monitor is not None:
             silence_s = self.telemetry.stall_timeout_s
-            for job in jobs:
+            for job in jobs[0] + jobs[1]:
                 monitor.recorders.setdefault(
                     job.shard_index, FlightRecorder(capacity=RING_CAPACITY)
                 )
+        leg_result = None
+        round_started, sim_started = time.perf_counter(), testbed.sim.campaign_ms
         try:
             results = run_pool(
-                jobs,
-                [job.name for job in jobs],
+                jobs[0],
+                [job.name for job in jobs[0]],
                 _run_worker,
-                tasks=chunks,
+                tasks=chunks[0],
                 on_message=on_message,
                 silence_s=silence_s,
                 deadline_s=self.worker_timeout_s,
-                inline=forked <= 1,
+                inline=inline,
+                then=Phase(
+                    jobs[1], [job.name for job in jobs[1]], chunks[1], ship, receive
+                ),
             )
         except WorkerSilence as silence:
-            shard = jobs[silence.slot].shard_index
+            shard = jobs[silence.phase][silence.slot].shard_index
             raise monitor.stall_error(shard, silence.slot, silence.age_s) from silence
-        for result, chunk_payloads in zip(results, payloads):
-            _absorb_chunks(result, chunk_payloads)
-        return results, forked <= 1 or any(job.ran_here for job in jobs)
+        ran_here = inline or any(job.ran_here for job in jobs[0] + jobs[1])
+        return leg_result, _absorb_chunks(results, payloads), ran_here
 
     def _fold_leg_round(
         self, results: list[ShardResult], wall_s: float, sim_started: float
@@ -899,7 +901,7 @@ class ShardedCampaign:
         Counters sum; ``makespan_ms`` is the slowest worker's simulated
         time; ``wall_s`` is the round's wall, not a worker's.
         Observability snapshots merge in worker order. The caches come
-        back in campaign order, so what the pair round inherits does
+        back in campaign order, so what the pair round receives does
         not depend on who measured which leg.
         """
         measured = {fp: rtt for result in results for fp, rtt in result.entries}

@@ -4,25 +4,26 @@ A forked child inherits its parent's affinity mask *and* the CPU the
 parent was running on, and the kernel is in no hurry to migrate it: two
 CPU-bound children of one parent can share a core for their whole life
 while the next core idles (CPU time = ½ wall in each). The fork-based
-pools in this repo (:class:`~repro.core.shard.ShardedCampaign`'s leg and
-pair rounds, :meth:`~repro.serve.server.QueryServer.batch`) therefore
-deal the parent's mask out among their workers, one disjoint share
-each, and the child binds itself to its share first thing. Both pools
-hand work out dynamically or in equal slices of one batch, so a fixed
-placement costs nothing: a worker on a busy CPU simply claims fewer
-chunks.
+pools in this repo (:class:`~repro.core.shard.ShardedCampaign`'s run,
+:meth:`~repro.serve.server.QueryServer.batch`) therefore deal the
+parent's mask out among their workers, one disjoint share each, and the
+child binds itself to its share first thing. Both pools hand work out
+dynamically or in equal slices of one batch, so a fixed placement costs
+nothing: a worker on a busy CPU simply claims fewer chunks.
 
 They are one pool: :func:`run_pool` forks, places, collects and notices
-death for all three callers, so a worker failure reads the same
-whichever of them it hit — ``"<name> failed: …"``, ``"<name> died
-without a result (exit code N)"`` or ``"<name> exceeded the Ns deadline
-…"``, each a :class:`~repro.util.errors.MeasurementError` that
+death for both callers, so a worker failure reads the same whichever of
+them it hit — ``"<name> failed: …"``, ``"<name> died without a result
+(exit code N)"`` or ``"<name> exceeded the Ns deadline …"``, each a
+:class:`~repro.util.errors.MeasurementError` that
 :func:`~repro.util.errors.categorize_failure` files under ``shard``.
-Every message carries its sender's slot second, so the pool alone keeps
-the one silence clock, per worker: ``silence_s`` fails a pending worker
-that sent nothing for that long with a :class:`WorkerSilence`.
-:func:`_pool_child` is the child's entry and the one seam tests inject
-worker faults at.
+A pool may run a second :class:`Phase` on the same children, past a
+barrier. Every message carries its sender's slot second, so the pool
+alone keeps the one silence clock, per worker and per phase (a child
+parked at the barrier is in neither): ``silence_s`` fails a pending
+worker that sent nothing for that long with a :class:`WorkerSilence`.
+:func:`_pool_child` is the child's entry into each phase and the one
+seam tests inject worker faults at.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 import pickle
 import time
 from queue import Empty
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.util.errors import MeasurementError
 
@@ -47,11 +48,23 @@ Work = Callable[[Any, Callable[[], Any], Callable[[tuple], None]], Any]
 
 
 class WorkerSilence(MeasurementError):
-    """Worker ``slot`` sent nothing for ``age_s``, past the pool's ``silence_s``."""
+    """Worker ``slot`` of ``phase`` sent nothing for ``age_s``, past ``silence_s``."""
 
-    def __init__(self, message: str, slot: int, age_s: float) -> None:
+    def __init__(self, message: str, slot: int, age_s: float, phase: int) -> None:
         super().__init__(message)
-        self.slot, self.age_s = slot, age_s
+        self.slot, self.age_s, self.phase = slot, age_s, phase
+
+
+class Phase(NamedTuple):
+    """A second :func:`run_pool` phase on the first phase's children: at
+    the barrier the parent's ``ship(first results)`` crosses, pickled
+    once, to every child's ``receive`` before its ``jobs[slot]`` runs."""
+
+    jobs: Sequence[Any]
+    names: Sequence[str]
+    tasks: Sequence[Any] | None
+    ship: Callable[[list[Any]], Any]
+    receive: Callable[[Any], None]
 
 
 def schedulable_cpus() -> list[int]:
@@ -79,16 +92,17 @@ def worker_cpus(index: int, n_workers: int, cpus: list[int]) -> list[int]:
     return cpus[index::n_workers]
 
 
-def place_worker(index: int, n_workers: int) -> None:
-    """Bind the calling, just-forked worker to its share of the mask.
+def place_worker(index: int, n_workers: int, cpus: list[int] | None = None) -> None:
+    """Bind the calling, just-forked worker to its share of ``cpus`` (its mask).
 
     Call it in the child only: the mask read here is the one inherited
     from the parent, and the parent's own mask is never touched. A
     platform without ``sched_setaffinity``, or a kernel that refuses the
     call, leaves the worker unplaced rather than failing it.
     """
+    share = worker_cpus(index, n_workers, cpus or schedulable_cpus())
     try:
-        os.sched_setaffinity(0, worker_cpus(index, n_workers, schedulable_cpus()))
+        os.sched_setaffinity(0, share)
     except (AttributeError, OSError):
         pass
 
@@ -121,6 +135,31 @@ def _pool_child(
         send(("error", index, f"{type(exc).__name__}: {exc}"))
 
 
+def _pool_phases(
+    index: int, phases: list, work: Work, channel: Any, barrier: Any, then: Any
+) -> None:
+    """Forked child ``index``: its job of each phase, the barrier between.
+
+    A later phase waits at the barrier before any job of it can claim a
+    task, restores the inherited mask for :func:`_pool_child` to deal
+    out afresh, and takes the shipment inside the seam's ``try``.
+    """
+
+    def received(job: Any, next_task: Any, send: Any) -> Any:
+        then.receive(pickle.loads(shipped))
+        return work(job, next_task, send)
+
+    inherited, shipped = schedulable_cpus(), b""
+    for phase, (jobs, names, next_task) in enumerate(phases):
+        if index < len(jobs):
+            if phase:
+                shipped = barrier.get()
+                place_worker(0, 1, inherited)
+            run = received if phase else work
+            job = jobs[index]
+            _pool_child(names[index], index, len(jobs), run, job, next_task, channel)
+
+
 def _ignore(msg: tuple) -> None:
     pass
 
@@ -138,6 +177,7 @@ def run_pool(
     silence_s: float | None = None,
     deadline_s: float | None = None,
     inline: bool = False,
+    then: Phase | None = None,
 ) -> list[Any]:
     """Run ``work(job, next_task, send)`` once per job; results in job order.
 
@@ -150,11 +190,13 @@ def run_pool(
     ``error`` by it and hands every other message, in arrival order, to
     ``on_message``. Between messages it checks, every :data:`POLL_S`,
     for a pending worker dead past :data:`DEATH_GRACE_S`, for
-    ``deadline_s`` (wall seconds since the fork) and for a pending
-    worker silent for ``silence_s`` (since its fork or its last
-    message), which raises :class:`WorkerSilence`. ``names[i]`` is how
-    failures name worker ``i``. Whatever happens, live children are
-    terminated before they are joined.
+    ``deadline_s`` (wall seconds since the phase began) and for a
+    pending worker silent for ``silence_s`` (since the phase began or
+    its last message), which raises :class:`WorkerSilence`. ``names[i]``
+    is how failures name worker ``i``. Whatever happens, live children
+    are terminated before they are joined. With ``then`` the same
+    ``max(len(jobs), len(then.jobs))`` children run both phases, and
+    the result is the second phase's.
 
     ``inline=True``, or a platform without fork, runs the same ``work``
     in this process, one job after the other, with the deterministic
@@ -166,49 +208,55 @@ def run_pool(
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # platform without fork
             inline = True
+    phases = [(jobs, names, tasks)]
+    if then is not None:
+        phases.append((then.jobs, then.names, then.tasks))
+    results: list[Any] = []
     if inline:
-        deal = list(tasks or ())
-        return [
-            work(job, iter([*deal[i :: len(jobs)], None]).__next__, on_message)
-            for i, job in enumerate(jobs)
-        ]
+        for phase, (phase_jobs, _, phase_tasks) in enumerate(phases):
+            if phase:
+                then.receive(then.ship(results))
+            deal, n = list(phase_tasks or ()), len(phase_jobs)
+            results = [
+                work(job, iter([*deal[i::n], None]).__next__, on_message)
+                for i, job in enumerate(phase_jobs)
+            ]
+        return results
     channel = ctx.Queue()
-    queue = None
-    next_task: Callable[[], Any] = _no_task
-    if tasks is not None:
-        queue = ctx.Queue()
-        for task in [*tasks, *(None for _ in jobs)]:
-            queue.put(task)
-        next_task = queue.get
+    queue = ctx.Queue() if any(phase[2] is not None for phase in phases) else None
+    barrier = ctx.Queue() if then is not None else None
+    child_phases = [
+        (phase_jobs, phase_names, _no_task if phase_tasks is None else queue.get)
+        for phase_jobs, phase_names, phase_tasks in phases
+    ]
     procs = [
         ctx.Process(
-            target=_pool_child,
-            args=(names[i], i, len(jobs), work, job, next_task, channel),
+            target=_pool_phases,
+            args=(i, child_phases, work, channel, barrier, then),
             daemon=True,
         )
-        for i, job in enumerate(jobs)
+        for i in range(max(len(phase_jobs) for phase_jobs, _, _ in phases))
     ]
-    results: dict[int, Any] = {}
-    pending = set(range(len(jobs)))
-    heard: dict[int, float] = {}
 
-    def route(pickled: bytes) -> None:
-        msg = pickle.loads(pickled)
-        kind, index = msg[0], msg[1]
-        heard[index] = time.monotonic()
-        if kind == "result":
-            results[index] = msg[2]
-            pending.discard(index)
-        elif kind == "error":
-            raise MeasurementError(f"{names[index]} failed: {msg[2]}")
-        else:
-            on_message(msg)
-
-    dead_since: dict[int, float] = {}
-    try:
-        for proc in procs:
-            proc.start()
+    def collect(phase: int, names: Sequence[str]) -> list[Any]:
+        results: dict[int, Any] = {}
+        pending = set(range(len(names)))
+        heard: dict[int, float] = {}
+        dead_since: dict[int, float] = {}
         started = time.monotonic()
+
+        def route(pickled: bytes) -> None:
+            msg = pickle.loads(pickled)
+            kind, index = msg[0], msg[1]
+            heard[index] = time.monotonic()
+            if kind == "result":
+                results[index] = msg[2]
+                pending.discard(index)
+            elif kind == "error":
+                raise MeasurementError(f"{names[index]} failed: {msg[2]}")
+            else:
+                on_message(msg)
+
         while pending:
             now = time.monotonic()
             # A worker the OS killed never sends anything again: notice
@@ -235,6 +283,7 @@ def run_pool(
                         f"between messages ({age:.1f}s silent)",
                         i,
                         age,
+                        phase,
                     )
             try:
                 route(channel.get(timeout=POLL_S))
@@ -246,6 +295,20 @@ def run_pool(
                 route(channel.get_nowait())
             except Empty:
                 break
+        return [results[i] for i in range(len(names))]
+
+    try:
+        for proc in procs:
+            proc.start()
+        for phase, (phase_jobs, phase_names, phase_tasks) in enumerate(phases):
+            if phase:
+                shipped = pickle.dumps(then.ship(results), pickle.HIGHEST_PROTOCOL)
+                for _ in procs:
+                    barrier.put(shipped)
+            if phase_tasks is not None:
+                for task in [*phase_tasks, *(None for _ in phase_jobs)]:
+                    queue.put(task)
+            results = collect(phase, phase_names)
     finally:
         for proc in procs:
             if proc.is_alive():
@@ -253,8 +316,9 @@ def run_pool(
         for proc in procs:
             if proc.pid is not None:  # a start that failed part-way
                 proc.join(timeout=1.0)
-        if queue is not None:
-            queue.cancel_join_thread()
-            queue.close()
+        for pipe in (queue, barrier):
+            if pipe is not None:
+                pipe.cancel_join_thread()
+                pipe.close()
         channel.close()
-    return [results[i] for i in range(len(jobs))]
+    return results

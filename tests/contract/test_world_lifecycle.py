@@ -246,10 +246,10 @@ def test_a_round_with_no_chunks_keeps_nothing(fingerprints):
 
 @pytest.mark.parametrize("moved", ["events", "cells"])
 def test_a_world_whose_counts_moved_is_not_kept(moved, fingerprints, monkeypatch):
-    real = ShardedCampaign._run_round
+    real = ShardedCampaign._run_rounds
 
-    def touched(self, kind, chunks, forked, testbed, *rest):
-        result = real(self, kind, chunks, forked, testbed, *rest)
+    def touched(self, rounds, forks, testbed, *rest):
+        result = real(self, rounds, forks, testbed, *rest)
         # What a task run on the parent's world would leave behind.
         if moved == "events":
             testbed.sim.schedule(0.0, lambda: None)
@@ -258,7 +258,7 @@ def test_a_world_whose_counts_moved_is_not_kept(moved, fingerprints, monkeypatch
             testbed.relays[0].cells_processed += 1
         return result
 
-    monkeypatch.setattr(ShardedCampaign, "_run_round", touched)
+    monkeypatch.setattr(ShardedCampaign, "_run_rounds", touched)
     _campaign(_factory(), fingerprints).run()
     assert shard._kept is None
 

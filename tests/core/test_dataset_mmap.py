@@ -413,13 +413,19 @@ class TestDamagedLegacyJson:
             {"x": "a", "y": "b", "status": None},
             {"x": "a", "y": "b", "samples_kept": 1e300},
             {"x": "a", "y": "b", "shard": 2**40},
+            {"x": "a", "y": "b", "status": True},
+            {"x": "a", "y": "b", "stop_reason": 1e300},
+            {"x": "a", "y": "b", "reason": [1.0]},
         ],
-        ids=["null_status", "huge_count", "huge_shard"],
+        ids=["null_status", "huge_count", "huge_shard", "bool_status",
+             "number_stop_reason", "list_reason"],
     )
     def test_a_record_no_campaign_writes_raises(self, record):
         # Was: a null status loaded, then read back as a raw IndexError
         # (or as another row's category); a count or shard past int32
-        # escaped load as a raw OverflowError.
+        # escaped load as a raw OverflowError; a category or reason that
+        # is no string loaded as itself and came back from a save as its
+        # repr ("True", "1e+300", "['1.0']").
         text = f'{_CAMPAIGN_HEAD}, "provenance": [{json.dumps(record)}]}}'
         with pytest.raises(MeasurementError, match="malformed provenance"):
             CampaignDataset.from_json(text)

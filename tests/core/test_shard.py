@@ -207,14 +207,14 @@ class TestChunkPartitioning:
         forked = []
         real_pool = shard_mod.run_pool
 
-        def spy(jobs, *args, inline=False, **kwargs):
+        def spy(jobs, *args, inline=False, then=None, **kwargs):
             if not inline:
-                forked.append(len(jobs))
-            return real_pool(jobs, *args, inline=inline, **kwargs)
+                forked.append(max(len(jobs), len(then.jobs)))
+            return real_pool(jobs, *args, inline=inline, then=then, **kwargs)
 
         monkeypatch.setattr(shard_mod, "run_pool", spy)
         report = campaign.run()
-        assert forked == [2, 2]  # the leg round, then the pair round
+        assert forked == [2]  # one pool of 2 for the leg round and the pair round
         assert len(report.shards) == 2
         assert report.matrix.is_complete
 

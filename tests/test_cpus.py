@@ -5,7 +5,8 @@ import os
 import pytest
 
 from repro.util import cpus as cpus_mod
-from repro.util.cpus import place_worker, schedulable_cpus, worker_cpus
+from repro.util.cpus import Phase, place_worker, run_pool, schedulable_cpus, worker_cpus
+from repro.util.errors import MeasurementError
 
 MASKS = ([3], [0, 1], [1, 2, 4, 6, 7])
 
@@ -47,3 +48,46 @@ def test_place_worker_survives_a_missing_or_refused_call(monkeypatch):
     place_worker(0, 2)
     monkeypatch.delattr(os, "sched_setaffinity")
     place_worker(0, 2)
+
+
+def _own_cpus(job, next_task, send):
+    return sorted(os.sched_getaffinity(0))
+
+
+def _names(round_, n):
+    return [f"{round_} worker {i}" for i in range(n)]
+
+
+@pytest.mark.parametrize("n_first, n_second", [(2, 2), (2, 4), (4, 2), (3, 2)])
+def test_each_phase_deals_out_the_parents_whole_mask(monkeypatch, n_first, n_second):
+    # A 4-CPU mask, one per process: a forked child inherits the stubs
+    # and binds only its own copy.
+    mask = {0, 1, 2, 3}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask))
+    monkeypatch.setattr(
+        os, "sched_setaffinity", lambda pid, cpus: (mask.clear(), mask.update(cpus))
+    )
+    first: list = []
+    second = run_pool(
+        range(n_first), _names("first", n_first), _own_cpus,
+        then=Phase(
+            range(n_second), _names("second", n_second), None, first.extend,
+            lambda shipped: None,
+        ),
+    )
+    for shares in (first, second):
+        # Disjoint shares that together cover the parent's mask, in the
+        # second phase as in the first.
+        assert sorted(cpu for share in shares for cpu in share) == [0, 1, 2, 3]
+    assert mask == {0, 1, 2, 3}, "the parent's mask moved"
+
+
+def test_a_failure_at_the_barrier_names_the_second_phases_worker():
+    def refuse(shipped):
+        raise ValueError("bad shipment")
+
+    with pytest.raises(MeasurementError, match="^second worker 0 failed: ValueError"):
+        run_pool(
+            [0], _names("first", 1), _own_cpus,
+            then=Phase([0], _names("second", 1), None, list, refuse),
+        )
