@@ -3,7 +3,7 @@
 # benchmark smoke run. Run from the repository root:
 #
 #   scripts/ci.sh            # everything
-#   scripts/ci.sh --fast     # tier-1 only (skip benchguards + bench smoke)
+#   scripts/ci.sh --fast     # tier-1 only (skip mutants, benchguards + bench smoke)
 #
 # REPRO_SCALE scales the benchguard workloads as usual.
 
@@ -283,10 +283,11 @@ echo "== task purity =="
 # clock restarted at zero, draws keyed by (root seed, entity, task key),
 # its own connections torn down by itself. The contract that holds the
 # sharded engine to it with == (no tolerance, no rounding) across forked
-# workers, the inline emulation and one worker, and the draw source to
-# the rule it states — on its own, as above: a task that leaks into the
-# next is reported as that. Then the benchmark's pipeline world at the
-# seed that used to violate it (6) and at 47, printed.
+# workers, the inline emulation, one worker and an unsharded isolated
+# campaign — the sharded engine's one invariance check —, and the draw
+# source to the rule it states — on its own, as above: a task that leaks
+# into the next is reported as that. Then the benchmark's pipeline world
+# at the seed that used to violate it (6) and at 47, printed.
 python -m pytest tests/contract/test_task_purity.py -x -q
 python - <<'PY'
 import functools
@@ -689,9 +690,21 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 if [[ "$fast" == "1" ]]; then
-    echo "== fast mode: skipping benchguards and bench smoke =="
+    echo "== fast mode: skipping mutants, benchguards and bench smoke =="
     exit 0
 fi
+
+echo "== mutants =="
+# The mutation ledger (scripts/mutants.py): each one-line mutant applied
+# to a copy of this tree, never to the tree itself, then tests/contract/,
+# the shard test files and tests/obs/test_health.py under a no-shrink
+# Hypothesis profile, each run capped at the script's CAP_S. Printed per
+# mutant: the verdict, the seconds and the first test that killed it,
+# then the totals. Fails on a survivor, a timeout, or a mutant whose
+# text no longer occurs exactly once in its file: restate a stale
+# mutant, and answer a survivor with a test or by deleting the code it
+# shows nothing needs — never by deleting the mutant.
+python scripts/mutants.py .
 
 echo "== hot-path benchguards =="
 # Includes the null-observability and null-event-bus overhead guards:

@@ -525,11 +525,13 @@ _RECORDS = (("pair", PairProvenance, _PAIR_SPEC), ("leg", LegProvenance, _LEG_SP
 
 def _from_legacy(record: type, spec: tuple[tuple[str, type, str], ...], data: Any) -> Any:
     """One record of a legacy JSON document: an absent field takes the
-    record's default, and a number is coerced to its default's type
-    (counts ``int``, ``duration_ms`` ``float``). A node id that is no
-    ``str`` raises :class:`MeasurementError`; anything else malformed (no
-    object, no node id, a null ``status``, text that is no ``str``, no
-    number) raises what :meth:`ProvenanceLog.from_list` turns into one."""
+    record's default. A count or a shard is a JSON integer, any other
+    number an integer or a float (``duration_ms`` becomes a ``float``);
+    a bool or a string is neither. A node id that is no ``str`` raises
+    :class:`MeasurementError`; anything else malformed (no object, no
+    node id, a null ``status``, text that is no ``str``, no number where
+    one belongs) raises what :meth:`ProvenanceLog.from_list` turns into
+    one."""
     if not isinstance(data, dict):
         raise TypeError(f"a provenance record is an object, not {type(data).__name__}")
     kinds = {name: kind for name, _, kind in spec}
@@ -542,6 +544,12 @@ def _from_legacy(record: type, spec: tuple[tuple[str, type, str], ...], data: An
                 raise MeasurementError(f"provenance {name} is not a node id: {value!r}")
         else:
             value = data.get(name, column.default)
+            if kind in (_NUM, _OPT, _SHARD) and value is not None:
+                whole = kind == _SHARD or type(column.default) is int
+                if isinstance(value, bool) or not isinstance(
+                    value, int if whole else (int, float)
+                ):
+                    raise TypeError(f"provenance {name} is not a number: {value!r}")
             if kind == _NUM:
                 value = type(column.default)(value)
             elif kind in (_CAT, None):  # a category, or the free-text reason

@@ -166,7 +166,7 @@ class MeasurementHost:
         self.provenance = ProvenanceLog()
         if not self.events.enabled:
             self.enable_events()
-        self.sim.metrics = registry
+        self.sim.attach_metrics(registry)
         self.proxy.metrics = registry
         self.echo_client.metrics = registry
         self.relay_w.metrics = registry

@@ -124,8 +124,10 @@ class Simulator:
         self._heap_peak = 0
         self.compaction_min_cancelled = self.COMPACTION_MIN_CANCELLED
         #: Observability sinks; no-ops unless a live registry is wired in
-        #: (see ``MeasurementHost.enable_observability``).
+        #: (see :meth:`attach_metrics`).
         self.metrics = NULL_METRICS
+        # Events processed and cancelled before ``metrics`` was attached.
+        self._counted_from = (0, 0)
         self.events = NULL_EVENTS
         #: Called every :data:`BATCH_EVENTS` processed events while the
         #: loop runs — how shard workers pump heartbeats from *inside*
@@ -200,8 +202,17 @@ class Simulator:
 
     @property
     def heap_peak(self) -> int:
-        """The largest heap size observed so far."""
+        """The largest heap size over the simulator's lifetime (what the
+        ``sim.heap_peak`` gauge reports, whenever its registry came)."""
         return self._heap_peak
+
+    def attach_metrics(self, metrics: Any) -> None:
+        """Publish to ``metrics`` from now on. Its ``sim.events_processed``
+        and ``sim.events_cancelled`` gauges count from this call, so a
+        registry reports the events of its own lifetime, not the ones a
+        world ran before it (a forked worker's fresh registry, say)."""
+        self.metrics = metrics
+        self._counted_from = (self._events_processed, self._events_cancelled)
 
     def schedule(
         self,
@@ -468,8 +479,9 @@ class Simulator:
             self._run_until = inf
             metrics = self.metrics
             if metrics.enabled:
-                metrics.set_gauge("sim.events_processed", self._events_processed)
-                metrics.set_gauge("sim.events_cancelled", self._events_cancelled)
+                processed, cancelled = self._counted_from
+                metrics.set_gauge("sim.events_processed", self._events_processed - processed)
+                metrics.set_gauge("sim.events_cancelled", self._events_cancelled - cancelled)
                 metrics.set_gauge("sim.heap_pending", len(self._heap))
                 metrics.max_gauge("sim.heap_peak", self._heap_peak)
                 metrics.set_gauge(

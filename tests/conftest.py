@@ -7,6 +7,7 @@ that mutate simulation state build their own via the factory fixtures.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import signal
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core import shard
 from repro.core.measurement_host import MeasurementHost
+from repro.core.sampling import SamplePolicy
 from repro.netsim.engine import Simulator
 from repro.netsim.latency import LatencyEngine
 from repro.netsim.routing import Router
@@ -72,6 +74,31 @@ def no_kept_world(monkeypatch):
     ``ShardedCampaign.run`` (``repro.core.shard._kept``), so that a
     test's builds and ``build_s`` do not depend on the tests before it."""
     monkeypatch.setattr(shard, "_kept", None)
+
+
+# ----------------------------------------------------------------------
+# The sharded engine's example world
+
+#: What the sharded-engine tests measure with: 14 relays at seed 3, built
+#: by each run from this recipe, 3 samples a circuit.
+SHARD_FACTORY = functools.partial(LiveTorTestbed.build, seed=3, n_relays=14)
+SHARD_POLICY = SamplePolicy(samples=3, interval_ms=2.0)
+
+
+@pytest.fixture(scope="session")
+def fingerprints() -> list[str]:
+    """The five relays of :data:`SHARD_FACTORY`'s world (stream
+    ``shard.sel``) that the sharded-engine tests measure: 10 pairs."""
+    testbed = SHARD_FACTORY()
+    descriptors = testbed.random_relays(5, testbed.streams.get("shard.sel"))
+    return [d.fingerprint for d in descriptors]
+
+
+def shard_campaign(fingerprints, workers=2, **kwargs) -> shard.ShardedCampaign:
+    """A campaign over :data:`SHARD_FACTORY`'s world with
+    :data:`SHARD_POLICY`, two workers unless told otherwise."""
+    return shard.ShardedCampaign(
+        SHARD_FACTORY, fingerprints, policy=SHARD_POLICY, workers=workers, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,12 @@ own connections, so *which* process measures a pair, after which other
 pairs, in chunks of what size, cannot show in anything the task
 produces. This file holds the sharded engine to that with ``==`` — no
 tolerance, no rounding — across forked workers, the in-process
-emulation and a single worker: the matrix, the failures, the event,
-cell and probe counts, the provenance rows. It also holds the draw
-source to the rule it states (a block is a pure function of root seed,
-entity name, isolation context and block number), since everything
-above rests on it.
+emulation, a single worker and an unsharded isolated campaign, in one
+generated differential: the sharded engine's one invariance check (see
+:func:`_outcome` for what it compares). It also holds the draw source
+to the rule it states (a block is a pure function of root seed, entity
+name, isolation context and block number), since everything above
+rests on it.
 
 (The third file of ``tests/contract/``, ROADMAP item 2(b)'s first half.)
 """
@@ -18,17 +19,20 @@ above rests on it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import reference_draw, take_draw as _take
-from hypothesis import given, settings, strategies as st
+from conftest import SHARD_POLICY, reference_draw, take_draw as _take
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.dataset import CampaignDataset, RttMatrix
 from repro.core.parallel import ParallelCampaign
 from repro.core.planner import CampaignPlanner
 from repro.core.sampling import AdaptiveSpec, SamplePolicy
-from repro.core.shard import ShardedCampaign
+from repro.core.shard import LEG_PHASE, CampaignTelemetry, ShardedCampaign
+from repro.obs.health import health_report
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.util.rng import BLOCK_DRAWS, RandomStreams
 
@@ -40,58 +44,221 @@ ADAPTIVE = SamplePolicy(
 )
 
 
-def _outcome(report) -> dict:
-    """Everything of a sharded run that must not depend on how the pair
-    list was cut up (the ``shard`` tag on a provenance row says who
-    measured it, which is the one thing that may)."""
-    return {
+#: The merged registry's counters that no layout may move.
+COUNTERS = (
+    "campaign.pairs_attempted", "campaign.pairs_measured", "campaign.task_isolations",
+    "ting.leg_cache_lookups", "ting.leg_cache_hits", "ting.leg_cache_misses",
+    "echo.probes_sent",
+)
+
+
+def _world(seed: int, n_relays: int, down: str | None):
+    """A world with relay ``down`` (if any) shut down before any round."""
+    testbed = LiveTorTestbed.build(seed=seed, n_relays=n_relays)
+    if down is not None:
+        {relay.fingerprint: relay for relay in testbed.relays}[down].shutdown()
+    return testbed
+
+
+def _campaign_counts(bus) -> list:
+    return sorted(item for item in bus.counts().items() if item[0][0] == "campaign")
+
+
+def _shared(report, events: int, observed) -> dict:
+    """What a sharded run and an unsharded isolated campaign both report;
+    ``observed`` is their ``(registry, bus, provenance)``, or ``None``.
+
+    A layout appends provenance rows in its own order, so the health
+    scorecard leaves out what reads a row's age: the anomalies it lists,
+    the quality percentiles and ``worst`` pairs (their sums, the mean
+    and the counts, stay)."""
+    shared = {
         "matrix": report.matrix.as_array().tobytes(),
         "failures": sorted(report.failures),
-        "events": report.events_processed,
-        "cells": report.cells_processed,
+        "events": events,
         "probes": (
             report.probes_sent, report.probes_saved, report.early_stops,
-            report.legs_measured, report.pairs_attempted, report.pairs_measured,
+            report.pairs_attempted, report.pairs_measured,
         ),
-        "pair_rows": sorted(repr(replace(row, shard=None)) for row in report.provenance),
-        "leg_rows": sorted(
-            repr(replace(leg, shard=None)) for leg in report.provenance.legs()
-        ),
+    }
+    if observed is None:
+        return shared
+    registry, bus, log = observed
+    dataset = CampaignDataset(matrix=RttMatrix(report.matrix.nodes))
+    dataset.absorb(report.matrix, provenance=log)
+    health = health_report(dataset).to_dict()
+    return {
+        **shared,
+        "counters": {name: registry.counter(name) for name in COUNTERS},
+        "bus": _campaign_counts(bus),
+        "pair_rows": sorted(repr(replace(row, shard=None)) for row in log),
+        "leg_rows": sorted(repr(leg) for leg in log.legs()),
+        "health": {
+            **health, "anomalies": health["anomalies"]["counts"],
+            "quality": {**health["quality"], "percentiles": None, "worst": None},
+        },
     }
 
 
-def _sharded(factory, fingerprints, pairs, policy, **kwargs):
-    return ShardedCampaign(
-        factory, fingerprints, policy=policy, pairs=pairs, observe=True, **kwargs
+def _outcome(report, caches) -> dict:
+    """Everything of a sharded run that must not depend on how the pair
+    list was cut up (the ``shard`` tag on a pair's provenance row says
+    who measured it, which is the one thing that may): with the leg
+    caches its pair round was handed, in campaign order, and with live
+    telemetry the progress totals."""
+    observed = None if report.metrics is None else (
+        report.metrics, report.events, report.provenance)
+    outcome = _shared(report, report.events_processed, observed)
+    outcome["cells"] = report.cells_processed
+    outcome["legs"] = (
+        report.leg_phase.shard_index, report.legs_measured,
+        report.leg_phase.legs_measured, max(shard.legs_measured for shard in report.shards),
+    )
+    outcome["caches"] = [list(cache.items()) for cache in caches]
+    if observed is not None:
+        outcome["spans"] = [report.spans.count(name) for name in ("campaign", "leg", "pair")]
+    if report.progress is not None:
+        progress, claims = report.progress, report.progress.shard_progress()
+        outcome["stream"] = _campaign_counts(report.stream)
+        outcome["progress"] = (
+            progress.pairs_done, progress.pairs_total, progress.pairs_failed,
+            progress.probes_sent, progress.probes_saved, progress.in_flight(),
+        )
+        # Who claimed which pairs is the layout's; their sum is not.
+        leg_claims = claims.pop(LEG_PHASE)
+        outcome["claims"] = (leg_claims, tuple(map(sum, zip(*claims.values()))))
+    return outcome
+
+
+def _sharded(factory, fingerprints, pairs, policy, telemetry=False, observe=True, **kwargs):
+    """A sharded run, and the two leg caches its pair round was handed."""
+    campaign = ShardedCampaign(
+        factory, fingerprints, policy=policy, pairs=pairs, observe=observe,
+        telemetry=CampaignTelemetry(heartbeat_s=0.05) if telemetry else None, **kwargs,
+    )
+    fold, caches = campaign._fold_leg_round, []
+
+    def spy(*args):
+        folded, *found = fold(*args)
+        caches.extend(found)
+        return folded, *found
+
+    campaign._fold_leg_round = spy
+    return campaign.run(), caches
+
+
+def _unsharded(factory, fingerprints, pairs, policy) -> dict:
+    """The same campaign run unsharded (one ``ParallelCampaign``), isolated."""
+    testbed = factory()
+    host = testbed.measurement
+    registry = host.enable_observability()
+    by_fp = {relay.fingerprint: relay for relay in testbed.relays}
+    report = ParallelCampaign(
+        host, [by_fp[fp].descriptor() for fp in fingerprints], policy=policy,
+        pairs=pairs, isolation=testbed.task_isolation(),
     ).run()
+    observed = (registry, host.events, host.provenance)
+    return _shared(report, testbed.sim.events_processed, observed)
 
 
 # ----------------------------------------------------------------------
-# Forked == inline == one worker
+# Forked == inline == one worker == unsharded
 
 
 @settings(max_examples=8, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=500),
+    relays=st.integers(min_value=4, max_value=12),
+    budget=st.integers(min_value=1, max_value=14),
     workers=st.integers(min_value=2, max_value=4),
     chunk=st.integers(min_value=1, max_value=9),
     adaptive=st.booleans(),
+    down=st.one_of(st.none(), st.integers(min_value=0, max_value=11)),
+    telemetry=st.booleans(),
+    forked_observes=st.booleans(),
 )
-def test_forked_inline_and_single_worker_runs_are_equal(seed, workers, chunk, adaptive):
-    factory = functools.partial(LiveTorTestbed.build, seed=seed, n_relays=26)
-    fingerprints = [relay.fingerprint for relay in factory().relays][:12]
-    pairs = CampaignPlanner(fingerprints, seed=seed).plan(budget_pairs=14).pairs
+# The layouts worth naming, on five relays (10 pairs) and six:
+# one chunk larger than the pair list (nothing forks);
+@example(seed=3, relays=5, budget=4, workers=2, chunk=9, adaptive=False, down=None,
+         telemetry=False, forked_observes=True)
+# more workers than chunks (2 pair chunks, 1 leg chunk), live telemetry on;
+@example(seed=3, relays=5, budget=10, workers=4, chunk=8, adaptive=False, down=None,
+         telemetry=True, forked_observes=False)
+# a leg round narrower than the pair round (2 leg chunks, 4 pair chunks)
+# with a relay down: its leg fails once, each of its 4 pairs for it;
+@example(seed=3, relays=5, budget=10, workers=4, chunk=3, adaptive=False, down=2,
+         telemetry=False, forked_observes=True)
+# a leg round wider than the pair round (4 leg chunks, 3 pair chunks).
+@example(seed=5, relays=6, budget=3, workers=4, chunk=1, adaptive=False, down=None,
+         telemetry=True, forked_observes=True)
+def test_forked_inline_and_single_worker_runs_are_equal(
+    seed, relays, budget, workers, chunk, adaptive, down, telemetry, forked_observes
+):
+    """The sharded engine's one invariance check. Relay ``down`` is shut
+    down before any round; the forked run observes nothing unless
+    ``forked_observes``, and then must agree on what it does report."""
+    fingerprints = [relay.fingerprint for relay in LiveTorTestbed.build(
+        seed=seed, n_relays=26).relays][:relays]
+    down = None if down is None else fingerprints[down % relays]
+    factory = functools.partial(_world, seed, 26, down)
+    pairs = CampaignPlanner(fingerprints, seed=seed).plan(budget_pairs=budget).pairs
     policy = ADAPTIVE if adaptive else FIXED
-    single = _outcome(_sharded(factory, fingerprints, pairs, policy, workers=1))
-    inline = _sharded(
-        factory, fingerprints, pairs, policy,
-        workers=workers, steal_chunk_pairs=chunk, force_inline=True,
-    )
-    forked = _sharded(
-        factory, fingerprints, pairs, policy, workers=workers, steal_chunk_pairs=chunk
-    )
-    assert _outcome(inline) == single
-    assert _outcome(forked) == single
+    runs = [
+        _sharded(factory, fingerprints, pairs, policy, telemetry, workers=1),
+        _sharded(factory, fingerprints, pairs, policy, telemetry,
+                 workers=workers, steal_chunk_pairs=chunk, force_inline=True),
+        _sharded(factory, fingerprints, pairs, policy, telemetry, forked_observes,
+                 workers=workers, steal_chunk_pairs=chunk),
+    ]
+    single, *others = [_outcome(*run) for run in runs]
+    for outcome in others:
+        assert outcome == {key: single[key] for key in outcome}
+    unsharded = _unsharded(factory, fingerprints, pairs, policy)
+    assert unsharded == {key: single[key] for key in unsharded}
+
+    # What every layout agrees on, held to what it must be.
+    touched = [fp for fp in fingerprints if any(fp in pair for pair in pairs)]
+    counters = single["counters"]
+    assert counters["ting.leg_cache_hits"] + counters["ting.leg_cache_misses"] == (
+        counters["ting.leg_cache_lookups"])
+    assert counters["ting.leg_cache_misses"] == len(touched)  # all in the leg round
+    assert counters["campaign.task_isolations"] == len(touched) + len(pairs)
+    assert single["legs"] == (LEG_PHASE, len(touched), len(touched), 0)
+    assert [[fp for fp, _ in cache] for cache in single["caches"]] == [
+        [fp for fp in touched if fp != down], [fp for fp in touched if fp == down]]
+    assert sum(down in (x, y) for x, y, _ in single["failures"]) == sum(
+        down in pair for pair in pairs)
+    for (report, _), size in zip(runs, (8, chunk, chunk)):
+        assert report.leg_phase.chunks == math.ceil(len(touched) / size)
+    assert {leg.shard for leg in runs[0][0].provenance.legs()} <= {None}
+    if telemetry:
+        assert single["stream"] == single["bus"]
+        assert single["progress"] == (
+            len(pairs), len(pairs), len(single["failures"]), *single["probes"][:2], {})
+        assert single["claims"] == ((0, 0), (len(pairs), len(pairs)))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_the_five_relay_world_in_numbers(fingerprints, workers):
+    """The sharded-engine tests' world (10 pairs), whole and with one
+    relay down, in exact counts at each worker count (forked): one miss
+    per relay, in the leg round; two hits per measured pair; one
+    isolation and 3 probes per task (a leg or a pair); the downed
+    relay's leg fails once, and each of its 4 pairs fails for it."""
+    seen = []
+    for down in (None, fingerprints[2]):
+        factory = functools.partial(_world, 3, 14, down)
+        report, caches = _sharded(factory, fingerprints, None, SHARD_POLICY, workers=workers)
+        seen.append((
+            [report.metrics.counter(name) for name in COUNTERS],
+            len(report.provenance.legs()), list(caches[1]), len(report.failures),
+        ))
+    # COUNTERS: pairs attempted, measured; isolations; leg-cache lookups,
+    # hits, misses; probes sent.
+    assert seen == [
+        ([10, 10, 15, 25, 20, 5, 45], 5, [], 0),
+        ([10, 6, 15, 17, 12, 5, 30], 4, [fingerprints[2]], 4),
+    ]
 
 
 def test_seed_6_the_filed_violation():
@@ -109,11 +276,11 @@ def test_seed_6_the_filed_violation():
     single = _sharded(factory, fingerprints, pairs, FIXED, workers=1)
     inline = _sharded(factory, fingerprints, pairs, FIXED, workers=2, force_inline=True)
     forked = _sharded(factory, fingerprints, pairs, FIXED, workers=2)
-    assert single.pairs_measured == 150
+    assert single[0].pairs_measured == 150
     assert np.array_equal(
-        forked.matrix.as_array(), single.matrix.as_array(), equal_nan=True
+        forked[0].matrix.as_array(), single[0].matrix.as_array(), equal_nan=True
     )
-    assert _outcome(forked) == _outcome(inline) == _outcome(single)
+    assert _outcome(*forked) == _outcome(*inline) == _outcome(*single)
 
 
 # ----------------------------------------------------------------------

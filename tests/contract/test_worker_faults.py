@@ -30,39 +30,25 @@ the deadline is on progress, not on the batch.
 
 from __future__ import annotations
 
-import functools
 import json
 import signal
 import time
 
 import numpy as np
 import pytest
-from conftest import WORKER_FAULTS, WORKER_NAMES, wedge_in_pair, worker_fault
+from conftest import WORKER_FAULTS, WORKER_NAMES, shard_campaign, wedge_in_pair, worker_fault
 
 from repro.core.dataset import RttMatrix
-from repro.core.sampling import SamplePolicy
-from repro.core.shard import CampaignTelemetry, ShardedCampaign
+from repro.core.shard import CampaignTelemetry
 from repro.obs import EventBus, categorize_failure
 from repro.serve import MatrixIndex, QueryServer
 from repro.serve import server as server_mod
-from repro.testbeds.livetor import LiveTorTestbed
 from repro.util.errors import MeasurementError
 
-SEED = 3
-N_RELAYS = 14
-POLICY = SamplePolicy(samples=3, interval_ms=2.0)
-FACTORY = functools.partial(LiveTorTestbed.build, seed=SEED, n_relays=N_RELAYS)
 
 #: Generous CI bound: every fault below must fail well under this.
 FAIL_FAST_S = 30.0
 DEADLINE_S = 2.0
-
-
-@pytest.fixture(scope="module")
-def fingerprints():
-    testbed = FACTORY()
-    descriptors = testbed.random_relays(5, testbed.streams.get("shard.sel"))
-    return [d.fingerprint for d in descriptors]
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +74,7 @@ def _run(site, fingerprints, server, **kwargs):
     """One run of ``site`` with two workers: its matrix, or its answers."""
     if site == "serve":
         return server.batch(_queries(server), workers=2)
-    report = ShardedCampaign(
-        FACTORY, fingerprints, policy=POLICY, workers=2, steal_chunk_pairs=1,
-        **kwargs,
-    ).run()
-    return report.matrix.as_array()
+    return shard_campaign(fingerprints, steal_chunk_pairs=1, **kwargs).run().matrix.as_array()
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +216,36 @@ def test_a_chunk_that_never_arrives_fails_the_merge(fingerprints, monkeypatch):
     lost = r"shard 0 shipped \d+ rows for \d+ pairs attempted"
     with pytest.raises(MeasurementError, match=lost):
         _run("pair round", fingerprints, None)
+
+
+def test_chunks_that_arrive_out_of_order_merge_in_pair_order(fingerprints, monkeypatch):
+    """Whatever order a worker's chunks reach home in, its rows merge in
+    pair-list order: both workers here hold every chunk back and send
+    them last first."""
+
+    def last_first(work):
+        def reordering(job, next_task, send):
+            held = []
+
+            def hold(msg):
+                if msg[0] == "chunk":
+                    held.insert(0, msg)
+                else:
+                    send(msg)
+
+            result = work(job, next_task, hold)
+            for msg in held:
+                send(msg)
+            return result
+
+        return reordering
+
+    for worker in (0, 1):
+        worker_fault(monkeypatch, f"shard {worker} worker", last_first)
+    campaign = shard_campaign(fingerprints, steal_chunk_pairs=1)
+    report = campaign.run()
+    assert report.pairs_measured == 10
+    order = {pair: i for i, pair in enumerate(campaign.pairs)}
+    for shard in report.shards:
+        positions = [order[a, b] for a, b, _ in shard.entries]
+        assert positions == sorted(positions)

@@ -416,16 +416,29 @@ class TestDamagedLegacyJson:
             {"x": "a", "y": "b", "status": True},
             {"x": "a", "y": "b", "stop_reason": 1e300},
             {"x": "a", "y": "b", "reason": [1.0]},
+            {"x": "a", "y": "b", "rtt_ms": "1.5"},
+            {"x": "a", "y": "b", "rtt_ms": True},
+            {"x": "a", "y": "b", "shard": "3"},
+            {"x": "a", "y": "b", "shard": 2.7},
+            {"x": "a", "y": "b", "samples_kept": "7"},
+            {"x": "a", "y": "b", "samples_kept": 7.5},
+            {"x": "a", "y": "b", "samples_kept": True},
+            {"x": "a", "y": "b", "shard": True},
+            {"x": "a", "y": "b", "duration_ms": "2"},
         ],
         ids=["null_status", "huge_count", "huge_shard", "bool_status",
-             "number_stop_reason", "list_reason"],
+             "number_stop_reason", "list_reason", "text_rtt", "bool_rtt",
+             "text_shard", "fractional_shard", "text_count", "fractional_count",
+             "bool_count", "bool_shard", "text_duration"],
     )
     def test_a_record_no_campaign_writes_raises(self, record):
         # Was: a null status loaded, then read back as a raw IndexError
         # (or as another row's category); a count or shard past int32
         # escaped load as a raw OverflowError; a category or reason that
         # is no string loaded as itself and came back from a save as its
-        # repr ("True", "1e+300", "['1.0']").
+        # repr ("True", "1e+300", "['1.0']"); a number given as text or
+        # as a bool, or a fractional shard or count, loaded coerced (1.5,
+        # 1.0, 3, 2, 7, 7, 1, 1, 2.0).
         text = f'{_CAMPAIGN_HEAD}, "provenance": [{json.dumps(record)}]}}'
         with pytest.raises(MeasurementError, match="malformed provenance"):
             CampaignDataset.from_json(text)

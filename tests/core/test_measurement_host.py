@@ -87,6 +87,25 @@ class TestDeployment:
         assert "tor.circuits_built" in registry.snapshot()["counters"]
         assert "sim.heap_compactions" in registry.snapshot()["counters"]
 
+    def test_sim_gauges_count_from_enable_observability(self, mini_world):
+        # A forked worker's fresh registry used to report the events its
+        # world ran before it existed: the lifetime counts.
+        sim = mini_world.sim
+        sim.run_until_idle()
+        before = [sim.schedule(1.0, lambda: None) for _ in range(5)]
+        before[0].cancel()
+        sim.run_until_idle()
+        peak, processed, cancelled = sim.heap_peak, sim.events_processed, sim.events_cancelled
+        registry = mini_world.measurement.enable_observability()
+        after = [sim.schedule(1.0, lambda: None) for _ in range(3)]
+        after[0].cancel()
+        sim.run_until_idle()
+        assert (sim.events_processed, sim.events_cancelled) == (processed + 2, cancelled + 1)
+        assert registry.gauge("sim.events_processed") == 2
+        assert registry.gauge("sim.events_cancelled") == 1
+        # The peak stays the simulator's lifetime peak.
+        assert registry.gauge("sim.heap_peak") == sim.heap_peak >= peak >= 5
+
     def test_refresh_consensus_updates_public_view(self, mini_world):
         m = mini_world.measurement
         newcomer = mini_world.relays[0].descriptor()

@@ -19,32 +19,17 @@ This file holds that shape to what a pool per round gave:
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import time
 from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
-from conftest import WORKER_FAULTS, slow, worker_fault
+from conftest import WORKER_FAULTS, shard_campaign, slow, worker_fault
 
 from repro.core import shard
-from repro.core.sampling import SamplePolicy
 from repro.core.shard import CampaignTelemetry, ShardedCampaign
-from repro.testbeds.livetor import LiveTorTestbed
 from repro.util.errors import MeasurementError
-
-SEED = 3
-N_RELAYS = 14
-POLICY = SamplePolicy(samples=3, interval_ms=2.0)
-FACTORY = functools.partial(LiveTorTestbed.build, seed=SEED, n_relays=N_RELAYS)
-
-
-@pytest.fixture(scope="module")
-def fingerprints():
-    testbed = FACTORY()
-    descriptors = testbed.random_relays(5, testbed.streams.get("shard.sel"))
-    return [d.fingerprint for d in descriptors]
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +38,8 @@ def healthy(fingerprints):
 
 
 def _campaign(fingerprints, **kwargs) -> ShardedCampaign:
-    kwargs.setdefault("workers", 2)
     kwargs.setdefault("steal_chunk_pairs", 1)
-    return ShardedCampaign(FACTORY, fingerprints, policy=POLICY, **kwargs)
+    return shard_campaign(fingerprints, **kwargs)
 
 
 @pytest.fixture

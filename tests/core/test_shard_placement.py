@@ -11,40 +11,21 @@ platform without ``sched_setaffinity`` — or a kernel that refuses it —
 costs nothing but the placement.
 """
 
-import functools
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
-from conftest import WORKER_NAMES, worker_fault
+from conftest import WORKER_NAMES, shard_campaign, worker_fault
 
 from repro.core.dataset import RttMatrix
-from repro.core.sampling import SamplePolicy
-from repro.core.shard import ShardedCampaign
 from repro.serve import MatrixIndex, QueryServer
-from repro.testbeds.livetor import LiveTorTestbed
-
-SEED = 3
-N_RELAYS = 14
-POLICY = SamplePolicy(samples=3, interval_ms=2.0)
-FACTORY = functools.partial(LiveTorTestbed.build, seed=SEED, n_relays=N_RELAYS)
 
 
-@pytest.fixture(scope="module")
-def fingerprints():
-    testbed = FACTORY()
-    descriptors = testbed.random_relays(5, testbed.streams.get("shard.sel"))
-    return [d.fingerprint for d in descriptors]
-
-
-def _campaign(fingerprints, **kwargs):
+def _campaign(fingerprints):
     # Single-item chunks: 5 leg chunks and 10 pair chunks, so both
     # rounds fork two workers (no CPU clamp: a 1-CPU runner forks too).
-    return ShardedCampaign(
-        FACTORY, fingerprints, policy=POLICY, workers=2,
-        steal_chunk_pairs=1, **kwargs,
-    )
+    return shard_campaign(fingerprints, steal_chunk_pairs=1)
 
 
 def _reporting(seen, worker):

@@ -15,11 +15,7 @@ import pytest
 from conftest import slow, worker_fault
 
 from repro.core.sampling import SamplePolicy
-from repro.core.shard import (
-    LEG_PHASE,
-    CampaignTelemetry,
-    ShardedCampaign,
-)
+from repro.core.shard import CampaignTelemetry, ShardedCampaign
 from repro.testbeds.livetor import LiveTorTestbed
 
 SEED = 11
@@ -107,23 +103,6 @@ class TestChaosSlowWorker:
 
 
 class TestStealAccounting:
-    def test_leg_builds_equal_n_across_forked_worker_counts(
-        self, fingerprints
-    ):
-        n = len(fingerprints)
-        for workers in (2, 3):
-            report = ShardedCampaign(
-                FACTORY,
-                fingerprints,
-                policy=POLICY,
-                workers=workers,
-                steal_chunk_pairs=2,
-            ).run()
-            assert report.legs_measured == n
-            assert report.leg_phase is not None
-            assert report.leg_phase.shard_index == LEG_PHASE
-            assert report.leg_phase.legs_measured == n
-
     def test_chunks_ship_incrementally_and_cover_all_pairs(self, uniform):
         # Batched result shipping: every chunk crossed the fork
         # boundary as its own message, and the absorbed entries
@@ -148,29 +127,3 @@ class TestStealAccounting:
         assert len(report.shards) == 3
         assert sum(s.chunks for s in report.shards) == 3
         assert report.matrix.is_complete
-
-
-class TestForkedEqualsInline:
-    def test_forked_two_worker_matrix_equals_force_inline(
-        self, uniform, fingerprints
-    ):
-        """Two forked workers measure what the in-process emulation does.
-
-        The layer ciphers are OpenSSL contexts, and every one is created
-        inside a task — circuits are built per task, after the fork —
-        so a child never continues a keystream its parent (or its
-        sibling) started: a circuit's two ends always live in one
-        process.
-        """
-        inline = ShardedCampaign(
-            FACTORY,
-            fingerprints,
-            policy=POLICY,
-            workers=2,
-            force_inline=True,
-            steal_chunk_pairs=1,
-        ).run()
-        assert uniform.failures == [] and inline.failures == []
-        assert np.array_equal(
-            uniform.matrix.as_array(), inline.matrix.as_array()
-        )

@@ -1,12 +1,12 @@
 """Live telemetry across the fork boundary: streaming and progress.
 
-The acceptance bar for the telemetry layer: instrumented campaigns
-produce the same matrix, the same streamed campaign-event counts, and
-the same final progress totals whatever the worker count; a worker
-wedged inside a pair trips the stall watchdog within its deadline and
-leaves a flight-recorder post-mortem naming the stuck shard and
-in-flight pair. What a killed, raising, hung or slow worker does to
-each forked round is the worker-fault matrix's
+A worker wedged inside a pair trips the stall watchdog within its
+deadline and leaves a flight-recorder post-mortem naming the stuck shard
+and in-flight pair. That the streamed campaign-event counts and the
+final progress totals do not depend on the worker count is the
+contract's generated differential
+(``tests/contract/test_task_purity.py``). What a killed, raising, hung
+or slow worker does to each forked round is the worker-fault matrix's
 (``tests/contract/test_worker_faults.py``).
 
 The fork-context workers inherit the parent's memory, so
@@ -17,112 +17,21 @@ The leg phase reports as shard ``-1``: it heartbeats, streams, and gets
 its own flight-recorder ring like any worker.
 """
 
-import functools
 import json
 import time
 
-import numpy as np
 import pytest
-from conftest import slow, wedge_in_pair, worker_fault
+from conftest import shard_campaign, slow, wedge_in_pair, worker_fault
 
 import repro.core.shard as shard_mod
-from repro.core.sampling import SamplePolicy
-from repro.core.shard import LEG_PHASE, CampaignTelemetry, ShardedCampaign
+from repro.core.shard import LEG_PHASE, CampaignTelemetry
 from repro.obs import INFO, EventBus, categorize_failure
-from repro.testbeds.livetor import LiveTorTestbed
 from repro.util.cpus import WorkerSilence
 from repro.util.errors import MeasurementError
 
-SEED = 3
-N_RELAYS = 14
-POLICY = SamplePolicy(samples=3, interval_ms=2.0)
-FACTORY = functools.partial(LiveTorTestbed.build, seed=SEED, n_relays=N_RELAYS)
 
 #: Generous CI bound: a wedged worker must trip the watchdog well under this.
 FAIL_FAST_S = 30.0
-
-
-@pytest.fixture(scope="module")
-def fingerprints():
-    testbed = FACTORY()
-    descriptors = testbed.random_relays(5, testbed.streams.get("shard.sel"))
-    return [d.fingerprint for d in descriptors]
-
-
-def _campaign(fingerprints, workers, **kwargs):
-    return ShardedCampaign(
-        FACTORY, fingerprints, policy=POLICY, workers=workers, **kwargs
-    )
-
-
-def _run_instrumented(fingerprints, workers):
-    telemetry = CampaignTelemetry(heartbeat_s=0.05, stall_timeout_s=30.0)
-    report = _campaign(fingerprints, workers, telemetry=telemetry).run()
-    assert report.stream is telemetry.bus or telemetry.bus is None
-    return report
-
-
-class TestWorkerCountInvariance:
-    """Event counts and progress must not depend on the worker layout."""
-
-    @pytest.fixture(scope="class")
-    def reports(self, fingerprints):
-        return {w: _run_instrumented(fingerprints, w) for w in (1, 2, 4)}
-
-    def test_matrix_identical(self, reports):
-        base = reports[1].matrix.as_array()
-        for workers in (2, 4):
-            assert np.array_equal(base, reports[workers].matrix.as_array())
-
-    def test_campaign_event_counts_identical(self, reports):
-        def campaign_counts(report):
-            return sorted(
-                (key, count)
-                for key, count in report.stream.counts().items()
-                if key[0] == "campaign"
-            )
-
-        base = campaign_counts(reports[1])
-        assert base, "instrumented run streamed no campaign events"
-        for workers in (2, 4):
-            assert campaign_counts(reports[workers]) == base
-
-    def test_progress_totals_identical(self, reports):
-        base = (reports[1].progress.pairs_done, reports[1].progress.pairs_failed)
-        assert base[0] == reports[1].matrix.num_measured
-        for workers in (2, 4):
-            progress = reports[workers].progress
-            assert (progress.pairs_done, progress.pairs_failed) == base
-
-    def test_probe_totals_invariant_and_match_merged_report(self, reports):
-        # With the campaign-wide leg phase, probe totals joined the
-        # invariant set (v1 re-measured legs per shard, so they scaled
-        # with the worker count) — and for any layout the streamed
-        # totals must agree with what the merged results report.
-        base = reports[1].progress.probes_sent
-        assert base > 0
-        for report in reports.values():
-            assert report.progress.probes_sent == base
-            assert report.progress.probes_sent == report.probes_sent
-            assert report.progress.probes_saved == report.probes_saved
-
-    def test_progress_reaches_completion(self, reports):
-        for report in reports.values():
-            assert report.progress.pairs_done == report.progress.pairs_total
-            assert report.progress.in_flight() == {}
-
-    def test_stolen_pair_claims_sum_to_total(self, reports):
-        # Heartbeats carry absolute claimed totals per shard; under
-        # stealing the per-shard splits differ by layout, but the
-        # claimed sum always covers the whole pair list. The leg phase
-        # (shard -1) claims no pairs.
-        for report in reports.values():
-            claims = report.progress.shard_progress()
-            pair_shards = {s: c for s, c in claims.items() if s != LEG_PHASE}
-            assert sum(total for _, total in pair_shards.values()) == 10
-            assert sum(done for done, _ in pair_shards.values()) == 10
-            if LEG_PHASE in claims:
-                assert claims[LEG_PHASE] == (0, 0)
 
 
 class TestStallWatchdog:
@@ -136,9 +45,7 @@ class TestStallWatchdog:
         telemetry = CampaignTelemetry(
             heartbeat_s=0.0, stall_timeout_s=2.0, **telemetry_kwargs
         )
-        campaign = _campaign(
-            fingerprints, 2, telemetry=telemetry, steal_chunk_pairs=1
-        )
+        campaign = shard_campaign(fingerprints, telemetry=telemetry, steal_chunk_pairs=1)
         started = time.monotonic()
         with pytest.raises(MeasurementError) as excinfo:
             campaign.run()
@@ -216,9 +123,7 @@ class TestPerWorkerSilence:
         telemetry = CampaignTelemetry(
             heartbeat_s=0.0, stall_timeout_s=self.STALL_S, postmortem_path=dump
         )
-        campaign = _campaign(
-            fingerprints, 2, telemetry=telemetry, steal_chunk_pairs=1
-        )
+        campaign = shard_campaign(fingerprints, telemetry=telemetry, steal_chunk_pairs=1)
         started = time.monotonic()
         with pytest.raises(MeasurementError) as excinfo:
             campaign.run()
@@ -256,23 +161,25 @@ class TestWorkerFaults:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(shard_mod, "_run_worker", saboteur)
-        campaign = _campaign(fingerprints, 2, steal_chunk_pairs=1)
+        campaign = shard_campaign(fingerprints, steal_chunk_pairs=1)
         with pytest.raises(MeasurementError) as excinfo:
             campaign.run()
         assert "leg phase should have pre-warmed" in str(excinfo.value)
 
     def test_worker_timeout_must_be_positive(self, fingerprints):
         with pytest.raises(MeasurementError):
-            _campaign(fingerprints, 2, worker_timeout_s=0.0)
+            shard_campaign(fingerprints, worker_timeout_s=0.0)
 
     def test_generous_timeout_does_not_fire(self, fingerprints):
-        report = _campaign(fingerprints, 2, worker_timeout_s=300.0).run()
+        report = shard_campaign(fingerprints, worker_timeout_s=300.0).run()
         assert report.matrix.is_complete
 
 
 class TestStreamingDetail:
     def test_stream_events_carry_shard_tags(self, fingerprints):
-        report = _run_instrumented(fingerprints, 2)
+        telemetry = CampaignTelemetry(heartbeat_s=0.05, stall_timeout_s=30.0)
+        report = shard_campaign(fingerprints, telemetry=telemetry).run()
+        assert report.stream is telemetry.bus or telemetry.bus is None
         shards = {record["shard"] for record in report.stream.events()}
         assert LEG_PHASE in shards
         assert {0, 1} <= shards
@@ -283,9 +190,7 @@ class TestStreamingDetail:
         # one process each, so the tracker must show their sum — the
         # streamed probe totals still equal the merged report's.
         telemetry = CampaignTelemetry(heartbeat_s=0.05, stall_timeout_s=30.0)
-        report = _campaign(
-            fingerprints, 2, telemetry=telemetry, steal_chunk_pairs=1
-        ).run()
+        report = shard_campaign(fingerprints, telemetry=telemetry, steal_chunk_pairs=1).run()
         assert report.leg_phase.chunks == 5
         assert report.progress.probes_sent == report.probes_sent
         assert report.progress.probes_saved == report.probes_saved
@@ -303,7 +208,7 @@ class TestStreamingDetail:
         telemetry = CampaignTelemetry(
             heartbeat_s=0.05
         )
-        report = _campaign(fingerprints, 2, telemetry=telemetry).run()
+        report = shard_campaign(fingerprints, telemetry=telemetry).run()
         assert all(
             record["severity"] >= INFO for record in report.stream.events()
         )
@@ -314,15 +219,13 @@ class TestStreamingDetail:
             heartbeat_s=0.05,
             on_progress=lambda tracker: snapshots.append(tracker.pairs_done),
         )
-        _campaign(fingerprints, 2, telemetry=telemetry).run()
+        shard_campaign(fingerprints, telemetry=telemetry).run()
         assert snapshots, "no heartbeat ever reached the progress callback"
         assert snapshots[-1] == len(fingerprints) * (len(fingerprints) - 1) // 2
 
     def test_telemetry_composes_with_observe(self, fingerprints):
         telemetry = CampaignTelemetry(heartbeat_s=0.05)
-        report = _campaign(
-            fingerprints, 2, observe=True, telemetry=telemetry
-        ).run()
+        report = shard_campaign(fingerprints, observe=True, telemetry=telemetry).run()
         # Both planes populated: merged worker snapshots and the live
         # stream, with matching campaign-pair counts.
         assert report.events is not None and report.events.emitted > 0

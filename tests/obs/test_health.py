@@ -17,7 +17,6 @@ Four contracts pinned here:
 """
 
 import copy
-import functools
 
 import numpy as np
 import pytest
@@ -481,66 +480,7 @@ class TestDriftDiff:
         assert "unexplained" in text
 
 
-def _campaign_dataset(workers):
-    """One small sharded campaign absorbed into a dataset."""
-    from repro.core.sampling import SamplePolicy
-    from repro.core.shard import ShardedCampaign
-    from repro.testbeds.livetor import LiveTorTestbed
-
-    factory = functools.partial(LiveTorTestbed.build, seed=41, n_relays=16)
-    testbed = factory()
-    fps = [
-        d.fingerprint
-        for d in testbed.random_relays(6, testbed.streams.get("health.sel"))
-    ]
-    report = ShardedCampaign(
-        factory,
-        sorted(fps),
-        policy=SamplePolicy(samples=3, interval_ms=2.0),
-        workers=workers,
-        observe=True,
-        clamp_to_cpus=False,
-    ).run()
-    dataset = CampaignDataset(matrix=RttMatrix(sorted(fps)))
-    dataset.absorb(report.matrix, provenance=report.provenance)
-    return dataset
-
-
-def _invariant_projection(report):
-    """The scorecard minus insertion-order-sensitive quality detail.
-
-    Worker count changes the order shards append provenance, which
-    permutes per-pair staleness ages; the matrix-derived checks, the
-    grade, and the anomaly counts must not move.
-    """
-    data = report.to_dict()
-    return {
-        "grade": data["grade"],
-        "dataset": data["dataset"],
-        "checks": [
-            {"name": c["name"], "status": c["status"], "value": c["value"]}
-            for c in data["checks"]
-        ],
-        "anomalies": data["anomalies"]["counts"],
-        "scored_pairs": data["quality"]["scored_pairs"],
-        "stale_pairs": data["quality"]["stale_pairs"],
-    }
-
-
 class TestInvariance:
-    def test_health_invariant_to_worker_count(self):
-        reports = {
-            workers: health_report(_campaign_dataset(workers))
-            for workers in (1, 2, 4)
-        }
-        baseline = _invariant_projection(reports[1])
-        for workers in (2, 4):
-            assert _invariant_projection(reports[workers]) == baseline
-        # Mean quality is a linear blend over an age permutation, so it
-        # matches to rounding even though per-pair ages moved.
-        means = [r.to_dict()["quality"]["mean"] for r in reports.values()]
-        assert max(means) - min(means) < 0.02
-
     @pytest.mark.parametrize("source", ["built", "legacy json"])
     def test_health_invariant_to_on_disk_format(self, tmp_path, source):
         """A dataset — a legacy JSON one too — grades as its npz reload."""
