@@ -438,12 +438,12 @@ if grep -rnF -e 'last_seen' -e 'heard[' src | grep -v '^src/repro/util/cpus.py:'
 fi
 
 echo "== one dataset file =="
-# npz is the only dataset file written: `measure --output` saves a
-# CampaignDataset, and tiv, deanon and `report --input` all read that one
-# file. JSON stays read-only (legacy files, tests/core/data/legacy_*.json),
-# and the controller keeps only its Stem verbs: the JSON writers, a
-# `format=` on CampaignDataset.save and the control-port grammar must
-# not come back.
+# npz is the only dataset file, written and read: `measure --output`
+# saves a CampaignDataset, and tiv, deanon and `report --input` all read
+# that one file. The JSON writers, the JSON reader (a JSON dataset is
+# refused, naming the conversion), a `format=` on CampaignDataset.save
+# and the control-port grammar must not come back; the controller keeps
+# only its Stem verbs.
 one=$(mktemp -d)/campaign.npz
 python -m repro.cli -q measure --relays 5 --network-size 20 --samples 6 --output "$one"
 python -m repro.cli -q tiv "$one"
@@ -462,17 +462,46 @@ tree = ast.parse(open("src/repro/core/dataset.py").read())
 args = [a.arg for a in save.args.args + save.args.kwonlyargs]
 assert args == ["self", "path"], f"CampaignDataset.save takes {args}"
 # Provenance is written only as npz columns: no JSON writer on the log
-# or its records (the legacy reader, ProvenanceLog.from_list, stays).
-writers = {
+# or its records, and no JSON reader of a dataset, a matrix or a log.
+methods = {
     (cls.name, node.name)
     for cls in tree.body if isinstance(cls, ast.ClassDef)
     for node in cls.body if isinstance(node, ast.FunctionDef)
-} & {
+}
+writers = methods & {
     ("ProvenanceLog", "to_list"), ("ProvenanceLog", "legs_to_list"),
     ("PairProvenance", "to_dict"), ("LegProvenance", "to_dict"),
 }
 assert not writers, f"provenance JSON writers are back: {sorted(writers)}"
-print(f"one dataset file: {sys.argv[1]} is npz; CampaignDataset.save({', '.join(args[1:])})")
+module_names = {
+    node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+} | {
+    node.id for node in ast.walk(tree)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+}
+readers = sorted(methods & {
+    ("RttMatrix", "from_json"), ("CampaignDataset", "from_json"),
+    ("ProvenanceLog", "from_list"),
+}) + sorted(module_names & {"_from_legacy", "DATASET_FORMAT"})
+assert not readers, f"the JSON dataset reader is back: {readers}"
+
+# A JSON dataset of an earlier release is refused, naming the conversion.
+import json, tempfile
+from repro.core.dataset import CampaignDataset
+from repro.util.errors import MeasurementError
+with tempfile.NamedTemporaryFile("w", suffix=".json") as legacy:
+    json.dump({"format": "ting-campaign/1", "meta": {},
+               "matrix": {"nodes": ["a", "b"], "rtts_ms": [[0, 1.5], [1.5, 0]]}},
+              legacy)
+    legacy.flush()
+    try:
+        CampaignDataset.load(legacy.name)
+    except MeasurementError as exc:
+        assert "Converting a JSON dataset" in str(exc), f"names no conversion: {exc}"
+    else:
+        raise AssertionError("a ting-campaign/1 JSON document still loads")
+print(f"one dataset file: {sys.argv[1]} is npz; CampaignDataset.save({', '.join(args[1:])}); "
+      "a JSON dataset is refused")
 PY
 rm -r "$(dirname "$one")"
 if grep -nE 'def to_json|raw_command' src/repro/core/dataset.py src/repro/tor/control.py; then

@@ -360,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forked query workers for --batch")
     serve.add_argument("--mmap", action="store_true",
                        help="memory-map the npz matrix so workers share "
-                            "one page-cache copy (no effect on a legacy "
-                            "JSON file)")
+                            "one page-cache copy")
     serve.add_argument("--stats", action="store_true",
                        help="record query telemetry and print a summary "
                             "(per-op latency quantiles, error taxonomy, "
@@ -900,15 +899,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def _sniff_dataset(path: Path) -> bool:
     """Is this file a saved :class:`CampaignDataset` rather than JSONL?
 
-    The npz container starts with the zip magic; a legacy JSON dataset
-    starts with a ``ting-campaign`` format tag in its first bytes.
-    Event JSONL lines are JSON objects too, but never carry that tag.
+    The npz container starts with the zip magic. A JSON dataset of an
+    earlier release (a ``ting-campaign`` format tag in its first bytes,
+    or a bare matrix whose first key is ``nodes``) is routed to
+    :meth:`CampaignDataset.load` only to fail there with the conversion
+    note, not read as events, which never carry that tag or key first.
     """
     with path.open("rb") as fh:
         head = fh.read(256)
     if head[:4] == b"PK\x03\x04":
         return True
-    return head.lstrip()[:1] == b"{" and b'"format": "ting-campaign' in head
+    return b'"format": "ting-campaign' in head or head.lstrip().startswith(b'{"nodes": ')
 
 
 def _dataset_events(dataset: CampaignDataset) -> "list[dict]":

@@ -25,8 +25,7 @@ the fork-boundary snapshot becomes a handful of buffers.
 
 :class:`CampaignDataset` persists matrix + provenance + run metadata as
 one deterministic ``.npz`` container (matrix + provenance columns + a
-meta JSON sidecar entry). JSON documents written by earlier releases
-still load, read-only.
+meta JSON sidecar entry), the one format it writes and reads.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ import hashlib
 import io
 import json
 import math
-import sys
 import zipfile
 import zlib
 from dataclasses import dataclass, field, fields
@@ -335,9 +333,9 @@ class RttMatrix:
         return sub
 
     def content_hash(self) -> str:
-        """SHA-256 over nodes + values rounded to the legacy JSON
-        precision (6 decimals), so a JSON file and the same matrix saved
-        as npz hash identically."""
+        """SHA-256 over nodes + values rounded to 6 decimals, so the
+        digest names what was measured, not how it is held: a matrix
+        hashes the same saved, loaded, mapped or copied."""
         digest = hashlib.sha256()
         for node in self.nodes:
             digest.update(node.encode("utf-8"))
@@ -352,40 +350,6 @@ class RttMatrix:
             np.nan_to_num(out, copy=False, nan=-1.0)
             digest.update(out)
         return digest.hexdigest()
-
-    @classmethod
-    def from_json(cls, text: str) -> "RttMatrix":
-        """Read a legacy bare matrix document, ``{"nodes", "rtts_ms"}``
-        (``null`` for a missing entry). Nothing writes one any more."""
-        payload = json.loads(text)
-        try:
-            nodes, rows = payload["nodes"], payload["rtts_ms"]
-            if not isinstance(nodes, list) or not all(
-                isinstance(node, str) for node in nodes
-            ):
-                raise MeasurementError("RTT matrix JSON nodes are not strings")
-            matrix = cls(nodes)
-            n = len(nodes)
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise MeasurementError("malformed RTT matrix JSON")
-        except (KeyError, TypeError) as exc:
-            raise MeasurementError(f"malformed RTT matrix JSON: {exc!r}") from None
-        # Only what ``set`` accepts: a finite, non-negative number (JSON
-        # reads 1e400 as inf; a bool is no RTT).
-        if not all(
-            v is None or (type(v) in (int, float) and 0 <= v <= sys.float_info.max)
-            for row in rows for v in row
-        ):
-            raise MeasurementError("RTT matrix JSON holds an RTT set would refuse")
-        values = np.array(
-            [[np.nan if v is None else v for v in row] for row in rows], dtype=float
-        ).reshape(n, n)
-        np.fill_diagonal(values, 0.0)
-        if not np.array_equal(values, values.T, equal_nan=True):
-            raise MeasurementError("RTT matrix JSON is not symmetric")
-        matrix._matrix[:, :] = values
-        matrix._recount()
-        return matrix
 
     def __repr__(self) -> str:
         return (
@@ -477,9 +441,9 @@ _NO_SHARD = int(np.iinfo(np.int32).min)
 #: Intern-table sentinel for "category is None".
 _NO_CAT = -1
 
-# How a column stores its field. Appends, materialization, merges, the
-# npz loader's code check and the legacy JSON reader all walk the specs
-# below by these kinds; none lists the fields again.
+# How a column stores its field. Appends, materialization, merges and
+# the npz loader's code check all walk the specs below by these kinds;
+# none lists the fields again.
 _NAME = "name"  # a node id, as a code into the interned name table
 _CAT = "category"  # a str or None, as a code into the category table
 _OPT = "optional float"  # a float, NaN for None
@@ -521,44 +485,6 @@ _LEG_SPEC: tuple[tuple[str, type, str], ...] = (
 
 #: Each record kind: its npz entry prefix, its class and its spec.
 _RECORDS = (("pair", PairProvenance, _PAIR_SPEC), ("leg", LegProvenance, _LEG_SPEC))
-
-
-def _from_legacy(record: type, spec: tuple[tuple[str, type, str], ...], data: Any) -> Any:
-    """One record of a legacy JSON document: an absent field takes the
-    record's default. A count or a shard is a JSON integer, any other
-    number an integer or a float (``duration_ms`` becomes a ``float``);
-    a bool or a string is neither. A node id that is no ``str`` raises
-    :class:`MeasurementError`; anything else malformed (no object, no
-    node id, a null ``status``, text that is no ``str``, no number where
-    one belongs) raises what :meth:`ProvenanceLog.from_list` turns into
-    one."""
-    if not isinstance(data, dict):
-        raise TypeError(f"a provenance record is an object, not {type(data).__name__}")
-    kinds = {name: kind for name, _, kind in spec}
-    values = {}
-    for column in fields(record):
-        name, kind = column.name, kinds.get(column.name)
-        if kind == _NAME:
-            value = data[name]
-            if not isinstance(value, str):
-                raise MeasurementError(f"provenance {name} is not a node id: {value!r}")
-        else:
-            value = data.get(name, column.default)
-            if kind in (_NUM, _OPT, _SHARD) and value is not None:
-                whole = kind == _SHARD or type(column.default) is int
-                if isinstance(value, bool) or not isinstance(
-                    value, int if whole else (int, float)
-                ):
-                    raise TypeError(f"provenance {name} is not a number: {value!r}")
-            if kind == _NUM:
-                value = type(column.default)(value)
-            elif kind in (_CAT, None):  # a category, or the free-text reason
-                if value is None and column.default is not None:
-                    raise ValueError(f"provenance {name} is unset")
-                if value is not None and not isinstance(value, str):
-                    raise TypeError(f"provenance {name} is not text: {value!r}")
-        values[name] = value
-    return record(**values)
 
 
 class _ColumnBlock:
@@ -827,30 +753,6 @@ class ProvenanceLog:
         """Rebuild a log from :meth:`snapshot` output."""
         return cls().merge_snapshot(snap)
 
-    # -- legacy JSON ----------------------------------------------------
-
-    @classmethod
-    def from_list(
-        cls,
-        data: list[dict[str, Any]],
-        legs: list[dict[str, Any]] | None = None,
-    ) -> "ProvenanceLog":
-        """Read the pair (and leg) records of a legacy JSON dataset,
-        written before npz was the one format; anything else raises
-        :class:`MeasurementError`."""
-        legs = [] if legs is None else legs
-        if not isinstance(data, list) or not isinstance(legs, list):
-            raise MeasurementError("provenance is not a list of records")
-        log = cls()
-        try:
-            for entry in data:
-                log.add(_from_legacy(PairProvenance, _PAIR_SPEC, entry))
-            for entry in legs:
-                log.add_leg(_from_legacy(LegProvenance, _LEG_SPEC, entry))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MeasurementError(f"malformed provenance record: {exc!r}") from None
-        return log
-
     # -- queries --------------------------------------------------------
 
     def by_status(self, status: str) -> list[PairProvenance]:
@@ -947,7 +849,6 @@ class ProvenanceLog:
 # Matrix + provenance + metadata, as one auditable document
 
 
-DATASET_FORMAT = "ting-campaign/1"
 DATASET_NPZ_FORMAT = "ting-campaign-npz/1"
 
 #: Every zip archive (hence every npz) starts with a local-file header.
@@ -1064,42 +965,13 @@ class CampaignDataset:
 
     One on-disk format: a deterministic ``.npz`` container holding the
     float64 matrix, the provenance columns, and the metadata as an
-    embedded JSON entry — no O(n²) Python-float round-trip. :meth:`load`
-    also reads, read-only, the JSON documents earlier releases wrote.
+    embedded JSON entry — no O(n²) Python-float round-trip.
     """
 
     matrix: RttMatrix
     provenance: ProvenanceLog = field(default_factory=ProvenanceLog)
     meta: dict[str, Any] = field(default_factory=dict)
     _quality_cache: Any = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignDataset":
-        """Read a legacy JSON dataset (format ``ting-campaign/1``: meta,
-        matrix, provenance, legs), or a bare matrix document as
-        :meth:`RttMatrix.from_json` reads it. Nothing writes either any
-        more."""
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise MeasurementError(
-                f"a dataset JSON document is an object, not {type(payload).__name__}"
-            )
-        if "format" not in payload and "rtts_ms" in payload:
-            return cls(matrix=RttMatrix.from_json(text))
-        if payload.get("format") != DATASET_FORMAT:
-            raise MeasurementError(
-                f"unknown dataset format {payload.get('format')!r}"
-            )
-        meta = payload.get("meta", {})
-        if not isinstance(meta, dict):
-            raise MeasurementError(
-                f"dataset meta is an object, not {type(meta).__name__}"
-            )
-        matrix = RttMatrix.from_json(json.dumps(payload.get("matrix")))
-        provenance = ProvenanceLog.from_list(
-            payload.get("provenance", []), legs=payload.get("legs")
-        )
-        return cls(matrix=matrix, provenance=provenance, meta=meta)
 
     # -- binary format --------------------------------------------------
 
@@ -1189,8 +1061,7 @@ class CampaignDataset:
 
     @classmethod
     def load(cls, path: str | Path, mmap: bool = False) -> "CampaignDataset":
-        """Read a dataset written by :meth:`save` — or a legacy JSON
-        document (:meth:`from_json`), told apart by the zip magic.
+        """Read a dataset written by :meth:`save`.
 
         ``mmap=True`` memory-maps the O(n²) matrix entry of an npz
         container instead of copying it into anonymous memory: the
@@ -1203,21 +1074,26 @@ class CampaignDataset:
         (and ``RttMatrix.set``) materialize a private writable copy
         before the first write, detaching the dataset from the file.
         Provenance columns and metadata are always loaded eagerly (they
-        are small), and legacy JSON documents — which have no binary
-        layout to map — ignore the flag.
+        are small).
 
-        A damaged or foreign file (truncated, not a zip, a zip header
-        naming an unsupported compression or encryption, an entry failing
-        its CRC-32 — on the mapped matrix too —, provenance columns of
-        unequal length or holding a code outside its table, not JSON)
-        raises :class:`MeasurementError`, whichever path reads it. A missing file raises :class:`FileNotFoundError`.
+        A file that does not start with the zip magic (a JSON dataset
+        of an earlier release, a bare ``.npy``, an empty file) raises
+        :class:`MeasurementError` before anything parses it. So does a
+        damaged npz (truncated, a zip header naming an unsupported
+        compression or encryption, an entry failing its CRC-32 — on the
+        mapped matrix too —, provenance columns of unequal length or
+        holding a code outside its table), whichever path reads it. A
+        missing file raises :class:`FileNotFoundError`.
         """
         path = Path(path)
         with open(path, "rb") as handle:
             magic = handle.read(4)
+        if magic != _NPZ_MAGIC:
+            raise MeasurementError(
+                f"cannot load dataset {path}: not an npz dataset; a JSON "
+                "dataset needs converting (API.md, \"Converting a JSON dataset\")"
+            )
         try:
-            if magic != _NPZ_MAGIC:
-                return cls.from_json(path.read_text())
             matrix_values = _npz_entry_memmap(path, "matrix") if mmap else None
             with np.load(path, allow_pickle=False) as data:
                 return cls._from_arrays(data, matrix_values=matrix_values)

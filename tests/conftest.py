@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import os
 import signal
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,18 +212,25 @@ def wedge_in_pair(work):
     return wedged
 
 
-#: JSON files written by the JSON writers (``CampaignDataset.to_json``,
-#: ``RttMatrix.to_json``) before they were deleted: the dataset that
-#: :func:`legacy_dataset` builds and its bare matrix, the form
-#: ``repro measure --output`` wrote. Kept to pin the read-only JSON path.
-LEGACY_CAMPAIGN = Path(__file__).parent / "core" / "data" / "legacy_campaign.json"
-LEGACY_MATRIX = Path(__file__).parent / "core" / "data" / "legacy_matrix.json"
+#: The two JSON documents earlier releases read as datasets, and which
+#: every reader now refuses: a ``ting-campaign/1`` dataset and the bare
+#: matrix ``measure --output`` wrote.
+JSON_DATASETS = {
+    "ting-campaign/1": json.dumps({
+        "format": "ting-campaign/1", "meta": {},
+        "matrix": {"nodes": ["a", "b"], "rtts_ms": [[0, 1.5], [1.5, 0]]},
+        "provenance": [{"x": "a", "y": "b", "status": "measured", "rtt_ms": 1.5}],
+    }),
+    "bare matrix": json.dumps({"nodes": ["a", "b"], "rtts_ms": [[0, 1.5], [1.5, 0]]}),
+}
 
 
 def legacy_dataset():
-    """The five-relay dataset the legacy JSON files hold: one pair failed
-    (its entry missing, its reason text kept), adaptive stops on pairs
-    and on a leg, shard tags on some rows, and run metadata."""
+    """A five-relay dataset with every kind of row: one pair failed (its
+    entry missing, its reason text kept), adaptive stops on pairs and on
+    a leg, shard tags on some rows, and run metadata. Earlier releases
+    wrote it as JSON; its npz bytes are pinned
+    (``test_dataset_npz.PINNED_FILES["legacy"]``)."""
     from repro.core.dataset import (
         CampaignDataset,
         LegProvenance,

@@ -18,6 +18,10 @@ worker runs and nothing else:
   chunk's rows, a batch's answers): ``failed: PicklingError: …`` too,
   where the queue's feeder thread used to drop it and the campaign came
   back short of pairs with no failure.
+* **lost leg cache** — a pair worker whose leg estimates did not
+  arrive at the barrier: the duplicated-work guard fails the run with
+  ``rebuilt … leg circuit(s) the leg phase should have pre-warmed``
+  instead of letting it quietly measure the legs again.
 
 Every failure is a ``MeasurementError`` naming its round and worker that
 ``categorize_failure`` files under ``shard``, raised well inside
@@ -215,6 +219,24 @@ def test_a_chunk_that_never_arrives_fails_the_merge(fingerprints, monkeypatch):
     worker_fault(monkeypatch, "shard 0 worker", drop_first_chunk)
     lost = r"shard 0 shipped \d+ rows for \d+ pairs attempted"
     with pytest.raises(MeasurementError, match=lost):
+        _run("pair round", fingerprints, None)
+
+
+def test_pair_workers_without_their_leg_cache_fail_the_run(fingerprints, monkeypatch):
+    """Both pair workers' leg estimates are lost after the barrier, so
+    whichever claims a chunk would rebuild its legs: the guard fails
+    the run."""
+
+    def lose_leg_cache(work):
+        def sabotaged(job, next_task, send):
+            job.leg_estimates = {}
+            return work(job, next_task, send)
+
+        return sabotaged
+
+    for worker in (0, 1):
+        worker_fault(monkeypatch, f"shard {worker} worker", lose_leg_cache)
+    with pytest.raises(MeasurementError, match="leg phase should have pre-warmed"):
         _run("pair round", fingerprints, None)
 
 

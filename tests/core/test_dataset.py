@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import LEGACY_MATRIX, legacy_dataset
+from conftest import legacy_dataset
 from hypothesis import given, strategies as st
 
 from repro.core.dataset import CampaignDataset, RttMatrix
@@ -123,32 +123,23 @@ class TestSubmatrix:
 
 
 class TestSerialization:
-    """A matrix is saved inside a :class:`CampaignDataset` (npz); the
-    bare JSON matrix document is read-only, pinned by
-    ``tests/core/data/legacy_matrix.json`` (written by the deleted
-    ``RttMatrix.to_json`` from ``legacy_dataset().matrix``)."""
-
-    def test_legacy_json_reads(self):
-        written = legacy_dataset().matrix
-        restored = RttMatrix.from_json(LEGACY_MATRIX.read_text())
-        assert restored.nodes == written.nodes
-        for a, b, rtt in written.measured_pairs():
-            assert restored.get(a, b) == pytest.approx(rtt)
-        assert restored.content_hash() == written.content_hash()
-
-    def test_legacy_json_preserves_missing(self):
-        restored = RttMatrix.from_json(LEGACY_MATRIX.read_text())
-        assert restored.has("R0", "R1")
-        assert not restored.has("R1", "R3")
+    """A matrix is saved inside a :class:`CampaignDataset` (npz)."""
 
     def test_save_load(self, matrix, tmp_path):
         path = tmp_path / "matrix.npz"
         CampaignDataset(matrix=matrix).save(path)
         assert CampaignDataset.load(path).matrix.get("b", "c") == pytest.approx(20.0)
 
-    def test_malformed_json_rejected(self):
-        with pytest.raises(MeasurementError):
-            RttMatrix.from_json('{"nodes": ["a", "b"], "rtts_ms": [[0]]}')
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_a_failed_pair_stays_missing(self, tmp_path, mmap):
+        written = legacy_dataset().matrix
+        path = tmp_path / "matrix.npz"
+        CampaignDataset(matrix=written).save(path)
+        restored = CampaignDataset.load(path, mmap=mmap).matrix
+        assert restored.nodes == written.nodes
+        assert restored.has("R0", "R1")
+        assert not restored.has("R1", "R3")
+        assert restored.content_hash() == written.content_hash()
 
     @given(
         rtts=st.lists(

@@ -1,17 +1,15 @@
 """Memory-mapped dataset loads, their copy-on-write semantics, and
-damaged files on both load paths and in legacy JSON."""
+damaged or foreign files on both load paths."""
 
 import hashlib
 import io
-import itertools
-import json
 import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import LEGACY_CAMPAIGN, legacy_dataset
+from conftest import JSON_DATASETS
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dataset import (
@@ -115,11 +113,6 @@ class TestMmapLoad:
         )
         assert eager.matrix.content_hash() == mapped.matrix.content_hash()
         assert eager.matrix.num_measured == mapped.matrix.num_measured
-
-    def test_legacy_json_load_ignores_mmap_flag(self):
-        loaded = CampaignDataset.load(LEGACY_CAMPAIGN, mmap=True)
-        assert not loaded.matrix.is_readonly
-        assert loaded.matrix.content_hash() == legacy_dataset().matrix.content_hash()
 
     def test_eager_load_stays_plain_ndarray(self, tmp_path):
         path = tmp_path / "ds.npz"
@@ -301,168 +294,36 @@ class TestDamagedFiles:
         assert isinstance(mapped.matrix._matrix, np.memmap)
         assert mapped.matrix.content_hash() == dataset.matrix.content_hash()
 
-    def test_a_file_that_is_neither_json_nor_npz(self, tmp_path):
-        path = tmp_path / "ds.json"
-        path.write_bytes(b"\x00\xffnot a dataset")
-        for mmap in (False, True):
-            with pytest.raises(MeasurementError, match="cannot load dataset"):
-                CampaignDataset.load(path, mmap=mmap)
+
+def _npy_bytes():
+    buffer = io.BytesIO()
+    np.save(buffer, np.zeros((2, 2)))
+    return buffer.getvalue()
 
 
-#: One entry of a legacy ``rtts_ms`` row: mostly RTTs and holes, then
-#: other JSON values — non-numbers, negatives, infinities, NaN, and
-#: integers no float holds.
-_LEGACY_ENTRY = st.one_of(
-    st.none(),
-    st.floats(0.0, 500.0),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(),
-    st.sampled_from([-1, 10**400, True, "5", {}, [], [1.0]]),
-)
+#: Files that are no npz dataset: the two JSON documents earlier
+#: releases read, a bare array, nothing, less than the magic, noise.
+NOT_NPZ = {
+    **{name: text.encode() for name, text in JSON_DATASETS.items()},
+    "bare npy": _npy_bytes(),
+    "empty": b"",
+    "three bytes": b"PK\x03",
+    "noise": b"\x00\xffnot a dataset",
+}
 
 
-@st.composite
-def _legacy_documents(draw):
-    """A legacy JSON document, a bare matrix or a ``ting-campaign/1``
-    dataset, whose ``rtts_ms`` may hold anything at any length."""
-    n = draw(st.integers(1, 4))
-    row = st.lists(_LEGACY_ENTRY, min_size=n - 1, max_size=n + 1)
-    rows = draw(st.one_of(
-        st.lists(row, min_size=n, max_size=n),
-        st.lists(st.one_of(row, _LEGACY_ENTRY), min_size=n - 1, max_size=n + 1),
-        _LEGACY_ENTRY,
-    ))
-    matrix = {"nodes": [f"R{k}" for k in range(n)], "rtts_ms": rows}
-    if draw(st.booleans()):
-        return json.dumps(matrix)
-    return json.dumps({"format": "ting-campaign/1", "matrix": matrix})
-
-
-#: JSON values that are not a list of provenance records.
-_NOT_RECORDS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.text(max_size=3),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
-    st.lists(
-        st.one_of(
-            st.none(), st.integers(), st.text(max_size=2), st.lists(st.integers())
-        ),
-        min_size=1,
-        max_size=3,
-    ),
-)
-
-_CAMPAIGN_HEAD = (
-    '{"format": "ting-campaign/1", '
-    '"matrix": {"nodes": ["a", "b"], "rtts_ms": [[0, 1], [1, 0]]}'
-)
-
-
-class TestDamagedLegacyJson:
-    """A legacy JSON document loads only RTTs ``RttMatrix.set`` takes;
-    any other row raises :class:`MeasurementError`."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(text=_legacy_documents())
-    @example(text='{"nodes": ["a", "b"], "rtts_ms": [[0, {}], [1, 0]]}')
-    @example(text='{"nodes": ["a", "b"], "rtts_ms": 5}')
-    @example(text='{"nodes": ["a", "b"], "rtts_ms": [[0, -1], [-1, 0]]}')
-    @example(text='{"nodes": ["a", "b"], "rtts_ms": [[0, 1e400], [1e400, 0]]}')
-    @example(
-        text='{"format": "ting-campaign/1", '
-        '"matrix": {"nodes": ["a", "b"], "rtts_ms": [[0, {}], [1, 0]]}}'
-    )
-    def test_loads_what_set_accepts_or_raises(self, text):
-        with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "legacy.json"
-            path.write_text(text)
-            try:
-                loaded = CampaignDataset.load(path)
-            except MeasurementError:
-                return
-        nodes = loaded.matrix.nodes
-        accepting = RttMatrix(nodes)
-        for i, j in itertools.permutations(range(len(nodes)), 2):
-            value = loaded.matrix.matrix[i, j]
-            if not np.isnan(value):
-                accepting.set(nodes[i], nodes[j], value)  # raises on a refusal
-
-    @settings(max_examples=100, deadline=None)
-    @given(records=_NOT_RECORDS, key=st.sampled_from(["provenance", "legs"]))
-    @example(records=[5], key="provenance")
-    @example(records="x", key="provenance")
-    def test_provenance_not_a_list_of_objects_raises(self, records, key):
-        # The provenance half: pair and leg records load only as a list
-        # of objects, never as a raw TypeError.
-        if key == "legs" and records is None:
-            return  # a null leg list is no legs
-        text = f'{_CAMPAIGN_HEAD}, "{key}": {json.dumps(records)}}}'
-        with pytest.raises(MeasurementError):
-            CampaignDataset.from_json(text)
-
-    def test_a_record_missing_its_pair_raises(self):
-        text = f'{_CAMPAIGN_HEAD}, "provenance": [{{"y": "b"}}]}}'
-        with pytest.raises(MeasurementError, match="malformed provenance"):
-            CampaignDataset.from_json(text)
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            {"x": "a", "y": "b", "status": None},
-            {"x": "a", "y": "b", "samples_kept": 1e300},
-            {"x": "a", "y": "b", "shard": 2**40},
-            {"x": "a", "y": "b", "status": True},
-            {"x": "a", "y": "b", "stop_reason": 1e300},
-            {"x": "a", "y": "b", "reason": [1.0]},
-            {"x": "a", "y": "b", "rtt_ms": "1.5"},
-            {"x": "a", "y": "b", "rtt_ms": True},
-            {"x": "a", "y": "b", "shard": "3"},
-            {"x": "a", "y": "b", "shard": 2.7},
-            {"x": "a", "y": "b", "samples_kept": "7"},
-            {"x": "a", "y": "b", "samples_kept": 7.5},
-            {"x": "a", "y": "b", "samples_kept": True},
-            {"x": "a", "y": "b", "shard": True},
-            {"x": "a", "y": "b", "duration_ms": "2"},
-        ],
-        ids=["null_status", "huge_count", "huge_shard", "bool_status",
-             "number_stop_reason", "list_reason", "text_rtt", "bool_rtt",
-             "text_shard", "fractional_shard", "text_count", "fractional_count",
-             "bool_count", "bool_shard", "text_duration"],
-    )
-    def test_a_record_no_campaign_writes_raises(self, record):
-        # Was: a null status loaded, then read back as a raw IndexError
-        # (or as another row's category); a count or shard past int32
-        # escaped load as a raw OverflowError; a category or reason that
-        # is no string loaded as itself and came back from a save as its
-        # repr ("True", "1e+300", "['1.0']"); a number given as text or
-        # as a bool, or a fractional shard or count, loaded coerced (1.5,
-        # 1.0, 3, 2, 7, 7, 1, 1, 2.0).
-        text = f'{_CAMPAIGN_HEAD}, "provenance": [{json.dumps(record)}]}}'
-        with pytest.raises(MeasurementError, match="malformed provenance"):
-            CampaignDataset.from_json(text)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"nodes": ["a", "b"], "rtts_ms": [[0, 1], [2, 0]]}',
-            '{"nodes": ["a", "b"], "rtts_ms": [[0, 1], [null, 0]]}',
-            '{"nodes": [1, 2], "rtts_ms": [[0, 1], [1, 0]]}',
-            '{"nodes": "ab", "rtts_ms": [[0, 1], [1, 0]]}',
-            _CAMPAIGN_HEAD + ', "meta": [1, 2]}',
-        ],
-        ids=["asymmetric", "half_measured", "int_nodes", "string_nodes",
-             "list_meta"],
-    )
-    def test_what_set_cannot_produce_raises(self, text):
-        # An asymmetric matrix, node ids that are not strings, meta that
-        # is not an object: each used to load.
-        with pytest.raises(MeasurementError):
-            CampaignDataset.from_json(text)
-        if '"format"' not in text:
-            with pytest.raises(MeasurementError):
-                RttMatrix.from_json(text)
+@pytest.mark.parametrize("mmap", [False, True])
+@pytest.mark.parametrize("name", sorted(NOT_NPZ))
+def test_a_file_that_is_no_npz_names_the_conversion(tmp_path, name, mmap):
+    """Told by the 4-byte magic before anything parses the file, which
+    is what keeps a bare ``.npy`` out: ``np.load`` hands it back as an
+    array, not a container, and the ``with`` around it raises a raw
+    ``TypeError``."""
+    path = tmp_path / "ds.json"
+    path.write_bytes(NOT_NPZ[name])
+    with pytest.raises(MeasurementError, match="not an npz dataset") as excinfo:
+        CampaignDataset.load(path, mmap=mmap)
+    assert '"Converting a JSON dataset"' in str(excinfo.value)
 
 
 class TestFromArrayAdoption:

@@ -6,10 +6,9 @@ Three contracts pinned here:
   again and the bytes match (deterministic zip metadata), so dataset
   files diff cleanly under version control and content-addressed
   storage.
-* npz is the **one format written**, whatever the suffix; JSON files
-  written before the JSON writers were deleted
-  (``tests/core/data/legacy_*.json``) still load, to the same data as
-  the npz they save to.
+* npz is the **one format**, written whatever the suffix and the only
+  one read: ``load`` tells it by the zip magic, not the suffix (what
+  it says of any other file is ``test_dataset_mmap.py``'s).
 * ``RttMatrix.matrix`` is a read-only view with O(1) cached
   completeness counters — a deep copy's or an unpickled matrix's over
   its own backing — and ``CampaignDataset.absorb`` folds fresh results
@@ -19,10 +18,13 @@ Three contracts pinned here:
 import copy
 import hashlib
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import LEGACY_CAMPAIGN, LEGACY_MATRIX, legacy_dataset
+from conftest import legacy_dataset
+from hypothesis import given, settings, strategies as st
 
 from repro.core.dataset import (
     CampaignDataset,
@@ -104,27 +106,6 @@ class TestNpzRoundtrip:
         assert restored.provenance.records() == dataset.provenance.records()
         assert restored.provenance.legs() == dataset.provenance.legs()
 
-    @pytest.mark.parametrize("legacy", [LEGACY_CAMPAIGN, LEGACY_MATRIX])
-    def test_a_legacy_json_file_and_its_npz_agree(self, tmp_path, legacy):
-        """Both legacy files (a full dataset and the bare matrix ``repro
-        measure --output`` wrote) load to what they were written from,
-        and saving that as npz changes nothing."""
-        from_json = CampaignDataset.load(legacy)
-        from_json.save(tmp_path / "campaign.npz")
-        from_npz = CampaignDataset.load(tmp_path / "campaign.npz")
-        written = legacy_dataset()
-        if legacy == LEGACY_MATRIX:
-            written = CampaignDataset(matrix=written.matrix)
-        for loaded in (from_json, from_npz):
-            assert loaded.matrix.content_hash() == written.matrix.content_hash()
-            assert loaded.provenance.records() == written.provenance.records()
-            assert loaded.provenance.legs() == written.provenance.legs()
-            assert (
-                loaded.provenance.failure_breakdown()
-                == written.provenance.failure_breakdown()
-            )
-            assert loaded.meta == written.meta
-
     def test_save_writes_npz_whatever_the_suffix(self, tmp_path):
         dataset = _build_dataset(n=3)
         paths = [tmp_path / name for name in ("x.npz", "x.json", "x")]
@@ -156,6 +137,61 @@ class TestNpzRoundtrip:
         restored = CampaignDataset.load(path)
         failed = restored.provenance.by_status("failed")
         assert failed[0].reason == "probe timed out"
+
+
+#: Text as the npz string tables hold it: no NUL, which numpy's
+#: fixed-width ``str`` arrays drop from the end of an entry.
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6
+)
+_COUNT = st.integers(0, 2**31 - 1)
+_MS = st.floats(allow_nan=False)
+_SHARD = st.none() | st.integers(np.iinfo(np.int32).min + 1, 2**31 - 1)
+
+_PAIRS = st.builds(
+    PairProvenance, x=_TEXT, y=_TEXT, status=_TEXT, rtt_ms=st.none() | _MS,
+    cxy_ms=st.none() | _MS, leg_x_ms=st.none() | _MS, leg_y_ms=st.none() | _MS,
+    samples_requested=_COUNT, samples_kept=_COUNT, samples_saved=_COUNT,
+    stop_reason=st.none() | _TEXT, leg_cache_hits=_COUNT, retries=_COUNT,
+    failure_category=st.none() | _TEXT, reason=st.none() | _TEXT, duration_ms=_MS,
+    shard=_SHARD,
+)
+_LEGS = st.builds(
+    LegProvenance, relay=_TEXT, rtt_ms=st.none() | _MS, samples_requested=_COUNT,
+    samples_kept=_COUNT, samples_saved=_COUNT, stop_reason=st.none() | _TEXT,
+    duration_ms=_MS, shard=_SHARD,
+)
+
+
+class TestEveryRecordRoundTrips:
+    """Whatever a log holds — any text in its tables, any count a column
+    stores, ``None`` in every field that takes it — a save gives back
+    on both load paths, field for field."""
+
+    @staticmethod
+    def _round_trip(log, mmap):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "ds.npz"
+            CampaignDataset(matrix=RttMatrix(["a"]), provenance=log).save(path)
+            return CampaignDataset.load(path, mmap=mmap).provenance
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(_PAIRS, max_size=4))
+    def test_pair_records(self, records, mmap):
+        log = ProvenanceLog()
+        for record in records:
+            log.add(record)
+        assert self._round_trip(log, mmap).records() == records
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(_LEGS, max_size=4))
+    def test_leg_records(self, records, mmap):
+        log = ProvenanceLog()
+        for record in records:
+            log.add_leg(record)
+        assert self._round_trip(log, mmap).legs() == records
 
 
 def _holes_300():
@@ -319,8 +355,11 @@ class TestCachedCounts:
         assert matrix.is_complete
         assert matrix.missing_count == 0
 
-    def test_counts_survive_a_legacy_json_read(self):
-        restored = RttMatrix.from_json(LEGACY_MATRIX.read_text())
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_counts_survive_a_load(self, tmp_path, mmap):
+        path = tmp_path / "ds.npz"
+        legacy_dataset().save(path)
+        restored = CampaignDataset.load(path, mmap=mmap).matrix
         assert restored.num_measured == 9
         assert restored.missing_count == 1
 

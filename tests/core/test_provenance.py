@@ -1,11 +1,12 @@
 """Per-pair provenance records and the bundled campaign dataset."""
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 from typing import get_type_hints
 
+import numpy as np
 import pytest
-from conftest import LEGACY_CAMPAIGN, MiniWorld, legacy_dataset
+from conftest import MiniWorld
 
 from repro.core.campaign import AllPairsCampaign
 from repro.core.parallel import ParallelCampaign
@@ -17,11 +18,11 @@ from repro.core.dataset import (
     _PAIR_SPEC,
     _SHARD,
     CampaignDataset,
-    DATASET_FORMAT,
     LegProvenance,
     PairProvenance,
     ProvenanceLog,
     RttMatrix,
+    _write_npz,
 )
 from repro.core.sampling import SamplePolicy
 from repro.core.ting import TingMeasurer
@@ -46,17 +47,26 @@ def _measured(x="A", y="B", **kwargs) -> PairProvenance:
     return PairProvenance(x=x, y=y, **defaults)
 
 
+def _saved_and_loaded(log: ProvenanceLog, tmp_path) -> ProvenanceLog:
+    """``log`` as a saved dataset gives it back."""
+    path = tmp_path / "ds.npz"
+    CampaignDataset(matrix=RttMatrix(["A", "B"]), provenance=log).save(path)
+    return CampaignDataset.load(path).provenance
+
+
 class TestPairProvenance:
     def test_residual_is_half_sum_of_legs(self):
         record = _measured(leg_x_ms=80.0, leg_y_ms=75.0)
         assert record.residual_ms == pytest.approx(77.5)
 
-    def test_dict_roundtrip_measured(self):
+    def test_save_load_roundtrip_measured(self, tmp_path):
         record = _measured()
-        (restored,) = ProvenanceLog.from_list([asdict(record)]).records()
+        log = ProvenanceLog()
+        log.add(record)
+        (restored,) = _saved_and_loaded(log, tmp_path).records()
         assert restored == record
 
-    def test_dict_roundtrip_failed(self):
+    def test_save_load_roundtrip_failed(self, tmp_path):
         record = PairProvenance(
             x="A",
             y="B",
@@ -67,7 +77,9 @@ class TestPairProvenance:
             duration_ms=15000.0,
             shard=3,
         )
-        (restored,) = ProvenanceLog.from_list([asdict(record)]).records()
+        log = ProvenanceLog()
+        log.add(record)
+        (restored,) = _saved_and_loaded(log, tmp_path).records()
         assert restored == record
         assert restored.rtt_ms is None
         assert restored.residual_ms is None
@@ -110,13 +122,12 @@ class TestProvenanceLog:
         # Merge deep-copies: the worker's records are untouched.
         assert worker.get("A", "B").shard is None
 
-    def test_merge_accepts_serialized_lists(self):
+    def test_merge_accepts_a_loaded_log(self, tmp_path):
+        # What absorbing a saved refresh dataset merges.
         worker = ProvenanceLog()
         worker.add(_measured("A", "B"))
         parent = ProvenanceLog()
-        parent.merge_snapshot(
-            ProvenanceLog.from_list([asdict(r) for r in worker]).snapshot(), shard=0
-        )
+        parent.merge_snapshot(_saved_and_loaded(worker, tmp_path).snapshot(), shard=0)
         assert len(parent) == 1
         assert parent.get("A", "B").shard == 0
 
@@ -132,12 +143,11 @@ class TestProvenanceLog:
         assert log.failure_breakdown() == {"timeout": 2, "circuit": 1}
         assert len(log.by_status("failed")) == 3
 
-    def test_list_roundtrip(self):
+    def test_save_load_roundtrip_mixed(self, tmp_path):
         log = ProvenanceLog()
         log.add(_measured("A", "B", shard=2))
         log.add(PairProvenance(x="A", y="C", status="failed"))
-        restored = ProvenanceLog.from_list([asdict(r) for r in log])
-        assert restored.records() == log.records()
+        assert _saved_and_loaded(log, tmp_path).records() == log.records()
 
 
 class TestCampaignDataset:
@@ -153,20 +163,6 @@ class TestCampaignDataset:
             meta={"seed": 3, "samples": 10},
         )
 
-    def test_legacy_json_reads(self):
-        """``tests/core/data/legacy_campaign.json`` was written by the
-        deleted ``CampaignDataset.to_json`` from :func:`legacy_dataset`."""
-        written = legacy_dataset()
-        restored = CampaignDataset.from_json(LEGACY_CAMPAIGN.read_text())
-        assert json.loads(LEGACY_CAMPAIGN.read_text())["format"] == DATASET_FORMAT
-        assert restored.meta == written.meta
-        assert restored.matrix.get("R0", "R1") == pytest.approx(15.125)
-        assert restored.provenance.get("R0", "R1").stop_reason == "converged"
-        assert restored.provenance.get("R1", "R3").reason == "echo timed out"
-        assert restored.provenance.leg_for("R2").stop_reason == "converged"
-        assert restored.provenance.records() == written.provenance.records()
-        assert restored.provenance.legs() == written.provenance.legs()
-
     def test_save_load(self, dataset, tmp_path):
         path = tmp_path / "campaign.json"
         dataset.save(path)
@@ -176,31 +172,17 @@ class TestCampaignDataset:
         assert restored.matrix.get("A", "B") == pytest.approx(42.5)
         assert restored.provenance.get("A", "B").samples_kept == 28
 
-    def test_unknown_format_rejected(self):
-        payload = json.loads(LEGACY_CAMPAIGN.read_text())
-        payload["format"] = "ting-campaign/99"
-        with pytest.raises(MeasurementError):
-            CampaignDataset.from_json(json.dumps(payload))
-
-    def test_a_json_document_that_is_no_object_rejected(self):
-        with pytest.raises(MeasurementError):
-            CampaignDataset.from_json("[1, 2]")
-
-    @pytest.mark.parametrize(
-        ("records", "key"),
-        [
-            ([{"x": 1, "y": 2}], "provenance"),
-            ([{"x": "A", "y": 2}], "provenance"),
-            ([{"relay": 5}], "legs"),
-        ],
-        ids=["int_pair", "int_y", "int_relay"],
-    )
-    def test_a_record_whose_node_id_is_no_string_rejected(self, records, key):
-        # Records no campaign can write: every node id is a fingerprint.
-        payload = json.loads(LEGACY_CAMPAIGN.read_text())
-        payload[key] = records
-        with pytest.raises(MeasurementError, match="is not a node id"):
-            CampaignDataset.from_json(json.dumps(payload))
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_unknown_format_rejected(self, dataset, tmp_path, mmap):
+        path = tmp_path / "campaign.npz"
+        dataset.save(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.dumps({"format": "ting-campaign-npz/99", "meta": {}})
+        arrays["header"] = np.frombuffer(header.encode("utf-8"), dtype=np.uint8)
+        _write_npz(path, arrays)
+        with pytest.raises(MeasurementError, match="unknown dataset format"):
+            CampaignDataset.load(path, mmap=mmap)
 
 
 class TestCampaignRecordsProvenance:

@@ -6,12 +6,8 @@ and in-flight pair. That the streamed campaign-event counts and the
 final progress totals do not depend on the worker count is the
 contract's generated differential
 (``tests/contract/test_task_purity.py``). What a killed, raising, hung
-or slow worker does to each forked round is the worker-fault matrix's
-(``tests/contract/test_worker_faults.py``).
-
-The fork-context workers inherit the parent's memory, so
-monkeypatching ``_run_worker`` in this process changes what the *forked
-children* execute — that is how a sabotaged job is injected below.
+or slow worker, or one whose leg cache is lost, does to each forked
+round is the worker-fault matrix's (``tests/contract/test_worker_faults.py``).
 
 The leg phase reports as shard ``-1``: it heartbeats, streams, and gets
 its own flight-recorder ring like any worker.
@@ -23,7 +19,6 @@ import time
 import pytest
 from conftest import shard_campaign, slow, wedge_in_pair, worker_fault
 
-import repro.core.shard as shard_mod
 from repro.core.shard import LEG_PHASE, CampaignTelemetry
 from repro.obs import INFO, EventBus, categorize_failure
 from repro.util.cpus import WorkerSilence
@@ -144,27 +139,7 @@ class TestPerWorkerSilence:
 
 class TestWorkerFaults:
     """What the worker-fault matrix (``tests/contract/test_worker_faults.py``)
-    does not inject at the pool's seam: a sabotaged job, and the
-    deadline's own validation."""
-
-    def test_worker_prewarm_assertion_fails_campaign(
-        self, fingerprints, monkeypatch
-    ):
-        # Sabotage the leg cache a worker receives: the zero-miss
-        # assertion must catch the duplicated work and fail the run.
-        real = shard_mod._run_worker
-
-        def saboteur(*args, **kwargs):
-            job = args[0]
-            if job.shard_index == 1:
-                job.leg_estimates = {}
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(shard_mod, "_run_worker", saboteur)
-        campaign = shard_campaign(fingerprints, steal_chunk_pairs=1)
-        with pytest.raises(MeasurementError) as excinfo:
-            campaign.run()
-        assert "leg phase should have pre-warmed" in str(excinfo.value)
+    does not inject at the pool's seam: the deadline's own validation."""
 
     def test_worker_timeout_must_be_positive(self, fingerprints):
         with pytest.raises(MeasurementError):

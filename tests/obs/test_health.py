@@ -20,7 +20,7 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import LEGACY_CAMPAIGN
+from conftest import legacy_dataset
 
 from repro.core.dataset import (
     CampaignDataset,
@@ -481,19 +481,19 @@ class TestDriftDiff:
 
 
 class TestInvariance:
-    @pytest.mark.parametrize("source", ["built", "legacy json"])
+    @pytest.mark.parametrize("source", ["built", "legacy"])
     def test_health_invariant_to_on_disk_format(self, tmp_path, source):
-        """A dataset — a legacy JSON one too — grades as its npz reload."""
+        """A dataset grades as its npz reload."""
         if source == "built":
             dataset = _build_dataset(n=12, seed=9, with_failures=True, geo=True)
         else:
-            dataset = CampaignDataset.load(LEGACY_CAMPAIGN)
+            dataset = legacy_dataset()
         dataset.save(tmp_path / "ds.npz")
         reloaded = CampaignDataset.load(tmp_path / "ds.npz")
         assert health_report(dataset).to_dict() == health_report(reloaded).to_dict()
 
     def test_drift_invariant_to_on_disk_format(self, tmp_path):
-        baseline = CampaignDataset.load(LEGACY_CAMPAIGN)
+        baseline = legacy_dataset()
         current = copy.deepcopy(baseline)
         fresh = RttMatrix(current.matrix.nodes)
         fresh.set("R0", "R3", 500.0)
@@ -504,8 +504,8 @@ class TestInvariance:
         for name, ds in (("base", baseline), ("cur", current)):
             paths[name] = p = tmp_path / f"{name}.npz"
             ds.save(p)
-        drift_json = diff_datasets(baseline, current)
+        drift_built = diff_datasets(baseline, current)
         drift_npz = diff_datasets(
             CampaignDataset.load(paths["base"]), CampaignDataset.load(paths["cur"])
         )
-        assert drift_json.to_dict() == drift_npz.to_dict()
+        assert drift_built.to_dict() == drift_npz.to_dict()

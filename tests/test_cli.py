@@ -5,13 +5,14 @@ import json
 
 import numpy as np
 import pytest
-from conftest import LEGACY_CAMPAIGN
+from conftest import JSON_DATASETS
 
 from repro.cli import build_parser, main, resolve_policy
 from repro.core import shard
 from repro.core.dataset import CampaignDataset, RttMatrix
 from repro.core.shard import ShardedCampaign
 from repro.testbeds.livetor import LiveTorTestbed
+from repro.util.errors import MeasurementError
 
 
 @pytest.fixture
@@ -143,20 +144,6 @@ class TestCommands:
         assert code == 0
         assert "speedup" in out
         assert "informed" in out
-
-    def test_tiv_and_deanon_read_a_legacy_json_matrix(self, small_matrix_file, capsys):
-        """The bare ``{"nodes", "rtts_ms"}`` document ``measure --output``
-        wrote before it wrote datasets (``legacy_matrix.json``'s form, here
-        over a complete matrix, which TIV analysis needs)."""
-        matrix = CampaignDataset.load(small_matrix_file).matrix
-        legacy = small_matrix_file.with_suffix(".json")
-        legacy.write_text(json.dumps(
-            {"nodes": matrix.nodes, "rtts_ms": np.round(matrix.matrix, 6).tolist()}
-        ))
-        for command in (["tiv", str(legacy)], ["deanon", str(legacy), "--runs", "30"]):
-            assert main(command) == 0
-        out = capsys.readouterr().out
-        assert "nodes: 8  pairs: 28" in out and "speedup" in out
 
     def test_coverage_runs(self, capsys):
         code = main(["coverage", "--days", "3", "--relays", "300"])
@@ -400,6 +387,37 @@ class TestDatasetRoundTrip:
         assert code == 0
         assert "probe cost" in out
         assert "saved" in out
+
+
+class TestJsonDatasetRefused:
+    """Every command that reads a dataset reads it through
+    ``CampaignDataset.load``, so a JSON one fails each of them the same
+    way: a ``MeasurementError`` that names the conversion (``tail``'s
+    case is ``TestTailDatasetReplay``'s)."""
+
+    @pytest.mark.parametrize("document", sorted(JSON_DATASETS))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tiv", "{}"],
+            ["deanon", "{}", "--runs", "5"],
+            ["report", "--input", "{}"],
+            ["plan", "--relays", "3", "--network-size", "10", "--input", "{}"],
+            ["health", "--input", "{}"],
+            ["health", "--input", "NPZ", "--baseline", "{}"],
+            ["serve", "--input", "{}", "freshness"],
+            ["serve", "--input", "{}", "--mmap", "freshness"],
+        ],
+        ids=lambda argv: " ".join(arg for arg in argv if arg not in ("{}", "NPZ")),
+    )
+    def test_a_json_dataset_names_the_conversion(self, tmp_path, argv, document):
+        path = tmp_path / "campaign.json"
+        path.write_text(JSON_DATASETS[document])
+        npz = tmp_path / "ds.npz"
+        _synthetic_dataset(n=5).save(npz)
+        paths = {"{}": str(path), "NPZ": str(npz)}
+        with pytest.raises(MeasurementError, match="Converting a JSON dataset"):
+            main([paths.get(arg, arg) for arg in argv])
 
 
 class TestOneWorldPerCommand:
@@ -761,12 +779,16 @@ class TestTailDatasetReplay:
         # 10 measured + 1 failed provenance rows, one line each.
         assert out.count("\n") == 11
 
-    def test_legacy_json_dataset_sniffed_too(self, capsys):
-        code = main(["tail", str(LEGACY_CAMPAIGN)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.count("campaign.pair_measured") == 9
-        assert out.count("campaign.pair_failed") == 1
+    @pytest.mark.parametrize("document", sorted(JSON_DATASETS))
+    def test_a_json_dataset_is_refused_not_replayed(self, tmp_path, capsys, document):
+        # Sniffed as a dataset, either goes to the loader, which refuses
+        # it. Read as JSONL, the tagged one would print one bogus event
+        # line, and the bare matrix printed nothing and exited 0.
+        path = tmp_path / "campaign.json"
+        path.write_text(JSON_DATASETS[document])
+        with pytest.raises(MeasurementError, match="Converting a JSON dataset"):
+            main(["tail", str(path)])
+        assert capsys.readouterr().out == ""
 
     def test_since_filters_provenance_rows(self, tmp_path, capsys):
         path = tmp_path / "ds.npz"
