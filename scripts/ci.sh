@@ -107,6 +107,10 @@ echo "== probe flight contract =="
 # wiring epoch) held to a fresh chart at every use and after every
 # event, over the same cases and every kind of write that moves it.
 python -m pytest tests/contract/test_probe_flight.py tests/contract/test_chart_memo.py -x -q
+# A timer-paced train on a quiet simulator flies whole (a train flight,
+# repro.tor.flight.Train): its differential against the cells, bit for
+# bit, on its own as above.
+python -m pytest tests/contract/test_train_flight.py -x -q
 # What the memo, the inline ping-pong send and the round walk buy,
 # counted: charts made per flown probe, simulator events per probe, and
 # round walks (Probe.walk_round: how many, probes each held, and
@@ -115,9 +119,6 @@ python -m pytest tests/contract/test_probe_flight.py tests/contract/test_chart_m
 # measured the highacc_serial way — 200 ping-pong samples per circuit —
 # and the same campaign as cells beside it: equal RTT lists, clock and
 # draw positions.
-# The planner smoke's own 2 ms trains fly nothing. Counted here, not by
-# a registry counter (one would have to join the flight contract's
-# FLIGHT_COUNTERS).
 python - <<'PY'
 from repro.core.campaign import AllPairsCampaign
 from repro.core.sampling import SamplePolicy
@@ -217,21 +218,27 @@ fi
 # it to the cell path, bit for bit — RTTs, clock, draw positions,
 # connections, relay and proxy tables, counters — then the set-up
 # flights flown and refused and the events per isolated task on the
-# planner smoke's world, as cells beside it.
+# planner smoke's world, as cells beside it. Its isolated tasks' 3-probe
+# 2 ms trains fly whole, every probe of them (train flights, asserted).
 python -m pytest tests/contract/test_set_up_flight.py -x -q
 python - <<'PY'
 from repro.core.planner import CampaignPlanner
 from repro.core.sampling import SamplePolicy
 from repro.core.shard import ShardedCampaign
 from repro.testbeds.livetor import LiveTorTestbed
-from repro.tor.flight import SetUp
+from repro.tor.flight import SetUp, Train
 
-launch, sent = SetUp.launch, []
+launch, land, sent, trains = SetUp.launch, Train.land, [], []
 
 
 def counted(self):
     sent.append(launch(self))
     return sent[-1]
+
+
+def landed(self):
+    trains.append(len(self.lands))
+    return land(self)
 
 
 def campaign():
@@ -243,17 +250,20 @@ def campaign():
         pairs=pairs, workers=1, force_inline=True,
     ).run()
     tasks = report.pairs_measured + report.legs_measured
-    return report.matrix.as_array().tobytes(), report.events_processed, tasks
+    return report.matrix.as_array().tobytes(), report.events_processed, tasks, report.probes_sent
 
 
-SetUp.launch = counted
-matrix, events, tasks = campaign()
-SetUp.launch = lambda self: False
-cells, cell_events, _ = campaign()
-SetUp.launch = launch
-assert matrix == cells, "a set-up flight moved a measured RTT"
+SetUp.launch, Train.land = counted, landed
+matrix, events, tasks, probes = campaign()
+SetUp.launch = Train.launch = lambda self: False
+cells, cell_events, _, cell_probes = campaign()
+SetUp.launch, Train.land = launch, land
+del Train.launch
+assert matrix == cells, "a set-up or train flight moved a measured RTT"
+assert sum(trains) == probes == cell_probes and len(trains) == tasks, (trains, probes, tasks)
 print(f"set-up flights, isolated tasks on the planner smoke's world: "
-      f"{sum(sent)} flown / {len(sent) - sum(sent)} refused; "
+      f"{sum(sent)} flown / {len(sent) - sum(sent)} refused; train flights: "
+      f"{len(trains)} trains, {sum(trains)} of {probes} probes flown; "
       f"{events / tasks:.1f} events per task ({cell_events / tasks:.1f} as cells, "
       f"{tasks} tasks), matrices equal")
 PY
@@ -661,6 +671,9 @@ print(f"paper-scale cycle, {RELAYS} relays: {cycle:.2f} s for {pairs} pairs"
       f" ({cycle / pairs * 1e6:,.0f} us/pair); build_s cold {cold.build_s:.3f}"
       f" refresh {refresh.build_s:.3f}; {len(builds)} world build(s);"
       f" {len(pools)} fork pool(s), {sum(pools)} children")
+flown = [cold.metrics.counter(f"echo.{name}_flown") for name in ("train_probes", "probes")]
+print(f"cold run: {sum(flown)} of {cold.probes_sent} probes flown"
+      f" ({flown[0]} in trains, {flown[1]} alone)")
 forked = schedulable_cpu_count() >= 2
 expected = 1 if forked else 2
 assert len(builds) == expected, f"{len(builds)} world builds, expected {expected}"

@@ -114,6 +114,18 @@ LEDGER = (
            '                self.host.metrics.inc("campaign.task_isolations")\n', ""),
     Mutant("claims_replaced", "src/repro/core/shard.py",
            "telemetry.pairs_total += len(items)", "telemetry.pairs_total = len(items)"),
+    # The train walk (DESIGN §5, "Train flights").
+    Mutant("train_relay_order_unchecked", "src/repro/tor/flight.py",
+           "            if drawn.get(draws, -inf) >= times[0]:\n"
+           "                marks.append((mark, link_mark))",
+           "            if False:\n"
+           "                marks.append((mark, link_mark))"),
+    Mutant("train_sends_multiplied", "src/repro/tor/flight.py",
+           "sends.append(sends[-1] + stream._every)",
+           "sends.append(sends[0] + len(sends) * stream._every)"),
+    Mutant("train_take_back_unpaced", "src/repro/tor/flight.py",
+           "        self.stream.on_pace()\n        return super().take_back()",
+           "        return super().take_back()"),
 )
 
 

@@ -83,6 +83,7 @@ from repro.obs import (
 )
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.testbeds.planetlab import PlanetLabTestbed
+from repro.util.errors import ReproError
 
 
 #: ``--policy`` choices shared by measure/stats/report.
@@ -619,7 +620,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     lost = counters.get("echo.probes_lost", 0)
     if sent:
         print(f"  {'probe loss rate':<24} {lost / sent:.2%}")
-        flown = counters.get("echo.probes_flown", 0)
+        flown = counters.get("echo.probes_flown", 0) + counters.get("echo.train_probes_flown", 0)
         print(f"  {'probes flown / sent':<24} {flown / sent:.2%}")
     rtt = registry.histogram("echo.rtt_ms")
     if rtt is not None and rtt.count:
@@ -1238,9 +1239,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code. A :class:`ReproError`
+    is one ``repro: <message>`` line on stderr and exit status 1."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

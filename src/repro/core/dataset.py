@@ -622,7 +622,11 @@ class ProvenanceLog:
         return values
 
     def add(self, record: PairProvenance) -> None:
-        """Append one pair's provenance."""
+        """Append one pair's provenance. A record without a ``status`` is
+        refused (:class:`MeasurementError`): a log :meth:`save` writes is
+        one ``load`` reads."""
+        if record.status is None:
+            raise MeasurementError(f"provenance of pair {record.x}-{record.y} has no status")
         row = self._pairs.append(self._encode(self._pairs, record))
         if record.reason is not None:
             self._reasons[row] = record.reason

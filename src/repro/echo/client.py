@@ -172,12 +172,16 @@ class EchoClient:
                     )
                 on_error(reason)
 
-        def landed(payload: bytes | None, lands: list | None = None) -> None:
-            # One reply (``payload``), or a walked round's replies landing
-            # at ``lands``: the probe in flight's first, then each a send
-            # the walk made at the landing before it.
+        def landed(payload: bytes | None, lands: list | None = None,
+                   sends: list | None = None) -> None:
+            # One reply (``payload``), or a walked round's or train's
+            # replies landing at ``lands``: the probe in flight's first,
+            # then each a send the walk made — at ``sends``, a train's,
+            # or at the landing before it, a round's.
             if lands is not None:
                 sent_at = in_flight.pop(result.sent - 1)
+                if sends is None:
+                    sends = [sent_at, *lands[:-1]]
             elif state["finished"] or len(payload) != _PROBE.size:
                 # A reply landing after the run resolved (early stop or
                 # deadline with probes still in flight) must not mutate
@@ -187,7 +191,7 @@ class EchoClient:
                 sent_at = in_flight.pop(_PROBE.unpack(payload)[0], None)
                 if sent_at is None:
                     return
-                lands = [self.sim.now]
+                lands, sends = [self.sim.now], [sent_at]
             last = len(lands) - 1
             for k, at in enumerate(lands):
                 if k:
@@ -195,8 +199,7 @@ class EchoClient:
                     result.sent += 1
                     if metrics.enabled:
                         metrics.inc("echo.probes_sent")
-                rtt = at - sent_at
-                sent_at = at
+                rtt = at - sends[k]
                 result.rtts_ms.append(rtt)
                 result.received += 1
                 if metrics.enabled:
@@ -225,14 +228,11 @@ class EchoClient:
                     # Nothing else due now and nothing after this draws
                     # or schedules: a +0 event's order, bar a
                     # run(max_events=) that stops here (DESIGN §5).
-                    send_next(result.sent)
+                    send_next()
                 else:
-                    self.sim.schedule(0.0, send_next, result.sent)
+                    self.sim.schedule(0.0, send_next)
 
-        stream.on_data = landed
-        stream.on_round = functools.partial(landed, None)
-
-        def send_next(seq: int) -> None:
+        def send_next() -> None:
             if state["finished"]:
                 return
             if stream.state != "open":
@@ -245,22 +245,25 @@ class EchoClient:
                 else:
                     finish_error(f"stream became {stream.state}")
                 return
+            seq = result.sent
             self._nonce += 1
             in_flight[seq] = self.sim.now
             result.sent += 1
             if metrics.enabled:
                 metrics.inc("echo.probes_sent")
-            # The next send is arranged before this one goes out, so the
-            # onion proxy can see that this sender does not wait for the
-            # reply (a probe flight needs a quiet round trip; launched
-            # first, it would have to be taken back).
-            if not pingpong and seq + 1 < samples:
-                self.sim.schedule(interval_ms, send_next, seq + 1)
+            probe = _PROBE.pack(seq, self._nonce)
             # Sends sure to follow: to the cap, or before a stop could come.
-            follows = samples - result.sent if pingpong else 0
+            left = follows = samples - result.sent
             if tracker is not None:
                 follows = min(follows, tracker.replies_before_stop() - 1)
-            stream.send(_PROBE.pack(seq, self._nonce), follows)
+            if not pingpong and left:
+                # Paced: the rest of the train may fly with this send if all
+                # of it is sure to come and no earlier probe's reply is due;
+                # if not, the stream arms the next send (``on_pace``) first.
+                whole = follows == left and len(in_flight) == 1
+                stream.send(probe, follows if whole else 0, interval_ms)
+            else:
+                stream.send(probe, follows if pingpong else 0)
 
         def deadline_hit() -> None:
             # Accept partial results if we got anything; else a failure.
@@ -270,5 +273,8 @@ class EchoClient:
             else:
                 finish_error("echo probe deadline with zero replies")
 
+        stream.on_data = landed
+        stream.on_round = functools.partial(landed, None)
+        stream.on_pace = functools.partial(self.sim.schedule, interval_ms, send_next)
         deadline = self.sim.schedule(timeout_ms, deadline_hit)
-        self.sim.schedule(0.0, send_next, 0)
+        self.sim.schedule(0.0, send_next)

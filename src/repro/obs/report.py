@@ -379,18 +379,19 @@ def build_report(
         saved = counters.get("ting.probes_saved", 0)
         stops = counters.get("echo.early_stops", 0)
         runs = counters.get("tor.streams_attached", 0)
-        flown = counters.get("echo.probes_flown", 0)
+        flown = counters.get("echo.probes_flown", 0) + counters.get("echo.train_probes_flown", 0)
         data["cost"] = {
             "probes_sent": sent,
             "probes_saved": saved,
             "saved_fraction": round(saved / (sent + saved), 4) if saved else 0.0,
             "early_stops": stops,
             "early_stop_rate": round(stops / runs, 4) if runs else 0.0,
-            # Probe flights: what the simulator did not spend — a flown
-            # probe is 2 events where a cell-path probe is 4·hops + 2.
+            # Probe and train flights: what the simulator did not spend —
+            # a flown probe is 2 events where a cell-path probe is 4·hops + 2.
             "probes_flown": flown,
             "flown_fraction": round(flown / sent, 4),
-            "flight_rollbacks": counters.get("echo.flight_rollbacks", 0),
+            "flight_rollbacks": counters.get("echo.flight_rollbacks", 0)
+            + counters.get("echo.train_rollbacks", 0),
         }
     elif provenance is not None and len(provenance):
         # No live counters (a re-report of a saved dataset): rebuild the

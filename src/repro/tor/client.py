@@ -10,10 +10,11 @@ circuits via BEGIN/CONNECTED/DATA/END relay cells.
 All operations are callback-based; the controller layer adds the
 synchronous facade measurement code uses.
 
-A stream's lone echo cell and a circuit's set-up cells may go as
-*flights* instead (:mod:`repro.tor.flight`): walked inside the sending
-event, one landing event for the answer. :meth:`OnionProxy._send_stream_data`
-and :meth:`OnionProxy._set_up` are the only calls into that module.
+A stream's lone echo cell or timer-paced train of them and a circuit's
+set-up cells may go as *flights* instead (:mod:`repro.tor.flight`):
+walked inside the sending event, one landing event for the answer.
+:meth:`OnionProxy._send_stream_data` and :meth:`OnionProxy._set_up` are
+the only calls into that module.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.tor.cells import (
 )
 from repro.tor.crypto import ClientHandshake, CryptoError, OnionLayer
 from repro.tor.directory import Consensus, RelayDescriptor
-from repro.tor.flight import Probe, SetUp
+from repro.tor.flight import Probe, SetUp, Train
 from repro.util.errors import CircuitError, StreamError
 from repro.util.units import Milliseconds
 
@@ -89,9 +90,11 @@ class TorStream:
         self.state = "connecting"  # connecting | open | closed | failed
         self.on_data: Callable[[bytes], None] | None = None
         #: A sender that declares ``follows`` takes a walked round's
-        #: replies here, as their landing times; a stream without one
-        #: is never walked.
-        self.on_round: Callable[[list[Milliseconds]], None] | None = None
+        #: replies here, as their landing times (a train's with its sends'
+        #: times); a stream without one is never walked. One that declares
+        #: ``every`` arms its next send with ``on_pace``.
+        self.on_round: Callable[..., None] | None = None
+        self.on_pace: Callable[[], None] | None = None
         self.on_close: Callable[[], None] | None = None
         self._proxy: "OnionProxy | None" = None
         self.opened_at_ms: Milliseconds = 0.0
@@ -101,18 +104,24 @@ class TorStream:
         self._floor_rtt_ms: Milliseconds | None = None
         # The last chart of this path and its key (``Probe.charted``).
         self._chart_memo: tuple | None = None
-        # Sends the sender said follow the last; sends a cut walk did not hold.
-        self._follows = self._unheld = 0
+        # Sends the sender said follow the last, and how far apart if it
+        # paces them; sends a cut walk did not hold.
+        self._follows, self._every, self._unheld = 0, None, 0
 
-    def send(self, data: bytes, follows: int = 0) -> None:
+    def send(self, data: bytes, follows: int = 0,
+             every: Milliseconds | None = None) -> None:
         """Send application bytes to the stream's destination; ``follows``
         more sends are sure to come, each at the last one's reply: a
         promise that lets ``on_round`` take up to ``follows + 1`` replies
-        at once, the sends between them made for the sender."""
+        at once, the sends between them made for the sender. With
+        ``every``, each is due ``every`` ms after the last instead and
+        ``follows`` is 0 or all the sender has left: a train, which may
+        fly whole (``on_round`` takes each reply with its send's time);
+        if not, ``on_pace`` arms the next send before this one goes."""
         if self.state != "open":
             raise StreamError(f"stream {self.stream_id} is {self.state}")
         assert self._proxy is not None
-        self._follows = follows
+        self._follows, self._every = follows, every
         self._proxy._send_stream_data(self, data)
 
     def close(self) -> None:
@@ -453,7 +462,13 @@ class OnionProxy:
     def _send_stream_data(self, stream: TorStream, data: bytes) -> None:
         payload = bytes(data)
         cell = (stream.circuit, RelayCommand.DATA, stream.stream_id, payload)
-        if 0 < len(payload) <= RELAY_DATA_LEN and Probe(self, cell, stream).launch():
+        one = 0 < len(payload) <= RELAY_DATA_LEN
+        if stream._every is not None:  # a train flies whole, or is no round
+            if one and stream._follows and Train(self, cell, stream).launch():
+                return
+            stream._follows = 0
+            stream.on_pace()
+        if one and Probe(self, cell, stream).launch():
             return
         for start in range(0, len(payload), RELAY_DATA_LEN):
             self._send_relay_cell(
@@ -469,19 +484,6 @@ class OnionProxy:
             self._send_relay_cell(
                 stream.circuit, RelayCommand.END, stream.stream_id, b""
             )
-
-    def send_padding(self, circuit: Circuit, hop: int | None = None) -> None:
-        """Send a long-range padding cell (RELAY_DROP) to a hop.
-
-        The receiving relay absorbs it silently; clients use these to
-        obscure traffic patterns. Useful in tests and traffic-analysis
-        experiments as innocuous cover traffic.
-        """
-        if not circuit.is_built:
-            raise CircuitError(f"circuit {circuit.circ_id} is {circuit.state}")
-        self._send_relay_cell(
-            circuit, RelayCommand.DROP, 0, b"", target_hop=hop
-        )
 
     # ------------------------------------------------------------------
     # Set-up cells: a set-up cell is ``(circuit, command, stream id, data)``
@@ -663,8 +665,3 @@ class OnionProxy:
         for conn in self._or_conns.values():
             conn.close()
         self._or_conns.clear()
-
-    @property
-    def open_circuit_count(self) -> int:
-        """Number of currently built circuits."""
-        return sum(1 for c in self.circuits.values() if c.is_built)

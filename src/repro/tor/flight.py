@@ -7,16 +7,18 @@ the cells' order, written where the cells write it) and schedules the
 answer alone (:meth:`Simulator.launch_flight`). No cell, cipher or digest
 is touched, so both ends of every onion layer stay in lockstep.
 
-A flight is one record (:class:`Flight`) of one of two kinds — a
+A flight is one record (:class:`Flight`) of one of three kinds — a
 :class:`Probe` (a stream's DATA cell to an echo server, or a ping-pong
-round of them walked at once) or a :class:`SetUp` (a circuit's CREATE,
-EXTEND or BEGIN, the far end's new connection included) — with one
-launch, one give-back, one take-back and one landing step.
+round of them walked at once), a :class:`Train` (a timer-paced run of
+them, walked at once) or a :class:`SetUp` (a circuit's CREATE, EXTEND or
+BEGIN, the far end's new connection included) — with one launch, one
+give-back, one take-back and one landing step.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import inf
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,19 +53,20 @@ _LOOPBACK = JitterModel(LOOPBACK_JITTER_MS, 0.0, 0.0)
 
 class Flight:
     """One flight: ``cell`` — ``(circuit, command, stream id, data)``, what
-    ``proxy`` sends as cells if it does not fly —, its ``chart`` (the
-    steps the walk takes, one ``(connection written to, its peer,
-    serialization delay, relay that processes the arrival or None, its
-    circuit entry)`` per segment, then what the landing needs), the
-    walk's ``marks`` (where it found everything it drew from or wrote)
-    and ``lands`` (a walked round's landing times; ``None`` for one cell).
-    A kind says how far ahead the simulator must be quiet before the
-    flight charts (``floor()``, ``None`` to refuse: refusing is always
-    exact), charts (``charted()``, ``None`` if a cell sent now would not
-    come back answered) and what the answer's cell would have done at the
+    ``proxy`` sends as cells if it does not fly —, the times its cells are
+    sent (``sends``: now, or a train's), its ``chart`` (the steps the walk
+    takes, one ``(connection written to, its peer, serialization delay,
+    relay that processes the arrival or None, its circuit entry)`` per
+    segment, then what the landing needs), the walk's ``marks`` (where it
+    found everything it drew from or wrote) and ``lands`` (the landing
+    times of a walked round or a train; ``None`` for one cell). A kind
+    says how far ahead the simulator must be quiet before the flight
+    charts (``floor()``, ``None`` to refuse: refusing is always exact),
+    charts (``charted()``, ``None`` if a cell sent now would not come
+    back answered) and what the answer's cell would have done at the
     client (``landed(probes)``)."""
 
-    __slots__ = ("proxy", "cell", "stream", "chart", "marks", "lands")
+    __slots__ = ("proxy", "cell", "stream", "sends", "chart", "marks", "lands")
 
     #: The counter a give-back moves, if the kind keeps one.
     given_back: str | None = None
@@ -71,19 +74,22 @@ class Flight:
     def __init__(self, proxy: "OnionProxy", cell: tuple,
                  stream: "TorStream | None" = None) -> None:
         self.proxy, self.cell, self.stream, self.lands = proxy, cell, stream, None
+        self.sends = [proxy.sim.now]
 
     def launch(self) -> bool:
-        """Fly the cell. ``False`` — nothing drawn, changed or scheduled
+        """Fly the cells. ``False`` — nothing drawn, changed or scheduled
         that the cell path will not redo identically — unless the cells
         would make the round trip (``charted()``: every state check a cell
         would meet, no relay reading the clock), no hop's wait would raise
-        a ``queue_saturated`` event and nothing else (nor the end of a
-        bounded ``run``) is due before the answer lands, a tie included:
-        tested against ``floor()`` before anything is charted or drawn, so
-        a busy simulator pays one comparison, then against the drawn
-        landing by :meth:`Simulator.launch_flight`. A flight refused after
-        drawing gives every draw back (:meth:`give_back`): all or nothing,
-        no knob. Counters move at the landing, as the cells' last would."""
+        a ``queue_saturated`` event, a train's cells would take each
+        stream in the order the walk takes it (:func:`_walk`) and nothing
+        else (nor the end of a bounded ``run``) is due before the last
+        answer lands, a tie included: tested against ``floor()`` before
+        anything is charted or drawn, so a busy simulator pays one
+        comparison, then against the drawn landing by
+        :meth:`Simulator.launch_flight`. A flight refused after drawing
+        gives every draw back (:meth:`give_back`): all or nothing, no
+        knob. Counters move at the landing, as the cells' last would."""
         sim = self.proxy.sim
         sim.ground_flight()
         floor = self.floor()
@@ -94,8 +100,10 @@ class Flight:
             return False
         if self.walked_round():
             return True
-        at, self.marks = _walk(chart[0], sim.now)
-        if at is not None and sim.launch_flight(at, self.land, self.take_back):
+        lands, self.marks = _walk(chart[0], self.sends)
+        if lands is not None and sim.launch_flight(lands[-1], self.land, self.take_back):
+            if len(lands) > 1:
+                self.lands = lands
             return True
         self.give_back()
         return False
@@ -107,14 +115,15 @@ class Flight:
 
     def give_back(self) -> bool:
         """Undo the walk: every draw position, arrival, queue head and
-        queue back where its marks found them (a walked round's, where it
-        found them before its first probe). Whether every stream the walk
-        drew from stood where it left them."""
+        queue back where its marks found them (a walked round's — one
+        send, many landings — where it found them before its first probe).
+        Whether every stream the walk drew from stood where it left them."""
         if self.given_back is not None:
             self.proxy.metrics.inc(self.given_back)
-        if self.lands is not None:
+        if self.lands is not None and len(self.sends) == 1:
             return _settle(self.marks, 0)
         steps, marks, untouched = self.chart[0], self.marks, True
+        words = 2 * len(self.sends)  # each step draws once per cell
         # Backwards: a stream, connection or relay met twice took its
         # second mark after its first draw, so each stream is checked at
         # its last mark first, and met again where its rewind left it.
@@ -123,11 +132,11 @@ class Flight:
             mark = marks[step]
             conn._last_arrival = mark[0]
             draws = conn._link.draws
-            untouched = untouched and draws.base + draws.pos == mark[1] + 2
+            untouched = untouched and draws.base + draws.pos == mark[1] + words
             draws.rewind(mark[1])
-            if relay is not None:
+            if len(mark) > 2:
                 draws = relay.draws
-                untouched = untouched and draws.base + draws.pos == mark[2] + 2
+                untouched = untouched and draws.base + draws.pos == mark[2] + words
                 draws.rewind(mark[2])
                 peer._queue_head = mark[3]
                 if mark[4] is not None:
@@ -145,7 +154,7 @@ class Flight:
 
     def land(self) -> None:
         """The flight's one event: count the cells every relay on the way
-        would have counted (a walked round's, for each of its probes),
+        would have counted (for each probe of a walked round or train),
         then what the answer's cell would have done (``landed``)."""
         probes = 1 if self.lands is None else len(self.lands)
         for _, _, _, relay, entry in self.chart[0]:
@@ -330,6 +339,56 @@ class Probe(Flight):
             stream.on_data(self.cell[3])
 
 
+class Train(Flight):
+    """A stream's DATA cell and the ``follows`` its sender is sure to send
+    after it, each ``every`` ms after the last (``TorStream.send``), and
+    their echoes: walked at once from the sends' times, landing with the
+    last reply. The path and chart are a :class:`Probe`'s."""
+
+    __slots__ = ()
+    given_back = "echo.train_rollbacks"
+
+    def floor(self) -> Milliseconds | None:
+        """The last send's offset, then the path's floor round trip; or
+        ``None`` if the sends span that round trip: a reply could be back
+        first, and a relay's return visits then come before later probes'
+        outbound ones, which the walk would only find out K cells on."""
+        span, floor = self.stream._follows * self.stream._every, Probe.floor(self)
+        return span + floor if 0 < span < floor else None
+
+    def charted(self) -> tuple | None:
+        """:meth:`Probe.charted`, the path's floor learnt as a probe's is,
+        and the sends timed as the timer times them: each the last plus
+        ``every``, one float add."""
+        chart = Probe.charted(self)
+        if chart is None:
+            return None
+        stream, sends = self.stream, self.sends
+        if stream._floor_rtt_ms is None:
+            stream._floor_rtt_ms = _floor_ms(self.proxy.fabric, chart[0])
+        while len(sends) <= stream._follows:
+            sends.append(sends[-1] + stream._every)
+        return chart
+
+    def take_back(self) -> bool:
+        """Arm the next send, then give back and send: a refused train's order."""
+        self.stream.on_pace()
+        return super().take_back()
+
+    def landed(self, probes: int) -> None:
+        """Count the echoes and the probes flown, then hand the sender the
+        replies and their sends, if every check holds still."""
+        chart = self.chart
+        chart[1].count_echo(probes)
+        self.proxy.metrics.inc("echo.train_probes_flown", probes)
+        if self.charted() != chart:
+            raise SimulationError(
+                f"a train of {probes} probes walked to land at "
+                f"{self.proxy.sim.now!r} ms lost its path before its first landing"
+            )
+        self.stream.on_round(self.lands, self.sends)
+
+
 class SetUp(Flight):
     """The cell a circuit's set-up step waits on — CREATE, EXTEND (from
     the last hop) or BEGIN —, what the far end does with it and the
@@ -440,75 +499,98 @@ class SetUp(Flight):
             proxy._advance_build(circuit, reply)
 
 
-def _walk(steps: list[tuple], at: Milliseconds) -> tuple:
-    """Walk ``steps`` from ``at`` as the cells would: each segment the
-    next draw of its link direction, each relay visit the next of its
-    relay, computed inline as :meth:`NetworkFabric.arrival_ms` and
+def _walk(steps: list[tuple], sends: list[Milliseconds]) -> tuple:
+    """Walk ``steps`` from each time in ``sends`` as the cells would: each
+    segment the next draw of its link direction, each relay visit the next
+    of its relay, computed inline as :meth:`NetworkFabric.arrival_ms` and
     :meth:`Relay.ready_ms` compute them (same float operations, same
     order: the one scalar copy) and written where they write. A step
     with no peer is a SYN or SYN-ACK (``NetworkFabric._send_syn`` /
-    ``_accept``): no order kept, nothing written. ``(landing, marks)``,
-    or ``(None, marks)`` if a hop owes a ``queue_saturated`` event."""
-    marks = []
+    ``_accept``): no order kept, nothing written. Step by step, each
+    send's cell in turn: a train's cells take the streams in that order
+    if each stream's draws at a step come strictly after its draws at
+    every step before (a relay's return visits after its outbound ones;
+    checked, DESIGN §5). ``(landings, marks)``, or ``(None, marks)`` if a
+    hop owes a ``queue_saturated`` event or that order would not hold."""
+    marks, times = [], sends
+    # When a train last drew from each stream (one cell needs no check).
+    drawn = {} if len(times) > 1 else None
     # The helpers' max(a, b) is `if b > a: a = b` here: same float, no call.
     for conn, peer, serialization_ms, relay, _ in steps:
-        # NetworkFabric.arrival_ms, inline.
+        # NetworkFabric.arrival_ms, inline, at each cell's send.
         link = conn._link or conn.link()
         draws = link.draws
-        i = draws.pos
-        last_arrival, link_mark = conn._last_arrival, draws.base + i
-        if i == BLOCK_WORDS:
-            draws.fill(draws.base + i)
-            i = 0
-        draws.pos = i + 2
+        if drawn is not None:
+            if drawn.get(draws, -inf) >= times[0]:
+                return None, marks
+            drawn[draws] = times[-1]
+        mark = last_arrival = conn._last_arrival
+        link_mark = draws.base + draws.pos
         model = link.jitter
-        if model is None:
-            delay = link.base_ms + LOOPBACK_JITTER_MS * draws.e[i]
-        else:
-            e = draws.e
-            jitter = model.scale_ms * e[i]
-            if draws.u[i] < model.burst_probability:
-                jitter += model.burst_scale_ms * e[i + 1]
-            delay = link.base_ms + jitter
-        delay += serialization_ms
-        at += delay
-        if peer is not None:
-            if last_arrival + 1e-6 > at:
-                at = last_arrival + 1e-6
-            conn._last_arrival = at
+        arrivals = []
+        for at in times:
+            i = draws.pos
+            if i == BLOCK_WORDS:
+                draws.fill(draws.base + i)
+                i = 0
+            draws.pos = i + 2
+            if model is None:
+                delay = link.base_ms + LOOPBACK_JITTER_MS * draws.e[i]
+            else:
+                e = draws.e
+                jitter = model.scale_ms * e[i]
+                if draws.u[i] < model.burst_probability:
+                    jitter += model.burst_scale_ms * e[i + 1]
+                delay = link.base_ms + jitter
+            delay += serialization_ms
+            at += delay
+            if peer is not None:
+                if last_arrival + 1e-6 > at:
+                    at = last_arrival + 1e-6
+                conn._last_arrival = last_arrival = at
+            arrivals.append(at)
+        times = arrivals
         if relay is None:
-            marks.append((last_arrival, link_mark))
+            marks.append((mark, link_mark))
             continue
-        # Relay.ready_ms, inline.
+        # Relay.ready_ms, inline, at each cell's arrival.
         draws = relay.draws
-        i = draws.pos
+        if drawn is not None:
+            if drawn.get(draws, -inf) >= times[0]:
+                marks.append((mark, link_mark))
+                return None, marks
+            drawn[draws] = times[-1]
         queue = relay.service_queue
-        marks.append((last_arrival, link_mark, draws.base + i, peer._queue_head,
+        marks.append((mark, link_mark, draws.base + draws.pos, peer._queue_head,
                       None if queue is None else queue.mark()))
-        if i == BLOCK_WORDS:
-            draws.fill(draws.base + i)
-            i = 0
-        draws.pos = i + 2
         model = relay.forwarding
-        u, e = draws.u, draws.e
-        delay = model.crypto_floor_ms
         load = model.load
-        if u[i] < load:
-            delay += model.queue_scale_ms * e[i]
-        if u[i + 1] < model.burst_probability * (0.05 if 0.05 > load else load):
-            delay += model.burst_scale_ms * e[i + 1]
-        arrived = at
-        at = arrived + delay
-        if peer._queue_head + 1e-6 > at:
-            at = peer._queue_head + 1e-6
-        if queue is not None:
-            admitted = queue.admit(arrived)
-            if admitted > at:
-                at = admitted
-        peer._queue_head = at
-        if queue is not None and relay.saturation_due(arrived, at):
-            return None, marks
-    return at, marks
+        readies = []
+        for arrived in times:
+            i = draws.pos
+            if i == BLOCK_WORDS:
+                draws.fill(draws.base + i)
+                i = 0
+            draws.pos = i + 2
+            u, e = draws.u, draws.e
+            delay = model.crypto_floor_ms
+            if u[i] < load:
+                delay += model.queue_scale_ms * e[i]
+            if u[i + 1] < model.burst_probability * (0.05 if 0.05 > load else load):
+                delay += model.burst_scale_ms * e[i + 1]
+            at = arrived + delay
+            if peer._queue_head + 1e-6 > at:
+                at = peer._queue_head + 1e-6
+            if queue is not None:
+                admitted = queue.admit(arrived)
+                if admitted > at:
+                    at = admitted
+            peer._queue_head = at
+            if queue is not None and relay.saturation_due(arrived, at):
+                return None, marks
+            readies.append(at)
+        times = readies
+    return times, marks
 
 
 def _settle(marks: tuple, done: int) -> bool:

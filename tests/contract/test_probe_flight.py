@@ -264,9 +264,8 @@ def test_a_bounded_run_that_ends_mid_round_trip():
 def test_a_sender_that_schedules_inside_the_round_trip_after_sending():
     """``send`` then ``schedule(interval)``: the first payload is launched
     on a quiet heap, and taken back — draws, queues, arrivals — when the
-    next send is scheduled inside its round trip. (``EchoClient`` arranges
-    its next send *before* sending, so its trains are refused at the
-    first comparison instead: the next case.)"""
+    next send is scheduled inside its round trip. (``EchoClient`` offers
+    its whole train at once instead: ``test_train_flight.py``.)"""
 
     def scenario(testbed, hops):
         stream = _stream(testbed, hops)
@@ -285,16 +284,6 @@ def test_a_sender_that_schedules_inside_the_round_trip_after_sending():
         return replies
 
     assert differential(scenario, hops=4, service_queues=True) == (0, 1)
-
-
-def test_an_echo_client_train_is_refused_before_anything_is_drawn():
-    def scenario(testbed, hops):
-        stream = _stream(testbed, hops)
-        result = testbed.measurement.echo_client.probe(stream, 8, interval_ms=2.0)
-        testbed.sim.run_until_idle()
-        return result.rtts_ms
-
-    assert differential(scenario, hops=4, service_queues=True) == (0, 0)
 
 
 def test_flown_and_cell_probes_interleave_and_the_circuit_stays_in_lockstep():

@@ -28,16 +28,19 @@ came later, taken the same way before the campaign schedulers were
 folded into one: a :class:`ProbeBudget` small enough to degrade the
 policy through two tiers or more, its spend in the result digest.
 
-Three things move a work tuple: its event count, and its heap peak
+Four things move a work tuple: its event count, and its heap peak
 down. A flown probe crosses its circuit in one event instead of
 ``4·hops + 1``; a ping-pong reply that finds nothing else due at its
 instant sends the next probe inside its own event instead of one
-scheduled at +0; and a flown set-up step (CREATE, EXTEND or BEGIN
+scheduled at +0; a flown set-up step (CREATE, EXTEND or BEGIN
 answered in one event, ``repro.tor.flight.SetUp``) lands in one event
-instead of the ``events`` its cells and connections take. So a
-configuration processes ``Σ_landed 4·hops + inline sends + Σ_set-ups
-(events − 1)`` fewer events than ``WORK_BEFORE_FLIGHTS`` says, cancels
-as many and peaks no higher.
+instead of the ``events`` its cells and connections take; and a flown
+train of ``K`` timer-paced probes (``repro.tor.flight.Train``) lands in
+one event instead of its ``K·(4·hops + 1)`` cell events and ``K − 1``
+timer sends. So a configuration processes ``Σ_landed 4·hops + inline
+sends + Σ_set-ups (events − 1) + Σ_trains ((4·hops + 2)·K − 2)`` fewer
+events than ``WORK_BEFORE_FLIGHTS`` says, cancels as many and peaks no
+higher.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from repro.netsim.engine import Simulator
 from repro.testbeds.churn import ChurnProcess
 from repro.testbeds.livetor import LiveTorTestbed
 from repro.testbeds.planetlab import PlanetLabTestbed
-from repro.tor.flight import Probe, SetUp
+from repro.tor.flight import Probe, SetUp, Train
 
 #: The registry counters ``bench/workloads.py:REGISTRY_COUNTERS`` reads.
 COUNTERS = (
@@ -122,16 +125,22 @@ def _spent(budget: ProbeBudget | None, events) -> tuple:
 @pytest.fixture
 def events_saved(monkeypatch):
     """Counts the events saved: ``4·hops`` for every probe flight that
-    lands, and one for every inline send — an ``EchoClient`` ping-pong
-    reply asking ``quiet_through`` about its own instant and hearing yes
-    (a flight only ever asks about a later one)."""
-    saved = {"landings": 0, "inline sends": 0, "set-ups": 0}
-    land, land_set_up = Probe.land, SetUp.land
+    lands, ``(4·hops + 2)·K − 2`` for every train of ``K`` that lands,
+    and one for every inline send — an ``EchoClient`` ping-pong reply
+    asking ``quiet_through`` about its own instant and hearing yes (a
+    flight only ever asks about a later one)."""
+    saved = {"landings": 0, "inline sends": 0, "set-ups": 0, "trains": 0}
+    land, land_set_up, land_train = Probe.land, SetUp.land, Train.land
     quiet_through = Simulator.quiet_through
 
     def counting_land(probe):
         saved["landings"] += 4 * len(probe.stream.circuit.layers)
         return land(probe)
+
+    def counting_train(train):
+        probes = len(train.lands)
+        saved["trains"] += (4 * len(train.stream.circuit.layers) + 2) * probes - 2
+        return land_train(train)
 
     def counting_set_up(flight):
         saved["set-ups"] += flight.chart[2] - 1
@@ -146,6 +155,7 @@ def events_saved(monkeypatch):
     monkeypatch.setattr(Probe, "land", counting_land)
     monkeypatch.setattr(Simulator, "quiet_through", counting_quiet)
     monkeypatch.setattr(SetUp, "land", counting_set_up)
+    monkeypatch.setattr(Train, "land", counting_train)
     return saved
 
 
@@ -187,33 +197,38 @@ WORK_BEFORE_FLIGHTS = {
 }
 
 #: The same today. Probes fly on the ping-pong policies (which also
-#: send inline) and on the baselines' 2 ms trains down the
-#: forwarding-delay estimator's host-local two-hop circuit, whose echo
-#: is back in under a millisecond; a timer-paced train down a real path
-#: never flies — unless a probe budget cut it to one probe. Set-up steps
-#: fly wherever one pair or task is measured at a time (every row but
-#: concurrent-16). Before set-up flights: sequential budgeted (1082, 45,
-#: 47), cached (1205, 45, 34), churned (3612, 65, 54) before the re-pin
-#: above, permuted / reuse / uncached as cells; callback budgeted-4
-#: (3684, 84, 73), concurrent-1 as cells, isolated (2411, 84, 5);
-#: sharded (2648, 96, 5, 2648); baselines (790, 12, 15).
+#: send inline), and timer-paced trains fly whole wherever one pair or
+#: leg is measured at a time (the fixed 2 ms trains of the sequential
+#: rows, concurrent-1 and the baselines); where trains overlap
+#: (budgeted-4, concurrent-16) a probe flies only if a probe budget cut
+#: its train to one. Set-up steps fly wherever one pair or task is
+#: measured at a time (every row but concurrent-16). Before set-up
+#: flights: sequential budgeted (1082, 45, 47), cached (1205, 45, 34),
+#: churned (3612, 65, 54) before the re-pin above, permuted / reuse /
+#: uncached as cells; callback budgeted-4 (3684, 84, 73), concurrent-1
+#: as cells, isolated (2411, 84, 5); sharded (2648, 96, 5, 2648);
+#: baselines (790, 12, 15). Before train flights: sequential churned
+#: (2740, 61, 37), permuted (2043, 45, 51), reuse (2011, 48, 54),
+#: uncached (3758, 90, 69); callback concurrent-1 (3984, 84, 69);
+#: baselines (676, 12, 15), whose 2 ms trains down the forwarding-delay
+#: estimator's host-local two-hop circuit flew probe by probe.
 WORK = {
     **WORK_BEFORE_FLIGHTS,
     ("sequential", "budgeted"): (602, 45, 47),
     ("sequential", "cached"): (740, 45, 34),
-    ("sequential", "churned"): (2740, 61, 37),
-    ("sequential", "permuted"): (2043, 45, 51),
-    ("sequential", "reuse"): (2011, 48, 54),
-    ("sequential", "uncached"): (3758, 90, 69),
+    ("sequential", "churned"): (1670, 61, 37),
+    ("sequential", "permuted"): (573, 45, 47),
+    ("sequential", "reuse"): (541, 48, 50),
+    ("sequential", "uncached"): (1058, 90, 67),
     ("callback", "budgeted-4"): (3655, 84, 73),
-    ("callback", "concurrent-1"): (3984, 84, 69),
+    ("callback", "concurrent-1"): (1290, 84, 67),
     ("callback", "isolated"): (934, 84, 5),
     ("sharded", 1, 1): (1044, 96, 5, 1044),
     ("sharded", 1, 8): (1044, 96, 5, 1044),
     ("sharded", 2, 1): (1044, 96, 5, 1044),
     ("sharded", 2, 8): (1044, 96, 5, 1044),
-    ("baselines", 11): (676, 12, 15),
-    ("baselines", 2015): (676, 12, 15),
+    ("baselines", 11): (302, 12, 15),
+    ("baselines", 2015): (302, 12, 15),
 }
 
 

@@ -143,6 +143,13 @@ class TestProvenanceLog:
         assert log.failure_breakdown() == {"timeout": 2, "circuit": 1}
         assert len(log.by_status("failed")) == 3
 
+    def test_a_record_without_status_is_refused(self):
+        # ``save`` would write it and ``load`` refuse the file.
+        log = ProvenanceLog()
+        with pytest.raises(MeasurementError, match="A-B has no status"):
+            log.add(PairProvenance(x="A", y="B", status=None))
+        assert len(log) == 0
+
     def test_save_load_roundtrip_mixed(self, tmp_path):
         log = ProvenanceLog()
         log.add(_measured("A", "B", shard=2))

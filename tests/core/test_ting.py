@@ -91,7 +91,7 @@ class TestMeasurePair:
         host.echo_client.probe_async = no_replies
         with pytest.raises(MeasurementError, match="zero replies"):
             measurer.measure_pair(x.descriptor(), y.descriptor())
-        assert host.proxy.open_circuit_count == 0
+        assert sum(c.is_built for c in host.proxy.circuits.values()) == 0
 
     def test_clamped_estimate_non_negative(self, mini_world, measurer):
         x, y = mini_world.relays[0], mini_world.relays[1]
@@ -221,7 +221,7 @@ class TestCircuitReuse:
         assert sim.now - started < 2_000.0
         [circuit] = cut
         assert circuit.state == "closed"
-        assert proxy.open_circuit_count == 0
+        assert sum(c.is_built for c in proxy.circuits.values()) == 0
         result = reuse.measure_pair(y.fingerprint, other.fingerprint)
         assert result.circuit_x.path == (reuse.w, y.fingerprint, reuse.z)
         assert reuse.circuits_reused == 1

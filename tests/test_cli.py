@@ -12,7 +12,6 @@ from repro.core import shard
 from repro.core.dataset import CampaignDataset, RttMatrix
 from repro.core.shard import ShardedCampaign
 from repro.testbeds.livetor import LiveTorTestbed
-from repro.util.errors import MeasurementError
 
 
 @pytest.fixture
@@ -392,8 +391,9 @@ class TestDatasetRoundTrip:
 class TestJsonDatasetRefused:
     """Every command that reads a dataset reads it through
     ``CampaignDataset.load``, so a JSON one fails each of them the same
-    way: a ``MeasurementError`` that names the conversion (``tail``'s
-    case is ``TestTailDatasetReplay``'s)."""
+    way: the ``MeasurementError`` that names the conversion, printed by
+    ``main`` as one ``repro:`` line on stderr with exit status 1
+    (``tail``'s case is ``TestTailDatasetReplay``'s)."""
 
     @pytest.mark.parametrize("document", sorted(JSON_DATASETS))
     @pytest.mark.parametrize(
@@ -410,14 +410,19 @@ class TestJsonDatasetRefused:
         ],
         ids=lambda argv: " ".join(arg for arg in argv if arg not in ("{}", "NPZ")),
     )
-    def test_a_json_dataset_names_the_conversion(self, tmp_path, argv, document):
+    def test_a_json_dataset_names_the_conversion(self, tmp_path, capsys, argv, document):
         path = tmp_path / "campaign.json"
         path.write_text(JSON_DATASETS[document])
         npz = tmp_path / "ds.npz"
         _synthetic_dataset(n=5).save(npz)
         paths = {"{}": str(path), "NPZ": str(npz)}
-        with pytest.raises(MeasurementError, match="Converting a JSON dataset"):
-            main([paths.get(arg, arg) for arg in argv])
+        assert main([paths.get(arg, arg) for arg in argv]) == 1
+        err = capsys.readouterr().err.splitlines()
+        # One line after any progress chatter, no traceback: the loader's
+        # MeasurementError, named.
+        assert err[-1].startswith("repro: ") and "Converting a JSON dataset" in err[-1]
+        assert not any(line.startswith("repro: ") for line in err[:-1])
+        assert "Traceback" not in "\n".join(err)
 
 
 class TestOneWorldPerCommand:
@@ -786,9 +791,11 @@ class TestTailDatasetReplay:
         # line, and the bare matrix printed nothing and exited 0.
         path = tmp_path / "campaign.json"
         path.write_text(JSON_DATASETS[document])
-        with pytest.raises(MeasurementError, match="Converting a JSON dataset"):
-            main(["tail", str(path)])
-        assert capsys.readouterr().out == ""
+        assert main(["tail", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: ") and captured.err.count("\n") == 1
+        assert "Converting a JSON dataset" in captured.err
 
     def test_since_filters_provenance_rows(self, tmp_path, capsys):
         path = tmp_path / "ds.npz"

@@ -115,9 +115,9 @@ class TestProxyState:
         controller = mini_world.measurement.controller
         w = mini_world.measurement.relay_w
         fps = mini_world.fingerprints()
-        assert proxy.open_circuit_count == 0
+        assert sum(c.is_built for c in proxy.circuits.values()) == 0
         controller.build_circuit([w.fingerprint, fps[0]])
-        assert proxy.open_circuit_count == 1
+        assert sum(c.is_built for c in proxy.circuits.values()) == 1
 
     def test_set_consensus_replaces_view(self, mini_world):
         proxy = mini_world.measurement.proxy

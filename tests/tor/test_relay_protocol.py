@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.policies import TrafficClass
-from repro.tor.cells import Cell, CellCommand
+from repro.tor.cells import Cell, CellCommand, RelayCommand
 from repro.util.errors import CircuitError
 
 
@@ -19,12 +19,18 @@ def _built_circuit(mini_world, *relay_indices):
     return controller.build_circuit(path)
 
 
+def _pad(proxy, circuit, hop=None):
+    """Send a long-range padding cell (RELAY_DROP) to ``hop`` (the last
+    by default): the receiving relay absorbs it silently."""
+    proxy._send_relay_cell(circuit, RelayCommand.DROP, 0, b"", target_hop=hop)
+
+
 class TestPaddingCells:
     def test_drop_cell_absorbed_silently(self, mini_world):
         proxy = mini_world.measurement.proxy
         circuit = _built_circuit(mini_world, 0)
         before = mini_world.relays[0].cells_processed
-        proxy.send_padding(circuit)
+        _pad(proxy, circuit)
         mini_world.sim.run_until_idle()
         # The relay processed the padding without tearing anything down.
         assert mini_world.relays[0].cells_processed > before
@@ -33,7 +39,7 @@ class TestPaddingCells:
     def test_padding_addressed_to_intermediate_hop(self, mini_world):
         proxy = mini_world.measurement.proxy
         circuit = _built_circuit(mini_world, 0, 1)
-        proxy.send_padding(circuit, hop=1)  # relay 0's position
+        _pad(proxy, circuit, hop=1)  # relay 0's position
         mini_world.sim.run_until_idle()
         assert circuit.is_built
 
@@ -43,14 +49,14 @@ class TestPaddingCells:
         circuit = _built_circuit(mini_world, 0)
         controller.close_circuit(circuit)
         with pytest.raises(CircuitError):
-            proxy.send_padding(circuit)
+            _pad(proxy, circuit)
 
     def test_circuit_usable_after_padding(self, mini_world):
         measurement = mini_world.measurement
         proxy = measurement.proxy
         circuit = _built_circuit(mini_world, 0)
         for _ in range(5):
-            proxy.send_padding(circuit)
+            _pad(proxy, circuit)
         stream = measurement.controller.open_stream(
             circuit, measurement.echo_address, measurement.echo_port
         )
